@@ -144,7 +144,6 @@ mod tests {
 
     fn mk_trace(dst: &str, hops: &[&str]) -> Traceroute {
         Traceroute {
-            vp: "vp".into(),
             dst: dst.parse().unwrap(),
             flow_id: 1,
             t: 0,

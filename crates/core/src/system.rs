@@ -10,6 +10,7 @@ use manic_probing::tslp::{select_targets, End, TslpProber, ROUND_SECS};
 use manic_probing::{ally_test, trace, LossProber, Traceroute, VpHandle};
 use manic_scenario::World;
 use manic_tsdb::{quality, Aggregate, Store};
+use std::collections::HashMap;
 
 /// System-wide configuration.
 #[derive(Debug, Clone)]
@@ -100,6 +101,9 @@ pub struct VpRuntime {
     /// Worker supervision: strikes from caught panics / watchdog overruns,
     /// and the quarantine they impose.
     pub supervisor: VpSupervisor,
+    /// Per-task outcome flags of the round in progress, reused across
+    /// rounds (see `System::round_with_health`).
+    pub(crate) round_flags: Vec<u8>,
     /// Whether the VP is currently hosted. §3: "Due to the volunteer-based
     /// nature of Ark VP hosting, there is churn in the set of usable VPs"
     /// (86 over the study, 63 by December 2017). Retired VPs stop probing;
@@ -178,6 +182,7 @@ impl System {
                 health: std::collections::HashMap::new(),
                 cycle_backoff: CycleBackoff::default(),
                 supervisor: VpSupervisor::new(),
+                round_flags: Vec::new(),
                 active: true,
             })
             .collect();
@@ -268,16 +273,15 @@ impl System {
         let links: Vec<(Ipv4, Ipv4)> =
             result.links.iter().map(|l| (l.near_ip, l.far_ip)).collect();
         let artifacts = &world.artifacts;
-        let far_as_of = |far_ip: Ipv4| {
-            result
-                .links
-                .iter()
-                .find(|l| l.far_ip == far_ip)
-                .map(|l| l.far_as)
-        };
+        // Neighbor behind each far address: of the links sharing one, the
+        // first in link order speaks for it.
+        let mut far_as_of: HashMap<Ipv4, manic_netsim::AsNumber> = HashMap::new();
+        for l in &result.links {
+            far_as_of.entry(l.far_ip).or_insert(l.far_as);
+        }
         let tasks = select_targets(&traces, &links, |dst, far_ip| {
-            match (artifacts.origin(dst), far_as_of(far_ip)) {
-                (Some(o), Some(n)) => o == n,
+            match (artifacts.origin(dst), far_as_of.get(&far_ip)) {
+                (Some(o), Some(&n)) => o == n,
                 _ => false,
             }
         });
@@ -320,39 +324,6 @@ impl System {
         vp.tslp.tasks.len()
     }
 
-    /// Fold one round's samples into the per-task staleness counters and
-    /// report whether any task has been dark long enough to warrant a
-    /// reactive bdrmap cycle.
-    fn note_round_health(
-        vp: &mut VpRuntime,
-        samples: &[(usize, manic_probing::tslp::TslpSample)],
-        threshold: u32,
-    ) -> bool {
-        use std::collections::HashMap;
-        let mut far_ok: HashMap<usize, bool> = HashMap::new();
-        for (ti, s) in samples {
-            if s.end == End::Far {
-                let e = far_ok.entry(*ti).or_insert(false);
-                *e |= s.rtt_ms.is_some();
-            }
-        }
-        let mut trigger = false;
-        for (ti, ok) in far_ok {
-            let Some(task) = vp.tslp.tasks.get(ti) else { continue };
-            let key = (task.near_ip, task.far_ip);
-            if ok {
-                vp.stale_rounds.remove(&key);
-            } else {
-                let c = vp.stale_rounds.entry(key).or_insert(0);
-                *c += 1;
-                if threshold > 0 && *c >= threshold {
-                    trigger = true;
-                }
-            }
-        }
-        trigger
-    }
-
     /// Run packet-mode measurement from `from` to `to`: bdrmap cycles on
     /// their cadence and a TSLP round every five minutes, all landing in the
     /// tsdb. Returns the number of TSLP rounds executed.
@@ -383,20 +354,24 @@ impl System {
         t: SimTime,
         stage: &mut crate::engine::StagedOps,
     ) {
-        use std::collections::{HashMap, HashSet};
-        let probe_mask: Vec<bool> = vp
-            .tslp
-            .tasks
-            .iter()
-            .map(|task| {
-                vp.health
-                    .get(&(task.near_ip, task.far_ip))
-                    .is_none_or(|h| h.should_probe(t))
-            })
-            .collect();
+        // What this round saw of each task, indexed like `vp.tslp.tasks`.
+        const PROBE: u8 = 1;
+        const FAR_SEEN: u8 = 1 << 1;
+        const FAR_OK: u8 = 1 << 2;
+        const NEAR_OK: u8 = 1 << 3;
+        const FAR_MISMATCHED: u8 = 1 << 4;
+        let flags = &mut vp.round_flags;
+        flags.clear();
+        flags.extend(vp.tslp.tasks.iter().map(|task| {
+            let probe = vp
+                .health
+                .get(&(task.near_ip, task.far_ip))
+                .is_none_or(|h| h.should_probe(t));
+            if probe { PROBE } else { 0 }
+        }));
         // Skipped tasks get their window flagged: a gap the prober chose.
-        for (ti, &probed) in probe_mask.iter().enumerate() {
-            if !probed {
+        for (ti, &f) in flags.iter().enumerate() {
+            if f & PROBE == 0 {
                 for end in [End::Near, End::Far] {
                     stage.annotate(ti, end, t, t + ROUND_SECS, quality::QUARANTINED | quality::GAP);
                 }
@@ -404,28 +379,30 @@ impl System {
         }
         let samples =
             vp.tslp
-                .probe_round_masked(net, &mut vp.sim, t, |ti| probe_mask[ti]);
+                .probe_round_masked(net, &mut vp.sim, t, |ti| flags[ti] & PROBE != 0);
         for &(ti, s) in &samples {
             if let Some(rtt) = s.rtt_ms {
                 stage.sample(ti, s.end, s.t, rtt);
             }
+            let answered = s.rtt_ms.is_some();
+            flags[ti] |= match s.end {
+                End::Far => {
+                    FAR_SEEN
+                        | if answered { FAR_OK } else { 0 }
+                        | if s.mismatched { FAR_MISMATCHED } else { 0 }
+                }
+                End::Near if answered => NEAR_OK,
+                End::Near => 0,
+            };
         }
 
-        let mut far_ok: HashMap<usize, bool> = HashMap::new();
-        let mut near_ok: HashMap<usize, bool> = HashMap::new();
-        let mut mismatched: HashSet<(usize, End)> = HashSet::new();
-        for (ti, s) in &samples {
-            let slot = match s.end {
-                End::Far => far_ok.entry(*ti).or_insert(false),
-                End::Near => near_ok.entry(*ti).or_insert(false),
-            };
-            *slot |= s.rtt_ms.is_some();
-            if s.mismatched {
-                mismatched.insert((*ti, s.end));
-            }
-        }
+        let mut refresh = false;
         for (ti, task) in vp.tslp.tasks.iter().enumerate() {
-            let Some(&ok) = far_ok.get(&ti) else { continue };
+            let f = flags[ti];
+            if f & FAR_SEEN == 0 {
+                continue;
+            }
+            let ok = f & FAR_OK != 0;
             let key = (task.near_ip, task.far_ip);
             // Jitter stream per task so quarantined tasks re-probe
             // desynchronized rather than in lockstep bursts.
@@ -450,19 +427,29 @@ impl System {
                     to = after.as_str(),
                 );
             }
-            if mismatched.contains(&(ti, End::Far)) {
+            if f & FAR_MISMATCHED != 0 {
                 // Response from the wrong address: renumbering or a moved
                 // route. Samples were already discarded; flag the window so
                 // any adjacent inference treats it as untrustworthy.
                 stage.annotate(ti, End::Far, t, t + ROUND_SECS, quality::RENUMBERED);
-            } else if !ok && near_ok.get(&ti).copied().unwrap_or(false) {
+            } else if !ok && f & NEAR_OK != 0 {
                 // Far end dark while the near end (same path prefix, same
                 // probes) answers: the classic ICMP rate-limiting signature
                 // (§5.2), not path loss.
                 stage.annotate(ti, End::Far, t, t + ROUND_SECS, quality::SUSPECT_RATE_LIMITED);
             }
+            // Consecutive rounds without a valid far-end response: a task
+            // dark for long enough warrants a reactive bdrmap cycle.
+            if ok {
+                vp.stale_rounds.remove(&key);
+            } else {
+                let dark = vp.stale_rounds.entry(key).or_insert(0);
+                *dark += 1;
+                refresh |= cfg.reactive_mismatch_rounds > 0
+                    && *dark >= cfg.reactive_mismatch_rounds;
+            }
         }
-        if Self::note_round_health(vp, &samples, cfg.reactive_mismatch_rounds) {
+        if refresh {
             // Reactive update (§3.2): refresh the probing set now.
             vp.last_cycle = None;
         }

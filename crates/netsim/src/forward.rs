@@ -11,6 +11,12 @@
 //! unresponsiveness). Replies are themselves routed hop by hop, so
 //! asymmetric return paths and return-path congestion behave exactly as the
 //! paper describes (§7).
+//!
+//! Where a packet goes depends only on its flow and the routing epoch, so
+//! that part is derived once and reused: the forward path of the flow being
+//! probed (`ResolvedPath`) and the next hops of replies toward the prober
+//! (`SinkTree`). What happens to a packet on the way — load, loss, faults,
+//! ICMP behaviour — is evaluated per probe, in path order (DESIGN.md §5l).
 
 use crate::fault::FaultSchedule;
 use crate::fib::{ecmp_pick, Fib};
@@ -89,20 +95,103 @@ pub struct HopObservation {
     pub ingress_addr: Ipv4,
     pub link: LinkId,
     pub direction: Direction,
+    /// Whether `router` terminates the walk's destination (a local
+    /// interface address or one of its host prefixes).
+    pub terminates: bool,
+}
+
+/// How a path walk ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum PathEnd {
+    /// Stopped at the caller's hop bound; `Network::resolve_path` extends
+    /// the walk from the last hop when a probe needs more.
+    #[default]
+    Truncated,
+    /// The last hop's router terminates the destination.
+    Terminated,
+    /// The last router has no route to the destination.
+    DeadEnd,
+    /// [`MAX_HOPS`] hops without terminating: a forwarding loop.
+    Loop,
+}
+
+/// The forward path of one probe flow: a function of `(src, src_addr, dst,
+/// flow_id)` and the routing epoch, resolved hop by hop once and replayed
+/// for every probe that shares the key — the TTLs of one traceroute, the
+/// near and far probe of one TSLP destination, the retries of either.
+/// Holds routing only: link load, loss and every fault are evaluated when a
+/// probe is replayed over it.
+#[derive(Debug, Default)]
+struct ResolvedPath {
+    /// What `hops` was resolved for; `None` before the first resolution.
+    key: Option<PathKey>,
+    hops: Vec<HopObservation>,
+    end: PathEnd,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathKey {
+    src: RouterId,
+    src_addr: Ipv4,
+    dst: Ipv4,
+    flow_id: u16,
+    /// Index of the routing epoch the hops were resolved under.
+    epoch: usize,
 }
 
 /// Reusable buffers for path walks. Owned by [`SimState`] so every
 /// measurement driver gets an arena that lives as long as its probing state:
-/// once the vectors reach their high-water mark, `forward_path_into` /
-/// `record_route_into` stop allocating entirely (asserted by
-/// `tests/alloc_lean.rs`). Deliberately excluded from checkpoint
-/// serialization — scratch contents never outlive one call.
+/// once the vectors reach their high-water mark, `send_probe` /
+/// `forward_path_into` / `record_route_into` stop allocating entirely
+/// (asserted by `tests/alloc_lean.rs`). Deliberately excluded from checkpoint
+/// serialization — everything here is re-derived from the network on demand.
 #[derive(Debug, Default)]
 pub struct PathScratch {
     /// Forward-leg hop walk.
     pub hops: Vec<HopObservation>,
     /// Reply-leg hop walk (alive at the same time as `hops`).
     pub reply_hops: Vec<HopObservation>,
+    /// Forward path of the flow `send_probe` served last.
+    path: ResolvedPath,
+    /// Next hops of the replies `send_probe` routed last.
+    sink: SinkTree,
+}
+
+/// One memoized step of a reply toward the root of a [`SinkTree`]: the link
+/// to leave on and the direction to cross it in, or [`SinkStep::DELIVER`]
+/// at a router that terminates the destination. Packed into four bytes —
+/// every vantage point keeps a tree, a thousand-odd routers each.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SinkStep(u32);
+
+impl SinkStep {
+    const DELIVER: SinkStep = SinkStep(u32::MAX);
+    /// Set on a link id when the link is crossed B→A.
+    const B_TO_A: u32 = 1 << 31;
+
+    fn forward(link: LinkId, dir: Direction) -> Self {
+        assert!(link.0 < Self::B_TO_A - 1, "link id must leave the top bit free");
+        SinkStep(link.0 | if dir == Direction::BtoA { Self::B_TO_A } else { 0 })
+    }
+
+    /// The crossing to make, or `None` to deliver here.
+    fn crossing(self) -> Option<(LinkId, Direction)> {
+        let dir = if self.0 & Self::B_TO_A == 0 { Direction::AtoB } else { Direction::BtoA };
+        (self != Self::DELIVER).then_some((LinkId(self.0 & !Self::B_TO_A), dir))
+    }
+}
+
+/// Replies to one vantage point all route toward its address, so their
+/// paths form a tree rooted there. The tree is filled lazily, only at the
+/// routers replies actually visit and only where the FIB offers a single
+/// next hop — an ECMP group hashes on the responding interface, so those
+/// routers are looked up live. Valid for one destination under one routing
+/// epoch; emptied when either changes.
+#[derive(Debug, Default)]
+struct SinkTree {
+    /// `(destination, routing epoch index)` the steps lead toward.
+    root: Option<(Ipv4, usize)>,
+    steps: HashMap<RouterId, SinkStep>,
 }
 
 /// Mutable simulation state: ICMP rate limiter buckets and the draw counter
@@ -193,9 +282,13 @@ impl Network {
         self.epochs.push((t, fibs));
     }
 
+    /// Index of the routing epoch active at `t`.
+    fn epoch_at(&self, t: SimTime) -> usize {
+        self.epochs.partition_point(|(t0, _)| *t0 <= t) - 1
+    }
+
     fn fibs_at(&self, t: SimTime) -> &[Fib] {
-        let idx = self.epochs.partition_point(|(t0, _)| *t0 <= t);
-        &self.epochs[idx - 1].1
+        &self.epochs[self.epoch_at(t)].1
     }
 
     /// FIB of one router at time `t` (diagnostics).
@@ -216,24 +309,102 @@ impl Network {
         }
     }
 
-    /// Deterministic next-hop decision at `cur` for `dst` under flow `flow_id`.
-    ///
-    /// Returns `(link, direction, next router, ingress interface addr at next)`.
+    /// Deterministic next-hop decision at `cur` for `dst` under flow
+    /// `flow_id`: the hop taken and the size of the ECMP group it was picked
+    /// from. `None` when `cur` has no route.
     fn forward_hop(
         &self,
+        fibs: &[Fib],
         cur: RouterId,
         dst: Ipv4,
         src_for_hash: Ipv4,
         flow_id: u16,
-        t: SimTime,
-    ) -> Option<(LinkId, Direction, RouterId, Ipv4)> {
-        let fib = &self.fibs_at(t)[cur.0 as usize];
-        let group = fib.lookup(dst)?;
+    ) -> Option<(HopObservation, usize)> {
+        let group = fibs[cur.0 as usize].lookup(dst)?;
         let egress = ecmp_pick(group, flow_id, src_for_hash, dst, cur.0 as u64);
         let link = self.topo.iface(egress).link?;
-        let dir = self.topo.link_direction(link, egress);
         let peer = self.topo.peer_iface(egress).expect("connected iface has a peer");
-        Some((link, dir, peer.router, peer.addr))
+        let hop = HopObservation {
+            router: peer.router,
+            ingress_addr: peer.addr,
+            link,
+            direction: self.topo.link_direction(link, egress),
+            terminates: self.topo.terminates(peer.router, dst),
+        };
+        Some((hop, group.len()))
+    }
+
+    /// The one path walker: extend `hops` — a prefix, possibly empty, of the
+    /// walk from `src` toward `dst` — until the path ends or holds `limit`
+    /// hops.
+    ///
+    /// A router that terminates `dst` ends the walk, except `src` itself: a
+    /// probe is forwarded away from its source even when the source owns
+    /// the destination.
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        &self,
+        fibs: &[Fib],
+        src: RouterId,
+        src_for_hash: Ipv4,
+        dst: Ipv4,
+        flow_id: u16,
+        limit: usize,
+        hops: &mut Vec<HopObservation>,
+    ) -> PathEnd {
+        let (mut cur, mut terminated) =
+            hops.last().map_or((src, false), |h| (h.router, h.terminates));
+        // A loop that re-enters a terminating `src` lets a probe outrun its
+        // TTL (nothing expires there), so such a walk ignores `limit`.
+        let mut unbounded = hops.iter().any(|h| h.terminates);
+        loop {
+            if hops.len() >= MAX_HOPS {
+                return PathEnd::Loop;
+            }
+            if terminated && cur != src {
+                return PathEnd::Terminated;
+            }
+            if hops.len() >= limit && !unbounded {
+                return PathEnd::Truncated;
+            }
+            let Some((hop, _)) = self.forward_hop(fibs, cur, dst, src_for_hash, flow_id) else {
+                return PathEnd::DeadEnd;
+            };
+            hops.push(hop);
+            (cur, terminated) = (hop.router, hop.terminates);
+            unbounded |= terminated;
+        }
+    }
+
+    /// Make `path` hold the forward path of `spec` under the routing epoch
+    /// active at `t`, at least as far as `spec.ttl` hops (or to its end).
+    /// Hops already resolved for the same flow and epoch are kept, so the
+    /// TTLs of one traceroute walk the path once between them.
+    fn resolve_path(&self, spec: &ProbeSpec, t: SimTime, path: &mut ResolvedPath) {
+        let epoch = self.epoch_at(t);
+        let key = PathKey {
+            src: spec.src,
+            src_addr: spec.src_addr,
+            dst: spec.dst,
+            flow_id: spec.flow_id,
+            epoch,
+        };
+        if path.key != Some(key) {
+            path.key = Some(key);
+            path.hops.clear();
+            path.end = PathEnd::Truncated;
+        }
+        if path.end == PathEnd::Truncated && path.hops.len() < spec.ttl as usize {
+            path.end = self.walk(
+                &self.epochs[epoch].1,
+                spec.src,
+                spec.src_addr,
+                spec.dst,
+                spec.flow_id,
+                spec.ttl as usize,
+                &mut path.hops,
+            );
+        }
     }
 
     /// Walk the forward path from `src` toward `dst` without loss draws.
@@ -266,6 +437,11 @@ impl Network {
         out: &mut Vec<HopObservation>,
     ) {
         out.clear();
+        // Unlike a probe, a plain walk from a router that owns `dst` is
+        // already there.
+        if self.topo.terminates(src, dst) {
+            return;
+        }
         let src_addr = self
             .topo
             .router(src)
@@ -273,19 +449,7 @@ impl Network {
             .first()
             .map(|&i| self.topo.iface(i).addr)
             .unwrap_or(Ipv4::UNSPECIFIED);
-        let mut cur = src;
-        for _ in 0..MAX_HOPS {
-            if self.topo.terminates(cur, dst) {
-                break;
-            }
-            let Some((link, dir, next, ingress)) =
-                self.forward_hop(cur, dst, src_addr, flow_id, t)
-            else {
-                break;
-            };
-            out.push(HopObservation { router: next, ingress_addr: ingress, link, direction: dir });
-            cur = next;
-        }
+        self.walk(self.fibs_at(t), src, src_addr, dst, flow_id, MAX_HOPS, out);
     }
 
     /// Cross one link: returns `Some(one-way delay in ms)` or `None` if the
@@ -318,8 +482,39 @@ impl Network {
         Some(l.prop_delay_ms + ls.queue_ms)
     }
 
+    /// Where a reply toward `to_addr` goes from `cur`: from the sink tree
+    /// when it knows, else looked up and — where the FIB leaves no choice —
+    /// remembered. `None` when `cur` has no route.
+    #[allow(clippy::too_many_arguments)]
+    fn sink_step(
+        &self,
+        sink: &mut SinkTree,
+        fibs: &[Fib],
+        cur: RouterId,
+        to_addr: Ipv4,
+        from_addr: Ipv4,
+        flow_id: u16,
+    ) -> Option<SinkStep> {
+        if let Some(&step) = sink.steps.get(&cur) {
+            return Some(step);
+        }
+        let (step, single_path) = if self.topo.terminates(cur, to_addr) {
+            (SinkStep::DELIVER, true)
+        } else {
+            let (hop, group) = self.forward_hop(fibs, cur, to_addr, from_addr, flow_id)?;
+            (SinkStep::forward(hop.link, hop.direction), group == 1)
+        };
+        if single_path {
+            sink.steps.insert(cur, step);
+        }
+        Some(step)
+    }
+
     /// Route a reply from `from` back to `to_addr`, returning the one-way
-    /// delay, or `None` when the reply is lost or unroutable.
+    /// delay, or `None` when the reply is lost or unroutable. Next hops come
+    /// from the [`SinkTree`] of `state`; links are crossed (load, loss and
+    /// faults at `t`) in path order, so the draw sequence is that of a
+    /// hop-by-hop walk.
     #[allow(clippy::too_many_arguments)]
     fn reply_path_delay(
         &self,
@@ -331,15 +526,21 @@ impl Network {
         state: &mut SimState,
         crossed: &mut u64,
     ) -> Option<f64> {
+        let epoch = self.epoch_at(t);
+        let sink = &mut state.scratch.sink;
+        if sink.root != Some((to_addr, epoch)) {
+            sink.root = Some((to_addr, epoch));
+            sink.steps.clear();
+        }
+        let fibs = &self.epochs[epoch].1;
         let mut cur = from;
         let mut total = 0.0;
         for _ in 0..MAX_HOPS {
-            if self.topo.terminates(cur, to_addr) {
-                return Some(total);
-            }
-            let (link, dir, next, _) = self.forward_hop(cur, to_addr, from_addr, flow_id, t)?;
+            let sink = &mut state.scratch.sink;
+            let step = self.sink_step(sink, fibs, cur, to_addr, from_addr, flow_id)?;
+            let Some((link, dir)) = step.crossing() else { return Some(total) };
             total += self.cross(link, dir, t, state, crossed)?;
-            cur = next;
+            cur = self.topo.link_head(link, dir);
         }
         None
     }
@@ -486,7 +687,9 @@ impl Network {
         ok
     }
 
-    /// Inject one probe at time `t` and resolve its fate.
+    /// Inject one probe at time `t` and resolve its fate: resolve the flow's
+    /// forward path into the scratch of `state` (a no-op when the previous
+    /// probe shared it), then replay the probe over it.
     ///
     /// Every exit increments exactly one outcome metric, so
     /// `manic_netsim_probes_sent` always equals the sum of the echo-reply,
@@ -496,91 +699,114 @@ impl Network {
         let m = crate::obs::metrics();
         m.probes_sent.inc();
         let mut crossed = 0u64;
-        let status = self.send_probe_inner(state, spec, t, m, &mut crossed);
+        // `mem::take` swaps in an empty path without allocating, so the
+        // path and the rest of `state` can be borrowed independently.
+        let mut path = std::mem::take(&mut state.scratch.path);
+        self.resolve_path(&spec, t, &mut path);
+        let status = self.replay(&path, state, &spec, t, m, &mut crossed);
+        state.scratch.path = path;
         m.packets_forwarded.add(crossed);
         status
     }
 
-    fn send_probe_inner(
+    /// Answer a probe of `spec` from `addr` on `router` — a time-exceeded
+    /// from the expiry hop's ingress interface, or an echo reply from the
+    /// destination address — and route the answer back to the prober.
+    /// Returns the source address the answer carries, the ICMP generation
+    /// delay and the reply-leg delay; `None` (after counting the reason)
+    /// when no answer arrives.
+    #[allow(clippy::too_many_arguments)]
+    fn respond(
         &self,
+        router: RouterId,
+        addr: Ipv4,
+        spec: &ProbeSpec,
+        t: SimTime,
         state: &mut SimState,
-        spec: ProbeSpec,
+        m: &crate::obs::Metrics,
+        crossed: &mut u64,
+    ) -> Option<(Ipv4, f64, f64)> {
+        if self.fault.silent_addr(&self.topo, addr, t) {
+            m.drop_silent_addr.inc();
+            return None;
+        }
+        let Some(gen) = self.icmp_generate(router, t, state) else {
+            m.drop_icmp_denied.inc();
+            return None;
+        };
+        let Some(rev) =
+            self.reply_path_delay(router, addr, spec.src_addr, spec.flow_id, t, state, crossed)
+        else {
+            m.drop_reply_lost.inc();
+            return None;
+        };
+        // Renumbering rewrites the source address the reply carries; the
+        // reply still routes from the real interface.
+        Some((self.fault.renumbered(&self.topo, addr, t), gen, rev))
+    }
+
+    /// Send one probe of `spec` along its resolved `path`: cross each link
+    /// under the load, loss and faults of time `t` until the TTL expires,
+    /// the destination answers, or the path gives out.
+    fn replay(
+        &self,
+        path: &ResolvedPath,
+        state: &mut SimState,
+        spec: &ProbeSpec,
         t: SimTime,
         m: &crate::obs::Metrics,
         crossed: &mut u64,
     ) -> ProbeStatus {
-        let mut cur = spec.src;
-        let mut fwd = 0.0;
-        let mut ttl = spec.ttl;
-        if ttl == 0 {
+        if spec.ttl == 0 {
             m.drop_zero_ttl.inc();
             return ProbeStatus::Lost;
         }
         // A VP with a skewed clock reports every RTT offset by the skew.
         let skew = self.fault.clock_skew_ms(spec.src, t);
-        for _ in 0..MAX_HOPS {
-            if self.topo.terminates(cur, spec.dst) && cur != spec.src {
-                // Destination host answers the echo.
-                if self.fault.silent_addr(&self.topo, spec.dst, t) {
-                    m.drop_silent_addr.inc();
-                    return ProbeStatus::Lost;
-                }
-                let Some(gen) = self.icmp_generate(cur, t, state) else {
-                    m.drop_icmp_denied.inc();
-                    return ProbeStatus::Lost;
-                };
-                let Some(rev) = self.reply_path_delay(
-                    cur, spec.dst, spec.src_addr, spec.flow_id, t, state, crossed,
-                ) else {
-                    m.drop_reply_lost.inc();
-                    return ProbeStatus::Lost;
-                };
-                let from = self.fault.renumbered(&self.topo, spec.dst, t);
-                let rtt_ms = fwd + gen + rev + skew;
-                m.echo_reply.inc();
-                return ProbeStatus::EchoReply { from, rtt_ms };
-            }
-            let Some((link, dir, next, ingress)) =
-                self.forward_hop(cur, spec.dst, spec.src_addr, spec.flow_id, t)
-            else {
-                m.unroutable.inc();
-                return ProbeStatus::Unroutable;
-            };
-            let Some(delay) = self.cross(link, dir, t, state, crossed) else {
+        let mut fwd = 0.0;
+        for (i, hop) in path.hops.iter().enumerate() {
+            let Some(delay) = self.cross(hop.link, hop.direction, t, state, crossed) else {
                 m.drop_forward_loss.inc();
                 return ProbeStatus::Lost;
             };
             fwd += delay;
-            cur = next;
-            ttl -= 1;
-            if ttl == 0 && !self.topo.terminates(cur, spec.dst) {
-                // Time exceeded at `cur`; response sourced from the ingress
+            if i + 1 == spec.ttl as usize && !hop.terminates {
+                // Time exceeded; response sourced from the ingress
                 // interface the packet arrived on.
-                if self.fault.silent_addr(&self.topo, ingress, t) {
-                    m.drop_silent_addr.inc();
-                    return ProbeStatus::Lost;
-                }
-                let Some(gen) = self.icmp_generate(cur, t, state) else {
-                    m.drop_icmp_denied.inc();
-                    return ProbeStatus::Lost;
+                let answer =
+                    self.respond(hop.router, hop.ingress_addr, spec, t, state, m, crossed);
+                return match answer {
+                    Some((from, gen, rev)) => {
+                        m.time_exceeded.inc();
+                        ProbeStatus::TimeExceeded { from, rtt_ms: fwd + gen + rev + skew }
+                    }
+                    None => ProbeStatus::Lost,
                 };
-                let Some(rev) = self.reply_path_delay(
-                    cur, ingress, spec.src_addr, spec.flow_id, t, state, crossed,
-                ) else {
-                    m.drop_reply_lost.inc();
-                    return ProbeStatus::Lost;
-                };
-                // Renumbering rewrites the source address the reply carries;
-                // the reply still routes from the real interface.
-                let from = self.fault.renumbered(&self.topo, ingress, t);
-                let rtt_ms = fwd + gen + rev + skew;
-                m.time_exceeded.inc();
-                return ProbeStatus::TimeExceeded { from, rtt_ms };
             }
         }
-        // Forwarding loop or path longer than MAX_HOPS.
-        m.drop_routing_loop.inc();
-        ProbeStatus::Lost
+        match (path.end, path.hops.last()) {
+            // Destination host answers the echo.
+            (PathEnd::Terminated, Some(last)) => {
+                match self.respond(last.router, spec.dst, spec, t, state, m, crossed) {
+                    Some((from, gen, rev)) => {
+                        m.echo_reply.inc();
+                        ProbeStatus::EchoReply { from, rtt_ms: fwd + gen + rev + skew }
+                    }
+                    None => ProbeStatus::Lost,
+                }
+            }
+            (PathEnd::DeadEnd, _) => {
+                m.unroutable.inc();
+                ProbeStatus::Unroutable
+            }
+            (PathEnd::Loop, _) => {
+                m.drop_routing_loop.inc();
+                ProbeStatus::Lost
+            }
+            (PathEnd::Truncated | PathEnd::Terminated, _) => {
+                unreachable!("resolve_path walks to the probe's TTL or the path's end")
+            }
+        }
     }
 }
 
@@ -807,6 +1033,35 @@ mod tests {
         assert_eq!(path[2].ingress_addr, ip("10.0.2.2"));
         assert_eq!(path[3].ingress_addr, ip("10.0.3.2"));
         assert_eq!(net.topo.link(path[2].link).kind, LinkKind::Interdomain);
+    }
+
+    #[test]
+    fn path_is_walked_once_per_flow_and_epoch() {
+        let (mut net, vp) = chain(0.1, 0.1);
+        // A second epoch with the same routes: only the epoch changes.
+        let fibs = (0..net.topo.routers.len() as u32).map(|r| net.fib(RouterId(r), 0).clone());
+        let fibs: Vec<Fib> = fibs.collect();
+        net.add_epoch(1000, fibs);
+        let mut st = SimState::new();
+        // Hops held after the probe (a fresh walk stops at the probe's TTL,
+        // so the count tells it from an extension) and how the walk ended.
+        let mut send = |ttl, flow_id, t| {
+            let (src_addr, dst) = (ip("10.0.0.10"), ip("10.9.0.5"));
+            net.send_probe(&mut st, ProbeSpec { src: vp, src_addr, dst, ttl, flow_id }, t);
+            (st.scratch.path.hops.len(), st.scratch.path.end)
+        };
+        // A traceroute's TTLs extend one walk hop by hop...
+        assert_eq!(send(1, 42, 0), (1, PathEnd::Truncated));
+        assert_eq!(send(2, 42, 0), (2, PathEnd::Truncated));
+        assert_eq!(send(3, 42, 5), (3, PathEnd::Truncated));
+        // ...a lower TTL replays a prefix of it, and the end is found once.
+        assert_eq!(send(2, 42, 5), (3, PathEnd::Truncated));
+        assert_eq!(send(9, 42, 5), (4, PathEnd::Terminated));
+        assert_eq!(send(1, 42, 9), (4, PathEnd::Terminated));
+        // Another flow or another routing epoch starts over.
+        assert_eq!(send(1, 43, 9), (1, PathEnd::Truncated));
+        assert_eq!(send(2, 43, 999), (2, PathEnd::Truncated));
+        assert_eq!(send(1, 43, 1000), (1, PathEnd::Truncated));
     }
 
     #[test]

@@ -129,10 +129,13 @@ pub struct Topology {
     pub links: Vec<Link>,
     /// Address → interface reverse index.
     addr_index: HashMap<Ipv4, IfaceId>,
-    /// Prefixes terminated by host routers: packets for these prefixes that
-    /// reach the listed router are answered (ICMP echo) from the destination
-    /// address itself.
-    pub host_prefixes: Vec<(Prefix, RouterId)>,
+    /// Prefixes terminated by host routers, indexed by router id: packets
+    /// for these prefixes that reach the owning router are answered (ICMP
+    /// echo) from the destination address itself. Private so that
+    /// [`Self::add_host_prefix`] is the only writer; a router holds a
+    /// handful of prefixes at most, so [`Self::terminates`] never looks past
+    /// the router it is asked about.
+    host_prefixes: Vec<Vec<Prefix>>,
 }
 
 impl Topology {
@@ -159,6 +162,7 @@ impl Topology {
             icmp,
             ifaces: Vec::new(),
         });
+        self.host_prefixes.push(Vec::new());
         id
     }
 
@@ -213,7 +217,7 @@ impl Topology {
 
     /// Register a prefix whose addresses are answered by `router`.
     pub fn add_host_prefix(&mut self, prefix: Prefix, router: RouterId) {
-        self.host_prefixes.push((prefix, router));
+        self.host_prefixes[router.0 as usize].push(prefix);
     }
 
     pub fn router(&self, id: RouterId) -> &Router {
@@ -253,6 +257,12 @@ impl Topology {
         }
     }
 
+    /// The router a packet crossing `link` in direction `dir` arrives at.
+    pub fn link_head(&self, link: LinkId, dir: Direction) -> RouterId {
+        let [a, b] = self.link(link).ifaces;
+        self.iface(if dir == Direction::AtoB { b } else { a }).router
+    }
+
     /// True when packets addressed to `dst` terminate at `router` (either a
     /// local interface address or a registered host prefix).
     pub fn terminates(&self, router: RouterId, dst: Ipv4) -> bool {
@@ -261,9 +271,7 @@ impl Topology {
                 return true;
             }
         }
-        self.host_prefixes
-            .iter()
-            .any(|(p, r)| *r == router && p.contains(dst))
+        self.host_prefixes[router.0 as usize].iter().any(|p| p.contains(dst))
     }
 
     /// AS that owns `addr` according to interface assignment; `None` for

@@ -22,7 +22,6 @@ pub struct TracerouteHop {
 /// A completed traceroute.
 #[derive(Debug, Clone)]
 pub struct Traceroute {
-    pub vp: String,
     pub dst: Ipv4,
     pub flow_id: u16,
     pub t: SimTime,
@@ -98,7 +97,7 @@ pub fn trace(
             break;
         }
     }
-    Traceroute { vp: vp.name.clone(), dst, flow_id, t, hops, reached }
+    Traceroute { dst, flow_id, t, hops, reached }
 }
 
 #[cfg(test)]

@@ -210,7 +210,8 @@ impl TslpProber {
         // (see `bench/src/bin/obs_overhead.rs`).
         let (mut sent, mut answered, mut timed_out, mut mism, mut lost, mut skipped) =
             (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        let mut out = Vec::new();
+        let probes = 2 * self.tasks.iter().map(|t| t.dests.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(probes);
         let budget = &mut self.budget;
         for (ti, task) in self.tasks.iter().enumerate() {
             if !mask(ti) {
@@ -396,16 +397,33 @@ pub fn select_targets(
     links: &[(Ipv4, Ipv4)],
     in_neighbor_space: impl Fn(Ipv4, Ipv4) -> bool,
 ) -> Vec<TslpTask> {
+    // `(addr, trace, hop)` for the first hop at which each trace saw each
+    // address, sorted — so a link looks only at the traces through its two
+    // ends, not at every hop of every trace.
+    let mut seen = Vec::with_capacity(traces.iter().map(|tr| tr.hops.len()).sum());
+    for (ti, tr) in traces.iter().enumerate() {
+        seen.extend(tr.hops.iter().enumerate().filter_map(|(hi, h)| Some((h.addr?, ti, hi))));
+    }
+    seen.sort_unstable();
+    seen.dedup_by_key(|&mut (addr, ti, _)| (addr, ti));
+    let seen_at = |addr: Ipv4| {
+        let from = seen.partition_point(|e| e.0 < addr);
+        &seen[from..from + seen[from..].partition_point(|e| e.0 == addr)]
+    };
     let mut tasks = Vec::new();
     for &(near_ip, far_ip) in links {
         let mut preferred: Vec<TslpDest> = Vec::new();
         let mut fallback: Vec<TslpDest> = Vec::new();
         let mut flow_id = None;
-        for tr in traces {
-            let (Some(ni), Some(fi)) = (tr.hop_of(near_ip), tr.hop_of(far_ip)) else { continue };
+        let fars = seen_at(far_ip);
+        for &(_, ti, ni) in seen_at(near_ip) {
+            // The far end must first show up on the very next hop.
+            let Ok(at) = fars.binary_search_by_key(&ti, |e| e.1) else { continue };
+            let fi = fars[at].2;
             if fi != ni + 1 {
                 continue;
             }
+            let tr = &traces[ti];
             let dest = TslpDest {
                 dst: tr.dst,
                 near_ttl: tr.hops[ni].ttl,
@@ -448,7 +466,6 @@ mod tests {
 
     fn mk_trace(dst: &str, hops: &[&str]) -> Traceroute {
         Traceroute {
-            vp: "vp".into(),
             dst: d(dst),
             flow_id: 7,
             t: 0,

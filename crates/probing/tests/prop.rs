@@ -7,7 +7,6 @@ use proptest::prelude::*;
 
 fn mk_trace(dst: u32, flow: u16, hops: &[u32]) -> Traceroute {
     Traceroute {
-        vp: "vp".into(),
         dst: Ipv4(dst),
         flow_id: flow,
         t: 0,
@@ -24,7 +23,64 @@ fn mk_trace(dst: u32, flow: u16, hops: &[u32]) -> Traceroute {
     }
 }
 
+/// A selected task as `(near, far, flow, [(dst, near_ttl, far_ttl)])`.
+type Selected = (Ipv4, Ipv4, u16, Vec<(Ipv4, u8, u8)>);
+
+/// `select_targets` as a scan: every link looks at every trace.
+fn select_by_scan(
+    traces: &[Traceroute],
+    links: &[(Ipv4, Ipv4)],
+    preferred: impl Fn(Ipv4, Ipv4) -> bool,
+) -> Vec<Selected> {
+    let mut out = Vec::new();
+    for &(near, far) in links {
+        let (mut first, mut rest, mut flow) = (Vec::new(), Vec::new(), None);
+        for tr in traces {
+            let (Some(ni), Some(fi)) = (tr.hop_of(near), tr.hop_of(far)) else { continue };
+            if fi != ni + 1 {
+                continue;
+            }
+            flow.get_or_insert(tr.flow_id);
+            let dest = (tr.dst, tr.hops[ni].ttl, tr.hops[fi].ttl);
+            if preferred(tr.dst, far) { first.push(dest) } else { rest.push(dest) }
+        }
+        first.extend(rest);
+        first.dedup_by_key(|d| d.0);
+        first.truncate(3);
+        if let Some(flow) = flow {
+            out.push((near, far, flow, first));
+        }
+    }
+    out
+}
+
 proptest! {
+    /// The per-cycle address index picks exactly what scanning every trace
+    /// for every link picks — with repeated addresses, unresponsive hops,
+    /// loops, and links no trace shows.
+    #[test]
+    fn select_targets_matches_scan(
+        paths in prop::collection::vec(prop::collection::vec(0u32..7, 1..9), 1..14),
+        links in prop::collection::vec((1u32..7, 1u32..7), 1..8),
+        mask in any::<u32>(),
+    ) {
+        let traces: Vec<Traceroute> = paths
+            .iter()
+            .enumerate()
+            .map(|(k, hops)| mk_trace(1000 + (k as u32 % 9), k as u16, hops))
+            .collect();
+        let links: Vec<(Ipv4, Ipv4)> = links.iter().map(|&(n, f)| (Ipv4(n), Ipv4(f))).collect();
+        let preferred = move |dst: Ipv4, far: Ipv4| (mask >> ((dst.0 + far.0) % 32)) & 1 == 1;
+        let got: Vec<Selected> = select_targets(&traces, &links, preferred)
+            .into_iter()
+            .map(|t| {
+                let dests = t.dests.iter().map(|d| (d.dst, d.near_ttl, d.far_ttl)).collect();
+                (t.near_ip, t.far_ip, t.flow_id, dests)
+            })
+            .collect();
+        prop_assert_eq!(got, select_by_scan(&traces, &links, preferred));
+    }
+
     /// Slot times are monotone non-decreasing and the long-run rate never
     /// exceeds the budget.
     #[test]
