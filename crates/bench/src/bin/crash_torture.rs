@@ -142,7 +142,7 @@ fn run_trial(
     // Recover report: must succeed with an intact hash whenever a checkpoint
     // exists; the torn-tail accounting comes from the same scan the resume
     // path uses.
-    let has_checkpoint = dir.join("checkpoint.json").is_file();
+    let has_checkpoint = manic_core::has_checkpoint(&dir);
     let mut tail_records = 0;
     let mut tail_torn = 0;
     if has_checkpoint {

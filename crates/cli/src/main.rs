@@ -510,8 +510,7 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
 
     let dir = std::path::PathBuf::from(dir);
     let cfg = durability_config(&args);
-    let has_checkpoint = dir.join("checkpoint.json").is_file();
-    let (mut sys, mut d) = if args.resume && has_checkpoint {
+    let (mut sys, mut d) = if args.resume && manic_core::has_checkpoint(&dir) {
         let (mut sys, d, info) = manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
         sys.cfg.threads = args.threads;
         // Summaries are rebuilt lazily after resume, so a new window length
@@ -667,7 +666,7 @@ fn cmd_serve(args: Args) -> Result<(), CliError> {
             let dir = std::path::PathBuf::from(dir);
             let cfg = durability_config(&args);
             let status = Arc::new(manic_serve::DurabilityStatus::new(&args.durability));
-            if args.resume && dir.join("checkpoint.json").is_file() {
+            if args.resume && manic_core::has_checkpoint(&dir) {
                 let (mut sys, d, info) =
                     manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
                 sys.cfg.threads = args.threads;

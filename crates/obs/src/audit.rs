@@ -164,7 +164,14 @@ impl AuditTrail {
             .collect()
     }
 
-    /// All records, oldest first.
+    /// Visit every record in place, oldest first. The trail is locked for
+    /// the duration, so `f` must not call back into it.
+    pub fn for_each(&self, f: impl FnMut(&AuditRecord)) {
+        self.inner.lock().unwrap().0.iter().for_each(f);
+    }
+
+    /// All records, oldest first (deep-cloned; prefer [`Self::for_each`]
+    /// to read them once).
     pub fn all(&self) -> Vec<AuditRecord> {
         self.inner.lock().unwrap().0.iter().cloned().collect()
     }
@@ -227,6 +234,9 @@ mod tests {
         assert_eq!(a.len(), 2);
         assert_eq!(a.dropped(), 3);
         assert_eq!(a.all()[0].t, 3);
+        let mut seen = Vec::new();
+        a.for_each(|r| seen.push(r.t));
+        assert_eq!(seen, [3, 4], "in place, oldest first");
     }
 
     #[test]

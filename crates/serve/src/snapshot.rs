@@ -87,11 +87,11 @@ impl Snapshot {
         // audit trail the inference layer maintains.
         let mut verdicts: std::collections::HashMap<String, bool> =
             std::collections::HashMap::new();
-        for rec in manic_obs::audit().all() {
+        manic_obs::audit().for_each(|rec| {
             if rec.detector == "levelshift" {
                 verdicts.insert(rec.link.clone(), rec.congested);
             }
-        }
+        });
 
         let mut link_ips = HashSet::new();
         let mut lj = format!("{{\"epoch\":{epoch},\"sim_now\":{sim_now},\"links\":[");

@@ -708,7 +708,7 @@ mod tests {
             DiskFaultEvent::window(DiskFaultKind::Eio, 0, u64::MAX - 1).scoped("wal-")
         ]);
         let v = FaultVfs::new(plan);
-        let safe = tmp("checkpoint.json");
+        let safe = tmp("checkpoint-00000001.json");
         let mut f = v.create(&safe).unwrap();
         f.write_all(b"fine").unwrap();
         let hit = tmp("wal-0001.seg");

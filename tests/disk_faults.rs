@@ -7,7 +7,9 @@
 //! window with several checkpoint generations on disk; each test copies it
 //! and damages its own copy.
 
-use manic_core::{recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig};
+use manic_core::{
+    has_checkpoint, recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig,
+};
 use manic_netsim::time::{date_to_sim, Date};
 use manic_scenario::worlds::toy;
 use manic_tsdb::wal::FsyncPolicy;
@@ -47,8 +49,7 @@ struct Fixture {
     reference: Fingerprint,
 }
 
-/// Finished durable run (4 generations written, 3 kept + `checkpoint.json`)
-/// plus the uninterrupted in-memory reference fingerprint.
+/// Finished durable run (4 generations written, 3 kept) plus the uninterrupted in-memory reference fingerprint.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -274,16 +275,9 @@ fn enospc_mid_group_commit_sheds_and_recovers() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Destroying the newest generation's meta (both `checkpoint.json` and the
-/// numbered copy) falls back a full generation and deterministically
-/// re-executes to the reference — through the same public API the CLI uses.
-#[test]
-fn generation_fallback_reproduces_reference() {
-    let (from, to) = window();
-    let reference = fixture().reference.clone();
-    let dir = scratch_copy("fallback");
-
-    let newest = data_files(&dir)
+/// The newest generation's meta file in `dir`.
+fn newest_generation(dir: &Path) -> PathBuf {
+    data_files(dir)
         .into_iter()
         .filter(|p| {
             p.file_name()
@@ -291,17 +285,51 @@ fn generation_fallback_reproduces_reference() {
                 .unwrap_or(false)
         })
         .max()
-        .expect("numbered generations exist");
-    std::fs::write(&newest, b"garbage, not a checkpoint").expect("corrupt newest meta");
-    std::fs::write(dir.join("checkpoint.json"), b"{\"also\":\"garbage\"").expect("corrupt copy");
+        .expect("numbered generations exist")
+}
+
+/// Destroying the newest generation's meta falls back a full generation and
+/// deterministically re-executes to the reference — through the same public
+/// API the CLI uses.
+#[test]
+fn generation_fallback_reproduces_reference() {
+    let (from, to) = window();
+    let reference = fixture().reference.clone();
+    let dir = scratch_copy("fallback");
+
+    std::fs::write(newest_generation(&dir), b"garbage, not a checkpoint")
+        .expect("corrupt newest meta");
 
     let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
-    assert!(report.storage.bad_metas >= 2, "both damaged metas reported");
+    assert_eq!(report.storage.bad_metas, 1, "the damaged meta is reported");
     let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
     assert!(!info.storage.clean());
-    assert!(info.storage.bad_metas >= 2);
+    assert_eq!(info.storage.bad_metas, 1);
     d.run_window(&mut sys, to, &|| false).expect("re-run to window end");
     let fp = fingerprint(&mut sys, from, to);
     assert_eq!(fp, reference, "fallback + deterministic re-execution reproduces the reference");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `--resume` gate (`has_checkpoint`) answers from the generation
+/// listing: a dir that lost its newest meta outright still holds generation
+/// N-1, must not be taken for empty (a fresh start wipes it), and resumes.
+#[test]
+fn dir_holding_only_an_older_generation_still_resumes() {
+    let (from, to) = window();
+    let reference = fixture().reference.clone();
+    let dir = scratch_copy("older-only");
+    assert!(!has_checkpoint(&dir.join("no-such-dir")));
+    assert!(!has_checkpoint(&dir.join("wal")), "a dir without generations is a fresh start");
+
+    let newest = newest_generation(&dir);
+    std::fs::remove_file(&newest).expect("lose newest meta");
+    assert!(has_checkpoint(&dir), "generation N-1 is still there");
+
+    let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume from N-1");
+    assert_eq!(info.rounds, 36, "generation N-1");
+    assert!(info.store_hash_ok && info.storage.clean(), "notes: {:?}", info.storage.notes);
+    d.run_window(&mut sys, to, &|| false).expect("re-run to window end");
+    assert_eq!(fingerprint(&mut sys, from, to), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
