@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Lint: nothing on a hot path may materialise the store as records.
+#
+# `Store::dump_records()` builds a `Vec<WalRecord>` with a deep-cloned
+# `SeriesKey` per *point*. It once sat under both the content hash and the
+# checkpoint snapshot, where it was most of a checkpoint's cost and a third
+# of peak RSS; both now go through `Store::walk`, which borrows. The
+# function stays public for tests and the benchmark's drills. This check
+# fails if any library source calls it — `crates/*/src/**` other than its
+# home `crates/tsdb/src/store.rs` — so the O(points) clone cannot creep back.
+# Exempt: `tests/`, `crates/*/tests/`, `crates/bench/` and `benchmark/`.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+violations=$(grep -rn --include='*.rs' -F 'dump_records(' crates/*/src 2>/dev/null |
+    grep -v '^crates/tsdb/src/store\.rs:' |
+    grep -v '^crates/bench/' || true)
+
+if [[ -n "$violations" ]]; then
+    echo "error: dump_records() called from library code — visit the store with Store::walk instead" >&2
+    echo "$violations" >&2
+    exit 1
+fi
+echo "lint_store_walk: ok"

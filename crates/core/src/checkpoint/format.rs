@@ -487,9 +487,16 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
 // ------------------------------------------------------------ whole meta
 
 /// Serialize the meta of the generation `d` is writing at sim time `t`:
-/// the scalar fields (hashing the store for `store_hash`), every VP's
-/// runtime state and the audit trail.
-pub(super) fn encode(d: &Durable, sys: &System, t: SimTime, pos: WalPosition) -> String {
+/// the scalar fields (`store_hash` is the content hash of the snapshot the
+/// generation names, computed by whoever wrote it), every VP's runtime
+/// state and the audit trail.
+pub(super) fn encode(
+    d: &Durable,
+    sys: &System,
+    t: SimTime,
+    pos: WalPosition,
+    store_hash: u64,
+) -> String {
     let mut o = String::from("{\"version\":");
     o.push_str(&CHECKPOINT_VERSION.to_string());
     o.push_str(",\"world\":");
@@ -510,7 +517,7 @@ pub(super) fn encode(d: &Durable, sys: &System, t: SimTime, pos: WalPosition) ->
     o.push_str(",\"store_file\":");
     push_str_field(&mut o, &snapshot_name(d.rounds));
     o.push_str(",\"store_hash\":");
-    push_str_field(&mut o, &format!("{:016x}", sys.store.content_hash()));
+    push_str_field(&mut o, &format!("{store_hash:016x}"));
     o.push_str(",\"vps\":[");
     for (i, vp) in sys.vps.iter().enumerate() {
         if i > 0 {

@@ -382,3 +382,60 @@ fn checkpoint_opens_no_file_for_reading() {
     assert!(d.wal_segments.keys().eq(kept.iter().rev().map(|(r, _)| r)));
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `checkpoint_written` says where a checkpoint's time went: the store walk
+/// (`snapshot_ms`) or the meta (`meta_ms`), beside the `bytes` they wrote.
+#[test]
+fn checkpoint_written_event_splits_snapshot_from_meta_time() {
+    let dir = tmpdir("event");
+    // The journal is process-global: a sim time no other test uses.
+    let t0 = 31_000_001;
+    let sys = fresh_sys(31);
+    let _d =
+        Durable::create(&sys, "toy", 31, &dir, t0, t0 + 3600, DurabilityConfig::default()).unwrap();
+    let events =
+        manic_obs::journal().events_where(|e| e.name == "checkpoint_written" && e.t == t0);
+    assert_eq!(events.len(), 1, "create writes the round-zero checkpoint");
+    for key in ["snapshot_ms", "meta_ms"] {
+        match events[0].field(key) {
+            Some(manic_obs::Value::F64(ms)) => assert!(ms.is_finite() && *ms >= 0.0, "{key}={ms}"),
+            other => panic!("{key} missing or not a float: {other:?}"),
+        }
+    }
+    assert!(matches!(events[0].field("bytes"), Some(manic_obs::Value::U64(b)) if *b > 0));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A store holding something the line protocol cannot carry — a non-finite
+/// value, a control character in a name — fails the checkpoint with
+/// `InvalidInput` instead of writing a frame that would not replay: the
+/// `.tmp` is never renamed and the generation already on disk still resumes
+/// with its recorded hash.
+#[test]
+fn unencodable_store_contents_fail_the_checkpoint_and_keep_the_old_generation() {
+    let _guard = RESUME_LOCK.lock().unwrap();
+    let clean = manic_tsdb::SeriesKey::with_tags("tslp", &[("vp", "x"), ("end", "far")]);
+    let control = manic_tsdb::SeriesKey::with_tags("tslp", &[("vp", "x\ny"), ("end", "far")]);
+    for (tag, key, v) in [("nan", &clean, f64::NAN), ("inf", &clean, f64::INFINITY), ("name", &control, 1.0)] {
+        let dir = tmpdir(&format!("invalid-{tag}"));
+        let sys = fresh_sys(37);
+        let mut d =
+            Durable::create(&sys, "toy", 37, &dir, 0, 3600, DurabilityConfig::default()).unwrap();
+        sys.store.write(&clean, 10, 1.0);
+        d.checkpoint(&sys, 0).expect("a clean store checkpoints");
+        let snap = dir.join(snapshot_name(0));
+        let good = std::fs::read(&snap).unwrap();
+
+        sys.store.write(key, 20, v);
+        let err = d.checkpoint(&sys, 0).expect_err("unencodable contents must not checkpoint");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{tag}: {err}");
+        assert_eq!(std::fs::read(&snap).unwrap(), good, "{tag}: the old snapshot is untouched");
+        assert!(dir.join(format!("{}.tmp", snapshot_name(0))).exists(), "{tag}: died before rename");
+        drop((sys, d));
+
+        let (resumed, _d2, info) = System::resume(&dir).unwrap();
+        assert!(info.store_hash_ok, "{tag}");
+        assert_eq!(resumed.store.point_count(), 1, "{tag}: the last good generation");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -17,7 +17,7 @@
 
 use crate::key::{SeriesKey, TagSet};
 use crate::series::Point;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Parse failure for a protocol line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +54,14 @@ impl fmt::Display for LineProtoError {
 }
 
 impl std::error::Error for LineProtoError {}
+
+/// A sample the protocol cannot carry is bad input to whatever was asked to
+/// persist it (a WAL append, a checkpoint snapshot).
+impl From<LineProtoError> for std::io::Error {
+    fn from(e: LineProtoError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
+    }
+}
 
 /// Append `s` to `out` with every structural character (`\`, `,`, ` `, `=`)
 /// backslash-escaped.
@@ -212,14 +220,30 @@ pub fn parse_line(line: &str) -> Result<(SeriesKey, Point), LineProtoError> {
     Ok((key, Point::new(t, value)))
 }
 
+/// Append the protocol line of `point` in the series whose escaped key token
+/// ([`format_key`]) is `key_token`. The one place a line is spelled: callers
+/// writing many points of one series format the token once and reuse `out`.
+/// Fails on a non-finite value instead of emitting a line that cannot
+/// round-trip.
+pub(crate) fn write_line(
+    out: &mut String,
+    key_token: &str,
+    point: Point,
+) -> Result<(), LineProtoError> {
+    if !point.v.is_finite() {
+        return Err(LineProtoError::NonFiniteValue);
+    }
+    let _ = write!(out, "{key_token} value={} {}", point.v, point.t);
+    Ok(())
+}
+
 /// Format a key + point as a protocol line (inverse of [`parse_line`]).
 /// Fails on non-finite values and unencodable names instead of emitting a
 /// line that cannot round-trip.
 pub fn format_line(key: &SeriesKey, point: Point) -> Result<String, LineProtoError> {
-    if !point.v.is_finite() {
-        return Err(LineProtoError::NonFiniteValue);
-    }
-    Ok(format!("{} value={} {}", format_key(key)?, point.v, point.t))
+    let mut out = String::new();
+    write_line(&mut out, &format_key(key)?, point)?;
+    Ok(out)
 }
 
 #[cfg(test)]

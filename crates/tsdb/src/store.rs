@@ -1,12 +1,16 @@
 //! The sharded series store.
 
 use crate::key::{SeriesKey, TagSet};
+use crate::lineproto::format_key;
 use crate::quality::{QualityFlags, QualityLog};
+use crate::segment::SegmentWriter;
 use crate::series::{Aggregate, Point, Series};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{encode_annotation_into, encode_sample_into, Wal, WalRecord};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
+use std::io;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -87,6 +91,69 @@ pub type LatestHandle = Arc<LatestCell>;
 
 /// Tag predicate for series selection: every listed pair must match.
 pub type TagFilter = TagSet;
+
+/// One series as `Store::walk` hands it to its visitor. Everything is
+/// borrowed from the store: no point is copied to build it.
+struct SeriesView<'a> {
+    key: &'a SeriesKey,
+    /// Timestamp column, ascending ([`Series::cols`]); empty for a series
+    /// that only has annotations.
+    ts: &'a [i64],
+    /// Value column, index-aligned with `ts`.
+    vs: &'a [f64],
+    /// Quality windows `(from, to, flags)`, in insertion order.
+    windows: &'a [(i64, i64, QualityFlags)],
+}
+
+impl SeriesView<'_> {
+    /// The points, in stored order.
+    fn points(&self) -> impl Iterator<Item = Point> + '_ {
+        self.ts.iter().zip(self.vs).map(|(&t, &v)| Point::new(t, v))
+    }
+}
+
+/// The running [`Store::content_hash`]: FNV-1a over the canonical byte
+/// stream, fed one series at a time in walk order.
+struct ContentHasher {
+    h: u64,
+    /// `key.to_string()` of the series being fed, rebuilt once per series.
+    key_text: String,
+}
+
+impl ContentHasher {
+    fn new() -> Self {
+        ContentHasher { h: 0xcbf2_9ce4_8422_2325, key_text: String::new() }
+    }
+
+    fn series(&mut self, s: &SeriesView<'_>) {
+        let mut h = self.h;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        // The `Display` form, not the escaped `format_key` token a segment
+        // carries: the hash predates escaping and must not move.
+        self.key_text.clear();
+        let _ = write!(self.key_text, "{}", s.key);
+        let key = self.key_text.as_bytes();
+        for p in s.points() {
+            eat(b"S");
+            eat(key);
+            eat(&p.t.to_le_bytes());
+            eat(&p.v.to_bits().to_le_bytes());
+        }
+        for &(from, to, flags) in s.windows {
+            eat(b"A");
+            eat(key);
+            eat(&from.to_le_bytes());
+            eat(&to.to_le_bytes());
+            eat(&[flags]);
+        }
+        self.h = h;
+    }
+}
 
 /// Concurrent store of tagged time series.
 ///
@@ -172,21 +239,26 @@ impl Store {
         &self.shards[self.shard_index(key)]
     }
 
-    /// The latest cell of `key`, created on first use. Must be called while
-    /// holding the points shard write lock for `key` so that cell publishes
-    /// stay single-writer.
-    fn latest_cell(&self, key: &SeriesKey) -> LatestHandle {
-        if let Some(cell) = self.latest[self.shard_index(key)].read().unwrap().get(key) {
+    /// The latest cell of `key`, which lives in shard `si`, created on
+    /// first use. Must be called while holding the points shard write lock
+    /// for `key` so that cell publishes stay single-writer.
+    fn latest_cell(&self, si: usize, key: &SeriesKey) -> LatestHandle {
+        if let Some(cell) = self.latest[si].read().unwrap().get(key) {
             return Arc::clone(cell);
         }
-        let mut map = self.latest[self.shard_index(key)].write().unwrap();
+        let mut map = self.latest[si].write().unwrap();
         Arc::clone(map.entry(key.clone()).or_default())
     }
 
     /// Append one point to a series, creating the series if needed.
     pub fn write(&self, key: &SeriesKey, t: i64, v: f64) {
-        let mut shard = self.shard(key).write().unwrap();
-        let series = shard.entry(key.clone()).or_default();
+        let si = self.shard_index(key);
+        let mut shard = self.shards[si].write().unwrap();
+        // The key is cloned only for a series' first point.
+        let series = match shard.get_mut(key) {
+            Some(series) => series,
+            None => shard.entry(key.clone()).or_default(),
+        };
         // Logged before applied; holding the shard lock across the enqueue
         // keeps WAL order identical to apply order within a series.
         if let Some(wal) = self.wal.get() {
@@ -194,7 +266,7 @@ impl Store {
         }
         series.push(t, v);
         drop(shard);
-        let cell = self.latest_cell(key);
+        let cell = self.latest_cell(si, key);
         if t >= cell.writer_t() {
             cell.publish(t, v);
         }
@@ -205,8 +277,12 @@ impl Store {
         if points.is_empty() {
             return;
         }
-        let mut shard = self.shard(key).write().unwrap();
-        let series = shard.entry(key.clone()).or_default();
+        let si = self.shard_index(key);
+        let mut shard = self.shards[si].write().unwrap();
+        let series = match shard.get_mut(key) {
+            Some(series) => series,
+            None => shard.entry(key.clone()).or_default(),
+        };
         if let Some(wal) = self.wal.get() {
             wal.append_samples(key, &series.wal_key_token, points);
         }
@@ -217,7 +293,7 @@ impl Store {
                 newest = Some(*p);
             }
         }
-        let cell = self.latest_cell(key);
+        let cell = self.latest_cell(si, key);
         if let Some(n) = newest {
             if n.t >= cell.writer_t() {
                 cell.publish(n.t, n.v);
@@ -479,65 +555,97 @@ impl Store {
         }
     }
 
-    /// Every mutation needed to rebuild the store's current contents, in a
-    /// deterministic (sorted) order: the checkpoint snapshot. Replaying the
-    /// result into an empty store reproduces points and quality windows
-    /// exactly.
+    /// Visit every series — anything with points or annotations — in sorted
+    /// key order: the store in canonical order, which is what the content
+    /// hash, the record dump and the checkpoint snapshot are all defined
+    /// over. Holds every shard's *read* lock for the duration, so the view
+    /// is one consistent cut and readers are not blocked; `visit` must not
+    /// call back into this store (a second read lock can deadlock behind a
+    /// waiting writer). The first error `visit` returns ends the walk.
+    fn walk<E>(&self, mut visit: impl FnMut(SeriesView<'_>) -> Result<(), E>) -> Result<(), E> {
+        let points: Vec<_> = self.shards.iter().map(|s| s.read().unwrap()).collect();
+        let quality: Vec<_> = self.quality.iter().map(|s| s.read().unwrap()).collect();
+        let mut views = Vec::with_capacity(points.iter().map(|s| s.len()).sum());
+        // A key's points and windows live in the same-numbered shard.
+        for (points, quality) in points.iter().zip(&quality) {
+            for (key, series) in points.iter() {
+                let (ts, vs) = series.cols();
+                let windows = quality.get(key).map_or(&[][..], QualityLog::windows);
+                views.push(SeriesView { key, ts, vs, windows });
+            }
+            for (key, log) in quality.iter().filter(|(key, _)| !points.contains_key(*key)) {
+                views.push(SeriesView { key, ts: &[], vs: &[], windows: log.windows() });
+            }
+        }
+        views.sort_unstable_by(|a, b| a.key.cmp(b.key));
+        views.into_iter().try_for_each(&mut visit)
+    }
+
+    /// Every mutation needed to rebuild the store's current contents, in
+    /// sorted key order: replaying the result into an empty store
+    /// reproduces points and quality windows exactly. Clones the key per
+    /// record — for tests and drills; [`Self::write_snapshot`] is the
+    /// checkpoint path.
     pub fn dump_records(&self) -> Vec<WalRecord> {
-        let mut keys: Vec<SeriesKey> = Vec::new();
-        for shard in &self.shards {
-            keys.extend(shard.read().unwrap().keys().cloned());
-        }
-        for shard in &self.quality {
-            let shard = shard.read().unwrap();
-            keys.extend(shard.keys().cloned());
-        }
-        keys.sort();
-        keys.dedup();
         let mut out = Vec::new();
-        for key in keys {
-            for p in self.shard(&key).read().unwrap().get(&key).map(|s| s.all()).unwrap_or_default() {
-                out.push(WalRecord::Sample { key: key.clone(), point: p });
-            }
-            for (from, to, flags) in self.quality_windows(&key) {
-                out.push(WalRecord::Annotate { key: key.clone(), from, to, flags });
-            }
-        }
+        let Ok(()) = self.walk(|s| -> Result<(), Infallible> {
+            out.extend(s.points().map(|point| WalRecord::Sample { key: s.key.clone(), point }));
+            out.extend(s.windows.iter().map(|&(from, to, flags)| WalRecord::Annotate {
+                key: s.key.clone(),
+                from,
+                to,
+                flags,
+            }));
+            Ok(())
+        });
         out
     }
 
-    /// Order-independent digest of the full store contents (points and
-    /// quality windows; the derived latest-cells are excluded). Two stores
-    /// with identical series data hash identically — the crash-recovery
-    /// equivalence checks compare these.
+    /// Digest of the full store contents (points and quality windows; the
+    /// derived latest-cells are excluded), independent of write history and
+    /// shard count: two stores with identical series data hash identically
+    /// — the crash-recovery equivalence checks compare these. Defined over
+    /// sorted key order as FNV-1a of, per series, one
+    /// `"S" key t_le v_bits_le` run per point then one
+    /// `"A" key from_le to_le flags` run per quality window, where `key` is
+    /// the bytes of `key.to_string()`.
     pub fn content_hash(&self) -> u64 {
-        // FNV-1a over a canonical byte stream of the sorted dump.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        let mut hasher = ContentHasher::new();
+        let Ok(()) = self.walk(|s| -> Result<(), Infallible> {
+            hasher.series(&s);
+            Ok(())
+        });
+        hasher.h
+    }
+
+    /// The checkpoint snapshot: append the store to `w` as one framed text
+    /// record per point and per quality window, in sorted key order —
+    /// byte for byte what `dump_records` → `WalRecord::encode` →
+    /// `SegmentWriter::append` produces — and return the
+    /// [`Self::content_hash`] of what was written, folded in the same pass.
+    /// The escaped key token is formatted once per series and one payload
+    /// buffer is reused. A value or name the line protocol cannot carry
+    /// fails with `InvalidInput` rather than writing a frame that would not
+    /// replay; `w` then holds a partial snapshot the caller must discard.
+    pub fn write_snapshot(&self, w: &mut SegmentWriter) -> io::Result<u64> {
+        let mut hasher = ContentHasher::new();
+        let mut payload = String::new();
+        self.walk(|s| -> io::Result<()> {
+            hasher.series(&s);
+            let token = format_key(s.key)?;
+            for point in s.points() {
+                payload.clear();
+                encode_sample_into(&mut payload, &token, point)?;
+                w.append(payload.as_bytes())?;
             }
-        };
-        for rec in self.dump_records() {
-            match rec {
-                WalRecord::Sample { key, point } => {
-                    eat(b"S");
-                    eat(key.to_string().as_bytes());
-                    eat(&point.t.to_le_bytes());
-                    eat(&point.v.to_bits().to_le_bytes());
-                }
-                WalRecord::Annotate { key, from, to, flags } => {
-                    eat(b"A");
-                    eat(key.to_string().as_bytes());
-                    eat(&from.to_le_bytes());
-                    eat(&to.to_le_bytes());
-                    eat(&[flags]);
-                }
-                WalRecord::Retain { .. } => unreachable!("dump never emits retention records"),
+            for &(from, to, flags) in s.windows {
+                payload.clear();
+                encode_annotation_into(&mut payload, &token, from, to, flags);
+                w.append(payload.as_bytes())?;
             }
-        }
-        h
+            Ok(())
+        })?;
+        Ok(hasher.h)
     }
 
     /// Export one series as CSV (`t,v` rows with a header).

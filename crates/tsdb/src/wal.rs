@@ -17,7 +17,7 @@
 //! store contents — and a torn tail truncates the log at the last intact
 //! frame rather than failing recovery.
 
-use crate::lineproto::{format_key, format_line, parse_key, parse_line, LineProtoError};
+use crate::lineproto::{format_key, parse_key, parse_line, write_line, LineProtoError};
 use crate::obs::metrics;
 use crate::quality::QualityFlags;
 use crate::segment::{self, segment_path, SegmentWriter, HEADER_LEN};
@@ -25,7 +25,7 @@ use crate::series::Point;
 use crate::store::Store;
 use crate::SeriesKey;
 use manic_vfs::{is_enospc, Vfs};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,30 +113,50 @@ impl From<LineProtoError> for WalCodecError {
     }
 }
 
-impl WalRecord {
-    /// Kind byte leading the payload.
-    fn kind(&self) -> u8 {
-        match self {
-            WalRecord::Sample { .. } => b'S',
-            WalRecord::Annotate { .. } => b'A',
-            WalRecord::Retain { .. } => b'R',
-        }
-    }
+/// Append the payload of a sample record: kind byte `S`, then the protocol
+/// line of `point` under the series' escaped key token
+/// ([`crate::lineproto::format_key`]). With [`encode_annotation_into`], the
+/// one spelling of a keyed record's text — [`WalRecord::encode`] and the
+/// snapshot writer ([`Store::write_snapshot`]) both go through here, the
+/// latter with the token formatted once per series and `out` reused.
+pub(crate) fn encode_sample_into(
+    out: &mut String,
+    key_token: &str,
+    point: Point,
+) -> Result<(), LineProtoError> {
+    out.push('S');
+    write_line(out, key_token, point)
+}
 
+/// Append the payload of an annotation record: kind byte `A`, the escaped
+/// key token, then the window and its flags.
+pub(crate) fn encode_annotation_into(
+    out: &mut String,
+    key_token: &str,
+    from: i64,
+    to: i64,
+    flags: QualityFlags,
+) {
+    let _ = write!(out, "A{key_token} {from} {to} {flags}");
+}
+
+impl WalRecord {
     /// Encode to a segment payload. Fails only for keys/values the line
     /// protocol rejects (non-finite samples, control characters).
     pub fn encode(&self) -> Result<Vec<u8>, LineProtoError> {
-        let body = match self {
-            WalRecord::Sample { key, point } => format_line(key, *point)?,
-            WalRecord::Annotate { key, from, to, flags } => {
-                format!("{} {from} {to} {flags}", format_key(key)?)
+        let mut out = String::new();
+        match self {
+            WalRecord::Sample { key, point } => {
+                encode_sample_into(&mut out, &format_key(key)?, *point)?
             }
-            WalRecord::Retain { cutoff } => format!("{cutoff}"),
-        };
-        let mut out = Vec::with_capacity(body.len() + 1);
-        out.push(self.kind());
-        out.extend_from_slice(body.as_bytes());
-        Ok(out)
+            WalRecord::Annotate { key, from, to, flags } => {
+                encode_annotation_into(&mut out, &format_key(key)?, *from, *to, *flags)
+            }
+            WalRecord::Retain { cutoff } => {
+                let _ = write!(out, "R{cutoff}");
+            }
+        }
+        Ok(out.into_bytes())
     }
 
     /// Decode a segment payload (inverse of [`Self::encode`]).
@@ -302,10 +322,7 @@ impl Shared {
     }
 
     fn append_record(&self, inner: &mut Inner, rec: &WalRecord) -> io::Result<()> {
-        let payload = rec
-            .encode()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        self.append_payload(inner, &payload)
+        self.append_payload(inner, &rec.encode()?)
     }
 }
 

@@ -333,3 +333,111 @@ fn dir_holding_only_an_older_generation_still_resumes() {
     assert_eq!(fingerprint(&mut sys, from, to), reference);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A device that fills up (or errors) in the middle of a snapshot: the
+/// periodic checkpoint fails and is counted, the half-written `.tmp` is
+/// never renamed into a generation, the previous generation still resumes
+/// with its recorded hash, and the next successful checkpoint sweeps the
+/// leftover away. The run itself never notices.
+#[test]
+fn fault_mid_snapshot_fails_the_checkpoint_and_keeps_the_previous_generation() {
+    let (from, to) = window();
+    let reference = fixture().reference.clone();
+    const EVERY: u64 = 12;
+    let round = |n: u64| from + n as i64 * 300;
+    // `always` is synchronous — no WAL writer thread — so the write-op
+    // counter is a pure function of the schedule and can be calibrated.
+    let cfg_with = |vfs: Arc<dyn manic_vfs::Vfs>, every: u64| DurabilityConfig {
+        fsync: FsyncPolicy::Always,
+        checkpoint_every_rounds: every,
+        vfs,
+        ..DurabilityConfig::default()
+    };
+
+    // Calibrate: the same rounds against a clean FaultVfs, checkpointing by
+    // hand, give the write-op span of the round-24 checkpoint.
+    let (ckpt_lo, ckpt_hi) = {
+        let cal = FaultVfs::new(DiskFaultPlan::default());
+        let dir = std::env::temp_dir()
+            .join(format!("manic-disk-faults-midsnap-cal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sys = System::new(toy(SEED), SystemConfig::default());
+        let mut d =
+            Durable::create(&sys, "toy", SEED, &dir, from, to, cfg_with(Arc::new(cal.clone()), 100_000))
+                .expect("calibration create");
+        d.run_window(&mut sys, round(EVERY), &|| false).expect("calibration run");
+        d.checkpoint(&sys, round(EVERY)).expect("calibration checkpoint");
+        d.run_window(&mut sys, round(2 * EVERY), &|| false).expect("calibration run");
+        let lo = cal.ops().0;
+        d.checkpoint(&sys, round(2 * EVERY)).expect("calibration checkpoint");
+        let hi = cal.ops().0;
+        drop(d);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(hi - lo >= 6, "snapshot too small to fail in the middle of: {} write ops", hi - lo);
+        (lo, hi)
+    };
+
+    let errors = manic_obs::registry().counter("manic_core_checkpoint_errors");
+    for kind in [DiskFaultKind::Enospc, DiskFaultKind::Eio] {
+        let dir = std::env::temp_dir()
+            .join(format!("manic-disk-faults-midsnap-{}-{}", kind.as_str(), std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // Snapshot writes only (the meta is one op at the very end), from
+        // the middle of the round-24 checkpoint's span on.
+        let fvfs = FaultVfs::new(DiskFaultPlan::new(vec![DiskFaultEvent::window(
+            kind,
+            ckpt_lo + (ckpt_hi - ckpt_lo) / 2,
+            ckpt_hi,
+        )
+        .scoped("store-")]));
+        let mut sys = System::new(toy(SEED), SystemConfig::default());
+        let mut d = Durable::create(&sys, "toy", SEED, &dir, from, to, cfg_with(Arc::new(fvfs.clone()), EVERY))
+            .expect("create durable");
+        let errors0 = errors.get();
+
+        d.run_window(&mut sys, round(2 * EVERY), &|| false)
+            .expect("a failed periodic checkpoint must not kill the run");
+        let stats = fvfs.stats();
+        assert!(stats.enospc + stats.eio > 0, "the fault window never fired — test is vacuous");
+        assert_eq!(errors.get() - errors0, 1, "run_window counts the failed checkpoint");
+        assert_eq!(d.last_checkpoint().0, EVERY, "generation 12 is still the newest");
+        let names = |dir: &Path| -> Vec<String> {
+            data_files(dir).iter().map(|p| p.file_name().unwrap().to_string_lossy().into_owned()).collect()
+        };
+        let tmp = "store-00000024.seg.tmp".to_string();
+        assert!(names(&dir).contains(&tmp), "the torn snapshot stays a .tmp: {:?}", names(&dir));
+        assert!(
+            !names(&dir).iter().any(|n| n == "store-00000024.seg" || n == "checkpoint-00000024.json"),
+            "a failed snapshot must never become a generation: {:?}",
+            names(&dir)
+        );
+        // Still inside the window: asking again fails again, as an error.
+        let err = d.checkpoint(&sys, round(2 * EVERY)).expect_err("device still failing");
+        assert_eq!(manic_vfs::is_enospc(&err), kind == DiskFaultKind::Enospc, "{err}");
+
+        // A crash here resumes from generation 12, whose hash verifies.
+        let crashed = dir.with_extension("crashed");
+        let _ = std::fs::remove_dir_all(&crashed);
+        copy_dir(&dir, &crashed);
+        let report = recover_report_with(&crashed, manic_vfs::real()).expect("generation 12 usable");
+        assert_eq!(report.rounds, EVERY);
+        assert!(report.store_hash_ok);
+        let (_sys2, _d2, info) = resume(&crashed, Some(clean_cfg())).expect("resume from generation 12");
+        assert_eq!(info.rounds, EVERY);
+        assert!(info.store_hash_ok && info.storage.clean(), "notes: {:?}", info.storage.notes);
+        std::fs::remove_dir_all(&crashed).ok();
+
+        // The device recovers; the next periodic checkpoint lands and
+        // sweeps the leftover.
+        d.run_window(&mut sys, round(3 * EVERY), &|| false).expect("run on");
+        assert_eq!(errors.get() - errors0, 1, "the round-36 checkpoint succeeded");
+        assert_eq!(d.last_checkpoint().0, 3 * EVERY);
+        assert!(!names(&dir).iter().any(|n| n.ends_with(".tmp")), "leftover swept: {:?}", names(&dir));
+
+        d.run_window(&mut sys, to, &|| false).expect("finish window");
+        d.finalize(&sys, to).expect("finalize");
+        assert_eq!(fingerprint(&mut sys, from, to), reference, "the live run never noticed");
+        drop((sys, d));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
