@@ -21,4 +21,15 @@ if [[ -n "$violations" ]]; then
     echo "$violations" >&2
     exit 1
 fi
+
+# One sample frame on disk: a sample is an entry of a `B` frame under a `K`
+# frame, for every WAL policy and for snapshots. The text `S` record, its
+# encoder and the line writer are gone; this fails if `crates/tsdb/src`
+# regains any of them.
+text_sample=$(grep -rn --include='*.rs' -E "encode_sample_into|fn write_line|b'S' *=>" crates/tsdb/src 2>/dev/null || true)
+if [[ -n "$text_sample" ]]; then
+    echo "error: a second on-disk form of a sample is back in crates/tsdb/src — frame it as K/B (wal.rs)" >&2
+    echo "$text_sample" >&2
+    exit 1
+fi
 echo "lint_store_walk: ok"

@@ -36,6 +36,7 @@ use manic_inference::{
 };
 use manic_netsim::time::{date_to_sim, Date};
 use manic_scenario::worlds::toy;
+use manic_stats::{fnv1a, FNV1A_OFFSET};
 use manic_tsdb::quality::SUSPECT_RATE_LIMITED;
 use manic_tsdb::{Aggregate, Point, SeriesKey, Store};
 use manic_worldgen::build_world;
@@ -63,23 +64,12 @@ fn synth(li: usize, b: i64) -> f64 {
     base + noise + if evening { 25.0 } else { 0.0 }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a over one dense window (presence, min bits, quality flags).
-fn window_hash(h: u64, bins: &[Option<f64>], qual: &[u8]) -> u64 {
-    let mut h = h;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
+fn window_hash(mut h: u64, bins: &[Option<f64>], qual: &[u8]) -> u64 {
     for (v, &q) in bins.iter().zip(qual) {
-        eat(v.is_some() as u8);
-        eat(q);
+        h = fnv1a(h, &[v.is_some() as u8, q]);
         if let Some(v) = v {
-            for byte in v.to_bits().to_le_bytes() {
-                eat(byte);
-            }
+            h = fnv1a(h, &v.to_bits().to_le_bytes());
         }
     }
     h
@@ -225,7 +215,7 @@ fn main() {
     // every link (hashed), exact verdicts identical on a spread of links
     // including every congested one. Hard fail on any divergence. ---
     let (mut ring_bins, mut ring_qual) = (Vec::new(), Vec::new());
-    let (mut hash_ring, mut hash_store) = (FNV_OFFSET, FNV_OFFSET);
+    let (mut hash_ring, mut hash_store) = (FNV1A_OFFSET, FNV1A_OFFSET);
     let mut verdict_links = 0usize;
     for (li, (key, s)) in keys.iter().zip(summaries.iter_mut()).enumerate() {
         assert!(s.can_serve(from_f, to_f), "link {li}: ring cannot serve final window");

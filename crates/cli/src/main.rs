@@ -62,6 +62,9 @@ enum CliError {
     NoAuditRecords { link: String, known: Vec<String> },
     ServerStart { addr: String, reason: String },
     Durability(String),
+    /// A data dir this binary will not read or touch (a checkpoint format
+    /// other than its own): exit 3, the directory is left as found.
+    Refused(String),
 }
 
 impl fmt::Display for CliError {
@@ -104,6 +107,7 @@ impl fmt::Display for CliError {
                 write!(f, "cannot serve on {addr}: {reason}")
             }
             CliError::Durability(reason) => write!(f, "durability: {reason}"),
+            CliError::Refused(reason) => write!(f, "refused: {reason}"),
         }
     }
 }
@@ -364,7 +368,10 @@ fn main() -> ExitCode {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => {
                     eprintln!("error: {e}"); // ALLOW_PRINT: CLI user output
-                    ExitCode::FAILURE
+                    match e {
+                        CliError::Refused(_) => ExitCode::from(3),
+                        _ => ExitCode::FAILURE,
+                    }
                 }
             }
         }
@@ -383,7 +390,8 @@ fn main() -> ExitCode {
             eprintln!("               [--max-conns N] [--request-timeout SECS] [--shed-queue-depth N]");
             eprintln!("  manic run    [--hours H] [--data-dir DIR] [--durability P] [--resume]");
             eprintln!("               [--threads N]   (N workers; results identical for any N)");
-            eprintln!("  manic recover <data-dir>   (exit 0 clean, 3 recoverable damage, 1 fatal)");
+            eprintln!("  manic recover <data-dir>   (exit 0 clean, 3 recoverable damage or");
+            eprintln!("               a checkpoint format this binary refuses, 1 fatal)");
             eprintln!("global flags: --verbosity trace|debug|info|warn|error, --quiet,");
             eprintln!("              --threads N (round-engine workers, default: all cores)");
             eprintln!("durability:   --data-dir DIR, --durability always|every-<n>|never,");
@@ -452,7 +460,10 @@ fn durability_config(args: &Args) -> manic_core::DurabilityConfig {
 }
 
 fn durability_err(e: std::io::Error) -> CliError {
-    CliError::Durability(e.to_string())
+    match e.kind() {
+        std::io::ErrorKind::Unsupported => CliError::Refused(e.to_string()),
+        _ => CliError::Durability(e.to_string()),
+    }
 }
 
 /// Shared epilogue of `manic run`: arm the level-shift detector over the
@@ -563,8 +574,9 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
 /// snapshot-healing chain a real resume uses.
 ///
 /// Exit codes: 0 = clean (nothing to work around); 3 = corruption found but
-/// a resume would recover (fallback, heal, or quarantined WAL ranges);
-/// 1 = unrecoverable (no generation restores).
+/// a resume would recover (fallback, heal, or quarantined WAL ranges), or the
+/// directory holds another checkpoint format version and is refused as a
+/// whole; 1 = unrecoverable (no generation restores).
 fn cmd_recover(args: Args) -> Result<(), CliError> {
     if args.positional.len() > 1 {
         return Err(CliError::UnexpectedArg(args.positional[1].clone()));

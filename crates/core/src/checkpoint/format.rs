@@ -21,8 +21,10 @@ use std::io;
 use super::generations::snapshot_name;
 use super::{bad, DurabilityConfig, Durable};
 
-/// Checkpoint format version (a meta is rejected when newer).
-pub const CHECKPOINT_VERSION: i64 = 1;
+/// Checkpoint format version: the meta's JSON shape plus the snapshot's
+/// layout (`Store::write_snapshot`: the WAL's `K`/`B`/`A` frames). A meta of
+/// any other version is refused — there is no cross-version reader.
+pub const CHECKPOINT_VERSION: i64 = 2;
 
 fn rel_str(rel: LinkRel) -> &'static str {
     match rel {
@@ -579,10 +581,17 @@ impl Meta {
         }
         let doc: Json = serde_json::from_str(text).map_err(|e| bad(format!("unreadable: {e:?}")))?;
         let version = geti(&doc, "version")?;
-        if version > CHECKPOINT_VERSION {
-            return Err(bad(format!(
-                "checkpoint version {version} is newer than this binary (max {CHECKPOINT_VERSION})"
-            )));
+        if version != CHECKPOINT_VERSION {
+            // `Unsupported`, not `InvalidData`: the generation is not
+            // damaged, so recovery must not fall back past it — the whole
+            // directory belongs to another binary.
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "checkpoint format version {version}, but this binary reads and writes \
+                     only version {CHECKPOINT_VERSION}"
+                ),
+            ));
         }
         Ok(Meta {
             world: gets(&doc, "world")?.to_string(),

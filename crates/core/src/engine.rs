@@ -289,90 +289,36 @@ fn supervised_vp_round(
 /// Drive rounds over `[from, to)`; returns the number of rounds executed.
 pub(crate) fn run_rounds(sys: &mut System, from: SimTime, to: SimTime) -> usize {
     let System { world, store, vps, cfg, .. } = sys;
+    let (world, cfg, store): (&World, &SystemConfig, &Store) = (world, cfg, store);
     let cycle_secs = cfg.bdrmap_cycle_days * SECS_PER_DAY;
     let nvps = vps.len();
     let threads = cfg.threads.max(1).min(nvps.max(1));
-    let mut near_scratch: Vec<Point> = Vec::new();
-    let mut far_scratch: Vec<Point> = Vec::new();
-    let mut rounds = 0;
 
-    if threads <= 1 {
-        // Serial path: same stage-then-commit sequence, no pool. Keeping the
-        // paths identical is what makes `--threads N` byte-compatible with
-        // `--threads 1`.
-        let mut stages: Vec<StagedOps> = (0..nvps).map(|_| StagedOps::default()).collect();
-        let mut t = from;
-        while t < to {
-            let round_started = std::time::Instant::now();
-            for (vp, stage) in vps.iter_mut().zip(stages.iter_mut()) {
-                supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
-            }
-            let m = crate::obs::metrics();
-            let commit_started = std::time::Instant::now();
-            for (vp, stage) in vps.iter_mut().zip(stages.iter_mut()) {
-                stage.commit(
-                    store,
-                    vp,
-                    t,
-                    cfg.summary_window_bins,
-                    &mut near_scratch,
-                    &mut far_scratch,
-                );
-            }
-            m.commit_ms.observe(commit_started.elapsed().as_secs_f64() * 1e3);
-            m.rounds.inc();
-            m.round_duration.observe(round_started.elapsed().as_secs_f64() * 1e3);
-            rounds += 1;
-            t += ROUND_SECS;
-        }
-        return rounds;
-    }
-
-    // Parallel path: a persistent pool synchronized by a barrier (two waits
-    // per round: start and done). Each slot pairs one VP's runtime with its
-    // staging buffer; the work-stealing index hands slots to whichever
-    // worker is free, and the per-slot mutex is uncontended (each slot is
-    // claimed exactly once per round).
+    // Each slot pairs one VP's runtime with its staging buffer. A round
+    // claims every slot exactly once — inline, or from whichever pool worker
+    // is free — so the per-slot mutex is uncontended.
     let slots: Vec<Mutex<(&mut VpRuntime, StagedOps)>> = vps
         .iter_mut()
         .map(|vp| Mutex::new((vp, StagedOps::default())))
         .collect();
-    let barrier = Barrier::new(threads + 1);
-    let done = AtomicBool::new(false);
-    let cur_t = AtomicI64::new(0);
-    let next = AtomicUsize::new(0);
-    let world = &*world;
-    let cfg = &*cfg;
+    let claim = |i: usize, t: SimTime| {
+        let mut slot = slots[i].lock().unwrap();
+        let (vp, stage) = &mut *slot;
+        supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
+    };
 
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                barrier.wait();
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                let t = cur_t.load(Ordering::Acquire);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nvps {
-                        break;
-                    }
-                    let mut slot = slots[i].lock().unwrap();
-                    let (vp, stage) = &mut *slot;
-                    supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
-                }
-                barrier.wait();
-            });
-        }
-
+    // The round loop both arms share. `run_vps(t)` returns once every VP has
+    // run round `t`; the staged results are then committed in VP-index
+    // order. One stage-then-commit sequence at every thread count is what
+    // makes `--threads N` byte-compatible with `--threads 1`.
+    let (mut near_scratch, mut far_scratch) = (Vec::new(), Vec::new());
+    let mut drive = |run_vps: &mut dyn FnMut(SimTime)| {
+        let m = crate::obs::metrics();
+        let mut rounds = 0;
         let mut t = from;
         while t < to {
             let round_started = std::time::Instant::now();
-            cur_t.store(t, Ordering::Release);
-            next.store(0, Ordering::Release);
-            barrier.wait(); // release the round to the pool
-            barrier.wait(); // all VPs done; staged results quiescent
-            let m = crate::obs::metrics();
+            run_vps(t);
             let commit_started = std::time::Instant::now();
             for slot in &slots {
                 let mut guard = slot.lock().unwrap();
@@ -388,13 +334,51 @@ pub(crate) fn run_rounds(sys: &mut System, from: SimTime, to: SimTime) -> usize 
             }
             m.commit_ms.observe(commit_started.elapsed().as_secs_f64() * 1e3);
             m.rounds.inc();
-            m.parallel_rounds.inc();
             m.round_duration.observe(round_started.elapsed().as_secs_f64() * 1e3);
             rounds += 1;
             t += ROUND_SECS;
         }
+        rounds
+    };
+
+    if threads <= 1 {
+        return drive(&mut |t| (0..nvps).for_each(|i| claim(i, t)));
+    }
+
+    // Pooled: persistent workers synchronized by a barrier (two waits per
+    // round: start and done); the work-stealing index hands slots to
+    // whichever worker is free.
+    let barrier = Barrier::new(threads + 1);
+    let done = AtomicBool::new(false);
+    let cur_t = AtomicI64::new(0);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| loop {
+                barrier.wait();
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                let t = cur_t.load(Ordering::Acquire);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= nvps {
+                        break;
+                    }
+                    claim(i, t);
+                }
+                barrier.wait();
+            });
+        }
+        let rounds = drive(&mut |t| {
+            cur_t.store(t, Ordering::Release);
+            next.store(0, Ordering::Release);
+            barrier.wait(); // release the round to the pool
+            barrier.wait(); // all VPs done; staged results quiescent
+            crate::obs::metrics().parallel_rounds.inc();
+        });
         done.store(true, Ordering::Release);
         barrier.wait();
-    });
-    rounds
+        rounds
+    })
 }

@@ -47,25 +47,13 @@
 
 use crate::levelshift::{Episode, LevelShiftConfig};
 use crate::mask::{detect_level_shifts_masked, DEFAULT_REJECT};
+use manic_stats::{fnv1a, FNV1A_OFFSET};
 use manic_tsdb::quality::QualityFlags;
 use manic_tsdb::{Aggregate, BitSet, SeriesKey, Store};
 
 /// §4.2's elevation criterion: a bin more than this far above the window
 /// baseline counts as elevated for the sentinel.
 pub const ELEVATION_MS: f64 = 7.0;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn div_ceil_i64(x: i64, d: i64) -> i64 {
     debug_assert!(d > 0);
@@ -329,16 +317,16 @@ impl LinkSummary {
     /// equal even if one was maintained incrementally for weeks and the
     /// other backfilled a minute ago.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv(h, &self.bin_secs.to_le_bytes());
-        h = fnv(h, &(self.cap as u64).to_le_bytes());
-        h = fnv(h, &self.hi_bin.to_le_bytes());
+        let mut h = FNV1A_OFFSET;
+        h = fnv1a(h, &self.bin_secs.to_le_bytes());
+        h = fnv1a(h, &(self.cap as u64).to_le_bytes());
+        h = fnv1a(h, &self.hi_bin.to_le_bytes());
         for b in self.lo_bin()..self.hi_bin {
             let slot = self.slot(b);
             let present = self.present.get(slot);
-            h = fnv(h, &[present as u8, self.flags[slot]]);
+            h = fnv1a(h, &[present as u8, self.flags[slot]]);
             if present {
-                h = fnv(h, &self.mins[slot].to_bits().to_le_bytes());
+                h = fnv1a(h, &self.mins[slot].to_bits().to_le_bytes());
             }
         }
         h

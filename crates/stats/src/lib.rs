@@ -18,6 +18,7 @@ pub mod acf;
 pub mod binomial;
 pub mod cusum;
 pub mod describe;
+pub mod fnv;
 pub mod huber;
 pub mod regression;
 pub mod sliding;
@@ -28,6 +29,7 @@ pub use acf::{autocorrelation, autocovariance, pearson};
 pub use binomial::{two_proportion_z_test, ProportionTest};
 pub use cusum::{cusum_scan, ChangePoint};
 pub use describe::{ecdf, mean, median, quantile, variance, Summary};
+pub use fnv::{fnv1a, FNV1A_OFFSET};
 pub use huber::{huber_mean, huber_weight};
 pub use regression::{ols, OlsFit};
 pub use sliding::SlidingMedian;

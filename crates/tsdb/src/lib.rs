@@ -7,8 +7,8 @@
 //!
 //! * tagged series — a measurement name plus a sorted tag set identifies a
 //!   series (`tslp, vp=ark-bed-us, link=L17, end=far`);
-//! * append-mostly ingestion of `(timestamp, f64)` points, including a
-//!   line-protocol parser for textual ingest;
+//! * append-mostly ingestion of `(timestamp, f64)` points, journaled to a
+//!   write-ahead log and checkpointed as WAL-format segments;
 //! * range queries and bin downsampling (`min` per 5/15-minute bin is the
 //!   pre-processing step of both inference algorithms, §4.1/§4.2);
 //! * retention trimming and CSV/JSON export (the public-data release story
@@ -29,7 +29,7 @@ pub mod wal;
 
 pub use bitset::BitSet;
 pub use key::{SeriesKey, TagSet};
-pub use lineproto::{format_key, format_line, parse_key, parse_line, LineProtoError};
+pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};
 pub use series::{Aggregate, Point, Series};
 pub use store::{recommended_shards, LatestCell, LatestHandle, Store, TagFilter};

@@ -269,11 +269,14 @@ pub fn scan_with(
                     break;
                 }
                 // Search for the next parseable frame boundary. One CRC
-                // match is a strong signal (2^-32 on garbage); anything
+                // match is a strong signal (2^-32 on garbage) — except for
+                // an empty payload, whose length and CRC are eight zero
+                // bytes, which binary sample entries are full of; no writer
+                // emits one, so it is never a resync point. Anything
                 // skipped is quarantined, not silently dropped.
                 let mut found = None;
                 for c in pos + 1..raw.len().saturating_sub(8) {
-                    if frame_at(&raw, c).is_some() {
+                    if raw[c..c + 4] != [0; 4] && frame_at(&raw, c).is_some() {
                         found = Some(c);
                         break;
                     }

@@ -1,11 +1,23 @@
 //! The sharded series store.
+//!
+//! Points and quality windows live in per-key shards; anything that needs
+//! the whole store in one canonical order — the content hash, the record
+//! dump, the checkpoint snapshot — is a visitor over [`Store::walk`], one
+//! sorted pass that copies nothing. The snapshot ([`Store::write_snapshot`],
+//! checkpoint format version 2) is a segment of the write-ahead log's own
+//! frames: a sample is a 20-byte entry of a `B` frame under its series' `K`
+//! frame there as everywhere else on disk, so [`crate::wal`]'s replay is its
+//! only reader.
 
 use crate::key::{SeriesKey, TagSet};
 use crate::lineproto::format_key;
 use crate::quality::{QualityFlags, QualityLog};
 use crate::segment::SegmentWriter;
 use crate::series::{Aggregate, Point, Series};
-use crate::wal::{encode_annotation_into, encode_sample_into, Wal, WalRecord};
+use crate::wal::{
+    encode_annotation_into, key_frame, push_sample, sample_chunks, sample_frame, Wal, WalRecord,
+};
+use manic_stats::{fnv1a, FNV1A_OFFSET};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt::Write as _;
@@ -122,34 +134,24 @@ struct ContentHasher {
 
 impl ContentHasher {
     fn new() -> Self {
-        ContentHasher { h: 0xcbf2_9ce4_8422_2325, key_text: String::new() }
+        ContentHasher { h: FNV1A_OFFSET, key_text: String::new() }
     }
 
     fn series(&mut self, s: &SeriesView<'_>) {
         let mut h = self.h;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
         // The `Display` form, not the escaped `format_key` token a segment
         // carries: the hash predates escaping and must not move.
         self.key_text.clear();
         let _ = write!(self.key_text, "{}", s.key);
         let key = self.key_text.as_bytes();
         for p in s.points() {
-            eat(b"S");
-            eat(key);
-            eat(&p.t.to_le_bytes());
-            eat(&p.v.to_bits().to_le_bytes());
+            h = fnv1a(fnv1a(h, b"S"), key);
+            h = fnv1a(fnv1a(h, &p.t.to_le_bytes()), &p.v.to_bits().to_le_bytes());
         }
         for &(from, to, flags) in s.windows {
-            eat(b"A");
-            eat(key);
-            eat(&from.to_le_bytes());
-            eat(&to.to_le_bytes());
-            eat(&[flags]);
+            h = fnv1a(fnv1a(h, b"A"), key);
+            h = fnv1a(fnv1a(h, &from.to_le_bytes()), &to.to_le_bytes());
+            h = fnv1a(h, &[flags]);
         }
         self.h = h;
     }
@@ -618,31 +620,46 @@ impl Store {
         hasher.h
     }
 
-    /// The checkpoint snapshot: append the store to `w` as one framed text
-    /// record per point and per quality window, in sorted key order —
-    /// byte for byte what `dump_records` → `WalRecord::encode` →
-    /// `SegmentWriter::append` produces — and return the
-    /// [`Self::content_hash`] of what was written, folded in the same pass.
-    /// The escaped key token is formatted once per series and one payload
-    /// buffer is reused. A value or name the line protocol cannot carry
-    /// fails with `InvalidInput` rather than writing a frame that would not
-    /// replay; `w` then holds a partial snapshot the caller must discard.
+    /// The checkpoint snapshot: append the store to `w` in the WAL's own
+    /// frames ([`crate::wal`]) and return the [`Self::content_hash`] of what
+    /// was written, folded in the same pass. Per series, in sorted key order
+    /// (`id` is the series' ordinal in that order, `token` its escaped
+    /// [`format_key`] token, formatted once):
+    ///
+    /// * if it has points: one `K` frame `"K" id_le token`, then its points
+    ///   as 20-byte entries `id_le t_le v_bits_le` in `B` frames `"B" entries`
+    ///   of at most `(MAX_PAYLOAD - 1) / 20` entries each;
+    /// * one `A` frame `"A" token " " from " " to " " flags` per quality window.
+    ///
+    /// A value or name the frames cannot carry (a non-finite sample, a
+    /// control character) fails with `InvalidInput` rather than writing a
+    /// frame that would not replay; `w` then holds a partial snapshot the
+    /// caller must discard.
     pub fn write_snapshot(&self, w: &mut SegmentWriter) -> io::Result<u64> {
         let mut hasher = ContentHasher::new();
-        let mut payload = String::new();
+        let (mut frame, mut entries, mut text) = (Vec::new(), Vec::new(), String::new());
+        let mut id = 0u32;
         self.walk(|s| -> io::Result<()> {
             hasher.series(&s);
             let token = format_key(s.key)?;
-            for point in s.points() {
-                payload.clear();
-                encode_sample_into(&mut payload, &token, point)?;
-                w.append(payload.as_bytes())?;
+            if !s.ts.is_empty() {
+                key_frame(&mut frame, id, &token);
+                w.append(&frame)?;
+                entries.clear();
+                for point in s.points() {
+                    push_sample(&mut entries, id, point)?;
+                }
+                for chunk in sample_chunks(&entries) {
+                    sample_frame(&mut frame, chunk);
+                    w.append(&frame)?;
+                }
             }
             for &(from, to, flags) in s.windows {
-                payload.clear();
-                encode_annotation_into(&mut payload, &token, from, to, flags);
-                w.append(payload.as_bytes())?;
+                text.clear();
+                encode_annotation_into(&mut text, &token, from, to, flags);
+                w.append(text.as_bytes())?;
             }
+            id += 1;
             Ok(())
         })?;
         Ok(hasher.h)

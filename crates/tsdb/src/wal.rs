@@ -3,21 +3,37 @@
 //! Every mutation of an attached [`Store`] — sample writes, quality
 //! annotations, retention cutoffs — is appended to a segment file *before*
 //! it is applied in memory, so a crashed process can rebuild the store by
-//! replay. Annotations, retention records, and synchronous-mode samples are
-//! text (samples reuse the `lineproto` line format behind a kind byte); the
-//! group-commit sample fast path packs many samples into one binary `B`
-//! frame, with each series' escaped key journaled once per sync epoch as a
-//! `K` key-definition frame. The framing (length prefix + CRC32) lives in
-//! [`crate::segment`].
+//! replay. A segment holds four kinds of frame (the framing itself, length
+//! prefix + CRC32, lives in [`crate::segment`]):
 //!
-//! Durability is governed by a group-commit [`FsyncPolicy`]: `always`
-//! fsyncs every append (nothing acknowledged is ever lost), `every-n`
-//! amortizes the fsync over n records, `never` leaves flushing to the OS.
-//! Replay is deterministic — the same segments always rebuild byte-identical
-//! store contents — and a torn tail truncates the log at the last intact
-//! frame rather than failing recovery.
+//! * `K` — key definition: `u32` LE id, then the series' escaped key token
+//!   ([`crate::lineproto::format_key`]). Written the first time an id is used
+//!   after a sync barrier, so the log from any barrier position on is
+//!   replayable on its own.
+//! * `B` — samples, the only on-disk form of one: [`SAMPLE_ENTRY`]-byte
+//!   entries `u32 id | i64 t | f64 bits`, all LE, at most [`B_FRAME_MAX`]
+//!   bytes of them per frame. A non-finite value is never framed.
+//! * `A` — a quality annotation, text: `key-token from to flags`.
+//! * `R` — a retention cutoff, text.
+//!
+//! A payload of any other kind is a decode error: replay counts it and
+//! moves on, it never guesses. (Whole directories of another checkpoint
+//! format version are refused before any segment is read — see
+//! `manic_core::CHECKPOINT_VERSION`.)
+//!
+//! Every [`FsyncPolicy`] writes these same frames through the same code
+//! ([`Shared::write`]); a checkpoint snapshot ([`Store::write_snapshot`]) is
+//! a segment of `K`/`B`/`A` frames too. The policy only decides who runs the
+//! writer and when it fsyncs: under `every-n` and `never` a background thread
+//! drains staged batches (`every-n` fsyncs once per n records, `never` leaves
+//! flushing to the OS); under `always` the appending thread writes its own
+//! batch — one `append_samples` call is one `B` frame — and fsyncs it before
+//! the call returns, so nothing acknowledged is ever lost. Replay is
+//! deterministic — the same segments always rebuild byte-identical store
+//! contents — and a torn tail truncates the log at the last intact frame
+//! rather than failing recovery.
 
-use crate::lineproto::{format_key, parse_key, parse_line, write_line, LineProtoError};
+use crate::lineproto::{format_key, parse_key, LineProtoError};
 use crate::obs::metrics;
 use crate::quality::QualityFlags;
 use crate::segment::{self, segment_path, SegmentWriter, HEADER_LEN};
@@ -75,6 +91,8 @@ impl fmt::Display for FsyncPolicy {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A sample append (`Store::write` / one element of `write_batch`).
+    /// In-memory only ([`Store::dump_records`], [`Store::apply_record`]): on
+    /// disk a sample is an entry of a `B` frame, never a record of its own.
     Sample { key: SeriesKey, point: Point },
     /// A quality-flag annotation (`Store::annotate`).
     Annotate { key: SeriesKey, from: i64, to: i64, flags: QualityFlags },
@@ -99,7 +117,7 @@ impl fmt::Display for WalCodecError {
             WalCodecError::Empty => write!(f, "empty record payload"),
             WalCodecError::UnknownKind(k) => write!(f, "unknown record kind {k:#04x}"),
             WalCodecError::NotUtf8 => write!(f, "record body is not UTF-8"),
-            WalCodecError::Line(e) => write!(f, "bad line body: {e}"),
+            WalCodecError::Line(e) => write!(f, "bad key token: {e}"),
             WalCodecError::Malformed(s) => write!(f, "malformed record body: {s}"),
         }
     }
@@ -113,19 +131,48 @@ impl From<LineProtoError> for WalCodecError {
     }
 }
 
-/// Append the payload of a sample record: kind byte `S`, then the protocol
-/// line of `point` under the series' escaped key token
-/// ([`crate::lineproto::format_key`]). With [`encode_annotation_into`], the
-/// one spelling of a keyed record's text — [`WalRecord::encode`] and the
-/// snapshot writer ([`Store::write_snapshot`]) both go through here, the
-/// latter with the token formatted once per series and `out` reused.
-pub(crate) fn encode_sample_into(
-    out: &mut String,
-    key_token: &str,
-    point: Point,
-) -> Result<(), LineProtoError> {
-    out.push('S');
-    write_line(out, key_token, point)
+/// Bytes of one packed sample entry in a `B` frame:
+/// `u32 token id | i64 t | f64 bits`, all little-endian.
+const SAMPLE_ENTRY: usize = 20;
+
+/// Largest packed-sample slice per `B` frame: the frame payload is the kind
+/// byte plus the slice, and must stay within [`segment::MAX_PAYLOAD`].
+const B_FRAME_MAX: usize =
+    (segment::MAX_PAYLOAD as usize - 1) / SAMPLE_ENTRY * SAMPLE_ENTRY;
+
+/// Build the payload of a `K` frame in `buf`: `id` names the series whose
+/// escaped key token ([`format_key`]) is `token` in the `B` frames after it.
+pub(crate) fn key_frame(buf: &mut Vec<u8>, id: u32, token: &str) {
+    buf.clear();
+    buf.push(b'K');
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(token.as_bytes());
+}
+
+/// Append the packed entry of one sample of series `id`. A non-finite value
+/// has no entry: it must never replay into a store.
+pub(crate) fn push_sample(entries: &mut Vec<u8>, id: u32, p: Point) -> Result<(), LineProtoError> {
+    if !p.v.is_finite() {
+        return Err(LineProtoError::NonFiniteValue);
+    }
+    let mut entry = [0u8; SAMPLE_ENTRY];
+    entry[..4].copy_from_slice(&id.to_le_bytes());
+    entry[4..12].copy_from_slice(&p.t.to_le_bytes());
+    entry[12..].copy_from_slice(&p.v.to_bits().to_le_bytes());
+    entries.extend_from_slice(&entry);
+    Ok(())
+}
+
+/// Split packed entries into the slices that each fit one `B` frame.
+pub(crate) fn sample_chunks(entries: &[u8]) -> std::slice::Chunks<'_, u8> {
+    entries.chunks(B_FRAME_MAX)
+}
+
+/// Build the payload of a `B` frame in `buf` from one [`sample_chunks`] slice.
+pub(crate) fn sample_frame(buf: &mut Vec<u8>, chunk: &[u8]) {
+    buf.clear();
+    buf.push(b'B');
+    buf.extend_from_slice(chunk);
 }
 
 /// Append the payload of an annotation record: kind byte `A`, the escaped
@@ -141,13 +188,15 @@ pub(crate) fn encode_annotation_into(
 }
 
 impl WalRecord {
-    /// Encode to a segment payload. Fails only for keys/values the line
-    /// protocol rejects (non-finite samples, control characters).
+    /// Encode a control record (annotation, retention) to a segment payload.
+    /// Fails for keys the token format rejects (control characters), and for
+    /// a sample, which has no record form: the log frames samples as `K`/`B`
+    /// ([`Wal::append_samples`]).
     pub fn encode(&self) -> Result<Vec<u8>, LineProtoError> {
         let mut out = String::new();
         match self {
-            WalRecord::Sample { key, point } => {
-                encode_sample_into(&mut out, &format_key(key)?, *point)?
+            WalRecord::Sample { .. } => {
+                return Err(LineProtoError::Unencodable("sample (framed as K/B)".into()))
             }
             WalRecord::Annotate { key, from, to, flags } => {
                 encode_annotation_into(&mut out, &format_key(key)?, *from, *to, *flags)
@@ -159,18 +208,14 @@ impl WalRecord {
         Ok(out.into_bytes())
     }
 
-    /// Decode a segment payload (inverse of [`Self::encode`]).
+    /// Decode a control record's payload (inverse of [`Self::encode`]).
     pub fn decode(payload: &[u8]) -> Result<WalRecord, WalCodecError> {
         let (&kind, body) = payload.split_first().ok_or(WalCodecError::Empty)?;
         let body = std::str::from_utf8(body).map_err(|_| WalCodecError::NotUtf8)?;
         match kind {
-            b'S' => {
-                let (key, point) = parse_line(body)?;
-                Ok(WalRecord::Sample { key, point })
-            }
             b'A' => {
-                // The key token may contain escaped spaces; split like the
-                // line parser does.
+                // The key token may contain escaped spaces; split honouring
+                // the escapes.
                 let sections = crate::lineproto::split_sections(body);
                 let [keytok, from, to, flags] = sections.as_slice() else {
                     return Err(WalCodecError::Malformed(body.to_string()));
@@ -205,28 +250,45 @@ pub struct WalPosition {
     pub offset: u64,
 }
 
+/// The open segment and the frame writer's state, behind [`Shared::inner`].
 struct Inner {
     writer: SegmentWriter,
     seq: u64,
+    /// Records appended since the last fsync.
     since_sync: u32,
+    /// Frame payload under construction.
+    buf: Vec<u8>,
+    /// The writer's view of the token registry; refreshed (one lock) only
+    /// when a batch references an id newer than it.
+    tokens: Vec<Arc<str>>,
+    /// Ids whose `K` frame is already on disk in the current sync epoch.
+    defined: Vec<bool>,
 }
 
-/// Message to the background writer thread (group-commit modes).
+impl Inner {
+    fn new(writer: SegmentWriter, seq: u64) -> Inner {
+        Inner {
+            writer,
+            seq,
+            since_sync: 0,
+            buf: Vec::new(),
+            tokens: Vec::new(),
+            defined: Vec::new(),
+        }
+    }
+}
+
+/// One staged unit of work for the frame writer.
 enum Msg {
-    /// Packed sample entries ([`SAMPLE_ENTRY`] bytes each: token id, t,
-    /// f64 bits, all LE). Consecutive staged samples collapse into one
-    /// `Bin`, so the producer's per-sample cost is a short memcpy and the
-    /// writer checksums and writes a whole burst as one frame.
+    /// Packed sample entries ([`SAMPLE_ENTRY`] bytes each). Consecutive
+    /// staged samples collapse into one `Bin`, so the producer's per-sample
+    /// cost is a short memcpy and the writer checksums and writes a whole
+    /// burst as one frame.
     Bin(Vec<u8>),
     Rec(Box<WalRecord>),
-    Batch(Vec<WalRecord>),
     /// Flush + fsync barrier; the ack carries the result.
     Sync(Sender<io::Result<()>>),
 }
-
-/// Bytes of one packed sample entry in a `Bin` / `B` frame:
-/// `u32 token id | i64 t | f64 bits`, all little-endian.
-const SAMPLE_ENTRY: usize = 20;
 
 /// How many packed sample bytes accumulate before the producer forwards the
 /// staged batch to the writer thread. Each forward wakes the (usually
@@ -243,11 +305,6 @@ const STAGE_SAMPLE_BYTES: usize = 256 * 1024;
 /// force a forward on their own.
 const STAGE_FLUSH: usize = 1024;
 
-/// Largest packed-sample slice per `B` frame: the frame payload is the kind
-/// byte plus the slice, and must stay within [`segment::MAX_PAYLOAD`].
-const B_FRAME_MAX: usize =
-    (segment::MAX_PAYLOAD as usize - 1) / SAMPLE_ENTRY * SAMPLE_ENTRY;
-
 /// State shared between the append handle and the writer thread.
 struct Shared {
     dir: PathBuf,
@@ -261,9 +318,9 @@ struct Shared {
     degraded: AtomicBool,
     inner: Mutex<Inner>,
     /// Escaped key tokens by id, appended on first use of a series (ids are
-    /// dense and monotonic). The writer thread keeps a private copy and only
-    /// takes this lock when it sees an id past its cache, so steady-state
-    /// appends never contend here.
+    /// dense and monotonic). The frame writer keeps a private copy
+    /// ([`Inner::tokens`]) and only takes this lock when it sees an id past
+    /// its cache, so steady-state appends never contend here.
     tokens: Mutex<Vec<Arc<str>>>,
 }
 
@@ -292,18 +349,17 @@ impl Shared {
         }
     }
 
-    fn commit(&self, inner: &mut Inner, appended: u32) -> io::Result<()> {
-        match self.policy {
-            FsyncPolicy::Always => self.sync_now(inner),
-            FsyncPolicy::EveryN(n) => {
-                inner.since_sync += appended;
-                if inner.since_sync >= n {
-                    self.sync_now(inner)?;
-                }
-                Ok(())
-            }
-            FsyncPolicy::Never => Ok(()),
+    /// The group-commit decision, taken once per written batch.
+    fn commit(&self, inner: &mut Inner) -> io::Result<()> {
+        let due = match self.policy {
+            FsyncPolicy::Always => inner.since_sync > 0,
+            FsyncPolicy::EveryN(n) => inner.since_sync >= n,
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync_now(inner)?;
         }
+        Ok(())
     }
 
     fn sync_now(&self, inner: &mut Inner) -> io::Result<()> {
@@ -313,158 +369,123 @@ impl Shared {
         Ok(())
     }
 
-    fn append_payload(&self, inner: &mut Inner, payload: &[u8]) -> io::Result<()> {
+    /// Append one frame; `records` is how many records it carries towards
+    /// the next group commit.
+    fn append_payload(&self, inner: &mut Inner, payload: &[u8], records: u32) -> io::Result<()> {
         self.rotate_if_due(inner)?;
         inner.writer.append(payload)?;
+        inner.since_sync = inner.since_sync.saturating_add(records);
         metrics().wal_appends.inc();
         metrics().wal_bytes.add(8 + payload.len() as u64);
         Ok(())
     }
 
-    fn append_record(&self, inner: &mut Inner, rec: &WalRecord) -> io::Result<()> {
-        self.append_payload(inner, &rec.encode()?)
+    /// Frame a run of packed sample entries: a `K` frame for every id not yet
+    /// defined in this sync epoch, then the entries as `B` frames.
+    fn append_samples(&self, inner: &mut Inner, entries: &[u8]) {
+        let shed = |bytes: usize| metrics().wal_shed_samples.add((bytes / SAMPLE_ENTRY) as u64);
+        // ENOSPC degraded mode sheds raw-sample persistence: the in-memory
+        // store stays authoritative and verdict-critical records
+        // (annotations, retains) are still attempted.
+        if self.degraded.load(Ordering::Relaxed) {
+            return shed(entries.len());
+        }
+        let mut buf = std::mem::take(&mut inner.buf);
+        for e in entries.chunks_exact(SAMPLE_ENTRY) {
+            let id = u32::from_le_bytes(e[..4].try_into().unwrap()) as usize;
+            if inner.defined.get(id).copied().unwrap_or(false) {
+                continue;
+            }
+            if id >= inner.tokens.len() {
+                // Ids are registered before they are staged, so the registry
+                // always covers this id.
+                inner.tokens.clone_from(&self.tokens.lock().unwrap());
+            }
+            if inner.defined.len() <= id {
+                inner.defined.resize(id + 1, false);
+            }
+            key_frame(&mut buf, id as u32, &inner.tokens[id]);
+            if let Err(e) = self.append_payload(inner, &buf, 0) {
+                self.note_write_error(&e);
+            }
+            inner.defined[id] = true;
+        }
+        for chunk in sample_chunks(entries) {
+            if self.degraded.load(Ordering::Relaxed) {
+                shed(chunk.len());
+                continue;
+            }
+            sample_frame(&mut buf, chunk);
+            if let Err(e) = self.append_payload(inner, &buf, (chunk.len() / SAMPLE_ENTRY) as u32) {
+                self.note_write_error(&e);
+                if self.degraded.load(Ordering::Relaxed) {
+                    shed(chunk.len());
+                }
+            }
+        }
+        inner.buf = buf;
     }
-}
 
-/// Drain loop of the background writer: batch whatever is queued, append it
-/// under one lock acquisition, group-commit once per drained burst. On
-/// channel disconnect (handle dropped) the tail is flushed best-effort.
-///
-/// Sample bursts become two frame kinds: a `K` key-definition frame the
-/// first time an id appears since the last sync barrier (mapping the id to
-/// its escaped key token), then `B` frames holding the packed entries.
-/// Re-emitting `K` after every barrier keeps any barrier position
-/// self-contained: replay starting at a checkpointed offset always sees a
-/// key's definition before its samples.
-fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
-    let mut buf: Vec<u8> = Vec::with_capacity(B_FRAME_MAX.min(STAGE_SAMPLE_BYTES) + 1);
-    let mut pending: u32 = 0;
-    // Private view of the token registry; refreshed (one lock) only when a
-    // message references an id newer than the cache.
-    let mut tokens: Vec<Arc<str>> = Vec::new();
-    // Ids whose `K` frame is already on disk in the current sync epoch.
-    let mut defined: Vec<bool> = Vec::new();
-    let handle = |inner: &mut Inner,
-                  msg: Msg,
-                  pending: &mut u32,
-                  buf: &mut Vec<u8>,
-                  tokens: &mut Vec<Arc<str>>,
-                  defined: &mut Vec<bool>| {
-        match msg {
-            Msg::Bin(bytes) => {
-                // ENOSPC degraded mode sheds raw-sample persistence: the
-                // in-memory store stays authoritative and verdict-critical
-                // records (annotations, retains) below are still attempted.
-                if shared.degraded.load(Ordering::Relaxed) {
-                    metrics().wal_shed_samples.add((bytes.len() / SAMPLE_ENTRY) as u64);
-                    return;
-                }
-                for e in bytes.chunks_exact(SAMPLE_ENTRY) {
-                    let id = u32::from_le_bytes(e[..4].try_into().unwrap()) as usize;
-                    if defined.get(id).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    if id >= tokens.len() {
-                        // Ids are registered before they are staged, so the
-                        // registry always covers this id.
-                        tokens.clone_from(&shared.tokens.lock().unwrap());
-                    }
-                    if defined.len() <= id {
-                        defined.resize(id + 1, false);
-                    }
-                    buf.clear();
-                    buf.push(b'K');
-                    buf.extend_from_slice(&(id as u32).to_le_bytes());
-                    buf.extend_from_slice(tokens[id].as_bytes());
-                    if let Err(e) = shared.append_payload(inner, buf) {
-                        shared.note_write_error(&e);
-                    }
-                    defined[id] = true;
-                }
-                for chunk in bytes.chunks(B_FRAME_MAX) {
-                    if shared.degraded.load(Ordering::Relaxed) {
-                        metrics().wal_shed_samples.add((chunk.len() / SAMPLE_ENTRY) as u64);
-                        continue;
-                    }
-                    buf.clear();
-                    buf.push(b'B');
-                    buf.extend_from_slice(chunk);
-                    match shared.append_payload(inner, buf) {
-                        Ok(()) => *pending += (chunk.len() / SAMPLE_ENTRY) as u32,
-                        Err(e) => {
-                            shared.note_write_error(&e);
-                            if shared.degraded.load(Ordering::Relaxed) {
-                                metrics()
-                                    .wal_shed_samples
-                                    .add((chunk.len() / SAMPLE_ENTRY) as u64);
+    /// Flush + fsync barrier. The next batch re-defines its keys, so that
+    /// this barrier's position (a potential checkpoint) starts a tail that is
+    /// replayable on its own.
+    fn barrier(&self, inner: &mut Inner) -> io::Result<()> {
+        let r = self.sync_now(inner);
+        inner.defined.clear();
+        match &r {
+            // Optimistic re-probe: a successful barrier is the cue to retry
+            // raw-sample persistence; if the disk is still full the next
+            // append re-enters degraded mode.
+            Ok(()) => self.degraded.store(false, Ordering::Relaxed),
+            Err(e) => self.note_write_error(e),
+        }
+        r
+    }
+
+    /// The frame writer: append a batch — and whatever `more` has queued up
+    /// behind it — under one lock acquisition, then group-commit once.
+    /// Failures are counted but do not poison the log: the in-memory store
+    /// stays authoritative.
+    fn write(&self, mut batch: Vec<Msg>, mut more: impl FnMut() -> Option<Vec<Msg>>) {
+        let mut inner = self.inner.lock().unwrap();
+        loop {
+            for msg in batch.drain(..) {
+                match msg {
+                    Msg::Bin(entries) => self.append_samples(&mut inner, &entries),
+                    Msg::Rec(rec) => {
+                        let appended = rec
+                            .encode()
+                            .map_err(io::Error::from)
+                            .and_then(|payload| self.append_payload(&mut inner, &payload, 1));
+                        if let Err(e) = appended {
+                            self.note_write_error(&e);
+                            if is_enospc(&e) {
+                                metrics().wal_write_errors.inc();
                             }
                         }
                     }
-                }
-            }
-            Msg::Rec(rec) => {
-                if let Err(e) = shared.append_record(inner, &rec) {
-                    shared.note_write_error(&e);
-                    if is_enospc(&e) {
-                        metrics().wal_write_errors.inc();
-                    }
-                } else {
-                    *pending += 1;
-                }
-            }
-            Msg::Batch(recs) => {
-                for rec in recs {
-                    if let Err(e) = shared.append_record(inner, &rec) {
-                        shared.note_write_error(&e);
-                        if is_enospc(&e) {
-                            metrics().wal_write_errors.inc();
-                        }
-                    } else {
-                        *pending += 1;
+                    Msg::Sync(ack) => {
+                        let _ = ack.send(self.barrier(&mut inner));
                     }
                 }
             }
-            Msg::Sync(ack) => {
-                let r = shared.sync_now(inner);
-                if let Err(e) = &r {
-                    shared.note_write_error(e);
-                }
-                *pending = 0;
-                // The next burst re-defines its keys so that this barrier's
-                // position (a potential checkpoint) starts a tail that is
-                // replayable on its own.
-                defined.clear();
-                if r.is_ok() {
-                    // Optimistic re-probe: a successful barrier is the cue
-                    // to retry raw-sample persistence; if the disk is still
-                    // full the next append re-enters degraded mode.
-                    shared.degraded.store(false, Ordering::Relaxed);
-                }
-                let _ = ack.send(r);
+            match more() {
+                Some(next) => batch = next,
+                None => break,
             }
         }
-    };
-    loop {
-        let mut batch = match rx.recv() {
-            Ok(b) => b,
-            Err(_) => break,
-        };
-        let mut inner = shared.inner.lock().unwrap();
-        loop {
-            for msg in batch.drain(..) {
-                handle(&mut inner, msg, &mut pending, &mut buf, &mut tokens, &mut defined);
-            }
-            match rx.try_recv() {
-                Ok(next) => batch = next,
-                Err(_) => break,
-            }
+        if let Err(e) = self.commit(&mut inner) {
+            self.note_write_error(&e);
         }
-        if pending > 0 {
-            if let Err(e) = shared.commit(&mut inner, pending) {
-                shared.note_write_error(&e);
-            }
-            pending = 0;
-        }
+    }
+}
+
+/// The background writer of the group-commit policies: every drained burst
+/// is one [`Shared::write`]. On channel disconnect (handle dropped) the tail
+/// is flushed best-effort.
+fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
+    while let Ok(batch) = rx.recv() {
+        shared.write(batch, || rx.try_recv().ok());
     }
     let mut inner = shared.inner.lock().unwrap();
     let _ = shared.sync_now(&mut inner);
@@ -472,17 +493,18 @@ fn writer_loop(shared: Arc<Shared>, rx: mpsc::Receiver<Vec<Msg>>) {
 
 /// The write-ahead log: an append handle over a directory of segments.
 ///
-/// Commit modes `every-n` and `never` run appends through a dedicated
-/// writer thread (group commit off the measurement hot path); `always`
-/// stays synchronous so an acknowledged append has already been fsynced
-/// when the call returns.
+/// Appends are staged producer-side and handed to the frame writer
+/// ([`Shared::write`]) in batches. Under `every-n` and `never` that is a
+/// dedicated thread (group commit off the measurement hot path); `always`
+/// has no thread — every append is forwarded at once and written by the
+/// caller, so it has been fsynced when the call returns.
 pub struct Wal {
     shared: Arc<Shared>,
-    /// Staged messages not yet forwarded to the writer thread (async modes
-    /// only). Kept producer-side so a staging push is a cheap uncontended
-    /// lock, not a channel wake.
+    /// Staged messages not yet forwarded to the frame writer. Kept
+    /// producer-side so a staging push is a cheap uncontended lock, not a
+    /// channel wake.
     stage: Mutex<Vec<Msg>>,
-    /// `Some` in async (writer-thread) mode, `None` for `always`.
+    /// `Some` when a writer thread runs, `None` for `always`.
     tx: Option<Sender<Vec<Msg>>>,
     writer_thread: Option<thread::JoinHandle<()>>,
 }
@@ -492,11 +514,9 @@ impl Drop for Wal {
         // Forward the staged tail, then disconnect the channel so the writer
         // drains and flushes, then join it — a dropped handle leaves every
         // queued record on disk.
-        if let Some(tx) = &self.tx {
-            let staged = std::mem::take(&mut *self.stage.lock().unwrap());
-            if !staged.is_empty() {
-                let _ = tx.send(staged);
-            }
+        let staged = std::mem::take(&mut *self.stage.lock().unwrap());
+        if !staged.is_empty() {
+            self.forward(staged);
         }
         drop(self.tx.take());
         if let Some(h) = self.writer_thread.take() {
@@ -537,18 +557,24 @@ impl Wal {
         Wal { shared, stage, tx: Some(tx), writer_thread: Some(h) }
     }
 
-    /// Stage one message, forwarding a full batch to the writer thread when
-    /// the staging buffer reaches [`STAGE_FLUSH`].
-    fn enqueue(&self, tx: &Sender<Vec<Msg>>, msg: Msg) {
-        let mut stage = self.stage.lock().unwrap();
-        stage.push(msg);
-        if stage.len() >= STAGE_FLUSH {
-            let batch = std::mem::replace(&mut *stage, Vec::with_capacity(STAGE_FLUSH));
-            drop(stage);
-            if tx.send(batch).is_err() {
-                metrics().wal_write_errors.inc();
+    /// Hand a batch to the frame writer: the writer thread, or — under
+    /// `always` — this thread, which returns with the batch fsynced.
+    fn forward(&self, batch: Vec<Msg>) {
+        match &self.tx {
+            Some(tx) => {
+                if tx.send(batch).is_err() {
+                    metrics().wal_write_errors.inc();
+                }
             }
+            None => self.shared.write(batch, || None),
         }
+    }
+
+    /// True when a stage holding `staged` (messages or bytes) against a
+    /// forwarding threshold of `limit` must be forwarded now: `always`
+    /// forwards everything at once.
+    fn stage_due(&self, staged: usize, limit: usize) -> bool {
+        self.tx.is_none() || staged >= limit
     }
 
     /// Open (or create) the log in `dir`, continuing after the last intact
@@ -572,17 +598,9 @@ impl Wal {
                 if scan.torn {
                     metrics().wal_torn_records.inc();
                 }
-                Inner {
-                    writer: SegmentWriter::open_end_with(&*vfs, path, scan.valid_len)?,
-                    seq,
-                    since_sync: 0,
-                }
+                Inner::new(SegmentWriter::open_end_with(&*vfs, path, scan.valid_len)?, seq)
             }
-            None => Inner {
-                writer: SegmentWriter::create_with(&*vfs, &segment_path(dir, 1))?,
-                seq: 1,
-                since_sync: 0,
-            },
+            None => Inner::new(SegmentWriter::create_with(&*vfs, &segment_path(dir, 1))?, 1),
         };
         Ok(Wal::finish(dir, policy, rotate_bytes, vfs, inner))
     }
@@ -633,17 +651,12 @@ impl Wal {
                 // that is nonetheless shorter (or torn earlier) only loses
                 // records the checkpoint snapshot already covers.
                 let valid = pos.offset.min(scan.valid_len).max(HEADER_LEN);
-                Inner {
-                    writer: SegmentWriter::open_end_with(&*vfs, &path, valid)?,
-                    seq: pos.segment,
-                    since_sync: 0,
-                }
+                Inner::new(SegmentWriter::open_end_with(&*vfs, &path, valid)?, pos.segment)
             }
-            None => Inner {
-                writer: SegmentWriter::create_with(&*vfs, &segment_path(dir, pos.segment.max(1)))?,
-                seq: pos.segment.max(1),
-                since_sync: 0,
-            },
+            None => {
+                let seq = pos.segment.max(1);
+                Inner::new(SegmentWriter::create_with(&*vfs, &segment_path(dir, seq))?, seq)
+            }
         };
         metrics().wal_tail_discarded.add(discarded);
         Ok((Wal::finish(dir, policy, rotate_bytes, vfs, inner), discarded))
@@ -663,109 +676,41 @@ impl Wal {
         self.shared.degraded.load(Ordering::Relaxed)
     }
 
-    /// Append one record under the configured commit policy. Failures are
-    /// counted (`manic_tsdb_wal_write_errors`) but do not poison the log
-    /// handle — the in-memory store stays authoritative.
+    /// Append one control record (annotation, retention) under the configured
+    /// commit policy. Failures are counted (`manic_tsdb_wal_write_errors`)
+    /// but do not poison the log handle — the in-memory store stays
+    /// authoritative.
     pub fn append(&self, rec: WalRecord) {
-        match &self.tx {
-            Some(tx) => self.enqueue(tx, Msg::Rec(Box::new(rec))),
-            None => {
-                // Synchronous mode sheds raw samples under ENOSPC too;
-                // control records are always attempted.
-                if self.shared.degraded.load(Ordering::Relaxed) {
-                    if let WalRecord::Sample { .. } = rec {
-                        metrics().wal_shed_samples.inc();
-                        return;
-                    }
-                }
-                let mut inner = self.shared.inner.lock().unwrap();
-                if let Err(e) = self
-                    .shared
-                    .append_record(&mut inner, &rec)
-                    .and_then(|()| self.shared.commit(&mut inner, 1))
-                {
-                    self.shared.note_write_error(&e);
-                    if is_enospc(&e) && !matches!(rec, WalRecord::Sample { .. }) {
-                        metrics().wal_write_errors.inc();
-                    }
-                }
-            }
+        if let WalRecord::Sample { key, point } = &rec {
+            // Framed like every other sample; the throwaway token costs one
+            // registry slot, which no caller on a hot path pays.
+            return self.append_sample(key, &OnceLock::new(), *point);
         }
-    }
-
-    /// Sample fast path: `token` caches this series' id in the WAL's
-    /// key-token registry (registered here on first use), so steady-state
-    /// appends cost a [`SAMPLE_ENTRY`]-byte memcpy into the staging buffer
-    /// on the caller's thread — no refcount traffic, no encoding.
-    pub fn append_sample(&self, key: &SeriesKey, token: &OnceLock<u32>, point: Point) {
-        let Some(tx) = &self.tx else {
-            // Synchronous (`always`) mode: the slow path already fsyncs per
-            // record; encoding cost is noise there.
-            self.append(WalRecord::Sample { key: key.clone(), point });
-            return;
-        };
-        if !point.v.is_finite() {
-            // Mirrors `format_line`'s rejection on the text path.
-            metrics().wal_write_errors.inc();
-            return;
-        }
-        let id = match token.get() {
-            Some(&id) => id,
-            None => match format_key(key) {
-                Ok(s) => {
-                    let mut tokens = self.shared.tokens.lock().unwrap();
-                    let id = tokens.len() as u32;
-                    tokens.push(s.into());
-                    drop(tokens);
-                    // A racing registration wastes one registry slot; both
-                    // slots hold the same token text, so either id encodes
-                    // identically.
-                    *token.get_or_init(|| id)
-                }
-                Err(_) => {
-                    metrics().wal_write_errors.inc();
-                    return;
-                }
-            },
-        };
-        let mut entry = [0u8; SAMPLE_ENTRY];
-        entry[..4].copy_from_slice(&id.to_le_bytes());
-        entry[4..12].copy_from_slice(&point.t.to_le_bytes());
-        entry[12..].copy_from_slice(&point.v.to_bits().to_le_bytes());
         let mut stage = self.stage.lock().unwrap();
-        let bin = match stage.last_mut() {
-            Some(Msg::Bin(b)) => b,
-            _ => {
-                stage.push(Msg::Bin(Vec::with_capacity(STAGE_SAMPLE_BYTES)));
-                let Some(Msg::Bin(b)) = stage.last_mut() else { unreachable!() };
-                b
-            }
-        };
-        bin.extend_from_slice(&entry);
-        if bin.len() >= STAGE_SAMPLE_BYTES {
+        stage.push(Msg::Rec(Box::new(rec)));
+        if self.stage_due(stage.len(), STAGE_FLUSH) {
             let batch = std::mem::take(&mut *stage);
             drop(stage);
-            if tx.send(batch).is_err() {
-                metrics().wal_write_errors.inc();
-            }
+            self.forward(batch);
         }
     }
 
-    /// Batched [`Self::append_sample`]: all of `points` land in the staging
-    /// buffer under a single stage-lock acquisition, with one flush check at
-    /// the end. Byte-identical to appending the points one by one.
+    /// [`Self::append_samples`] for one point.
+    pub fn append_sample(&self, key: &SeriesKey, token: &OnceLock<u32>, point: Point) {
+        self.append_samples(key, token, &[point]);
+    }
+
+    /// Sample path: `token` caches this series' id in the WAL's key-token
+    /// registry (registered here on first use), so steady-state appends cost
+    /// a [`SAMPLE_ENTRY`]-byte memcpy per point into the staging buffer on
+    /// the caller's thread — no refcount traffic, no encoding — under a
+    /// single stage-lock acquisition. Byte-identical to appending the points
+    /// one by one, except that under `always` the call is one `B` frame and
+    /// one fsync where one-by-one appends are a frame and an fsync each.
     pub fn append_samples(&self, key: &SeriesKey, token: &OnceLock<u32>, points: &[Point]) {
         if points.is_empty() {
             return;
         }
-        let Some(tx) = &self.tx else {
-            // Synchronous (`always`) mode fsyncs per record anyway; the
-            // batching win is irrelevant there.
-            for p in points {
-                self.append(WalRecord::Sample { key: key.clone(), point: *p });
-            }
-            return;
-        };
         let id = match token.get() {
             Some(&id) => id,
             None => match format_key(key) {
@@ -786,79 +731,36 @@ impl Wal {
             },
         };
         let mut stage = self.stage.lock().unwrap();
-        let bin = match stage.last_mut() {
-            Some(Msg::Bin(b)) => b,
-            _ => {
-                stage.push(Msg::Bin(Vec::with_capacity(STAGE_SAMPLE_BYTES)));
-                let Some(Msg::Bin(b)) = stage.last_mut() else { unreachable!() };
-                b
-            }
-        };
-        for point in points {
-            if !point.v.is_finite() {
-                // Mirrors `format_line`'s rejection on the text path.
-                metrics().wal_write_errors.inc();
-                continue;
-            }
-            let mut entry = [0u8; SAMPLE_ENTRY];
-            entry[..4].copy_from_slice(&id.to_le_bytes());
-            entry[4..12].copy_from_slice(&point.t.to_le_bytes());
-            entry[12..].copy_from_slice(&point.v.to_bits().to_le_bytes());
-            bin.extend_from_slice(&entry);
+        if !matches!(stage.last(), Some(Msg::Bin(_))) {
+            let room = if self.tx.is_some() { STAGE_SAMPLE_BYTES } else { 0 };
+            stage.push(Msg::Bin(Vec::with_capacity(room)));
         }
-        if bin.len() >= STAGE_SAMPLE_BYTES {
+        let Some(Msg::Bin(bin)) = stage.last_mut() else { unreachable!() };
+        for &point in points {
+            if push_sample(bin, id, point).is_err() {
+                metrics().wal_write_errors.inc();
+            }
+        }
+        if self.stage_due(bin.len(), STAGE_SAMPLE_BYTES) {
             let batch = std::mem::take(&mut *stage);
             drop(stage);
-            if tx.send(batch).is_err() {
-                metrics().wal_write_errors.inc();
-            }
-        }
-    }
-
-    /// Append many records with a single group-commit decision.
-    pub fn append_batch(&self, recs: Vec<WalRecord>) {
-        if recs.is_empty() {
-            return;
-        }
-        match &self.tx {
-            Some(tx) => self.enqueue(tx, Msg::Batch(recs)),
-            None => {
-                let mut inner = self.shared.inner.lock().unwrap();
-                let mut ok = 0u32;
-                for rec in &recs {
-                    match self.shared.append_record(&mut inner, rec) {
-                        Ok(()) => ok += 1,
-                        Err(_) => metrics().wal_write_errors.inc(),
-                    }
-                }
-                if self.shared.commit(&mut inner, ok).is_err() {
-                    metrics().wal_write_errors.inc();
-                }
-            }
+            self.forward(batch);
         }
     }
 
     /// Flush buffers and fsync regardless of policy (checkpoint and drain
-    /// paths). In async mode this is a barrier: every append enqueued
-    /// before this call is on disk when it returns.
+    /// paths). A barrier: every append made before this call is on disk when
+    /// it returns.
     pub fn flush_and_sync(&self) -> io::Result<()> {
-        if let Some(tx) = &self.tx {
-            let (ack_tx, ack_rx) = mpsc::channel();
-            let gone = || io::Error::new(io::ErrorKind::BrokenPipe, "wal writer thread gone");
-            // The staged tail rides in front of the barrier in one batch so
-            // the sync covers everything enqueued before this call.
-            let mut batch = std::mem::take(&mut *self.stage.lock().unwrap());
-            batch.push(Msg::Sync(ack_tx));
-            tx.send(batch).map_err(|_| gone())?;
-            return ack_rx.recv().map_err(|_| gone())?;
-        }
-        let mut inner = self.shared.inner.lock().unwrap();
-        let r = self.shared.sync_now(&mut inner);
-        if r.is_ok() {
-            // Same optimistic re-probe the writer thread does at barriers.
-            self.shared.degraded.store(false, Ordering::Relaxed);
-        }
-        r
+        let (ack_tx, ack_rx) = mpsc::channel();
+        // The staged tail rides in front of the barrier in one batch so the
+        // sync covers everything enqueued before this call.
+        let mut batch = std::mem::take(&mut *self.stage.lock().unwrap());
+        batch.push(Msg::Sync(ack_tx));
+        self.forward(batch);
+        ack_rx
+            .recv()
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "wal writer thread gone"))?
     }
 
     /// Current end-of-log position. Meaningful as a durability point only
@@ -925,6 +827,8 @@ fn replay_payloads(
     report: &mut ReplayReport,
     keymap: &mut Vec<Option<SeriesKey>>,
 ) {
+    debug_assert!(store.wal().is_none(), "replaying into a journaled store");
+    let mut run: Vec<Point> = Vec::new();
     for (_, payload) in payloads {
         match payload.split_first() {
             // Key definition: `u32 LE id` + escaped key token. Later
@@ -947,30 +851,38 @@ fn replay_payloads(
                     None => report.decode_errors += 1,
                 }
             }
-            // Packed sample batch: SAMPLE_ENTRY-byte entries.
+            // Packed samples: each run of same-id entries is one
+            // `write_batch` (one shard lock, no key clone).
             Some((b'B', body)) => {
                 if body.len() % SAMPLE_ENTRY != 0 {
                     report.decode_errors += 1;
                 }
-                for e in body.chunks_exact(SAMPLE_ENTRY) {
-                    let id = u32::from_le_bytes(e[..4].try_into().unwrap()) as usize;
-                    let t = i64::from_le_bytes(e[4..12].try_into().unwrap());
-                    let v = f64::from_bits(u64::from_le_bytes(e[12..].try_into().unwrap()));
-                    match keymap.get(id).and_then(Option::as_ref) {
-                        Some(key) => {
-                            let rec = WalRecord::Sample { key: key.clone(), point: Point::new(t, v) };
-                            store.apply_record(&rec);
-                            report.samples += 1;
-                            metrics().wal_replayed_records.inc();
-                        }
-                        None => report.decode_errors += 1,
-                    }
+                let id_of = |e: &[u8]| u32::from_le_bytes(e[..4].try_into().unwrap());
+                let mut rest = &body[..body.len() - body.len() % SAMPLE_ENTRY];
+                while !rest.is_empty() {
+                    let id = id_of(rest);
+                    let n = rest.chunks_exact(SAMPLE_ENTRY).take_while(|e| id_of(e) == id).count();
+                    let (same_id, tail) = rest.split_at(n * SAMPLE_ENTRY);
+                    rest = tail;
+                    let Some(key) = keymap.get(id as usize).and_then(Option::as_ref) else {
+                        report.decode_errors += n as u64;
+                        continue;
+                    };
+                    run.clear();
+                    run.extend(same_id.chunks_exact(SAMPLE_ENTRY).map(|e| {
+                        let t = i64::from_le_bytes(e[4..12].try_into().unwrap());
+                        let v = f64::from_bits(u64::from_le_bytes(e[12..].try_into().unwrap()));
+                        Point::new(t, v)
+                    }));
+                    store.write_batch(key, &run);
+                    report.samples += n as u64;
+                    metrics().wal_replayed_records.add(n as u64);
                 }
             }
             _ => match WalRecord::decode(payload) {
                 Ok(rec) => {
                     match rec {
-                        WalRecord::Sample { .. } => report.samples += 1,
+                        WalRecord::Sample { .. } => unreachable!("decode yields control records"),
                         WalRecord::Annotate { .. } => report.annotations += 1,
                         WalRecord::Retain { .. } => report.retains += 1,
                     }
@@ -1023,10 +935,6 @@ fn payload_times(payload: &[u8]) -> Option<(i64, i64)> {
             };
             Some((t_at(0), t_at(n - 1)))
         }
-        Some((b'S', _)) => match WalRecord::decode(payload) {
-            Ok(WalRecord::Sample { point, .. }) => Some((point.t, point.t)),
-            _ => None,
-        },
         _ => None,
     }
 }
@@ -1192,7 +1100,6 @@ mod tests {
     #[test]
     fn record_codec_roundtrip() {
         let records = vec![
-            WalRecord::Sample { key: k("1.2.3.4"), point: Point::new(300, 18.5) },
             WalRecord::Annotate { key: k("od d,=\\"), from: 0, to: 600, flags: 0b1010 },
             WalRecord::Retain { cutoff: -12345 },
         ];
@@ -1204,7 +1111,14 @@ mod tests {
         assert!(matches!(WalRecord::decode(b"Zx"), Err(WalCodecError::UnknownKind(b'Z'))));
         assert!(matches!(WalRecord::decode(b"A only-a-key"), Err(WalCodecError::Malformed(_))));
         assert!(matches!(WalRecord::decode(b"Rnot-a-number"), Err(WalCodecError::Malformed(_))));
-        assert!(matches!(WalRecord::decode(&[b'S', 0xFF, 0xFE]), Err(WalCodecError::NotUtf8)));
+        assert!(matches!(WalRecord::decode(&[b'A', 0xFF, 0xFE]), Err(WalCodecError::NotUtf8)));
+        // A sample has no record form, out or in.
+        let sample = WalRecord::Sample { key: k("1.2.3.4"), point: Point::new(300, 18.5) };
+        assert!(matches!(sample.encode(), Err(LineProtoError::Unencodable(_))));
+        assert!(matches!(
+            WalRecord::decode(b"Stslp,vp=v1 value=18.5 300"),
+            Err(WalCodecError::UnknownKind(b'S'))
+        ));
     }
 
     #[test]
@@ -1264,50 +1178,104 @@ mod tests {
     }
 
     #[test]
-    fn batched_binary_path_replays_identically_and_from_barriers() {
-        let dir = tmpdir("binbatch");
-        let wal = std::sync::Arc::new(Wal::open(&dir, FsyncPolicy::EveryN(64), 1 << 20).unwrap());
-        let live = Store::new();
-        live.attach_wal(std::sync::Arc::clone(&wal));
-        // Phase 1, then a sync barrier whose position acts as a checkpoint.
-        for t in 0..50 {
-            live.write(&k("a"), t * 300, t as f64);
-            live.write(&k("b"), t * 300, -t as f64);
-        }
-        wal.flush_and_sync().unwrap();
-        let barrier = wal.position();
-        // Phase 2 mixes samples with a text record to exercise interleaving.
-        live.annotate(&k("a"), 0, 600, 1);
-        for t in 50..80 {
-            live.write(&k("a"), t * 300, t as f64);
-            live.write(&k("c"), t * 300, 0.5);
-        }
-        // NaN is rejected on the fast path too, not silently corrupted.
-        live.write(&k("a"), 99_000, f64::NAN);
-        wal.flush_and_sync().unwrap();
-        drop(wal);
+    fn every_policy_replays_identically_and_from_barriers() {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::EveryN(64), FsyncPolicy::Never] {
+            let dir = tmpdir(&format!("barriers-{policy}"));
+            let wal = std::sync::Arc::new(Wal::open(&dir, policy, 1 << 20).unwrap());
+            let live = Store::new();
+            live.attach_wal(std::sync::Arc::clone(&wal));
+            // Phase 1, then a sync barrier whose position acts as a checkpoint.
+            for t in 0..50 {
+                live.write(&k("a"), t * 300, t as f64);
+                live.write(&k("b"), t * 300, -t as f64);
+            }
+            wal.flush_and_sync().unwrap();
+            let barrier = wal.position();
+            // Phase 2 mixes samples with a text record to exercise interleaving.
+            live.annotate(&k("a"), 0, 600, 1);
+            for t in 50..80 {
+                live.write(&k("a"), t * 300, t as f64);
+                live.write(&k("c"), t * 300, 0.5);
+            }
+            // NaN is rejected, not silently corrupted.
+            live.write(&k("a"), 99_000, f64::NAN);
+            wal.flush_and_sync().unwrap();
+            drop(wal);
 
-        // Full replay rebuilds everything except the rejected NaN point.
-        let full = Store::new();
-        let rep = replay_dir(&dir, &full).unwrap();
-        assert_eq!(rep.samples, 160);
-        assert_eq!(rep.annotations, 1);
-        assert_eq!(rep.decode_errors, 0);
-        assert_eq!(full.point_count(), live.point_count() - 1);
+            // Full replay rebuilds everything except the rejected NaN point.
+            let full = Store::new();
+            let rep = replay_dir(&dir, &full).unwrap();
+            assert_eq!(rep.samples, 160, "{policy}");
+            assert_eq!(rep.annotations, 1);
+            assert_eq!(rep.decode_errors, 0, "{policy}");
+            assert_eq!(full.point_count(), live.point_count() - 1);
 
-        // A tail replay from the barrier is self-contained: the writer
-        // re-defines key tokens after every sync, so the phase-2 records
-        // decode without seeing phase 1.
-        let tail = Store::new();
-        for t in 0..50 {
-            tail.write(&k("a"), t * 300, t as f64);
-            tail.write(&k("b"), t * 300, -t as f64);
+            // A tail replay from the barrier is self-contained: the writer
+            // re-defines key tokens after every sync, so the phase-2 records
+            // decode without seeing phase 1.
+            let tail = Store::new();
+            for t in 0..50 {
+                tail.write(&k("a"), t * 300, t as f64);
+                tail.write(&k("b"), t * 300, -t as f64);
+            }
+            let tail_rep = replay_dir_from(&dir, &tail, barrier).unwrap();
+            assert_eq!(tail_rep.samples, 60, "{policy}");
+            assert_eq!(tail_rep.decode_errors, 0, "{policy}: a key was not re-defined");
+            assert_eq!(tail.content_hash(), full.content_hash());
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        let tail_rep = replay_dir_from(&dir, &tail, barrier).unwrap();
-        assert_eq!(tail_rep.samples, 60);
-        assert_eq!(tail_rep.decode_errors, 0);
-        assert_eq!(tail.content_hash(), full.content_hash());
+    }
+
+    #[test]
+    fn always_acknowledges_a_batch_as_one_frame_and_one_fsync() {
+        let dir = tmpdir("always-batch");
+        let wal = std::sync::Arc::new(Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap());
+        let store = Store::new();
+        store.attach_wal(std::sync::Arc::clone(&wal));
+        let fsyncs = || metrics().wal_fsyncs.get();
+        let points: Vec<Point> = (0..40).map(|t| Point::new(t * 300, t as f64)).collect();
+        let before = fsyncs();
+        store.write_batch(&k("a"), &points);
+        // Other tests fsync concurrently, so the counter bounds from below;
+        // the frame count is exact, and on disk before any barrier.
+        assert!(fsyncs() > before);
+        let (_, path) = segment::list_segments(&dir).unwrap().pop().unwrap();
+        let kinds = |path: &Path| -> Vec<u8> {
+            segment::scan(path, 0).unwrap().records.iter().map(|(_, p)| p[0]).collect()
+        };
+        assert_eq!(kinds(&path), b"KB");
+        store.write(&k("a"), 99_000, 1.0);
+        store.annotate(&k("a"), 0, 600, 1);
+        assert_eq!(kinds(&path), b"KBBA");
+        let rebuilt = Store::new();
+        assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 41);
+        assert_eq!(rebuilt.content_hash(), store.content_hash());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn samples_without_a_live_key_definition_are_decode_errors() {
+        let path = tmpdir("orphan-b").with_extension("seg");
+        let mut w = SegmentWriter::create(&path).unwrap();
+        let (mut frame, mut entries) = (Vec::new(), Vec::new());
+        key_frame(&mut frame, 3, &format_key(&k("a")).unwrap());
+        w.append(&frame).unwrap();
+        for (id, t) in [(3, 0), (3, 300), (9, 600), (9, 900), (3, 1200)] {
+            push_sample(&mut entries, id, Point::new(t, 1.0)).unwrap();
+        }
+        for chunk in sample_chunks(&entries) {
+            sample_frame(&mut frame, chunk);
+            w.append(&frame).unwrap();
+        }
+        w.append(b"B-not-a-multiple-of-twenty").unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let store = Store::new();
+        let rep = replay_segment_file(&path, &store).unwrap();
+        assert_eq!(rep.samples, 3, "both runs of id 3 apply");
+        assert_eq!(rep.decode_errors, 2 + 1 + 1, "one per orphan entry, one ragged frame, one orphan in it");
+        assert_eq!(store.query(&k("a"), i64::MIN, i64::MAX).len(), 3);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1321,9 +1289,9 @@ mod tests {
         }
         let (_, path) = segment::list_segments(&dir).unwrap().pop().unwrap();
         let clean = segment::scan(&path, 0).unwrap();
-        assert_eq!(clean.records.len(), 10);
-        // Flip one payload byte inside the 6th frame (sample t=1500).
-        let frame_start = clean.records[4].0;
+        assert_eq!(clean.records.len(), 11, "one K frame, then a B frame per write");
+        // Flip one payload byte inside the 6th sample frame (t=1500).
+        let frame_start = clean.records[5].0;
         let mut raw = std::fs::read(&path).unwrap();
         raw[frame_start as usize + 9] ^= 0x01;
         std::fs::write(&path, &raw).unwrap();
@@ -1395,7 +1363,7 @@ mod tests {
         drop((store, wal));
 
         let (wal2, discarded) = Wal::open_at(&dir, FsyncPolicy::Always, 1 << 20, ack).unwrap();
-        assert_eq!(discarded, 4, "post-checkpoint tail discarded");
+        assert_eq!(discarded, 5, "post-checkpoint tail discarded: the re-defined K and four B");
         assert_eq!(wal2.position(), ack);
         let rebuilt = Store::new();
         assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 5);

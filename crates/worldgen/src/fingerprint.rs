@@ -1,20 +1,26 @@
 //! Determinism fingerprints.
 //!
-//! A fingerprint is a 64-bit FNV-1a digest over a canonical serialization of
-//! the generated topology (and, for built worlds, of the compiled ground
-//! truth and VP roster). Two runs with the same `(name, seed)` must produce
-//! the same fingerprint on any machine and at any `--threads`; the world
-//! sweep and CI both hard-fail on divergence. The digest deliberately covers
-//! only platform-independent integers and strings — no pointers, hash-map
-//! iteration orders, or floats.
+//! A fingerprint is a 64-bit FNV-1a-*style* digest (xor a byte, multiply;
+//! see [`Fnv`] for how it differs from the standard function) over a
+//! canonical serialization of the generated topology (and, for built worlds,
+//! of the compiled ground truth and VP roster). Two runs with the same
+//! `(name, seed)` must produce the same fingerprint on any machine and at any
+//! `--threads`; the world sweep and CI both hard-fail on divergence. The
+//! digest deliberately covers only platform-independent integers and strings
+//! — no pointers, hash-map iteration orders, or floats.
 
 use crate::gen::Topology;
 use manic_scenario::World;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// Not the FNV-1a-64 prime (`0x100_0000_01b3`, 2^40 + 0x1b3): this is
+/// 2^32 + 0x193. Every world fingerprint on record was taken with it, so it
+/// stays — which is also why this is not `manic_stats::fnv1a`.
 const FNV_PRIME: u64 = 0x1_0000_0193;
 
-/// Incremental FNV-1a 64 hasher.
+/// Incremental hasher with FNV-1a's structure and 64-bit offset basis but its
+/// own multiplier ([`FNV_PRIME`]): its digests are stable across machines and
+/// runs, and are *not* FNV-1a-64 digests.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 

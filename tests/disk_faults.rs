@@ -1,7 +1,7 @@
 //! Storage-fault robustness through the public API: checkpoint/WAL bit
 //! flips (recover-or-flag, never a panic and never silent divergence),
-//! ENOSPC mid-group-commit (graceful raw-sample shedding), and checkpoint
-//! generation fallback.
+//! ENOSPC mid-group-commit (graceful raw-sample shedding), checkpoint
+//! generation fallback, and the refusal of another format version's dir.
 //!
 //! The template fixture is one finished durable run over a 4 h toy-world
 //! window with several checkpoint generations on disk; each test copies it
@@ -334,6 +334,49 @@ fn dir_holding_only_an_older_generation_still_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A data dir written by the version-1 format (text `S` snapshots) is
+/// refused as a whole — by the `--resume` gate's callee and by the read-only
+/// report alike, with both versions named — and not one byte of it changes:
+/// no fallback past the "bad" metas, no fresh start, no WAL truncation.
+#[test]
+fn version_1_dir_is_refused_and_left_untouched() {
+    let dir = scratch_copy("v1");
+    let metas: Vec<PathBuf> = data_files(&dir)
+        .into_iter()
+        .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("checkpoint-"))
+        .collect();
+    assert_eq!(metas.len(), 3, "every kept generation gets a v1 meta");
+    for meta in &metas {
+        // A v1 meta by hand: the same fields under `"version":1`, with the
+        // self-checksum a v1 writer would have appended.
+        let text = std::fs::read_to_string(meta).expect("read meta");
+        let body = text[..text.rfind(",\"crc\":\"").expect("crc field")]
+            .replacen("{\"version\":2,", "{\"version\":1,", 1);
+        assert!(body.starts_with("{\"version\":1,"), "meta does not lead with its version");
+        let crc = manic_tsdb::segment::crc32(body.as_bytes());
+        std::fs::write(meta, format!("{body},\"crc\":\"{crc:08x}\"}}")).expect("write v1 meta");
+    }
+    let contents = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
+        data_files(dir).into_iter().map(|p| (p.clone(), std::fs::read(&p).unwrap())).collect()
+    };
+    let before = contents(&dir);
+
+    assert!(has_checkpoint(&dir), "the CLI must take the resume path, not wipe the dir");
+    let refusals = [
+        resume(&dir, Some(clean_cfg())).map(|_| ()).expect_err("resume of a v1 dir"),
+        resume(&dir, None).map(|_| ()).expect_err("resume of a v1 dir, checkpointed knobs"),
+        recover_report_with(&dir, manic_vfs::real()).map(|_| ()).expect_err("report on a v1 dir"),
+    ];
+    for err in refusals {
+        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
+        assert!(msg.contains("checkpoint-00000048.json"), "names the file it stopped at: {msg}");
+    }
+    assert!(contents(&dir) == before, "a refused dir must be byte-identical afterwards");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A device that fills up (or errors) in the middle of a snapshot: the
 /// periodic checkpoint fails and is counted, the half-written `.tmp` is
 /// never renamed into a generation, the previous generation still resumes
@@ -373,7 +416,9 @@ fn fault_mid_snapshot_fails_the_checkpoint_and_keeps_the_previous_generation() {
         let hi = cal.ops().0;
         drop(d);
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(hi - lo >= 6, "snapshot too small to fail in the middle of: {} write ops", hi - lo);
+        // At least two buffered snapshot writes and the meta: the K/B
+        // snapshot of the toy world is a few 8 KiB flushes, not dozens.
+        assert!(hi - lo >= 3, "snapshot too small to fail in the middle of: {} write ops", hi - lo);
         (lo, hi)
     };
 
@@ -383,11 +428,15 @@ fn fault_mid_snapshot_fails_the_checkpoint_and_keeps_the_previous_generation() {
             .join(format!("manic-disk-faults-midsnap-{}-{}", kind.as_str(), std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // Snapshot writes only (the meta is one op at the very end), from
-        // the middle of the round-24 checkpoint's span on.
+        // the middle of the round-24 checkpoint's span on, and for one more
+        // span past its end so that an immediate retry still meets the
+        // fault; the twelve rounds of `always` WAL appends before the
+        // round-36 checkpoint carry the op counter far beyond that.
+        let span = ckpt_hi - ckpt_lo;
         let fvfs = FaultVfs::new(DiskFaultPlan::new(vec![DiskFaultEvent::window(
             kind,
-            ckpt_lo + (ckpt_hi - ckpt_lo) / 2,
-            ckpt_hi,
+            ckpt_lo + span / 2,
+            ckpt_hi + span,
         )
         .scoped("store-")]));
         let mut sys = System::new(toy(SEED), SystemConfig::default());

@@ -1,9 +1,10 @@
 //! Tier-1 home of the tsdb property suite, plus the contracts of the sorted
 //! store walk.
 //!
-//! `crates/tsdb/tests/prop.rs` (columnar ≡ AoS, WAL codec round trip,
-//! random-prefix replay, segment bit-flip recover-or-flag) is included here
-//! so `cargo test -q` at the root runs it. On top of it: everything that
+//! `crates/tsdb/tests/prop.rs` (columnar ≡ AoS, WAL codec and frame round
+//! trips, random-prefix replay, segment bit-flip recover-or-flag, one op
+//! sequence under every fsync policy) is included here so `cargo test -q` at
+//! the root runs it. On top of it: everything that
 //! needs "the store in canonical order" — `content_hash`, `dump_records`,
 //! the checkpoint's `write_snapshot` — goes through `Store::walk`, and these
 //! tests pin what that order and those bytes are, against references that
@@ -12,9 +13,9 @@
 #[path = "../crates/tsdb/tests/prop.rs"]
 mod tsdb_props;
 
-use manic_tsdb::segment::{crc32, SegmentWriter};
+use manic_tsdb::segment::{self, crc32, SegmentWriter, MAX_PAYLOAD};
 use manic_tsdb::wal::replay_segment_file;
-use manic_tsdb::{quality, Point, SeriesKey, Store, TagSet};
+use manic_tsdb::{format_key, quality, Point, SeriesKey, Store, TagSet};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,13 +91,39 @@ fn reference_hash(store: &Store, keys: &[SeriesKey]) -> u64 {
     h
 }
 
-/// The snapshot the slow way: one `WalRecord` per point and window, each
-/// encoded on its own and framed. Returns the file's bytes.
-fn reference_snapshot(store: &Store) -> Vec<u8> {
+/// The snapshot as `write_snapshot`'s doc comment lays it out, written
+/// against the read API only. Per key that holds anything, in sorted order,
+/// `id` its ordinal there: if it has points, a frame `"K" id token` and the
+/// points as 20-byte `id t v_bits` entries (all LE) in `"B" entries` frames
+/// of at most `(MAX_PAYLOAD - 1) / 20` entries; then one text frame
+/// `"A" token from to flags` per quality window. `keys` must cover every key
+/// ever written (and no point may sit at `i64::MAX`, which `query` cannot
+/// reach). Returns the file's bytes.
+fn reference_snapshot(store: &Store, keys: &[SeriesKey]) -> Vec<u8> {
+    let mut keys = keys.to_vec();
+    keys.sort();
+    keys.dedup();
+    let contents = |key: &SeriesKey| (store.query(key, i64::MIN, i64::MAX), store.quality_windows(key));
+    keys.retain(|key| contents(key) != (vec![], vec![]));
     let path = scratch_file("ref");
     let mut w = SegmentWriter::create(&path).unwrap();
-    for rec in store.dump_records() {
-        w.append(&rec.encode().unwrap()).unwrap();
+    for (id, key) in keys.iter().enumerate() {
+        let id = (id as u32).to_le_bytes();
+        let token = format_key(key).unwrap();
+        let (points, windows) = contents(key);
+        if !points.is_empty() {
+            w.append(&[b"K", &id[..], token.as_bytes()].concat()).unwrap();
+        }
+        for chunk in points.chunks((MAX_PAYLOAD as usize - 1) / 20) {
+            let mut frame = vec![b'B'];
+            for p in chunk {
+                frame.extend([&id[..], &p.t.to_le_bytes(), &p.v.to_bits().to_le_bytes()].concat());
+            }
+            w.append(&frame).unwrap();
+        }
+        for (from, to, flags) in windows {
+            w.append(format!("A{token} {from} {to} {flags}").as_bytes()).unwrap();
+        }
     }
     w.sync().unwrap();
     drop(w);
@@ -142,12 +169,11 @@ fn apply(store: &Store, keys: &[SeriesKey], ops: &[Op], retain: Option<(usize, i
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random stores — names full of the line protocol's structural
+    /// Random stores — names full of the key token's structural
     /// characters, duplicate and out-of-order timestamps, annotation-only
     /// series, a retention cut — at 1 and at 64 shards: the hash is the
-    /// documented one, the streamed snapshot is byte for byte the
-    /// record-at-a-time one and carries that hash, and replaying it rebuilds
-    /// an equal store.
+    /// documented one, the snapshot is byte for byte the documented layout
+    /// and carries that hash, and replaying it rebuilds an equal store.
     #[test]
     fn walk_feeds_hash_and_snapshot_identically(
         names in prop::collection::vec(
@@ -179,15 +205,16 @@ proptest! {
         prop_assert_eq!(narrow.content_hash(), want_hash, "hash is not the documented one");
         prop_assert_eq!(wide.content_hash(), want_hash, "shard count leaked into the hash");
 
-        let want_bytes = reference_snapshot(&narrow);
+        let want_bytes = reference_snapshot(&narrow, &keys);
         for store in [&narrow, &wide] {
             let (path, bytes, hash) = streamed_snapshot(store);
             prop_assert_eq!(hash, want_hash, "write_snapshot folded a different hash");
-            prop_assert!(bytes == want_bytes, "streamed snapshot differs from the record-at-a-time one");
+            prop_assert!(bytes == want_bytes, "snapshot is not the documented K/B/A layout");
             let rebuilt = Store::with_shards(4);
             let report = replay_segment_file(&path, &rebuilt).unwrap();
             std::fs::remove_file(&path).unwrap();
             prop_assert!(!report.corrupted());
+            prop_assert_eq!(report.decode_errors, 0);
             prop_assert_eq!(rebuilt.content_hash(), want_hash, "replay rebuilt a different store");
             prop_assert_eq!(rebuilt.point_count(), store.point_count());
         }
@@ -218,23 +245,80 @@ fn golden_store() -> Store {
     store
 }
 
-/// Constants taken from the implementation this walk replaced (content
-/// hash over a materialised `dump_records()`, snapshot via one
-/// `WalRecord::encode` per record): neither the hash nor one snapshot byte
-/// may move.
+/// The hash is the one every implementation so far has produced and may
+/// never move. The snapshot constants pin checkpoint format version 2: the
+/// frames, in sorted key order, are `K B` (`loss`: two points in one `B`
+/// frame), `K B A A` (six points in one frame; the two adjacent GAP windows
+/// coalesce into one) and `A` (the annotation-only series: no points, so no
+/// `K`) — 442 bytes, a figure a Python transcription of the layout in
+/// `write_snapshot`'s doc comment reproduces together with the CRC.
 #[test]
 fn golden_store_hash_and_snapshot_bytes_are_pinned() {
     const HASH: u64 = 0x13c0_f8fc_01d2_9f38;
-    const SNAPSHOT_CRC: u32 = 0x7dd8_89fa;
-    const SNAPSHOT_LEN: usize = 1025;
+    const SNAPSHOT_CRC: u32 = 0xab1c_6a6f;
+    const SNAPSHOT_LEN: usize = 442;
     let store = golden_store();
     assert_eq!(store.content_hash(), HASH);
     let (path, bytes, hash) = streamed_snapshot(&store);
-    std::fs::remove_file(&path).unwrap();
     assert_eq!(hash, HASH);
+    let kinds: Vec<u8> = segment::scan(&path, 0).unwrap().records.iter().map(|(_, p)| p[0]).collect();
+    assert_eq!(kinds, b"KBKBAAA");
     assert_eq!((bytes.len(), crc32(&bytes)), (SNAPSHOT_LEN, SNAPSHOT_CRC));
-    let slow = reference_snapshot(&store);
-    assert_eq!((slow.len(), crc32(&slow)), (SNAPSHOT_LEN, SNAPSHOT_CRC));
+    let rebuilt = Store::with_shards(1);
+    let report = replay_segment_file(&path, &rebuilt).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!((report.samples, report.annotations, report.decode_errors), (8, 3, 0));
+    assert_eq!(rebuilt.content_hash(), HASH);
+}
+
+/// A series longer than one `B` frame is split at the frame limit, the
+/// split is the documented one, and nothing is lost across it.
+#[test]
+fn series_longer_than_one_frame_is_chunked() {
+    let per_frame = (MAX_PAYLOAD as usize - 1) / 20;
+    let long = SeriesKey::with_tags("tslp", &[("vp", "acme-nyc"), ("end", "far")]);
+    let short = SeriesKey::with_tags("tslp", &[("vp", "acme-nyc"), ("end", "near")]);
+    let store = Store::with_shards(2);
+    let points: Vec<Point> = (0..2 * per_frame as i64 + 3).map(|i| Point::new(i * 300, i as f64 * 0.25)).collect();
+    store.write_batch(&long, &points);
+    store.write(&short, 0, 1.0);
+    let (path, bytes, hash) = streamed_snapshot(&store);
+    let scan = segment::scan(&path, 0).unwrap();
+    let frames: Vec<(u8, usize)> = scan.records.iter().map(|(_, p)| (p[0], p.len())).collect();
+    let full = 1 + per_frame * 20;
+    assert_eq!(frames[1..], [(b'B', full), (b'B', full), (b'B', 1 + 3 * 20), (b'K', frames[4].1), (b'B', 21)]);
+    assert!(full <= MAX_PAYLOAD as usize);
+    assert!(bytes == reference_snapshot(&store, &[long, short]), "not the documented layout");
+    let rebuilt = Store::new();
+    let report = replay_segment_file(&path, &rebuilt).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!((report.samples, report.decode_errors), (points.len() as u64 + 1, 0));
+    assert_eq!(rebuilt.content_hash(), hash);
+    assert_eq!(hash, store.content_hash());
+}
+
+/// A store holding what no frame can carry fails the snapshot with
+/// `InvalidInput` instead of writing something that would not replay.
+#[test]
+fn unencodable_contents_fail_the_snapshot() {
+    let key = SeriesKey::with_tags("tslp", &[("vp", "x"), ("end", "far")]);
+    let control = SeriesKey::with_tags("tslp", &[("vp", "x\ny"), ("end", "far")]);
+    for poison in [
+        (&key, f64::NAN),
+        (&key, f64::INFINITY),
+        (&key, f64::NEG_INFINITY),
+        (&control, 1.0),
+    ] {
+        let store = Store::new();
+        store.write(&key, 0, 1.0);
+        store.write(poison.0, 300, poison.1);
+        let path = scratch_file("poison");
+        let mut w = SegmentWriter::create(&path).unwrap();
+        let err = store.write_snapshot(&mut w).expect_err("snapshot of an unencodable store");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{poison:?}: {err}");
+        drop(w);
+        std::fs::remove_file(&path).unwrap();
+    }
 }
 
 /// Hashing costs allocations per *series* (the sorted view, one key text),
