@@ -32,4 +32,18 @@ if [[ -n "$text_sample" ]]; then
     echo "$text_sample" >&2
     exit 1
 fi
+
+# A `LinkSummary` is the dense per-bin window and nothing else. Its carried-
+# verdict gate (`refresh`), its presence bitset and the bench binary that
+# timed them (with its `INFER_*` knobs) had no caller in the product; this
+# fails if any of them returns under `crates/`.
+summary_extras=$({
+    grep -rn --include='*.rs' -E 'LinkSummary::refresh|BitSet|INFER_' crates
+    grep -Hn -E 'fn (refresh|analyze_exact)\(' crates/inference/src/summary.rs
+} 2>/dev/null || true)
+if [[ -n "$summary_extras" ]]; then
+    echo "error: LinkSummary grew back a second mechanism (or its bench knobs) — it serves dense windows only" >&2
+    echo "$summary_extras" >&2
+    exit 1
+fi
 echo "lint_store_walk: ok"

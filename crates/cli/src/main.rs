@@ -28,8 +28,7 @@
 //! journal floor and the stderr echo; `--quiet` silences the stderr echo
 //! entirely. Without either, the CLI echoes warnings and errors only.
 //! `--threads N` sizes the round-engine pool (results are byte-identical at
-//! any count) and `--summary-window-days D` sets the detection window the
-//! incremental link summaries keep resident (default 30).
+//! any count).
 //!
 //! Argument parsing is hand-rolled (the workspace carries no CLI
 //! dependency); every command is deterministic given `--seed`.
@@ -161,9 +160,6 @@ struct Args {
     /// `manic serve --shed-queue-depth N`: accept-queue depth beyond which
     /// non-priority requests are shed (0 disables depth-based shedding).
     shed_queue_depth: usize,
-    /// `--summary-window-days D`: detection window the incremental link
-    /// summaries keep resident (default 30 days = 8640 five-minute bins).
-    summary_window_days: usize,
 }
 
 impl Args {
@@ -192,7 +188,6 @@ impl Args {
             max_conns: manic_serve::OverloadConfig::default().max_conns,
             request_timeout: 2,
             shed_queue_depth: manic_serve::OverloadConfig::default().shed_queue_depth,
-            summary_window_days: 30,
         };
         while let Some(flag) = argv.next() {
             let mut val = || argv.next().ok_or_else(|| CliError::MissingValue(flag.clone()));
@@ -231,9 +226,6 @@ impl Args {
                 "--stats" => args.stats = true,
                 "--storage-faults" => args.storage_faults = Some(val()?),
                 "--threads" => args.threads = num("--threads", val()?)?,
-                "--summary-window-days" => {
-                    args.summary_window_days = num("--summary-window-days", val()?)?
-                }
                 "--quiet" => args.quiet = true,
                 "--verbosity" => {
                     let v = val()?;
@@ -279,12 +271,6 @@ impl Args {
                 reason: "must be at least 1".into(),
             });
         }
-        if args.summary_window_days == 0 {
-            return Err(CliError::InvalidValue {
-                flag: "--summary-window-days",
-                reason: "must be at least 1 day".into(),
-            });
-        }
         if args.checkpoint_every == 0 {
             return Err(CliError::InvalidValue {
                 flag: "--checkpoint-every",
@@ -318,17 +304,11 @@ impl Args {
         Ok((cmd, args))
     }
 
-    /// Five-minute bins covered by `--summary-window-days`.
-    fn summary_window_bins(&self) -> usize {
-        self.summary_window_days * 288
-    }
-
     /// Core config with the CLI's threading knob applied. Thread count
     /// never changes results (byte-identical stores), only wall-clock.
     fn system_config(&self) -> SystemConfig {
         SystemConfig {
             threads: self.threads,
-            summary_window_bins: self.summary_window_bins(),
             ..SystemConfig::default()
         }
     }
@@ -524,9 +504,6 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
     let (mut sys, mut d) = if args.resume && manic_core::has_checkpoint(&dir) {
         let (mut sys, d, info) = manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
         sys.cfg.threads = args.threads;
-        // Summaries are rebuilt lazily after resume, so a new window length
-        // simply takes effect at the first post-resume commit.
-        sys.cfg.summary_window_bins = args.summary_window_bins();
         println!(
             "resumed: world '{}' seed {} rounds={} t={} recovered_in_ms={:.1} \
              tail_discarded={} snapshot_records={} hash_ok={}",
@@ -682,7 +659,6 @@ fn cmd_serve(args: Args) -> Result<(), CliError> {
                 let (mut sys, d, info) =
                     manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
                 sys.cfg.threads = args.threads;
-                sys.cfg.summary_window_bins = args.summary_window_bins();
                 status.note_recovery(info.rounds, info.tail_discarded, info.recovery_ms);
                 status.note_storage_findings(&info.storage);
                 println!(

@@ -37,9 +37,10 @@ pub struct SystemConfig {
     /// stores (see DESIGN.md §5g), so this is purely a throughput knob.
     pub threads: usize,
     /// Length of each task's incremental [`manic_inference::LinkSummary`]
-    /// ring, in five-minute bins (default: 8640 = 30 days — the longest
-    /// window the reactive level-shift path analyzes). Detection windows
-    /// inside the ring are served without rescanning the store.
+    /// window, in five-minute bins (8640 = 30 days — the longest window
+    /// the reactive level-shift path analyzes; a summary only stores the
+    /// bins since its first sample). Detection windows inside it are
+    /// served without rescanning the store.
     pub summary_window_bins: usize,
 }
 

@@ -26,6 +26,6 @@ pub mod summary;
 pub use autocorr::{analyze_window, AutocorrConfig, AutocorrResult, DayEstimate, RejectReason};
 pub use levelshift::{detect_level_shifts, Episode, LevelShiftConfig};
 pub use mask::{apply_quality_mask, detect_level_shifts_masked, DEFAULT_REJECT};
-pub use summary::{note_summary_fallback, LinkSummary, ELEVATION_MS};
+pub use summary::{note_summary_fallback, LinkSummary};
 pub use merge::merge_day_estimates;
 pub use returnpath::{correlate_signatures, elevation_signature, SignatureMatch};

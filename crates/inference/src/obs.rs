@@ -13,20 +13,16 @@ pub(crate) struct Metrics {
     pub shifts_detected: Counter,
     /// Episodes discarded because a boundary touched a masked region.
     pub shifts_rejected_mask_edge: Counter,
-    /// Link-summary maintenance: rings created by store backfill.
+    /// Link-summary maintenance: summaries created by store backfill.
     pub summary_backfills: Counter,
     /// Bins expired/entered as summary windows advanced.
     pub summary_bins_advanced: Counter,
-    /// Committed samples folded into summary rings.
+    /// Samples folded into summaries (commits and backfills).
     pub summary_samples_folded: Counter,
-    /// Dense detection windows served from a ring (no store rescan).
+    /// Dense detection windows served from a summary (no store rescan).
     pub summary_windows_served: Counter,
     /// Detection windows a summary could not cover (store rescan).
     pub summary_window_fallbacks: Counter,
-    /// Exact level-shift analyses run through a summary.
-    pub summary_exact_analyses: Counter,
-    /// Refresh calls answered with the carried verdict (no detector run).
-    pub summary_verdicts_carried: Counter,
     /// Autocorrelation windows analyzed / asserting recurrence.
     pub autocorr_windows: Counter,
     pub autocorr_asserted: Counter,
@@ -64,8 +60,6 @@ pub(crate) fn metrics() -> &'static Metrics {
             summary_samples_folded: r.counter("manic_inference_summary_samples_folded"),
             summary_windows_served: r.counter("manic_inference_summary_windows_served"),
             summary_window_fallbacks: r.counter("manic_inference_summary_window_fallbacks"),
-            summary_exact_analyses: r.counter("manic_inference_summary_exact_analyses"),
-            summary_verdicts_carried: r.counter("manic_inference_summary_verdicts_carried"),
             autocorr_windows: r.counter("manic_inference_autocorr_windows"),
             autocorr_asserted: r.counter("manic_inference_autocorr_asserted"),
             autocorr_rejected_too_few_days: rej("too_few_days"),

@@ -184,6 +184,9 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
         Some(Ok(e)) => e,
         Some(Err(_)) => return Response::error(400, "end must be a sim-time integer"),
     };
+    let Some(start) = end.checked_sub(window) else {
+        return Response::error(400, "end out of range");
+    };
     let format = req.param("format").unwrap_or("json");
     if format != "json" && format != "csv" {
         return Response::error(400, "format must be json or csv");
@@ -195,7 +198,6 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
         return Response::error(404, "unknown link");
     }
     keys.sort_by_key(|k| k.to_string());
-    let start = end - window;
 
     // Refuse oversized selections up front instead of rendering and then
     // throwing the work away: the downsampled point count is known from

@@ -17,7 +17,6 @@
 //! The store is sharded and guarded by `std::sync::RwLock`, so concurrent
 //! measurement threads can ingest while analysis reads.
 
-pub mod bitset;
 pub mod key;
 pub mod lineproto;
 mod obs;
@@ -27,7 +26,6 @@ pub mod series;
 pub mod store;
 pub mod wal;
 
-pub use bitset::BitSet;
 pub use key::{SeriesKey, TagSet};
 pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};

@@ -186,6 +186,7 @@ fn bad_requests_get_400s_not_panics() {
         format!("/api/link/{far}/timeseries?window=0"),
         format!("/api/link/{far}/timeseries?format=xml"),
         format!("/api/link/{far}/timeseries?end=later"),
+        format!("/api/link/{far}/timeseries?end={}", i64::MIN),
     ] {
         let (status, _, body) = get(addr, &path);
         assert_eq!(status, 400, "GET {path} -> {body}");
