@@ -7,8 +7,7 @@
 # workspace Rust sources outside the places terminal output is the point:
 #
 #   - crates/cli/           (user-facing command output)
-#   - crates/bench/src/bin/ (benchmark reports, incl. the serve_load
-#                            load-generator report)
+#   - crates/bench/src/bin/ (experiment and correctness-gate reports)
 #
 # Note crates/serve/ is deliberately NOT allowlisted: the HTTP layer logs
 # through manic-obs like every other library crate.

@@ -2,19 +2,18 @@
 //!
 //! For each library world this sweep (a) builds it twice and hard-fails on
 //! fingerprint divergence, (b) checks the planetary structural floors,
-//! (c) measures compile time, peak-RSS proxy, and packet-engine round
-//! throughput — including a threads=1 vs threads=N store-hash equality
-//! gate — and (d) runs the full longitudinal pipeline over every scenario
-//! in the library, scoring congested-pair verdicts against the planted
-//! ground truth. Gates: precision >= 0.95 and recall >= 0.90 per scenario.
+//! (c) runs six packet-mode hours at threads=1 and threads=N and hard-fails
+//! unless both land the same store hash, and (d) runs the full longitudinal
+//! pipeline over every scenario in the library, scoring congested-pair
+//! verdicts against the planted ground truth. Gates: precision >= 0.95 and
+//! recall >= 0.90 per scenario.
 //!
-//! Results go to `results/world_sweep.txt` (+ metrics sidecar) and the
-//! machine-readable `BENCH_world_scale.json` at the repo root. Any gate
+//! Results go to `results/world_sweep.txt` (+ metrics sidecar). Any gate
 //! failure exits non-zero, so CI can consume this directly.
 //!
-//! Default: the `sim-5k` world (CI smoke scale: 5,000 ASes, 32 VPs). Set
-//! `WORLD_FULL=1` to also sweep `planet-20k` (20,000 ASes, 200 VPs —
-//! minutes). `WORLD_WORLDS=a,b` overrides the world list.
+//! Default: the `sim-5k` world (CI smoke scale: 5,000 ASes, 32 VPs).
+//! `WORLD_WORLDS=a,b` overrides the world list, e.g.
+//! `WORLD_WORLDS=sim-5k,planet-20k` (200 VPs — minutes).
 
 use manic_analysis::render::text_table;
 use manic_core::{run_longitudinal, LinkDays, LongitudinalConfig, System, SystemConfig};
@@ -25,23 +24,10 @@ use manic_worldgen::scenarios::pair_key;
 use manic_worldgen::{compile_world, scenario_library, BuiltWorld, STUDY_MONTHS};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 const MIN_CONGESTED_DAYS: usize = 5;
 const PRECISION_FLOOR: f64 = 0.95;
 const RECALL_FLOOR: f64 = 0.90;
-
-/// Peak resident set size of this process in KiB (Linux `VmHWM`; 0 where
-/// /proc is unavailable).
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return 0 };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            return rest.trim().trim_end_matches(" kB").trim().parse().unwrap_or(0);
-        }
-    }
-    0
-}
 
 struct Counts {
     observed_pairs: usize,
@@ -83,19 +69,13 @@ fn score(links: &[LinkDays], gt: &BTreeSet<(AsNumber, AsNumber)>) -> Counts {
 struct ScenarioResult {
     key: &'static str,
     counts: Counts,
-    wall_s: f64,
 }
 
 struct WorldReport {
     name: String,
     built: BuiltWorld,
-    compile_ms: f64,
     rebuild_fingerprint: u64,
-    rounds_per_sec: f64,
     thread_hashes: (u64, u64),
-    /// Process-wide `VmHWM` sampled when this world's sweep finished — a
-    /// high-water proxy, monotone across the sweep order.
-    peak_rss_kb: u64,
     scenarios: Vec<ScenarioResult>,
 }
 
@@ -105,21 +85,17 @@ fn study_bounds() -> (i64, i64) {
 }
 
 /// Six simulated hours of the packet-mode round engine at `threads`
-/// workers; returns (rounds/sec, store content hash).
-fn throughput_probe(world: World, threads: usize) -> (f64, u64) {
+/// workers; returns the store content hash.
+fn store_hash(world: World, threads: usize) -> u64 {
     let mut sys = System::new(world, SystemConfig { threads, ..SystemConfig::default() });
     let (from, _) = study_bounds();
-    let started = Instant::now();
-    let rounds = sys.run_packet_mode(from, from + 6 * 3600);
-    let wall = started.elapsed().as_secs_f64();
-    (rounds as f64 / wall.max(1e-9), sys.store.content_hash())
+    sys.run_packet_mode(from, from + 6 * 3600);
+    sys.store.content_hash()
 }
 
 fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
     let seed = manic_bench::SEED;
-    let started = Instant::now();
     let built = compile_world(name, seed).expect("library world compiles");
-    let compile_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Determinism gate: an independent rebuild must fingerprint identically.
     let rebuild = compile_world(name, seed).expect("library world compiles");
@@ -141,9 +117,8 @@ fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
         }
     }
 
-    // Round-engine throughput, and the cross-thread determinism gate: the
-    // same six simulated hours at 1 worker and N workers must land the
-    // byte-identical store.
+    // Cross-thread determinism gate: the same six simulated hours at 1
+    // worker and N workers must land the byte-identical store.
     let steady_world = |key: &str| -> World {
         let mut b = compile_world(name, seed).expect("library world compiles");
         let scenario = scenario_library()
@@ -154,8 +129,8 @@ fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
         b.world
     };
     let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    let (rps_1, hash_1) = throughput_probe(steady_world("steady"), 1);
-    let (rps_n, hash_n) = throughput_probe(steady_world("steady"), threads);
+    let hash_1 = store_hash(steady_world("steady"), 1);
+    let hash_n = store_hash(steady_world("steady"), threads);
     if hash_1 != hash_n {
         failures.push(format!(
             "{name}: store hash diverged across thread counts (1: {hash_1:016x}, \
@@ -170,10 +145,8 @@ fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
         let mut b = compile_world(name, seed).expect("library world compiles");
         let planted = scenario.install(&mut b.world, seed, STUDY_MONTHS);
         let mut sys = System::new(b.world, SystemConfig::default());
-        let t = Instant::now();
         let cfg = LongitudinalConfig::new(from, to);
         let links = run_longitudinal(&mut sys, &cfg);
-        let wall_s = t.elapsed().as_secs_f64();
         let counts = score(&links, &planted.gt);
         if counts.precision() < PRECISION_FLOOR {
             failures.push(format!(
@@ -198,89 +171,23 @@ fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
             fp = counts.fp,
             false_negatives = counts.fn_,
         );
-        scenarios.push(ScenarioResult { key: scenario.key, counts, wall_s });
+        scenarios.push(ScenarioResult { key: scenario.key, counts });
     }
 
     WorldReport {
         name: name.to_string(),
         built,
-        compile_ms,
         rebuild_fingerprint: rebuild.fingerprint,
-        rounds_per_sec: rps_n.max(rps_1),
         thread_hashes: (hash_1, hash_n),
-        peak_rss_kb: peak_rss_kb(),
         scenarios,
     }
 }
 
-fn json_report(reports: &[WorldReport], failures: &[String]) -> String {
-    let mut j = String::from("{\n  \"bench\": \"world_scale\",\n  \"worlds\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            j.push_str(",\n");
-        }
-        let st = &r.built.stats;
-        let _ = write!(
-            j,
-            "    {{\"world\": \"{}\", \"seed\": {}, \"fingerprint\": \"{:016x}\", \
-             \"ases\": {}, \"as_adjacencies\": {}, \"focus_ases\": {}, \
-             \"interconnects\": {}, \"vps\": {}, \"compact_graph_bytes\": {}, \
-             \"compile_ms\": {:.1}, \"peak_rss_kb\": {}, \"rounds_per_sec\": {:.1}, \
-             \"scenarios\": [",
-            r.name,
-            r.built.seed,
-            r.built.fingerprint,
-            st.total_ases,
-            st.as_adjacencies,
-            st.focus_ases,
-            st.interconnects,
-            st.vps,
-            st.graph_mem_bytes,
-            r.compile_ms,
-            r.peak_rss_kb,
-            r.rounds_per_sec,
-        );
-        for (k, s) in r.scenarios.iter().enumerate() {
-            if k > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(
-                j,
-                "{{\"key\": \"{}\", \"observed_pairs\": {}, \"tp\": {}, \"fp\": {}, \
-                 \"fn\": {}, \"precision\": {:.4}, \"recall\": {:.4}, \"wall_s\": {:.1}}}",
-                s.key,
-                s.counts.observed_pairs,
-                s.counts.tp,
-                s.counts.fp,
-                s.counts.fn_,
-                s.counts.precision(),
-                s.counts.recall(),
-                s.wall_s,
-            );
-        }
-        j.push_str("]}");
-    }
-    j.push_str("\n  ],\n  \"failures\": [");
-    for (i, f) in failures.iter().enumerate() {
-        if i > 0 {
-            j.push_str(", ");
-        }
-        let _ = write!(j, "\"{}\"", manic_obs::json_escape(f));
-    }
-    j.push_str("]\n}\n");
-    j
-}
-
 fn main() {
-    let mut worlds: Vec<String> = match std::env::var("WORLD_WORLDS") {
+    let worlds: Vec<String> = match std::env::var("WORLD_WORLDS") {
         Ok(list) => list.split(',').map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect(),
         Err(_) => vec!["sim-5k".to_string()],
     };
-    if std::env::var("WORLD_FULL").is_ok_and(|v| v == "1")
-        && !worlds.iter().any(|w| w == "planet-20k")
-    {
-        worlds.push("planet-20k".to_string());
-    }
 
     let mut failures: Vec<String> = Vec::new();
     let mut reports = Vec::new();
@@ -302,7 +209,6 @@ fn main() {
         "FN".to_string(),
         "Precision".to_string(),
         "Recall".to_string(),
-        "Wall s".to_string(),
     ]];
     for r in &reports {
         for s in &r.scenarios {
@@ -315,7 +221,6 @@ fn main() {
                 s.counts.fn_.to_string(),
                 format!("{:.2}", s.counts.precision()),
                 format!("{:.2}", s.counts.recall()),
-                format!("{:.1}", s.wall_s),
             ]);
         }
     }
@@ -325,15 +230,12 @@ fn main() {
         let _ = writeln!(
             out,
             "\n{}: {} ASes ({} compiled), {} interconnects, {} VPs, \
-             compile {:.0} ms, {:.1} rounds/s, fingerprint {:016x} \
-             (rebuild {:016x}), thread hashes {:016x}/{:016x}",
+             fingerprint {:016x} (rebuild {:016x}), thread hashes {:016x}/{:016x}",
             r.name,
             st.total_ases,
             st.focus_ases,
             st.interconnects,
             st.vps,
-            r.compile_ms,
-            r.rounds_per_sec,
             r.built.fingerprint,
             r.rebuild_fingerprint,
             r.thread_hashes.0,
@@ -351,9 +253,6 @@ fn main() {
 
     println!("{out}");
     manic_bench::save_result("world_sweep", &out);
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    std::fs::write(root.join("BENCH_world_scale.json"), json_report(&reports, &failures))
-        .expect("write BENCH_world_scale.json");
 
     if !failures.is_empty() {
         std::process::exit(1);

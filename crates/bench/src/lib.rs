@@ -1,10 +1,11 @@
-//! Shared harness for the experiment binaries (one per paper table/figure).
+//! Shared harness for `all_experiments` (one id per paper table/figure)
+//! and the correctness gates in `src/bin`.
 //!
-//! Every binary follows the same pattern: build the US-broadband world (or
-//! the focused sub-scenario an experiment needs), run the measurement
-//! pipeline, compute the paper artifact, print it in the paper's shape, and
-//! write a copy under `results/`. `EXPERIMENTS.md` records the paper-vs-
-//! measured comparison for each.
+//! Every experiment follows the same pattern: build the US-broadband world
+//! (or the focused sub-scenario it needs), run the measurement pipeline,
+//! compute the paper artifact in the paper's shape, and hand it back for
+//! `all_experiments` to print and write under `results/`.
+//! `EXPERIMENTS.md` records the paper-vs-measured comparison for each.
 
 use manic_analysis::Study;
 use manic_core::{run_longitudinal_detailed, LongitudinalConfig, LongitudinalOutput, System, SystemConfig};

@@ -192,9 +192,7 @@ impl AuditTrail {
     }
 }
 
-// Recording is compiled out under `noop`; these tests only make sense
-// without it.
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

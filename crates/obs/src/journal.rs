@@ -324,24 +324,20 @@ impl Journal {
 #[macro_export]
 macro_rules! event {
     ($level:expr, $target:expr, $name:expr, $t:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        // `NOOP` is a const evaluated against manic-obs's own features, so
-        // the whole arm folds away under `--features manic-obs/noop`.
-        if !$crate::NOOP {
-            let lvl = $level;
-            if $crate::enabled() && lvl >= $crate::journal().min_level() {
-                $crate::journal().record($crate::journal::Event {
-                    t: $t,
-                    level: lvl,
-                    target: $target,
-                    name: $name,
-                    fields: vec![$((stringify!($k), $crate::journal::Value::from($v))),*],
-                });
-            }
+        let lvl = $level;
+        if $crate::enabled() && lvl >= $crate::journal().min_level() {
+            $crate::journal().record($crate::journal::Event {
+                t: $t,
+                level: lvl,
+                target: $target,
+                name: $name,
+                fields: vec![$((stringify!($k), $crate::journal::Value::from($v))),*],
+            });
         }
     }};
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

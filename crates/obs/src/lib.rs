@@ -14,10 +14,8 @@
 //! * [`audit()`] — the inference audit trail: every congested/uncongested
 //!   verdict with its evidence chain, queryable per link.
 //!
-//! Two kill switches: the `noop` cargo feature compiles every call site to
-//! nothing (via [`NOOP`], a `const` evaluated *in this crate* so caller-side
-//! macro expansions see the right value), and [`set_enabled`] flips a
-//! runtime atomic that the hot-path `inc()`/`record()` methods check first.
+//! One kill switch: [`set_enabled`] flips a runtime atomic that the
+//! hot-path `inc()`/`record()` methods check first.
 
 pub mod audit;
 pub mod journal;
@@ -30,19 +28,13 @@ pub use metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// True when the `noop` feature compiled instrumentation out. Referenced as
-/// `$crate::NOOP` inside exported macros: a `cfg!` there would resolve
-/// against the *calling* crate's features, a `const` resolves against ours.
-pub const NOOP: bool = cfg!(feature = "noop");
-
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Runtime master switch. Off: counters don't count, the journal and audit
-/// trail drop records on the floor. The overhead bench toggles this to
-/// compare instrumented vs disabled on identical binaries.
+/// trail drop records on the floor.
 #[inline]
 pub fn enabled() -> bool {
-    !NOOP && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 pub fn set_enabled(on: bool) {
@@ -102,7 +94,7 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-#[cfg(all(test, not(feature = "noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -9,9 +9,10 @@
 //! `MANIC_TEST_THREADS` so CI can sweep the matrix (2, 8, ...).
 
 use manic_core::{resume, Durable, DurabilityConfig, System, SystemConfig};
-use manic_netsim::time::{date_to_sim, Date};
+use manic_netsim::time::{date_to_sim, datetime_to_sim, Date};
 use manic_netsim::{FaultEvent, FaultKind, FaultSchedule, FaultScope};
-use manic_scenario::worlds::toy;
+use manic_scenario::worlds::{toy, us_broadband};
+use manic_scenario::World;
 use manic_tsdb::wal::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -26,7 +27,11 @@ fn test_threads() -> usize {
 }
 
 fn sys_with_threads(threads: usize) -> System {
-    let mut sys = System::new(toy(SEED), SystemConfig::default());
+    sys_on(toy(SEED), threads)
+}
+
+fn sys_on(world: World, threads: usize) -> System {
+    let mut sys = System::new(world, SystemConfig::default());
     sys.cfg.threads = threads;
     sys
 }
@@ -103,13 +108,11 @@ fn assert_identical(serial: &Fingerprint, parallel: &Fingerprint, label: &str) {
     );
 }
 
-fn run_pair(chaos: bool, label: &str) {
-    let from = date_to_sim(Date::new(2017, 3, 1));
-    let to = from + 6 * 3600;
-    let threads = test_threads();
-
-    let mut serial = sys_with_threads(1);
-    let mut parallel = sys_with_threads(threads);
+/// Run `[from, to)` on `world()` at one thread and at `MANIC_TEST_THREADS`
+/// and require identical fingerprints.
+fn run_pair(world: fn() -> World, from: i64, to: i64, chaos: bool, label: &str) {
+    let mut serial = sys_on(world(), 1);
+    let mut parallel = sys_on(world(), test_threads());
     if chaos {
         install_chaos(&mut serial, from, to);
         install_chaos(&mut parallel, from, to);
@@ -125,14 +128,33 @@ fn run_pair(chaos: bool, label: &str) {
     assert_identical(&f1, &fn_, label);
 }
 
+fn toy_world() -> World {
+    toy(SEED)
+}
+
+fn toy_window() -> (i64, i64) {
+    let from = date_to_sim(Date::new(2017, 3, 1));
+    (from, from + 6 * 3600)
+}
+
 #[test]
 fn parallel_matches_serial() {
-    run_pair(false, "clean world");
+    let (from, to) = toy_window();
+    run_pair(toy_world, from, to, false, "clean world");
 }
 
 #[test]
 fn parallel_matches_serial_under_chaos() {
-    run_pair(true, "chaos world");
+    let (from, to) = toy_window();
+    run_pair(toy_world, from, to, true, "chaos world");
+}
+
+/// The US-broadband world of the paper artifacts: every VP's startup bdrmap
+/// cycle (the most uneven per-VP cost) plus a tail of steady TSLP rounds.
+#[test]
+fn parallel_matches_serial_on_us_world() {
+    let from = datetime_to_sim(Date::new(2017, 3, 6), 20, 0, 0);
+    run_pair(|| us_broadband(0x5167_C044), from, from + 2 * 3600, false, "US world");
 }
 
 /// A VP whose worker panics must not take the round down with it: the

@@ -314,6 +314,79 @@ fn metrics_endpoint_speaks_prometheus() {
     }
 }
 
+/// Read one `Content-Length`-framed response off `r`: (status, body).
+fn read_framed(r: &mut impl std::io::BufRead) -> (u16, Vec<u8>) {
+    let mut head = String::new();
+    loop {
+        let before = head.len();
+        r.read_line(&mut head).expect("read response head");
+        assert!(head.len() > before, "connection closed mid-response");
+        if head.ends_with("\r\n\r\n") {
+            break;
+        }
+    }
+    let status = head[9..12].parse().expect("status code");
+    let len = head
+        .lines()
+        .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(|v| v.trim().parse().ok()))
+        .flatten()
+        .expect("content-length");
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body).expect("read body");
+    (status, body)
+}
+
+/// The part of a body that is a pure function of the published snapshot.
+/// `/api/health` splices a live overload block (open connections, latency
+/// EWMA, process-wide counters) onto the snapshot's pre-rendered body;
+/// that block differs between any two requests by design.
+fn snapshot_part(path: &str, body: &[u8]) -> Vec<u8> {
+    let marker: &[u8] = b",\"overload\":";
+    match body.windows(marker.len()).position(|w| w == marker) {
+        Some(at) if path == "/api/health" => body[..at].to_vec(),
+        _ => body.to_vec(),
+    }
+}
+
+/// HTTP/1.1 pipelining: 24 GETs in one write on one connection come back
+/// as 24 responses in request order — the connection loop coalesces them
+/// into as few writes as it can — each equal to the same request answered
+/// alone on a fresh connection.
+#[test]
+fn pipelined_requests_answer_in_order_and_match_solo_requests() {
+    let fx = fixture();
+    let series = format!("/api/link/{}/timeseries?bin=300&agg=min", fx.far);
+    let paths: Vec<&str> = (0..24)
+        .map(|i| match i % 3 {
+            0 => "/api/links",
+            1 => "/api/health",
+            _ => series.as_str(),
+        })
+        .collect();
+    let batch: String =
+        paths.iter().map(|p| format!("GET {p} HTTP/1.1\r\nHost: t\r\n\r\n")).collect();
+
+    let mut s = TcpStream::connect(fx.addr).expect("connect");
+    s.write_all(batch.as_bytes()).expect("send pipelined batch");
+    s.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut r = std::io::BufReader::new(s);
+    let piped: Vec<(u16, Vec<u8>)> = paths.iter().map(|_| read_framed(&mut r)).collect();
+    let mut rest = Vec::new();
+    r.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "exactly 24 responses, got {} trailing bytes", rest.len());
+
+    for (i, (path, (status, body))) in paths.iter().zip(&piped).enumerate() {
+        assert_eq!(*status, 200, "pipelined request {i} ({path})");
+        let (solo_status, _, solo_body) = get(fx.addr, path);
+        assert_eq!(solo_status, 200, "solo {path}");
+        assert_eq!(
+            snapshot_part(path, body),
+            snapshot_part(path, solo_body.as_bytes()),
+            "pipelined response {i} ({path}) differs from the same request sent alone"
+        );
+    }
+}
+
 #[test]
 fn snapshot_epoch_is_stable_across_reads() {
     let before = fixture().hub.epoch();
