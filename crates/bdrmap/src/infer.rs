@@ -52,6 +52,24 @@ pub enum LinkRel {
     Unknown,
 }
 
+impl LinkRel {
+    /// Stable lowercase label (served bodies, checkpoint metas).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            LinkRel::Provider => "provider",
+            LinkRel::Peer => "peer",
+            LinkRel::Customer => "customer",
+            LinkRel::Unknown => "unknown",
+        }
+    }
+
+    /// Inverse of [`Self::as_str`].
+    pub fn parse(s: &str) -> Option<LinkRel> {
+        use LinkRel::*;
+        [Provider, Peer, Customer, Unknown].into_iter().find(|r| r.as_str() == s)
+    }
+}
+
 /// One inferred interdomain link of the host network.
 #[derive(Debug, Clone)]
 pub struct InferredLink {
@@ -266,6 +284,14 @@ mod tests {
     use manic_probing::TracerouteHop;
     use manic_scenario::addressing::Addressing;
     use manic_scenario::asgraph::{AsGraph, AsInfo, AsKind};
+
+    #[test]
+    fn rel_names_round_trip() {
+        for r in [LinkRel::Provider, LinkRel::Peer, LinkRel::Customer, LinkRel::Unknown] {
+            assert_eq!(LinkRel::parse(r.as_str()), Some(r));
+        }
+        assert_eq!(LinkRel::parse("sibling"), None);
+    }
 
     const HOST: AsNumber = AsNumber(10);
     const NEIGH: AsNumber = AsNumber(20);

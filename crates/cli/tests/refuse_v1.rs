@@ -29,14 +29,15 @@ fn run_serve_and_recover_exit_3_on_a_v1_dir_and_leave_it_alone() {
     assert!(Command::new(manic).args(run).output().unwrap().status.success());
 
     // Turn every generation into what a version-1 binary would have left:
-    // same fields, `"version":1` (a meta without a crc field is accepted
-    // as-is, so the version check is what answers).
+    // same fields under `"version":1`, with the self-checksum a v1 writer
+    // appended (so the version check is what answers).
     let mut metas = 0;
     for (path, bytes) in files(&dir) {
         if path.file_name().unwrap().to_string_lossy().starts_with("checkpoint-") {
             let text = String::from_utf8(bytes).unwrap();
             let body = text[..text.rfind(",\"crc\":\"").unwrap()].replacen("\"version\":2", "\"version\":1", 1);
-            std::fs::write(&path, format!("{body}}}")).unwrap();
+            let crc = manic_tsdb::segment::crc32(body.as_bytes());
+            std::fs::write(&path, format!("{body},\"crc\":\"{crc:08x}\"}}")).unwrap();
             metas += 1;
         }
     }

@@ -11,7 +11,7 @@ use manic_bdrmap::infer::LinkRel;
 use manic_bdrmap::{BdrmapResult, InferredLink};
 use manic_netsim::time::SimTime;
 use manic_netsim::{Ipv4, SimState};
-use manic_obs::json_escape;
+use manic_obs::JsonWriter;
 use manic_probing::tslp::{TslpDest, TslpTask};
 use manic_tsdb::{FsyncPolicy, WalPosition};
 use serde_json::Value as Json;
@@ -26,191 +26,101 @@ use super::{bad, DurabilityConfig, Durable};
 /// any other version is refused — there is no cross-version reader.
 pub const CHECKPOINT_VERSION: i64 = 2;
 
-fn rel_str(rel: LinkRel) -> &'static str {
-    match rel {
-        LinkRel::Provider => "provider",
-        LinkRel::Peer => "peer",
-        LinkRel::Customer => "customer",
-        LinkRel::Unknown => "unknown",
-    }
-}
-
-fn rel_parse(s: &str) -> io::Result<LinkRel> {
-    match s {
-        "provider" => Ok(LinkRel::Provider),
-        "peer" => Ok(LinkRel::Peer),
-        "customer" => Ok(LinkRel::Customer),
-        "unknown" => Ok(LinkRel::Unknown),
-        other => Err(bad(format!("unknown link relationship '{other}'"))),
-    }
-}
-
 // ---------------------------------------------------------------- JSON out
 
-fn push_str_field(out: &mut String, s: &str) {
-    out.push('"');
-    out.push_str(&json_escape(s));
-    out.push('"');
+/// `[ip, near_ttl, far_ttl]` per destination.
+fn write_dests(w: &mut JsonWriter, dests: impl IntoIterator<Item = (Ipv4, u8, u8)>) {
+    w.begin_array();
+    for (d, nt, ft) in dests {
+        w.begin_array().int(d.0).int(nt).int(ft).end_array();
+    }
+    w.end_array();
 }
 
-fn hex(v: u64) -> String {
-    format!("{v:x}")
+fn write_vp(w: &mut JsonWriter, vp: &VpRuntime) {
+    w.begin_object().key("name").str(&vp.handle.name).key("active").bool(vp.active);
+    w.key("last_cycle").opt(vp.last_cycle, JsonWriter::int);
+    let (counter, limiters) = vp.sim.export();
+    w.key("sim_counter").str(format_args!("{counter:x}")).key("limiters").begin_array();
+    for (router, tokens, last) in limiters {
+        w.begin_array().int(router).str(format_args!("{tokens:016x}")).int(last).end_array();
+    }
+    w.end_array().key("tasks").begin_array();
+    for task in &vp.tslp.tasks {
+        w.begin_array().int(task.near_ip.0).int(task.far_ip.0).int(task.flow_id);
+        write_dests(w, task.dests.iter().map(|d| (d.dst, d.near_ttl, d.far_ttl)));
+        w.end_array();
+    }
+    // Sorted for a deterministic file (HashMap iteration order is not).
+    let mut stale: Vec<_> = vp.stale_rounds.iter().collect();
+    stale.sort_by_key(|((n, f), _)| (n.0, f.0));
+    w.end_array().key("stale").begin_array();
+    for ((n, f), c) in stale {
+        w.begin_array().int(n.0).int(f.0).int(*c).end_array();
+    }
+    let mut health: Vec<_> = vp.health.iter().collect();
+    health.sort_by_key(|((n, f), _)| (n.0, f.0));
+    w.end_array().key("health").begin_array();
+    for ((n, f), h) in health {
+        let (state, misses, oks, until, secs, quar) = h.to_parts();
+        w.begin_array().int(n.0).int(f.0).str(state.as_str());
+        w.int(misses).int(oks).int(until).int(secs).int(quar).end_array();
+    }
+    let (failures, next_attempt, base, max) = vp.cycle_backoff.to_parts();
+    w.end_array().key("backoff").begin_array();
+    w.int(failures).int(next_attempt).int(base).int(max).end_array();
+    let (strikes, until, secs, retired) = vp.supervisor.to_parts();
+    w.key("supervisor").begin_array();
+    w.int(strikes).int(until).int(secs).bool(retired).end_array();
+    w.key("links");
+    match &vp.bdrmap {
+        None => {
+            w.null().key("dest_link").begin_array();
+        }
+        Some(bdr) => {
+            w.begin_array();
+            for l in &bdr.links {
+                w.begin_array().int(l.near_ip.0).int(l.far_ip.0).int(l.far_as.0);
+                w.str(l.rel.as_str()).bool(l.via_ixp).int(l.trace_count);
+                write_dests(w, l.dests.iter().copied());
+                w.end_array();
+            }
+            let mut dl: Vec<_> = bdr.dest_link.iter().collect();
+            dl.sort_by_key(|(d, _)| d.0);
+            w.end_array().key("dest_link").begin_array();
+            for (d, (n, f)) in dl {
+                w.begin_array().int(d.0).int(n.0).int(f.0).end_array();
+            }
+        }
+    }
+    w.end_array().end_object();
 }
 
 /// Audit values are serialized as `["name", tag, encoded]` triples with an
 /// exact encoding per variant (`f64` as IEEE bits), so a restored trail is
 /// bit-identical — `to_string` would lose NaN and precision.
-fn push_audit_value(out: &mut String, name: &str, v: &manic_obs::Value) {
-    out.push('[');
-    push_str_field(out, name);
-    let (tag, enc) = match v {
-        manic_obs::Value::I64(x) => ("i", x.to_string()),
-        manic_obs::Value::U64(x) => ("u", hex(*x)),
-        manic_obs::Value::F64(x) => ("f", format!("{:016x}", x.to_bits())),
-        manic_obs::Value::Bool(x) => ("b", x.to_string()),
-        manic_obs::Value::Str(s) => ("s", s.clone()),
-    };
-    out.push(',');
-    push_str_field(out, tag);
-    out.push(',');
-    push_str_field(out, &enc);
-    out.push(']');
-}
-
-fn push_dests(out: &mut String, dests: &[(Ipv4, u8, u8)]) {
-    out.push('[');
-    for (i, (d, nt, ft)) in dests.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn write_audit(w: &mut JsonWriter, rec: &manic_obs::AuditRecord) {
+    use manic_obs::Value;
+    w.begin_object().key("t").int(rec.t).key("vp").str(&rec.vp);
+    w.key("near").str(&rec.near).key("link").str(&rec.link);
+    w.key("detector").str(rec.detector).key("congested").bool(rec.congested);
+    w.key("evidence").begin_array();
+    for ev in &rec.evidence {
+        w.begin_array().str(ev.kind).begin_array();
+        for (name, v) in &ev.fields {
+            w.begin_array().str(name);
+            match v {
+                Value::I64(x) => w.str("i").str(x),
+                Value::U64(x) => w.str("u").str(format_args!("{x:x}")),
+                Value::F64(x) => w.str("f").str(format_args!("{:016x}", x.to_bits())),
+                Value::Bool(x) => w.str("b").str(x),
+                Value::Str(s) => w.str("s").str(s),
+            };
+            w.end_array();
         }
-        out.push_str(&format!("[{},{nt},{ft}]", d.0));
+        w.end_array().end_array();
     }
-    out.push(']');
-}
-
-fn vp_json(vp: &VpRuntime) -> String {
-    let mut o = String::from("{\"name\":");
-    push_str_field(&mut o, &vp.handle.name);
-    o.push_str(&format!(",\"active\":{}", vp.active));
-    match vp.last_cycle {
-        Some(t) => o.push_str(&format!(",\"last_cycle\":{t}")),
-        None => o.push_str(",\"last_cycle\":null"),
-    }
-    let (counter, limiters) = vp.sim.export();
-    o.push_str(",\"sim_counter\":");
-    push_str_field(&mut o, &hex(counter));
-    o.push_str(",\"limiters\":[");
-    for (i, (router, tokens, last)) in limiters.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!("[{router},\"{tokens:016x}\",{last}]"));
-    }
-    o.push_str("],\"tasks\":[");
-    for (i, task) in vp.tslp.tasks.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!("[{},{},{},", task.near_ip.0, task.far_ip.0, task.flow_id));
-        let dests: Vec<(Ipv4, u8, u8)> =
-            task.dests.iter().map(|d| (d.dst, d.near_ttl, d.far_ttl)).collect();
-        push_dests(&mut o, &dests);
-        o.push(']');
-    }
-    // Sorted for a deterministic file (HashMap iteration order is not).
-    let mut stale: Vec<_> = vp.stale_rounds.iter().collect();
-    stale.sort_by_key(|((n, f), _)| (n.0, f.0));
-    o.push_str("],\"stale\":[");
-    for (i, ((n, f), c)) in stale.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!("[{},{},{c}]", n.0, f.0));
-    }
-    let mut health: Vec<_> = vp.health.iter().collect();
-    health.sort_by_key(|((n, f), _)| (n.0, f.0));
-    o.push_str("],\"health\":[");
-    for (i, ((n, f), h)) in health.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        let (state, misses, oks, until, secs, quar) = h.to_parts();
-        o.push_str(&format!(
-            "[{},{},\"{}\",{misses},{oks},{until},{secs},{quar}]",
-            n.0,
-            f.0,
-            state.as_str()
-        ));
-    }
-    let (failures, next_attempt, base, max) = vp.cycle_backoff.to_parts();
-    o.push_str(&format!("],\"backoff\":[{failures},{next_attempt},{base},{max}]"));
-    let (strikes, until, secs, retired) = vp.supervisor.to_parts();
-    o.push_str(&format!(",\"supervisor\":[{strikes},{until},{secs},{retired}]"));
-    match &vp.bdrmap {
-        None => o.push_str(",\"links\":null,\"dest_link\":[]"),
-        Some(bdr) => {
-            o.push_str(",\"links\":[");
-            for (i, l) in bdr.links.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                o.push_str(&format!(
-                    "[{},{},{},\"{}\",{},{},",
-                    l.near_ip.0,
-                    l.far_ip.0,
-                    l.far_as.0,
-                    rel_str(l.rel),
-                    l.via_ixp,
-                    l.trace_count
-                ));
-                push_dests(&mut o, &l.dests);
-                o.push(']');
-            }
-            let mut dl: Vec<_> = bdr.dest_link.iter().collect();
-            dl.sort_by_key(|(d, _)| d.0);
-            o.push_str("],\"dest_link\":[");
-            for (i, (d, (n, f))) in dl.iter().enumerate() {
-                if i > 0 {
-                    o.push(',');
-                }
-                o.push_str(&format!("[{},{},{}]", d.0, n.0, f.0));
-            }
-            o.push(']');
-        }
-    }
-    o.push('}');
-    o
-}
-
-fn audit_json(rec: &manic_obs::AuditRecord) -> String {
-    let mut o = String::from("{\"t\":");
-    o.push_str(&rec.t.to_string());
-    o.push_str(",\"vp\":");
-    push_str_field(&mut o, &rec.vp);
-    o.push_str(",\"near\":");
-    push_str_field(&mut o, &rec.near);
-    o.push_str(",\"link\":");
-    push_str_field(&mut o, &rec.link);
-    o.push_str(",\"detector\":");
-    push_str_field(&mut o, rec.detector);
-    o.push_str(&format!(",\"congested\":{},\"evidence\":[", rec.congested));
-    for (i, ev) in rec.evidence.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push('[');
-        push_str_field(&mut o, ev.kind);
-        o.push_str(",[");
-        for (j, (name, v)) in ev.fields.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            push_audit_value(&mut o, name, v);
-        }
-        o.push_str("]]");
-    }
-    o.push_str("]}");
-    o
+    w.end_array().end_object();
 }
 
 // ----------------------------------------------------------------- JSON in
@@ -223,12 +133,20 @@ fn gets<'a>(v: &'a Json, k: &str) -> io::Result<&'a str> {
     v.get(k).and_then(Json::as_str).ok_or_else(|| bad(format!("checkpoint: missing str '{k}'")))
 }
 
+fn getb(v: &Json, k: &str) -> io::Result<bool> {
+    v.get(k).and_then(Json::as_bool).ok_or_else(|| bad(format!("checkpoint: missing bool '{k}'")))
+}
+
 fn getarr<'a>(v: &'a Json, k: &str) -> io::Result<&'a Vec<Json>> {
     v.get(k).and_then(Json::as_array).ok_or_else(|| bad(format!("checkpoint: missing array '{k}'")))
 }
 
 fn elem_i64(a: &[Json], i: usize, what: &str) -> io::Result<i64> {
     a.get(i).and_then(Json::as_i64).ok_or_else(|| bad(format!("checkpoint: bad {what}[{i}]")))
+}
+
+fn elem_bool(a: &[Json], i: usize, what: &str) -> io::Result<bool> {
+    a.get(i).and_then(Json::as_bool).ok_or_else(|| bad(format!("checkpoint: bad {what}[{i}]")))
 }
 
 fn elem_str<'a>(a: &'a [Json], i: usize, what: &str) -> io::Result<&'a str> {
@@ -333,7 +251,7 @@ fn parse_audit(records: &[Json]) -> io::Result<Vec<manic_obs::AuditRecord>> {
             near: gets(r, "near")?.to_string(),
             link: gets(r, "link")?.to_string(),
             detector: intern(gets(r, "detector")?),
-            congested: r.get("congested").and_then(Json::as_bool).unwrap_or(false),
+            congested: getb(r, "congested")?,
             evidence,
         });
     }
@@ -341,7 +259,7 @@ fn parse_audit(records: &[Json]) -> io::Result<Vec<manic_obs::AuditRecord>> {
 }
 
 fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
-    vp.active = m.get("active").and_then(Json::as_bool).unwrap_or(true);
+    vp.active = getb(m, "active")?;
     vp.last_cycle = m.get("last_cycle").and_then(Json::as_i64);
     let counter = from_hex(gets(m, "sim_counter")?)?;
     let limiters = getarr(m, "limiters")?
@@ -415,16 +333,13 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
         elem_i64(b, 2, "backoff")?,
         elem_i64(b, 3, "backoff")?,
     );
-    // Absent in pre-supervision checkpoints: default to a clean record.
-    vp.supervisor = match m.get("supervisor").and_then(Json::as_array) {
-        None => VpSupervisor::new(),
-        Some(s) => VpSupervisor::from_parts(
-            elem_i64(s, 0, "supervisor")? as u32,
-            elem_i64(s, 1, "supervisor")?,
-            elem_i64(s, 2, "supervisor")?,
-            s.get(3).and_then(Json::as_bool).unwrap_or(false),
-        ),
-    };
+    let s = getarr(m, "supervisor")?;
+    vp.supervisor = VpSupervisor::from_parts(
+        elem_i64(s, 0, "supervisor")? as u32,
+        elem_i64(s, 1, "supervisor")?,
+        elem_i64(s, 2, "supervisor")?,
+        elem_bool(s, 3, "supervisor")?,
+    );
     vp.bdrmap = match m.get("links") {
         None | Some(Json::Null) => None,
         Some(links) => {
@@ -441,8 +356,9 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
                         near_ip: ip(elem_i64(l, 0, "link")?),
                         far_ip: ip(elem_i64(l, 1, "link")?),
                         far_as: manic_netsim::AsNumber(elem_i64(l, 2, "link")? as u32),
-                        rel: rel_parse(elem_str(l, 3, "link")?)?,
-                        via_ixp: l.get(4).and_then(Json::as_bool).unwrap_or(false),
+                        rel: LinkRel::parse(elem_str(l, 3, "link")?)
+                            .ok_or_else(|| bad("checkpoint: unknown link relationship"))?,
+                        via_ixp: elem_bool(l, 4, "link")?,
                         trace_count: elem_i64(l, 5, "link")? as usize,
                         dests: parse_dests(dests)?,
                     })
@@ -499,49 +415,34 @@ pub(super) fn encode(
     pos: WalPosition,
     store_hash: u64,
 ) -> String {
-    let mut o = String::from("{\"version\":");
-    o.push_str(&CHECKPOINT_VERSION.to_string());
-    o.push_str(",\"world\":");
-    push_str_field(&mut o, &d.world_name);
-    o.push_str(",\"seed\":");
-    push_str_field(&mut o, &hex(d.seed));
-    o.push_str(&format!(
-        ",\"t_start\":{},\"t_end\":{},\"t\":{t},\"rounds\":{}",
-        d.t_start, d.t_end, d.rounds
-    ));
-    o.push_str(",\"policy\":");
-    push_str_field(&mut o, &d.cfg.fsync.to_string());
-    o.push_str(&format!(
-        ",\"rotate_bytes\":{},\"checkpoint_every\":{},\"keep_checkpoints\":{}",
-        d.cfg.rotate_bytes, d.cfg.checkpoint_every_rounds, d.cfg.keep_checkpoints
-    ));
-    o.push_str(&format!(",\"wal_segment\":{},\"wal_offset\":{}", pos.segment, pos.offset));
-    o.push_str(",\"store_file\":");
-    push_str_field(&mut o, &snapshot_name(d.rounds));
-    o.push_str(",\"store_hash\":");
-    push_str_field(&mut o, &format!("{store_hash:016x}"));
-    o.push_str(",\"vps\":[");
-    for (i, vp) in sys.vps.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&vp_json(vp));
+    let mut w = JsonWriter::new();
+    w.begin_object().key("version").int(CHECKPOINT_VERSION).key("world").str(&d.world_name);
+    w.key("seed").str(format_args!("{:x}", d.seed));
+    w.key("t_start").int(d.t_start).key("t_end").int(d.t_end).key("t").int(t);
+    w.key("rounds").int(d.rounds).key("policy").str(d.cfg.fsync);
+    w.key("rotate_bytes").int(d.cfg.rotate_bytes);
+    w.key("checkpoint_every").int(d.cfg.checkpoint_every_rounds);
+    w.key("keep_checkpoints").int(d.cfg.keep_checkpoints);
+    w.key("wal_segment").int(pos.segment).key("wal_offset").int(pos.offset);
+    w.key("store_file").str(snapshot_name(d.rounds));
+    w.key("store_hash").str(format_args!("{store_hash:016x}"));
+    w.key("vps").begin_array();
+    for vp in &sys.vps {
+        write_vp(&mut w, vp);
     }
-    o.push_str("],\"audit\":[");
-    let mut sep = "";
-    manic_obs::audit().for_each(|rec| {
-        o.push_str(sep);
-        sep = ",";
-        o.push_str(&audit_json(rec));
-    });
-    o.push(']');
-    // Self-checksum over everything before the crc field: a flipped bit
+    w.end_array().key("audit").begin_array();
+    manic_obs::audit().for_each(|rec| write_audit(&mut w, rec));
+    w.end_array();
+    // Self-checksum over everything before the crc member: a flipped bit
     // anywhere in the meta (a digit of `t`, a VP counter, ...) must be
     // detected and the generation rejected, not silently trusted.
-    let crc = manic_tsdb::segment::crc32(o.as_bytes());
-    o.push_str(&format!(",\"crc\":\"{crc:08x}\"}}"));
-    o
+    let crc = manic_tsdb::segment::crc32(w.as_str().as_bytes());
+    w.key("crc").str(format_args!("{crc:08x}")).end_object();
+    w.finish()
 }
+
+/// What the crc member starts with; the crc covers every byte before it.
+const CRC_MEMBER: &str = r#","crc":""#;
 
 /// A verified, parsed meta. The scalar fields — what recovery needs to
 /// choose a generation, find its snapshot and reopen the WAL — are decoded;
@@ -565,19 +466,16 @@ pub(super) struct Meta {
 
 impl Meta {
     pub fn parse(text: &str) -> io::Result<Meta> {
-        // Verify the meta's self-checksum when present (metas from before
-        // the crc field are accepted as-is). The crc covers every byte
-        // before the field itself, so any flipped bit in the body or the
-        // crc is caught.
-        if let Some(idx) = text.rfind(",\"crc\":\"") {
-            let ok = text[idx + 8..]
-                .get(..8)
-                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                .map(|want| manic_tsdb::segment::crc32(&text.as_bytes()[..idx]) == want)
-                .unwrap_or(false);
-            if !ok {
-                return Err(bad("meta checksum mismatch"));
-            }
+        // Verify the meta's self-checksum, which every version-2 writer
+        // appends. It covers every byte before its own member, so any
+        // flipped bit in the body, the crc or its key is caught.
+        let idx = text.rfind(CRC_MEMBER).ok_or_else(|| bad("meta has no checksum"))?;
+        let ok = text[idx + CRC_MEMBER.len()..]
+            .get(..8)
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .is_some_and(|want| manic_tsdb::segment::crc32(&text.as_bytes()[..idx]) == want);
+        if !ok {
+            return Err(bad("meta checksum mismatch"));
         }
         let doc: Json = serde_json::from_str(text).map_err(|e| bad(format!("unreadable: {e:?}")))?;
         let version = geti(&doc, "version")?;
@@ -605,11 +503,7 @@ impl Meta {
                     .ok_or_else(|| bad("checkpoint: bad fsync policy"))?,
                 checkpoint_every_rounds: geti(&doc, "checkpoint_every")?.max(1) as u64,
                 rotate_bytes: geti(&doc, "rotate_bytes")? as u64,
-                // Absent in pre-generation checkpoints.
-                keep_checkpoints: doc
-                    .get("keep_checkpoints")
-                    .and_then(Json::as_i64)
-                    .map_or(3, |v| v.max(1) as usize),
+                keep_checkpoints: geti(&doc, "keep_checkpoints")?.max(1) as usize,
                 vfs: manic_vfs::real(),
             },
             pos: WalPosition {

@@ -55,13 +55,8 @@ impl HealthState {
 
     /// Inverse of [`Self::as_str`] (checkpoint deserialization).
     pub fn parse(s: &str) -> Option<HealthState> {
-        match s {
-            "healthy" => Some(HealthState::Healthy),
-            "degraded" => Some(HealthState::Degraded),
-            "quarantined" => Some(HealthState::Quarantined),
-            "retired" => Some(HealthState::Retired),
-            _ => None,
-        }
+        use HealthState::*;
+        [Healthy, Degraded, Quarantined, Retired].into_iter().find(|h| h.as_str() == s)
     }
 }
 

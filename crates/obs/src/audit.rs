@@ -10,6 +10,7 @@
 //! without re-deriving anything.
 
 use crate::journal::Value;
+use crate::JsonWriter;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -29,23 +30,6 @@ impl Evidence {
 
     pub fn field(&self, key: &str) -> Option<&Value> {
         self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    fn to_json(&self) -> String {
-        let mut out = format!("{{\"kind\":\"{}\"", self.kind);
-        for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":", crate::json_escape(k)));
-            match v {
-                Value::Str(s) => {
-                    out.push('"');
-                    out.push_str(&crate::json_escape(s));
-                    out.push('"');
-                }
-                other => out.push_str(&other.to_string()),
-            }
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -70,18 +54,26 @@ pub struct AuditRecord {
 impl AuditRecord {
     /// One JSON object, no trailing newline.
     pub fn to_json(&self) -> String {
-        let ev: Vec<String> = self.evidence.iter().map(|e| e.to_json()).collect();
-        format!(
-            "{{\"t\":{},\"vp\":\"{}\",\"near\":\"{}\",\"link\":\"{}\",\"detector\":\"{}\",\
-             \"congested\":{},\"evidence\":[{}]}}",
-            self.t,
-            crate::json_escape(&self.vp),
-            crate::json_escape(&self.near),
-            crate::json_escape(&self.link),
-            self.detector,
-            self.congested,
-            ev.join(",")
-        )
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Write the record as one JSON object; each evidence item is an object
+    /// of its `kind` and fields.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("t").int(self.t).key("vp").str(&self.vp);
+        w.key("near").str(&self.near).key("link").str(&self.link);
+        w.key("detector").str(self.detector).key("congested").bool(self.congested);
+        w.key("evidence").begin_array();
+        for e in &self.evidence {
+            w.begin_object().key("kind").str(e.kind);
+            for (k, v) in &e.fields {
+                w.key(k).value(v);
+            }
+            w.end_object();
+        }
+        w.end_array().end_object();
     }
 
     /// Multi-line human rendering for the CLI.

@@ -8,6 +8,7 @@
 //! structured (no format strings to parse back), ring-buffered in memory,
 //! and optionally mirrored to a JSON-lines file sink and/or stderr.
 
+use crate::JsonWriter;
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::Write;
@@ -66,23 +67,6 @@ pub enum Value {
     F64(f64),
     Bool(bool),
     Str(String),
-}
-
-impl Value {
-    fn write_json(&self, out: &mut String) {
-        match self {
-            Value::I64(v) => out.push_str(&v.to_string()),
-            Value::U64(v) => out.push_str(&v.to_string()),
-            Value::F64(v) if v.is_finite() => out.push_str(&v.to_string()),
-            Value::F64(_) => out.push_str("null"),
-            Value::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            Value::Str(s) => {
-                out.push('"');
-                out.push_str(&crate::json_escape(s));
-                out.push('"');
-            }
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -159,20 +143,14 @@ pub struct Event {
 impl Event {
     /// One JSON object, no trailing newline.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str(&format!(
-            "{{\"t\":{},\"level\":\"{}\",\"target\":\"{}\",\"event\":\"{}\"",
-            self.t,
-            self.level.as_str(),
-            self.target,
-            self.name
-        ));
+        let mut w = JsonWriter::new();
+        w.begin_object().key("t").int(self.t).key("level").str(self.level.as_str());
+        w.key("target").str(self.target).key("event").str(self.name);
         for (k, v) in &self.fields {
-            out.push_str(&format!(",\"{}\":", crate::json_escape(k)));
-            v.write_json(&mut out);
+            w.key(k).value(v);
         }
-        out.push('}');
-        out
+        w.end_object();
+        w.finish()
     }
 
     /// Field lookup.

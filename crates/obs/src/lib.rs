@@ -15,14 +15,17 @@
 //!   verdict with its evidence chain, queryable per link.
 //!
 //! One kill switch: [`set_enabled`] flips a runtime atomic that the
-//! hot-path `inc()`/`record()` methods check first.
+//! hot-path `inc()`/`record()` methods check first. All three export JSON
+//! through [`JsonWriter`], as does every served body and checkpoint meta.
 
 pub mod audit;
 pub mod journal;
+pub mod json;
 pub mod metrics;
 
 pub use audit::{AuditRecord, AuditTrail, Evidence};
 pub use journal::{Event, Journal, Level, Value};
+pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -76,34 +79,9 @@ pub fn reset_all() {
     audit().clear();
 }
 
-/// Minimal JSON string-content escaper (backslash, quote, control chars).
-/// Shared by the exporters, the journal, and the audit trail.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_covers_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\ny\t\u{1}"), "x\\ny\\t\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn runtime_switch_gates_recording() {

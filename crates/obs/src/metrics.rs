@@ -12,6 +12,7 @@
 //! The full labeled string is the identity; two handles for the same string
 //! share the same cell.
 
+use crate::JsonWriter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -413,49 +414,37 @@ impl Registry {
     /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
     pub fn render_json(&self) -> String {
         let metrics = self.metrics.read().unwrap();
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
+        let mut w = JsonWriter::new();
+        w.begin_object().key("counters").begin_object();
         for (k, m) in metrics.iter() {
-            match m {
-                Metric::Counter(c) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    counters.push_str(&format!("\"{}\":{}", crate::json_escape(k), c.get()));
-                }
-                Metric::Gauge(g) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    gauges.push_str(&format!("\"{}\":{}", crate::json_escape(k), g.get()));
-                }
-                Metric::Histogram(h) => {
-                    if !hists.is_empty() {
-                        hists.push(',');
-                    }
-                    let counts = h.bucket_counts();
-                    let buckets: Vec<String> = counts
-                        .iter()
-                        .take(HIST_BUCKETS)
-                        .enumerate()
-                        .filter(|(_, n)| **n > 0)
-                        .map(|(i, n)| format!("{{\"le\":{},\"n\":{n}}}", bucket_bound(i)))
-                        .chain((counts[HIST_BUCKETS] > 0).then(|| {
-                            format!("{{\"le\":\"+Inf\",\"n\":{}}}", counts[HIST_BUCKETS])
-                        }))
-                        .collect();
-                    hists.push_str(&format!(
-                        "\"{}\":{{\"count\":{},\"sum_ms\":{},\"buckets\":[{}]}}",
-                        crate::json_escape(k),
-                        h.count(),
-                        h.sum_ms(),
-                        buckets.join(",")
-                    ));
-                }
+            if let Metric::Counter(c) = m {
+                w.key(k).int(c.get());
             }
         }
-        format!("{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}")
+        w.end_object().key("gauges").begin_object();
+        for (k, m) in metrics.iter() {
+            if let Metric::Gauge(g) = m {
+                w.key(k).int(g.get());
+            }
+        }
+        w.end_object().key("histograms").begin_object();
+        for (k, m) in metrics.iter() {
+            let Metric::Histogram(h) = m else { continue };
+            w.key(k).begin_object().key("count").int(h.count()).key("sum_ms").f64(h.sum_ms());
+            w.key("buckets").begin_array();
+            for (i, &n) in h.bucket_counts().iter().enumerate().filter(|(_, n)| **n > 0) {
+                w.begin_object().key("le");
+                if i < HIST_BUCKETS {
+                    w.f64(bucket_bound(i));
+                } else {
+                    w.str("+Inf");
+                }
+                w.key("n").int(n).end_object();
+            }
+            w.end_array().end_object();
+        }
+        w.end_object().end_object();
+        w.finish()
     }
 }
 

@@ -11,6 +11,7 @@
 use crate::http::{Request, Response};
 use crate::overload::ShedReason;
 use crate::server::ServeState;
+use manic_obs::JsonWriter;
 use manic_tsdb::{Aggregate, TagFilter};
 
 /// Default timeseries window when the client does not name one: 4 h of
@@ -82,21 +83,16 @@ fn route(state: &ServeState, req: &Request) -> Response {
             }
         }
         "/api/health" => {
-            // Splice live blocks into the pre-rendered snapshot body: pop
-            // the trailing `}` and append fields.
+            // Append the live blocks to the pre-rendered snapshot body.
             let snap = state.hub.current();
-            let mut body = snap.health_json.as_ref().clone();
-            if body.last() == Some(&b'}') {
-                body.pop();
-                body.extend_from_slice(b",\"overload\":");
-                body.extend_from_slice(state.overload.to_json().as_bytes());
-                if let Some(d) = &state.durability {
-                    body.extend_from_slice(b",\"durability\":");
-                    body.extend_from_slice(d.to_json().as_bytes());
-                }
-                body.push(b'}');
+            let body = std::str::from_utf8(&snap.health_json).expect("rendered as UTF-8");
+            let mut w = JsonWriter::reopen_object(body);
+            state.overload.write_json(w.key("overload"));
+            if let Some(d) = &state.durability {
+                d.write_json(w.key("durability"));
             }
-            Response::new(200, "application/json", body)
+            w.end_object();
+            Response::json(200, w.finish())
         }
         "/metrics" => Response::new(
             200,
@@ -230,35 +226,23 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
         return Response::new(200, "text/csv", out.into_bytes());
     }
 
-    let mut out = format!(
-        "{{\"link\":\"{}\",\"epoch\":{},\"start\":{start},\"end\":{end},\"bin\":{bin},\
-         \"agg\":\"{}\",\"series\":[",
-        manic_obs::json_escape(link),
-        snap.epoch,
-        req.param("agg").unwrap_or("min"),
-    );
-    for (i, key) in keys.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = JsonWriter::new();
+    w.begin_object().key("link").str(link).key("epoch").int(snap.epoch);
+    w.key("start").int(start).key("end").int(end).key("bin").int(bin);
+    w.key("agg").str(req.param("agg").unwrap_or("min")).key("series").begin_array();
+    for key in &keys {
+        w.begin_object().key("key").str(key).key("points").begin_array();
+        for p in state.store.downsample(key, start, end, bin, agg) {
+            w.begin_array().int(p.t).f64(p.v).end_array();
         }
-        out.push_str(&format!(
-            "{{\"key\":\"{}\",\"points\":[",
-            manic_obs::json_escape(&key.to_string())
-        ));
-        let pts = state.store.downsample(key, start, end, bin, agg);
-        for (j, p) in pts.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},{}]", p.t, p.v));
-        }
-        out.push_str("]}");
-        if byte_cap > 0 && out.len() > byte_cap {
-            return render_overflow(link, out.len());
+        w.end_array().end_object();
+        let bytes = w.as_str().len();
+        if byte_cap > 0 && bytes > byte_cap {
+            return render_overflow(link, bytes);
         }
     }
-    out.push_str("]}");
-    Response::json(200, out)
+    w.end_array().end_object();
+    Response::json(200, w.finish())
 }
 
 /// A render blew through `max_response_bytes` despite the up-front point
@@ -277,13 +261,11 @@ fn explain(state: &ServeState, _req: &Request, link: &str) -> Response {
     if records.is_empty() && !state.hub.current().link_ips.contains(link) {
         return Response::error(404, "unknown link");
     }
-    let mut out = format!("{{\"link\":\"{}\",\"records\":[", manic_obs::json_escape(link));
-    for (i, rec) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&rec.to_json());
+    let mut w = JsonWriter::new();
+    w.begin_object().key("link").str(link).key("records").begin_array();
+    for rec in &records {
+        rec.write_json(&mut w);
     }
-    out.push_str("]}");
-    Response::json(200, out)
+    w.end_array().end_object();
+    Response::json(200, w.finish())
 }

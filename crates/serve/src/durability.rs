@@ -9,6 +9,7 @@
 //! the shared handle with plain atomics; the render is a small JSON object
 //! spliced into the pre-rendered health snapshot.
 
+use manic_obs::JsonWriter;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
 /// Shared durability frontier, written by the measurement loop and read by
@@ -112,32 +113,32 @@ impl DurabilityStatus {
 
     /// Render as a JSON object (the `durability` field of `/api/health`).
     pub fn to_json(&self) -> String {
-        let recovery_ms = f64::from_bits(self.recovery_ms_bits.load(Ordering::Relaxed));
-        format!(
-            "{{\"enabled\":true,\"policy\":\"{}\",\"resumed\":{},\
-             \"recovered_rounds\":{},\"tail_discarded\":{},\"recovery_ms\":{:.3},\
-             \"checkpoint_rounds\":{},\"checkpoint_t\":{},\"rounds\":{},\"lag_rounds\":{},\
-             \"storage\":{{\"degraded\":{},\"fallback_generations\":{},\"bad_metas\":{},\
-             \"healed_snapshot\":{},\"quarantined_frames\":{},\"quarantined_bytes\":{},\
-             \"gap_windows\":{},\"checkpoint_generation\":{}}}}}",
-            manic_obs::json_escape(&self.policy),
-            self.resumed.load(Ordering::Relaxed),
-            self.recovered_rounds.load(Ordering::Relaxed),
-            self.tail_discarded.load(Ordering::Relaxed),
-            recovery_ms,
-            self.checkpoint_rounds.load(Ordering::Relaxed),
-            self.checkpoint_t.load(Ordering::Relaxed),
-            self.rounds.load(Ordering::Relaxed),
-            self.lag_rounds(),
-            self.storage_degraded.load(Ordering::Relaxed),
-            self.fallback_generations.load(Ordering::Relaxed),
-            self.bad_metas.load(Ordering::Relaxed),
-            self.healed_snapshot.load(Ordering::Relaxed),
-            self.quarantined_frames.load(Ordering::Relaxed),
-            self.quarantined_bytes.load(Ordering::Relaxed),
-            self.gap_windows.load(Ordering::Relaxed),
-            self.checkpoint_rounds.load(Ordering::Relaxed),
-        )
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// [`Self::to_json`] into a document under construction.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let flag = |a: &AtomicBool| a.load(Ordering::Relaxed);
+        let checkpoint_rounds = load(&self.checkpoint_rounds);
+        w.begin_object().key("enabled").bool(true).key("policy").str(&self.policy);
+        w.key("resumed").bool(flag(&self.resumed));
+        w.key("recovered_rounds").int(load(&self.recovered_rounds));
+        w.key("tail_discarded").int(load(&self.tail_discarded));
+        w.key("recovery_ms").f64_fixed(f64::from_bits(load(&self.recovery_ms_bits)), 3);
+        w.key("checkpoint_rounds").int(checkpoint_rounds);
+        w.key("checkpoint_t").int(self.checkpoint_t.load(Ordering::Relaxed));
+        w.key("rounds").int(load(&self.rounds)).key("lag_rounds").int(self.lag_rounds());
+        w.key("storage").begin_object().key("degraded").bool(flag(&self.storage_degraded));
+        w.key("fallback_generations").int(load(&self.fallback_generations));
+        w.key("bad_metas").int(load(&self.bad_metas));
+        w.key("healed_snapshot").bool(flag(&self.healed_snapshot));
+        w.key("quarantined_frames").int(load(&self.quarantined_frames));
+        w.key("quarantined_bytes").int(load(&self.quarantined_bytes));
+        w.key("gap_windows").int(load(&self.gap_windows));
+        w.key("checkpoint_generation").int(checkpoint_rounds).end_object().end_object();
     }
 }
 

@@ -285,14 +285,10 @@ impl Response {
 
     /// Uniform JSON error envelope.
     pub fn error(status: u16, message: &str) -> Self {
-        Response::json(
-            status,
-            format!(
-                "{{\"error\":{{\"status\":{},\"message\":\"{}\"}}}}",
-                status,
-                manic_obs::json_escape(message)
-            ),
-        )
+        let mut w = manic_obs::JsonWriter::new();
+        w.begin_object().key("error").begin_object().key("status").int(status);
+        w.key("message").str(message).end_object().end_object();
+        Response::json(status, w.finish())
     }
 
     /// A `503` shed/breaker response telling the client when to come back.

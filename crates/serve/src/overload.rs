@@ -22,6 +22,7 @@
 //! per-request rejections are Debug events, so a flood cannot drown the
 //! journal in its own rejection records.
 
+use manic_obs::JsonWriter;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -301,25 +302,26 @@ impl OverloadState {
 
     /// Render the `overload` block of `/api/health`.
     pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// [`Self::to_json`] into a document under construction.
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         let m = crate::obs::metrics();
-        format!(
-            "{{\"max_conns\":{},\"open_connections\":{},\"queue_depth\":{},\
-             \"shed_active\":{},\"latency_ewma_ms\":{:.3},\"breaker\":\"{}\",\
-             \"shed_total\":{},\"breaker_rejected_total\":{},\"disconnect_total\":{},\
-             \"parse_rejected_total\":{},\"cache_bytes\":{},\"cache_shrinks\":{}}}",
-            self.cfg.max_conns,
-            self.open_conns().max(0),
-            self.queue_depth().max(0),
-            self.shed_active(),
-            self.latency_ewma_ms(),
-            self.breaker_label(),
-            m.shed_queue_depth.get() + m.shed_latency.get(),
-            m.breaker_rejected.get(),
-            m.disconnect_total(),
-            m.parse_rejected_total(),
-            m.cache_bytes.get().max(0),
-            m.cache_shrinks.get(),
-        )
+        w.begin_object().key("max_conns").int(self.cfg.max_conns);
+        w.key("open_connections").int(self.open_conns().max(0));
+        w.key("queue_depth").int(self.queue_depth().max(0));
+        w.key("shed_active").bool(self.shed_active());
+        w.key("latency_ewma_ms").f64_fixed(self.latency_ewma_ms(), 3);
+        w.key("breaker").str(self.breaker_label());
+        w.key("shed_total").int(m.shed_queue_depth.get() + m.shed_latency.get());
+        w.key("breaker_rejected_total").int(m.breaker_rejected.get());
+        w.key("disconnect_total").int(m.disconnect_total());
+        w.key("parse_rejected_total").int(m.parse_rejected_total());
+        w.key("cache_bytes").int(m.cache_bytes.get().max(0));
+        w.key("cache_shrinks").int(m.cache_shrinks.get()).end_object();
     }
 }
 

@@ -9,7 +9,8 @@
 //! snapshot epoch doubles as the response-cache invalidation key for the
 //! endpoints that do.
 
-use manic_core::{HealthState, LinkStatus, System, TaskHealthStatus};
+use manic_core::{LinkStatus, System, TaskHealthStatus};
+use manic_obs::JsonWriter;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -34,32 +35,6 @@ pub struct Snapshot {
     pub world: Option<(String, u64)>,
 }
 
-fn json_opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn rel_name(rel: manic_bdrmap::infer::LinkRel) -> &'static str {
-    use manic_bdrmap::infer::LinkRel;
-    match rel {
-        LinkRel::Provider => "provider",
-        LinkRel::Peer => "peer",
-        LinkRel::Customer => "customer",
-        LinkRel::Unknown => "unknown",
-    }
-}
-
-fn health_name(state: HealthState) -> &'static str {
-    match state {
-        HealthState::Healthy => "healthy",
-        HealthState::Degraded => "degraded",
-        HealthState::Quarantined => "quarantined",
-        HealthState::Retired => "retired",
-    }
-}
-
 impl Snapshot {
     /// The epoch-0 placeholder served before the first publish.
     pub fn empty() -> Snapshot {
@@ -76,7 +51,9 @@ impl Snapshot {
         Snapshot::assemble(epoch, now, links, health, system.world_label.clone())
     }
 
-    fn assemble(
+    /// Build a snapshot from its rows, rendering both bodies. The latest
+    /// `levelshift` verdict per link is read from the audit trail.
+    pub fn assemble(
         epoch: u64,
         sim_now: i64,
         links: Vec<LinkStatus>,
@@ -94,66 +71,38 @@ impl Snapshot {
         });
 
         let mut link_ips = HashSet::new();
-        let mut lj = format!("{{\"epoch\":{epoch},\"sim_now\":{sim_now},\"links\":[");
-        for (i, l) in links.iter().enumerate() {
+        let mut lj = JsonWriter::new();
+        lj.begin_object().key("epoch").int(epoch).key("sim_now").int(sim_now);
+        lj.key("links").begin_array();
+        for l in &links {
             let far = l.far_ip.to_string();
-            if i > 0 {
-                lj.push(',');
-            }
-            let congested = verdicts.get(&far).copied();
-            lj.push_str(&format!(
-                "{{\"vp\":\"{}\",\"near\":\"{}\",\"far\":\"{}\",\"neighbor\":{},\
-                 \"rel\":\"{}\",\"far_latest_ms\":{},\"far_baseline_ms\":{},\
-                 \"near_latest_ms\":{},\"elevated\":{},\"congested\":{}}}",
-                manic_obs::json_escape(&l.vp),
-                l.near_ip,
-                far,
-                match l.neighbor {
-                    Some(asn) => format!("\"{asn}\""),
-                    None => "null".to_string(),
-                },
-                rel_name(l.rel),
-                json_opt_f64(l.far_latest_ms),
-                json_opt_f64(l.far_baseline_ms),
-                json_opt_f64(l.near_latest_ms),
-                l.elevated,
-                match congested {
-                    Some(c) => c.to_string(),
-                    None => "null".to_string(),
-                },
-            ));
+            lj.begin_object().key("vp").str(&l.vp).key("near").str(l.near_ip).key("far").str(&far);
+            lj.key("neighbor").opt(l.neighbor, JsonWriter::str).key("rel").str(l.rel.as_str());
+            lj.key("far_latest_ms").opt(l.far_latest_ms, JsonWriter::f64);
+            lj.key("far_baseline_ms").opt(l.far_baseline_ms, JsonWriter::f64);
+            lj.key("near_latest_ms").opt(l.near_latest_ms, JsonWriter::f64);
+            lj.key("elevated").bool(l.elevated);
+            lj.key("congested").opt(verdicts.get(&far).copied(), JsonWriter::bool).end_object();
             link_ips.insert(far);
         }
-        lj.push_str("]}");
+        lj.end_array().end_object();
 
         // World provenance lets a dashboard (or CI smoke probe) confirm it
         // is looking at the run it thinks it is: same name, same
         // deterministic fingerprint.
-        let world_json = match &world {
-            Some((name, fp)) => format!(
-                "{{\"name\":\"{}\",\"fingerprint\":\"{fp:016x}\"}}",
-                manic_obs::json_escape(name)
-            ),
-            None => "null".to_string(),
-        };
-        let mut hj = format!(
-            "{{\"epoch\":{epoch},\"sim_now\":{sim_now},\"world\":{world_json},\"tasks\":["
-        );
-        for (i, t) in health.iter().enumerate() {
-            if i > 0 {
-                hj.push(',');
-            }
-            hj.push_str(&format!(
-                "{{\"vp\":\"{}\",\"vp_active\":{},\"near\":\"{}\",\"far\":\"{}\",\
-                 \"state\":\"{}\"}}",
-                manic_obs::json_escape(&t.vp),
-                t.vp_active,
-                t.near_ip,
-                t.far_ip,
-                health_name(t.state),
-            ));
+        let mut hj = JsonWriter::new();
+        hj.begin_object().key("epoch").int(epoch).key("sim_now").int(sim_now);
+        hj.key("world").opt(world.as_ref(), |w, (name, fp)| {
+            w.begin_object().key("name").str(name);
+            w.key("fingerprint").str(format_args!("{fp:016x}")).end_object()
+        });
+        hj.key("tasks").begin_array();
+        for t in &health {
+            hj.begin_object().key("vp").str(&t.vp).key("vp_active").bool(t.vp_active);
+            hj.key("near").str(t.near_ip).key("far").str(t.far_ip);
+            hj.key("state").str(t.state.as_str()).end_object();
         }
-        hj.push_str("]}");
+        hj.end_array().end_object();
 
         Snapshot {
             epoch,
@@ -161,8 +110,8 @@ impl Snapshot {
             links,
             health,
             link_ips,
-            links_json: Arc::new(lj.into_bytes()),
-            health_json: Arc::new(hj.into_bytes()),
+            links_json: Arc::new(lj.finish().into_bytes()),
+            health_json: Arc::new(hj.finish().into_bytes()),
             world,
         }
     }

@@ -311,6 +311,31 @@ fn generation_fallback_reproduces_reference() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The crc member is required, not optional: one bit flipped in its key
+/// (`crc` → `brc`, 0x63 → 0x62) once made the meta pass unchecked. It is a
+/// bad meta like any other flip, and recovery falls back one generation.
+#[test]
+fn meta_without_its_crc_key_is_a_bad_meta() {
+    let (from, to) = window();
+    let reference = fixture().reference.clone();
+    let dir = scratch_copy("crc-key");
+    let newest = newest_generation(&dir);
+    let mut bytes = std::fs::read(&newest).expect("read newest meta");
+    let at = bytes.windows(6).rposition(|w| w == b"\"crc\":").expect("crc member") + 1;
+    bytes[at] ^= 0x01;
+    assert_eq!(&bytes[at..at + 3], b"brc");
+    std::fs::write(&newest, &bytes).expect("write flipped meta");
+
+    let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
+    assert_eq!(report.storage.bad_metas, 1, "the keyless meta is reported");
+    assert_eq!(report.rounds, 36, "generation N-1");
+    let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
+    assert_eq!((info.rounds, info.storage.bad_metas), (36, 1), "generation 48 skipped");
+    d.run_window(&mut sys, to, &|| false).expect("re-run to window end");
+    assert_eq!(fingerprint(&mut sys, from, to), reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `--resume` gate (`has_checkpoint`) answers from the generation
 /// listing: a dir that lost its newest meta outright still holds generation
 /// N-1, must not be taken for empty (a fresh start wipes it), and resumes.

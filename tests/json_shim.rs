@@ -5,6 +5,7 @@
 //! stay linear in the document. These tests pin the language it accepts
 //! (every escape, `\uXXXX`, multi-byte UTF-8 touching a `"` or a `\`), the
 //! byte offsets its errors report, the `to_string` → `from_str` round trip,
+//! that `manic_obs::JsonWriter` escapes byte-for-byte like `to_string`,
 //! and — as a wide-margin guard, not a benchmark — that a checkpoint-sized
 //! document parses in seconds, not minutes.
 
@@ -94,6 +95,54 @@ proptest! {
         let doc =
             Value::Object(vec![(s.clone(), Value::Array(vec![Value::String(t), Value::String(s)]))]);
         prop_assert_eq!(from_str(&to_string(&doc).unwrap()).unwrap(), doc);
+    }
+}
+
+/// Strings drawn evenly from every escape class: lone C0 controls, the
+/// characters with a short escape or none (`"`, `\`, `/`, DEL), printable
+/// ASCII, and 2-, 3- and 4-byte UTF-8.
+fn escape_classes() -> impl Strategy<Value = String> {
+    const SPECIAL: [char; 4] = ['"', '\\', '/', '\u{7f}'];
+    prop::collection::vec(any::<u32>(), 0..64).prop_map(|codes| {
+        codes
+            .into_iter()
+            .map(|x| {
+                let r = x / 6;
+                let code = match x % 6 {
+                    0 => r % 0x20,
+                    1 => SPECIAL[r as usize % SPECIAL.len()] as u32,
+                    2 => 0x20 + r % 0x5f,
+                    3 => 0x80 + r % 0x780,
+                    // Surrogates are not chars: shift them up past the block.
+                    4 => match 0x800 + r % 0xf800 {
+                        c @ 0xd800..=0xdfff => c + 0x800,
+                        c => c,
+                    },
+                    _ => 0x1_0000 + r % 0x10_0000,
+                };
+                char::from_u32(code).expect("every class maps to a scalar value")
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `manic_obs::JsonWriter` escapes exactly like the shim's serializer,
+    /// as a value and as a key, and the shim parses it back.
+    #[test]
+    fn writer_escapes_like_the_shim(s in escape_classes()) {
+        let mut w = manic_obs::JsonWriter::new();
+        w.str(&s);
+        let written = w.finish();
+        prop_assert_eq!(&written, &to_string(&s).unwrap());
+        prop_assert_eq!(from_str(&written).unwrap(), Value::String(s.clone()));
+        let mut w = manic_obs::JsonWriter::new();
+        w.begin_object().key(&s).str(&s).end_object();
+        let doc = Value::Object(vec![(s.clone(), Value::String(s.clone()))]);
+        prop_assert_eq!(w.as_str(), to_string(&doc).unwrap());
+        prop_assert_eq!(from_str(w.as_str()).unwrap(), doc);
     }
 }
 
