@@ -1,20 +1,7 @@
 //! `manic` — command-line interface to the measurement system.
 //!
-//! ```text
-//! manic world [--world toy|us] [--seed N]              # topology summary
-//! manic links --vp <name> [--world ..] [--seed N]      # run bdrmap, list links
-//! manic watch --vp <name> --days D [--world ..]        # live dashboard after D days
-//! manic study --days D [--world ..] [--seed N]         # longitudinal day-link report
-//! manic export --vp <name> --hours H [--format json|csv]  # raw TSLP series dump
-//! manic inspect [--days D] [--world ..]                # evidence dossiers (sec. 4.2)
-//! manic obs metrics [--hours H] [--format prom|json]   # run pipeline, dump metrics
-//! manic obs journal [--filter S] [--hours H]           # structured event journal
-//! manic obs explain <far-ip> [--hours H]               # audit trail for one link
-//! manic obs links [--hours H]                          # links with audit records
-//! manic serve [--addr H:P] [--hours H] [--snapshot-interval S]  # HTTP API
-//! manic run [--hours H] [--data-dir D] [--durability P] [--resume]  # headless run
-//! manic recover <data-dir>                             # inspect a checkpoint
-//! ```
+//! The commands and their flags are listed once, in [`USAGE`], which is
+//! printed on any argument error.
 //!
 //! `manic run` and `manic serve` accept `--data-dir <dir>` to persist every
 //! sample through the tsdb write-ahead log and checkpoint full system state
@@ -27,17 +14,61 @@
 //! Global flags: `--verbosity trace|debug|info|warn|error` controls both the
 //! journal floor and the stderr echo; `--quiet` silences the stderr echo
 //! entirely. Without either, the CLI echoes warnings and errors only.
-//! `--threads N` sizes the round-engine pool (results are byte-identical at
-//! any count).
+//! `--threads N` sets how many threads run the VPs of a packet-mode round
+//! or a longitudinal study (results are byte-identical at any count).
 //!
 //! Argument parsing is hand-rolled (the workspace carries no CLI
 //! dependency); every command is deterministic given `--seed`.
 
-use manic_core::{run_longitudinal, LongitudinalConfig, System, SystemConfig};
+use manic_core::{run_longitudinal, LinkDays, LongitudinalConfig, System, SystemConfig};
 use manic_netsim::time::{date_to_sim, format_sim, Date, SECS_PER_DAY};
 use manic_tsdb::TagSet;
 use std::fmt;
+use std::path::Path;
 use std::process::ExitCode;
+
+/// Every command, its flags and what it does. [`COMMANDS`] lists the same
+/// names with their handlers.
+const USAGE: &str = "\
+usage: manic <command> [flags]
+  manic world   [--world NAME] [--seed N] [--stats]        topology summary
+                (NAME: toy, us, or generated sim-1k|sim-5k|planet-20k|planet-50k)
+  manic links   --vp <name> [--world ..] [--seed N]         run bdrmap, list links
+  manic watch   --vp <name> [--hours H] [--world ..]        dashboard after H hours
+  manic study   [--days D] [--world ..] [--seed N]          longitudinal day-link report
+  manic inspect [--days D] [--world ..] [--seed N]          evidence dossiers (sec. 4.2)
+  manic export  --vp <name> [--hours H] [--format json|csv] raw TSLP series dump
+  manic obs     <metrics|journal|explain <far-ip>|links> [--hours H]
+                [--format prom|json] [--filter S]           metrics, journal, audit trail
+  manic serve   [--addr HOST:PORT] [--hours H] [--snapshot-interval SECS]
+                [--max-conns N] [--request-timeout SECS] [--shed-queue-depth N]
+                                                            sim + HTTP API
+  manic run     [--hours H] [--data-dir DIR] [--durability P] [--resume]
+                                                            headless run
+  manic recover <data-dir>   (exit 0 clean, 3 recoverable damage or
+                a checkpoint format this binary refuses, 1 fatal)
+global flags: --verbosity trace|debug|info|warn|error, --quiet,
+              --threads N (VP workers, default: all cores; results identical for any N)
+durability:   --data-dir DIR, --durability always|every-<n>|never,
+              --checkpoint-every ROUNDS, --resume,
+              --storage-faults <seed>:<eio|enospc|torn|lie|flip[+..]|all>
+              (inject seeded disk faults into the storage layer; testing)";
+
+type Handler = fn(Args) -> Result<(), CliError>;
+
+/// The commands `manic` runs, each with its handler.
+const COMMANDS: &[(&str, Handler)] = &[
+    ("world", cmd_world),
+    ("links", cmd_links),
+    ("watch", cmd_watch),
+    ("study", cmd_study),
+    ("inspect", cmd_inspect),
+    ("export", cmd_export),
+    ("obs", cmd_obs),
+    ("serve", cmd_serve),
+    ("run", cmd_run),
+    ("recover", cmd_recover),
+];
 
 /// Everything that can go wrong between argv and a finished command. The
 /// workspace carries no error-handling dependency, so this small enum is
@@ -145,7 +176,8 @@ struct Args {
     checkpoint_every: u64,
     /// `--resume`: restore the last checkpoint from `--data-dir`.
     resume: bool,
-    /// `--threads N`: round-engine worker threads (default: all cores).
+    /// `--threads N`: VP worker threads for packet-mode rounds and
+    /// longitudinal studies (default: all cores).
     threads: usize,
     /// `--storage-faults <seed>:<kinds|all>`: inject disk faults into the
     /// durable layer (torture harness; kinds are `eio+enospc+torn+lie+flip`).
@@ -356,67 +388,24 @@ fn main() -> ExitCode {
             }
         }
         Err(e) => {
-            // ALLOW_PRINT: CLI usage text.
-            eprintln!("error: {e}\n");
-            eprintln!("usage: manic <world|links|watch|study|export|inspect|obs|run|recover> [flags]");
-            eprintln!("  manic world  [--world NAME] [--seed N] [--stats]");
-            eprintln!("               (NAME: toy, us, or generated sim-1k|sim-5k|planet-20k|planet-50k)");
-            eprintln!("  manic links  --vp <name> [--world ..] [--seed N]");
-            eprintln!("  manic watch  --vp <name> [--hours H] [--world ..]");
-            eprintln!("  manic study  [--days D] [--world ..] [--seed N]");
-            eprintln!("  manic export --vp <name> [--hours H] [--format json|csv]");
-            eprintln!("  manic obs    <metrics|journal|explain <far-ip>|links> [--hours H]");
-            eprintln!("  manic serve  [--addr HOST:PORT] [--hours H] [--snapshot-interval SECS]");
-            eprintln!("               [--max-conns N] [--request-timeout SECS] [--shed-queue-depth N]");
-            eprintln!("  manic run    [--hours H] [--data-dir DIR] [--durability P] [--resume]");
-            eprintln!("               [--threads N]   (N workers; results identical for any N)");
-            eprintln!("  manic recover <data-dir>   (exit 0 clean, 3 recoverable damage or");
-            eprintln!("               a checkpoint format this binary refuses, 1 fatal)");
-            eprintln!("global flags: --verbosity trace|debug|info|warn|error, --quiet,");
-            eprintln!("              --threads N (round-engine workers, default: all cores)");
-            eprintln!("durability:   --data-dir DIR, --durability always|every-<n>|never,");
-            eprintln!("              --checkpoint-every ROUNDS, --resume,");
-            eprintln!("              --storage-faults <seed>:<eio|enospc|torn|lie|flip[+..]|all>");
-            eprintln!("              (inject seeded disk faults into the storage layer; testing)");
+            eprintln!("error: {e}\n\n{USAGE}"); // ALLOW_PRINT: CLI usage text.
             ExitCode::FAILURE
         }
     }
 }
 
 fn run(cmd: &str, args: Args) -> Result<(), CliError> {
-    if !matches!(
-        cmd,
-        "world"
-            | "links"
-            | "watch"
-            | "study"
-            | "export"
-            | "inspect"
-            | "obs"
-            | "serve"
-            | "run"
-            | "recover"
-    ) {
-        return Err(CliError::UnknownCommand(cmd.to_string()));
-    }
+    let &(_, handler) = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .ok_or_else(|| CliError::UnknownCommand(cmd.to_string()))?;
     // Only `obs` (subcommands) and `recover` (data dir) take positionals.
     if cmd != "obs" && cmd != "recover" {
         if let Some(extra) = args.positional.first() {
             return Err(CliError::UnexpectedArg(extra.clone()));
         }
     }
-    match cmd {
-        "world" => cmd_world(args),
-        "links" => cmd_links(args),
-        "watch" => cmd_watch(args),
-        "study" => cmd_study(args),
-        "export" => cmd_export(args),
-        "inspect" => cmd_inspect(args),
-        "serve" => cmd_serve(args),
-        "run" => cmd_run(args),
-        "recover" => cmd_recover(args),
-        _ => cmd_obs(args),
-    }
+    handler(args)
 }
 
 /// Build the core durability config from the parsed flags (already
@@ -444,6 +433,28 @@ fn durability_err(e: std::io::Error) -> CliError {
         std::io::ErrorKind::Unsupported => CliError::Refused(e.to_string()),
         _ => CliError::Durability(e.to_string()),
     }
+}
+
+/// Open `dir` for a durable run: with `--resume` and a checkpoint present,
+/// restore the newest one (keeping this invocation's `--threads`) and
+/// return what was recovered; otherwise build a fresh system and start a
+/// new durable run over `[from, to)`.
+fn open_durable(
+    args: &Args,
+    dir: &Path,
+    from: i64,
+    to: i64,
+) -> Result<(System, manic_core::Durable, Option<manic_core::ResumeInfo>), CliError> {
+    let cfg = durability_config(args);
+    if args.resume && manic_core::has_checkpoint(dir) {
+        let (mut sys, d, info) = manic_core::resume(dir, Some(cfg)).map_err(durability_err)?;
+        sys.cfg.threads = args.threads;
+        return Ok((sys, d, Some(info)));
+    }
+    let sys = build_system(args)?;
+    let d = manic_core::Durable::create(&sys, &args.world, args.seed, dir, from, to, cfg)
+        .map_err(durability_err)?;
+    Ok((sys, d, None))
 }
 
 /// Shared epilogue of `manic run`: arm the level-shift detector over the
@@ -499,12 +510,9 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
         return Ok(());
     };
 
-    let dir = std::path::PathBuf::from(dir);
-    let cfg = durability_config(&args);
-    let (mut sys, mut d) = if args.resume && manic_core::has_checkpoint(&dir) {
-        let (mut sys, d, info) = manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
-        sys.cfg.threads = args.threads;
-        println!(
+    let (mut sys, mut d, resumed) = open_durable(&args, Path::new(&dir), from, to)?;
+    match resumed {
+        Some(info) => println!(
             "resumed: world '{}' seed {} rounds={} t={} recovered_in_ms={:.1} \
              tail_discarded={} snapshot_records={} hash_ok={}",
             info.world,
@@ -515,20 +523,13 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
             info.tail_discarded,
             info.snapshot_records,
             info.store_hash_ok
-        );
-        (sys, d)
-    } else {
-        if args.resume {
-            // Crash before the first checkpoint landed (or a fresh dir):
-            // fall back to a fresh durable run so a supervisor can always
-            // restart with `--resume`.
-            println!("no checkpoint in {}; starting fresh", dir.display());
-        }
-        let sys = build_system(&args)?;
-        let d = manic_core::Durable::create(&sys, &args.world, args.seed, &dir, from, to, cfg)
-            .map_err(durability_err)?;
-        (sys, d)
-    };
+        ),
+        // Crash before the first checkpoint landed (or a fresh dir): a
+        // fresh durable run, so a supervisor can always restart with
+        // `--resume`.
+        None if args.resume => println!("no checkpoint in {dir}; starting fresh"),
+        None => {}
+    }
 
     let end = d.t_end();
     d.run_window(&mut sys, end, &stop).map_err(durability_err)?;
@@ -652,13 +653,9 @@ fn cmd_serve(args: Args) -> Result<(), CliError> {
     let (mut sys, mut durable, status) = match &args.data_dir {
         None => (build_system(&args)?, None, None),
         Some(dir) => {
-            let dir = std::path::PathBuf::from(dir);
-            let cfg = durability_config(&args);
+            let (sys, d, resumed) = open_durable(&args, Path::new(dir), from, to)?;
             let status = Arc::new(manic_serve::DurabilityStatus::new(&args.durability));
-            if args.resume && manic_core::has_checkpoint(&dir) {
-                let (mut sys, d, info) =
-                    manic_core::resume(&dir, Some(cfg)).map_err(durability_err)?;
-                sys.cfg.threads = args.threads;
+            if let Some(info) = resumed {
                 status.note_recovery(info.rounds, info.tail_discarded, info.recovery_ms);
                 status.note_storage_findings(&info.storage);
                 println!(
@@ -666,15 +663,8 @@ fn cmd_serve(args: Args) -> Result<(), CliError> {
                      recovered_in_ms={:.1}",
                     info.world, info.seed, info.rounds, info.tail_discarded, info.recovery_ms
                 );
-                (sys, Some(d), Some(status))
-            } else {
-                let sys = build_system(&args)?;
-                let d = manic_core::Durable::create(
-                    &sys, &args.world, args.seed, &dir, from, to, cfg,
-                )
-                .map_err(durability_err)?;
-                (sys, Some(d), Some(status))
             }
+            (sys, Some(d), Some(status))
         }
     };
     let hub = Arc::new(manic_serve::SnapshotHub::new());
@@ -911,11 +901,22 @@ fn cmd_watch(args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_study(args: Args) -> Result<(), CliError> {
-    let mut sys = build_system(&args)?;
+/// The longitudinal study `study` and `inspect` report on: `--days` from
+/// the CLI start, its VPs spread over `--threads`.
+fn study_links(args: &Args) -> Result<(System, Vec<LinkDays>, i64, i64), CliError> {
+    let mut sys = build_system(args)?;
     let from = t0();
     let to = from + args.days * SECS_PER_DAY;
-    let links = run_longitudinal(&mut sys, &LongitudinalConfig::new(from, to));
+    let cfg = LongitudinalConfig {
+        threads: args.threads,
+        ..LongitudinalConfig::new(from, to)
+    };
+    let links = run_longitudinal(&mut sys, &cfg);
+    Ok((sys, links, from, to))
+}
+
+fn cmd_study(args: Args) -> Result<(), CliError> {
+    let (sys, links, from, to) = study_links(&args)?;
     println!(
         "longitudinal study {} .. {} ({} links):",
         format_sim(from),
@@ -950,10 +951,7 @@ fn cmd_study(args: Args) -> Result<(), CliError> {
 /// §4.2's manual-inspection workflow: render an evidence dossier for every
 /// link the pipeline asserts as congested.
 fn cmd_inspect(args: Args) -> Result<(), CliError> {
-    let mut sys = build_system(&args)?;
-    let from = t0();
-    let to = from + args.days * SECS_PER_DAY;
-    let links = run_longitudinal(&mut sys, &LongitudinalConfig::new(from, to));
+    let (sys, links, from, _) = study_links(&args)?;
     let mut asserted = 0;
     for link in &links {
         if link.congested_days(0.04) == 0 {
@@ -1240,6 +1238,16 @@ mod tests {
         assert_eq!(a.positional, vec!["/tmp/x".to_string()]);
         let (cmd, a) = parse(&["run", "stray"]).unwrap();
         assert!(matches!(super::run(&cmd, a), Err(CliError::UnexpectedArg(_))));
+    }
+
+    #[test]
+    fn usage_lists_every_command() {
+        for (name, _) in super::COMMANDS {
+            assert!(
+                super::USAGE.contains(&format!("\n  manic {name} ")),
+                "USAGE omits `manic {name}`"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //!
 //! `run_rounds` drives the packet-mode measurement loop: every five-minute
 //! round it runs each active VP's work — a bdrmap cycle when due, retirement
-//! polling, and the TSLP round — and lands the results in the tsdb. With
-//! `SystemConfig::threads > 1` the per-VP work is fanned out across a fixed
-//! pool of `std::thread::scope` workers that pull VP indices from a shared
-//! atomic counter (work stealing, since bdrmap cycles make VP cost wildly
-//! uneven).
+//! polling, and the TSLP round — and lands the results in the tsdb. The
+//! per-VP work of a round goes through [`fan_out`], the one VP executor the
+//! round engine and the longitudinal study share.
 //!
 //! Determinism is preserved **by construction**, not by scheduling:
 //!
@@ -14,8 +12,8 @@
 //!   buckets) and its probing budget, so a VP's outcomes are a pure function
 //!   of (seed, VP, round) — independent of which worker runs it or when.
 //! * Workers never touch the store. Samples and quality annotations are
-//!   staged into per-VP [`StagedOps`] buffers; after the round barrier the
-//!   coordinator commits them in **VP-index order**, so the WAL byte stream,
+//!   staged into per-VP [`StagedOps`] buffers; once every VP has run the
+//!   round, they are committed in **VP-index order**, so the WAL byte stream,
 //!   the per-series point order, `Store::content_hash`, and checkpoint
 //!   contents are identical for every thread count — including `threads: 1`,
 //!   which runs the exact same stage-then-commit path without spawning.
@@ -29,8 +27,35 @@ use manic_netsim::time::{SimTime, SECS_PER_DAY};
 use manic_probing::tslp::{End, ROUND_SECS};
 use manic_scenario::World;
 use manic_tsdb::{quality::QualityFlags, Point, Store};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Run `f(i)` once for every `i < n`. The calling thread is worker 0 and
+/// `threads.min(n) - 1` scoped helpers join it; every worker pulls the next
+/// index from one shared counter (work stealing, since a bdrmap cycle makes
+/// one VP's share of a round far heavier than another's). At `threads <= 1`
+/// nothing is spawned and `0..n` runs in order on the caller.
+///
+/// Returns once every index has run. A panic escaping `f` propagates out of
+/// the scope to the caller.
+pub(crate) fn fan_out(threads: usize, n: usize, f: impl Fn(usize) + Sync) {
+    // `Relaxed` suffices: the counter only hands out indices. What `f`
+    // writes is published to the caller by the scope's join.
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        f(i);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.min(n) {
+            s.spawn(work);
+        }
+        work();
+    });
+}
 
 /// Per-VP staging buffers: everything a round wants to persist, recorded in
 /// probe order and replayed against the store at commit time. Task indices
@@ -219,17 +244,14 @@ fn vp_round(
 }
 
 /// [`vp_round`] under supervision: the worker is isolated with
-/// `catch_unwind`, so one VP crashing (or blowing the optional wall-clock
-/// deadline) costs that VP a strike — quarantine with backoff, retirement
-/// after too many — instead of tearing down the whole round.
+/// `catch_unwind`, so one VP crashing costs that VP a strike — quarantine
+/// with backoff, retirement after too many — instead of tearing down the
+/// whole round.
 ///
 /// Determinism: a panic at time `t` is itself deterministic (the injected
 /// kind is a pure function of `(router, t)`, and a real one reproduces from
 /// the same VP state), and the partially staged ops of a panicked round are
 /// discarded wholesale — so every thread count sees the same store bytes.
-/// The watchdog path is the exception: it reacts to *wall-clock* overrun
-/// and is therefore off by default (`round_deadline_ms: None`), an
-/// operational safety net rather than part of the reproducibility contract.
 fn supervised_vp_round(
     world: &World,
     cfg: &SystemConfig,
@@ -241,144 +263,119 @@ fn supervised_vp_round(
     if !vp.supervisor.may_run(t) {
         return;
     }
-    let deadline = cfg.supervisor.round_deadline_ms;
-    let started = deadline.map(|_| std::time::Instant::now());
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         vp_round(world, cfg, vp, stage, t, cycle_secs)
     }));
-    match outcome {
-        Ok(()) => {
-            if let (Some(limit), Some(started)) = (deadline, started) {
-                if started.elapsed().as_millis() as u64 > limit {
-                    crate::obs::metrics().watchdog_timeouts.inc();
-                    let to = vp.supervisor.strike(t, &cfg.supervisor);
-                    crate::obs::metrics().health_transition(to).inc();
-                    manic_obs::event!(
-                        manic_obs::WARN, "core", "vp_watchdog_overrun", t,
-                        vp = vp.handle.name.as_str(),
-                        deadline_ms = limit,
-                        strikes = vp.supervisor.strikes,
-                        state = to.as_str(),
-                    );
-                }
-            }
-        }
-        Err(payload) => {
-            // Nothing from the crashed round may reach the store: a panic
-            // mid-probe leaves half a round staged.
-            stage.discard();
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            crate::obs::metrics().vp_panics.inc();
-            let to = vp.supervisor.strike(t, &cfg.supervisor);
-            crate::obs::metrics().health_transition(to).inc();
-            manic_obs::event!(
-                manic_obs::ERROR, "core", "vp_worker_panicked", t,
-                vp = vp.handle.name.as_str(),
-                panic = msg.as_str(),
-                strikes = vp.supervisor.strikes,
-                state = to.as_str(),
-            );
-        }
+    if let Err(payload) = outcome {
+        // Nothing from the crashed round may reach the store: a panic
+        // mid-probe leaves half a round staged.
+        stage.discard();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        crate::obs::metrics().vp_panics.inc();
+        let to = vp.supervisor.strike(t, &cfg.supervisor);
+        crate::obs::metrics().health_transition(to).inc();
+        manic_obs::event!(
+            manic_obs::ERROR, "core", "vp_worker_panicked", t,
+            vp = vp.handle.name.as_str(),
+            panic = msg.as_str(),
+            strikes = vp.supervisor.strikes,
+            state = to.as_str(),
+        );
     }
 }
 
 /// Drive rounds over `[from, to)`; returns the number of rounds executed.
+///
+/// Each round fans the VPs out, then commits their staged results in
+/// VP-index order. One stage-then-commit sequence at every thread count is
+/// what makes `--threads N` byte-compatible with `--threads 1`.
 pub(crate) fn run_rounds(sys: &mut System, from: SimTime, to: SimTime) -> usize {
     let System { world, store, vps, cfg, .. } = sys;
     let (world, cfg, store): (&World, &SystemConfig, &Store) = (world, cfg, store);
     let cycle_secs = cfg.bdrmap_cycle_days * SECS_PER_DAY;
-    let nvps = vps.len();
-    let threads = cfg.threads.max(1).min(nvps.max(1));
 
     // Each slot pairs one VP's runtime with its staging buffer. A round
-    // claims every slot exactly once — inline, or from whichever pool worker
-    // is free — so the per-slot mutex is uncontended.
-    let slots: Vec<Mutex<(&mut VpRuntime, StagedOps)>> = vps
+    // claims every slot exactly once, so the per-slot mutex is uncontended.
+    let mut slots: Vec<Mutex<(&mut VpRuntime, StagedOps)>> = vps
         .iter_mut()
         .map(|vp| Mutex::new((vp, StagedOps::default())))
         .collect();
-    let claim = |i: usize, t: SimTime| {
-        let mut slot = slots[i].lock().unwrap();
-        let (vp, stage) = &mut *slot;
-        supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
-    };
-
-    // The round loop both arms share. `run_vps(t)` returns once every VP has
-    // run round `t`; the staged results are then committed in VP-index
-    // order. One stage-then-commit sequence at every thread count is what
-    // makes `--threads N` byte-compatible with `--threads 1`.
+    let m = crate::obs::metrics();
     let (mut near_scratch, mut far_scratch) = (Vec::new(), Vec::new());
-    let mut drive = |run_vps: &mut dyn FnMut(SimTime)| {
-        let m = crate::obs::metrics();
-        let mut rounds = 0;
-        let mut t = from;
-        while t < to {
-            let round_started = std::time::Instant::now();
-            run_vps(t);
-            let commit_started = std::time::Instant::now();
-            for slot in &slots {
-                let mut guard = slot.lock().unwrap();
-                let (vp, stage) = &mut *guard;
-                stage.commit(
-                    store,
-                    vp,
-                    t,
-                    cfg.summary_window_bins,
-                    &mut near_scratch,
-                    &mut far_scratch,
+    let mut rounds = 0;
+    let mut t = from;
+    while t < to {
+        let round_started = std::time::Instant::now();
+        fan_out(cfg.threads, slots.len(), |i| {
+            let mut slot = slots[i]
+                .lock()
+                .expect("VP slot poisoned outside catch_unwind");
+            let (vp, stage) = &mut *slot;
+            supervised_vp_round(world, cfg, vp, stage, t, cycle_secs);
+        });
+        let commit_started = std::time::Instant::now();
+        for slot in &mut slots {
+            let (vp, stage) = slot
+                .get_mut()
+                .expect("VP slot poisoned outside catch_unwind");
+            stage.commit(
+                store,
+                vp,
+                t,
+                cfg.summary_window_bins,
+                &mut near_scratch,
+                &mut far_scratch,
+            );
+        }
+        m.commit_ms
+            .observe(commit_started.elapsed().as_secs_f64() * 1e3);
+        m.rounds.inc();
+        m.round_duration
+            .observe(round_started.elapsed().as_secs_f64() * 1e3);
+        rounds += 1;
+        t += ROUND_SECS;
+    }
+    rounds
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fan_out;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    #[test]
+    fn fan_out_visits_every_index_exactly_once() {
+        for threads in [1, 2, 8] {
+            for n in [0, 1, 7, 100] {
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                fan_out(threads, n, |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "threads={threads} n={n}: some index not visited exactly once"
                 );
             }
-            m.commit_ms.observe(commit_started.elapsed().as_secs_f64() * 1e3);
-            m.rounds.inc();
-            m.round_duration.observe(round_started.elapsed().as_secs_f64() * 1e3);
-            rounds += 1;
-            t += ROUND_SECS;
         }
-        rounds
-    };
-
-    if threads <= 1 {
-        return drive(&mut |t| (0..nvps).for_each(|i| claim(i, t)));
     }
 
-    // Pooled: persistent workers synchronized by a barrier (two waits per
-    // round: start and done); the work-stealing index hands slots to
-    // whichever worker is free.
-    let barrier = Barrier::new(threads + 1);
-    let done = AtomicBool::new(false);
-    let cur_t = AtomicI64::new(0);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                barrier.wait();
-                if done.load(Ordering::Acquire) {
-                    break;
-                }
-                let t = cur_t.load(Ordering::Acquire);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= nvps {
-                        break;
-                    }
-                    claim(i, t);
-                }
-                barrier.wait();
-            });
-        }
-        let rounds = drive(&mut |t| {
-            cur_t.store(t, Ordering::Release);
-            next.store(0, Ordering::Release);
-            barrier.wait(); // release the round to the pool
-            barrier.wait(); // all VPs done; staged results quiescent
-            crate::obs::metrics().parallel_rounds.inc();
+    #[test]
+    fn fan_out_at_one_thread_runs_in_order_on_the_caller() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        fan_out(1, 100, |i| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "index {i} ran off the caller"
+            );
+            seen.lock().unwrap().push(i);
         });
-        done.store(true, Ordering::Release);
-        barrier.wait();
-        rounds
-    })
+        assert_eq!(seen.into_inner().unwrap(), (0..100).collect::<Vec<_>>());
+    }
 }

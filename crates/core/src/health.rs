@@ -229,8 +229,7 @@ impl TaskHealth {
     }
 }
 
-/// Worker-supervision thresholds: what a panicking or deadline-blowing VP
-/// round costs.
+/// Worker-supervision thresholds: what a panicking VP round costs.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Strikes beyond this retire the VP (panics are not transient noise:
@@ -240,12 +239,6 @@ pub struct SupervisorConfig {
     pub base_backoff_secs: i64,
     /// Backoff ceiling.
     pub max_backoff_secs: i64,
-    /// Per-VP round deadline in wall-clock milliseconds; a round that
-    /// overruns it counts as a watchdog strike. `None` disables the
-    /// watchdog (the default — wall-clock deadlines are inherently
-    /// non-deterministic, so they are an operational safety net, not part
-    /// of the reproducibility contract).
-    pub round_deadline_ms: Option<u64>,
 }
 
 impl Default for SupervisorConfig {
@@ -254,19 +247,18 @@ impl Default for SupervisorConfig {
             max_strikes: 3,
             base_backoff_secs: 1_800,
             max_backoff_secs: 12 * 3_600,
-            round_deadline_ms: None,
         }
     }
 }
 
 /// Supervision state of one VP worker: strike-based quarantine with
 /// exponential backoff, mirroring the per-task [`TaskHealth`] machine one
-/// level up. A caught panic (or a watchdog overrun) is a strike; a struck
-/// VP sits out rounds until its backoff expires, and too many strikes
-/// retire it until the operator intervenes.
+/// level up. A caught panic is a strike; a struck VP sits out rounds until
+/// its backoff expires, and too many strikes retire it until the operator
+/// intervenes.
 #[derive(Debug, Clone)]
 pub struct VpSupervisor {
-    /// Panics / watchdog overruns since the VP was created (or restored).
+    /// Caught panics since the VP was created (or restored).
     pub strikes: u32,
     /// While quarantined: do not run rounds before this sim time.
     pub quarantined_until: SimTime,
@@ -295,11 +287,6 @@ impl VpSupervisor {
     /// May this VP's round run at `t`?
     pub fn may_run(&self, t: SimTime) -> bool {
         !self.retired && t >= self.quarantined_until
-    }
-
-    /// Is the VP currently being held out (quarantined or retired)?
-    pub fn is_isolated(&self, t: SimTime) -> bool {
-        !self.may_run(t)
     }
 
     /// Record one strike at `t`. Returns the state the VP lands in

@@ -17,6 +17,7 @@ use manic_inference::autocorr::{analyze_window, AutocorrConfig, INTERVALS_PER_DA
 use manic_netsim::time::{day_index, SimTime, SECS_PER_DAY};
 use manic_netsim::{AsNumber, Ipv4};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Mutex;
 
 /// Longitudinal run parameters.
 #[derive(Debug, Clone)]
@@ -47,7 +48,7 @@ impl LongitudinalConfig {
 
 /// Per-VP (unmerged) congestion record for one link — Figure 9's per-VP
 /// histograms and asymmetry diagnostics need the pre-merge view.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VpLinkDays {
     pub vp: String,
     pub host_as: AsNumber,
@@ -68,7 +69,7 @@ pub struct LongitudinalOutput {
 }
 
 /// Merged congestion record for one interdomain link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkDays {
     /// Network hosting the VPs that observed the link.
     pub host_as: AsNumber,
@@ -220,53 +221,51 @@ pub fn run_longitudinal_detailed(system: &mut System, cfg: &LongitudinalConfig) 
         .iter()
         .filter(|v| v.active && v.bdrmap.is_some())
         .collect();
-    let chunk = vps.len().div_ceil(cfg.threads.max(1));
-    let outputs: Vec<VpOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for group in vps.chunks(chunk.max(1)) {
-            handles.push(scope.spawn(move || {
-                let mut outs = Vec::new();
-                for vp in group {
-                    let series =
-                        vp.tslp.synthesize_window(net, cfg.from, cfg.to, 900);
-                    let bdr = vp.bdrmap.as_ref().expect("active VPs ran a cycle");
-                    let mut links = Vec::new();
-                    for s in &series {
-                        let Some(meta) = bdr
-                            .links
-                            .iter()
-                            .find(|l| l.near_ip == s.near_ip && l.far_ip == s.far_ip)
-                        else {
-                            continue;
-                        };
-                        let (masks, observed) =
-                            analyze_task_series(&vp.handle.name, s, cfg);
-                        links.push((
-                            s.near_ip,
-                            s.far_ip,
-                            meta.far_as,
-                            meta.rel,
-                            meta.via_ixp,
-                            masks,
-                            observed,
-                        ));
-                    }
-                    outs.push(VpOut {
-                        vp_name: vp.handle.name.clone(),
-                        host_as: vp.asn,
-                        links,
-                    });
-                }
-                outs
-            }));
+    // One slot per VP, read back in VP order, so the output order does not
+    // depend on the thread count.
+    let slots: Vec<Mutex<Option<VpOut>>> = vps.iter().map(|_| Mutex::new(None)).collect();
+    crate::engine::fan_out(cfg.threads, vps.len(), |i| {
+        let vp = vps[i];
+        let series = vp.tslp.synthesize_window(net, cfg.from, cfg.to, 900);
+        let bdr = vp.bdrmap.as_ref().expect("active VPs ran a cycle");
+        let mut links = Vec::new();
+        for s in &series {
+            let Some(meta) = bdr
+                .links
+                .iter()
+                .find(|l| l.near_ip == s.near_ip && l.far_ip == s.far_ip)
+            else {
+                continue;
+            };
+            let (masks, observed) = analyze_task_series(&vp.handle.name, s, cfg);
+            links.push((
+                s.near_ip,
+                s.far_ip,
+                meta.far_as,
+                meta.rel,
+                meta.via_ixp,
+                masks,
+                observed,
+            ));
         }
-        handles.into_iter().flat_map(|h| h.join().expect("worker")).collect()
+        let out = VpOut {
+            vp_name: vp.handle.name.clone(),
+            host_as: vp.asn,
+            links,
+        };
+        *slots[i]
+            .lock()
+            .expect("VP slot poisoned by a panicking worker") = Some(out);
     });
 
     // Merge across VPs: link identity = (host org anchor, near, far).
     let mut per_vp_records = Vec::new();
     let mut merged: BTreeMap<(AsNumber, Ipv4, Ipv4), LinkDays> = BTreeMap::new();
-    for out in outputs {
+    for slot in slots {
+        let out = slot
+            .into_inner()
+            .expect("VP slot poisoned by a panicking worker")
+            .expect("fan_out runs every VP");
         // Sibling VPs share the lowest sibling ASN as the org anchor.
         let anchor = system
             .world

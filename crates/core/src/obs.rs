@@ -35,14 +35,11 @@ pub(crate) struct Metrics {
     /// Congested / clean verdicts recorded to the audit trail.
     pub verdicts_congested: Counter,
     pub verdicts_clean: Counter,
-    /// Rounds executed by the parallel engine (threads > 1); `rounds` minus
-    /// this is the serial-path count.
-    pub parallel_rounds: Counter,
     /// Wall-clock time spent per simulated TSLP round. The serving layer's
     /// load tests watch this to prove query traffic does not slow the
     /// measurement loop.
     pub round_duration: Histogram,
-    /// Wall-clock time the parallel engine spends committing staged per-VP
+    /// Wall-clock time the round engine spends committing staged per-VP
     /// results in VP-index order (the serialized tail of each round).
     pub commit_ms: Histogram,
     /// Checkpoints written / bytes persisted per checkpoint (snapshot +
@@ -61,10 +58,8 @@ pub(crate) struct Metrics {
     pub checkpoint_errors: Counter,
     pub generation_fallbacks: Counter,
     pub snapshot_heals: Counter,
-    /// VP workers whose round panicked (caught and quarantined) / rounds
-    /// whose watchdog deadline expired before every worker finished.
+    /// VP workers whose round panicked (caught and quarantined).
     pub vp_panics: Counter,
-    pub watchdog_timeouts: Counter,
 }
 
 impl Metrics {
@@ -100,7 +95,6 @@ pub(crate) fn metrics() -> &'static Metrics {
             health_to_retired: health("retired"),
             verdicts_congested: r.counter("manic_core_verdicts_congested"),
             verdicts_clean: r.counter("manic_core_verdicts_clean"),
-            parallel_rounds: r.counter("manic_core_parallel_rounds"),
             round_duration: r.histogram("manic_core_round_duration_ms"),
             commit_ms: r.histogram("manic_core_commit_ms"),
             checkpoint_writes: r.counter("manic_core_checkpoint_writes"),
@@ -113,7 +107,6 @@ pub(crate) fn metrics() -> &'static Metrics {
             generation_fallbacks: r.counter("manic_core_generation_fallbacks"),
             snapshot_heals: r.counter("manic_core_snapshot_heals"),
             vp_panics: r.counter("manic_core_vp_panics"),
-            watchdog_timeouts: r.counter("manic_core_watchdog_timeouts"),
         }
     })
 }

@@ -30,11 +30,12 @@ pub struct SystemConfig {
     pub reactive_mismatch_rounds: u32,
     /// Per-task health machine thresholds (degrade / quarantine / retire).
     pub health: HealthConfig,
-    /// Worker-supervision thresholds: panic/watchdog strikes per VP.
+    /// Worker-supervision thresholds: panic strikes per VP.
     pub supervisor: SupervisorConfig,
     /// Worker threads for the round engine. 1 = serial; anything higher
-    /// fans VPs out across a fixed pool. Every value produces byte-identical
-    /// stores (see DESIGN.md §5g), so this is purely a throughput knob.
+    /// fans each round's VPs out across that many threads. Every value
+    /// produces byte-identical stores (see DESIGN.md §5g), so this is purely
+    /// a throughput knob.
     pub threads: usize,
     /// Length of each task's incremental [`manic_inference::LinkSummary`]
     /// window, in five-minute bins (8640 = 30 days — the longest window
@@ -99,8 +100,8 @@ pub struct VpRuntime {
     pub health: std::collections::HashMap<(Ipv4, Ipv4), TaskHealth>,
     /// Bounded-retry schedule for failed (empty) bdrmap cycles.
     pub cycle_backoff: CycleBackoff,
-    /// Worker supervision: strikes from caught panics / watchdog overruns,
-    /// and the quarantine they impose.
+    /// Worker supervision: strikes from caught panics, and the quarantine
+    /// they impose.
     pub supervisor: VpSupervisor,
     /// Per-task outcome flags of the round in progress, reused across
     /// rounds (see `System::round_with_health`).
@@ -336,9 +337,9 @@ impl System {
     /// sample windows (renumbered responder, far-dark-while-near-fine) are
     /// annotated so inference masks them.
     ///
-    /// With `cfg.threads > 1` the rounds are fanned out across a worker pool
-    /// (`crate::engine`); the store contents are byte-identical for every
-    /// thread count.
+    /// With `cfg.threads > 1` each round's VPs are fanned out across that
+    /// many threads (`crate::engine`); the store contents are byte-identical
+    /// for every thread count.
     pub fn run_packet_mode(&mut self, from: SimTime, to: SimTime) -> usize {
         crate::engine::run_rounds(self, from, to)
     }

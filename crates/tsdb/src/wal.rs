@@ -1159,7 +1159,7 @@ mod tests {
         for t in 0..100 {
             store.write(&k("a"), t, t as f64);
             if t % 10 == 9 {
-                // Barrier every 10 samples so the batched fast path emits
+                // Flush every 10 samples so the batched fast path emits
                 // many frames and the 256-byte threshold actually rotates.
                 wal.flush_and_sync().unwrap();
             }

@@ -8,8 +8,11 @@
 //! The parallel leg's thread count defaults to 8 and can be overridden with
 //! `MANIC_TEST_THREADS` so CI can sweep the matrix (2, 8, ...).
 
-use manic_core::{resume, Durable, DurabilityConfig, System, SystemConfig};
-use manic_netsim::time::{date_to_sim, datetime_to_sim, Date};
+use manic_core::{
+    resume, run_longitudinal_detailed, DurabilityConfig, Durable, LongitudinalConfig, System,
+    SystemConfig,
+};
+use manic_netsim::time::{date_to_sim, datetime_to_sim, Date, SECS_PER_DAY};
 use manic_netsim::{FaultEvent, FaultKind, FaultSchedule, FaultScope};
 use manic_scenario::worlds::{toy, us_broadband};
 use manic_scenario::World;
@@ -203,6 +206,31 @@ fn panicking_vp_is_quarantined_and_rounds_complete() {
     let fn_ = fingerprint(&mut parallel, from, to);
     assert!(f1.points > 0, "surviving VPs kept measuring");
     assert_identical(&f1, &fn_, "panicking VP");
+}
+
+/// The longitudinal study fans its VPs out on the round engine's executor:
+/// its merged and per-VP records, order included, must not depend on the
+/// thread count either.
+#[test]
+fn longitudinal_matches_across_threads() {
+    let from = date_to_sim(Date::new(2016, 4, 1));
+    let study = |threads| {
+        let mut sys = sys_with_threads(1);
+        let cfg = LongitudinalConfig {
+            threads,
+            ..LongitudinalConfig::new(from, from + 60 * SECS_PER_DAY)
+        };
+        run_longitudinal_detailed(&mut sys, &cfg)
+    };
+    let serial = study(1);
+    let parallel = study(test_threads());
+    assert!(
+        serial.merged.iter().any(|l| !l.day_masks.is_empty()),
+        "the toy study found no congested day"
+    );
+    assert!(serial.per_vp.len() > serial.merged.len(), "some link is seen by two VPs");
+    assert_eq!(serial.merged, parallel.merged, "merged link records diverged");
+    assert_eq!(serial.per_vp, parallel.per_vp, "per-VP link records diverged");
 }
 
 fn tmpdir(name: &str) -> PathBuf {
