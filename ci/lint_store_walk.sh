@@ -46,4 +46,17 @@ if [[ -n "$summary_extras" ]]; then
     echo "$summary_extras" >&2
     exit 1
 fi
+
+# One map per store shard: a key's points and quality windows share one
+# entry. The parallel quality map, the seqlock latest-sample cells (which
+# nothing read) and the unused rollup / per-series CSV export are gone; this
+# fails if `Store` declares a second sharded map or any of them returns
+# under `crates/`.
+maps=$(grep -c -F 'Vec<RwLock<HashMap' crates/tsdb/src/store.rs || true)
+store_extras=$(grep -rn --include='*.rs' -E 'LatestCell|latest_handle|fn rollup|fn export_csv' crates 2>/dev/null || true)
+if [[ "$maps" -gt 1 || -n "$store_extras" ]]; then
+    echo "error: Store grew back a second sharded map ($maps declared) or a dead read path — one entry per key" >&2
+    [[ -n "$store_extras" ]] && echo "$store_extras" >&2
+    exit 1
+fi
 echo "lint_store_walk: ok"

@@ -1092,8 +1092,11 @@ fn cmd_export(args: Args) -> Result<(), CliError> {
         "csv" => {
             println!("series,t,v");
             for key in sys.store.find_series("tslp", &filter) {
+                // Series keys contain commas (`tslp,end=far,...`), so the
+                // field must be RFC 4180 quoted.
+                let name = key.to_string().replace('"', "\"\"");
                 for p in sys.store.query(&key, from, to) {
-                    println!("{key},{},{}", p.t, p.v);
+                    println!("\"{name}\",{},{}", p.t, p.v);
                 }
             }
         }

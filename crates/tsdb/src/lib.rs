@@ -11,10 +11,12 @@
 //!   write-ahead log and checkpointed as WAL-format segments;
 //! * range queries and bin downsampling (`min` per 5/15-minute bin is the
 //!   pre-processing step of both inference algorithms, §4.1/§4.2);
-//! * retention trimming and CSV/JSON export (the public-data release story
-//!   of §1's contribution 4).
+//! * retention trimming and Grafana-style JSON export (the public-data
+//!   release story of §1's contribution 4).
 //!
-//! The store is sharded and guarded by `std::sync::RwLock`, so concurrent
+//! The store is striped over `std::sync::RwLock`-guarded shards, one map
+//! each: a key's points and quality windows share one entry, so a write or
+//! an annotation is one hash lookup under one lock, and concurrent
 //! measurement threads can ingest while analysis reads.
 
 pub mod key;
@@ -30,6 +32,6 @@ pub use key::{SeriesKey, TagSet};
 pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};
 pub use series::{Aggregate, Point, Series};
-pub use store::{recommended_shards, LatestCell, LatestHandle, Store, TagFilter};
+pub use store::{recommended_shards, Store, TagFilter};
 pub use wal::{FsyncPolicy, ReplayReport, Wal, WalCodecError, WalPosition, WalRecord};
 pub use wal::{replay_dir_range, replay_segment_file_with};

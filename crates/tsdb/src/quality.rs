@@ -23,24 +23,6 @@ pub const RENUMBERED: QualityFlags = 1 << 2;
 /// The task's health machine had the series quarantined.
 pub const QUARANTINED: QualityFlags = 1 << 3;
 
-/// Human-readable names of the flags set in `flags`, in bit order.
-pub fn flag_names(flags: QualityFlags) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    if flags & GAP != 0 {
-        out.push("gap");
-    }
-    if flags & SUSPECT_RATE_LIMITED != 0 {
-        out.push("suspect-rate-limited");
-    }
-    if flags & RENUMBERED != 0 {
-        out.push("renumbered");
-    }
-    if flags & QUARANTINED != 0 {
-        out.push("quarantined");
-    }
-    out
-}
-
 /// Annotation windows of one series: `(from, to, flags)`, `to` exclusive.
 /// Windows are kept in insertion order; adjacent same-flag windows are
 /// coalesced on append (the per-round annotation pattern of the control
@@ -86,25 +68,11 @@ impl QualityLog {
         before - self.windows.len()
     }
 
-    /// OR of all flags overlapping `[start, end)`.
-    pub fn flags_over(&self, start: i64, end: i64) -> QualityFlags {
-        self.windows
-            .iter()
-            .filter(|&&(f, t, _)| f < end && start < t)
-            .fold(0, |acc, &(_, _, fl)| acc | fl)
-    }
-
-    /// Per-bin OR of flags across `[start, end)` in `bin_secs` bins. Same
-    /// edge-case contract as `Series::downsample_dense`: non-positive bins
-    /// and empty/inverted windows yield no bins.
-    pub fn dense(&self, start: i64, end: i64, bin_secs: i64) -> Vec<QualityFlags> {
-        let mut out = Vec::new();
-        self.dense_into(start, end, bin_secs, &mut out);
-        out
-    }
-
-    /// [`Self::dense`] into a caller-owned buffer (cleared first), so
-    /// repeated window scans reuse one allocation.
+    /// Per-bin OR of flags across `[start, end)` in `bin_secs` bins, into a
+    /// caller-owned buffer (cleared first) so repeated window scans reuse
+    /// one allocation. Same edge-case contract as
+    /// `Series::downsample_dense`: non-positive bins and empty/inverted
+    /// windows yield no bins.
     pub fn dense_into(&self, start: i64, end: i64, bin_secs: i64, out: &mut Vec<QualityFlags>) {
         out.clear();
         if bin_secs <= 0 || end <= start {
@@ -149,22 +117,30 @@ mod tests {
         assert!(log.windows().is_empty());
     }
 
+    fn dense(log: &QualityLog, start: i64, end: i64, bin_secs: i64) -> Vec<QualityFlags> {
+        let mut out = vec![0xff; 7];
+        log.dense_into(start, end, bin_secs, &mut out);
+        out
+    }
+
     #[test]
-    fn flags_over_and_dense() {
+    fn dense_ors_every_overlapped_bin() {
         let mut log = QualityLog::default();
         log.annotate(300, 600, SUSPECT_RATE_LIMITED);
         log.annotate(900, 1200, RENUMBERED);
-        assert_eq!(log.flags_over(0, 300), 0);
-        assert_eq!(log.flags_over(0, 301), SUSPECT_RATE_LIMITED);
-        assert_eq!(log.flags_over(500, 1000), SUSPECT_RATE_LIMITED | RENUMBERED);
-        let dense = log.dense(0, 1200, 300);
-        assert_eq!(dense, vec![0, SUSPECT_RATE_LIMITED, 0, RENUMBERED]);
+        assert_eq!(dense(&log, 0, 1200, 300), vec![0, SUSPECT_RATE_LIMITED, 0, RENUMBERED]);
         // Windows straddling bin edges mark every touched bin.
-        let dense2 = log.dense(0, 1200, 450);
-        assert_eq!(dense2.len(), 3);
-        assert_eq!(dense2[0], SUSPECT_RATE_LIMITED, "300..450 overlap");
-        assert_eq!(dense2[1], SUSPECT_RATE_LIMITED, "450..600 overlap");
-        assert_eq!(dense2[2], RENUMBERED);
+        let straddled = dense(&log, 0, 1200, 450);
+        assert_eq!(straddled.len(), 3);
+        assert_eq!(straddled[0], SUSPECT_RATE_LIMITED, "300..450 overlap");
+        assert_eq!(straddled[1], SUSPECT_RATE_LIMITED, "450..600 overlap");
+        assert_eq!(straddled[2], RENUMBERED);
+        // One bin over overlapping windows ORs their flags.
+        assert_eq!(dense(&log, 500, 1000, 500), vec![SUSPECT_RATE_LIMITED | RENUMBERED]);
+        // A window ending on a bin's start does not touch it.
+        assert_eq!(dense(&log, 600, 900, 300), vec![0]);
+        assert!(dense(&log, 500, 100, 300).is_empty(), "inverted window clears the buffer");
+        assert!(dense(&log, 0, 600, 0).is_empty(), "non-positive bin clears the buffer");
     }
 
     #[test]
@@ -175,15 +151,9 @@ mod tests {
         log.annotate(900, 1200, RENUMBERED);
         assert_eq!(log.trim_before(600), 1, "fully-old window dropped");
         assert_eq!(log.windows(), &[(600, 900, QUARANTINED), (900, 1200, RENUMBERED)]);
-        assert_eq!(log.flags_over(0, 600), 0, "nothing before the cutoff");
-        assert_eq!(log.flags_over(0, 601), QUARANTINED, "clamped window starts at cutoff");
+        assert_eq!(dense(&log, 0, 600, 600), vec![0], "nothing before the cutoff");
+        assert_eq!(dense(&log, 0, 601, 601), vec![QUARANTINED], "clamped window starts at cutoff");
         assert_eq!(log.trim_before(5000), 2);
         assert!(log.windows().is_empty());
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(flag_names(GAP | QUARANTINED), vec!["gap", "quarantined"]);
-        assert!(flag_names(0).is_empty());
     }
 }

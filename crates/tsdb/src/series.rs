@@ -161,11 +161,6 @@ impl Series {
         (&self.ts, &self.vs)
     }
 
-    /// First/last timestamps, if any.
-    pub fn span(&self) -> Option<(i64, i64)> {
-        Some((*self.ts.first()?, *self.ts.last()?))
-    }
-
     /// Downsample the half-open window `[start, end)` into bins of
     /// `bin_secs`, applying `agg` per bin. Empty bins yield no output point.
     ///
@@ -253,11 +248,6 @@ impl Series {
         self.vs.drain(..keep_from);
         keep_from
     }
-
-    /// Values only, over a range (utility for feeding statistics).
-    pub fn values_in(&self, start: i64, end: i64) -> Vec<f64> {
-        self.range_cols(start, end).1.to_vec()
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +331,7 @@ mod tests {
         let mut s = series(&[(0, 1.0), (100, 2.0), (200, 3.0)]);
         assert_eq!(s.trim_before(150), 2);
         assert_eq!(s.len(), 1);
-        assert_eq!(s.span(), Some((200, 200)));
+        assert_eq!(s.all(), vec![Point::new(200, 3.0)]);
     }
 
     #[test]

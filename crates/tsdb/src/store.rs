@@ -1,13 +1,13 @@
 //! The sharded series store.
 //!
-//! Points and quality windows live in per-key shards; anything that needs
-//! the whole store in one canonical order — the content hash, the record
-//! dump, the checkpoint snapshot — is a visitor over [`Store::walk`], one
-//! sorted pass that copies nothing. The snapshot ([`Store::write_snapshot`],
-//! checkpoint format version 2) is a segment of the write-ahead log's own
-//! frames: a sample is a 20-byte entry of a `B` frame under its series' `K`
-//! frame there as everywhere else on disk, so [`crate::wal`]'s replay is its
-//! only reader.
+//! A series' points and quality windows live in one entry of one shard's
+//! map; anything that needs the whole store in one canonical order — the
+//! content hash, the record dump, the checkpoint snapshot — is a visitor
+//! over [`Store::walk`], one sorted pass that copies nothing. The snapshot
+//! ([`Store::write_snapshot`], checkpoint format version 2) is a segment of
+//! the write-ahead log's own frames: a sample is a 20-byte entry of a `B`
+//! frame under its series' `K` frame there as everywhere else on disk, so
+//! [`crate::wal`]'s replay is its only reader.
 
 use crate::key::{SeriesKey, TagSet};
 use crate::lineproto::format_key;
@@ -23,7 +23,6 @@ use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::io;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// Default shard count — the pre-planetary operating point.
@@ -38,71 +37,17 @@ pub fn recommended_shards(expected_series: usize) -> usize {
     want.next_power_of_two().min(256)
 }
 
-/// Seqlock-published most-recent sample of one series.
-///
-/// Writers (which are already serialized per series by the points shard
-/// write lock) bump `seq` to odd, store the pair, bump back to even; readers
-/// retry until they observe a stable even `seq`. Readers therefore never
-/// touch a shard lock once they hold the cell — the serving layer's
-/// `latest()` hot path proceeds even while ingest holds every shard write
-/// lock.
-#[derive(Debug, Default)]
-pub struct LatestCell {
-    /// Even = stable; zero = never written.
-    seq: AtomicU64,
-    t: AtomicI64,
-    /// `f64::to_bits` of the value.
-    bits: AtomicU64,
-}
-
-impl LatestCell {
-    /// Publish a new latest sample. Callers must hold the per-series write
-    /// exclusion (the points shard write lock) — the seqlock protocol
-    /// assumes one writer at a time.
-    fn publish(&self, t: i64, v: f64) {
-        self.seq.fetch_add(1, Ordering::Release);
-        self.t.store(t, Ordering::Relaxed);
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-        self.seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// Timestamp of the published sample, or `i64::MIN` when never written.
-    /// Only meaningful to the (exclusive) writer deciding whether a new
-    /// sample supersedes the published one.
-    fn writer_t(&self) -> i64 {
-        if self.seq.load(Ordering::Relaxed) == 0 {
-            i64::MIN
-        } else {
-            self.t.load(Ordering::Relaxed)
-        }
-    }
-
-    /// Lock-free consistent read of the latest `(t, v)` pair.
-    pub fn read(&self) -> Option<Point> {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 == 0 {
-                return None;
-            }
-            if s1 % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let t = self.t.load(Ordering::Relaxed);
-            let bits = self.bits.load(Ordering::Relaxed);
-            if self.seq.load(Ordering::Acquire) == s1 {
-                return Some(Point::new(t, f64::from_bits(bits)));
-            }
-        }
-    }
-}
-
-/// Cloneable handle onto one series' latest-sample cell; hot read loops
-/// fetch it once and bypass even the lookup-map read lock thereafter.
-pub type LatestHandle = Arc<LatestCell>;
-
 /// Tag predicate for series selection: every listed pair must match.
 pub type TagFilter = TagSet;
+
+/// Everything the store holds for one key. An entry exists once the key has
+/// been written or annotated; it counts as a series (`series_count`,
+/// `find_series`) only while it has points.
+#[derive(Default)]
+struct Entry {
+    series: Series,
+    quality: QualityLog,
+}
 
 /// One series as `Store::walk` hands it to its visitor. Everything is
 /// borrowed from the store: no point is copied to build it.
@@ -178,13 +123,9 @@ impl ContentHasher {
 /// assert!(bins.iter().all(|p| p.v == 20.0));
 /// ```
 pub struct Store {
-    shards: Vec<RwLock<HashMap<SeriesKey, Series>>>,
-    /// Quality annotations, sharded like the points (see [`crate::quality`]).
-    quality: Vec<RwLock<HashMap<SeriesKey, QualityLog>>>,
-    /// Latest-sample cells, sharded like the points. The map lock is only
-    /// taken to locate a cell; the cell itself is a seqlock (see
-    /// [`LatestCell`]), so `latest()` readers never contend with ingest.
-    latest: Vec<RwLock<HashMap<SeriesKey, LatestHandle>>>,
+    /// One map per stripe; a key's points and quality windows (see
+    /// [`crate::quality`]) share its one [`Entry`].
+    shards: Vec<RwLock<HashMap<SeriesKey, Entry>>>,
     /// Optional write-ahead log; when attached, every mutation is appended
     /// to it before being applied in memory.
     wal: OnceLock<Arc<Wal>>,
@@ -206,12 +147,7 @@ impl Store {
     /// hashes iterate keys in sorted order regardless of striping.
     pub fn with_shards(n: usize) -> Self {
         let n = n.max(1);
-        Store {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            quality: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            latest: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            wal: OnceLock::new(),
-        }
+        Store { shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(), wal: OnceLock::new() }
     }
 
     /// Number of stripes this store was built with.
@@ -231,47 +167,26 @@ impl Store {
         self.wal.get()
     }
 
-    fn shard_index(&self, key: &SeriesKey) -> usize {
+    fn shard(&self, key: &SeriesKey) -> &RwLock<HashMap<SeriesKey, Entry>> {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+        &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
-    fn shard(&self, key: &SeriesKey) -> &RwLock<HashMap<SeriesKey, Series>> {
-        &self.shards[self.shard_index(key)]
-    }
-
-    /// The latest cell of `key`, which lives in shard `si`, created on
-    /// first use. Must be called while holding the points shard write lock
-    /// for `key` so that cell publishes stay single-writer.
-    fn latest_cell(&self, si: usize, key: &SeriesKey) -> LatestHandle {
-        if let Some(cell) = self.latest[si].read().unwrap().get(key) {
-            return Arc::clone(cell);
-        }
-        let mut map = self.latest[si].write().unwrap();
-        Arc::clone(map.entry(key.clone()).or_default())
+    /// Run `f` on `key`'s entry under its shard's write lock, creating the
+    /// entry on first use — the only time the key is cloned.
+    fn update(&self, key: &SeriesKey, f: impl FnOnce(&mut Entry)) {
+        let mut shard = self.shard(key).write().unwrap();
+        let entry = match shard.get_mut(key) {
+            Some(entry) => entry,
+            None => shard.entry(key.clone()).or_default(),
+        };
+        f(entry)
     }
 
     /// Append one point to a series, creating the series if needed.
     pub fn write(&self, key: &SeriesKey, t: i64, v: f64) {
-        let si = self.shard_index(key);
-        let mut shard = self.shards[si].write().unwrap();
-        // The key is cloned only for a series' first point.
-        let series = match shard.get_mut(key) {
-            Some(series) => series,
-            None => shard.entry(key.clone()).or_default(),
-        };
-        // Logged before applied; holding the shard lock across the enqueue
-        // keeps WAL order identical to apply order within a series.
-        if let Some(wal) = self.wal.get() {
-            wal.append_sample(key, &series.wal_key_token, Point::new(t, v));
-        }
-        series.push(t, v);
-        drop(shard);
-        let cell = self.latest_cell(si, key);
-        if t >= cell.writer_t() {
-            cell.publish(t, v);
-        }
+        self.write_batch(key, &[Point::new(t, v)]);
     }
 
     /// Append many points to a series in one lock acquisition.
@@ -279,69 +194,46 @@ impl Store {
         if points.is_empty() {
             return;
         }
-        let si = self.shard_index(key);
-        let mut shard = self.shards[si].write().unwrap();
-        let series = match shard.get_mut(key) {
-            Some(series) => series,
-            None => shard.entry(key.clone()).or_default(),
-        };
-        if let Some(wal) = self.wal.get() {
-            wal.append_samples(key, &series.wal_key_token, points);
-        }
-        let mut newest: Option<Point> = None;
-        for p in points {
-            series.push(p.t, p.v);
-            if newest.is_none_or(|n| p.t >= n.t) {
-                newest = Some(*p);
+        self.update(key, |entry| {
+            // Logged before applied; holding the shard lock across the
+            // enqueue keeps WAL order identical to apply order within a
+            // series.
+            if let Some(wal) = self.wal.get() {
+                wal.append_samples(key, &entry.series.wal_key_token, points);
             }
-        }
-        let cell = self.latest_cell(si, key);
-        if let Some(n) = newest {
-            if n.t >= cell.writer_t() {
-                cell.publish(n.t, n.v);
+            for p in points {
+                entry.series.push(p.t, p.v);
             }
-        }
+        });
     }
 
-    /// Most recent sample of one series without touching any shard write
-    /// lock: the lookup takes a read lock on a dedicated cell map (never
-    /// held by point ingest beyond first-write cell creation) and the cell
-    /// itself is read via a seqlock. Reflects the highest-timestamp sample
-    /// ever written, independent of retention trimming.
-    pub fn latest(&self, key: &SeriesKey) -> Option<Point> {
-        self.latest[self.shard_index(key)]
-            .read()
-            .unwrap()
-            .get(key)
-            .and_then(|cell| cell.read())
-    }
-
-    /// Cloneable handle for repeated [`Self::latest`]-style reads of one
-    /// series; `None` until the series receives its first point.
-    pub fn latest_handle(&self, key: &SeriesKey) -> Option<LatestHandle> {
-        self.latest[self.shard_index(key)].read().unwrap().get(key).map(Arc::clone)
-    }
-
-    /// Number of distinct series.
+    /// Number of distinct series with points.
     pub fn series_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap().values().filter(|e| !e.series.is_empty()).count())
+            .sum()
     }
 
     /// Total number of stored points.
     pub fn point_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap().values().map(Series::len).sum::<usize>())
+            .map(|s| s.read().unwrap().values().map(|e| e.series.len()).sum::<usize>())
             .sum()
     }
 
-    /// All series keys for `measurement` whose tags match `filter`.
+    /// All series keys for `measurement` whose tags match `filter` and
+    /// which hold points.
     pub fn find_series(&self, measurement: &str, filter: &TagFilter) -> Vec<SeriesKey> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read().unwrap();
-            for key in shard.keys() {
-                if key.measurement == measurement && key.tags.matches(filter) {
+            for (key, entry) in shard.iter() {
+                if !entry.series.is_empty()
+                    && key.measurement == measurement
+                    && key.tags.matches(filter)
+                {
                     out.push(key.clone());
                 }
             }
@@ -353,7 +245,7 @@ impl Store {
     /// Raw points of one series in `[start, end)`.
     pub fn query(&self, key: &SeriesKey, start: i64, end: i64) -> Vec<Point> {
         let shard = self.shard(key).read().unwrap();
-        shard.get(key).map(|s| s.range(start, end)).unwrap_or_default()
+        shard.get(key).map(|e| e.series.range(start, end)).unwrap_or_default()
     }
 
     /// Downsampled view of one series (sparse: empty bins omitted).
@@ -368,7 +260,7 @@ impl Store {
         let shard = self.shard(key).read().unwrap();
         shard
             .get(key)
-            .map(|s| s.downsample(start, end, bin_secs, agg))
+            .map(|e| e.series.downsample(start, end, bin_secs, agg))
             .unwrap_or_default()
     }
 
@@ -404,43 +296,12 @@ impl Store {
         }
         let shard = self.shard(key).read().unwrap();
         match shard.get(key) {
-            Some(s) => s.downsample_dense_into(start, end, bin_secs, agg, out),
+            Some(e) => e.series.downsample_dense_into(start, end, bin_secs, agg, out),
             None => {
                 let nbins = ((end - start) + bin_secs - 1) / bin_secs;
                 out.resize(nbins as usize, None);
             }
         }
-    }
-
-    /// Materialize a downsampled rollup of every series of `measurement`
-    /// matching `filter` into `target` (InfluxDB continuous-query style):
-    /// each source series gets a same-tag series under the target
-    /// measurement holding one aggregated point per bin. Returns the number
-    /// of points written. The production deployment keeps raw five-minute
-    /// TSLP samples on a short retention and hour-level rollups for the
-    /// longitudinal dashboards; this is that mechanism.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rollup(
-        &self,
-        measurement: &str,
-        filter: &TagFilter,
-        start: i64,
-        end: i64,
-        bin_secs: i64,
-        agg: Aggregate,
-        target: &str,
-    ) -> usize {
-        let mut written = 0;
-        for key in self.find_series(measurement, filter) {
-            let points = self.downsample(&key, start, end, bin_secs, agg);
-            if points.is_empty() {
-                continue;
-            }
-            let tkey = SeriesKey::new(target, key.tags.clone());
-            written += points.len();
-            self.write_batch(&tkey, &points);
-        }
-        written
     }
 
     /// Attach quality flags to `[from, to)` of one series. Annotations are
@@ -450,35 +311,36 @@ impl Store {
         if let Some(wal) = self.wal.get() {
             wal.append(WalRecord::Annotate { key: key.clone(), from, to, flags });
         }
-        let mut shard = self.quality[self.shard_index(key)].write().unwrap();
-        shard.entry(key.clone()).or_default().annotate(from, to, flags);
+        self.update(key, |entry| entry.quality.annotate(from, to, flags));
     }
 
     /// Attach quality flags to `[from, to)` of *every* series currently in
     /// the store (points or existing annotations). Used by self-healing
     /// replay to fence quarantined WAL ranges: corrupt frames are
     /// interleaved across series, so the whole window is suspect for all of
-    /// them. Returns the number of series annotated.
+    /// them. A journaled store logs the annotations in map order, not key
+    /// order; that replays to the same store because each names a different
+    /// series.
+    /// Returns the number of series annotated.
     pub fn annotate_all(&self, from: i64, to: i64, flags: QualityFlags) -> usize {
-        let mut keys: Vec<SeriesKey> = Vec::new();
+        let mut annotated = 0;
         for shard in &self.shards {
-            keys.extend(shard.read().unwrap().keys().cloned());
+            let mut shard = shard.write().unwrap();
+            for (key, entry) in shard.iter_mut() {
+                if let Some(wal) = self.wal.get() {
+                    wal.append(WalRecord::Annotate { key: key.clone(), from, to, flags });
+                }
+                entry.quality.annotate(from, to, flags);
+            }
+            annotated += shard.len();
         }
-        for shard in &self.quality {
-            keys.extend(shard.read().unwrap().keys().cloned());
-        }
-        keys.sort();
-        keys.dedup();
-        for key in &keys {
-            self.annotate(key, from, to, flags);
-        }
-        keys.len()
+        annotated
     }
 
     /// All annotation windows of one series, `(from, to, flags)`.
     pub fn quality_windows(&self, key: &SeriesKey) -> Vec<(i64, i64, QualityFlags)> {
-        let shard = self.quality[self.shard_index(key)].read().unwrap();
-        shard.get(key).map(|l| l.windows().to_vec()).unwrap_or_default()
+        let shard = self.shard(key).read().unwrap();
+        shard.get(key).map(|e| e.quality.windows().to_vec()).unwrap_or_default()
     }
 
     /// Per-bin OR of quality flags over `[start, end)` — same bin layout as
@@ -508,9 +370,9 @@ impl Store {
         if bin_secs <= 0 || end <= start {
             return;
         }
-        let shard = self.quality[self.shard_index(key)].read().unwrap();
+        let shard = self.shard(key).read().unwrap();
         match shard.get(key) {
-            Some(l) => l.dense_into(start, end, bin_secs, out),
+            Some(e) => e.quality.dense_into(start, end, bin_secs, out),
             None => {
                 let nbins = ((end - start) + bin_secs - 1) / bin_secs;
                 out.resize(nbins as usize, 0);
@@ -527,18 +389,16 @@ impl Store {
         }
         let mut removed = 0;
         for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            for series in shard.values_mut() {
-                removed += series.trim_before(cutoff);
-            }
-            shard.retain(|_, s| !s.is_empty());
-        }
-        for shard in &self.quality {
-            let mut shard = shard.write().unwrap();
-            for log in shard.values_mut() {
-                log.trim_before(cutoff);
-            }
-            shard.retain(|_, l| !l.windows().is_empty());
+            shard.write().unwrap().retain(|_, entry| {
+                removed += entry.series.trim_before(cutoff);
+                if entry.series.is_empty() {
+                    // A fresh series, so the key's next point registers a
+                    // new WAL key id as a first write does.
+                    entry.series = Series::default();
+                }
+                entry.quality.trim_before(cutoff);
+                !(entry.series.is_empty() && entry.quality.windows().is_empty())
+            });
         }
         removed
     }
@@ -565,19 +425,11 @@ impl Store {
     /// call back into this store (a second read lock can deadlock behind a
     /// waiting writer). The first error `visit` returns ends the walk.
     fn walk<E>(&self, mut visit: impl FnMut(SeriesView<'_>) -> Result<(), E>) -> Result<(), E> {
-        let points: Vec<_> = self.shards.iter().map(|s| s.read().unwrap()).collect();
-        let quality: Vec<_> = self.quality.iter().map(|s| s.read().unwrap()).collect();
-        let mut views = Vec::with_capacity(points.iter().map(|s| s.len()).sum());
-        // A key's points and windows live in the same-numbered shard.
-        for (points, quality) in points.iter().zip(&quality) {
-            for (key, series) in points.iter() {
-                let (ts, vs) = series.cols();
-                let windows = quality.get(key).map_or(&[][..], QualityLog::windows);
-                views.push(SeriesView { key, ts, vs, windows });
-            }
-            for (key, log) in quality.iter().filter(|(key, _)| !points.contains_key(*key)) {
-                views.push(SeriesView { key, ts: &[], vs: &[], windows: log.windows() });
-            }
+        let shards: Vec<_> = self.shards.iter().map(|s| s.read().unwrap()).collect();
+        let mut views = Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
+        for (key, entry) in shards.iter().flat_map(|s| s.iter()) {
+            let (ts, vs) = entry.series.cols();
+            views.push(SeriesView { key, ts, vs, windows: entry.quality.windows() });
         }
         views.sort_unstable_by(|a, b| a.key.cmp(b.key));
         views.into_iter().try_for_each(&mut visit)
@@ -603,10 +455,10 @@ impl Store {
         out
     }
 
-    /// Digest of the full store contents (points and quality windows; the
-    /// derived latest-cells are excluded), independent of write history and
-    /// shard count: two stores with identical series data hash identically
-    /// — the crash-recovery equivalence checks compare these. Defined over
+    /// Digest of the full store contents (points and quality windows),
+    /// independent of write history and shard count: two stores with
+    /// identical series data hash identically — the crash-recovery
+    /// equivalence checks compare these. Defined over
     /// sorted key order as FNV-1a of, per series, one
     /// `"S" key t_le v_bits_le` run per point then one
     /// `"A" key from_le to_le flags` run per quality window, where `key` is
@@ -663,15 +515,6 @@ impl Store {
             Ok(())
         })?;
         Ok(hasher.h)
-    }
-
-    /// Export one series as CSV (`t,v` rows with a header).
-    pub fn export_csv(&self, key: &SeriesKey, start: i64, end: i64) -> String {
-        let mut out = String::from("t,v\n");
-        for p in self.query(key, start, end) {
-            let _ = writeln!(out, "{},{}", p.t, p.v);
-        }
-        out
     }
 
     /// Export matching series as a Grafana-style JSON document:
@@ -833,15 +676,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_shape() {
-        let store = Store::new();
-        let k = key("vp1", "L1", "far");
-        store.write(&k, 5, 1.5);
-        let csv = store.export_csv(&k, 0, 10);
-        assert_eq!(csv, "t,v\n5,1.5\n");
-    }
-
-    #[test]
     fn json_export_parses() {
         let store = Store::new();
         store.write(&key("vp1", "L1", "far"), 0, 2.0);
@@ -856,32 +690,6 @@ mod tests {
         let k = key("vp9", "L9", "far");
         let bins = store.downsample_dense(&k, 0, 900, 300, Aggregate::Min);
         assert_eq!(bins, vec![None, None, None]);
-    }
-
-    #[test]
-    fn rollup_materializes_aggregates() {
-        let store = Store::new();
-        for vp in ["a", "b"] {
-            let k = SeriesKey::with_tags("tslp", &[("vp", vp), ("end", "far")]);
-            for t in 0..12 {
-                store.write(&k, t * 300, (t % 4) as f64);
-            }
-        }
-        let n = store.rollup("tslp", &TagSet::new(), 0, 3600, 900, Aggregate::Min, "tslp_15m");
-        assert_eq!(n, 8, "4 bins x 2 series");
-        let rolled = store.find_series("tslp_15m", &TagSet::new());
-        assert_eq!(rolled.len(), 2);
-        let pts = store.query(&rolled[0], 0, 3600);
-        assert_eq!(pts.len(), 4);
-        assert_eq!(pts[0].v, 0.0, "min of 0,1,2");
-        // Raw series untouched.
-        assert_eq!(store.find_series("tslp", &TagSet::new()).len(), 2);
-        // Typical pairing: retention trims old raw samples; the rollup keeps
-        // its own (coarser) points past the cutoff.
-        store.retain_from(1800);
-        let raw = store.query(&SeriesKey::with_tags("tslp", &[("vp", "a"), ("end", "far")]), 0, 3600);
-        assert_eq!(raw.len(), 6, "raw samples before the cutoff dropped");
-        assert_eq!(store.query(&rolled[0], 0, 3600).len(), 2, "post-cutoff rollup bins remain");
     }
 
     #[test]
@@ -906,74 +714,6 @@ mod tests {
         let other = key("vp2", "L2", "far");
         assert_eq!(store.quality_dense(&other, 0, 900, 300), vec![0, 0, 0]);
         assert!(store.quality_windows(&other).is_empty());
-    }
-
-    #[test]
-    fn latest_tracks_newest_sample() {
-        let store = Store::new();
-        let k = key("vp1", "L1", "far");
-        assert_eq!(store.latest(&k), None, "missing series");
-        assert!(store.latest_handle(&k).is_none());
-        store.write(&k, 300, 10.0);
-        assert_eq!(store.latest(&k), Some(Point::new(300, 10.0)));
-        store.write(&k, 600, 12.5);
-        assert_eq!(store.latest(&k), Some(Point::new(600, 12.5)));
-        // Out-of-order write does not regress the latest sample.
-        store.write(&k, 0, 99.0);
-        assert_eq!(store.latest(&k), Some(Point::new(600, 12.5)));
-        // Equal timestamp: last write wins (matches Series duplicate order).
-        store.write(&k, 600, 13.0);
-        assert_eq!(store.latest(&k), Some(Point::new(600, 13.0)));
-        // Batch writes publish the newest of the batch.
-        store.write_batch(&k, &[Point::new(900, 1.0), Point::new(1200, 2.0), Point::new(700, 9.0)]);
-        assert_eq!(store.latest(&k), Some(Point::new(1200, 2.0)));
-        // A cached handle observes subsequent writes.
-        let h = store.latest_handle(&k).unwrap();
-        store.write(&k, 1500, 3.0);
-        assert_eq!(h.read(), Some(Point::new(1500, 3.0)));
-        // Retention does not clear the published latest sample.
-        store.retain_from(10_000);
-        assert_eq!(store.latest(&k), Some(Point::new(1500, 3.0)));
-    }
-
-    #[test]
-    fn latest_reads_race_free_under_concurrent_ingest() {
-        use std::sync::Arc;
-        let store = Arc::new(Store::new());
-        let k = key("vp1", "L1", "far");
-        store.write(&k, 0, 0.0);
-        let writer = {
-            let store = Arc::clone(&store);
-            let k = k.clone();
-            std::thread::spawn(move || {
-                for t in 1..20_000i64 {
-                    // Value encodes the timestamp so readers can check that
-                    // they never observe a torn (t, v) pair.
-                    store.write(&k, t, t as f64 * 0.5);
-                }
-            })
-        };
-        let readers: Vec<_> = (0..4)
-            .map(|_| {
-                let store = Arc::clone(&store);
-                let k = k.clone();
-                std::thread::spawn(move || {
-                    let h = store.latest_handle(&k).unwrap();
-                    let mut last_t = -1;
-                    for _ in 0..50_000 {
-                        let p = h.read().expect("series already written");
-                        assert_eq!(p.v, p.t as f64 * 0.5, "torn read");
-                        assert!(p.t >= last_t, "latest went backwards");
-                        last_t = p.t;
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for r in readers {
-            r.join().unwrap();
-        }
-        assert_eq!(store.latest(&k).unwrap().t, 19_999);
     }
 
     #[test]

@@ -684,7 +684,7 @@ impl Wal {
         if let WalRecord::Sample { key, point } = &rec {
             // Framed like every other sample; the throwaway token costs one
             // registry slot, which no caller on a hot path pays.
-            return self.append_sample(key, &OnceLock::new(), *point);
+            return self.append_samples(key, &OnceLock::new(), &[*point]);
         }
         let mut stage = self.stage.lock().unwrap();
         stage.push(Msg::Rec(Box::new(rec)));
@@ -693,11 +693,6 @@ impl Wal {
             drop(stage);
             self.forward(batch);
         }
-    }
-
-    /// [`Self::append_samples`] for one point.
-    pub fn append_sample(&self, key: &SeriesKey, token: &OnceLock<u32>, point: Point) {
-        self.append_samples(key, token, &[point]);
     }
 
     /// Sample path: `token` caches this series' id in the WAL's key-token

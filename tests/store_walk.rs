@@ -173,7 +173,8 @@ proptest! {
     /// characters, duplicate and out-of-order timestamps, annotation-only
     /// series, a retention cut — at 1 and at 64 shards: the hash is the
     /// documented one, the snapshot is byte for byte the documented layout
-    /// and carries that hash, and replaying it rebuilds an equal store.
+    /// and carries that hash, replaying it rebuilds an equal store, and the
+    /// series counts and lookups see exactly the keys that hold points.
     #[test]
     fn walk_feeds_hash_and_snapshot_identically(
         names in prop::collection::vec(
@@ -204,6 +205,25 @@ proptest! {
         let want_hash = reference_hash(&narrow, &keys);
         prop_assert_eq!(narrow.content_hash(), want_hash, "hash is not the documented one");
         prop_assert_eq!(wide.content_hash(), want_hash, "shard count leaked into the hash");
+
+        // A series is a key with points: annotation-only and retention-
+        // emptied keys hold an entry but are not counted or found.
+        let mut series: Vec<(SeriesKey, usize)> = keys
+            .iter()
+            .map(|key| (key.clone(), narrow.query(key, i64::MIN, i64::MAX).len()))
+            .filter(|&(_, points)| points > 0)
+            .collect();
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        series.dedup_by(|a, b| a.0 == b.0);
+        for store in [&narrow, &wide] {
+            prop_assert_eq!(store.series_count(), series.len());
+            prop_assert_eq!(store.point_count(), series.iter().map(|s| s.1).sum::<usize>());
+            for key in &keys {
+                let want: Vec<SeriesKey> =
+                    series.iter().filter(|s| s.0.measurement == key.measurement).map(|s| s.0.clone()).collect();
+                prop_assert_eq!(store.find_series(&key.measurement, &TagSet::new()), want);
+            }
+        }
 
         let want_bytes = reference_snapshot(&narrow, &keys);
         for store in [&narrow, &wide] {
@@ -319,6 +339,24 @@ fn unencodable_contents_fail_the_snapshot() {
         drop(w);
         std::fs::remove_file(&path).unwrap();
     }
+}
+
+/// The control loop annotates a series every round with the window that
+/// follows the last one; once the series exists, that costs no allocation:
+/// the key is not cloned and the adjacent same-flag window coalesces.
+#[test]
+fn adjacent_annotations_on_an_existing_series_allocate_nothing() {
+    let store = Store::with_shards(16);
+    let key = SeriesKey::with_tags("tslp", &[("vp", "acme-nyc"), ("link", "10.0.0.1"), ("end", "far")]);
+    store.write(&key, 0, 1.0);
+    store.annotate(&key, 0, 300, quality::QUARANTINED);
+    let before = ALLOCS.with(Cell::get);
+    for round in 1..=1_000 {
+        store.annotate(&key, round * 300, (round + 1) * 300, quality::QUARANTINED);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "1,000 adjacent annotations made {allocs} allocations");
+    assert_eq!(store.quality_windows(&key), vec![(0, 1_001 * 300, quality::QUARANTINED)]);
 }
 
 /// Hashing costs allocations per *series* (the sorted view, one key text),
