@@ -6,7 +6,9 @@
 //! passes when the resumed run's final `store:` and `verdicts:` summary
 //! lines are byte-identical to an uninterrupted reference run — the store
 //! hash covers every point, so a single lost or duplicated sample fails the
-//! trial. Durability policies and checkpoint cadences are cycled across
+//! trial — and, after the resume, the data dir holds only numbered
+//! `checkpoint-<rounds>.json` generations and `manic recover` still reports
+//! `hash ok`. Durability policies and checkpoint cadences are cycled across
 //! trials; kills that land before the first checkpoint must fall back to a
 //! fresh start and still converge. Kill times are fractions of the
 //! uninterrupted durable run's wall time, so they land mid-run on any
@@ -14,6 +16,7 @@
 //!
 //! Exits non-zero on any trial violation.
 
+use manic_netsim::noise;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -23,17 +26,9 @@ const TRIAL_HOURS: i64 = 168;
 const POLICIES: [&str; 4] = ["always", "every-8", "every-64", "never"];
 const CADENCES: [u64; 3] = [6, 12, 48];
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Uniform-ish fraction in [0.05, 0.95] from a trial seed.
 fn kill_fraction(seed: u64) -> f64 {
-    0.05 + 0.90 * (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64
+    0.05 + 0.90 * (noise::mix(seed) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn manic_binary() -> PathBuf {
@@ -61,6 +56,46 @@ fn summary_lines(stdout: &str) -> Option<(String, String)> {
 fn grab_field(line: &str, key: &str) -> Option<String> {
     line.split_whitespace()
         .find_map(|tok| tok.strip_prefix(key).map(str::to_string))
+}
+
+/// `manic recover <dir>`'s report, which must be clean (exit 0) with the
+/// restored store matching the checkpoint's hash.
+fn recover_hash_ok(bin: &Path, dir: &str) -> Result<String, String> {
+    let out = Command::new(bin)
+        .args(["recover", dir])
+        .output()
+        .map_err(|e| format!("recover spawn: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    if !out.status.success() {
+        return Err(format!("recover exited {:?}: {text}", out.status.code()));
+    }
+    if !text.contains("hash ok") {
+        return Err(format!("recover did not report hash ok: {text}"));
+    }
+    Ok(text)
+}
+
+/// A data dir holds numbered generations only: at least one
+/// `checkpoint-<rounds>.json` and no other `checkpoint*.json` (in
+/// particular no `checkpoint.json`).
+fn generations_only(dir: &Path) -> Result<(), String> {
+    let metas: Vec<String> = std::fs::read_dir(dir)
+        .map_err(|e| format!("read data dir: {e}"))?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|n| n.starts_with("checkpoint") && n.ends_with(".json"))
+        .collect();
+    let numbered = |n: &str| {
+        n.strip_prefix("checkpoint-")
+            .and_then(|s| s.strip_suffix(".json"))
+            .is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()))
+    };
+    if metas.is_empty() {
+        return Err("data dir holds no checkpoint generation".into());
+    }
+    match metas.iter().find(|n| !numbered(n)) {
+        Some(stray) => Err(format!("data dir holds {stray}, not a numbered generation")),
+        None => Ok(()),
+    }
 }
 
 struct TrialOutcome {
@@ -124,18 +159,10 @@ fn run_trial(
     let mut tail_records = 0;
     let mut tail_torn = 0;
     if has_checkpoint {
-        let out = Command::new(bin).args(["recover", &dir_s]).output();
-        let out = match out {
-            Ok(o) => o,
-            Err(e) => return fail(format!("recover spawn: {e}")),
+        let text = match recover_hash_ok(bin, &dir_s) {
+            Ok(t) => t,
+            Err(e) => return fail(e),
         };
-        let text = String::from_utf8_lossy(&out.stdout).to_string();
-        if !out.status.success() {
-            return fail(format!("recover exited {:?}: {text}", out.status.code()));
-        }
-        if text.contains("HASH MISMATCH") {
-            return fail("recover reported HASH MISMATCH".into());
-        }
         if let Some(tline) = text.lines().find(|l| l.trim_start().starts_with("wal tail:")) {
             tail_records = grab_field(tline, "records=")
                 .and_then(|v| v.parse().ok())
@@ -180,6 +207,14 @@ fn run_trial(
         if grab_field(l, "hash_ok=").as_deref() == Some("false") {
             return fail("resume snapshot hash_ok=false".into());
         }
+    }
+    // The generation the resumed run finalized verifies against its own
+    // hash, and the dir holds numbered generations only.
+    if let Err(e) = generations_only(&dir) {
+        return fail(e);
+    }
+    if let Err(e) = recover_hash_ok(bin, &dir_s) {
+        return fail(format!("after resume: {e}"));
     }
 
     let kind = if completed_early {

@@ -31,6 +31,7 @@
 //! Exits non-zero on any violation.
 
 use manic_core::{recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig};
+use manic_netsim::noise;
 use manic_netsim::time::{date_to_sim, Date};
 use manic_probing::tslp::ROUND_SECS;
 use manic_scenario::worlds::toy;
@@ -59,17 +60,9 @@ fn env_trials(var: &str, default: usize, min: usize) -> usize {
         .max(min)
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Seeded kill point as a fraction of the window, in [0.15, 0.95].
 fn kill_fraction(seed: u64) -> f64 {
-    0.15 + 0.80 * (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64
+    0.15 + 0.80 * (noise::mix(seed) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn window() -> (i64, i64) {
@@ -141,9 +134,9 @@ fn flip_at_rest(dir: &Path, seed: u64) -> Option<String> {
     if files.is_empty() {
         return None;
     }
-    let pick = &files[(splitmix64(seed ^ 0xA7_BE57) as usize) % files.len()];
+    let pick = &files[(noise::mix(seed ^ 0xA7_BE57) as usize) % files.len()];
     let mut bytes = std::fs::read(pick).ok()?;
-    let bit = (splitmix64(seed ^ 0xF11B) as usize) % (bytes.len() * 8);
+    let bit = (noise::mix(seed ^ 0xF11B) as usize) % (bytes.len() * 8);
     bytes[bit / 8] ^= 1 << (bit % 8);
     std::fs::write(pick, &bytes).ok()?;
     Some(pick.file_name().unwrap_or_default().to_string_lossy().to_string())
@@ -205,7 +198,7 @@ fn run_fault_trial(root: &Path, trial: usize, reference: &Fingerprint) -> TrialO
         Err(_) => return fail(mix, stats, "PANIC during faulted run".into()),
     };
 
-    let flipped = if splitmix64(seed ^ 0x0DD5).is_multiple_of(3) { flip_at_rest(&dir, seed) } else { None };
+    let flipped = if noise::mix(seed ^ 0x0DD5).is_multiple_of(3) { flip_at_rest(&dir, seed) } else { None };
 
     // Recovery leg: clean VFS, long cadence (correctness, not cadence, is
     // under test). The report and the resume walk the same chain; both must

@@ -271,19 +271,25 @@ impl Args {
                 positional => args.positional.push(positional.to_string()),
             }
         }
-        // Window lengths must be positive: downstream day-aligned asserts
-        // (LongitudinalConfig) must never be reachable from user input.
-        if args.days <= 0 {
-            return Err(CliError::InvalidValue {
-                flag: "--days",
-                reason: format!("must be positive, got {}", args.days),
-            });
-        }
-        if args.hours <= 0 {
-            return Err(CliError::InvalidValue {
-                flag: "--hours",
-                reason: format!("must be positive, got {}", args.hours),
-            });
+        // Window lengths must be positive, so downstream day-aligned asserts
+        // (LongitudinalConfig) are never reachable from user input, and the
+        // window end `t0() + length` must be a representable sim time.
+        for (flag, len, unit) in [
+            ("--days", args.days, SECS_PER_DAY),
+            ("--hours", args.hours, 3600),
+        ] {
+            if len <= 0 {
+                return Err(CliError::InvalidValue {
+                    flag,
+                    reason: format!("must be positive, got {len}"),
+                });
+            }
+            if len.checked_mul(unit).and_then(|secs| t0().checked_add(secs)).is_none() {
+                return Err(CliError::InvalidValue {
+                    flag,
+                    reason: format!("{len} overflows the simulated clock"),
+                });
+            }
         }
         if args.snapshot_interval == 0 {
             return Err(CliError::InvalidValue {
@@ -1145,6 +1151,22 @@ mod tests {
             parse(&["watch", "--hours", "-3"]),
             Err(CliError::InvalidValue { flag: "--hours", .. })
         ));
+        // A window whose end overflows the sim clock is rejected too: the
+        // length in seconds overflows, or the start plus it does.
+        for (flag, len) in [
+            ("--hours", i64::MAX),
+            ("--hours", i64::MAX / 3600),
+            ("--days", i64::MAX),
+            ("--days", i64::MAX / super::SECS_PER_DAY),
+        ] {
+            match parse(&["run", flag, &len.to_string()]) {
+                Err(CliError::InvalidValue { flag: f, .. }) => assert_eq!(f, flag),
+                other => panic!("{flag} {len}: {:?}", other.err()),
+            }
+        }
+        // The largest representable window still parses.
+        let max_hours = (i64::MAX - super::t0()) / 3600;
+        assert!(parse(&["run", "--hours", &max_hours.to_string()]).is_ok());
     }
 
     #[test]

@@ -273,13 +273,6 @@ impl Topology {
         }
         self.host_prefixes[router.0 as usize].iter().any(|p| p.contains(dst))
     }
-
-    /// AS that owns `addr` according to interface assignment; `None` for
-    /// unassigned addresses (host-prefix space is resolved by the owner of
-    /// the covering prefix in the scenario layer).
-    pub fn addr_owner(&self, addr: Ipv4) -> Option<AsNumber> {
-        self.iface_by_addr(addr).map(|i| self.router(i.router).asn)
-    }
 }
 
 #[cfg(test)]

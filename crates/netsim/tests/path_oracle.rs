@@ -226,12 +226,13 @@ pub fn assert_matches_reference(net: &Network, probes: &[(ProbeSpec, SimTime)]) 
 
 // ---------------------------------------------------------------- worlds
 
-/// splitmix64, so a world is a pure function of its seed.
+/// A `noise::GAMMA`-stepped state fed through `noise::mix`, so a world is a
+/// pure function of its seed.
 pub struct Rng(pub u64);
 
 impl Rng {
     pub fn draw(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.0 = self.0.wrapping_add(noise::GAMMA);
         noise::mix(self.0)
     }
 

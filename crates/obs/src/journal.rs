@@ -6,12 +6,11 @@
 //! the only timeline on which "the task quarantined, then the level shift
 //! appeared" is meaningful is the simulated one. Events are key/value
 //! structured (no format strings to parse back), ring-buffered in memory,
-//! and optionally mirrored to a JSON-lines file sink and/or stderr.
+//! and optionally echoed to stderr.
 
 use crate::JsonWriter;
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
@@ -175,10 +174,10 @@ struct Inner {
     cap: usize,
     /// Events evicted from the ring since the last clear.
     dropped: u64,
-    file: Option<std::io::BufWriter<std::fs::File>>,
 }
 
-/// The event journal: fixed-capacity in-memory ring plus optional sinks.
+/// The event journal: fixed-capacity in-memory ring plus an optional stderr
+/// echo.
 pub struct Journal {
     /// Events below this level are discarded at the recording site.
     min_level: AtomicU8,
@@ -209,7 +208,6 @@ impl Journal {
                 ring: VecDeque::with_capacity(cap.min(1024)),
                 cap: cap.max(1),
                 dropped: 0,
-                file: None,
             }),
         }
     }
@@ -229,13 +227,6 @@ impl Journal {
             .store(level.map(|l| l as u8).unwrap_or(STDERR_OFF), Ordering::Relaxed);
     }
 
-    /// Mirror every recorded event to `path` as JSON lines (append mode).
-    pub fn set_file_sink(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        self.inner.lock().unwrap().file = Some(std::io::BufWriter::new(f));
-        Ok(())
-    }
-
     pub fn record(&self, ev: Event) {
         if !crate::enabled() || ev.level < self.min_level() {
             return;
@@ -248,9 +239,6 @@ impl Journal {
             eprintln!("{}", ev.render_stderr()); // ALLOW_PRINT: the journal IS the stderr sink
         }
         let mut inner = self.inner.lock().unwrap();
-        if let Some(f) = inner.file.as_mut() {
-            let _ = writeln!(f, "{}", ev.to_json());
-        }
         if inner.ring.len() >= inner.cap {
             inner.ring.pop_front();
             inner.dropped += 1;
@@ -282,12 +270,9 @@ impl Journal {
         self.inner.lock().unwrap().ring.iter().filter(|e| keep(e)).cloned().collect()
     }
 
-    /// Flush the file sink (if any) and empty the ring.
+    /// Empty the ring.
     pub fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
-        if let Some(f) = inner.file.as_mut() {
-            let _ = f.flush();
-        }
         inner.ring.clear();
         inner.dropped = 0;
     }

@@ -9,8 +9,8 @@
 //!   exported as Prometheus text or JSON. Names follow
 //!   `manic_<crate>_<name>`; per-VP/per-reason breakdowns are labels.
 //! * [`journal()`] — structured events (level, target, name, fields) in a
-//!   bounded ring buffer, with optional stderr and JSONL file sinks.
-//!   Emit via the [`event!`] macro.
+//!   bounded ring buffer, with an optional stderr echo. Emit via the
+//!   [`event!`] macro.
 //! * [`audit()`] — the inference audit trail: every congested/uncongested
 //!   verdict with its evidence chain, queryable per link.
 //!
@@ -69,14 +69,6 @@ pub fn journal() -> &'static Journal {
 /// The process-wide inference audit trail.
 pub fn audit() -> &'static AuditTrail {
     AUDIT.get_or_init(AuditTrail::default)
-}
-
-/// Clear all three stores (counters to zero, ring buffers emptied). Tests
-/// that assert on global state call this first; production never does.
-pub fn reset_all() {
-    registry().reset();
-    journal().clear();
-    audit().clear();
 }
 
 #[cfg(test)]

@@ -43,18 +43,9 @@ pub enum RelKind {
 #[derive(Debug, Clone, Default)]
 pub struct AsGraph {
     nodes: BTreeMap<AsNumber, AsInfo>,
-    /// Normalized edges: key is (low, high) by ASN; value records the
-    /// relationship *as seen from the low-numbered AS*.
-    edges: BTreeMap<(AsNumber, AsNumber), EdgeRel>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeRel {
-    /// Low-numbered AS is customer of high-numbered.
-    LowCustomerOfHigh,
-    /// High-numbered AS is customer of low-numbered.
-    HighCustomerOfLow,
-    Peer,
+    /// Every edge once from each end: `(a, b)` maps to how `b` relates to
+    /// `a`, so `a`'s neighbors are one contiguous range, sorted by ASN.
+    edges: BTreeMap<(AsNumber, AsNumber), Neighborhood>,
 }
 
 impl AsGraph {
@@ -84,29 +75,18 @@ impl AsGraph {
         assert!(self.nodes.contains_key(&a), "unknown AS {a}");
         assert!(self.nodes.contains_key(&b), "unknown AS {b}");
         assert_ne!(a, b, "self edges not allowed");
-        let (key, norm) = if a < b {
-            (
-                (a, b),
-                match rel {
-                    RelKind::CustomerToProvider => EdgeRel::LowCustomerOfHigh,
-                    RelKind::PeerToPeer => EdgeRel::Peer,
-                },
-            )
-        } else {
-            (
-                (b, a),
-                match rel {
-                    RelKind::CustomerToProvider => EdgeRel::HighCustomerOfLow,
-                    RelKind::PeerToPeer => EdgeRel::Peer,
-                },
-            )
-        };
         assert!(
-            self.edges.insert(key, norm).is_none(),
+            !self.edges.contains_key(&(a, b)),
             "duplicate relationship between {} and {}",
-            key.0,
-            key.1
+            a.min(b),
+            a.max(b)
         );
+        let (b_to_a, a_to_b) = match rel {
+            RelKind::CustomerToProvider => (Neighborhood::Provider, Neighborhood::Customer),
+            RelKind::PeerToPeer => (Neighborhood::Peer, Neighborhood::Peer),
+        };
+        self.edges.insert((a, b), b_to_a);
+        self.edges.insert((b, a), a_to_b);
     }
 
     pub fn contains(&self, asn: AsNumber) -> bool {
@@ -133,52 +113,25 @@ impl AsGraph {
     /// from b, `Some(PeerToPeer)` for peers, `None` when not adjacent.
     /// (If b is a's customer, the answer from `rel(b, a)` is c2p.)
     pub fn rel(&self, a: AsNumber, b: AsNumber) -> Option<RelKind> {
-        let key = if a < b { (a, b) } else { (b, a) };
-        let e = self.edges.get(&key)?;
-        Some(match (e, a < b) {
-            (EdgeRel::Peer, _) => RelKind::PeerToPeer,
-            (EdgeRel::LowCustomerOfHigh, true) | (EdgeRel::HighCustomerOfLow, false) => {
-                RelKind::CustomerToProvider
-            }
-            _ => return None,
-        })
+        match self.edges.get(&(a, b))? {
+            Neighborhood::Provider => Some(RelKind::CustomerToProvider),
+            Neighborhood::Peer => Some(RelKind::PeerToPeer),
+            Neighborhood::Customer => None,
+        }
     }
 
     /// True when `a` and `b` are adjacent at the AS level.
     pub fn adjacent(&self, a: AsNumber, b: AsNumber) -> bool {
-        let key = if a < b { (a, b) } else { (b, a) };
-        self.edges.contains_key(&key)
+        self.edges.contains_key(&(a, b))
     }
 
-    /// All neighbors of `a`, with the relationship from `a`'s perspective:
-    /// the kind is how *a* relates (Customer = a is customer of neighbor).
+    /// All neighbors of `a`, sorted by ASN, each with how it relates to `a`
+    /// (Provider = the neighbor sells `a` transit).
     pub fn neighbors(&self, a: AsNumber) -> Vec<(AsNumber, Neighborhood)> {
-        let mut out = Vec::new();
-        for (&(lo, hi), &e) in &self.edges {
-            let (other, hood) = if lo == a {
-                (
-                    hi,
-                    match e {
-                        EdgeRel::Peer => Neighborhood::Peer,
-                        EdgeRel::LowCustomerOfHigh => Neighborhood::Provider,
-                        EdgeRel::HighCustomerOfLow => Neighborhood::Customer,
-                    },
-                )
-            } else if hi == a {
-                (
-                    lo,
-                    match e {
-                        EdgeRel::Peer => Neighborhood::Peer,
-                        EdgeRel::LowCustomerOfHigh => Neighborhood::Customer,
-                        EdgeRel::HighCustomerOfLow => Neighborhood::Provider,
-                    },
-                )
-            } else {
-                continue;
-            };
-            out.push((other, hood));
-        }
-        out
+        self.edges
+            .range((a, AsNumber(0))..=(a, AsNumber(u32::MAX)))
+            .map(|(&(_, b), &hood)| (b, hood))
+            .collect()
     }
 
     /// Providers of `a`.
@@ -221,18 +174,15 @@ impl AsGraph {
 
     /// All AS-level adjacencies, normalized (low ASN first).
     pub fn adjacencies(&self) -> impl Iterator<Item = (AsNumber, AsNumber, RelKind)> + '_ {
-        self.edges.iter().map(|(&(lo, hi), &e)| {
-            let rel = match e {
-                EdgeRel::Peer => RelKind::PeerToPeer,
-                // Normalized view: relationship of lo to hi.
-                EdgeRel::LowCustomerOfHigh => RelKind::CustomerToProvider,
-                EdgeRel::HighCustomerOfLow => RelKind::CustomerToProvider,
-            };
-            match e {
-                EdgeRel::HighCustomerOfLow => (hi, lo, rel),
-                _ => (lo, hi, rel),
-            }
-        })
+        self.edges
+            .iter()
+            .filter(|((lo, hi), _)| lo < hi)
+            .map(|(&(lo, hi), &hood)| match hood {
+                Neighborhood::Peer => (lo, hi, RelKind::PeerToPeer),
+                // c2p tuples list (customer, provider).
+                Neighborhood::Provider => (lo, hi, RelKind::CustomerToProvider),
+                Neighborhood::Customer => (hi, lo, RelKind::CustomerToProvider),
+            })
     }
 }
 

@@ -15,7 +15,6 @@ use crate::asgraph::{AsGraph, AsInfo, AsKind};
 use crate::compile::{compile, CompileConfig, World};
 use crate::intern::{self, metros::*, MetroId};
 use crate::schedule::{month_schedule, CongestionEpisode};
-use manic_netsim::topo::Direction;
 use manic_netsim::traffic::DiurnalDemand;
 use manic_netsim::AsNumber;
 use std::collections::HashMap;
@@ -140,19 +139,6 @@ fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
         monthly: manic_netsim::traffic::MonthScale::flat(),
         noise_amp: 0.02,
         noise_seed: seed,
-    }
-}
-
-/// Direction across a ground-truth link that congests (toward the access ISP).
-pub fn congested_direction(world: &World, gt: &crate::compile::GtLink) -> Option<Direction> {
-    let a_kind = world.graph.info(gt.a_asn).kind;
-    let b_kind = world.graph.info(gt.b_asn).kind;
-    if a_kind == AsKind::AccessIsp {
-        Some(gt.dir_toward(gt.a_asn))
-    } else if b_kind == AsKind::AccessIsp {
-        Some(gt.dir_toward(gt.b_asn))
-    } else {
-        None
     }
 }
 
@@ -606,12 +592,6 @@ pub fn us_broadband(seed: u64) -> World {
 pub fn us_access_isps() -> Vec<AsNumber> {
     use us_asns::*;
     vec![CENTURYLINK, ATT, COX, COMCAST, CHARTER, TWC, VERIZON, RCN]
-}
-
-/// The nine frequently congested T&CPs, in Table 4 row order.
-pub fn table4_tcps() -> Vec<AsNumber> {
-    use us_asns::*;
-    vec![GOOGLE, TATA, NTT, XO, NETFLIX, LEVEL3, VODAFONE, TELIA, ZAYO]
 }
 
 #[cfg(test)]

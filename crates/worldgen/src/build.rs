@@ -8,9 +8,10 @@
 //!              -> World (+ default steady congestion)
 //! ```
 //!
-//! Only the *focus universe* gets router-level compilation; the far stub
-//! tail lives in the compact graph alone, where the stats, fingerprints,
-//! and structure tests can still see it. Classic worlds ("toy", "us")
+//! Only the *focus universe* gets router-level compilation and routes (the
+//! compiled world's `Routing`, which its FIBs follow); the far stub tail
+//! lives in the compact graph alone, where the stats and fingerprints
+//! still count it. Classic worlds ("toy", "us")
 //! resolve through the same front door, so every consumer — CLI, serve,
 //! checkpoints, benches — accepts generated names wherever it accepted the
 //! hand-built ones.

@@ -14,8 +14,8 @@
 //! The *focus universe* is the subset of ASes that gets router-level
 //! compilation (PoPs, border routers, /30s, FIBs): every non-stub AS plus a
 //! deterministic sample of stubs. The far edge exists only in the compact
-//! graph — visible to stats, fingerprints, and the lazy router, but costing
-//! four bytes of ASN instead of a router mesh. The compiled universe is kept
+//! graph — visible to stats and fingerprints, but costing four bytes of ASN
+//! instead of a router mesh. The compiled universe is kept
 //! under the addressing plan's 200-AS ceiling by construction.
 
 use crate::graph::{CompactGraph, GraphBuilder, NodeId, Tier};
@@ -24,7 +24,7 @@ use manic_netsim::AsNumber;
 use manic_scenario::intern::{metro_count, MetroId};
 
 /// ASN bands of the generator's plan. Node-id order follows band order, so
-/// id order is ASN order — the lazy router's tie-breaks rely on this.
+/// id order is ASN order.
 pub const TIER1_ASN_BASE: u32 = 101;
 pub const TIER2_ASN_BASE: u32 = 1_001;
 pub const CONTENT_ASN_BASE: u32 = 2_001;
@@ -350,6 +350,44 @@ mod tests {
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), t.vp_placements.len());
+    }
+
+    /// The provider DAG is rooted in the tier-1 clique: the tier-1s form a
+    /// full p2p mesh, and every other AS buys from at least one AS with a
+    /// smaller node id. A customer→provider walk therefore descends node
+    /// ids and ends in the clique, from where every tier-1 is one peering
+    /// away — so every AS, down to the last stub, is connected to the core.
+    #[test]
+    fn provider_dag_is_rooted_in_the_tier1_clique() {
+        for (total, vps) in [(300, 4), (899, 11), (2_000, 40), (5_000, 32)] {
+            let spec = WorldSpec::planetary("oracle", total, vps);
+            for seed in [1, 7, 0xD1A5_0C44] {
+                let g = generate(&spec, seed).graph;
+                let tier1: Vec<NodeId> =
+                    g.nodes().filter(|&n| g.tier(n) == Tier::Tier1).collect();
+                assert_eq!(tier1.len(), spec.tier1);
+                for &a in &tier1 {
+                    let clique_peers = g
+                        .neighbors(a)
+                        .iter()
+                        .filter(|&&(m, r)| r == Rel::Peer && g.tier(m) == Tier::Tier1)
+                        .count();
+                    assert_eq!(
+                        clique_peers,
+                        tier1.len() - 1,
+                        "{total}/{seed}: tier-1 AS {} is not meshed with the clique",
+                        g.asn(a)
+                    );
+                }
+                for n in g.nodes().filter(|&n| g.tier(n) != Tier::Tier1) {
+                    assert!(
+                        g.neighbors(n).iter().any(|&(m, r)| r == Rel::Provider && m < n),
+                        "{total}/{seed}: AS {} has no provider below it",
+                        g.asn(n)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Compact AS-level topology.
 //!
 //! `manic_scenario::AsGraph` keeps a `BTreeMap` of owned `AsInfo` records and
-//! a `BTreeMap` of edges — fine for a few hundred ASes, ruinous for tens of
-//! thousands (every neighbor query walks the whole edge map). The compact
+//! a `BTreeMap` holding every edge twice — fine for a few hundred ASes,
+//! heavy for tens of thousands (owned strings per AS, a tree node per
+//! half-edge, every neighbor query allocates). The compact
 //! graph is the planetary representation: nodes are dense `u32` ids, names
 //! and orgs are interned symbols ([`crate::intern`]), PoP lists are
 //! arena-packed `MetroId` bytes, and adjacency is a CSR (compressed sparse
@@ -136,14 +137,6 @@ impl CompactGraph {
         0..self.len() as NodeId
     }
 
-    /// Relationship of `a` toward `b`, if adjacent.
-    pub fn rel(&self, a: NodeId, b: NodeId) -> Option<Rel> {
-        self.neighbors(a)
-            .binary_search_by_key(&b, |(n, _)| *n)
-            .ok()
-            .map(|i| self.neighbors(a)[i].1)
-    }
-
     /// Per-tier node counts, in [`Tier`] declaration order.
     pub fn tier_histogram(&self) -> [(Tier, usize); 5] {
         let mut h = [
@@ -235,10 +228,6 @@ impl GraphBuilder {
         self.index.contains_key(&asn)
     }
 
-    pub fn node_count(&self) -> usize {
-        self.asns.len()
-    }
-
     pub fn pops_of(&self, n: NodeId) -> &[MetroId] {
         &self.pops[n as usize]
     }
@@ -270,8 +259,8 @@ impl GraphBuilder {
             adj_dat[cursor[b as usize] as usize] = (a, rel.flip());
             cursor[b as usize] += 1;
         }
-        // Sort each row by neighbor id so `rel()` can binary-search and the
-        // layout is canonical (fingerprint-stable).
+        // Sort each row by neighbor id so the layout is canonical
+        // (fingerprint-stable).
         for i in 0..n {
             let (a, b) = (adj_off[i] as usize, adj_off[i + 1] as usize);
             adj_dat[a..b].sort_unstable_by_key(|(m, _)| *m);
@@ -326,12 +315,11 @@ mod tests {
         let t = g.node_of(AsNumber(100)).unwrap();
         let a = g.node_of(AsNumber(3000)).unwrap();
         let c = g.node_of(AsNumber(2000)).unwrap();
-        assert_eq!(g.rel(a, t), Some(Rel::Provider));
-        assert_eq!(g.rel(t, a), Some(Rel::Customer));
-        assert_eq!(g.rel(a, c), Some(Rel::Peer));
-        assert_eq!(g.rel(c, a), Some(Rel::Peer));
-        assert_eq!(g.rel(t, c), Some(Rel::Customer));
-        assert_eq!(g.neighbors(t).len(), 2);
+        // Each row holds `n`'s relationship toward each neighbor, mirrored
+        // at the other end and sorted by neighbor id.
+        assert_eq!(g.neighbors(t), &[(a, Rel::Customer), (c, Rel::Customer)]);
+        assert_eq!(g.neighbors(a), &[(t, Rel::Provider), (c, Rel::Peer)]);
+        assert_eq!(g.neighbors(c), &[(t, Rel::Provider), (a, Rel::Peer)]);
         assert_eq!(g.pops(c), &[NYC, SJC]);
         assert_eq!(g.name(a), "isp");
         assert_eq!(g.tier(c), Tier::Content);

@@ -11,12 +11,13 @@
 //! * [`gen`] — the generator: tier-1 clique, transit band, CDNs, access
 //!   ISPs, and a preferential-attachment stub tail, sized by [`gen::WorldSpec`];
 //! * [`graph`] — the compact topology it produces: interned strings, `u32`
-//!   node ids, CSR adjacency — a 50k-AS planet in a few megabytes;
-//! * [`route`] — lazy per-destination Gao-Rexford routing, so structure
-//!   checks never materialize an all-pairs table;
+//!   node ids, CSR adjacency — a 50k-AS planet in a few megabytes, read by
+//!   the stats and the fingerprints;
 //! * [`build`] — the library resolver and *focus compiler*: the ~190-AS
 //!   focus universe is compiled to router level through the classic
-//!   scenario compiler, the far tail stays compact;
+//!   scenario compiler, whose `manic_scenario::bgp::Routing` is the one
+//!   Gao-Rexford router every packet follows; the far tail stays compact
+//!   and unrouted;
 //! * [`scenarios`] — the scenario library (steady mix, flash crowds,
 //!   maintenance, catchment shifts), each planting machine-checkable
 //!   ground truth;
@@ -29,7 +30,6 @@ pub mod gen;
 pub mod graph;
 pub mod intern;
 pub mod rng;
-pub mod route;
 pub mod scenarios;
 
 pub use build::{
@@ -39,5 +39,4 @@ pub use build::{
 pub use fingerprint::{topology_fingerprint, world_fingerprint};
 pub use gen::{generate, Topology, WorldSpec};
 pub use graph::{CompactGraph, GraphBuilder, NodeId, Rel, Tier};
-pub use route::{valley_free, LazyRoutes};
 pub use scenarios::{library as scenario_library, Planted, Scenario, ScenarioKind};

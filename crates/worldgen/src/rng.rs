@@ -7,6 +7,8 @@
 //! plus a site salt, so inserting a new call site never perturbs the streams
 //! of existing ones.
 
+use manic_netsim::noise::{mix, GAMMA};
+
 /// A splitmix64 stream.
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -17,17 +19,13 @@ impl Rng {
     /// A stream derived from `(seed, salt)`. Distinct salts give
     /// statistically independent streams.
     pub fn new(seed: u64, salt: u64) -> Rng {
-        Rng {
-            state: seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        }
+        Rng { state: seed ^ salt.wrapping_mul(GAMMA) }
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let s = self.state;
+        self.state = s.wrapping_add(GAMMA);
+        mix(s)
     }
 
     /// Uniform integer in `[0, n)`. `n` must be non-zero.

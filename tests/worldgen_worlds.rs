@@ -5,23 +5,23 @@
 //! 1. **Determinism is total.** The same `(name, seed)` pair yields the same
 //!    fingerprint on every build, and the measurement engine lands a
 //!    byte-identical store regardless of `--threads`.
-//! 2. **Generated topologies are routable and valley-free.** Gao-Rexford
-//!    lazy routing finds a path between sampled node pairs, and every such
-//!    path respects the customer/peer/provider export rules.
-//! 3. **Planted ground truth is reachable.** Every VP's host AS routes to
-//!    both sides of every interconnect the scenario library plants, so a
-//!    scenario can never plant congestion the measurement layer is
-//!    structurally unable to see.
+//! 2. **Generated topologies are routable and valley-free.** The Gao-Rexford
+//!    router the compiler installs (`manic_scenario::bgp::Routing`) finds a
+//!    path from every VP AS to every focus AS, and every such path respects
+//!    the customer/peer/provider export rules.
+//! 3. **Planted ground truth is reachable.** In the compiled world's own
+//!    routes, every VP's host AS reaches both sides of every interconnect
+//!    the scenario library plants, so a scenario can never plant congestion
+//!    the measurement layer is structurally unable to see.
 
 use manic_core::{System, SystemConfig};
 use manic_netsim::time::month_start;
-use manic_netsim::AsNumber;
+use manic_scenario::bgp::{is_valley_free, Routing};
+use manic_worldgen::build::focus_graph;
 use manic_worldgen::{
-    build_world_full, compile_world, generate, scenario_library, valley_free, LazyRoutes,
-    NodeId, Topology, WorldSpec, STUDY_MONTHS,
+    build_world_full, compile_world, generate, scenario_library, WorldSpec, STUDY_MONTHS,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const SEED: u64 = 0xD1A5_0C44;
 
@@ -52,11 +52,6 @@ fn different_seeds_diverge() {
     assert_ne!(a.fingerprint, b.fingerprint);
 }
 
-/// Node ids of a topology keyed by ASN.
-fn node_index(topo: &Topology) -> HashMap<AsNumber, NodeId> {
-    (0..topo.graph.len() as NodeId).map(|n| (topo.graph.asn(n), n)).collect()
-}
-
 #[test]
 fn every_vp_routes_to_every_planted_interconnect() {
     for key in ["steady", "flash", "maint", "shift"] {
@@ -68,25 +63,19 @@ fn every_vp_routes_to_every_planted_interconnect() {
         let planted = scenario.install(&mut built.world, SEED, STUDY_MONTHS);
         assert!(!planted.gt.is_empty(), "{key}: scenario must plant ground truth");
 
-        let topo = built.topo.as_ref().expect("generated world keeps its topology");
-        let nodes = node_index(topo);
-        let mut routes = LazyRoutes::new(&topo.graph);
-        for &(vp_node, _) in &topo.vp_placements {
+        // The routes the compiled FIBs follow, not a re-derivation: a
+        // planted AS outside the compiled focus has no route at all.
+        let world = &built.world;
+        for vp in &world.vps {
             for &(a, b) in &planted.gt {
                 for asn in [a, b] {
-                    let dst = *nodes.get(&asn).unwrap_or_else(|| {
-                        panic!("{key}: planted ASN {asn} missing from compact graph")
-                    });
-                    let path = routes.path(vp_node, dst).unwrap_or_else(|| {
-                        panic!(
-                            "{key}: VP AS {} has no route to planted AS {asn}",
-                            topo.graph.asn(vp_node)
-                        )
+                    let path = world.routing.as_path(vp.asn, asn).unwrap_or_else(|| {
+                        panic!("{key}: VP {} has no route to planted AS {asn}", vp.name)
                     });
                     assert!(
-                        valley_free(&topo.graph, &path),
-                        "{key}: route from VP AS {} to {asn} has a valley",
-                        topo.graph.asn(vp_node)
+                        is_valley_free(&world.graph, &path),
+                        "{key}: route from VP AS {} to {asn} has a valley: {path:?}",
+                        vp.asn
                     );
                 }
             }
@@ -97,8 +86,8 @@ fn every_vp_routes_to_every_planted_interconnect() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Sampled routes on generated planets of arbitrary seed and size are
-    /// valley-free, and the tier-1 core reaches the whole stub tail.
+    /// On generated planets of arbitrary seed and size, the compiler's
+    /// router reaches every focus AS from every VP AS, valley-free.
     #[test]
     fn generated_routes_are_valley_free(
         seed in any::<u64>(),
@@ -107,24 +96,16 @@ proptest! {
     ) {
         let spec = WorldSpec::planetary("prop", total, vps);
         let topo = generate(&spec, seed);
-        let g = &topo.graph;
-        let mut routes = LazyRoutes::new(g);
-
-        // Sample destinations spread across the id space (hits every tier
-        // band: clique, transit, content, access, stubs).
-        let n = g.len() as NodeId;
-        let dsts: Vec<NodeId> = (0..8).map(|i| i * (n - 1) / 7).collect();
-        for &(vp_node, _) in topo.vp_placements.iter().take(4) {
-            for &dst in &dsts {
-                let path = routes
-                    .path(vp_node, dst)
+        let graph = focus_graph(&topo);
+        let routing = Routing::compute(&graph);
+        for &(vp_node, _) in &topo.vp_placements {
+            let src = topo.graph.asn(vp_node);
+            for dst in graph.ases() {
+                let path = routing
+                    .as_path(src, dst.asn)
                     .expect("generated planets are fully routable from VPs");
-                prop_assert!(valley_free(g, &path), "valley in VP path");
+                prop_assert!(is_valley_free(&graph, &path), "valley in {path:?}");
             }
         }
-        // The first tier-1 must reach the last stub (whole-graph
-        // connectivity through the provider tree).
-        let path = routes.path(0, n - 1).expect("tier-1 reaches the stub tail");
-        prop_assert!(valley_free(g, &path));
     }
 }
