@@ -282,3 +282,134 @@ fn kill_parallel_resume_serial_matches() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every VP's control-loop state — per-task health, worker supervisor and
+/// empty-cycle backoff — rendered so two systems compare field by field.
+fn control_state(sys: &System) -> Vec<String> {
+    sys.vps
+        .iter()
+        .map(|vp| {
+            let mut health: Vec<String> =
+                vp.health.iter().map(|(k, h)| format!("{k:?} {h:?}")).collect();
+            health.sort();
+            format!(
+                "{}: health {health:?} supervisor {:?} cycle {:?}",
+                vp.handle.name, vp.supervisor, vp.cycle_backoff
+            )
+        })
+        .collect()
+}
+
+/// The faults of the resume-under-faults case. A resumed world is rebuilt
+/// from its `(name, seed)` identity, so they are installed again after the
+/// resume; every fault is a pure function of `(scope, t)`.
+///
+/// - a chaos schedule (seed 26 silences a far end that `acme-chi` probes,
+///   quarantining its task);
+/// - `acme-nyc`'s own router down for the first four hours, so its startup
+///   bdrmap cycle comes back empty and retries on the cycle backoff;
+/// - `acme-chi`'s worker panicking over `[3h, 4h)`: struck at 3h and 3h30,
+///   sitting out until 4h30.
+///
+/// A reactive refresh after six dark rounds keeps the dark counter live:
+/// a task quarantined twice (five dark rounds) refreshes the probing set on
+/// its next failed re-probe, after the kill.
+fn install_resume_faults(sys: &mut System, from: i64, to: i64) {
+    sys.cfg.reactive_mismatch_rounds = 6;
+    let vp_routers: Vec<_> = sys.world.vps.iter().map(|v| v.router).collect();
+    let chaos = FaultSchedule::chaos(26, 0.6, &sys.world.net.topo, &vp_routers, from, to);
+    for &e in chaos.events() {
+        sys.world.net.fault.push(e);
+    }
+    sys.world.net.fault.push(FaultEvent::window(
+        FaultKind::RouterReboot { rebuild_secs: 60 },
+        FaultScope::Router(vp_routers[0]),
+        from,
+        from + 4 * 3600,
+    ));
+    sys.world.net.fault.push(FaultEvent::window(
+        FaultKind::VpPanic,
+        FaultScope::Router(vp_routers[1]),
+        from + 3 * 3600,
+        from + 4 * 3600,
+    ));
+}
+
+/// Kill a parallel durable run under faults between checkpoints, resume it
+/// serially, and require the finished window to match an uninterrupted
+/// serial run: store, verdicts, and every VP's health, supervisor and
+/// cycle-backoff state. The checkpoint the resume restores holds a
+/// quarantined task with a live dark count, a struck VP and a pending cycle
+/// backoff, so every one of those machines crosses the kill mid-flight.
+#[test]
+fn kill_under_faults_resume_serial_matches() {
+    let from = date_to_sim(Date::new(2017, 3, 1));
+    let to = from + 8 * 3600;
+    let mid = from + 4 * 3600 + 20 * 60; // between 12-round checkpoints
+    let dcfg = DurabilityConfig {
+        fsync: FsyncPolicy::EveryN(64),
+        checkpoint_every_rounds: 12,
+        ..DurabilityConfig::default()
+    };
+
+    let mut ref_sys = sys_with_threads(1);
+    install_resume_faults(&mut ref_sys, from, to);
+    ref_sys.run_packet_mode(from, to);
+    let ref_fp = fingerprint(&mut ref_sys, from, to);
+    let ref_state = control_state(&ref_sys);
+    drop(ref_sys);
+
+    let dir = tmpdir("faults");
+    let mut sys = sys_with_threads(test_threads());
+    install_resume_faults(&mut sys, from, to);
+    let mut durable = Durable::create(&sys, "toy", SEED, &dir, from, to, dcfg.clone())
+        .expect("create durable");
+    durable.run_window(&mut sys, mid, &|| false).expect("run to kill point");
+    drop(durable);
+    drop(sys);
+
+    // The generation the resume restores carries every machine mid-flight.
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("checkpoint-") && n.ends_with(".json"))
+        .max()
+        .expect("a checkpoint generation");
+    let meta: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(dir.join(&newest)).unwrap()).unwrap();
+    let t = meta["t"].as_i64().unwrap();
+    assert_eq!(t, from + 4 * 3600, "{newest}: the 4h generation");
+    let vps = meta["vps"].as_array().unwrap();
+    let int = |v: &serde_json::Value, i: usize| v.as_array().unwrap()[i].as_i64().unwrap();
+    assert!(
+        vps.iter().flat_map(|v| v["health"].as_array().unwrap()).any(|h| {
+            matches!(h.as_array().unwrap()[2].as_str(), Some("quarantined" | "retired"))
+        }),
+        "{newest}: no quarantined or retired task"
+    );
+    assert!(
+        vps.iter().flat_map(|v| v["stale"].as_array().unwrap()).any(|s| int(s, 2) >= 5),
+        "{newest}: no task five rounds dark"
+    );
+    assert!(
+        vps.iter().any(|v| int(&v["supervisor"], 0) > 0 && int(&v["supervisor"], 1) > t),
+        "{newest}: no VP struck and sitting out"
+    );
+    assert!(
+        vps.iter().any(|v| int(&v["backoff"], 0) > 0 && int(&v["backoff"], 1) > t),
+        "{newest}: no pending cycle backoff"
+    );
+
+    let (mut sys2, mut durable2, info) = resume(&dir, Some(dcfg)).expect("resume");
+    assert!(info.store_hash_ok, "restored snapshot hash verified");
+    sys2.cfg.threads = 1;
+    install_resume_faults(&mut sys2, from, to);
+    durable2.run_window(&mut sys2, to, &|| false).expect("run to window end");
+    durable2.finalize(&sys2, to).expect("final checkpoint");
+
+    let res_fp = fingerprint(&mut sys2, from, to);
+    assert_identical(&ref_fp, &res_fp, "kill@parallel under faults/resume@serial");
+    assert_eq!(ref_state, control_state(&sys2), "control-loop state diverged across the kill");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
