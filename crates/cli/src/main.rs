@@ -841,16 +841,13 @@ fn cmd_links(args: Args) -> Result<(), CliError> {
     let vp = &sys.vps[vi];
     println!("{}: {} interdomain links under probing", vp.handle.name, n);
     println!("{:<16} {:<16} {:<12} {:<9} {:>5} {:>6}", "near", "far", "neighbor", "rel", "ixp", "dests");
-    let bdr = vp
-        .bdrmap
-        .as_ref()
-        .ok_or_else(|| CliError::EmptyCycle(vp.handle.name.clone()))?;
+    if vp.bdrmap.is_none() {
+        return Err(CliError::EmptyCycle(vp.handle.name.clone()));
+    }
     for task in &vp.tslp.tasks {
-        let meta = bdr
-            .links
-            .iter()
-            .find(|l| l.near_ip == task.near_ip && l.far_ip == task.far_ip);
-        let (neigh, rel, ixp) = meta
+        let (neigh, rel, ixp) = vp
+            .bdrmap_links
+            .get(&(task.near_ip, task.far_ip))
             .map(|l| {
                 (
                     sys.world.graph.info(l.far_as).name.clone(),

@@ -5,8 +5,11 @@
 //! state (`vps`, `audit`), then a CRC-32 of every byte before the `crc`
 //! field. [`encode`] writes it; [`Meta::parse`] verifies and reads it back.
 
-use crate::health::{CycleBackoff, HealthState, TaskHealth, VpSupervisor};
-use crate::system::{System, VpRuntime};
+use crate::health::{
+    Backoff, HealthState, TaskHealth, VpSupervisor, CYCLE_BACKOFF, MAX_QUARANTINES, MAX_STRIKES,
+    STRIKE_BACKOFF, TASK_BACKOFF,
+};
+use crate::system::{LinkMeta, System, VpRuntime};
 use manic_bdrmap::infer::LinkRel;
 use manic_bdrmap::{BdrmapResult, InferredLink};
 use manic_netsim::time::SimTime;
@@ -27,6 +30,20 @@ use super::{bad, DurabilityConfig, Durable};
 pub const CHECKPOINT_VERSION: i64 = 2;
 
 // ---------------------------------------------------------------- JSON out
+
+// Members derived from a backoff's count and the health.rs constants: the
+// `secs` of a task's `health` record and of a VP's `supervisor` (the delay
+// of the last quarantine or strike, kept through retirement) and the
+// `backoff` schedule. Version 2 stores them, so they are still written, and
+// checked on read.
+
+fn task_secs(h: &TaskHealth) -> i64 {
+    Backoff::delay(h.backoff.count.min(MAX_QUARANTINES), TASK_BACKOFF)
+}
+
+fn strike_secs(s: &VpSupervisor) -> i64 {
+    Backoff::delay(s.backoff.count.min(MAX_STRIKES), STRIKE_BACKOFF)
+}
 
 /// `[ip, near_ttl, far_ttl]` per destination.
 fn write_dests(w: &mut JsonWriter, dests: impl IntoIterator<Item = (Ipv4, u8, u8)>) {
@@ -52,26 +69,24 @@ fn write_vp(w: &mut JsonWriter, vp: &VpRuntime) {
         w.end_array();
     }
     // Sorted for a deterministic file (HashMap iteration order is not).
-    let mut stale: Vec<_> = vp.stale_rounds.iter().collect();
-    stale.sort_by_key(|((n, f), _)| (n.0, f.0));
-    w.end_array().key("stale").begin_array();
-    for ((n, f), c) in stale {
-        w.begin_array().int(n.0).int(f.0).int(*c).end_array();
-    }
+    // `stale` holds the dark tasks' counts, `health` every record.
     let mut health: Vec<_> = vp.health.iter().collect();
     health.sort_by_key(|((n, f), _)| (n.0, f.0));
+    w.end_array().key("stale").begin_array();
+    for ((n, f), h) in health.iter().filter(|(_, h)| h.dark_rounds > 0) {
+        w.begin_array().int(n.0).int(f.0).int(h.dark_rounds).end_array();
+    }
     w.end_array().key("health").begin_array();
     for ((n, f), h) in health {
-        let (state, misses, oks, until, secs, quar) = h.to_parts();
-        w.begin_array().int(n.0).int(f.0).str(state.as_str());
-        w.int(misses).int(oks).int(until).int(secs).int(quar).end_array();
+        w.begin_array().int(n.0).int(f.0).str(h.state.as_str()).int(h.misses).int(h.oks);
+        w.int(h.backoff.until).int(task_secs(h)).int(h.backoff.count).end_array();
     }
-    let (failures, next_attempt, base, max) = vp.cycle_backoff.to_parts();
+    let (cycle, (base, max)) = (vp.cycle_backoff, CYCLE_BACKOFF);
     w.end_array().key("backoff").begin_array();
-    w.int(failures).int(next_attempt).int(base).int(max).end_array();
-    let (strikes, until, secs, retired) = vp.supervisor.to_parts();
-    w.key("supervisor").begin_array();
-    w.int(strikes).int(until).int(secs).bool(retired).end_array();
+    w.int(cycle.count).int(cycle.until).int(base).int(max).end_array();
+    let sup = &vp.supervisor;
+    w.key("supervisor").begin_array().int(sup.strikes()).int(sup.backoff.until);
+    w.int(strike_secs(sup)).bool(sup.retired()).end_array();
     w.key("links");
     match &vp.bdrmap {
         None => {
@@ -151,6 +166,24 @@ fn elem_bool(a: &[Json], i: usize, what: &str) -> io::Result<bool> {
 
 fn elem_str<'a>(a: &'a [Json], i: usize, what: &str) -> io::Result<&'a str> {
     a.get(i).and_then(Json::as_str).ok_or_else(|| bad(format!("checkpoint: bad {what}[{i}]")))
+}
+
+/// `Backoff { count: a[count], until: a[until] }`.
+fn elem_backoff(a: &[Json], count: usize, until: usize, what: &str) -> io::Result<Backoff> {
+    Ok(Backoff {
+        count: elem_i64(a, count, what)? as u32,
+        until: elem_i64(a, until, what)?,
+    })
+}
+
+/// A derived member that disagrees with what it derives from makes the meta
+/// as unusable as a missing one.
+fn derived<T: PartialEq>(stored: T, want: T, what: &str) -> io::Result<()> {
+    if stored == want {
+        Ok(())
+    } else {
+        Err(bad(format!("checkpoint: {what} backoff disagrees with its count")))
+    }
 }
 
 fn from_hex(s: &str) -> io::Result<u64> {
@@ -297,49 +330,44 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
             })
             .collect::<io::Result<Vec<_>>>()?,
     );
-    vp.stale_rounds = getarr(m, "stale")?
-        .iter()
-        .map(|s| {
-            let s = s.as_array().ok_or_else(|| bad("checkpoint: stale not an array"))?;
-            Ok((
-                (ip(elem_i64(s, 0, "stale")?), ip(elem_i64(s, 1, "stale")?)),
-                elem_i64(s, 2, "stale")? as u32,
-            ))
-        })
-        .collect::<io::Result<HashMap<_, _>>>()?;
-    vp.health = getarr(m, "health")?
+    let mut health = getarr(m, "health")?
         .iter()
         .map(|h| {
             let h = h.as_array().ok_or_else(|| bad("checkpoint: health not an array"))?;
-            let state = HealthState::parse(elem_str(h, 2, "health")?)
-                .ok_or_else(|| bad("checkpoint: unknown health state"))?;
+            let rec = TaskHealth {
+                state: HealthState::parse(elem_str(h, 2, "health")?)
+                    .ok_or_else(|| bad("checkpoint: unknown health state"))?,
+                misses: elem_i64(h, 3, "health")? as u32,
+                oks: elem_i64(h, 4, "health")? as u32,
+                dark_rounds: 0,
+                backoff: elem_backoff(h, 7, 5, "health")?,
+            };
+            derived(elem_i64(h, 6, "health")?, task_secs(&rec), "health")?;
             Ok((
                 (ip(elem_i64(h, 0, "health")?), ip(elem_i64(h, 1, "health")?)),
-                TaskHealth::from_parts(
-                    state,
-                    elem_i64(h, 3, "health")? as u32,
-                    elem_i64(h, 4, "health")? as u32,
-                    elem_i64(h, 5, "health")?,
-                    elem_i64(h, 6, "health")?,
-                    elem_i64(h, 7, "health")? as u32,
-                ),
+                rec,
             ))
         })
         .collect::<io::Result<HashMap<_, _>>>()?;
+    for s in getarr(m, "stale")? {
+        let s = s.as_array().ok_or_else(|| bad("checkpoint: stale not an array"))?;
+        let key = (ip(elem_i64(s, 0, "stale")?), ip(elem_i64(s, 1, "stale")?));
+        health
+            .get_mut(&key)
+            .ok_or_else(|| bad("checkpoint: dark count of a task with no health record"))?
+            .dark_rounds = elem_i64(s, 2, "stale")? as u32;
+    }
+    vp.health = health;
     let b = getarr(m, "backoff")?;
-    vp.cycle_backoff = CycleBackoff::from_parts(
-        elem_i64(b, 0, "backoff")? as u32,
-        elem_i64(b, 1, "backoff")?,
-        elem_i64(b, 2, "backoff")?,
-        elem_i64(b, 3, "backoff")?,
-    );
+    let schedule = (elem_i64(b, 2, "backoff")?, elem_i64(b, 3, "backoff")?);
+    derived(schedule, CYCLE_BACKOFF, "cycle")?;
+    vp.cycle_backoff = elem_backoff(b, 0, 1, "backoff")?;
     let s = getarr(m, "supervisor")?;
-    vp.supervisor = VpSupervisor::from_parts(
-        elem_i64(s, 0, "supervisor")? as u32,
-        elem_i64(s, 1, "supervisor")?,
-        elem_i64(s, 2, "supervisor")?,
-        elem_bool(s, 3, "supervisor")?,
-    );
+    vp.supervisor = VpSupervisor {
+        backoff: elem_backoff(s, 0, 1, "supervisor")?,
+    };
+    let sup = (strike_secs(&vp.supervisor), vp.supervisor.retired());
+    derived((elem_i64(s, 2, "supervisor")?, elem_bool(s, 3, "supervisor")?), sup, "supervisor")?;
     vp.bdrmap = match m.get("links") {
         None | Some(Json::Null) => None,
         Some(links) => {
@@ -383,21 +411,7 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
     // the first post-resume commit by store backfill (their content is a
     // pure function of the restored store, so fingerprints converge with an
     // uninterrupted run's — DESIGN.md §5k).
-    vp.bdrmap_links = vp
-        .bdrmap
-        .as_ref()
-        .map(|b| {
-            b.links
-                .iter()
-                .map(|l| {
-                    (
-                        (l.near_ip, l.far_ip),
-                        crate::system::LinkMeta { far_as: l.far_as, rel: l.rel },
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    vp.bdrmap_links = vp.bdrmap.as_ref().map(LinkMeta::index).unwrap_or_default();
     vp.summaries.clear();
     Ok(())
 }

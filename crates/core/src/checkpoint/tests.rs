@@ -1,5 +1,6 @@
 use super::generations::{generation_name, snapshot_name};
 use super::*;
+use crate::health::HealthState;
 use crate::system::SystemConfig;
 use manic_netsim::time::{datetime_to_sim, Date};
 use manic_scenario::worlds;
@@ -436,6 +437,107 @@ fn unencodable_store_contents_fail_the_checkpoint_and_keep_the_old_generation() 
         let (resumed, _d2, info) = System::resume(&dir).unwrap();
         assert!(info.store_hash_ok, "{tag}");
         assert_eq!(resumed.store.point_count(), 1, "{tag}: the last good generation");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A meta with its `crc` recomputed over `body` (everything before the crc
+/// member), as a writer would have sealed it.
+fn reseal(text: &str) -> String {
+    let body = &text[..text.rfind(r#","crc":""#).unwrap()];
+    let crc = manic_tsdb::segment::crc32(body.as_bytes());
+    format!(r#"{body},"crc":"{crc:08x}"}}"#)
+}
+
+/// The backoff members a meta writes from counts and constants — a task's
+/// and a VP's `secs`, a VP's `retired`, the cycle schedule — and a dark
+/// count (`stale`) round-trip the control-loop state exactly. One that
+/// disagrees with what it derives from (or a dark count without its task's
+/// health record) makes the generation unusable: resume falls back to the
+/// previous one, as for a missing member.
+#[test]
+fn derived_backoff_members_round_trip_and_are_checked_on_read() {
+    use crate::health::{Backoff, CYCLE_BACKOFF};
+    let _guard = RESUME_LOCK.lock().unwrap();
+    let from = datetime_to_sim(Date::new(2016, 6, 7), 0, 0, 0);
+    // Generation 0 holds fresh state; generation 1 a task quarantined after
+    // four dark rounds, a struck VP and a failed cycle.
+    let write_generations = |dir: &Path| {
+        let mut sys = fresh_sys(41);
+        sys.run_bdrmap_cycle(0, from);
+        let cfg = DurabilityConfig::default();
+        let mut d = Durable::create(&sys, "toy", 41, dir, from, from + 3600, cfg).unwrap();
+        let vp = &mut sys.vps[0];
+        let task = &vp.tslp.tasks[0];
+        let key = (task.near_ip, task.far_ip);
+        let h = vp.health.entry(key).or_default();
+        for k in 0..4 {
+            h.observe(false, from + k * ROUND_SECS, 1, 1);
+        }
+        vp.supervisor.strike(from);
+        vp.cycle_backoff.fail(from, CYCLE_BACKOFF, 0.0);
+        d.rounds = 1;
+        d.checkpoint(&sys, from).unwrap();
+        (sys, key)
+    };
+
+    let dir = tmpdir("derived");
+    let (sys, key) = write_generations(&dir);
+    let vp = &sys.vps[0];
+    let h = &vp.health[&key];
+    assert_eq!(
+        (h.state, h.dark_rounds, h.backoff.count),
+        (HealthState::Quarantined, 4, 1)
+    );
+    let meta = std::fs::read_to_string(dir.join(generation_name(1))).unwrap();
+    let (n, f) = (key.0 .0, key.1 .0);
+    let members = [
+        format!(r#""stale":[[{n},{f},4]]"#),
+        format!(r#"[{n},{f},"quarantined",0,0,{},900,1]"#, h.backoff.until),
+        format!(r#""backoff":[1,{},1800,43200]"#, from + 1_800),
+        format!(r#""supervisor":[1,{},1800,false]"#, from + 1_800),
+    ];
+    for m in &members {
+        assert!(meta.contains(m.as_str()), "meta lacks {m}");
+    }
+    let (resumed, _d, info) = System::resume(&dir).unwrap();
+    assert_eq!((info.rounds, info.storage.fallback_generations), (1, 0));
+    let back = &resumed.vps[0];
+    assert_eq!(
+        back.health, vp.health,
+        "health records, dark counts included"
+    );
+    assert_eq!(back.supervisor, vp.supervisor);
+    let cycle = Backoff {
+        count: 1,
+        until: from + 1_800,
+    };
+    assert_eq!((back.cycle_backoff, vp.cycle_backoff), (cycle, cycle));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let tampered = [
+        (members[0].clone(), format!(r#""stale":[[{n},1,4]]"#)),
+        (
+            members[1].clone(),
+            members[1].replace(",900,1]", ",1800,1]"),
+        ),
+        (members[2].clone(), members[2].replace("43200", "3600")),
+        (members[3].clone(), members[3].replace(",1800,", ",900,")),
+        (members[3].clone(), members[3].replace("false", "true")),
+    ];
+    for (from_member, to_member) in tampered {
+        let dir = tmpdir("derived-bad");
+        write_generations(&dir);
+        let path = dir.join(generation_name(1));
+        let meta = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, reseal(&meta.replace(&from_member, &to_member))).unwrap();
+        let (_, _, info) = System::resume(&dir).unwrap();
+        assert_eq!(
+            (info.rounds, info.storage.fallback_generations),
+            (0, 1),
+            "{to_member}: {:?}",
+            info.storage.notes
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,11 +22,13 @@
 //! workers; ordering of those side channels is explicitly not part of the
 //! determinism contract (DESIGN.md §5g).
 
+use crate::health::{Backoff, CYCLE_BACKOFF};
 use crate::system::{System, SystemConfig, VpRuntime};
 use manic_netsim::time::{SimTime, SECS_PER_DAY};
 use manic_probing::tslp::{End, ROUND_SECS};
 use manic_scenario::World;
-use manic_tsdb::{quality::QualityFlags, Point, Store};
+use manic_tsdb::quality::{self, QualityFlags};
+use manic_tsdb::{Point, Store};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -85,11 +87,24 @@ impl StagedOps {
         self.annots.push((ti as u32, end, from, until, flags));
     }
 
-    /// Drop everything staged so far (a panicked round must contribute
-    /// nothing to the store).
-    fn discard(&mut self) {
+    /// Flag task `ti`'s near and far windows over the round at `t` as a gap
+    /// the control loop chose (`QUARANTINED|GAP`), so inference masks them.
+    pub(crate) fn gap(&mut self, ti: usize, t: SimTime) {
+        for end in [End::Near, End::Far] {
+            let flags = quality::QUARANTINED | quality::GAP;
+            self.annotate(ti, end, t, t + ROUND_SECS, flags);
+        }
+    }
+
+    /// Replace everything staged for the round at `t` with a gap over
+    /// every task of `vp`: a round its supervisor skipped or a panic cut
+    /// short contributes no samples, only the flags that mask it.
+    fn gap_round(&mut self, vp: &VpRuntime, t: SimTime) {
         self.samples.clear();
         self.annots.clear();
+        for ti in 0..vp.tslp.tasks.len() {
+            self.gap(ti, t);
+        }
     }
 
     /// Replay the staged round against the store, fold it into the VP's
@@ -216,14 +231,14 @@ fn vp_round(
             // The VP's view collapsed (uplink outage, first-hop reboot):
             // bounded retry instead of a dead 2 days.
             vp.last_cycle = None;
-            vp.cycle_backoff.note_failure(t);
+            vp.cycle_backoff.fail(t, CYCLE_BACKOFF, 0.0);
             crate::obs::metrics().bdrmap_cycles_empty.inc();
             manic_obs::event!(
                 manic_obs::WARN, "core", "bdrmap_cycle_empty", t,
                 vp = vp.handle.name.as_str(),
             );
         } else {
-            vp.cycle_backoff.note_success();
+            vp.cycle_backoff = Backoff::default();
         }
     }
     // Host churn driven by the fault schedule (§3): the VP is withdrawn;
@@ -248,10 +263,14 @@ fn vp_round(
 /// with backoff, retirement after too many — instead of tearing down the
 /// whole round.
 ///
+/// A round the supervisor skips, and a round a panic cuts short, are staged
+/// as `QUARANTINED|GAP` windows over every task's near and far series, so
+/// inference masks them like any other gap the control loop chose.
+///
 /// Determinism: a panic at time `t` is itself deterministic (the injected
 /// kind is a pure function of `(router, t)`, and a real one reproduces from
 /// the same VP state), and the partially staged ops of a panicked round are
-/// discarded wholesale — so every thread count sees the same store bytes.
+/// replaced wholesale — so every thread count sees the same store bytes.
 fn supervised_vp_round(
     world: &World,
     cfg: &SystemConfig,
@@ -261,28 +280,31 @@ fn supervised_vp_round(
     cycle_secs: i64,
 ) {
     if !vp.supervisor.may_run(t) {
+        if vp.active {
+            stage.gap_round(vp, t);
+        }
         return;
     }
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         vp_round(world, cfg, vp, stage, t, cycle_secs)
     }));
     if let Err(payload) = outcome {
-        // Nothing from the crashed round may reach the store: a panic
-        // mid-probe leaves half a round staged.
-        stage.discard();
+        // Nothing measured in the crashed round may reach the store: a
+        // panic mid-probe leaves half a round staged.
+        stage.gap_round(vp, t);
         let msg = payload
             .downcast_ref::<&str>()
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
         crate::obs::metrics().vp_panics.inc();
-        let to = vp.supervisor.strike(t, &cfg.supervisor);
+        let to = vp.supervisor.strike(t);
         crate::obs::metrics().health_transition(to).inc();
         manic_obs::event!(
             manic_obs::ERROR, "core", "vp_worker_panicked", t,
             vp = vp.handle.name.as_str(),
             panic = msg.as_str(),
-            strikes = vp.supervisor.strikes,
+            strikes = vp.supervisor.strikes(),
             state = to.as_str(),
         );
     }

@@ -28,6 +28,6 @@ pub use checkpoint::{
     has_checkpoint, recover_report, recover_report_with, resume, Durable, DurabilityConfig,
     RecoverReport, ResumeInfo, StorageFindings,
 };
-pub use health::{CycleBackoff, HealthConfig, HealthState, SupervisorConfig, TaskHealth, VpSupervisor};
+pub use health::{Backoff, HealthState, TaskHealth, VpSupervisor};
 pub use longitudinal::{run_longitudinal, run_longitudinal_detailed, LinkDays, LongitudinalConfig, LongitudinalOutput, VpLinkDays};
 pub use system::{LinkStatus, System, SystemConfig, TaskHealthStatus, VpRuntime};

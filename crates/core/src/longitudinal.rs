@@ -227,14 +227,9 @@ pub fn run_longitudinal_detailed(system: &mut System, cfg: &LongitudinalConfig) 
     crate::engine::fan_out(cfg.threads, vps.len(), |i| {
         let vp = vps[i];
         let series = vp.tslp.synthesize_window(net, cfg.from, cfg.to, 900);
-        let bdr = vp.bdrmap.as_ref().expect("active VPs ran a cycle");
         let mut links = Vec::new();
         for s in &series {
-            let Some(meta) = bdr
-                .links
-                .iter()
-                .find(|l| l.near_ip == s.near_ip && l.far_ip == s.far_ip)
-            else {
+            let Some(meta) = vp.bdrmap_links.get(&(s.near_ip, s.far_ip)) else {
                 continue;
             };
             let (masks, observed) = analyze_task_series(&vp.handle.name, s, cfg);

@@ -23,7 +23,8 @@ pub(crate) struct Metrics {
     pub ally_indeterminate: Counter,
     /// TSLP rounds driven by `run_packet_mode`.
     pub rounds: Counter,
-    /// Rounds in which a due bdrmap cycle was held back by `CycleBackoff`.
+    /// Rounds in which a due bdrmap cycle was held back by the empty-cycle
+    /// backoff.
     pub backoff_waits: Counter,
     /// VPs withdrawn by host churn.
     pub vp_retired: Counter,

@@ -1,6 +1,6 @@
 //! System orchestration: VPs, probing state, measurement scheduling.
 
-use crate::health::{CycleBackoff, HealthConfig, HealthState, SupervisorConfig, TaskHealth, VpSupervisor};
+use crate::health::{Backoff, HealthState, TaskHealth, VpSupervisor};
 use manic_bdrmap::{infer, BdrmapResult};
 use manic_inference::{detect_level_shifts_masked, LevelShiftConfig, DEFAULT_REJECT};
 use manic_netsim::time::SimTime;
@@ -25,13 +25,10 @@ pub struct SystemConfig {
     pub max_loss_targets: usize,
     /// Reactive probing-set updates (§3.2's future work, implemented): when
     /// a task's far end stops answering from the expected interface for
-    /// this many consecutive rounds, re-run the VP's bdrmap cycle
-    /// immediately instead of waiting for the scheduled one. Zero disables.
+    /// this many consecutive rounds (its `TaskHealth::dark_rounds`),
+    /// re-run the VP's bdrmap cycle immediately instead of waiting for the
+    /// scheduled one. Zero disables.
     pub reactive_mismatch_rounds: u32,
-    /// Per-task health machine thresholds (degrade / quarantine / retire).
-    pub health: HealthConfig,
-    /// Worker-supervision thresholds: panic strikes per VP.
-    pub supervisor: SupervisorConfig,
     /// Worker threads for the round engine. 1 = serial; anything higher
     /// fans each round's VPs out across that many threads. Every value
     /// produces byte-identical stores (see DESIGN.md §5g), so this is purely
@@ -53,8 +50,6 @@ impl Default for SystemConfig {
             levelshift: LevelShiftConfig::default(),
             max_loss_targets: 30,
             reactive_mismatch_rounds: 3,
-            health: HealthConfig::default(),
-            supervisor: SupervisorConfig::default(),
             threads: 1,
             summary_window_bins: 8640,
         }
@@ -70,6 +65,22 @@ impl Default for SystemConfig {
 pub struct LinkMeta {
     pub far_as: manic_netsim::AsNumber,
     pub rel: manic_bdrmap::infer::LinkRel,
+    pub via_ixp: bool,
+}
+
+impl LinkMeta {
+    /// The `(near_ip, far_ip)` index over one cycle's inferred links (bdrmap
+    /// aggregates links by that pair, so keys are unique).
+    pub(crate) fn index(bdrmap: &BdrmapResult) -> HashMap<(Ipv4, Ipv4), LinkMeta> {
+        bdrmap
+            .links
+            .iter()
+            .map(|l| {
+                let meta = LinkMeta { far_as: l.far_as, rel: l.rel, via_ixp: l.via_ixp };
+                ((l.near_ip, l.far_ip), meta)
+            })
+            .collect()
+    }
 }
 
 /// Per-VP runtime state.
@@ -92,14 +103,13 @@ pub struct VpRuntime {
     pub summaries: std::collections::HashMap<(Ipv4, Ipv4), manic_inference::LinkSummary>,
     /// When the probing set was last refreshed.
     pub last_cycle: Option<SimTime>,
-    /// Consecutive rounds each task spent without a valid far-end response,
-    /// keyed by (near, far) — drives reactive probing-set updates.
-    pub stale_rounds: std::collections::HashMap<(Ipv4, Ipv4), u32>,
-    /// Per-task health machines, keyed by (near, far). Reset on every
-    /// bdrmap cycle (a fresh probing set gets a fresh chance).
+    /// Per-task health records — machine state, dark-round count and
+    /// quarantine backoff — keyed by (near, far). Reset on every bdrmap
+    /// cycle (a fresh probing set gets a fresh chance).
     pub health: std::collections::HashMap<(Ipv4, Ipv4), TaskHealth>,
-    /// Bounded-retry schedule for failed (empty) bdrmap cycles.
-    pub cycle_backoff: CycleBackoff,
+    /// Bounded-retry schedule for failed (empty) bdrmap cycles
+    /// (`health::CYCLE_BACKOFF`).
+    pub cycle_backoff: Backoff,
     /// Worker supervision: strikes from caught panics, and the quarantine
     /// they impose.
     pub supervisor: VpSupervisor,
@@ -180,10 +190,9 @@ impl System {
                 bdrmap_links: std::collections::HashMap::new(),
                 summaries: std::collections::HashMap::new(),
                 last_cycle: None,
-                stale_rounds: std::collections::HashMap::new(),
                 health: std::collections::HashMap::new(),
-                cycle_backoff: CycleBackoff::default(),
-                supervisor: VpSupervisor::new(),
+                cycle_backoff: Backoff::default(),
+                supervisor: VpSupervisor::default(),
                 round_flags: Vec::new(),
                 active: true,
             })
@@ -296,20 +305,16 @@ impl System {
         let discovered = new_keys.difference(&old_keys).count();
         let lost = old_keys.difference(&new_keys).count();
         vp.tslp.update_targets(tasks);
-        vp.bdrmap_links = result
-            .links
-            .iter()
-            .map(|l| ((l.near_ip, l.far_ip), LinkMeta { far_as: l.far_as, rel: l.rel }))
-            .collect();
+        vp.bdrmap_links = LinkMeta::index(&result);
         vp.bdrmap = Some(result);
         // Summaries follow the probing set: tasks that survived re-selection
         // keep their ring (series continuity), dropped tasks free theirs,
         // new tasks backfill lazily at the next commit.
         vp.summaries.retain(|k, _| new_keys.contains(k));
         vp.last_cycle = Some(t);
-        vp.stale_rounds.clear();
-        // A fresh probing set clears all health state: retired tasks that
-        // survived re-selection get probed again from scratch.
+        // A fresh probing set clears all health state, dark counts included:
+        // retired tasks that survived re-selection get probed again from
+        // scratch.
         vp.health.clear();
         let m = crate::obs::metrics();
         m.bdrmap_cycles.inc();
@@ -374,9 +379,7 @@ impl System {
         // Skipped tasks get their window flagged: a gap the prober chose.
         for (ti, &f) in flags.iter().enumerate() {
             if f & PROBE == 0 {
-                for end in [End::Near, End::Far] {
-                    stage.annotate(ti, end, t, t + ROUND_SECS, quality::QUARANTINED | quality::GAP);
-                }
+                stage.gap(ti, t);
             }
         }
         let samples =
@@ -409,11 +412,13 @@ impl System {
             // Jitter stream per task so quarantined tasks re-probe
             // desynchronized rather than in lockstep bursts.
             let stream = task.far_ip.0 as u64 ^ ((task.near_ip.0 as u64) << 32);
-            let before =
-                vp.health.get(&key).map(|h| h.state).unwrap_or(HealthState::Healthy);
             let h = vp.health.entry(key).or_default();
-            h.observe(ok, t, &cfg.health, net.seed, stream);
+            let before = h.state;
+            h.observe(ok, t, net.seed, stream);
             let after = h.state;
+            // A task dark for long enough warrants a reactive bdrmap cycle.
+            refresh |= cfg.reactive_mismatch_rounds > 0
+                && h.dark_rounds >= cfg.reactive_mismatch_rounds;
             if after != before {
                 crate::obs::metrics().health_transition(after).inc();
                 let lvl = match after {
@@ -439,16 +444,6 @@ impl System {
                 // probes) answers: the classic ICMP rate-limiting signature
                 // (§5.2), not path loss.
                 stage.annotate(ti, End::Far, t, t + ROUND_SECS, quality::SUSPECT_RATE_LIMITED);
-            }
-            // Consecutive rounds without a valid far-end response: a task
-            // dark for long enough warrants a reactive bdrmap cycle.
-            if ok {
-                vp.stale_rounds.remove(&key);
-            } else {
-                let dark = vp.stale_rounds.entry(key).or_insert(0);
-                *dark += 1;
-                refresh |= cfg.reactive_mismatch_rounds > 0
-                    && *dark >= cfg.reactive_mismatch_rounds;
             }
         }
         if refresh {

@@ -336,6 +336,29 @@ fn meta_without_its_crc_key_is_a_bad_meta() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crc-valid meta nested 100,000 `[` deep once overflowed the JSON
+/// parser's stack and aborted `manic recover` and `--resume`. Past the
+/// parser's nesting limit it is a bad meta like any other, and recovery
+/// falls back one generation.
+#[test]
+fn meta_nested_past_the_parser_limit_is_a_bad_meta() {
+    let (from, to) = window();
+    let reference = fixture().reference.clone();
+    let dir = scratch_copy("deep");
+    let body = format!("{{\"version\":2,\"vps\":{}", "[".repeat(100_000));
+    let crc = manic_tsdb::segment::crc32(body.as_bytes());
+    std::fs::write(newest_generation(&dir), format!("{body},\"crc\":\"{crc:08x}\"}}"))
+        .expect("write deep meta");
+
+    let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
+    assert_eq!((report.rounds, report.storage.bad_metas), (36, 1), "generation 48 skipped");
+    let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
+    assert_eq!((info.rounds, info.storage.bad_metas), (36, 1), "generation 48 skipped");
+    d.run_window(&mut sys, to, &|| false).expect("re-run to window end");
+    assert_eq!(fingerprint(&mut sys, from, to), reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The `--resume` gate (`has_checkpoint`) answers from the generation
 /// listing: a dir that lost its newest meta outright still holds generation
 /// N-1, must not be taken for empty (a fresh start wipes it), and resumes.

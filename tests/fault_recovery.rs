@@ -91,7 +91,7 @@ fn router_reboot_quarantines_then_recovers() {
     let task = vp.tslp.tasks.iter().find(|t| t.far_ip == far_ip).expect("task");
     let h = &vp.health[&(task.near_ip, task.far_ip)];
     // Quarantined during the outage, recovered through probation after it.
-    assert!(h.quarantines >= 1, "outage long enough to quarantine: {h:?}");
+    assert!(h.backoff.count >= 1, "outage long enough to quarantine: {h:?}");
     assert_eq!(h.state, HealthState::Healthy, "recovered after reboot: {h:?}");
     // Probing resumed: samples exist in the final half hour.
     let key = series_key(&vp.handle.name, task, End::Far);

@@ -6,8 +6,9 @@
 //! (every escape, `\uXXXX`, multi-byte UTF-8 touching a `"` or a `\`), the
 //! byte offsets its errors report, the `to_string` → `from_str` round trip,
 //! that `manic_obs::JsonWriter` escapes byte-for-byte like `to_string`,
-//! and — as a wide-margin guard, not a benchmark — that a checkpoint-sized
-//! document parses in seconds, not minutes.
+//! that nesting past upstream's recursion limit is an error rather than a
+//! stack overflow, and — as a wide-margin guard, not a benchmark — that a
+//! checkpoint-sized document parses in seconds, not minutes.
 
 use proptest::prelude::*;
 use serde_json::{from_str, to_string, Value};
@@ -191,4 +192,24 @@ fn checkpoint_sized_document_parses_in_linear_time() {
     // Per-character re-validation of the remaining input made this ~200 s;
     // one pass is ~0.1 s. The bound sits an order of magnitude from both.
     assert!(secs < 2.0, "parsing {} bytes took {secs:.2} s", doc.len());
+}
+
+/// Nesting is bounded like upstream serde_json's: 127 open containers
+/// parse, the 128th is an error at its own byte — never a stack overflow,
+/// however deep a hostile document goes.
+#[test]
+fn nesting_past_the_recursion_limit_is_an_error() {
+    let nested = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+    let mut v = from_str(&nested("[", "]", 127)).expect("127 levels parse");
+    for _ in 0..126 {
+        v = v.as_array().and_then(|a| a.first()).cloned().expect("one array per level");
+    }
+    assert_eq!(v, Value::Array(Vec::new()));
+    assert!(from_str(&format!("{}1{}", r#"{"a":"#.repeat(127), "}".repeat(127))).is_ok());
+
+    assert_eq!(error(&nested("[", "]", 128)), "json error: recursion limit exceeded at byte 127");
+    assert_eq!(error(&"[{\"k\":".repeat(64)), "json error: recursion limit exceeded at byte 379");
+    assert_eq!(error(&"[".repeat(100_000)), "json error: recursion limit exceeded at byte 127");
+    // Depth is released on close: siblings do not add up.
+    assert!(from_str(&format!("[{}]", vec![nested("[", "]", 126); 3].join(","))).is_ok());
 }

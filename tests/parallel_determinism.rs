@@ -14,8 +14,10 @@ use manic_core::{
 };
 use manic_netsim::time::{date_to_sim, datetime_to_sim, Date, SECS_PER_DAY};
 use manic_netsim::{FaultEvent, FaultKind, FaultSchedule, FaultScope};
+use manic_probing::tslp::{End, ROUND_SECS};
 use manic_scenario::worlds::{toy, us_broadband};
 use manic_scenario::World;
+use manic_tsdb::quality::{GAP, QUARANTINED};
 use manic_tsdb::wal::FsyncPolicy;
 use std::path::PathBuf;
 
@@ -161,9 +163,10 @@ fn parallel_matches_serial_on_us_world() {
 }
 
 /// A VP whose worker panics must not take the round down with it: the
-/// engine catches the panic, discards the VP's half-staged round, and the
-/// supervisor quarantines it with backoff — identically at every thread
-/// count, because the injected panic is a pure function of `(router, t)`.
+/// engine catches the panic, replaces the VP's half-staged round with gap
+/// flags, and the supervisor quarantines it with backoff — identically at
+/// every thread count, because the injected panic is a pure function of
+/// `(router, t)`.
 #[test]
 fn panicking_vp_is_quarantined_and_rounds_complete() {
     let from = date_to_sim(Date::new(2017, 3, 1));
@@ -191,15 +194,35 @@ fn panicking_vp_is_quarantined_and_rounds_complete() {
     assert_eq!(r1, rn, "panicking VP: round counts diverged");
     assert_eq!(r1, 72, "every round of the window completed despite the panics");
 
+    // The rounds the VP lost — panicked at +1h and +1h30, sat out the rest
+    // until +2h30 — are masked on every task's near and far series, and no
+    // other round is.
+    let lost = from + 3600..from + 2 * 3600 + 1800;
     for (label, sys) in [("serial", &serial), ("parallel", &parallel)] {
         let sup = &sys.vps[0].supervisor;
-        assert_eq!(sup.strikes, 2, "{label}: one strike per post-backoff attempt");
-        assert!(!sup.retired, "{label}: under max_strikes, quarantined not retired");
+        assert_eq!(sup.strikes(), 2, "{label}: one strike per post-backoff attempt");
+        assert!(!sup.retired(), "{label}: under max_strikes, quarantined not retired");
         assert!(
             sup.may_run(to),
             "{label}: backoff expired past the window — the VP is back"
         );
-        assert_eq!(sys.vps[1].supervisor.strikes, 0, "{label}: other VPs untouched");
+        assert_eq!(sys.vps[1].supervisor.strikes(), 0, "{label}: other VPs untouched");
+
+        let vp = &sys.vps[0];
+        for ti in 0..vp.tslp.tasks.len() {
+            for end in [End::Near, End::Far] {
+                let flags = sys.store.quality_dense(vp.tslp.key(ti, end), from, to, ROUND_SECS);
+                for (bin, f) in flags.iter().enumerate() {
+                    let t = from + bin as i64 * ROUND_SECS;
+                    assert_eq!(
+                        f & (QUARANTINED | GAP) == QUARANTINED | GAP,
+                        lost.contains(&t),
+                        "{label}: task {ti} {end:?} round at +{}m",
+                        (t - from) / 60
+                    );
+                }
+            }
+        }
     }
 
     let f1 = fingerprint(&mut serial, from, to);
