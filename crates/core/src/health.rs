@@ -281,13 +281,11 @@ impl VpSupervisor {
 mod tests {
     use super::*;
 
-    /// Observe `n` misses, one round apart, from `t`; returns the next round.
-    fn misses(h: &mut TaskHealth, mut t: i64, n: usize, stream: u64) -> i64 {
-        for _ in 0..n {
-            h.observe(false, t, 1, stream);
-            t += 300;
+    /// Observe `n` misses, one round apart, from `t`.
+    fn misses(h: &mut TaskHealth, t: i64, n: i64, stream: u64) {
+        for k in 0..n {
+            h.observe(false, t + k * 300, 1, stream);
         }
-        t
     }
 
     #[test]
