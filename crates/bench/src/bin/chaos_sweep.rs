@@ -12,76 +12,13 @@
 //! Set `CHAOS_FULL=1` to also sweep the full US-broadband world (minutes).
 
 use manic_analysis::render::text_table;
-use manic_core::{run_longitudinal, LinkDays, LongitudinalConfig, System, SystemConfig};
+use manic_bench::{pair_key, score, Counts};
+use manic_core::{run_longitudinal, LongitudinalConfig, System, SystemConfig};
 use manic_netsim::time::{date_to_sim, Date, SECS_PER_DAY};
 use manic_netsim::{AsNumber, FaultSchedule};
 use manic_scenario::worlds::{toy, toy_asns, us_schedule};
-use manic_scenario::World;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-
-/// A merged link counts as "inferred congested" with at least this many
-/// congested day-links at the §6 4% bar.
-const MIN_CONGESTED_DAYS: usize = 5;
-
-struct Counts {
-    observed_pairs: usize,
-    tp: usize,
-    fp: usize,
-    fn_: usize,
-}
-
-impl Counts {
-    fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fp) as f64
-        }
-    }
-    fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 {
-            1.0
-        } else {
-            self.tp as f64 / (self.tp + self.fn_) as f64
-        }
-    }
-}
-
-fn anchor(world: &World, asn: AsNumber) -> AsNumber {
-    world.artifacts.siblings(asn).into_iter().min().unwrap_or(asn)
-}
-
-fn pair(world: &World, a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
-    let (a, b) = (anchor(world, a), anchor(world, b));
-    if a < b {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-/// Score inferred links against the ground-truth set of congested AS pairs.
-fn score(world: &World, links: &[LinkDays], gt: &BTreeSet<(AsNumber, AsNumber)>) -> Counts {
-    let mut observed: BTreeSet<(AsNumber, AsNumber)> = BTreeSet::new();
-    let mut predicted: BTreeSet<(AsNumber, AsNumber)> = BTreeSet::new();
-    for l in links {
-        let p = pair(world, l.host_as, l.neighbor_as);
-        if l.observed_days() > 0 {
-            observed.insert(p);
-        }
-        if l.congested_days(0.04) >= MIN_CONGESTED_DAYS {
-            predicted.insert(p);
-        }
-    }
-    let tp = predicted.intersection(gt).count();
-    let fp = predicted.len() - tp;
-    // Recall is over ground-truth pairs the run could still observe at all:
-    // chaos that erases a pair's visibility entirely moves it out of the
-    // denominator (coverage loss is reported via `observed_pairs`).
-    let fn_ = gt.iter().filter(|p| observed.contains(*p) && !predicted.contains(*p)).count();
-    Counts { observed_pairs: observed.len(), tp, fp, fn_ }
-}
 
 fn run_world(
     mut sys: System,
@@ -143,7 +80,7 @@ fn main() {
         for seed in [11u64, 22, 33] {
             let sys = System::new(toy(5), SystemConfig::default());
             let gt: BTreeSet<_> =
-                [pair(&sys.world, toy_asns::ACME, toy_asns::CDNCO)].into_iter().collect();
+                [pair_key(&sys.world, toy_asns::ACME, toy_asns::CDNCO)].into_iter().collect();
             let c = run_world(sys, from, to, seed, intensity, &gt);
             obs += c.observed_pairs;
             tp += c.tp;
@@ -173,7 +110,7 @@ fn main() {
         let mut sys = manic_bench::us_system();
         let gt: BTreeSet<_> = us_schedule()
             .iter()
-            .map(|e| pair(&sys.world, e.ap, e.tcp))
+            .map(|e| pair_key(&sys.world, e.ap, e.tcp))
             .collect();
         let (sfrom, sto) = manic_bench::study_window();
         let vp_routers: Vec<_> = sys.world.vps.iter().map(|v| v.router).collect();

@@ -21,14 +21,24 @@
 //!   * a directory with no usable checkpoint falls back to a fresh start
 //!     that reproduces the reference exactly.
 //!
-//! Phase 2 — child-process SIGKILL combos: `manic run --storage-faults`
-//! children are killed with SIGKILL at a seeded fraction of the run, then
-//! `manic recover` (exit 0 clean / 3 recoverable damage) and a clean
-//! `manic run --resume` must converge back to the reference summary.
+//! Phase 2 — SIGKILLed children: `manic run --data-dir` processes killed
+//! at a seeded fraction of an uninterrupted durable run timed under the
+//! child's own policy and cadence (twelve such references, each of which
+//! must match the in-memory run), then `manic recover` and a clean
+//! `manic run --resume`. Gates, per child:
 //!
-//! `DISK_TORTURE_TRIALS` scales phase 1 (default 50, min 5 so every fault
-//! kind still runs); `DISK_TORTURE_CHILD_TRIALS` scales phase 2.
-//! Exits non-zero on any violation.
+//!   * clean disk: the resumed `store:`/`verdicts:` lines equal the
+//!     in-memory run's byte for byte, `recover` says `hash ok` before and
+//!     after the resume, and the dir keeps numbered generations only;
+//!   * faulted disk (`--storage-faults`, one child per mix): phase 1's
+//!     gates, with `recover` exiting 0 clean or 3 flagged.
+//!
+//! A kill before the first checkpoint must resume fresh and still
+//! converge. The report prints the clean resumes' restart rounds as a
+//! fraction of the window and fails unless one passes mid-window.
+//!
+//! `DISK_TORTURE_TRIALS` scales phase 1 (default 50, min 6 so every fault
+//! mix still runs). Exits non-zero on any violation.
 
 use manic_core::{recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig};
 use manic_netsim::noise;
@@ -45,22 +55,26 @@ use std::time::{Duration, Instant};
 
 const WORLD_SEED: u64 = 42;
 const TRIAL_HOURS: i64 = 24;
-const CHILD_HOURS: i64 = 48;
 const POLICIES: [FsyncPolicy; 3] =
     [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::EveryN(64)];
 const CADENCES: [u64; 3] = [6, 12, 48];
 /// Fault mixes cycled across trials: every kind alone, then the full storm.
 const MIXES: [&str; 6] = ["eio", "enospc", "torn", "lie", "flip", "all"];
 
-fn env_trials(var: &str, default: usize, min: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(min)
-}
+/// The SIGKILLed children's window: the `manic run` default world (toy,
+/// seed 42) over one simulated week.
+const CHILD_HOURS: i64 = 168;
+const CHILD_POLICIES: [&str; 4] = ["always", "every-8", "every-64", "never"];
+/// Clean-disk children come first, enough to cover every policy × cadence
+/// several times over; one faulted child per mix follows.
+const CLEAN_CHILDREN: usize = 50;
+const CHILDREN: usize = CLEAN_CHILDREN + MIXES.len();
+/// The clean children's kills must restart some resume at least this far
+/// into the window, or they are not landing inside the runs they kill.
+const MIN_MAX_RESUMED_FRACTION: f64 = 0.5;
 
-/// Seeded kill point as a fraction of the window, in [0.15, 0.95].
+/// Seeded kill point in [0.15, 0.95]: a fraction of the window's rounds
+/// (phase 1) or of a timed uninterrupted run's wall time (phase 2).
 fn kill_fraction(seed: u64) -> f64 {
     0.15 + 0.80 * (noise::mix(seed) >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -300,6 +314,8 @@ fn manic_binary() -> PathBuf {
     bin
 }
 
+/// The summary lines every `manic run` prints, fresh, durable or resumed:
+/// (`store: ...`, `verdicts: ...`).
 fn summary_lines(stdout: &str) -> Option<(String, String)> {
     let store = stdout.lines().find(|l| l.starts_with("store:"))?.to_string();
     let verdicts = stdout.lines().find(|l| l.starts_with("verdicts:"))?.to_string();
@@ -314,133 +330,187 @@ fn verdict_set(line: &str) -> Vec<String> {
         .unwrap_or_default()
 }
 
+/// Child `trial`'s `(policy, cadence)`. Twelve consecutive trials cover
+/// every combination once, so combination `trial % 12` names its timed
+/// reference.
+fn child_combo(trial: usize) -> (&'static str, u64) {
+    (CHILD_POLICIES[trial % CHILD_POLICIES.len()], CADENCES[trial % CADENCES.len()])
+}
+
+/// Child `trial`'s fault mix; `none` is a clean disk.
+fn child_mix(trial: usize) -> &'static str {
+    trial.checked_sub(CLEAN_CHILDREN).map_or("none", |i| MIXES[i % MIXES.len()])
+}
+
+/// `manic run` over the children's window in `dir` under `(policy,
+/// cadence)`, plus `extra` flags.
+fn run_cmd(bin: &Path, dir: &Path, (policy, cadence): (&str, u64), extra: &[&str]) -> Command {
+    let mut cmd = Command::new(bin);
+    cmd.args(["run", "--hours", &CHILD_HOURS.to_string(), "--quiet", "--data-dir"])
+        .arg(dir)
+        .args(["--durability", policy, "--checkpoint-every", &cadence.to_string()])
+        .args(extra);
+    cmd
+}
+
+/// `manic recover <dir>`; `Ok(true)` when it exits 0 with `hash ok`,
+/// `Ok(false)` on exit 3 (damage a resume works around).
+fn recover(bin: &Path, dir: &Path) -> Result<bool, String> {
+    let out = Command::new(bin)
+        .arg("recover")
+        .arg(dir)
+        .output()
+        .map_err(|e| format!("recover spawn: {e}"))?;
+    let report = String::from_utf8_lossy(&out.stdout);
+    match out.status.code() {
+        Some(0) if report.contains("hash ok") => Ok(true),
+        Some(3) => Ok(false),
+        code => Err(format!("recover exited {code:?}: {report}")),
+    }
+}
+
+/// Every `checkpoint*.json` in a data dir is a numbered
+/// `checkpoint-<rounds>.json` generation (in particular, no
+/// `checkpoint.json`). That one exists at all is `recover`'s check.
+fn generations_only(dir: &Path) -> Result<(), String> {
+    let names = std::fs::read_dir(dir)
+        .map_err(|e| format!("read data dir: {e}"))?
+        .filter_map(|e| e.ok()?.file_name().into_string().ok());
+    for name in names.filter(|n| n.starts_with("checkpoint") && n.ends_with(".json")) {
+        let rounds = name.strip_prefix("checkpoint-").and_then(|s| s.strip_suffix(".json"));
+        if !rounds.is_some_and(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())) {
+            return Err(format!("data dir holds {name}, not a numbered generation"));
+        }
+    }
+    Ok(())
+}
+
+/// One SIGKILLed child: its outcome kind and, for a clean child the kill
+/// interrupted, the round its resume restarted from as a fraction of the
+/// window (0 for a fresh fallback).
 fn run_child_trial(
-    bin: &PathBuf,
-    root: &Path,
+    bin: &Path,
+    dir: &Path,
     trial: usize,
     reference: &(String, String),
     ref_secs: f64,
-) -> TrialOutcome {
-    let mix = MIXES[(trial + 5) % MIXES.len()];
+) -> Result<(&'static str, Option<f64>), String> {
+    let (combo, mix) = (child_combo(trial), child_mix(trial));
+    let clean = mix == "none";
     let seed = manic_bench::SEED ^ 0xC41D ^ trial as u64;
-    let dir = root.join(format!("c{trial:02}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let dir_s = dir.to_str().expect("utf-8 temp path").to_string();
-    let hours = CHILD_HOURS.to_string();
     let spec = format!("{seed}:{mix}");
-    let stats = FaultStats::default(); // child-side injections are not observable here
+    let faults: &[&str] = if clean { &[] } else { &["--storage-faults", &spec] };
 
-    let mut child = match Command::new(bin)
-        .args([
-            "run", "--hours", &hours, "--data-dir", &dir_s, "--durability", "every-8",
-            "--checkpoint-every", "6", "--storage-faults", &spec, "--quiet",
-        ])
+    let mut child = run_cmd(bin, dir, combo, faults)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-    {
-        Ok(c) => c,
-        Err(e) => return fail(mix, stats, format!("spawn: {e}")),
-    };
+        .map_err(|e| format!("spawn: {e}"))?;
     std::thread::sleep(Duration::from_secs_f64(kill_fraction(seed) * ref_secs));
+    let completed_early = matches!(child.try_wait(), Ok(Some(_)));
     let _ = child.kill();
     let _ = child.wait();
 
-    // `manic recover`: 0 = clean, 3 = recoverable damage, anything else is
-    // only acceptable when no checkpoint generation ever landed.
-    let out = match Command::new(bin).args(["recover", &dir_s]).output() {
-        Ok(o) => o,
-        Err(e) => return fail(mix, stats, format!("recover spawn: {e}")),
-    };
-    let recover_text = String::from_utf8_lossy(&out.stdout).to_string();
-    let code = out.status.code();
-    let has_meta = std::fs::read_dir(&dir)
-        .map(|rd| {
-            rd.flatten()
-                .any(|e| e.file_name().to_string_lossy().starts_with("checkpoint"))
-        })
-        .unwrap_or(false);
-    let flagged = match code {
-        Some(0) => false,
-        Some(3) => true,
-        _ if !has_meta => {
-            // Faults killed the run before any checkpoint: the resume falls
-            // back to a fresh start, which must still match the reference.
-            false
-        }
-        other => {
-            return fail(
-                mix,
-                stats,
-                format!("recover exited {other:?} with metas present: {recover_text}"),
-            )
-        }
+    // Before the resume: clean disks verify, faulted ones may report
+    // recoverable damage; with no generation at all the resume starts fresh.
+    let flagged = match recover(bin, dir) {
+        Ok(ok) if ok || !clean => !ok,
+        _ if !manic_core::has_checkpoint(dir) => false,
+        Ok(_) => return Err("recover flagged damage on a clean disk".into()),
+        Err(e) => return Err(e),
     };
 
-    // Clean resume: no fault injection, converge to the window's end.
-    let out = match Command::new(bin)
-        .args([
-            "run", "--hours", &hours, "--data-dir", &dir_s, "--resume",
-            "--durability", "every-64", "--checkpoint-every", "1000", "--quiet",
-        ])
+    // Clean resume on a long cadence: the child's cadence decides where the
+    // kill can land, not whether the replayed continuation is right.
+    let out = run_cmd(bin, dir, ("every-64", 1000), &["--resume"])
         .output()
-    {
-        Ok(o) => o,
-        Err(e) => return fail(mix, stats, format!("resume spawn: {e}")),
-    };
+        .map_err(|e| format!("resume spawn: {e}"))?;
     if !out.status.success() {
-        return fail(mix, stats, format!("resume exited {:?}", out.status.code()));
+        return Err(format!("resume exited {:?}", out.status.code()));
     }
-    let text = String::from_utf8_lossy(&out.stdout).to_string();
-    let Some((store, verdicts)) = summary_lines(&text) else {
-        return fail(mix, stats, "resume printed no summary lines".into());
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-
+    let text = String::from_utf8_lossy(&out.stdout);
+    let (store, verdicts) = summary_lines(&text).ok_or("resume printed no summary lines")?;
     let exact = store == reference.0 && verdicts == reference.1;
-    let enospc_shed = mix == "enospc" || mix == "all";
-    if exact {
-        let kind = if flagged { "recovered-healed" } else { "recovered-exact" };
-        return TrialOutcome { kind, mix, stats, flagged, violation: None };
+
+    if clean {
+        if !exact {
+            return Err(format!("clean disk diverged: {store:?} {verdicts:?} vs {reference:?}"));
+        }
+        generations_only(dir)?;
+        if !recover(bin, dir).map_err(|e| format!("after resume: {e}"))? {
+            return Err("after resume: recover flagged damage".into());
+        }
+        let resumed_round = text
+            .lines()
+            .find_map(|l| l.strip_prefix("resumed:"))
+            .and_then(|l| l.split_whitespace().find_map(|t| t.strip_prefix("rounds=")))
+            .map(|r| r.parse::<f64>().expect("rounds= is a number"));
+        let window_rounds = (CHILD_HOURS * 3600 / ROUND_SECS) as f64;
+        return Ok(match (completed_early, resumed_round) {
+            (true, _) => ("completed-before-kill", None),
+            (false, Some(r)) => ("resumed-from-checkpoint", Some(r / window_rounds)),
+            (false, None) => ("fresh-fallback", Some(0.0)),
+        });
     }
+
+    if exact {
+        return Ok((if flagged { "recovered-healed" } else { "recovered-exact" }, None));
+    }
+    let enospc_shed = mix == "enospc" || mix == "all";
     if !flagged && !enospc_shed {
-        return fail(
-            mix,
-            stats,
-            format!("SILENT divergence: {store:?} != {:?}", reference.0),
-        );
+        return Err(format!("SILENT divergence: {store:?} != {:?}", reference.0));
     }
     let want = verdict_set(&reference.1);
     if !verdict_set(&verdicts).iter().all(|v| want.contains(v)) {
-        return fail(
-            mix,
-            stats,
-            format!("verdicts outside reference: {verdicts:?} vs {:?}", reference.1),
-        );
+        return Err(format!("verdicts outside reference: {verdicts:?} vs {:?}", reference.1));
     }
-    TrialOutcome { kind: "recovered-degraded", mix, stats, flagged, violation: None }
+    Ok(("recovered-degraded", None))
 }
 
 // ------------------------------------------------------------------- main
 
+/// Outcome kinds with counts, in first-seen order.
+#[derive(Default)]
+struct Tally(Vec<(&'static str, usize)>);
+
+impl Tally {
+    fn add(&mut self, kind: &'static str) {
+        match self.0.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => self.0.push((kind, 1)),
+        }
+    }
+
+    /// Most frequent first; ties keep first-seen order.
+    fn render(mut self, out: &mut String, title: &str) {
+        self.0.sort_by_key(|k| std::cmp::Reverse(k.1));
+        out.push_str(&format!("{title}:\n"));
+        for (k, n) in &self.0 {
+            out.push_str(&format!("  {k:24} {n}\n"));
+        }
+    }
+}
+
 fn main() {
-    let trials = env_trials("DISK_TORTURE_TRIALS", 50, MIXES.len());
-    let child_trials = env_trials("DISK_TORTURE_CHILD_TRIALS", 6, 2);
+    let trials = std::env::var("DISK_TORTURE_TRIALS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(50)
+        .max(MIXES.len());
     let root = std::env::temp_dir().join(format!("manic-disk-torture-{}", std::process::id()));
     std::fs::create_dir_all(&root).expect("create temp root");
     let mut out = String::new();
     let mut violations: Vec<String> = Vec::new();
 
-    // Reference: one uninterrupted in-memory window. (crash_torture already
-    // gates durable == in-memory for clean disks.)
+    // Reference: one uninterrupted in-memory window.
     let (from, to) = window();
     let mut ref_sys = System::new(toy(WORLD_SEED), SystemConfig::default());
     ref_sys.run_packet_mode(from, to);
     let reference = fingerprint(&mut ref_sys, from, to);
     drop(ref_sys);
     out.push_str(&format!(
-        "Disk torture — {trials} fault trials + {child_trials} SIGKILL children, \
-         toy world, {TRIAL_HOURS} h window\n\n\
+        "Disk torture — {trials} fault trials ({TRIAL_HOURS} h window) + {CHILDREN} SIGKILL \
+         children ({CHILD_HOURS} h window), toy world\n\n\
          reference: series={} points={} hash={:016x} verdicts={}\n\n",
         reference.series,
         reference.points,
@@ -449,7 +519,7 @@ fn main() {
     ));
 
     // Phase 1: in-process fault trials.
-    let mut kinds: Vec<(&'static str, usize)> = Vec::new();
+    let mut kinds = Tally::default();
     let mut injected = FaultStats::default();
     let mut per_mix: Vec<(&'static str, u64)> = MIXES.iter().map(|m| (*m, 0u64)).collect();
     let mut flagged_trials = 0usize;
@@ -458,10 +528,7 @@ fn main() {
         if let Some(v) = &o.violation {
             violations.push(format!("trial {trial} ({}): {v}", o.mix));
         }
-        match kinds.iter_mut().find(|(k, _)| *k == o.kind) {
-            Some((_, n)) => *n += 1,
-            None => kinds.push((o.kind, 1)),
-        }
+        kinds.add(o.kind);
         injected.eio += o.stats.eio;
         injected.enospc += o.stats.enospc;
         injected.torn += o.stats.torn;
@@ -490,11 +557,7 @@ fn main() {
             }
         }
     }
-    kinds.sort_by_key(|k| std::cmp::Reverse(k.1));
-    out.push_str("fault-trial outcomes:\n");
-    for (k, n) in &kinds {
-        out.push_str(&format!("  {k:24} {n}\n"));
-    }
+    kinds.render(&mut out, "fault-trial outcomes");
     out.push_str(&format!(
         "  corruption flagged:      {flagged_trials} trials (StorageFindings non-clean)\n\
          injected faults: eio={} enospc={} torn={} lies={} flips={} (total {})\n",
@@ -507,46 +570,79 @@ fn main() {
     }
     out.push('\n');
 
-    // Phase 2: SIGKILL + --storage-faults children.
+    // Phase 2: the in-memory run defines the children's expected summary;
+    // every policy × cadence's uninterrupted durable run must match it and
+    // times that combination's kills.
     let bin = manic_binary();
-    let hours = CHILD_HOURS.to_string();
     let ref_out = Command::new(&bin)
-        .args(["run", "--hours", &hours, "--quiet"])
+        .args(["run", "--hours", &CHILD_HOURS.to_string(), "--quiet"])
         .output()
         .expect("child reference run");
     assert!(ref_out.status.success(), "child reference run failed");
     let child_reference = summary_lines(&String::from_utf8_lossy(&ref_out.stdout))
         .expect("child reference printed no summary");
-
-    let dref = root.join("durable-ref");
-    let started = Instant::now();
-    let dref_out = Command::new(&bin)
-        .args([
-            "run", "--hours", &hours, "--data-dir", dref.to_str().unwrap(),
-            "--durability", "every-8", "--checkpoint-every", "6", "--quiet",
-        ])
-        .output()
-        .expect("durable reference run");
-    let ref_secs = started.elapsed().as_secs_f64();
-    assert!(dref_out.status.success(), "durable reference run failed");
-    let _ = std::fs::remove_dir_all(&dref);
-
-    let mut child_kinds: Vec<(&'static str, usize)> = Vec::new();
-    for trial in 0..child_trials {
-        let o = run_child_trial(&bin, &root, trial, &child_reference, ref_secs);
-        if let Some(v) = &o.violation {
-            violations.push(format!("child trial {trial} ({}): {v}", o.mix));
+    let combos = CHILD_POLICIES.len() * CADENCES.len();
+    let mut ref_secs = Vec::with_capacity(combos);
+    let mut durable_matches = 0;
+    for combo in (0..combos).map(child_combo) {
+        let dir = root.join("durable-ref");
+        let started = Instant::now();
+        let dref_out = run_cmd(&bin, &dir, combo, &[]).output().expect("durable reference run");
+        ref_secs.push(started.elapsed().as_secs_f64());
+        assert!(dref_out.status.success(), "durable reference run failed");
+        match summary_lines(&String::from_utf8_lossy(&dref_out.stdout)) {
+            Some(s) if s == child_reference => durable_matches += 1,
+            s => violations.push(format!(
+                "uninterrupted durable run {combo:?} diverged from in-memory: {s:?}"
+            )),
         }
-        match child_kinds.iter_mut().find(|(k, _)| *k == o.kind) {
-            Some((_, n)) => *n += 1,
-            None => child_kinds.push((o.kind, 1)),
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    out.push_str(&format!(
+        "reference:        {}\n\
+         reference:        {}\n\
+         durable == in-memory (uninterrupted): {durable_matches}/{combos} policy × cadence runs\n\n",
+        child_reference.0, child_reference.1,
+    ));
+
+    let (mut clean_kinds, mut faulted_kinds) = (Tally::default(), Tally::default());
+    let mut resumed_at: Vec<f64> = Vec::new();
+    for trial in 0..CHILDREN {
+        let dir = root.join(format!("c{trial:02}"));
+        let o = run_child_trial(&bin, &dir, trial, &child_reference, ref_secs[trial % combos]);
+        let _ = std::fs::remove_dir_all(&dir);
+        let kinds = if child_mix(trial) == "none" { &mut clean_kinds } else { &mut faulted_kinds };
+        match o {
+            Ok((kind, frac)) => {
+                kinds.add(kind);
+                resumed_at.extend(frac);
+            }
+            Err(v) => {
+                kinds.add("failed");
+                let (mix, combo) = (child_mix(trial), child_combo(trial));
+                violations.push(format!("child {trial} ({mix} {combo:?}): {v}"));
+            }
         }
     }
-    child_kinds.sort_by_key(|k| std::cmp::Reverse(k.1));
-    out.push_str("SIGKILL-child outcomes:\n");
-    for (k, n) in &child_kinds {
-        out.push_str(&format!("  {k:24} {n}\n"));
+    clean_kinds.render(&mut out, &format!("clean-disk children ({CLEAN_CHILDREN})"));
+    resumed_at.sort_by(f64::total_cmp);
+    let last = resumed_at.len().saturating_sub(1);
+    let at = |q: f64| resumed_at.get((last as f64 * q) as usize).copied();
+    match (at(0.0), at(0.5), at(1.0)) {
+        (Some(min), Some(median), Some(max)) => {
+            out.push_str(&format!(
+                "  resumed round / window: min {min:.2} median {median:.2} max {max:.2}\n\n"
+            ));
+            if max < MIN_MAX_RESUMED_FRACTION {
+                violations.push(format!(
+                    "kill coverage: no resume restarted past {MIN_MAX_RESUMED_FRACTION} \
+                     of the window (max {max:.2})"
+                ));
+            }
+        }
+        _ => violations.push("kill coverage: no clean child was killed mid-run".into()),
     }
+    faulted_kinds.render(&mut out, "faulted children (one per mix)");
     out.push('\n');
 
     out.push_str(&format!("violations: {}\n", violations.len()));

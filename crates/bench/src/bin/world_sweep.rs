@@ -16,55 +16,15 @@
 //! `WORLD_WORLDS=sim-5k,planet-20k` (200 VPs — minutes).
 
 use manic_analysis::render::text_table;
-use manic_core::{run_longitudinal, LinkDays, LongitudinalConfig, System, SystemConfig};
+use manic_bench::{score, Counts};
+use manic_core::{run_longitudinal, LongitudinalConfig, System, SystemConfig};
 use manic_netsim::time::{month_start, SECS_PER_DAY};
-use manic_netsim::AsNumber;
 use manic_scenario::World;
-use manic_worldgen::scenarios::pair_key;
 use manic_worldgen::{compile_world, scenario_library, BuiltWorld, STUDY_MONTHS};
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-const MIN_CONGESTED_DAYS: usize = 5;
 const PRECISION_FLOOR: f64 = 0.95;
 const RECALL_FLOOR: f64 = 0.90;
-
-struct Counts {
-    observed_pairs: usize,
-    tp: usize,
-    fp: usize,
-    fn_: usize,
-}
-
-impl Counts {
-    fn precision(&self) -> f64 {
-        if self.tp + self.fp == 0 { 1.0 } else { self.tp as f64 / (self.tp + self.fp) as f64 }
-    }
-    fn recall(&self) -> f64 {
-        if self.tp + self.fn_ == 0 { 1.0 } else { self.tp as f64 / (self.tp + self.fn_) as f64 }
-    }
-}
-
-/// Score merged links against planted ground truth, mirroring the chaos
-/// sweep's rules: predicted = pairs at or above the day-link bar; recall is
-/// over plant pairs the run observed at all.
-fn score(links: &[LinkDays], gt: &BTreeSet<(AsNumber, AsNumber)>) -> Counts {
-    let mut observed: BTreeSet<(AsNumber, AsNumber)> = BTreeSet::new();
-    let mut predicted: BTreeSet<(AsNumber, AsNumber)> = BTreeSet::new();
-    for l in links {
-        let p = pair_key(l.host_as, l.neighbor_as);
-        if l.observed_days() > 0 {
-            observed.insert(p);
-        }
-        if l.congested_days(0.04) >= MIN_CONGESTED_DAYS {
-            predicted.insert(p);
-        }
-    }
-    let tp = predicted.intersection(gt).count();
-    let fp = predicted.len() - tp;
-    let fn_ = gt.iter().filter(|p| observed.contains(*p) && !predicted.contains(*p)).count();
-    Counts { observed_pairs: observed.len(), tp, fp, fn_ }
-}
 
 struct ScenarioResult {
     key: &'static str,
@@ -147,7 +107,7 @@ fn sweep_world(name: &str, failures: &mut Vec<String>) -> WorldReport {
         let mut sys = System::new(b.world, SystemConfig::default());
         let cfg = LongitudinalConfig::new(from, to);
         let links = run_longitudinal(&mut sys, &cfg);
-        let counts = score(&links, &planted.gt);
+        let counts = score(&sys.world, &links, &planted.gt);
         if counts.precision() < PRECISION_FLOOR {
             failures.push(format!(
                 "{name}/{}: precision {:.3} below {PRECISION_FLOOR}",

@@ -8,10 +8,15 @@
 //! `EXPERIMENTS.md` records the paper-vs-measured comparison for each.
 
 use manic_analysis::Study;
-use manic_core::{run_longitudinal_detailed, LongitudinalConfig, LongitudinalOutput, System, SystemConfig};
+use manic_core::{
+    run_longitudinal_detailed, LinkDays, LongitudinalConfig, LongitudinalOutput, System,
+    SystemConfig,
+};
 use manic_netsim::time::{date_to_sim, month_start, Date, SimTime};
+use manic_netsim::AsNumber;
 use manic_scenario::worlds::{self, us_broadband};
 use manic_scenario::World;
+use std::collections::BTreeSet;
 use std::io::Write as _;
 use std::path::PathBuf;
 
@@ -94,6 +99,68 @@ pub fn tcp_rows() -> Vec<(manic_netsim::AsNumber, &'static str)> {
 /// Name of an AS in a world.
 pub fn as_name(world: &World, asn: manic_netsim::AsNumber) -> String {
     world.graph.info(asn).name.clone()
+}
+
+/// A merged link counts as "inferred congested" with at least this many
+/// congested day-links at the §6 4% bar.
+pub const MIN_CONGESTED_DAYS: usize = 5;
+
+/// Congested-pair verdicts scored against planted ground truth.
+pub struct Counts {
+    pub observed_pairs: usize,
+    pub tp: usize,
+    pub fp: usize,
+    pub fn_: usize,
+}
+
+impl Counts {
+    pub fn precision(&self) -> f64 {
+        if self.tp + self.fp == 0 {
+            1.0
+        } else {
+            self.tp as f64 / (self.tp + self.fp) as f64
+        }
+    }
+    pub fn recall(&self) -> f64 {
+        if self.tp + self.fn_ == 0 {
+            1.0
+        } else {
+            self.tp as f64 / (self.tp + self.fn_) as f64
+        }
+    }
+}
+
+/// The AS pair a verdict is scored under: each end anchored at its
+/// lowest-numbered sibling (so an org's ASes score as one), low end first.
+/// Generated worlds have one org per AS, where this is the plain ASN pair.
+pub fn pair_key(world: &World, a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
+    let anchor = |asn| world.artifacts.siblings(asn).into_iter().min().unwrap_or(asn);
+    let (a, b) = (anchor(a), anchor(b));
+    (a.min(b), a.max(b))
+}
+
+/// Score merged links against the ground-truth set of congested AS pairs.
+/// Predicted = pairs with at least [`MIN_CONGESTED_DAYS`] congested
+/// day-links; recall is over ground-truth pairs the run observed at all, so
+/// faults that erase a pair's visibility move it out of the denominator
+/// (coverage loss shows in `observed_pairs`). `benchmark/`'s `study_fluid`
+/// scores with its own copy of these rules; the two must agree.
+pub fn score(world: &World, links: &[LinkDays], gt: &BTreeSet<(AsNumber, AsNumber)>) -> Counts {
+    let mut observed = BTreeSet::new();
+    let mut predicted = BTreeSet::new();
+    for l in links {
+        let p = pair_key(world, l.host_as, l.neighbor_as);
+        if l.observed_days() > 0 {
+            observed.insert(p);
+        }
+        if l.congested_days(0.04) >= MIN_CONGESTED_DAYS {
+            predicted.insert(p);
+        }
+    }
+    let tp = predicted.intersection(gt).count();
+    let fp = predicted.len() - tp;
+    let fn_ = gt.iter().filter(|p| observed.contains(*p) && !predicted.contains(*p)).count();
+    Counts { observed_pairs: observed.len(), tp, fp, fn_ }
 }
 
 /// Write an experiment's text output under `results/`, plus a metrics

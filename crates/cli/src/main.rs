@@ -325,6 +325,17 @@ impl Args {
                 });
             }
         }
+        // Durable-only flags without a data dir would otherwise run fresh
+        // in memory and exit 0, as if they had been honoured.
+        if args.data_dir.is_none() {
+            for (flag, set) in
+                [("--resume", args.resume), ("--storage-faults", args.storage_faults.is_some())]
+            {
+                if set {
+                    return Err(CliError::InvalidValue { flag, reason: "needs --data-dir".into() });
+                }
+            }
+        }
         if args.request_timeout == 0 {
             return Err(CliError::InvalidValue {
                 flag: "--request-timeout",
@@ -405,11 +416,15 @@ fn run(cmd: &str, args: Args) -> Result<(), CliError> {
         .iter()
         .find(|(name, _)| *name == cmd)
         .ok_or_else(|| CliError::UnknownCommand(cmd.to_string()))?;
-    // Only `obs` (subcommands) and `recover` (data dir) take positionals.
-    if cmd != "obs" && cmd != "recover" {
-        if let Some(extra) = args.positional.first() {
-            return Err(CliError::UnexpectedArg(extra.clone()));
-        }
+    // Only `recover` (its data dir) and `obs` (a subcommand, plus the link
+    // for `explain`) take positionals; anything past those is a stray.
+    let takes = match (cmd, args.positional.first().map(String::as_str)) {
+        ("obs", Some("explain")) => 2,
+        ("obs" | "recover", _) => 1,
+        _ => 0,
+    };
+    if let Some(extra) = args.positional.get(takes) {
+        return Err(CliError::UnexpectedArg(extra.clone()));
     }
     handler(args)
 }
@@ -466,7 +481,7 @@ fn open_durable(
 /// Shared epilogue of `manic run`: arm the level-shift detector over the
 /// executed window and print a machine-parseable summary. The same lines
 /// come out of a fresh, a durable, and a crashed-then-resumed run, so the
-/// crash-torture harness (and CI) can diff them directly.
+/// `disk_torture` harness (and CI) can diff them directly.
 fn print_run_summary(sys: &mut System, world: &str, seed: u64, from: i64, to: i64) {
     let mut congested: Vec<String> = Vec::new();
     if to > from {
@@ -562,9 +577,6 @@ fn cmd_run(args: Args) -> Result<(), CliError> {
 /// directory holds another checkpoint format version and is refused as a
 /// whole; 1 = unrecoverable (no generation restores).
 fn cmd_recover(args: Args) -> Result<(), CliError> {
-    if args.positional.len() > 1 {
-        return Err(CliError::UnexpectedArg(args.positional[1].clone()));
-    }
     let dir = args
         .positional
         .first()
@@ -1018,9 +1030,6 @@ fn cmd_obs(args: Args) -> Result<(), CliError> {
         .clone();
     match sub.as_str() {
         "metrics" => {
-            if args.positional.len() > 1 {
-                return Err(CliError::UnexpectedArg(args.positional[1].clone()));
-            }
             obs_pipeline(&args)?;
             let r = manic_obs::registry();
             match args.format.as_str() {
@@ -1029,9 +1038,6 @@ fn cmd_obs(args: Args) -> Result<(), CliError> {
             }
         }
         "journal" => {
-            if args.positional.len() > 1 {
-                return Err(CliError::UnexpectedArg(args.positional[1].clone()));
-            }
             obs_pipeline(&args)?;
             let floor = args.verbosity.unwrap_or(manic_obs::Level::Trace);
             for ev in manic_obs::journal().snapshot() {
@@ -1067,9 +1073,6 @@ fn cmd_obs(args: Args) -> Result<(), CliError> {
             }
         }
         "links" => {
-            if args.positional.len() > 1 {
-                return Err(CliError::UnexpectedArg(args.positional[1].clone()));
-            }
             obs_pipeline(&args)?;
             for link in manic_obs::audit().links() {
                 println!("{link}");
@@ -1244,22 +1247,57 @@ mod tests {
             parse(&["run", "--checkpoint-every", "0"]),
             Err(CliError::InvalidValue { flag: "--checkpoint-every", .. })
         ));
-        let (_, a) = parse(&["run", "--storage-faults", "7:torn+flip"]).unwrap();
+        let (_, a) =
+            parse(&["run", "--data-dir", "/tmp/x", "--storage-faults", "7:torn+flip"]).unwrap();
         assert_eq!(a.storage_faults.as_deref(), Some("7:torn+flip"));
-        assert!(matches!(
-            parse(&["run", "--storage-faults", "7:everything"]),
-            Err(CliError::InvalidValue { flag: "--storage-faults", .. })
-        ));
-        assert!(matches!(
-            parse(&["run", "--storage-faults", "noseed"]),
-            Err(CliError::InvalidValue { flag: "--storage-faults", .. })
-        ));
-        // `recover` takes its data dir positionally; `run` rejects strays.
+        for spec in ["7:everything", "noseed"] {
+            assert!(matches!(
+                parse(&["run", "--data-dir", "/tmp/x", "--storage-faults", spec]),
+                Err(CliError::InvalidValue { flag: "--storage-faults", .. })
+            ));
+        }
+        // `recover` takes its data dir positionally.
         let (cmd, a) = parse(&["recover", "/tmp/x"]).unwrap();
         assert_eq!(cmd, "recover");
         assert_eq!(a.positional, vec!["/tmp/x".to_string()]);
-        let (cmd, a) = parse(&["run", "stray"]).unwrap();
-        assert!(matches!(super::run(&cmd, a), Err(CliError::UnexpectedArg(_))));
+    }
+
+    #[test]
+    fn durable_only_flags_need_a_data_dir() {
+        use super::CliError;
+        for cmd in ["run", "serve"] {
+            for (flag, extra) in [("--resume", None), ("--storage-faults", Some("7:all"))] {
+                let argv: Vec<&str> =
+                    [cmd, "--hours", "1", flag].into_iter().chain(extra).collect();
+                match parse(&argv) {
+                    Err(CliError::InvalidValue { flag: f, .. }) => assert_eq!(f, flag),
+                    other => panic!("{argv:?}: {:?}", other.err()),
+                }
+                let durable: Vec<&str> =
+                    argv.iter().copied().chain(["--data-dir", "/tmp/x"]).collect();
+                assert!(parse(&durable).is_ok(), "{durable:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn stray_positionals_rejected_uniformly() {
+        for argv in [
+            &["obs", "explain", "10.0.200.2", "junk"][..],
+            &["obs", "links", "junk"],
+            &["obs", "metrics", "junk"],
+            &["obs", "journal", "junk"],
+            &["recover", "/tmp/x", "junk"],
+            &["run", "junk"],
+            &["study", "junk"],
+        ] {
+            let argv: Vec<&str> = argv.iter().copied().chain(["--hours", "1"]).collect();
+            let (cmd, a) = parse(&argv).unwrap();
+            match super::run(&cmd, a) {
+                Err(super::CliError::UnexpectedArg(extra)) => assert_eq!(extra, "junk"),
+                other => panic!("{argv:?}: {:?}", other.err()),
+            }
+        }
     }
 
     #[test]
@@ -1304,12 +1342,6 @@ mod tests {
         assert!(matches!(
             parse(&["obs", "--verbosity", "loud"]),
             Err(CliError::UnknownLevel(_))
-        ));
-        // Non-obs commands reject stray positionals (checked in run()).
-        let (cmd, a) = parse(&["study", "extra"]).unwrap();
-        assert!(matches!(
-            super::run(&cmd, a),
-            Err(CliError::UnexpectedArg(_))
         ));
     }
 }

@@ -23,7 +23,7 @@
 //! determinism contract (DESIGN.md §5g).
 
 use crate::health::{Backoff, CYCLE_BACKOFF};
-use crate::system::{System, SystemConfig, VpRuntime};
+use crate::system::{System, SystemConfig, VpRuntime, BDRMAP_CYCLE_DAYS};
 use manic_netsim::time::{SimTime, SECS_PER_DAY};
 use manic_probing::tslp::{End, ROUND_SECS};
 use manic_scenario::World;
@@ -318,7 +318,7 @@ fn supervised_vp_round(
 pub(crate) fn run_rounds(sys: &mut System, from: SimTime, to: SimTime) -> usize {
     let System { world, store, vps, cfg, .. } = sys;
     let (world, cfg, store): (&World, &SystemConfig, &Store) = (world, cfg, store);
-    let cycle_secs = cfg.bdrmap_cycle_days * SECS_PER_DAY;
+    let cycle_secs = BDRMAP_CYCLE_DAYS * SECS_PER_DAY;
 
     // Each slot pairs one VP's runtime with its staging buffer. A round
     // claims every slot exactly once, so the per-slot mutex is uncontended.

@@ -59,7 +59,7 @@ pub(crate) const TASK_BACKOFF: (i64, i64) = (900, 7_200);
 pub(crate) const STRIKE_BACKOFF: (i64, i64) = (1_800, 12 * 3_600);
 /// `(base, max)` seconds between empty bdrmap cycles: 30 minutes, doubling
 /// to 12 hours, instead of hammering or sleeping a full
-/// `bdrmap_cycle_days`.
+/// `BDRMAP_CYCLE_DAYS`.
 pub(crate) const CYCLE_BACKOFF: (i64, i64) = (1_800, 12 * 3_600);
 
 /// Health of one probing task.

@@ -19,6 +19,9 @@ use manic_netsim::{AsNumber, Ipv4};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
+/// Sliding step between 50-day analysis windows, days.
+const WINDOW_STEP_DAYS: usize = 25;
+
 /// Longitudinal run parameters.
 #[derive(Debug, Clone)]
 pub struct LongitudinalConfig {
@@ -26,8 +29,6 @@ pub struct LongitudinalConfig {
     pub from: SimTime,
     pub to: SimTime,
     pub autocorr: AutocorrConfig,
-    /// Sliding step between 50-day analysis windows, days.
-    pub window_step_days: usize,
     /// Worker threads (VPs are processed in parallel).
     pub threads: usize,
 }
@@ -40,7 +41,6 @@ impl LongitudinalConfig {
             from,
             to,
             autocorr: AutocorrConfig::default(),
-            window_step_days: 25,
             threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
         }
     }
@@ -137,7 +137,7 @@ fn analyze_task_series(
     if total_days < wdays {
         return (masks, observed);
     }
-    let mut starts: Vec<usize> = (0..=total_days - wdays).step_by(cfg.window_step_days).collect();
+    let mut starts: Vec<usize> = (0..=total_days - wdays).step_by(WINDOW_STEP_DAYS).collect();
     let last_start = total_days - wdays;
     if starts.last() != Some(&last_start) {
         starts.push(last_start);

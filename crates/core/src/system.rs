@@ -12,17 +12,18 @@ use manic_scenario::World;
 use manic_tsdb::{quality, Aggregate, Store};
 use std::collections::HashMap;
 
+/// Days between bdrmap cycles (the paper: a full cycle takes 1-3 days).
+pub(crate) const BDRMAP_CYCLE_DAYS: i64 = 2;
+/// Maximum links under concurrent loss probing (budget bound).
+const MAX_LOSS_TARGETS: usize = 30;
+
 /// System-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Days between bdrmap cycles (the paper: a full cycle takes 1-3 days).
-    pub bdrmap_cycle_days: i64,
     /// Traceroute attempts per hop.
     pub trace_attempts: u32,
     /// Level-shift configuration for reactive loss triggering (§3.3).
     pub levelshift: LevelShiftConfig,
-    /// Maximum links under concurrent loss probing (budget bound).
-    pub max_loss_targets: usize,
     /// Reactive probing-set updates (§3.2's future work, implemented): when
     /// a task's far end stops answering from the expected interface for
     /// this many consecutive rounds (its `TaskHealth::dark_rounds`),
@@ -45,10 +46,8 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            bdrmap_cycle_days: 2,
             trace_attempts: 2,
             levelshift: LevelShiftConfig::default(),
-            max_loss_targets: 30,
             reactive_mismatch_rounds: 3,
             threads: 1,
             summary_window_bins: 8640,
@@ -566,7 +565,7 @@ impl System {
                 far_ttl: dest.far_ttl,
                 flow_id: task.flow_id,
             });
-            if targets.len() >= self.cfg.max_loss_targets {
+            if targets.len() >= MAX_LOSS_TARGETS {
                 break;
             }
         }
