@@ -197,7 +197,10 @@ struct SinkTree {
 /// Mutable simulation state: ICMP rate limiter buckets and the draw counter
 /// feeding probe-level randomness. One `SimState` per measurement driver;
 /// probes must be issued in nondecreasing time order for rate limiting to be
-/// meaningful (the drivers do).
+/// meaningful (the drivers do). Each driver owns its buckets: a driver on
+/// its own clock — a bdrmap cycle paced hours ahead of the TSLP round it
+/// runs in — probes through a [`Self::fork`], so its timestamps never reach
+/// the buckets of the driver it forked from.
 #[derive(Debug, Default)]
 pub struct SimState {
     limiters: HashMap<RouterId, RateLimiter>,
@@ -214,6 +217,24 @@ impl SimState {
     fn next(&mut self) -> u64 {
         self.counter += 1;
         self.counter
+    }
+
+    /// A driver of its own that continues this one's noise draws: no
+    /// limiter buckets, this state's draw counter (and its scratch buffers,
+    /// to spare the allocation). Hand it back with [`Self::join`].
+    pub fn fork(&mut self) -> SimState {
+        SimState {
+            limiters: HashMap::new(),
+            counter: self.counter,
+            scratch: std::mem::take(&mut self.scratch),
+        }
+    }
+
+    /// Take back a [`Self::fork`]'s draw counter and scratch buffers, so the
+    /// next fork does not replay its draws. Its limiter buckets are dropped.
+    pub fn join(&mut self, fork: SimState) {
+        self.counter = fork.counter;
+        self.scratch = fork.scratch;
     }
 
     /// Checkpoint serialization: the draw counter plus every limiter bucket

@@ -93,7 +93,9 @@ impl IcmpProfile {
 ///
 /// Probes are executed in nondecreasing time order by the measurement
 /// drivers, so a forward-only refill is sufficient; out-of-order queries are
-/// clamped (the bucket never goes back in time).
+/// clamped (the bucket never goes back in time). That makes a bucket the
+/// property of one driver (`SimState`): a probe stamped ahead of its
+/// driver's clock would drain it until the driver caught up.
 #[derive(Debug, Clone, Copy)]
 pub struct RateLimiter {
     tokens: f64,
