@@ -16,9 +16,7 @@
 //! therefore overshoots the border by one hop. See [`infer::infer`] for the rules.
 
 pub mod annotate;
-pub mod farlink;
 pub mod infer;
 
 pub use annotate::{annotate, HopAnnotation, HopOwner};
-pub use farlink::{infer_far_links, FarLink};
 pub use infer::{infer, AliasOracle, BdrmapResult, InferredLink};

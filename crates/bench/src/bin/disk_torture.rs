@@ -40,7 +40,7 @@
 //! `DISK_TORTURE_TRIALS` scales phase 1 (default 50, min 6 so every fault
 //! mix still runs). Exits non-zero on any violation.
 
-use manic_core::{recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig};
+use manic_core::{recover_report, resume, Durable, DurabilityConfig, System, SystemConfig};
 use manic_netsim::noise;
 use manic_netsim::time::{date_to_sim, Date};
 use manic_probing::tslp::ROUND_SECS;
@@ -222,7 +222,7 @@ fn run_fault_trial(root: &Path, trial: usize, reference: &Fingerprint) -> TrialO
         checkpoint_every_rounds: 100_000,
         ..DurabilityConfig::default()
     };
-    let report = recover_report_with(&dir, manic_vfs::real());
+    let report = recover_report(&dir, &manic_vfs::RealVfs);
     let recovered = catch_unwind(AssertUnwindSafe(|| match resume(&dir, Some(clean)) {
         Err(e) => Err(e),
         Ok((mut sys, mut d, info)) => {
@@ -415,7 +415,7 @@ fn run_child_trial(
     // recoverable damage; with no generation at all the resume starts fresh.
     let flagged = match recover(bin, dir) {
         Ok(ok) if ok || !clean => !ok,
-        _ if !manic_core::has_checkpoint(dir) => false,
+        _ if !manic_core::has_checkpoint(dir, &manic_vfs::RealVfs) => false,
         Ok(_) => return Err("recover flagged damage on a clean disk".into()),
         Err(e) => return Err(e),
     };

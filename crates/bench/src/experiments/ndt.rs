@@ -199,7 +199,7 @@ pub fn run_fig6() -> String {
     let tests = test_times(from, to, tz);
     let mut t = from;
     while t < to {
-        let rtt = pp.min_rtt(&world.net, t);
+        let (rtt, _) = pp.rtt_and_prob(&world.net, t, 1.0);
         // The NDT sample nearest this half-hour, if any.
         let ndt = tests
             .iter()

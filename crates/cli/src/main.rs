@@ -467,7 +467,7 @@ fn open_durable(
     to: i64,
 ) -> Result<(System, manic_core::Durable, Option<manic_core::ResumeInfo>), CliError> {
     let cfg = durability_config(args);
-    if args.resume && manic_core::has_checkpoint(dir) {
+    if args.resume && manic_core::has_checkpoint(dir, &*cfg.vfs) {
         let (mut sys, d, info) = manic_core::resume(dir, Some(cfg)).map_err(durability_err)?;
         sys.cfg.threads = args.threads;
         return Ok((sys, d, Some(info)));
@@ -583,7 +583,8 @@ fn cmd_recover(args: Args) -> Result<(), CliError> {
         .cloned()
         .or_else(|| args.data_dir.clone())
         .ok_or_else(|| CliError::MissingValue("recover <data-dir>".into()))?;
-    let rep = manic_core::recover_report(std::path::Path::new(&dir)).map_err(durability_err)?;
+    let rep = manic_core::recover_report(std::path::Path::new(&dir), &manic_vfs::RealVfs)
+        .map_err(durability_err)?;
     println!("recover report for {dir}:");
     println!("  world '{}' seed {}", rep.world, rep.seed);
     println!(

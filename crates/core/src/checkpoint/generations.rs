@@ -35,12 +35,13 @@ pub(super) fn list_generations(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(u64
     Ok(out)
 }
 
-/// Does `data_dir` hold a checkpoint generation to resume from? This is
-/// the gate between `--resume` and a fresh start, which wipes the dir: it
-/// answers from the generation listing, so a dir is never declared empty
-/// while any generation (however old) is still there.
-pub fn has_checkpoint(data_dir: &Path) -> bool {
-    list_generations(&*manic_vfs::real(), data_dir).is_ok_and(|g| !g.is_empty())
+/// Does `data_dir`, read through the run's `vfs`, hold a checkpoint
+/// generation to resume from? This is the gate between `--resume` and a
+/// fresh start, which wipes the dir: it answers from the generation
+/// listing, so a dir is never declared empty while any generation (however
+/// old) is still there.
+pub fn has_checkpoint(data_dir: &Path, vfs: &dyn Vfs) -> bool {
+    list_generations(vfs, data_dir).is_ok_and(|g| !g.is_empty())
 }
 
 /// Atomically write `bytes` at `path` (temp + fsync + rename).

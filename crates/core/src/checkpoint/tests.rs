@@ -61,7 +61,7 @@ fn resume_reproduces_uninterrupted_run() {
     assert_eq!(executed, 20);
     drop((sys, d)); // crash: no finalize
 
-    let (mut resumed, mut d2, info) = System::resume(&dir).unwrap();
+    let (mut resumed, mut d2, info) = resume(&dir, None).unwrap();
     assert_eq!(info.world, "toy");
     assert_eq!(info.seed, 7);
     assert_eq!(info.rounds, 20, "stop() path checkpoints at the stop round");
@@ -107,7 +107,7 @@ fn resume_mid_interval_discards_wal_tail() {
     sys.run_packet_mode(d.resume_t(), d.resume_t() + 3 * ROUND_SECS);
     drop((sys, d));
 
-    let (_resumed, d2, info) = System::resume(&dir).unwrap();
+    let (_resumed, d2, info) = resume(&dir, None).unwrap();
     assert_eq!(info.rounds, 14);
     assert!(info.tail_discarded > 0, "post-checkpoint samples were in the log");
     assert_eq!(d2.resume_t(), from + 14 * ROUND_SECS);
@@ -126,13 +126,13 @@ fn recover_report_reads_without_mutating() {
     d.finalize(&sys, to).unwrap();
     let newest = dir.join(generation_name(12));
     let before = std::fs::read(&newest).unwrap();
-    let rep = recover_report(&dir).unwrap();
+    let rep = recover_report(&dir, &manic_vfs::RealVfs).unwrap();
     assert_eq!(rep.rounds, 12);
     assert!(rep.series > 0 && rep.points > 0);
     assert!(rep.store_hash_ok);
     assert_eq!(rep.tail_records, 0, "finalize leaves no unacknowledged tail");
     assert_eq!(std::fs::read(&newest).unwrap(), before);
-    let rep2 = recover_report(&dir).unwrap();
+    let rep2 = recover_report(&dir, &manic_vfs::RealVfs).unwrap();
     assert_eq!(rep.store_hash, rep2.store_hash, "recover is idempotent");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -155,7 +155,7 @@ fn audit_trail_roundtrips_through_checkpoint() {
     assert!(!saved.is_empty(), "arm_reactive_loss records verdicts");
     d.finalize(&sys, to).unwrap();
 
-    let (_resumed, _d2, _info) = System::resume(&dir).unwrap();
+    let (_resumed, _d2, _info) = resume(&dir, None).unwrap();
     let restored = manic_obs::audit().all();
     assert!(restored.len() >= saved.len());
     for (a, b) in saved.iter().zip(&restored) {
@@ -213,11 +213,11 @@ fn resume_heals_corrupt_newest_snapshot() {
     std::fs::write(&snap, &raw).unwrap();
 
     // Read-only inspection sees (and reports) the same heal.
-    let rep = recover_report(&dir).unwrap();
+    let rep = recover_report(&dir, &manic_vfs::RealVfs).unwrap();
     assert!(rep.storage.healed_snapshot, "recover heals: {:?}", rep.storage.notes);
     assert!(rep.store_hash_ok, "WAL intact, heal reproduces the exact store");
 
-    let (mut resumed, mut d2, info) = System::resume(&dir).unwrap();
+    let (mut resumed, mut d2, info) = resume(&dir, None).unwrap();
     assert_eq!(info.rounds, newest);
     assert!(info.storage.healed_snapshot, "healed: {:?}", info.storage.notes);
     assert_eq!(
@@ -249,7 +249,7 @@ fn resume_falls_back_generation_on_corrupt_meta() {
     // the previous generation and re-execute forward.
     std::fs::write(dir.join(generation_name(newest)), b"{ not json").unwrap();
 
-    let (mut resumed, mut d2, info) = System::resume(&dir).unwrap();
+    let (mut resumed, mut d2, info) = resume(&dir, None).unwrap();
     assert!(info.rounds < newest, "restored an older generation");
     assert_eq!(info.storage.bad_metas, 1, "notes: {:?}", info.storage.notes);
     assert_eq!(info.storage.fallback_generations, 0, "a bad meta is not a tried generation");
@@ -267,7 +267,7 @@ fn resume_falls_back_generation_on_corrupt_meta() {
 fn create_wipes_stale_state_and_missing_checkpoint_is_an_error() {
     let _guard = RESUME_LOCK.lock().unwrap();
     let dir = tmpdir("wipe");
-    assert!(System::resume(&dir).is_err(), "no checkpoint yet");
+    assert!(resume(&dir, None).is_err(), "no checkpoint yet");
     let sys = fresh_sys(2);
     let _d =
         Durable::create(&sys, "toy", 2, &dir, 0, 3600, DurabilityConfig::default()).unwrap();
@@ -281,7 +281,7 @@ fn create_wipes_stale_state_and_missing_checkpoint_is_an_error() {
     let sys2 = fresh_sys(2);
     let _d2 =
         Durable::create(&sys2, "toy", 2, &dir, 0, 3600, DurabilityConfig::default()).unwrap();
-    let (resumed, _d3, info) = System::resume(&dir).unwrap();
+    let (resumed, _d3, info) = resume(&dir, None).unwrap();
     assert_eq!(info.rounds, 0);
     assert_eq!(resumed.store.point_count(), 0, "old history wiped");
     std::fs::remove_dir_all(&dir).unwrap();
@@ -305,7 +305,7 @@ fn legacy_layout_dir_resumes_and_create_clears_the_copy() {
     std::fs::copy(dir.join(generation_name(newest)), &copy).unwrap();
     let copied = std::fs::read(&copy).unwrap();
 
-    let (mut resumed, mut d2, info) = System::resume(&dir).unwrap();
+    let (mut resumed, mut d2, info) = resume(&dir, None).unwrap();
     assert_eq!(info.rounds, newest);
     assert!(info.store_hash_ok && info.storage.clean(), "notes: {:?}", info.storage.notes);
     d2.run_window(&mut resumed, to, &|| false).unwrap();
@@ -434,7 +434,7 @@ fn unencodable_store_contents_fail_the_checkpoint_and_keep_the_old_generation() 
         assert!(dir.join(format!("{}.tmp", snapshot_name(0))).exists(), "{tag}: died before rename");
         drop((sys, d));
 
-        let (resumed, _d2, info) = System::resume(&dir).unwrap();
+        let (resumed, _d2, info) = resume(&dir, None).unwrap();
         assert!(info.store_hash_ok, "{tag}");
         assert_eq!(resumed.store.point_count(), 1, "{tag}: the last good generation");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -500,7 +500,7 @@ fn derived_backoff_members_round_trip_and_are_checked_on_read() {
     for m in &members {
         assert!(meta.contains(m.as_str()), "meta lacks {m}");
     }
-    let (resumed, _d, info) = System::resume(&dir).unwrap();
+    let (resumed, _d, info) = resume(&dir, None).unwrap();
     assert_eq!((info.rounds, info.storage.fallback_generations), (1, 0));
     let back = &resumed.vps[0];
     assert_eq!(
@@ -531,7 +531,7 @@ fn derived_backoff_members_round_trip_and_are_checked_on_read() {
         let path = dir.join(generation_name(1));
         let meta = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, reseal(&meta.replace(&from_member, &to_member))).unwrap();
-        let (_, _, info) = System::resume(&dir).unwrap();
+        let (_, _, info) = resume(&dir, None).unwrap();
         assert_eq!(
             (info.rounds, info.storage.fallback_generations),
             (0, 1),

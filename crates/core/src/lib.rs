@@ -25,8 +25,8 @@ pub(crate) mod obs;
 pub mod system;
 
 pub use checkpoint::{
-    has_checkpoint, recover_report, recover_report_with, resume, Durable, DurabilityConfig,
-    RecoverReport, ResumeInfo, StorageFindings,
+    has_checkpoint, recover_report, resume, Durable, DurabilityConfig, RecoverReport, ResumeInfo,
+    StorageFindings,
 };
 pub use health::{Backoff, HealthState, TaskHealth, VpSupervisor};
 pub use longitudinal::{run_longitudinal, run_longitudinal_detailed, LinkDays, LongitudinalConfig, LongitudinalOutput, VpLinkDays};

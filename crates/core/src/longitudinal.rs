@@ -3,8 +3,9 @@
 //! For each VP the pipeline runs one bdrmap cycle (probing-state
 //! construction), synthesizes the min-per-15-minute TSLP series for every
 //! maintained link over the whole study window, slides the 50-day
-//! autocorrelation analysis across it, and finally merges day estimates
-//! across all VPs observing the same link (§4.2's last stage).
+//! autocorrelation analysis across it, and finally merges the per-VP
+//! records of each link (§4.2's last stage; the rule is documented at the
+//! merge in [`run_longitudinal_detailed`]).
 //!
 //! Output granularity matches the paper's: per link, per day, a bitmap of
 //! congested 15-minute intervals — from which day-link congestion
@@ -68,7 +69,8 @@ pub struct LongitudinalOutput {
     pub per_vp: Vec<VpLinkDays>,
 }
 
-/// Merged congestion record for one interdomain link.
+/// Merged congestion record for one interdomain link: the OR of its
+/// contributing VPs' day masks and the union of their observed days.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkDays {
     /// Network hosting the VPs that observed the link.
@@ -253,7 +255,16 @@ pub fn run_longitudinal_detailed(system: &mut System, cfg: &LongitudinalConfig) 
             .expect("VP slot poisoned by a panicking worker") = Some(out);
     });
 
-    // Merge across VPs: link identity = (host org anchor, near, far).
+    // §4.2's final stage: "The final stage of the scheme merges estimates
+    // from all VPs that observe a given interdomain link to derive an
+    // overall inference. Congestion inferences for the same link based on
+    // data from different VPs are typically similar. Significant
+    // differences may reflect an asymmetric return path." The rule: a link
+    // is identified by (host org anchor, near, far), where sibling VPs
+    // share the lowest sibling ASN as the anchor; its merged record ORs
+    // the contributing VPs' per-day masks of congested 15-minute intervals
+    // and takes the union of their observed days, so an interval counts as
+    // congested when any VP inferred it congested.
     let mut per_vp_records = Vec::new();
     let mut merged: BTreeMap<(AsNumber, Ipv4, Ipv4), LinkDays> = BTreeMap::new();
     for slot in slots {
@@ -261,7 +272,6 @@ pub fn run_longitudinal_detailed(system: &mut System, cfg: &LongitudinalConfig) 
             .into_inner()
             .expect("VP slot poisoned by a panicking worker")
             .expect("fan_out runs every VP");
-        // Sibling VPs share the lowest sibling ASN as the org anchor.
         let anchor = system
             .world
             .artifacts

@@ -13,19 +13,18 @@
 //!   recurring-congestion window as the time-of-day band where the most
 //!   days show elevation, false-positive rejection, and per-day congestion
 //!   percentages. This is the method behind every §6 result.
-//! * [`merge`] — the final stage combining per-VP inferences for one link.
+//!
+//! The paper's final stage, merging per-VP inferences for one link, runs
+//! where the per-VP records meet: `manic_core::longitudinal` ORs the VPs'
+//! per-day congested-interval masks.
 
 pub mod autocorr;
 pub mod levelshift;
 pub mod mask;
 pub(crate) mod obs;
-pub mod merge;
-pub mod returnpath;
 pub mod summary;
 
 pub use autocorr::{analyze_window, AutocorrConfig, AutocorrResult, DayEstimate, RejectReason};
 pub use levelshift::{detect_level_shifts, Episode, LevelShiftConfig};
 pub use mask::{apply_quality_mask, detect_level_shifts_masked, DEFAULT_REJECT};
 pub use summary::{note_summary_fallback, LinkSummary};
-pub use merge::merge_day_estimates;
-pub use returnpath::{correlate_signatures, elevation_signature, SignatureMatch};

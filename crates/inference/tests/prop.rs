@@ -2,9 +2,6 @@
 
 use manic_inference::autocorr::{analyze_window, AutocorrConfig, INTERVALS_PER_DAY};
 use manic_inference::levelshift::{detect_level_shifts, LevelShiftConfig};
-use manic_inference::merge_day_estimates;
-use manic_inference::returnpath::correlate_signatures;
-use manic_inference::DayEstimate;
 use proptest::prelude::*;
 
 /// Strategy: a 50-day diurnal far series with a configurable window/amount.
@@ -107,60 +104,6 @@ proptest! {
             prop_assert!(e.end > e.start);
             prop_assert!(e.level >= e.baseline);
             prev_end = e.end;
-        }
-    }
-
-    /// Merging is idempotent and commutative, and the merged estimate
-    /// dominates every input.
-    #[test]
-    fn merge_properties(
-        a in prop::collection::vec(0usize..96, 1..20),
-        b in prop::collection::vec(0usize..96, 1..20),
-    ) {
-        let mk = |v: &[usize]| -> Vec<DayEstimate> {
-            v.iter()
-                .enumerate()
-                .map(|(day, &iv)| DayEstimate {
-                    day,
-                    congested_intervals: iv,
-                    congestion_pct: iv as f64 / 96.0,
-                })
-                .collect()
-        };
-        let (ea, eb) = (mk(&a), mk(&b));
-        let ab = merge_day_estimates(&[ea.clone(), eb.clone()]);
-        let ba = merge_day_estimates(&[eb.clone(), ea.clone()]);
-        prop_assert_eq!(&ab, &ba, "commutative");
-        let aa = merge_day_estimates(&[ea.clone(), ea.clone()]);
-        prop_assert_eq!(&aa, &ea, "idempotent");
-        for d in &ab {
-            if let Some(x) = ea.iter().find(|e| e.day == d.day) {
-                prop_assert!(d.congested_intervals >= x.congested_intervals);
-            }
-            if let Some(x) = eb.iter().find(|e| e.day == d.day) {
-                prop_assert!(d.congested_intervals >= x.congested_intervals);
-            }
-        }
-    }
-
-    /// Signature correlation is symmetric and bounded.
-    #[test]
-    fn signature_correlation_symmetric(
-        lo1 in 0usize..96, lo2 in 0usize..96,
-        len in 4usize..24,
-        seed in any::<u64>(),
-    ) {
-        let a = far_series(lo1, len, 30.0, seed);
-        let b = far_series(lo2, len, 30.0, seed.wrapping_add(1));
-        let ab = correlate_signatures(&a, &b, 7.0);
-        let ba = correlate_signatures(&b, &a, 7.0);
-        match (ab, ba) {
-            (Some(x), Some(y)) => {
-                prop_assert!((x.correlation - y.correlation).abs() < 1e-9);
-                prop_assert!(x.correlation >= -1.0 - 1e-9 && x.correlation <= 1.0 + 1e-9);
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "asymmetric None"),
         }
     }
 }

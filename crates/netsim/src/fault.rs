@@ -15,7 +15,7 @@
 //! list, t)`, which keeps the fluid fast path valid (the same bin queried
 //! twice sees the same faults). `Network` consumes it in packet mode
 //! (`cross`, `icmp_generate`, `send_probe`) and the probing layer consumes it
-//! in fluid mode (`ProbePath::response_prob`); the measurement control loop
+//! in fluid mode (`ProbePath::rtt_and_prob`); the measurement control loop
 //! polls [`FaultSchedule::vp_retired`] for host churn.
 
 use crate::ip::Ipv4;
@@ -259,14 +259,6 @@ impl FaultSchedule {
             }
         }
         false
-    }
-
-    /// Is `router` inside a reboot's down window at `t`?
-    pub fn router_down(&self, router: RouterId, t: SimTime) -> bool {
-        self.has(FaultKind::RouterReboot { rebuild_secs: 0 }.bit())
-            && self.covering_router(router).any(|e| {
-                matches!(e.kind, FaultKind::RouterReboot { .. }) && e.active(t)
-            })
     }
 
     /// Is ICMP generation at `router` suppressed at `t`? True through a
@@ -550,8 +542,6 @@ mod tests {
         assert!(s.link_blocked(&topo, LinkId(0), 1000));
         assert!(s.link_blocked(&topo, LinkId(1), 1299));
         assert!(!s.link_blocked(&topo, LinkId(0), 1300), "forwarding back after down");
-        assert!(s.router_down(RouterId(1), 1100));
-        assert!(!s.router_down(RouterId(1), 1300));
         // ICMP stays dark through the rebuild tail.
         assert!(s.icmp_suppressed(RouterId(1), 1100));
         assert!(s.icmp_suppressed(RouterId(1), 1899));
@@ -709,13 +699,6 @@ mod tests {
             }
 
             for r in [RouterId(0), RouterId(1), RouterId(2)] {
-                let down = s.events().iter().any(|e| {
-                    matches!(e.kind, FaultKind::RouterReboot { .. })
-                        && covers_router(e, r)
-                        && active(e, t)
-                });
-                assert_eq!(s.router_down(r, t), down, "router_down {r:?} t={t}");
-
                 let suppressed = s.events().iter().any(|e| match e.kind {
                     FaultKind::RouterReboot { rebuild_secs } => {
                         covers_router(e, r)

@@ -31,16 +31,6 @@ use std::collections::HashMap;
 /// Maximum hops a packet may take before we declare a forwarding loop.
 const MAX_HOPS: usize = 64;
 
-/// Classifies the probe for bookkeeping (both are ICMP echoes on the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeKind {
-    /// TSLP / traceroute style TTL-limited probe.
-    TtlLimited,
-    /// Full-TTL echo (loss probing toward a far interface uses TTL-limited
-    /// probes too; this is for completeness and host pings).
-    Echo,
-}
-
 /// A probe to inject.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeSpec {

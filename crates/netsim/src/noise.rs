@@ -8,19 +8,7 @@
 //! per-probe jitter) is derived by hashing `(seed, stream, counter)` with
 //! SplitMix64 — a cheap, well-distributed 64-bit mixer.
 
-/// SplitMix64's golden-ratio increment: a stream steps its state by this
-/// and feeds the state to [`mix`].
-pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// SplitMix64 finalizer: maps any u64 to a well-mixed u64. Adds [`GAMMA`]
-/// first, so `mix(s)` is the draw of a SplitMix64 stream in state `s`.
-#[inline]
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use manic_stats::{mix, GAMMA};
 
 /// Combine a seed and two stream identifiers into one hash.
 #[inline]

@@ -120,9 +120,6 @@ impl AuditTrail {
     }
 
     pub fn record(&self, rec: AuditRecord) {
-        if !crate::enabled() {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
         if inner.0.len() >= self.cap {
             inner.0.pop_front();

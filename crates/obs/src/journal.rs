@@ -228,7 +228,7 @@ impl Journal {
     }
 
     pub fn record(&self, ev: Event) {
-        if !crate::enabled() || ev.level < self.min_level() {
+        if ev.level < self.min_level() {
             return;
         }
         let echo = match Level::from_u8(self.stderr_level.load(Ordering::Relaxed)) {
@@ -288,7 +288,7 @@ impl Journal {
 macro_rules! event {
     ($level:expr, $target:expr, $name:expr, $t:expr $(, $k:ident = $v:expr)* $(,)?) => {{
         let lvl = $level;
-        if $crate::enabled() && lvl >= $crate::journal().min_level() {
+        if lvl >= $crate::journal().min_level() {
             $crate::journal().record($crate::journal::Event {
                 t: $t,
                 level: lvl,

@@ -14,9 +14,8 @@
 //! * [`audit()`] — the inference audit trail: every congested/uncongested
 //!   verdict with its evidence chain, queryable per link.
 //!
-//! One kill switch: [`set_enabled`] flips a runtime atomic that the
-//! hot-path `inc()`/`record()` methods check first. All three export JSON
-//! through [`JsonWriter`], as does every served body and checkpoint meta.
+//! Recording is always on. All three export JSON through [`JsonWriter`], as
+//! does every served body and checkpoint meta.
 
 pub mod audit;
 pub mod journal;
@@ -28,25 +27,10 @@ pub use journal::{Event, Journal, Level, Value};
 pub use json::JsonWriter;
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Runtime master switch. Off: counters don't count, the journal and audit
-/// trail drop records on the floor.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 /// Convenience level constants so call sites can write
 /// `obs::event!(obs::WARN, ...)` without importing `Level`.
-pub const TRACE: Level = Level::Trace;
 pub const DEBUG: Level = Level::Debug;
 pub const INFO: Level = Level::Info;
 pub const WARN: Level = Level::Warn;
@@ -74,19 +58,6 @@ pub fn audit() -> &'static AuditTrail {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_switch_gates_recording() {
-        // Uses detached handles so this test doesn't touch the global
-        // registry that other (parallel) tests may be exercising.
-        let c = Counter::detached();
-        set_enabled(false);
-        c.inc();
-        assert_eq!(c.get(), 0);
-        set_enabled(true);
-        c.inc();
-        assert_eq!(c.get(), 1);
-    }
 
     #[test]
     fn singletons_are_stable() {

@@ -38,9 +38,7 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        if crate::enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -59,16 +57,12 @@ impl Gauge {
 
     #[inline]
     pub fn set(&self, v: i64) {
-        if crate::enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add(&self, d: i64) {
-        if crate::enabled() {
-            self.0.fetch_add(d, Ordering::Relaxed);
-        }
+        self.0.fetch_add(d, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
@@ -142,9 +136,6 @@ impl Histogram {
 
     #[inline]
     pub fn observe(&self, v_ms: f64) {
-        if !crate::enabled() {
-            return;
-        }
         let c = &self.0;
         c.buckets[bucket_index(v_ms)].fetch_add(1, Ordering::Relaxed);
         let micros = if v_ms.is_finite() && v_ms > 0.0 { (v_ms * 1_000.0) as u64 } else { 0 };
@@ -166,15 +157,6 @@ impl Histogram {
         self.0.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
     }
 
-    /// Fold another histogram's observations into this one.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.0
-            .sum_micros
-            .fetch_add(other.0.sum_micros.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 }
 
 enum Metric {
@@ -346,24 +328,6 @@ impl Registry {
             .collect()
     }
 
-    /// Zero every metric *in place*. Registrations survive so that handles
-    /// cached in instrumented crates (`OnceLock`'d per-subsystem structs)
-    /// stay attached to the cells the exporters read.
-    pub fn reset(&self) {
-        for m in self.metrics.read().unwrap().values() {
-            match m {
-                Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.0.store(0, Ordering::Relaxed),
-                Metric::Histogram(h) => {
-                    for b in h.0.buckets.iter() {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                    h.0.sum_micros.store(0, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// Render the whole registry in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
         let metrics = self.metrics.read().unwrap();
@@ -488,21 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds_everything() {
-        let a = Histogram::detached();
-        let b = Histogram::detached();
-        a.observe(1.0);
-        a.observe(100.0);
-        b.observe(3.0);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.bucket_counts().iter().sum::<u64>(), 3);
-        assert!((a.sum_ms() - 104.0).abs() < 1e-6);
-        // b unchanged.
-        assert_eq!(b.count(), 1);
-    }
-
-    #[test]
     fn registry_counters_and_prefix_sums() {
         let r = Registry::new();
         r.counter("manic_test_a").add(3);
@@ -560,19 +509,5 @@ mod tests {
         assert!(json.contains("\"manic_t_c{vp=\\\"x\\\\\\\"y\\\"}\":7"), "{json}");
         assert!(json.contains("\"count\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn reset_zeroes_but_keeps_handles_attached() {
-        let r = Registry::new();
-        let h = r.counter("manic_t_x");
-        h.add(9);
-        r.histogram("manic_t_hh").observe(4.0);
-        r.reset();
-        assert_eq!(r.counter_value("manic_t_x"), 0);
-        assert_eq!(r.histogram("manic_t_hh").count(), 0);
-        // The pre-reset handle still feeds the registered cell.
-        h.inc();
-        assert_eq!(r.counter_value("manic_t_x"), 1);
     }
 }

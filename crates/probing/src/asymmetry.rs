@@ -113,7 +113,8 @@ mod tests {
         let mut st = SimState::new();
         let tr = trace(&w.net, &mut st, &vp, dst, 7, 0, 32, 3);
         let gt = &w.links_between(toy_asns::ACME, toy_asns::CDNCO)[0];
-        let far_ttl = tr.ttl_of(gt.far_addr_from(toy_asns::ACME)).expect("far hop seen");
+        let far = tr.hop_of(gt.far_addr_from(toy_asns::ACME)).expect("far hop seen");
+        let far_ttl = tr.hops[far].ttl;
         let report = check_far_end(&w.net, &mut st, &vp, &tr, far_ttl, 1000).expect("routable");
         assert!(
             !report.asymmetric,

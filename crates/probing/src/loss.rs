@@ -162,7 +162,8 @@ impl LossProber {
             while w < to {
                 let t_mid = w + WINDOW_SECS / 2;
                 for (end, pp) in &paths {
-                    let p_loss = 1.0 - pp.response_prob(net, t_mid, PROBES_PER_SEC as f64);
+                    let (_, p) = pp.rtt_and_prob(net, t_mid, PROBES_PER_SEC as f64);
+                    let p_loss = 1.0 - p;
                     let stream = ((tgt.far_ip.0 as u64) << 2)
                         | matches!(end, End::Far) as u64
                         | ((ti as u64) << 40);

@@ -48,31 +48,6 @@ pub struct ProbePath {
 }
 
 impl ProbePath {
-    /// Minimum RTT a probe sent at `t` could observe: baseline plus the
-    /// standing queue delay on every link crossed in either direction.
-    pub fn min_rtt(&self, net: &Network, t: SimTime) -> f64 {
-        let mut rtt = self.base_ms + net.fault.clock_skew_ms(self.src, t);
-        for &(l, d) in self.forward.iter().chain(&self.reply) {
-            rtt += net.link_state(l, d, t).queue_ms;
-        }
-        rtt
-    }
-
-    /// Probability that a single probe sent at `t` yields a response:
-    /// per-link delivery on both path legs times the responder's
-    /// steady-state ICMP response probability under `offered_pps` probes per
-    /// second directed at it.
-    pub fn response_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
-        let mut p = 1.0;
-        for &(l, d) in self.forward.iter().chain(&self.reply) {
-            if net.fault.link_blocked(&net.topo, l, t) {
-                return 0.0;
-            }
-            p *= (1.0 - net.link_state(l, d, t).loss - net.fault.extra_loss(l, t)).max(0.0);
-        }
-        p * self.responder_prob(net, t, offered_pps)
-    }
-
     /// The responder's contribution to delivery probability: ICMP profile
     /// behaviour plus injected faults (silence, reboot blackout, renumbering
     /// — a response from an unexpected alias is no valid sample).
@@ -103,8 +78,13 @@ impl ProbePath {
         p
     }
 
-    /// Both [`Self::min_rtt`] and [`Self::response_prob`] in one pass — the
-    /// longitudinal fast path calls this once per (path, bin).
+    /// The fluid model of a probe sent at `t`, in one pass over the path:
+    ///
+    /// * the minimum RTT it could observe: baseline plus the standing queue
+    ///   delay on every link crossed in either direction;
+    /// * the probability that it yields a response: per-link delivery on
+    ///   both path legs times the responder's steady-state ICMP response
+    ///   probability under `offered_pps` probes per second directed at it.
     pub fn rtt_and_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> (f64, f64) {
         let mut rtt = self.base_ms + net.fault.clock_skew_ms(self.src, t);
         let mut p = 1.0;
@@ -237,7 +217,7 @@ mod tests {
                 min_obs = min_obs.min(r);
             }
         }
-        let fast = pp.min_rtt(&w.net, 0);
+        let (fast, _) = pp.rtt_and_prob(&w.net, 0, 1.0);
         assert!(min_obs.is_finite());
         assert!(
             (min_obs - fast).abs() < 3.0,
@@ -252,7 +232,7 @@ mod tests {
         let dst = w.host_addr(toy_asns::CDNCO, 0);
         let pp = probe_path(&w.net, &vp, dst, 4, 9, 0).unwrap();
         for t in [0i64, 100_000, 1_000_000] {
-            let p = pp.response_prob(&w.net, t, 1.0);
+            let (_, p) = pp.rtt_and_prob(&w.net, t, 1.0);
             assert!((0.0..=1.0).contains(&p), "p={p}");
         }
     }

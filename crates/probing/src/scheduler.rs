@@ -50,11 +50,6 @@ impl RateBudget {
     pub fn capacity(&self, secs: f64) -> usize {
         (self.rate_pps * secs) as usize
     }
-
-    /// True when `n` probes fit within a window of `secs` seconds.
-    pub fn fits(&self, n: usize, secs: f64) -> bool {
-        n <= self.capacity(secs)
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,5 @@ mod tests {
     fn capacity_math() {
         let b = RateBudget::new(100.0, 0);
         assert_eq!(b.capacity(300.0), 30_000);
-        assert!(b.fits(30_000, 300.0));
-        assert!(!b.fits(30_001, 300.0));
     }
 }

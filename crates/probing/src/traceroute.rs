@@ -35,11 +35,6 @@ impl Traceroute {
     pub fn hop_of(&self, addr: Ipv4) -> Option<usize> {
         self.hops.iter().position(|h| h.addr == Some(addr))
     }
-
-    /// TTL at which `addr` responded.
-    pub fn ttl_of(&self, addr: Ipv4) -> Option<u8> {
-        self.hop_of(addr).map(|i| self.hops[i].ttl)
-    }
 }
 
 /// Consecutive unresponsive hops after which the trace gives up
@@ -138,7 +133,7 @@ mod tests {
         let ni = tr.hop_of(near).expect("near hop observed");
         let fi = tr.hop_of(far).expect("far hop observed");
         assert_eq!(fi, ni + 1, "far end immediately follows near end");
-        assert_eq!(tr.ttl_of(far).unwrap(), tr.ttl_of(near).unwrap() + 1);
+        assert_eq!(tr.hops[fi].ttl, tr.hops[ni].ttl + 1);
     }
 
     #[test]

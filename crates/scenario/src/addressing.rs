@@ -36,15 +36,13 @@ pub struct AsAddressing {
     pop_next: BTreeMap<u8, u32>,
     /// Next free /30 slot in the linknet block.
     linknet_next: u32,
-    /// Next host address offset.
-    host_next: u32,
 }
 
 impl AsAddressing {
     fn new(asn: AsNumber, index: u8) -> Self {
         let block = Prefix::new(Ipv4::new(10, index, 0, 0), 16);
         let host_prefix = Prefix::new(Ipv4::new(10, index, 64, 0), 18);
-        AsAddressing { asn, index, block, host_prefix, pop_next: BTreeMap::new(), linknet_next: 0, host_next: 0 }
+        AsAddressing { asn, index, block, host_prefix, pop_next: BTreeMap::new(), linknet_next: 0 }
     }
 
     /// Next infrastructure address in PoP `p`'s /24 (p must be < 32).
@@ -77,14 +75,6 @@ impl AsAddressing {
     /// The whole linknet block.
     pub fn linknet_block(&self) -> Prefix {
         Prefix::new(Ipv4::new(10, self.index, 200, 0), 22)
-    }
-
-    /// A responding destination address within the host space.
-    pub fn next_host_addr(&mut self) -> Ipv4 {
-        assert!((self.host_next as u64) < self.host_prefix.size() - 2, "host space exhausted");
-        let addr = self.host_prefix.nth(self.host_next + 1);
-        self.host_next += 1;
-        addr
     }
 }
 
@@ -202,17 +192,6 @@ mod tests {
             let (p, ..) = s.next_linknet();
             assert!(s.linknet_block().covers(&p));
         }
-    }
-
-    #[test]
-    fn host_addrs_in_host_space() {
-        let mut a = Addressing::new();
-        a.register(AsNumber(1));
-        let s = a.of_mut(AsNumber(1));
-        let h1 = s.next_host_addr();
-        let h2 = s.next_host_addr();
-        assert_ne!(h1, h2);
-        assert!(s.host_prefix.contains(h1));
     }
 
     #[test]

@@ -228,18 +228,7 @@ pub mod us_asns {
     pub const COGENT: AsNumber = AsNumber(174);
 }
 
-struct UsSpec {
-    graph: AsGraph,
-    /// The eight US access ISPs (Table 3 order is provided by
-    /// [`us_access_isps`]; this list follows construction order).
-    #[allow(dead_code)]
-    aps: Vec<AsNumber>,
-    /// Every transit/content provider in the world.
-    #[allow(dead_code)]
-    tcps: Vec<AsNumber>,
-}
-
-fn us_graph() -> UsSpec {
+fn us_graph() -> AsGraph {
     use us_asns::*;
     let mut g = AsGraph::new();
     let mk = |asn: AsNumber, name: &str, kind, org: &str, pops: &[MetroId]| AsInfo {
@@ -437,9 +426,7 @@ fn us_graph() -> UsSpec {
     for (asn, parent) in &stubs {
         g.add_c2p(*asn, *parent);
     }
-
-    let aps: Vec<AsNumber> = aps.iter().map(|(a, ..)| *a).collect();
-    UsSpec { graph: g, aps, tcps: all_tcps }
+    g
 }
 
 /// The 22-month congestion schedule. Hours are daily overload durations at
@@ -571,7 +558,7 @@ pub fn us_vp_placements() -> Vec<(AsNumber, &'static str)> {
 /// Build the full US-broadband world with its congestion schedule installed.
 pub fn us_broadband(seed: u64) -> World {
     use us_asns::*;
-    let spec = us_graph();
+    let graph = us_graph();
     let ixp_pairs = [(RCN, GOOGLE), (CHARTER, NETFLIX), (AsNumber(1136), GOOGLE)];
     let cfg = CompileConfig {
         seed,
@@ -582,16 +569,10 @@ pub fn us_broadband(seed: u64) -> World {
         secondary_hosts: vec![(TATA, ASH.code().to_string())],
         ..Default::default()
     };
-    let mut world = compile(spec.graph, &us_vp_placements(), &ixp_pairs, &cfg)
+    let mut world = compile(graph, &us_vp_placements(), &ixp_pairs, &cfg)
         .expect("builtin us world compiles");
     install_congestion(&mut world, &us_schedule());
     world
-}
-
-/// The eight US access ISPs, in Table 3 order.
-pub fn us_access_isps() -> Vec<AsNumber> {
-    use us_asns::*;
-    vec![CENTURYLINK, ATT, COX, COMCAST, CHARTER, TWC, VERIZON, RCN]
 }
 
 #[cfg(test)]
@@ -677,7 +658,8 @@ mod tests {
         // Hundreds of interdomain links.
         assert!(w.gt_links.len() > 150, "{} links", w.gt_links.len());
         // Every US AP has many neighbors with links.
-        for ap in us_access_isps() {
+        use us_asns::*;
+        for ap in [CENTURYLINK, ATT, COX, COMCAST, CHARTER, TWC, VERIZON, RCN] {
             let n = w.links_of(ap).len();
             assert!(n >= 15, "{ap} has only {n} links");
         }

@@ -8,6 +8,7 @@
 //! endpoints additionally sit behind a circuit breaker and hard caps on
 //! selection size and response bytes.
 
+use crate::cache::CACHE_SHED_BYTES;
 use crate::http::{Request, Response};
 use crate::overload::ShedReason;
 use crate::server::ServeState;
@@ -20,6 +21,14 @@ const DEFAULT_WINDOW_SECS: i64 = 4 * 3600;
 /// Widest permitted window (a full 22-month study, rounded up) — bounds
 /// the per-request work a client can demand.
 const MAX_WINDOW_SECS: i64 = 700 * 86_400;
+/// Widest render a timeseries request may demand, in downsampled points
+/// across all matching series; larger selections are rejected up front
+/// with a 400 rather than rendered and then thrown away.
+const MAX_RENDER_POINTS: i64 = 200_000;
+/// Hard cap on a rendered response body; a render that exceeds it is
+/// abandoned and answered with a 500 (it indicates a cap mismatch, not
+/// client error).
+const MAX_RESPONSE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Paths on the reserved priority lane: always admitted, regardless of
 /// shed gate, breaker, or rate limiter.
@@ -55,7 +64,7 @@ pub fn handle(state: &ServeState, req: &Request) -> Response {
                 );
                 // Degrade before refusing more: hand cache memory back to
                 // the allocator while the gate is closed.
-                state.cache.shrink_to_bytes(state.overload.config().cache_shed_bytes);
+                state.cache.shrink_to_bytes(CACHE_SHED_BYTES);
                 Response::unavailable(
                     "overloaded, request shed",
                     state.overload.config().retry_after_secs,
@@ -198,9 +207,8 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
     // Refuse oversized selections up front instead of rendering and then
     // throwing the work away: the downsampled point count is known from
     // the window, bin, and series count alone.
-    let ocfg = state.overload.config();
     let est_points = (keys.len() as i64).saturating_mul(window / bin + 1);
-    if ocfg.max_render_points > 0 && est_points > ocfg.max_render_points as i64 {
+    if est_points > MAX_RENDER_POINTS {
         crate::obs::metrics().render_capped.inc();
         manic_obs::event!(
             manic_obs::DEBUG, "serve", "render_capped", 0,
@@ -208,7 +216,6 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
         );
         return Response::error(400, "selection too large: narrow the window or coarsen the bin");
     }
-    let byte_cap = ocfg.max_response_bytes;
 
     if format == "csv" {
         let mut out = String::from("series,t,v\n");
@@ -219,7 +226,7 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
             for p in state.store.downsample(key, start, end, bin, agg) {
                 out.push_str(&format!("\"{name}\",{},{}\n", p.t, p.v));
             }
-            if byte_cap > 0 && out.len() > byte_cap {
+            if out.len() > MAX_RESPONSE_BYTES {
                 return render_overflow(link, out.len());
             }
         }
@@ -237,7 +244,7 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
         }
         w.end_array().end_object();
         let bytes = w.as_str().len();
-        if byte_cap > 0 && bytes > byte_cap {
+        if bytes > MAX_RESPONSE_BYTES {
             return render_overflow(link, bytes);
         }
     }
@@ -245,7 +252,7 @@ fn timeseries(state: &ServeState, req: &Request, link: &str) -> Response {
     Response::json(200, w.finish())
 }
 
-/// A render blew through `max_response_bytes` despite the up-front point
+/// A render blew through [`MAX_RESPONSE_BYTES`] despite the up-front point
 /// cap: abandon it. This indicates the caps disagree (operator error), so
 /// it is a 500, not a client error.
 fn render_overflow(link: &str, bytes: usize) -> Response {

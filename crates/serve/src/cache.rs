@@ -26,6 +26,13 @@ pub type CachedResponse = Response;
 /// (hash-map slot, stamp, response struct).
 const ENTRY_OVERHEAD: usize = 96;
 
+/// A server's response-cache capacity, in entries.
+pub(crate) const CACHE_ENTRIES: usize = 256;
+/// A server's response-cache byte budget (enforced continuously).
+pub(crate) const CACHE_MAX_BYTES: usize = 64 * 1024 * 1024;
+/// Byte watermark a server's cache is shrunk to when the shed gate closes.
+pub(crate) const CACHE_SHED_BYTES: usize = 8 * 1024 * 1024;
+
 struct Inner {
     map: HashMap<(String, u64), (u64, CachedResponse)>,
     /// Monotone access stamp for LRU ordering.
@@ -62,10 +69,6 @@ pub struct ResponseCache {
 }
 
 impl ResponseCache {
-    pub fn new(cap: usize) -> Self {
-        Self::with_limits(cap, 64 * 1024 * 1024)
-    }
-
     /// Bound by entry count *and* resident bytes. `max_bytes == 0` disables
     /// the byte budget.
     pub fn with_limits(cap: usize, max_bytes: usize) -> Self {
@@ -174,7 +177,7 @@ mod tests {
 
     #[test]
     fn hit_returns_same_body_and_epoch_isolates() {
-        let c = ResponseCache::new(8);
+        let c = ResponseCache::with_limits(8, CACHE_MAX_BYTES);
         assert!(c.get("/a", 1).is_none());
         c.put("/a", 1, resp("one"));
         assert_eq!(body(&c.get("/a", 1).unwrap()), "{\"tag\":\"one\"}");
@@ -184,7 +187,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_coldest() {
-        let c = ResponseCache::new(2);
+        let c = ResponseCache::with_limits(2, CACHE_MAX_BYTES);
         c.put("/a", 1, resp("a"));
         c.put("/b", 1, resp("b"));
         c.get("/a", 1); // touch /a so /b is coldest

@@ -10,7 +10,7 @@
 //! capped before they are buffered, so a hostile client cannot balloon
 //! worker memory by streaming one enormous line.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::sync::Arc;
 
 /// Hard cap on the request line (method + URI + version); beyond it → 414.
@@ -336,14 +336,6 @@ impl Response {
         out.extend_from_slice(head.as_bytes());
         out.extend_from_slice(&self.body);
     }
-
-    /// Serialize head + body onto `w` in one write.
-    pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        let mut out = Vec::new();
-        self.render_into(&mut out, keep_alive);
-        w.write_all(&out)?;
-        w.flush()
-    }
 }
 
 #[cfg(test)]
@@ -468,7 +460,7 @@ mod tests {
     #[test]
     fn response_wire_format() {
         let mut buf = Vec::new();
-        Response::json(200, "{\"ok\":true}".into()).write_to(&mut buf, true).unwrap();
+        Response::json(200, "{\"ok\":true}".into()).render_into(&mut buf, true);
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(s.contains("Content-Length: 11\r\n"));
@@ -479,7 +471,7 @@ mod tests {
     #[test]
     fn retry_after_header_renders() {
         let mut buf = Vec::new();
-        Response::unavailable("shed", 3).write_to(&mut buf, false).unwrap();
+        Response::unavailable("shed", 3).render_into(&mut buf, false);
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{s}");
         assert!(s.contains("Retry-After: 3\r\n"), "{s}");

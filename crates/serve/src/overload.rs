@@ -37,9 +37,6 @@ pub struct OverloadConfig {
     /// byte. A slowloris or byte-dribbler is disconnected at this deadline
     /// instead of holding a worker for `keep_alive_timeout` per header line.
     pub header_read_timeout: Duration,
-    /// Socket write timeout: a client that stops reading its responses is
-    /// disconnected instead of blocking a worker on `write(2)`.
-    pub write_timeout: Duration,
     /// Accepted-but-unserviced connections beyond this close the shed gate.
     pub shed_queue_depth: usize,
     /// Handling-latency EWMA (ms) beyond this closes the shed gate.
@@ -52,18 +49,6 @@ pub struct OverloadConfig {
     pub breaker_slow_ms: f64,
     /// How long the breaker stays open before admitting probe renders.
     pub breaker_cooldown: Duration,
-    /// Widest render a timeseries request may demand, in downsampled
-    /// points across all matching series; larger selections are rejected
-    /// up front with a 400 rather than rendered and then thrown away.
-    pub max_render_points: usize,
-    /// Hard cap on a rendered response body; a render that exceeds it is
-    /// abandoned and answered with a 500 (it indicates a cap mismatch, not
-    /// client error).
-    pub max_response_bytes: usize,
-    /// Response-cache byte budget (enforced continuously by the cache).
-    pub cache_max_bytes: usize,
-    /// Byte watermark the cache is shrunk to when the shed gate closes.
-    pub cache_shed_bytes: usize,
 }
 
 impl Default for OverloadConfig {
@@ -71,17 +56,12 @@ impl Default for OverloadConfig {
         OverloadConfig {
             max_conns: 1024,
             header_read_timeout: Duration::from_secs(2),
-            write_timeout: Duration::from_secs(5),
             shed_queue_depth: 128,
             shed_latency_ms: 50.0,
             retry_after_secs: 1,
             breaker_streak: 8,
             breaker_slow_ms: 250.0,
             breaker_cooldown: Duration::from_secs(2),
-            max_render_points: 200_000,
-            max_response_bytes: 8 * 1024 * 1024,
-            cache_max_bytes: 64 * 1024 * 1024,
-            cache_shed_bytes: 8 * 1024 * 1024,
         }
     }
 }

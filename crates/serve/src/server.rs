@@ -20,7 +20,7 @@
 //! syscall to the buffered fast path.
 
 use crate::api;
-use crate::cache::ResponseCache;
+use crate::cache::{ResponseCache, CACHE_ENTRIES, CACHE_MAX_BYTES};
 use crate::http::{self, ParseError, Response};
 use crate::overload::{ConnGuard, OverloadConfig, OverloadState};
 use crate::ratelimit::RateLimiter;
@@ -33,6 +33,10 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+/// Socket write timeout: a client that stops reading its responses is
+/// disconnected instead of blocking a worker on `write(2)`.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Tuning for one server instance.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -42,8 +46,6 @@ pub struct ServeConfig {
     /// any dashboard's needs but still bounds a hostile client.
     pub rate_limit_rps: u64,
     pub rate_limit_burst: u64,
-    /// Response-cache capacity (entries; byte budget lives in `overload`).
-    pub cache_capacity: usize,
     /// Idle keep-alive connections are closed after this long.
     pub keep_alive_timeout: Duration,
     /// Overload-control tuning (deadlines, budgets, shed gate, breaker).
@@ -56,7 +58,6 @@ impl Default for ServeConfig {
             workers: 8,
             rate_limit_rps: 100_000,
             rate_limit_burst: 20_000,
-            cache_capacity: 256,
             keep_alive_timeout: Duration::from_secs(5),
             overload: OverloadConfig::default(),
         }
@@ -81,7 +82,7 @@ impl ServeState {
         ServeState {
             hub,
             store,
-            cache: ResponseCache::with_limits(cfg.cache_capacity, cfg.overload.cache_max_bytes),
+            cache: ResponseCache::with_limits(CACHE_ENTRIES, CACHE_MAX_BYTES),
             limiter: RateLimiter::new(cfg.rate_limit_rps, cfg.rate_limit_burst),
             overload: Arc::new(OverloadState::new(cfg.overload.clone())),
             durability: None,
@@ -388,9 +389,7 @@ fn serve_connection(
     let ocfg = state.overload.config();
     let peer_ip = stream.peer_addr().map(|a| a.ip()).ok();
     let _ = stream.set_nodelay(true);
-    if !ocfg.write_timeout.is_zero() {
-        let _ = stream.set_write_timeout(Some(ocfg.write_timeout));
-    }
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,

@@ -43,8 +43,3 @@ pub fn install() {
 pub fn requested() -> bool {
     REQUESTED.load(Ordering::SeqCst)
 }
-
-/// Reset the latch (tests).
-pub fn reset() {
-    REQUESTED.store(false, Ordering::SeqCst);
-}

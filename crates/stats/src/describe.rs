@@ -1,4 +1,4 @@
-//! Descriptive statistics: mean, variance, quantiles, empirical CDFs.
+//! Descriptive statistics: mean, variance, quantiles.
 
 /// Arithmetic mean. Returns NaN for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -42,19 +42,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Empirical CDF evaluated at the sorted sample points.
-///
-/// Returns `(sorted values, cumulative probabilities)`; probabilities use the
-/// convention `P(X <= x_(i)) = (i+1)/n`. Useful for rendering Figure-4-style
-/// CDF plots as text or CSV.
-pub fn ecdf(xs: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in ecdf input"));
-    let n = sorted.len() as f64;
-    let probs = (0..sorted.len()).map(|i| (i + 1) as f64 / n).collect();
-    (sorted, probs)
-}
-
 /// One-pass numeric summary of a sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
@@ -83,11 +70,6 @@ impl Summary {
             min: if n == 0 { f64::NAN } else { min },
             max: if n == 0 { f64::NAN } else { max },
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn sd(&self) -> f64 {
-        self.var.sqrt()
     }
 }
 
@@ -125,20 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_monotone() {
-        let (vals, probs) = ecdf(&[5.0, 1.0, 3.0]);
-        assert_eq!(vals, vec![1.0, 3.0, 5.0]);
-        assert_eq!(probs.last().copied(), Some(1.0));
-        assert!(probs.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
     fn summary_fields() {
         let s = Summary::of(&[1.0, 2.0, 3.0]);
         assert_eq!(s.n, 3);
         assert_eq!(s.mean, 2.0);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
-        assert!((s.sd() - 1.0).abs() < 1e-12);
+        assert!((s.var - 1.0).abs() < 1e-12);
     }
 }

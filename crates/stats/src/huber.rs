@@ -1,4 +1,4 @@
-//! Huber's robust weight function and M-estimate of location.
+//! Huber's robust weight function.
 //!
 //! §4.1: "To handle outliers in the time series, the algorithm employs
 //! Huber's weight function with an adjustable parameter P where higher values
@@ -22,42 +22,6 @@ pub fn huber_weight(r: f64, sigma: f64, p: f64) -> f64 {
     }
 }
 
-/// Huber M-estimate of location via iteratively reweighted averaging.
-///
-/// `sigma` is the scale used to decide what counts as an outlier (typically
-/// the series' average moving-window standard deviation, per §4.1), and `p`
-/// is the tuning constant. Converges in a handful of iterations; we cap at 50.
-///
-/// Returns NaN for an empty slice.
-pub fn huber_mean(xs: &[f64], sigma: f64, p: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    if xs.len() == 1 {
-        return xs[0];
-    }
-    // Start from the median for robustness.
-    let mut mu = crate::describe::median(xs);
-    if sigma == 0.0 {
-        return mu;
-    }
-    for _ in 0..50 {
-        let mut wsum = 0.0;
-        let mut xsum = 0.0;
-        for &x in xs {
-            let w = huber_weight(x - mu, sigma, p);
-            wsum += w;
-            xsum += w * x;
-        }
-        let next = xsum / wsum;
-        if (next - mu).abs() < 1e-12 {
-            return next;
-        }
-        mu = next;
-    }
-    mu
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,31 +39,5 @@ mod tests {
         assert!((w - 0.2).abs() < 1e-12);
         // Larger P tolerates more deviation.
         assert_eq!(huber_weight(4.0, 1.0, 5.0), 1.0);
-    }
-
-    #[test]
-    fn huber_mean_resists_outliers() {
-        // 20 points near 10, one wild outlier at 1000.
-        let mut xs: Vec<f64> = (0..20).map(|i| 10.0 + (i % 3) as f64 * 0.1).collect();
-        xs.push(1000.0);
-        let plain = crate::describe::mean(&xs);
-        let robust = huber_mean(&xs, 0.5, 1.0);
-        assert!(plain > 50.0, "plain mean dragged by outlier");
-        assert!((robust - 10.1).abs() < 0.5, "robust mean stays near bulk: {robust}");
-    }
-
-    #[test]
-    fn huber_mean_equals_mean_for_clean_data() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        // With a huge band everything gets weight 1.
-        let m = huber_mean(&xs, 100.0, 5.0);
-        assert!((m - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        assert!(huber_mean(&[], 1.0, 1.0).is_nan());
-        assert_eq!(huber_mean(&[7.0], 1.0, 1.0), 7.0);
-        assert_eq!(huber_mean(&[3.0, 4.0], 0.0, 1.0), 3.5);
     }
 }

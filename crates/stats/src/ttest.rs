@@ -13,7 +13,7 @@ use crate::special::student_t_cdf;
 pub enum Tails {
     /// H1: means differ (p doubles the tail probability).
     TwoSided,
-    /// H1: mean(a) > mean(b) (or mean > mu0 for one-sample).
+    /// H1: mean(a) > mean(b).
     Greater,
     /// H1: mean(a) < mean(b).
     Less,
@@ -24,7 +24,7 @@ pub enum Tails {
 pub struct TTest {
     /// The t statistic.
     pub t: f64,
-    /// Degrees of freedom (possibly fractional for Welch).
+    /// Degrees of freedom.
     pub df: f64,
     /// p-value under the chosen alternative.
     pub p: f64,
@@ -44,21 +44,6 @@ fn p_value(t: f64, df: f64, tails: Tails) -> f64 {
         Tails::Less => student_t_cdf(t, df),
     }
     .clamp(0.0, 1.0)
-}
-
-/// One-sample t-test of H0: mean(xs) == mu0.
-///
-/// Returns `None` if xs has fewer than 2 elements or zero variance
-/// (the statistic is undefined).
-pub fn one_sample_t(xs: &[f64], mu0: f64, tails: Tails) -> Option<TTest> {
-    let s = Summary::of(xs);
-    if s.n < 2 || !(s.var > 0.0) {
-        return None;
-    }
-    let se = (s.var / s.n as f64).sqrt();
-    let t = (s.mean - mu0) / se;
-    let df = (s.n - 1) as f64;
-    Some(TTest { t, df, p: p_value(t, df, tails) })
 }
 
 /// Two-sample pooled-variance Student's t-test of H0: mean(a) == mean(b).
@@ -88,29 +73,6 @@ pub fn two_sample_t(a: &[f64], b: &[f64], tails: Tails) -> Option<TTest> {
     }
     let se = (pooled * (1.0 / sa.n as f64 + 1.0 / sb.n as f64)).sqrt();
     let t = (sa.mean - sb.mean) / se;
-    Some(TTest { t, df, p: p_value(t, df, tails) })
-}
-
-/// Welch's unequal-variance t-test of H0: mean(a) == mean(b).
-///
-/// Preferred when the two samples have very different sizes/variances, as in
-/// congested-vs-uncongested throughput comparisons where the congested window
-/// is much shorter than the rest of the day.
-pub fn welch_t(a: &[f64], b: &[f64], tails: Tails) -> Option<TTest> {
-    let sa = Summary::of(a);
-    let sb = Summary::of(b);
-    if sa.n < 2 || sb.n < 2 {
-        return None;
-    }
-    let va = sa.var / sa.n as f64;
-    let vb = sb.var / sb.n as f64;
-    if !(va + vb > 0.0) {
-        return None;
-    }
-    let t = (sa.mean - sb.mean) / (va + vb).sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = (va + vb) * (va + vb)
-        / (va * va / (sa.n - 1) as f64 + vb * vb / (sb.n - 1) as f64);
     Some(TTest { t, df, p: p_value(t, df, tails) })
 }
 
@@ -149,15 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_sample_detects_offset() {
-        let xs: Vec<f64> = (0..50).map(|i| 10.0 + (i % 5) as f64 * 0.1).collect();
-        let t = one_sample_t(&xs, 9.0, Tails::TwoSided).unwrap();
-        assert!(t.significant(0.01), "clear offset should be significant: p={}", t.p);
-        let t2 = one_sample_t(&xs, 10.2, Tails::TwoSided).unwrap();
-        assert!(t2.p > 0.0001);
-    }
-
-    #[test]
     fn two_sample_identical_distributions_not_significant() {
         let a: Vec<f64> = (0..40).map(|i| (i % 7) as f64).collect();
         let b = a.clone();
@@ -173,15 +126,6 @@ mod tests {
         let t = two_sample_t(&a, &b, Tails::TwoSided).unwrap();
         assert!(t.significant(0.001));
         assert!(t.t < 0.0, "a < b should give negative t");
-    }
-
-    #[test]
-    fn welch_handles_unequal_sizes() {
-        let a: Vec<f64> = (0..200).map(|i| 20.0 + ((i * 7) % 13) as f64 * 0.3).collect();
-        let b: Vec<f64> = (0..10).map(|i| 10.0 + ((i * 5) % 7) as f64 * 0.4).collect();
-        let t = welch_t(&a, &b, Tails::TwoSided).unwrap();
-        assert!(t.significant(0.001));
-        assert!(t.df < (a.len() + b.len() - 2) as f64);
     }
 
     #[test]
@@ -211,8 +155,6 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_return_none() {
-        assert!(one_sample_t(&[1.0], 0.0, Tails::TwoSided).is_none());
         assert!(two_sample_t(&[1.0, 1.0], &[1.0, 1.0], Tails::TwoSided).is_none());
-        assert!(welch_t(&[1.0], &[2.0, 3.0], Tails::TwoSided).is_none());
     }
 }

@@ -15,9 +15,6 @@ proptest! {
         if let Some(t) = two_sample_t(&a, &b, Tails::TwoSided) {
             prop_assert!((0.0..=1.0).contains(&t.p), "p={}", t.p);
         }
-        if let Some(t) = welch_t(&a, &b, Tails::TwoSided) {
-            prop_assert!((0.0..=1.0).contains(&t.p), "p={}", t.p);
-        }
     }
 
     #[test]
@@ -62,14 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn huber_mean_between_min_and_max(xs in finite_vec(1), sigma in 0.0f64..100.0, p in 0.1f64..10.0) {
-        let m = huber_mean(&xs, sigma, p);
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(m >= lo - 1e-6 && m <= hi + 1e-6, "m={m} not in [{lo},{hi}]");
-    }
-
-    #[test]
     fn cusum_detects_large_planted_shift(
         base in -100.0f64..100.0,
         delta in 10.0f64..100.0,
@@ -94,15 +83,6 @@ proptest! {
         let s2 = s2.min(n2);
         if let Some(t) = two_proportion_z_test(s1, n1, s2, n2, Tails::TwoSided) {
             prop_assert!((0.0..=1.0).contains(&t.p));
-        }
-    }
-
-    #[test]
-    fn autocorrelation_bounded(xs in finite_vec(3), k in 0usize..16) {
-        let k = k % xs.len();
-        let r = autocorrelation(&xs, k);
-        if !r.is_nan() {
-            prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r={r}");
         }
     }
 }

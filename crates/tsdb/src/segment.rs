@@ -90,11 +90,6 @@ pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 }
 
 /// All `wal-*.seg` files in `dir`, sorted by sequence number.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    list_segments_with(&manic_vfs::RealVfs, dir)
-}
-
-/// [`list_segments`] through an explicit VFS handle.
 pub fn list_segments_with(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
     for name in vfs.read_dir_names(dir)? {
@@ -120,11 +115,6 @@ pub struct SegmentWriter {
 impl SegmentWriter {
     /// Create a fresh segment (truncating any existing file) and write the
     /// header.
-    pub fn create(path: &Path) -> io::Result<SegmentWriter> {
-        SegmentWriter::create_with(&manic_vfs::RealVfs, path)
-    }
-
-    /// [`Self::create`] through an explicit VFS handle.
     pub fn create_with(vfs: &dyn Vfs, path: &Path) -> io::Result<SegmentWriter> {
         let mut file = BufWriter::new(vfs.create(path)?);
         file.write_all(&MAGIC)?;
@@ -132,12 +122,7 @@ impl SegmentWriter {
     }
 
     /// Reopen an existing segment for appending, truncating it to
-    /// `valid_len` first (discarding a torn tail found by [`scan`]).
-    pub fn open_end(path: &Path, valid_len: u64) -> io::Result<SegmentWriter> {
-        SegmentWriter::open_end_with(&manic_vfs::RealVfs, path, valid_len)
-    }
-
-    /// [`Self::open_end`] through an explicit VFS handle.
+    /// `valid_len` first (discarding a torn tail found by [`scan_with`]).
     pub fn open_end_with(vfs: &dyn Vfs, path: &Path, valid_len: u64) -> io::Result<SegmentWriter> {
         let mut file = vfs.open_rw(path)?;
         file.set_len(valid_len)?;
@@ -218,19 +203,14 @@ fn frame_at(raw: &[u8], pos: usize) -> Option<usize> {
     (crc32(payload) == want_crc).then_some(pos + 8 + len as usize)
 }
 
-/// Read a segment, stopping at the first torn or corrupt frame. Records at
-/// or before `from_offset` (an offset *after* a frame, as returned by
-/// [`SegmentWriter::append`]) are decoded but not returned — used to skip
-/// the portion already covered by a checkpoint.
-pub fn scan(path: &Path, from_offset: u64) -> io::Result<SegmentScan> {
-    scan_with(&manic_vfs::RealVfs, path, from_offset, false)
-}
-
-/// [`scan`] through an explicit VFS handle, optionally *resyncing* past
-/// mid-file corruption: after a bad frame, search forward for the next
-/// offset that parses as a valid frame and quarantine the skipped range.
-/// The append path must use `resync: false` (truncate at the first bad
-/// byte); replay uses `resync: true` to recover everything recoverable.
+/// Read a segment, stopping at the first torn or corrupt frame unless
+/// *resyncing* past mid-file corruption: after a bad frame, search forward
+/// for the next offset that parses as a valid frame and quarantine the
+/// skipped range. The append path must use `resync: false` (truncate at the
+/// first bad byte); replay uses `resync: true` to recover everything
+/// recoverable. Records at or before `from_offset` (an offset *after* a
+/// frame, as returned by [`SegmentWriter::append`]) are decoded but not
+/// returned — used to skip the portion already covered by a checkpoint.
 pub fn scan_with(
     vfs: &dyn Vfs,
     path: &Path,
@@ -306,6 +286,7 @@ pub fn scan_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manic_vfs::RealVfs;
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("manic-seg-{}-{name}", std::process::id()));
@@ -323,19 +304,19 @@ mod tests {
     #[test]
     fn write_scan_roundtrip() {
         let path = tmp("roundtrip.seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         let mut offsets = Vec::new();
         for payload in [b"alpha".as_slice(), b"", b"gamma rays"] {
             offsets.push(w.append(payload).unwrap());
         }
         w.sync().unwrap();
-        let scan = scan(&path, 0).unwrap();
+        let scan = scan_with(&RealVfs, &path, 0, false).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.valid_len, *offsets.last().unwrap());
         let payloads: Vec<&[u8]> = scan.records.iter().map(|(_, p)| p.as_slice()).collect();
         assert_eq!(payloads, vec![b"alpha".as_slice(), b"", b"gamma rays"]);
         // from_offset skips frames already applied.
-        let partial = super::scan(&path, offsets[0]).unwrap();
+        let partial = scan_with(&RealVfs, &path, offsets[0], false).unwrap();
         assert_eq!(partial.records.len(), 2);
         std::fs::remove_file(&path).unwrap();
     }
@@ -343,7 +324,7 @@ mod tests {
     #[test]
     fn torn_tail_detected_and_truncatable() {
         let path = tmp("torn.seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         w.append(b"keep me").unwrap();
         let good_len = w.offset();
         w.append(b"torn away").unwrap();
@@ -352,15 +333,15 @@ mod tests {
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(good_len + 5).unwrap();
         drop(f);
-        let scan1 = scan(&path, 0).unwrap();
+        let scan1 = scan_with(&RealVfs, &path, 0, false).unwrap();
         assert!(scan1.torn);
         assert_eq!(scan1.valid_len, good_len);
         assert_eq!(scan1.records.len(), 1);
         // Corrupt (not just short) tails are equally fenced.
-        let mut w = SegmentWriter::open_end(&path, scan1.valid_len).unwrap();
+        let mut w = SegmentWriter::open_end_with(&RealVfs, &path, scan1.valid_len).unwrap();
         w.append(b"fresh").unwrap();
         w.sync().unwrap();
-        let scan2 = scan(&path, 0).unwrap();
+        let scan2 = scan_with(&RealVfs, &path, 0, false).unwrap();
         assert!(!scan2.torn);
         assert_eq!(scan2.records.len(), 2);
         assert_eq!(scan2.records[1].1, b"fresh");
@@ -370,7 +351,7 @@ mod tests {
     #[test]
     fn resync_recovers_past_midfile_corruption() {
         let path = tmp("resync.seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         w.append(b"first").unwrap();
         let corrupt_at = w.offset();
         w.append(b"second - will be flipped").unwrap();
@@ -383,12 +364,12 @@ mod tests {
         raw[corrupt_at as usize + 10] ^= 0x40;
         std::fs::write(&path, &raw).unwrap();
         // Plain scan fences at the corruption.
-        let plain = scan(&path, 0).unwrap();
+        let plain = scan_with(&RealVfs, &path, 0, false).unwrap();
         assert!(plain.torn);
         assert_eq!(plain.records.len(), 1);
         assert_eq!(plain.valid_len, corrupt_at);
         // Resync scan quarantines the bad frame and recovers the third.
-        let re = scan_with(&manic_vfs::RealVfs, &path, 0, true).unwrap();
+        let re = scan_with(&RealVfs, &path, 0, true).unwrap();
         assert!(!re.torn);
         assert_eq!(re.records.len(), 2);
         assert_eq!(re.records[1].1, b"third survives");
@@ -404,7 +385,7 @@ mod tests {
     fn bad_header_rejected() {
         let path = tmp("badheader.seg");
         std::fs::write(&path, b"NOTMAGIC rest").unwrap();
-        let s = scan(&path, 0).unwrap();
+        let s = scan_with(&RealVfs, &path, 0, false).unwrap();
         assert!(s.bad_header && s.torn);
         assert!(s.records.is_empty());
         std::fs::remove_file(&path).unwrap();
@@ -416,10 +397,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for seq in [3u64, 1, 2] {
-            SegmentWriter::create(&segment_path(&dir, seq)).unwrap();
+            SegmentWriter::create_with(&RealVfs, &segment_path(&dir, seq)).unwrap();
         }
         std::fs::write(dir.join("unrelated.txt"), b"x").unwrap();
-        let segs = list_segments(&dir).unwrap();
+        let segs = list_segments_with(&RealVfs, &dir).unwrap();
         assert_eq!(segs.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![1, 2, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }

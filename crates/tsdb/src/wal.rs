@@ -577,13 +577,9 @@ impl Wal {
         self.tx.is_none() || staged >= limit
     }
 
-    /// Open (or create) the log in `dir`, continuing after the last intact
-    /// record of the newest segment. A torn tail is truncated and counted.
-    pub fn open(dir: &Path, policy: FsyncPolicy, rotate_bytes: u64) -> io::Result<Wal> {
-        Wal::open_with(dir, policy, rotate_bytes, manic_vfs::real())
-    }
-
-    /// [`Self::open`] through an explicit VFS handle (fault injection).
+    /// Open (or create) the log in `dir` through `vfs`, continuing after the
+    /// last intact record of the newest segment. A torn tail is truncated
+    /// and counted.
     pub fn open_with(
         dir: &Path,
         policy: FsyncPolicy,
@@ -611,16 +607,6 @@ impl Wal {
     /// the discarded tail was never acknowledged by a checkpoint and is
     /// regenerated by deterministic re-execution. Returns the log and the
     /// number of intact records discarded.
-    pub fn open_at(
-        dir: &Path,
-        policy: FsyncPolicy,
-        rotate_bytes: u64,
-        pos: WalPosition,
-    ) -> io::Result<(Wal, u64)> {
-        Wal::open_at_with(dir, policy, rotate_bytes, pos, manic_vfs::real())
-    }
-
-    /// [`Self::open_at`] through an explicit VFS handle (fault injection).
     pub fn open_at_with(
         dir: &Path,
         policy: FsyncPolicy,
@@ -892,14 +878,9 @@ fn replay_payloads(
 
 /// Replay a single segment file (e.g. a checkpoint's store snapshot) into
 /// `store`. The store must not have a WAL attached yet, or the replay would
-/// be re-logged.
-pub fn replay_segment_file(path: &Path, store: &Store) -> io::Result<ReplayReport> {
-    replay_segment_file_with(&manic_vfs::RealVfs, path, store)
-}
-
-/// [`replay_segment_file`] through an explicit VFS handle. Snapshot replay
-/// is strict (no resync): a corrupt snapshot fails its content-hash check
-/// and the checkpoint machinery falls back a generation instead.
+/// be re-logged. Snapshot replay is strict (no resync): a corrupt snapshot
+/// fails its content-hash check and the checkpoint machinery falls back a
+/// generation instead.
 pub fn replay_segment_file_with(
     vfs: &dyn Vfs,
     path: &Path,
@@ -974,7 +955,8 @@ fn gap_window(records: &[(u64, Vec<u8>)], s: u64, e: u64) -> Option<(i64, i64)> 
 /// costs a flagged measurement window instead of the whole log. A torn tail
 /// on the *last* segment is the normal crash tail and simply ends replay; a
 /// torn tail with more segments after it is corruption and is bridged with
-/// a GAP window into the next segment.
+/// a GAP window into the next segment. Replay is deterministic: the same
+/// segments always rebuild identical store contents.
 pub fn replay_dir_range(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -1047,24 +1029,14 @@ pub fn replay_dir_range(
     Ok(report)
 }
 
-/// Replay every record in `dir` after `pos` into `store`. Mid-file
-/// corruption is quarantined and GAP-flagged (see [`replay_dir_range`]);
-/// only a torn tail on the final segment ends replay early. Replay is
-/// deterministic: the same segments always rebuild identical store
-/// contents.
-pub fn replay_dir_from(dir: &Path, store: &Store, pos: WalPosition) -> io::Result<ReplayReport> {
-    replay_dir_range(&manic_vfs::RealVfs, dir, store, pos, None)
-}
-
-/// Replay the whole directory from the beginning.
-pub fn replay_dir(dir: &Path, store: &Store) -> io::Result<ReplayReport> {
-    replay_dir_from(dir, store, WalPosition { segment: 0, offset: 0 })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::series::Point;
+    use manic_vfs::RealVfs;
+
+    /// Replay from the start of the log.
+    const START: WalPosition = WalPosition { segment: 0, offset: 0 };
 
     fn k(link: &str) -> SeriesKey {
         SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", link), ("end", "far")])
@@ -1119,7 +1091,7 @@ mod tests {
     #[test]
     fn replay_rebuilds_and_is_deterministic() {
         let dir = tmpdir("replay");
-        let wal = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
+        let wal = Wal::open_with(&dir, FsyncPolicy::Always, 1 << 20, manic_vfs::real()).unwrap();
         let live = Store::new();
         live.attach_wal(std::sync::Arc::new(wal));
         for t in 0..20 {
@@ -1130,9 +1102,9 @@ mod tests {
         live.write(&k("b"), 5000, 2.5);
 
         let r1 = Store::new();
-        let rep1 = replay_dir(&dir, &r1).unwrap();
+        let rep1 = replay_dir_range(&RealVfs, &dir, &r1, START, None).unwrap();
         let r2 = Store::new();
-        let rep2 = replay_dir(&dir, &r2).unwrap();
+        let rep2 = replay_dir_range(&RealVfs, &dir, &r2, START, None).unwrap();
         assert_eq!(rep1, rep2);
         assert_eq!(rep1.torn_records, 0);
         assert_eq!(rep1.samples, 21);
@@ -1147,7 +1119,7 @@ mod tests {
     #[test]
     fn rotation_spreads_records_across_segments_and_gc_drops_old() {
         let dir = tmpdir("rotate");
-        let wal = Wal::open(&dir, FsyncPolicy::EveryN(8), 256).unwrap();
+        let wal = Wal::open_with(&dir, FsyncPolicy::EveryN(8), 256, manic_vfs::real()).unwrap();
         let store = Store::new();
         let wal = std::sync::Arc::new(wal);
         store.attach_wal(std::sync::Arc::clone(&wal));
@@ -1160,11 +1132,11 @@ mod tests {
             }
         }
         wal.flush_and_sync().unwrap();
-        let segs = segment::list_segments(&dir).unwrap();
+        let segs = segment::list_segments_with(&RealVfs, &dir).unwrap();
         assert!(segs.len() > 2, "256-byte threshold rotates: {} segments", segs.len());
         let pos = wal.position();
         let rebuilt = Store::new();
-        let rep = replay_dir(&dir, &rebuilt).unwrap();
+        let rep = replay_dir_range(&RealVfs, &dir, &rebuilt, START, None).unwrap();
         assert_eq!(rep.samples, 100);
         assert_eq!(rebuilt.content_hash(), store.content_hash());
         let removed = wal.gc_before(pos.segment).unwrap();
@@ -1176,7 +1148,8 @@ mod tests {
     fn every_policy_replays_identically_and_from_barriers() {
         for policy in [FsyncPolicy::Always, FsyncPolicy::EveryN(64), FsyncPolicy::Never] {
             let dir = tmpdir(&format!("barriers-{policy}"));
-            let wal = std::sync::Arc::new(Wal::open(&dir, policy, 1 << 20).unwrap());
+            let wal =
+                std::sync::Arc::new(Wal::open_with(&dir, policy, 1 << 20, manic_vfs::real()).unwrap());
             let live = Store::new();
             live.attach_wal(std::sync::Arc::clone(&wal));
             // Phase 1, then a sync barrier whose position acts as a checkpoint.
@@ -1199,7 +1172,7 @@ mod tests {
 
             // Full replay rebuilds everything except the rejected NaN point.
             let full = Store::new();
-            let rep = replay_dir(&dir, &full).unwrap();
+            let rep = replay_dir_range(&RealVfs, &dir, &full, START, None).unwrap();
             assert_eq!(rep.samples, 160, "{policy}");
             assert_eq!(rep.annotations, 1);
             assert_eq!(rep.decode_errors, 0, "{policy}");
@@ -1213,7 +1186,7 @@ mod tests {
                 tail.write(&k("a"), t * 300, t as f64);
                 tail.write(&k("b"), t * 300, -t as f64);
             }
-            let tail_rep = replay_dir_from(&dir, &tail, barrier).unwrap();
+            let tail_rep = replay_dir_range(&RealVfs, &dir, &tail, barrier, None).unwrap();
             assert_eq!(tail_rep.samples, 60, "{policy}");
             assert_eq!(tail_rep.decode_errors, 0, "{policy}: a key was not re-defined");
             assert_eq!(tail.content_hash(), full.content_hash());
@@ -1224,7 +1197,9 @@ mod tests {
     #[test]
     fn always_acknowledges_a_batch_as_one_frame_and_one_fsync() {
         let dir = tmpdir("always-batch");
-        let wal = std::sync::Arc::new(Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap());
+        let wal = std::sync::Arc::new(
+            Wal::open_with(&dir, FsyncPolicy::Always, 1 << 20, manic_vfs::real()).unwrap(),
+        );
         let store = Store::new();
         store.attach_wal(std::sync::Arc::clone(&wal));
         let fsyncs = || metrics().wal_fsyncs.get();
@@ -1234,16 +1209,18 @@ mod tests {
         // Other tests fsync concurrently, so the counter bounds from below;
         // the frame count is exact, and on disk before any barrier.
         assert!(fsyncs() > before);
-        let (_, path) = segment::list_segments(&dir).unwrap().pop().unwrap();
+        let (_, path) = segment::list_segments_with(&RealVfs, &dir).unwrap().pop().unwrap();
         let kinds = |path: &Path| -> Vec<u8> {
-            segment::scan(path, 0).unwrap().records.iter().map(|(_, p)| p[0]).collect()
+            let scan = segment::scan_with(&RealVfs, path, 0, false).unwrap();
+            scan.records.iter().map(|(_, p)| p[0]).collect()
         };
         assert_eq!(kinds(&path), b"KB");
         store.write(&k("a"), 99_000, 1.0);
         store.annotate(&k("a"), 0, 600, 1);
         assert_eq!(kinds(&path), b"KBBA");
         let rebuilt = Store::new();
-        assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 41);
+        let rep = replay_dir_range(&RealVfs, &dir, &rebuilt, START, None).unwrap();
+        assert_eq!(rep.samples, 41);
         assert_eq!(rebuilt.content_hash(), store.content_hash());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1251,7 +1228,7 @@ mod tests {
     #[test]
     fn samples_without_a_live_key_definition_are_decode_errors() {
         let path = tmpdir("orphan-b").with_extension("seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         let (mut frame, mut entries) = (Vec::new(), Vec::new());
         key_frame(&mut frame, 3, &format_key(&k("a")).unwrap());
         w.append(&frame).unwrap();
@@ -1266,7 +1243,7 @@ mod tests {
         w.sync().unwrap();
         drop(w);
         let store = Store::new();
-        let rep = replay_segment_file(&path, &store).unwrap();
+        let rep = replay_segment_file_with(&RealVfs, &path, &store).unwrap();
         assert_eq!(rep.samples, 3, "both runs of id 3 apply");
         assert_eq!(rep.decode_errors, 2 + 1 + 1, "one per orphan entry, one ragged frame, one orphan in it");
         assert_eq!(store.query(&k("a"), i64::MIN, i64::MAX).len(), 3);
@@ -1276,14 +1253,14 @@ mod tests {
     #[test]
     fn midfile_corruption_is_quarantined_and_gap_flagged() {
         let dir = tmpdir("quarantine");
-        let wal = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
+        let wal = Wal::open_with(&dir, FsyncPolicy::Always, 1 << 20, manic_vfs::real()).unwrap();
         let live = Store::new();
         live.attach_wal(std::sync::Arc::new(wal));
         for t in 0..10i64 {
             live.write(&k("a"), t * 300, t as f64);
         }
-        let (_, path) = segment::list_segments(&dir).unwrap().pop().unwrap();
-        let clean = segment::scan(&path, 0).unwrap();
+        let (_, path) = segment::list_segments_with(&RealVfs, &dir).unwrap().pop().unwrap();
+        let clean = segment::scan_with(&RealVfs, &path, 0, false).unwrap();
         assert_eq!(clean.records.len(), 11, "one K frame, then a B frame per write");
         // Flip one payload byte inside the 6th sample frame (t=1500).
         let frame_start = clean.records[5].0;
@@ -1292,7 +1269,7 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
 
         let rebuilt = Store::new();
-        let rep = replay_dir(&dir, &rebuilt).unwrap();
+        let rep = replay_dir_range(&RealVfs, &dir, &rebuilt, START, None).unwrap();
         assert_eq!(rep.samples, 9, "all but the corrupt frame replay");
         assert_eq!(rep.torn_records, 0, "mid-file corruption is not a torn tail");
         assert_eq!(rep.quarantined_frames, 1);
@@ -1342,7 +1319,7 @@ mod tests {
     #[test]
     fn open_at_truncates_unacknowledged_tail() {
         let dir = tmpdir("openat");
-        let wal = Wal::open(&dir, FsyncPolicy::Always, 1 << 20).unwrap();
+        let wal = Wal::open_with(&dir, FsyncPolicy::Always, 1 << 20, manic_vfs::real()).unwrap();
         let store = Store::new();
         let wal = std::sync::Arc::new(wal);
         store.attach_wal(std::sync::Arc::clone(&wal));
@@ -1357,11 +1334,13 @@ mod tests {
         wal.flush_and_sync().unwrap();
         drop((store, wal));
 
-        let (wal2, discarded) = Wal::open_at(&dir, FsyncPolicy::Always, 1 << 20, ack).unwrap();
+        let (wal2, discarded) =
+            Wal::open_at_with(&dir, FsyncPolicy::Always, 1 << 20, ack, manic_vfs::real()).unwrap();
         assert_eq!(discarded, 5, "post-checkpoint tail discarded: the re-defined K and four B");
         assert_eq!(wal2.position(), ack);
         let rebuilt = Store::new();
-        assert_eq!(replay_dir(&dir, &rebuilt).unwrap().samples, 5);
+        let rep = replay_dir_range(&RealVfs, &dir, &rebuilt, START, None).unwrap();
+        assert_eq!(rep.samples, 5);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,10 +1,11 @@
 //! Property-based tests for the tsdb crate.
 
 use manic_tsdb::segment::{self, SegmentWriter};
-use manic_tsdb::wal::{replay_dir, replay_dir_from, replay_segment_file};
+use manic_tsdb::wal::{replay_dir_range, replay_segment_file_with};
 use manic_tsdb::{
     Aggregate, FsyncPolicy, Point, Series, SeriesKey, Store, TagSet, Wal, WalPosition, WalRecord,
 };
+use manic_vfs::RealVfs;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +30,7 @@ fn journaled(
     epoch: usize,
 ) -> (Store, PathBuf, PathBuf) {
     let dir = scratch("wal");
-    let wal = Arc::new(Wal::open(&dir, policy, 1 << 30).unwrap());
+    let wal = Arc::new(Wal::open_with(&dir, policy, 1 << 30, manic_vfs::real()).unwrap());
     let live = Store::new();
     live.attach_wal(Arc::clone(&wal));
     for chunk in samples.chunks(epoch) {
@@ -39,13 +40,19 @@ fn journaled(
         wal.flush_and_sync().unwrap();
     }
     drop(wal);
-    let mut segs = segment::list_segments(&dir).unwrap();
+    let mut segs = segment::list_segments_with(&RealVfs, &dir).unwrap();
     assert_eq!(segs.len(), 1);
     (live, dir, segs.pop().unwrap().1)
 }
 
 /// The policies whose writers differ: inline (`always`) and threaded.
 const POLICIES: [FsyncPolicy; 2] = [FsyncPolicy::Always, FsyncPolicy::EveryN(8)];
+
+/// Replay from the start of the log.
+const START: WalPosition = WalPosition {
+    segment: 0,
+    offset: 0,
+};
 
 /// The seed's array-of-structs downsampling semantics: collect every bin's
 /// values into a `Vec<f64>` in stored order, then aggregate the collection.
@@ -155,7 +162,7 @@ proptest! {
     fn wal_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..120)) {
         let _ = WalRecord::decode(&bytes);
         let path = scratch("frames").with_extension("seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         let frame = |kind: u8, body: &[u8]| [&[kind], body].concat();
         w.append(&frame(b'B', &bytes)).unwrap();
         w.append(&frame(b'K', &bytes)).unwrap();
@@ -165,7 +172,7 @@ proptest! {
         w.sync().unwrap();
         drop(w);
         let store = Store::new();
-        let report = replay_segment_file(&path, &store).unwrap();
+        let report = replay_segment_file_with(&RealVfs, &path, &store).unwrap();
         prop_assert!(report.samples <= 2 * (bytes.len() / 20) as u64);
         prop_assert_eq!(store.point_count() as u64, report.samples);
         std::fs::remove_file(&path).unwrap();
@@ -200,12 +207,12 @@ proptest! {
             store.write(if i % 3 == 0 { &other } else { &key }, t, v);
         }
         let path = scratch("kb").with_extension("seg");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         store.write_snapshot(&mut w).unwrap();
         w.sync().unwrap();
         drop(w);
         let rebuilt = Store::new();
-        let report = replay_segment_file(&path, &rebuilt).unwrap();
+        let report = replay_segment_file_with(&RealVfs, &path, &rebuilt).unwrap();
         prop_assert_eq!(report.samples, points.len() as u64);
         prop_assert_eq!(report.decode_errors, 0);
         for k in [&key, &other] {
@@ -235,7 +242,7 @@ proptest! {
             std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(cut).unwrap();
 
             let store = Store::new();
-            let report = replay_dir(&dir, &store).unwrap();
+            let report = replay_dir_range(&RealVfs, &dir, &store, START, None).unwrap();
             prop_assert!(report.samples <= samples.len() as u64);
             prop_assert!(report.torn_records <= 1);
             prop_assert_eq!(report.decode_errors, 0, "{}: a prefix never orphans a B frame", policy);
@@ -273,7 +280,7 @@ proptest! {
             std::fs::write(&path, &bytes).unwrap();
 
             let store = Store::new();
-            let report = replay_dir(&dir, &store).unwrap();
+            let report = replay_dir_range(&RealVfs, &dir, &store, START, None).unwrap();
             // A CRC-intact frame must still carry original samples — a
             // flipped-yet-accepted payload would be silent corruption.
             let mut left: Vec<(i64, u64)> = samples.iter().map(|&(t, v)| (t, v.to_bits())).collect();
@@ -430,7 +437,7 @@ proptest! {
         for policy in [FsyncPolicy::Always, FsyncPolicy::EveryN(8), FsyncPolicy::Never] {
             let dir = scratch("policies");
             let rotate = if rotate_small { 300 } else { 1 << 30 };
-            let wal = Arc::new(Wal::open(&dir, policy, rotate).unwrap());
+            let wal = Arc::new(Wal::open_with(&dir, policy, rotate, manic_vfs::real()).unwrap());
             let live = Store::new();
             live.attach_wal(Arc::clone(&wal));
             // (position, the store's contents there) at every barrier.
@@ -456,8 +463,8 @@ proptest! {
             wal.flush_and_sync().unwrap();
             drop(wal);
 
-            for (_, path) in segment::list_segments(&dir).unwrap() {
-                let scan = segment::scan(&path, 0).unwrap();
+            for (_, path) in segment::list_segments_with(&RealVfs, &dir).unwrap() {
+                let scan = segment::scan_with(&RealVfs, &path, 0, false).unwrap();
                 prop_assert!(!scan.torn && scan.quarantined.is_empty());
                 for (_, payload) in &scan.records {
                     prop_assert!(b"KBAR".contains(&payload[0]), "{}: frame kind {:?}", policy, payload[0] as char);
@@ -465,14 +472,14 @@ proptest! {
             }
             let want = live.content_hash();
             let full = Store::new();
-            let report = replay_dir(&dir, &full).unwrap();
+            let report = replay_dir_range(&RealVfs, &dir, &full, START, None).unwrap();
             prop_assert_eq!(report.decode_errors, 0, "{}: full replay", policy);
             prop_assert!(!report.corrupted() && report.torn_records == 0);
             prop_assert_eq!(full.content_hash(), want, "{}: full replay diverged", policy);
             for (n, (pos, contents)) in barriers.iter().enumerate() {
                 let tail = Store::new();
                 contents.iter().for_each(|rec| tail.apply_record(rec));
-                let report = replay_dir_from(&dir, &tail, *pos).unwrap();
+                let report = replay_dir_range(&RealVfs, &dir, &tail, *pos, None).unwrap();
                 prop_assert_eq!(report.decode_errors, 0, "{}: barrier {} left a key undefined", policy, n);
                 prop_assert_eq!(tail.content_hash(), want, "{}: replay from barrier {} diverged", policy, n);
             }

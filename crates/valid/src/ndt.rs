@@ -88,23 +88,6 @@ pub fn run_ndt(
     })
 }
 
-/// Enumerate NDT servers in a world: one per transit network's host router
-/// (M-Lab deploys inside transit providers).
-pub fn servers_in(world: &manic_scenario::World) -> Vec<NdtServer> {
-    use manic_scenario::asgraph::AsKind;
-    world
-        .graph
-        .ases()
-        .filter(|a| a.kind == AsKind::Transit)
-        .map(|a| NdtServer {
-            name: format!("ndt-{}", a.name),
-            asn: a.asn,
-            addr: world.host_addr(a.asn, 7),
-            router: world.host_routers[&a.asn],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,11 +102,15 @@ mod tests {
     #[test]
     fn ndt_runs_against_transit_server() {
         let w = toy(1);
-        let servers = servers_in(&w);
-        assert_eq!(servers.len(), 1, "one transit AS in the toy world");
+        let server = NdtServer {
+            name: "ndt-transitco".into(),
+            asn: toy_asns::TRANSITCO,
+            addr: w.host_addr(toy_asns::TRANSITCO, 7),
+            router: w.host_routers[&toy_asns::TRANSITCO],
+        };
         let vp = vp_of(&w, "acme-nyc");
         let quiet = datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0);
-        let r = run_ndt(&w.net, &vp, &servers[0], quiet, 5, &TcpModelConfig::default()).unwrap();
+        let r = run_ndt(&w.net, &vp, &server, quiet, 5, &TcpModelConfig::default()).unwrap();
         // Plan-capped by the VP's 20 Mbit/s access link.
         assert!(r.download_mbps > 15.0 && r.download_mbps < 25.0, "download {}", r.download_mbps);
         assert!(r.upload_mbps > 15.0);

@@ -239,12 +239,11 @@ impl DiskFaultEvent {
     }
 }
 
+/// One step of a SplitMix64 stream in `state`.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    let s = *state;
+    *state = s.wrapping_add(manic_stats::GAMMA);
+    manic_stats::mix(s)
 }
 
 /// A deterministic schedule of disk faults. Pure data: the same plan

@@ -128,10 +128,6 @@ impl CompactGraph {
         &self.adj_dat[a as usize..b as usize]
     }
 
-    pub fn node_of(&self, asn: AsNumber) -> Option<NodeId> {
-        self.index.get(&asn).copied()
-    }
-
     /// All node ids, in insertion (= ASN-plan) order.
     pub fn nodes(&self) -> std::ops::Range<NodeId> {
         0..self.len() as NodeId
@@ -312,9 +308,8 @@ mod tests {
         let g = tiny();
         assert_eq!(g.len(), 3);
         assert_eq!(g.edge_count(), 3);
-        let t = g.node_of(AsNumber(100)).unwrap();
-        let a = g.node_of(AsNumber(3000)).unwrap();
-        let c = g.node_of(AsNumber(2000)).unwrap();
+        // Node ids follow insertion order.
+        let (t, a, c): (NodeId, NodeId, NodeId) = (0, 1, 2);
         // Each row holds `n`'s relationship toward each neighbor, mirrored
         // at the other end and sorted by neighbor id.
         assert_eq!(g.neighbors(t), &[(a, Rel::Customer), (c, Rel::Customer)]);

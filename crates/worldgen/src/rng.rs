@@ -7,7 +7,7 @@
 //! plus a site salt, so inserting a new call site never perturbs the streams
 //! of existing ones.
 
-use manic_netsim::noise::{mix, GAMMA};
+use manic_stats::{mix, GAMMA};
 
 /// A splitmix64 stream.
 #[derive(Debug, Clone)]

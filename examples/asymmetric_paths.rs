@@ -64,8 +64,8 @@ fn main() {
     let pp = probe_path(&world.net, &vp, dst, far_ttl, 7, peak).expect("path");
     println!(
         "\nTSLP far-end RTT on the Chicago link: {:.1} ms at peak vs {:.1} ms off-peak",
-        pp.min_rtt(&world.net, peak),
-        pp.min_rtt(&world.net, quiet)
+        pp.rtt_and_prob(&world.net, peak, 1.0).0,
+        pp.rtt_and_prob(&world.net, quiet, 1.0).0
     );
 
     let rq = run_ndt(&world.net, &vp, &server, quiet, 7, &TcpModelConfig::default()).expect("routable");

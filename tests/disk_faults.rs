@@ -8,12 +8,12 @@
 //! and damages its own copy.
 
 use manic_core::{
-    has_checkpoint, recover_report_with, resume, Durable, DurabilityConfig, System, SystemConfig,
+    has_checkpoint, recover_report, resume, Durable, DurabilityConfig, System, SystemConfig,
 };
 use manic_netsim::time::{date_to_sim, Date};
 use manic_scenario::worlds::toy;
 use manic_tsdb::wal::FsyncPolicy;
-use manic_vfs::{DiskFaultEvent, DiskFaultKind, DiskFaultPlan, FaultVfs};
+use manic_vfs::{DiskFaultEvent, DiskFaultKind, DiskFaultPlan, FaultVfs, RealVfs, Vfs, VfsFile};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +146,7 @@ proptest! {
         bytes[bit / 8] ^= 1 << (bit % 8);
         std::fs::write(target, &bytes).expect("write flipped");
 
-        let report = recover_report_with(&dir, manic_vfs::real()).expect("one flip is recoverable");
+        let report = recover_report(&dir, &RealVfs).expect("one flip is recoverable");
         let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume");
         prop_assert_eq!(
             report.storage.clean(), info.storage.clean(),
@@ -300,7 +300,7 @@ fn generation_fallback_reproduces_reference() {
     std::fs::write(newest_generation(&dir), b"garbage, not a checkpoint")
         .expect("corrupt newest meta");
 
-    let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
+    let report = recover_report(&dir, &RealVfs).expect("older generation usable");
     assert_eq!(report.storage.bad_metas, 1, "the damaged meta is reported");
     let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
     assert!(!info.storage.clean());
@@ -326,7 +326,7 @@ fn meta_without_its_crc_key_is_a_bad_meta() {
     assert_eq!(&bytes[at..at + 3], b"brc");
     std::fs::write(&newest, &bytes).expect("write flipped meta");
 
-    let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
+    let report = recover_report(&dir, &RealVfs).expect("older generation usable");
     assert_eq!(report.storage.bad_metas, 1, "the keyless meta is reported");
     assert_eq!(report.rounds, 36, "generation N-1");
     let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
@@ -350,7 +350,7 @@ fn meta_nested_past_the_parser_limit_is_a_bad_meta() {
     std::fs::write(newest_generation(&dir), format!("{body},\"crc\":\"{crc:08x}\"}}"))
         .expect("write deep meta");
 
-    let report = recover_report_with(&dir, manic_vfs::real()).expect("older generation usable");
+    let report = recover_report(&dir, &RealVfs).expect("older generation usable");
     assert_eq!((report.rounds, report.storage.bad_metas), (36, 1), "generation 48 skipped");
     let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume falls back");
     assert_eq!((info.rounds, info.storage.bad_metas), (36, 1), "generation 48 skipped");
@@ -367,12 +367,13 @@ fn dir_holding_only_an_older_generation_still_resumes() {
     let (from, to) = window();
     let reference = fixture().reference.clone();
     let dir = scratch_copy("older-only");
-    assert!(!has_checkpoint(&dir.join("no-such-dir")));
-    assert!(!has_checkpoint(&dir.join("wal")), "a dir without generations is a fresh start");
+    assert!(!has_checkpoint(&dir.join("no-such-dir"), &RealVfs));
+    let wal_dir = dir.join("wal");
+    assert!(!has_checkpoint(&wal_dir, &RealVfs), "a dir without generations is a fresh start");
 
     let newest = newest_generation(&dir);
     std::fs::remove_file(&newest).expect("lose newest meta");
-    assert!(has_checkpoint(&dir), "generation N-1 is still there");
+    assert!(has_checkpoint(&dir, &RealVfs), "generation N-1 is still there");
 
     let (mut sys, mut d, info) = resume(&dir, Some(clean_cfg())).expect("resume from N-1");
     assert_eq!(info.rounds, 36, "generation N-1");
@@ -380,6 +381,91 @@ fn dir_holding_only_an_older_generation_still_resumes() {
     d.run_window(&mut sys, to, &|| false).expect("re-run to window end");
     assert_eq!(fingerprint(&mut sys, from, to), reference);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Vfs` that serves the virtual directory `virt` from the real directory
+/// `real` and nothing else: a run that reaches its data dir through it
+/// finds that dir only if it asks its `Vfs`, never `std::fs`.
+struct MappedVfs {
+    virt: PathBuf,
+    real: PathBuf,
+}
+
+impl MappedVfs {
+    fn map(&self, path: &Path) -> PathBuf {
+        let rest = path.strip_prefix(&self.virt).expect("path outside the mapped dir");
+        self.real.join(rest)
+    }
+}
+
+impl Vfs for MappedVfs {
+    fn kind(&self) -> &'static str {
+        "mapped"
+    }
+    fn create(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        RealVfs.create(&self.map(path))
+    }
+    fn open_rw(&self, path: &Path) -> std::io::Result<Box<dyn VfsFile>> {
+        RealVfs.open_rw(&self.map(path))
+    }
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        RealVfs.read(&self.map(path))
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        RealVfs.rename(&self.map(from), &self.map(to))
+    }
+    fn remove_file(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.remove_file(&self.map(path))
+    }
+    fn create_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.create_dir_all(&self.map(path))
+    }
+    fn remove_dir_all(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.remove_dir_all(&self.map(path))
+    }
+    fn read_dir_names(&self, path: &Path) -> std::io::Result<Vec<String>> {
+        RealVfs.read_dir_names(&self.map(path))
+    }
+    fn sync_dir(&self, path: &Path) -> std::io::Result<()> {
+        RealVfs.sync_dir(&self.map(path))
+    }
+    fn exists(&self, path: &Path) -> bool {
+        RealVfs.exists(&self.map(path))
+    }
+}
+
+/// The `--resume` gate and a fresh `Durable::create` look at the data dir
+/// through the run's `Vfs`: with the dir reachable only through it, the gate
+/// sees the earlier run's generations, and a fresh start leaves the files
+/// and the `wal/` bytes a fresh start in an empty dir leaves — none of the
+/// earlier run's WAL segments survive. (Metas differ: they carry the
+/// process-wide audit trail.)
+#[test]
+fn fresh_start_through_the_runs_vfs_wipes_the_earlier_run() {
+    let (from, to) = window();
+    let contents = |dir: &Path| -> Vec<(PathBuf, Option<Vec<u8>>)> {
+        let wal = dir.join("wal");
+        let read = |p: &Path| p.starts_with(&wal).then(|| std::fs::read(p).unwrap());
+        data_files(dir).iter().map(|p| (p.strip_prefix(dir).unwrap().to_path_buf(), read(p))).collect()
+    };
+    let fresh_start = |dir: &Path, vfs: Arc<dyn Vfs>| {
+        let sys = System::new(toy(SEED), SystemConfig::default());
+        let cfg = DurabilityConfig { vfs, ..clean_cfg() };
+        Durable::create(&sys, "toy", SEED, dir, from, to, cfg).expect("fresh start");
+    };
+    let empty = std::env::temp_dir().join(format!("manic-disk-faults-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&empty);
+    fresh_start(&empty, manic_vfs::real());
+
+    let real = scratch_copy("mapped");
+    let virt = PathBuf::from("/manic-virtual-data-dir");
+    assert!(!virt.exists(), "the virtual dir must not exist on disk");
+    let vfs = Arc::new(MappedVfs { virt: virt.clone(), real: real.clone() });
+    assert!(has_checkpoint(&virt, &*vfs), "the earlier run's generations are visible");
+    fresh_start(&virt, vfs);
+    assert_eq!(contents(&real), contents(&empty), "the earlier run survived the fresh start");
+    std::fs::remove_dir_all(&real).ok();
+    std::fs::remove_dir_all(&empty).ok();
 }
 
 /// A data dir written by the version-1 format (text `S` snapshots) is
@@ -409,11 +495,11 @@ fn version_1_dir_is_refused_and_left_untouched() {
     };
     let before = contents(&dir);
 
-    assert!(has_checkpoint(&dir), "the CLI must take the resume path, not wipe the dir");
+    assert!(has_checkpoint(&dir, &RealVfs), "the CLI must take the resume path, not wipe the dir");
     let refusals = [
         resume(&dir, Some(clean_cfg())).map(|_| ()).expect_err("resume of a v1 dir"),
         resume(&dir, None).map(|_| ()).expect_err("resume of a v1 dir, checkpointed knobs"),
-        recover_report_with(&dir, manic_vfs::real()).map(|_| ()).expect_err("report on a v1 dir"),
+        recover_report(&dir, &RealVfs).map(|_| ()).expect_err("report on a v1 dir"),
     ];
     for err in refusals {
         assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
@@ -516,7 +602,7 @@ fn fault_mid_snapshot_fails_the_checkpoint_and_keeps_the_previous_generation() {
         let crashed = dir.with_extension("crashed");
         let _ = std::fs::remove_dir_all(&crashed);
         copy_dir(&dir, &crashed);
-        let report = recover_report_with(&crashed, manic_vfs::real()).expect("generation 12 usable");
+        let report = recover_report(&crashed, &RealVfs).expect("generation 12 usable");
         assert_eq!(report.rounds, EVERY);
         assert!(report.store_hash_ok);
         let (_sys2, _d2, info) = resume(&crashed, Some(clean_cfg())).expect("resume from generation 12");

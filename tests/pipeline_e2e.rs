@@ -2,7 +2,10 @@
 //! inference → validation, checked against the scripted ground truth.
 
 use manic_analysis::study::is_congested_at;
-use manic_core::{run_longitudinal, LongitudinalConfig, System, SystemConfig};
+use manic_core::{
+    run_longitudinal, run_longitudinal_detailed, LongitudinalConfig, System, SystemConfig,
+};
+use manic_netsim::fault::{FaultEvent, FaultKind, FaultScope};
 use manic_netsim::time::{date_to_sim, local_hour, Date, SECS_PER_DAY};
 use manic_probing::loss::LossTarget;
 use manic_probing::tslp::End;
@@ -192,6 +195,61 @@ fn inference_robust_to_heavy_probe_loss() {
         .sum();
     assert!(hot >= 40, "still detected under loss: {hot}");
     assert_eq!(cold, 0, "no false positives under loss");
+}
+
+/// §4.2's final stage as the pipeline runs it: a merged link record is the
+/// OR of its VPs' per-day congested-interval masks and the union of their
+/// observed days, and every per-VP record feeds exactly one merged record.
+/// On a clean run the two toy VPs infer identical masks, so each VP's router
+/// goes down for a different part of one congested evening (the CDNCO
+/// window wraps midnight UTC and covers intervals 2..12): that day their
+/// masks are not nested, and no single VP's record equals the merge.
+#[test]
+fn merged_record_is_the_union_of_its_per_vp_records() {
+    let mut sys = System::new(toy(9), SystemConfig::default());
+    let from = date_to_sim(Date::new(2016, 4, 1));
+    let cfg = LongitudinalConfig::new(from, from + 60 * SECS_PER_DAY);
+    let day = from + 10 * SECS_PER_DAY;
+    let routers: Vec<_> = sys.world.vps.iter().map(|v| v.router).collect();
+    for (router, (lo, hi)) in routers.into_iter().zip([(2, 6), (6, 12)]) {
+        sys.world.net.fault.push(FaultEvent::window(
+            FaultKind::RouterReboot { rebuild_secs: 0 },
+            FaultScope::Router(router),
+            day + lo * 900,
+            day + hi * 900,
+        ));
+    }
+    let out = run_longitudinal_detailed(&mut sys, &cfg);
+    let nested = |a: u128, b: u128| a & !b == 0 || b & !a == 0;
+    let mut split_day = false;
+    let mut fed = 0;
+    for m in &out.merged {
+        let parts: Vec<_> = out
+            .per_vp
+            .iter()
+            .filter(|r| (r.near_ip, r.far_ip) == (m.near_ip, m.far_ip) && m.vps.contains(&r.vp))
+            .collect();
+        let vps: Vec<String> = parts.iter().map(|r| r.vp.clone()).collect();
+        assert_eq!(m.vps, vps, "{}: contributing VPs", m.far_ip);
+        for day in m.day_masks.keys() {
+            let day_masks: Vec<u128> =
+                parts.iter().map(|r| r.day_masks.get(day).copied().unwrap_or(0)).collect();
+            split_day |= day_masks.iter().any(|&a| day_masks.iter().any(|&b| !nested(a, b)));
+        }
+        let mut masks = std::collections::BTreeMap::new();
+        let mut observed = std::collections::BTreeSet::new();
+        for r in &parts {
+            for (&day, &mask) in &r.day_masks {
+                *masks.entry(day).or_insert(0u128) |= mask;
+            }
+            observed.extend(&r.observed);
+        }
+        assert_eq!(m.day_masks, masks, "{}: day masks are the OR", m.far_ip);
+        assert_eq!(m.observed, observed, "{}: observed days are the union", m.far_ip);
+        fed += parts.len();
+    }
+    assert_eq!(fed, out.per_vp.len(), "every per-VP record feeds one merged record");
+    assert!(split_day, "no day on which two VPs' masks are not nested");
 }
 
 #[test]

@@ -14,8 +14,9 @@
 mod tsdb_props;
 
 use manic_tsdb::segment::{self, crc32, SegmentWriter, MAX_PAYLOAD};
-use manic_tsdb::wal::replay_segment_file;
+use manic_tsdb::wal::replay_segment_file_with;
 use manic_tsdb::{format_key, quality, Point, SeriesKey, Store, TagSet};
+use manic_vfs::RealVfs;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -106,7 +107,7 @@ fn reference_snapshot(store: &Store, keys: &[SeriesKey]) -> Vec<u8> {
     let contents = |key: &SeriesKey| (store.query(key, i64::MIN, i64::MAX), store.quality_windows(key));
     keys.retain(|key| contents(key) != (vec![], vec![]));
     let path = scratch_file("ref");
-    let mut w = SegmentWriter::create(&path).unwrap();
+    let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
     for (id, key) in keys.iter().enumerate() {
         let id = (id as u32).to_le_bytes();
         let token = format_key(key).unwrap();
@@ -136,7 +137,7 @@ fn reference_snapshot(store: &Store, keys: &[SeriesKey]) -> Vec<u8> {
 /// The file is left at the returned path for the caller to replay.
 fn streamed_snapshot(store: &Store) -> (PathBuf, Vec<u8>, u64) {
     let path = scratch_file("stream");
-    let mut w = SegmentWriter::create(&path).unwrap();
+    let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
     let hash = store.write_snapshot(&mut w).unwrap();
     w.sync().unwrap();
     drop(w);
@@ -231,7 +232,7 @@ proptest! {
             prop_assert_eq!(hash, want_hash, "write_snapshot folded a different hash");
             prop_assert!(bytes == want_bytes, "snapshot is not the documented K/B/A layout");
             let rebuilt = Store::with_shards(4);
-            let report = replay_segment_file(&path, &rebuilt).unwrap();
+            let report = replay_segment_file_with(&RealVfs, &path, &rebuilt).unwrap();
             std::fs::remove_file(&path).unwrap();
             prop_assert!(!report.corrupted());
             prop_assert_eq!(report.decode_errors, 0);
@@ -281,11 +282,12 @@ fn golden_store_hash_and_snapshot_bytes_are_pinned() {
     assert_eq!(store.content_hash(), HASH);
     let (path, bytes, hash) = streamed_snapshot(&store);
     assert_eq!(hash, HASH);
-    let kinds: Vec<u8> = segment::scan(&path, 0).unwrap().records.iter().map(|(_, p)| p[0]).collect();
+    let scan = segment::scan_with(&RealVfs, &path, 0, false).unwrap();
+    let kinds: Vec<u8> = scan.records.iter().map(|(_, p)| p[0]).collect();
     assert_eq!(kinds, b"KBKBAAA");
     assert_eq!((bytes.len(), crc32(&bytes)), (SNAPSHOT_LEN, SNAPSHOT_CRC));
     let rebuilt = Store::with_shards(1);
-    let report = replay_segment_file(&path, &rebuilt).unwrap();
+    let report = replay_segment_file_with(&RealVfs, &path, &rebuilt).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!((report.samples, report.annotations, report.decode_errors), (8, 3, 0));
     assert_eq!(rebuilt.content_hash(), HASH);
@@ -303,14 +305,14 @@ fn series_longer_than_one_frame_is_chunked() {
     store.write_batch(&long, &points);
     store.write(&short, 0, 1.0);
     let (path, bytes, hash) = streamed_snapshot(&store);
-    let scan = segment::scan(&path, 0).unwrap();
+    let scan = segment::scan_with(&RealVfs, &path, 0, false).unwrap();
     let frames: Vec<(u8, usize)> = scan.records.iter().map(|(_, p)| (p[0], p.len())).collect();
     let full = 1 + per_frame * 20;
     assert_eq!(frames[1..], [(b'B', full), (b'B', full), (b'B', 1 + 3 * 20), (b'K', frames[4].1), (b'B', 21)]);
     assert!(full <= MAX_PAYLOAD as usize);
     assert!(bytes == reference_snapshot(&store, &[long, short]), "not the documented layout");
     let rebuilt = Store::new();
-    let report = replay_segment_file(&path, &rebuilt).unwrap();
+    let report = replay_segment_file_with(&RealVfs, &path, &rebuilt).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!((report.samples, report.decode_errors), (points.len() as u64 + 1, 0));
     assert_eq!(rebuilt.content_hash(), hash);
@@ -333,7 +335,7 @@ fn unencodable_contents_fail_the_snapshot() {
         store.write(&key, 0, 1.0);
         store.write(poison.0, 300, poison.1);
         let path = scratch_file("poison");
-        let mut w = SegmentWriter::create(&path).unwrap();
+        let mut w = SegmentWriter::create_with(&RealVfs, &path).unwrap();
         let err = store.write_snapshot(&mut w).expect_err("snapshot of an unencodable store");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{poison:?}: {err}");
         drop(w);
