@@ -11,6 +11,9 @@
 //! `manic recover <dir>` reports what such a resume would restore without
 //! touching anything.
 //!
+//! A command accepts the flags its handler reads (its [`COMMANDS`] row) and
+//! the global ones; any other flag is an error, not a silent no-op.
+//!
 //! Global flags: `--verbosity trace|debug|info|warn|error` controls both the
 //! journal floor and the stderr echo; `--quiet` silences the stderr echo
 //! entirely. Without either, the CLI echoes warnings and errors only.
@@ -49,25 +52,33 @@ usage: manic <command> [flags]
                 a checkpoint format this binary refuses, 1 fatal)
 global flags: --verbosity trace|debug|info|warn|error, --quiet,
               --threads N (VP workers, default: all cores; results identical for any N)
-durability:   --data-dir DIR, --durability always|every-<n>|never,
+durability (run, serve):
+              --data-dir DIR, --durability always|every-<n>|never,
               --checkpoint-every ROUNDS, --resume,
               --storage-faults <seed>:<eio|enospc|torn|lie|flip[+..]|all>
               (inject seeded disk faults into the storage layer; testing)";
 
 type Handler = fn(Args) -> Result<(), CliError>;
 
-/// The commands `manic` runs, each with its handler.
-const COMMANDS: &[(&str, Handler)] = &[
-    ("world", cmd_world),
-    ("links", cmd_links),
-    ("watch", cmd_watch),
-    ("study", cmd_study),
-    ("inspect", cmd_inspect),
-    ("export", cmd_export),
-    ("obs", cmd_obs),
-    ("serve", cmd_serve),
-    ("run", cmd_run),
-    ("recover", cmd_recover),
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &str = "--verbosity --quiet --threads";
+
+/// The commands `manic` runs, each with the flags its handler reads (besides
+/// [`GLOBAL_FLAGS`]) and its handler.
+const COMMANDS: &[(&str, &str, Handler)] = &[
+    ("world", "--world --seed --stats", cmd_world),
+    ("links", "--world --seed --vp", cmd_links),
+    ("watch", "--world --seed --vp --hours", cmd_watch),
+    ("study", "--world --seed --days", cmd_study),
+    ("inspect", "--world --seed --days", cmd_inspect),
+    ("export", "--world --seed --vp --hours --format", cmd_export),
+    ("obs", "--world --seed --hours --format --filter", cmd_obs),
+    ("serve", "--world --seed --hours --addr --snapshot-interval --max-conns --request-timeout \
+        --shed-queue-depth --data-dir --durability --checkpoint-every --resume --storage-faults",
+        cmd_serve),
+    ("run", "--world --seed --hours --data-dir --durability --checkpoint-every --resume \
+        --storage-faults", cmd_run),
+    ("recover", "--data-dir", cmd_recover),
 ];
 
 /// Everything that can go wrong between argv and a finished command. The
@@ -88,6 +99,8 @@ enum CliError {
     MissingSubcommand(&'static str),
     UnknownSubcommand { cmd: &'static str, sub: String },
     UnexpectedArg(String),
+    /// A known flag the command does not read.
+    UnreadFlag { cmd: String, flag: String },
     UnknownLevel(String),
     NoAuditRecords { link: String, known: Vec<String> },
     ServerStart { addr: String, reason: String },
@@ -123,6 +136,7 @@ impl fmt::Display for CliError {
                 write!(f, "unknown '{cmd}' subcommand '{sub}'")
             }
             CliError::UnexpectedArg(a) => write!(f, "unexpected argument '{a}'"),
+            CliError::UnreadFlag { cmd, flag } => write!(f, "'{cmd}' does not take {flag}"),
             CliError::UnknownLevel(l) => {
                 write!(f, "unknown level '{l}' (trace|debug|info|warn|error)")
             }
@@ -158,6 +172,8 @@ struct Args {
     format: String,
     /// Positional arguments after the command (subcommand, link IP, ...).
     positional: Vec<String>,
+    /// Every flag given, in order (checked against the command at dispatch).
+    given: Vec<String>,
     /// `--verbosity <level>`: journal floor + stderr echo level.
     verbosity: Option<manic_obs::Level>,
     /// `--quiet`: no stderr echo at all.
@@ -205,6 +221,7 @@ impl Args {
             hours: 24,
             format: "csv".into(),
             positional: Vec::new(),
+            given: Vec::new(),
             verbosity: None,
             quiet: false,
             filter: None,
@@ -222,6 +239,9 @@ impl Args {
             shed_queue_depth: manic_serve::OverloadConfig::default().shed_queue_depth,
         };
         while let Some(flag) = argv.next() {
+            if flag.starts_with('-') {
+                args.given.push(flag.clone());
+            }
             let mut val = || argv.next().ok_or_else(|| CliError::MissingValue(flag.clone()));
             fn num<T: std::str::FromStr>(flag: &'static str, v: String) -> Result<T, CliError>
             where
@@ -412,9 +432,14 @@ fn main() -> ExitCode {
 }
 
 fn run(cmd: &str, args: Args) -> Result<(), CliError> {
-    let &(_, handler) = COMMANDS
+    dispatch(cmd, &args)?(args)
+}
+
+/// The handler of `cmd`, once its arguments are known to be ones it reads.
+fn dispatch(cmd: &str, args: &Args) -> Result<Handler, CliError> {
+    let &(_, reads, handler) = COMMANDS
         .iter()
-        .find(|(name, _)| *name == cmd)
+        .find(|(name, _, _)| *name == cmd)
         .ok_or_else(|| CliError::UnknownCommand(cmd.to_string()))?;
     // Only `recover` (its data dir) and `obs` (a subcommand, plus the link
     // for `explain`) take positionals; anything past those is a stray.
@@ -426,7 +451,13 @@ fn run(cmd: &str, args: Args) -> Result<(), CliError> {
     if let Some(extra) = args.positional.get(takes) {
         return Err(CliError::UnexpectedArg(extra.clone()));
     }
-    handler(args)
+    // A flag the handler never reads would be ignored, and the command would
+    // exit 0 as if it had been honoured.
+    let read = |flag: &String| reads.split(' ').chain(GLOBAL_FLAGS.split(' ')).any(|f| f == flag);
+    if let Some(flag) = args.given.iter().find(|flag| !read(flag)) {
+        return Err(CliError::UnreadFlag { cmd: cmd.to_string(), flag: flag.clone() });
+    }
+    Ok(handler)
 }
 
 /// Build the core durability config from the parsed flags (already
@@ -1303,11 +1334,41 @@ mod tests {
 
     #[test]
     fn usage_lists_every_command() {
-        for (name, _) in super::COMMANDS {
+        for (name, _, _) in super::COMMANDS {
             assert!(
                 super::USAGE.contains(&format!("\n  manic {name} ")),
                 "USAGE omits `manic {name}`"
             );
+        }
+    }
+
+    #[test]
+    fn each_command_takes_only_the_flags_it_reads() {
+        use super::{dispatch, CliError, COMMANDS, GLOBAL_FLAGS};
+        let globals = GLOBAL_FLAGS.split(' ');
+        let all: Vec<&str> = COMMANDS.iter().flat_map(|c| c.1.split(' ')).chain(globals).collect();
+        for &(cmd, reads, _) in COMMANDS {
+            for &flag in &all {
+                // Every listed flag is one the parser knows...
+                assert!(!matches!(parse(&[cmd, flag]), Err(CliError::UnknownFlag(_))), "{flag}");
+                // ...and a command takes exactly its own and the global ones.
+                let (c, mut a) = parse(&[cmd]).unwrap();
+                a.given = vec![flag.to_string()];
+                let read = reads.split(' ').chain(GLOBAL_FLAGS.split(' ')).any(|f| f == flag);
+                match dispatch(&c, &a) {
+                    Ok(_) => assert!(read, "'{cmd}' took {flag}"),
+                    Err(CliError::UnreadFlag { flag: f, .. }) => assert!(!read && f == flag),
+                    Err(e) => panic!("'{cmd}' {flag}: {e}"),
+                }
+            }
+        }
+        for argv in [
+            vec!["world", "--days", "3", "--addr", "1.2.3.4:5", "--filter", "x", "--format", "json"],
+            vec!["study", "--hours", "2"],
+        ] {
+            let (cmd, a) = parse(&argv).unwrap();
+            let err = super::run(&cmd, a).unwrap_err();
+            assert!(matches!(err, CliError::UnreadFlag { .. }), "{argv:?}: {err}");
         }
     }
 

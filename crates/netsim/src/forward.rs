@@ -17,6 +17,9 @@
 //! probed (`ResolvedPath`) and the next hops of replies toward the prober
 //! (`SinkTree`). What happens to a packet on the way — load, loss, faults,
 //! ICMP behaviour — is evaluated per probe, in path order (DESIGN.md §5l).
+//! [`Network::probe_route_into`] reads the same path, the same answer rule and
+//! the same sink tree without a draw, so the fluid fast path and the
+//! record-route option see exactly the links the packets cross.
 
 use crate::fault::FaultSchedule;
 use crate::fib::{ecmp_pick, Fib};
@@ -129,18 +132,68 @@ struct PathKey {
     epoch: usize,
 }
 
+/// Who answers a probe over its resolved path ([`ResolvedPath::answer`]).
+#[derive(Debug, Clone, Copy)]
+enum Answer {
+    ZeroTtl,
+    /// `router` answers from `addr`: a time-exceeded from the expiry hop's
+    /// ingress interface when `expired`, else an echo from the destination.
+    From { router: RouterId, addr: Ipv4, expired: bool },
+    Unroutable,
+    Loop,
+}
+
+impl ResolvedPath {
+    /// The one answer rule, for [`Network::send_probe`] and
+    /// [`Network::probe_route_into`] alike: how a probe of `spec` over this
+    /// path is answered, and how many hops it crosses first. A time-exceeded
+    /// at hop `ttl` unless that hop terminates the destination (a loop back
+    /// through the source runs on), else the path's end decides.
+    fn answer(&self, spec: &ProbeSpec) -> (usize, Answer) {
+        let ttl = spec.ttl as usize;
+        if ttl == 0 {
+            return (0, Answer::ZeroTtl);
+        }
+        if let Some(hop) = self.hops.get(ttl - 1).filter(|h| !h.terminates) {
+            let (router, addr) = (hop.router, hop.ingress_addr);
+            return (ttl, Answer::From { router, addr, expired: true });
+        }
+        let answer = match (self.end, self.hops.last()) {
+            (PathEnd::Terminated, Some(last)) => {
+                Answer::From { router: last.router, addr: spec.dst, expired: false }
+            }
+            (PathEnd::DeadEnd, _) => Answer::Unroutable,
+            (PathEnd::Loop, _) => Answer::Loop,
+            _ => unreachable!("resolve_path walks to the probe's TTL or the path's end"),
+        };
+        (self.hops.len(), answer)
+    }
+}
+
+/// What [`Network::send_probe`] would cross and who would answer, were
+/// nothing lost on the way ([`Network::probe_route_into`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ProbeRoute {
+    /// Links the probe crosses up to the answering hop, in order.
+    pub forward: Vec<(LinkId, Direction)>,
+    pub responder: RouterId,
+    /// The address the answer comes from and its reply hashes on (before
+    /// any renumbering fault rewrites it).
+    pub responder_addr: Ipv4,
+    /// Links the answer crosses back to the prober, in order.
+    pub reply: Vec<(LinkId, Direction)>,
+}
+
 /// Reusable buffers for path walks. Owned by [`SimState`] so every
 /// measurement driver gets an arena that lives as long as its probing state:
-/// once the vectors reach their high-water mark, `send_probe` /
-/// `forward_path_into` / `record_route_into` stop allocating entirely
-/// (asserted by `tests/alloc_lean.rs`). Deliberately excluded from checkpoint
+/// once the vectors reach their high-water mark, `send_probe` and
+/// `record_route_into` stop allocating entirely (asserted by
+/// `tests/alloc_lean.rs`). Deliberately excluded from checkpoint
 /// serialization — everything here is re-derived from the network on demand.
 #[derive(Debug, Default)]
-pub struct PathScratch {
-    /// Forward-leg hop walk.
-    pub hops: Vec<HopObservation>,
-    /// Reply-leg hop walk (alive at the same time as `hops`).
-    pub reply_hops: Vec<HopObservation>,
+struct PathScratch {
+    /// The route `record_route_into` read last.
+    route: ProbeRoute,
     /// Forward path of the flow `send_probe` served last.
     path: ResolvedPath,
     /// Next hops of the replies `send_probe` routed last.
@@ -195,8 +248,8 @@ struct SinkTree {
 pub struct SimState {
     limiters: HashMap<RouterId, RateLimiter>,
     counter: u64,
-    /// Reusable hop/slot buffers for allocation-lean path walks.
-    pub scratch: PathScratch,
+    /// Reusable buffers for allocation-lean path walks.
+    scratch: PathScratch,
 }
 
 impl SimState {
@@ -420,10 +473,10 @@ impl Network {
 
     /// Walk the forward path from `src` toward `dst` without loss draws.
     ///
-    /// Used by ground-truth inspection, target selection, and the NDT model
-    /// (which needs the set of links a TCP flow crosses). The walk stops at
-    /// the terminating router, at a routing dead end, or after the 64-hop
-    /// loop guard.
+    /// Used by ground-truth inspection and the TCP-flow models, which need
+    /// the links a flow crosses; a probe's route is [`Self::probe_route_into`].
+    /// The walk stops at the terminating router, at a routing dead end, or
+    /// after the 64-hop loop guard.
     pub fn forward_path(
         &self,
         src: RouterId,
@@ -437,8 +490,7 @@ impl Network {
     }
 
     /// [`Self::forward_path`] into a caller-owned buffer (cleared first).
-    /// With a reused buffer — e.g. [`SimState::scratch`] — steady-state
-    /// walks allocate nothing.
+    /// With a reused buffer, steady-state walks allocate nothing.
     pub fn forward_path_into(
         &self,
         src: RouterId,
@@ -521,22 +573,21 @@ impl Network {
         Some(step)
     }
 
-    /// Route a reply from `from` back to `to_addr`, returning the one-way
-    /// delay, or `None` when the reply is lost or unroutable. Next hops come
-    /// from the [`SinkTree`] of `state`; links are crossed (load, loss and
-    /// faults at `t`) in path order, so the draw sequence is that of a
-    /// hop-by-hop walk.
+    /// Walk a reply from `from`, answering from `from_addr`, back to
+    /// `to_addr` under the routing epoch active at `t`: next hops from the
+    /// [`SinkTree`] of `state`, each crossing handed to `visit` in path order.
+    /// `None` when the reply is unroutable, loops, or `visit` stops it.
     #[allow(clippy::too_many_arguments)]
-    fn reply_path_delay(
+    fn reply_walk(
         &self,
+        state: &mut SimState,
         from: RouterId,
         from_addr: Ipv4,
         to_addr: Ipv4,
         flow_id: u16,
         t: SimTime,
-        state: &mut SimState,
-        crossed: &mut u64,
-    ) -> Option<f64> {
+        mut visit: impl FnMut(&mut SimState, LinkId, Direction) -> Option<()>,
+    ) -> Option<()> {
         let epoch = self.epoch_at(t);
         let sink = &mut state.scratch.sink;
         if sink.root != Some((to_addr, epoch)) {
@@ -545,15 +596,26 @@ impl Network {
         }
         let fibs = &self.epochs[epoch].1;
         let mut cur = from;
-        let mut total = 0.0;
         for _ in 0..MAX_HOPS {
             let sink = &mut state.scratch.sink;
             let step = self.sink_step(sink, fibs, cur, to_addr, from_addr, flow_id)?;
-            let Some((link, dir)) = step.crossing() else { return Some(total) };
-            total += self.cross(link, dir, t, state, crossed)?;
+            let Some((link, dir)) = step.crossing() else { return Some(()) };
+            visit(state, link, dir)?;
             cur = self.topo.link_head(link, dir);
         }
         None
+    }
+
+    /// The ICMP rate limit `(pps, burst)` in force at `router` at `t`: the
+    /// router's own profile, unless an injected limit is tighter (the
+    /// smaller pps wins). `None` when neither limits it.
+    pub fn icmp_rate_limit(&self, router: RouterId, t: SimTime) -> Option<(f64, f64)> {
+        let prof = &self.topo.router(router).icmp;
+        match (prof.rate_limit_pps, self.fault.icmp_limit(router, t)) {
+            (Some(own), Some((inj, ib))) if inj < own => Some((inj, ib)),
+            (Some(own), _) => Some((own, prof.rate_limit_burst)),
+            (None, inj) => inj,
+        }
     }
 
     /// Generate an ICMP response at `router`: applies unresponsiveness,
@@ -584,14 +646,7 @@ impl Network {
                 return None;
             }
         }
-        // Injected rate-limit tightening composes with the router's own
-        // profile: the smaller pps wins.
-        let limit = match (prof.rate_limit_pps, self.fault.icmp_limit(router, t)) {
-            (Some(own), Some((inj, ib))) if inj < own => Some((inj, ib)),
-            (Some(own), _) => Some((own, prof.rate_limit_burst)),
-            (None, inj) => inj,
-        };
-        if let Some((pps, burst)) = limit {
+        if let Some((pps, burst)) = self.icmp_rate_limit(router, t) {
             let rl = state
                 .limiters
                 .entry(router)
@@ -613,12 +668,41 @@ impl Network {
         Some(delay)
     }
 
-    /// Walk a probe's path with the IP record-route option: collects the
-    /// *egress* interface address of each router traversed, forward leg then
-    /// reply leg, capped at the option's nine slots. Deterministic (no loss
-    /// draws) — callers combine it with [`Self::send_probe`] when delivery
-    /// odds matter. Returns `None` when the probe or its reply is
-    /// unroutable.
+    /// Where a probe of `spec` sent at `t` goes and who answers it, read
+    /// without a draw off the resolved path, answer rule and sink tree
+    /// [`Self::send_probe`] uses (through the scratch of `state`), into
+    /// `route` (legs cleared first). Returns whether an answer can come back
+    /// — not for a zero TTL, a dead end or loop before the TTL runs out, or
+    /// a reply that cannot route home; on `false` the route is meaningless.
+    pub fn probe_route_into(
+        &self,
+        state: &mut SimState,
+        spec: ProbeSpec,
+        t: SimTime,
+        route: &mut ProbeRoute,
+    ) -> bool {
+        route.forward.clear();
+        route.reply.clear();
+        let mut path = std::mem::take(&mut state.scratch.path);
+        self.resolve_path(&spec, t, &mut path);
+        let (crossings, answer) = path.answer(&spec);
+        route.forward.extend(path.hops[..crossings].iter().map(|h| (h.link, h.direction)));
+        state.scratch.path = path;
+        let Answer::From { router, addr, .. } = answer else { return false };
+        (route.responder, route.responder_addr) = (router, addr);
+        let reply = &mut route.reply;
+        self.reply_walk(state, router, addr, spec.src_addr, spec.flow_id, t, |_, link, dir| {
+            reply.push((link, dir));
+            Some(())
+        })
+        .is_some()
+    }
+
+    /// A probe's route with the IP record-route option: the *egress*
+    /// interface address of each link crossed, forward leg then reply leg,
+    /// capped at the option's nine slots. Deterministic (no loss draws) —
+    /// callers combine it with [`Self::send_probe`] when delivery odds
+    /// matter. `None` where [`Self::probe_route_into`] finds no answer.
     pub fn record_route(
         &self,
         src: RouterId,
@@ -634,10 +718,10 @@ impl Network {
             .then_some(slots)
     }
 
-    /// [`Self::record_route`] through the reusable walk buffers of `state`
-    /// and a caller-owned slot buffer (cleared first). Returns whether the
-    /// probe and its reply were routable; on `false` the partial `slots`
-    /// content is meaningless. Steady-state calls allocate nothing.
+    /// [`Self::record_route`] through the reusable buffers of `state` and a
+    /// caller-owned slot buffer (cleared first). Returns whether an answer
+    /// comes back; on `false` the slots are empty. Steady-state calls
+    /// allocate nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn record_route_into(
         &self,
@@ -652,50 +736,18 @@ impl Network {
     ) -> bool {
         const RR_SLOTS: usize = 9;
         slots.clear();
-        let push = |addr: Ipv4, slots: &mut Vec<Ipv4>| {
-            if slots.len() < RR_SLOTS {
-                slots.push(addr);
-            }
-        };
-        // Borrow the walk buffers out of the scratch arena (a `mem::take`
-        // swaps in empty vectors without allocating) so the arena and the
-        // network can be used independently below.
-        let mut walk = std::mem::take(&mut state.scratch.hops);
-        let mut reply = std::mem::take(&mut state.scratch.reply_hops);
-        let ok = (|| {
-            // Forward leg until TTL expiry or termination.
-            self.forward_path_into(src, dst, flow_id, t, &mut walk);
-            if walk.is_empty() {
-                return false;
-            }
-            let take = (ttl as usize).min(walk.len());
-            for hop in &walk[..take] {
-                // The egress iface of the *previous* router is the peer of
-                // this hop's ingress iface.
-                let Some(ingress) = self.topo.iface_by_addr(hop.ingress_addr) else {
-                    return false;
-                };
-                let Some(egress) = self.topo.peer_iface(ingress.id) else { return false };
-                push(egress.addr, slots);
-            }
-            let responder = walk[take - 1].router;
-            // Reply leg back to the VP.
-            self.forward_path_into(responder, src_addr, flow_id, t, &mut reply);
-            if reply.is_empty() || reply.last().map(|h| h.router) != Some(src) {
-                return false;
-            }
-            for hop in &reply {
-                let Some(ingress) = self.topo.iface_by_addr(hop.ingress_addr) else {
-                    return false;
-                };
-                let Some(egress) = self.topo.peer_iface(ingress.id) else { return false };
-                push(egress.addr, slots);
-            }
-            true
-        })();
-        state.scratch.hops = walk;
-        state.scratch.reply_hops = reply;
-        ok
+        let mut route = std::mem::take(&mut state.scratch.route);
+        let spec = ProbeSpec { src, src_addr, dst, ttl, flow_id };
+        let routed = self.probe_route_into(state, spec, t, &mut route);
+        if routed {
+            let egress = |&(link, dir): &(LinkId, Direction)| {
+                let [a, b] = self.topo.link(link).ifaces;
+                self.topo.iface(if dir == Direction::AtoB { a } else { b }).addr
+            };
+            slots.extend(route.forward.iter().chain(&route.reply).take(RR_SLOTS).map(egress));
+        }
+        state.scratch.route = route;
+        routed
     }
 
     /// Inject one probe at time `t` and resolve its fate: resolve the flow's
@@ -745,20 +797,25 @@ impl Network {
             m.drop_icmp_denied.inc();
             return None;
         };
-        let Some(rev) =
-            self.reply_path_delay(router, addr, spec.src_addr, spec.flow_id, t, state, crossed)
-        else {
+        // The reply hashes its ECMP choices on the address it answers from.
+        let mut rev = 0.0;
+        let (to, flow) = (spec.src_addr, spec.flow_id);
+        let delivered = self.reply_walk(state, router, addr, to, flow, t, |state, link, dir| {
+            rev += self.cross(link, dir, t, state, crossed)?;
+            Some(())
+        });
+        if delivered.is_none() {
             m.drop_reply_lost.inc();
             return None;
-        };
+        }
         // Renumbering rewrites the source address the reply carries; the
         // reply still routes from the real interface.
         Some((self.fault.renumbered(&self.topo, addr, t), gen, rev))
     }
 
     /// Send one probe of `spec` along its resolved `path`: cross each link
-    /// under the load, loss and faults of time `t` until the TTL expires,
-    /// the destination answers, or the path gives out.
+    /// up to the answering hop under the load, loss and faults of time `t`,
+    /// then have the answer generated and routed home.
     fn replay(
         &self,
         path: &ResolvedPath,
@@ -768,54 +825,43 @@ impl Network {
         m: &crate::obs::Metrics,
         crossed: &mut u64,
     ) -> ProbeStatus {
-        if spec.ttl == 0 {
-            m.drop_zero_ttl.inc();
-            return ProbeStatus::Lost;
-        }
+        let (crossings, answer) = path.answer(spec);
         // A VP with a skewed clock reports every RTT offset by the skew.
         let skew = self.fault.clock_skew_ms(spec.src, t);
         let mut fwd = 0.0;
-        for (i, hop) in path.hops.iter().enumerate() {
+        for hop in &path.hops[..crossings] {
             let Some(delay) = self.cross(hop.link, hop.direction, t, state, crossed) else {
                 m.drop_forward_loss.inc();
                 return ProbeStatus::Lost;
             };
             fwd += delay;
-            if i + 1 == spec.ttl as usize && !hop.terminates {
-                // Time exceeded; response sourced from the ingress
-                // interface the packet arrived on.
-                let answer =
-                    self.respond(hop.router, hop.ingress_addr, spec, t, state, m, crossed);
-                return match answer {
-                    Some((from, gen, rev)) => {
-                        m.time_exceeded.inc();
-                        ProbeStatus::TimeExceeded { from, rtt_ms: fwd + gen + rev + skew }
-                    }
-                    None => ProbeStatus::Lost,
-                };
-            }
         }
-        match (path.end, path.hops.last()) {
-            // Destination host answers the echo.
-            (PathEnd::Terminated, Some(last)) => {
-                match self.respond(last.router, spec.dst, spec, t, state, m, crossed) {
-                    Some((from, gen, rev)) => {
-                        m.echo_reply.inc();
-                        ProbeStatus::EchoReply { from, rtt_ms: fwd + gen + rev + skew }
-                    }
-                    None => ProbeStatus::Lost,
+        match answer {
+            Answer::ZeroTtl => {
+                m.drop_zero_ttl.inc();
+                ProbeStatus::Lost
+            }
+            Answer::From { router, addr, expired } => {
+                let Some((from, gen, rev)) = self.respond(router, addr, spec, t, state, m, crossed)
+                else {
+                    return ProbeStatus::Lost;
+                };
+                let rtt_ms = fwd + gen + rev + skew;
+                if expired {
+                    m.time_exceeded.inc();
+                    ProbeStatus::TimeExceeded { from, rtt_ms }
+                } else {
+                    m.echo_reply.inc();
+                    ProbeStatus::EchoReply { from, rtt_ms }
                 }
             }
-            (PathEnd::DeadEnd, _) => {
+            Answer::Unroutable => {
                 m.unroutable.inc();
                 ProbeStatus::Unroutable
             }
-            (PathEnd::Loop, _) => {
+            Answer::Loop => {
                 m.drop_routing_loop.inc();
                 ProbeStatus::Lost
-            }
-            (PathEnd::Truncated | PathEnd::Terminated, _) => {
-                unreachable!("resolve_path walks to the probe's TTL or the path's end")
             }
         }
     }

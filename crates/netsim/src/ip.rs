@@ -8,7 +8,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// An IPv4 address, stored as its 32-bit big-endian integer value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {

@@ -17,7 +17,7 @@ impl std::fmt::Display for AsNumber {
 }
 
 /// Router identifier (index into `Topology::routers`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct RouterId(pub u32);
 
 /// Interface identifier (index into `Topology::ifaces`).

@@ -2,7 +2,9 @@
 //! `send_probe`, `forward_path_into`, `record_route_into` — must not touch
 //! the allocator at all. A counting global allocator makes the assertion
 //! exact. This test lives in its own integration binary so the allocator
-//! swap cannot interfere with any other test.
+//! swap cannot interfere with any other test; the root package includes it
+//! as one more such binary (`tests/alloc_lean.rs`), so the tier-1 command
+//! runs it too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,5 +1,5 @@
 //! The hop-by-hop reference for probe fate, and the properties that hold
-//! `Network::send_probe` to it.
+//! `Network::send_probe` and `Network::probe_route_into` to it.
 //!
 //! `send_probe` resolves a flow's forward path once, replays every probe of
 //! the flow over it, and routes replies along a memoized sink tree. The
@@ -9,7 +9,10 @@
 //! test — and keeps its own draw counter and rate-limiter buckets. The two
 //! must agree bit for bit on every `ProbeStatus` *and* on the exported
 //! simulation state after every probe, whatever the topology, routing epoch,
-//! TTL or fault schedule.
+//! TTL or fault schedule. `ref_probe_route` is the same walk with nothing
+//! lost: the links a probe and its reply cross and who answers, which
+//! `probe_route_into` (and through it the fluid fast path and record route) must
+//! reproduce without touching the draw counter or the limiters.
 //!
 //! The root package includes this file from `tests/path_oracle.rs`, so the
 //! tier-1 command runs these properties too.
@@ -21,8 +24,8 @@ use manic_netsim::topo::Direction;
 use manic_netsim::traffic::ConstantLoad;
 use manic_netsim::{
     AsNumber, FaultSchedule, Fib, IcmpProfile, IfaceId, Ipv4, LinkId, LinkKind, LoadModel,
-    Network, Prefix, ProbeSpec, ProbeStatus, QueueModel, RateLimiter, RouterId, SimState,
-    Topology,
+    Network, Prefix, ProbeRoute, ProbeSpec, ProbeStatus, QueueModel, RateLimiter, RouterId,
+    SimState, Topology,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -194,6 +197,68 @@ pub fn ref_send_probe(net: &Network, st: &mut RefState, spec: ProbeSpec, t: SimT
         }
     }
     ProbeStatus::Lost
+}
+
+/// What a probe crosses and who answers it, re-derived hop by hop: the
+/// forward links up to the answering hop, the responder and the address it
+/// answers from, and the reply's links back to the prober.
+#[derive(Debug, PartialEq)]
+pub struct RefRoute {
+    pub forward: Vec<(LinkId, Direction)>,
+    pub responder: RouterId,
+    pub responder_addr: Ipv4,
+    pub reply: Vec<(LinkId, Direction)>,
+}
+
+/// The links of `reply_path_delay`'s walk: hashed, like a packet's reply,
+/// on the address the answer comes from.
+fn ref_reply_links(
+    net: &Network,
+    from: RouterId,
+    from_addr: Ipv4,
+    to_addr: Ipv4,
+    flow_id: u16,
+    t: SimTime,
+) -> Option<Vec<(LinkId, Direction)>> {
+    let (mut cur, mut links) = (from, Vec::new());
+    for _ in 0..MAX_HOPS {
+        if net.topo.terminates(cur, to_addr) {
+            return Some(links);
+        }
+        let (link, dir, next, _) = forward_hop(net, cur, to_addr, from_addr, flow_id, t)?;
+        links.push((link, dir));
+        cur = next;
+    }
+    None
+}
+
+/// `ref_send_probe`'s walk with nothing lost. `None` where no answer can
+/// come back: a zero TTL, a dead end (`ref_send_probe`'s `Unroutable`), a
+/// loop before the TTL runs out, or a reply that cannot route home.
+pub fn ref_probe_route(net: &Network, spec: ProbeSpec, t: SimTime) -> Option<RefRoute> {
+    let answered = |forward, responder, responder_addr| {
+        let (to, flow) = (spec.src_addr, spec.flow_id);
+        let reply = ref_reply_links(net, responder, responder_addr, to, flow, t)?;
+        Some(RefRoute { forward, responder, responder_addr, reply })
+    };
+    let (mut cur, mut ttl, mut forward) = (spec.src, spec.ttl, Vec::new());
+    if ttl == 0 {
+        return None;
+    }
+    for _ in 0..MAX_HOPS {
+        if net.topo.terminates(cur, spec.dst) && cur != spec.src {
+            return answered(forward, cur, spec.dst);
+        }
+        let (link, dir, next, ingress) =
+            forward_hop(net, cur, spec.dst, spec.src_addr, spec.flow_id, t)?;
+        forward.push((link, dir));
+        cur = next;
+        ttl -= 1;
+        if ttl == 0 && !net.topo.terminates(cur, spec.dst) {
+            return answered(forward, cur, ingress);
+        }
+    }
+    None
 }
 
 /// `ProbeStatus` with its floats as bits, so equality is exact.
@@ -472,6 +537,39 @@ proptest! {
         prop_assert!(probes.last().is_some_and(|&(_, t)| t >= EPOCH), "sequence must cross the epoch");
         if let Err(why) = assert_matches_reference(&world.net, &probes) {
             prop_assert!(false, "{}", why);
+        }
+    }
+
+    /// `probe_route_into` reads the route of the reference's walk — forward links,
+    /// responder, answering address, reply links — and is `None` exactly
+    /// where the reference finds no answer. It never draws: interleaved with
+    /// `send_probe` on one state, the state still matches the reference's.
+    #[test]
+    fn probe_route_matches_hop_by_hop_reference(
+        seed in any::<u64>(),
+        routers in 4usize..10,
+        chaos in 0u8..3,
+    ) {
+        let world = random_world(seed, routers, chaos as f64 * 0.5);
+        let probes = random_probes(&world, &mut Rng(seed ^ 0x20E7), 120);
+        let (mut sim, mut reference) = (SimState::new(), RefState::default());
+        for (i, &(spec, t)) in probes.iter().enumerate() {
+            let before = sim.export();
+            let mut route = ProbeRoute::default();
+            let got = world.net.probe_route_into(&mut sim, spec, t, &mut route).then_some(route);
+            prop_assert_eq!(sim.export(), before, "probe {}: probe_route_into drew", i);
+            let got = got.map(|r| RefRoute {
+                forward: r.forward,
+                responder: r.responder,
+                responder_addr: r.responder_addr,
+                reply: r.reply,
+            });
+            let want = ref_probe_route(&world.net, spec, t);
+            prop_assert_eq!(got, want, "probe {} {:?} at {}", i, spec, t);
+            let sent = world.net.send_probe(&mut sim, spec, t);
+            let want = ref_send_probe(&world.net, &mut reference, spec, t);
+            prop_assert_eq!(status_bits(sent), status_bits(want), "probe {} at {}", i, t);
+            prop_assert_eq!(sim.export(), reference.export());
         }
     }
 

@@ -150,10 +150,9 @@ impl LossProber {
                 (End::Near, tgt.near_ttl, tgt.near_ip),
                 (End::Far, tgt.far_ttl, tgt.far_ip),
             ] {
-                if let Some(pp) = probe_path(net, &self.vp, tgt.dst, ttl, tgt.flow_id, from) {
-                    if pp.responder_addr == expect {
-                        paths.push((end, pp));
-                    }
+                let pp = probe_path(net, &self.vp, tgt.dst, ttl, tgt.flow_id, from);
+                if let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) {
+                    paths.push((end, pp));
                 }
             }
             let mut samples = Vec::new();

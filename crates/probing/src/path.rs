@@ -15,12 +15,16 @@
 //!   along forward and reply paths, times the responder's ICMP behaviour —
 //!   from which per-window loss fractions are synthesized.
 //!
-//! Using the fast path changes runtime, not distribution shape; the
-//! equivalence is tested in `tests/fast_vs_packet.rs`.
+//! Both modes route a probe the same way: [`probe_path`] is
+//! `Network::probe_route_into` — the forward path `send_probe` resolves, its
+//! answer rule, and its reply sink tree, which hashes a reply's ECMP choices
+//! on the answering address — plus the baseline delay. `tests/path_oracle.rs`
+//! holds the route to a hop-by-hop reference on random worlds with reply
+//! ECMP. Using the fast path then changes runtime, not distribution shape;
+//! the equivalence is tested in `tests/fast_vs_packet.rs`.
 
 use manic_netsim::time::SimTime;
-use manic_netsim::topo::Direction;
-use manic_netsim::{Ipv4, LinkId, Network, RouterId};
+use manic_netsim::{Ipv4, Network, ProbeRoute, ProbeSpec, RouterId, SimState};
 
 /// A vantage point as the probing layer sees it.
 #[derive(Debug, Clone)]
@@ -35,14 +39,8 @@ pub struct VpHandle {
 pub struct ProbePath {
     /// The VP router the probe is sourced from (clock-skew faults key on it).
     pub src: RouterId,
-    /// Links crossed by the probe until TTL expiry, with direction.
-    pub forward: Vec<(LinkId, Direction)>,
-    /// Links crossed by the ICMP reply.
-    pub reply: Vec<(LinkId, Direction)>,
-    /// The responding router.
-    pub responder: RouterId,
-    /// The address the response is sourced from.
-    pub responder_addr: Ipv4,
+    /// Both legs and who answers, as the packets would take them.
+    pub route: ProbeRoute,
     /// Propagation + ICMP-generation baseline, ms (no queueing).
     pub base_ms: f64,
 }
@@ -52,25 +50,21 @@ impl ProbePath {
     /// behaviour plus injected faults (silence, reboot blackout, renumbering
     /// — a response from an unexpected alias is no valid sample).
     fn responder_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
-        if net.fault.icmp_suppressed(self.responder, t)
-            || net.fault.silent_addr(&net.topo, self.responder_addr, t)
-            || net.fault.renumbered(&net.topo, self.responder_addr, t) != self.responder_addr
+        let (responder, addr) = (self.route.responder, self.route.responder_addr);
+        if net.fault.icmp_suppressed(responder, t)
+            || net.fault.silent_addr(&net.topo, addr, t)
+            || net.fault.renumbered(&net.topo, addr, t) != addr
         {
             return 0.0;
         }
-        let prof = &net.topo.router(self.responder).icmp;
+        let prof = &net.topo.router(responder).icmp;
         let mut p = 1.0 - prof.unresponsive_prob;
         if let Some(flaky) = prof.flaky {
-            if flaky.is_flaky_now(net.seed, self.responder.0 as u64, t) {
+            if flaky.is_flaky_now(net.seed, responder.0 as u64, t) {
                 p *= 1.0 - flaky.drop_prob;
             }
         }
-        let limit = match (prof.rate_limit_pps, net.fault.icmp_limit(self.responder, t)) {
-            (Some(own), Some((inj, _))) => Some(own.min(inj)),
-            (Some(own), None) => Some(own),
-            (None, inj) => inj.map(|(pps, _)| pps),
-        };
-        if let Some(limit) = limit {
+        if let Some((limit, _)) = net.icmp_rate_limit(responder, t) {
             if offered_pps > limit {
                 p *= limit / offered_pps;
             }
@@ -88,7 +82,7 @@ impl ProbePath {
     pub fn rtt_and_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> (f64, f64) {
         let mut rtt = self.base_ms + net.fault.clock_skew_ms(self.src, t);
         let mut p = 1.0;
-        for &(l, d) in self.forward.iter().chain(&self.reply) {
+        for &(l, d) in self.route.forward.iter().chain(&self.route.reply) {
             let s = net.link_state(l, d, t);
             rtt += s.queue_ms;
             if net.fault.link_blocked(&net.topo, l, t) {
@@ -99,19 +93,14 @@ impl ProbePath {
         }
         (rtt, p * self.responder_prob(net, t, offered_pps))
     }
-
-    /// Does the probe cross `link` on its forward leg?
-    pub fn crosses(&self, link: LinkId) -> bool {
-        self.forward.iter().any(|&(l, _)| l == link)
-    }
 }
 
 /// Resolve the path of a probe from `vp` toward `dst` expiring after `ttl`
-/// hops (or reaching the destination if it terminates sooner).
+/// hops (or reaching the destination if it terminates sooner): its
+/// `Network::probe_route_into` plus the baseline delay.
 ///
-/// Returns `None` when the TTL extends past a routing dead end, when the
-/// expiry router's reply cannot route back, or when `ttl` exceeds the path
-/// length to a non-terminating hop (the walk stops at termination).
+/// Returns `None` where no answer can come back: a zero TTL, a routing dead
+/// end or loop before the TTL runs out, or a reply that cannot route home.
 pub fn probe_path(
     net: &Network,
     vp: &VpHandle,
@@ -120,42 +109,14 @@ pub fn probe_path(
     flow_id: u16,
     t: SimTime,
 ) -> Option<ProbePath> {
-    if ttl == 0 {
-        return None;
-    }
-    let walk = net.forward_path(vp.router, dst, flow_id, t);
-    if walk.is_empty() {
-        return None;
-    }
-    let take = (ttl as usize).min(walk.len());
-    let reached_dst = take == walk.len() && net.topo.terminates(walk[take - 1].router, dst);
-    let hop = &walk[take - 1];
-    // TTL larger than the path: the probe reaches the destination and is
-    // answered there; TTL smaller: time-exceeded at the expiry hop.
-    if (ttl as usize) > walk.len() && !reached_dst {
-        return None;
-    }
-    let responder = hop.router;
-    let responder_addr = if reached_dst { dst } else { hop.ingress_addr };
-
-    let forward: Vec<(LinkId, Direction)> =
-        walk[..take].iter().map(|h| (h.link, h.direction)).collect();
-
-    // Reply path: from the responder back to the VP address.
-    let reply_walk = net.forward_path(responder, vp.addr, flow_id, t);
-    if reply_walk.is_empty()
-        || reply_walk.last().map(|h| h.router) != Some(vp.router)
-    {
-        return None;
-    }
-    let reply: Vec<(LinkId, Direction)> =
-        reply_walk.iter().map(|h| (h.link, h.direction)).collect();
-
-    let mut base_ms = net.topo.router(responder).icmp.base_ms;
-    for &(l, _) in forward.iter().chain(&reply) {
+    let spec = ProbeSpec { src: vp.router, src_addr: vp.addr, dst, ttl, flow_id };
+    let mut route = ProbeRoute::default();
+    net.probe_route_into(&mut SimState::new(), spec, t, &mut route).then_some(())?;
+    let mut base_ms = net.topo.router(route.responder).icmp.base_ms;
+    for &(l, _) in route.forward.iter().chain(&route.reply) {
         base_ms += net.topo.link(l).prop_delay_ms;
     }
-    Some(ProbePath { src: vp.router, forward, reply, responder, responder_addr, base_ms })
+    Some(ProbePath { src: vp.router, route, base_ms })
 }
 
 #[cfg(test)]
@@ -190,7 +151,7 @@ mod tests {
                     i * 3,
                 );
                 if let Some(from) = s.responder() {
-                    assert_eq!(from, pp.responder_addr, "ttl {ttl}");
+                    assert_eq!(from, pp.route.responder_addr, "ttl {ttl}");
                     break;
                 }
             }
@@ -242,14 +203,17 @@ mod tests {
         let w = toy(1);
         let vp = vp_of(&w, "acme-nyc");
         let dst = w.host_addr(toy_asns::CDNCO, 0);
-        let full = w.net.forward_path(vp.router, dst, 9, 0);
-        let n = full.len() as u8;
-        // Exactly at the destination: echo reply.
+        let full = probe_path(&w.net, &vp, dst, u8::MAX, 9, 0).unwrap();
+        assert_eq!(full.route.responder_addr, dst);
+        let n = full.route.forward.len() as u8;
+        // Exactly at the destination: echo reply; one short: time exceeded.
         let at = probe_path(&w.net, &vp, dst, n, 9, 0).unwrap();
-        assert_eq!(at.responder_addr, dst);
+        assert_eq!(at.route.responder_addr, dst);
+        let before = probe_path(&w.net, &vp, dst, n - 1, 9, 0).unwrap();
+        assert_ne!(before.route.responder_addr, dst);
         // Far beyond: still the destination (hosts answer any remaining TTL).
         let beyond = probe_path(&w.net, &vp, dst, n + 10, 9, 0).unwrap();
-        assert_eq!(beyond.responder_addr, dst);
+        assert_eq!(beyond.route.responder_addr, dst);
         // Unroutable destination: no path at all.
         assert!(probe_path(&w.net, &vp, "172.16.0.1".parse().unwrap(), 5, 9, 0).is_none());
     }

@@ -323,15 +323,11 @@ pub fn synthesize_task(
             (End::Near, dest.near_ttl, task.near_ip),
             (End::Far, dest.far_ttl, task.far_ip),
         ] {
-            if let Some(pp) = probe_path(net, vp, dest.dst, ttl, task.flow_id, from) {
-                if pp.responder_addr == expect {
-                    if let Some(existing) = paths.iter_mut().find(|(e, p, _)| {
-                        *e == end && p.forward == pp.forward && p.reply == pp.reply
-                    }) {
-                        existing.2 += 1;
-                    } else {
-                        paths.push((end, pp, 1));
-                    }
+            let pp = probe_path(net, vp, dest.dst, ttl, task.flow_id, from);
+            if let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) {
+                match paths.iter_mut().find(|(e, p, _)| *e == end && p.route == pp.route) {
+                    Some(existing) => existing.2 += 1,
+                    None => paths.push((end, pp, 1)),
                 }
             }
         }

@@ -163,7 +163,7 @@ proptest! {
                 let pp = manic_probing::probe_path(&world.net, &handle, dst, (pos + 1) as u8, 9, 0);
                 if let Some(pp) = pp {
                     prop_assert!(
-                        pp.reply.iter().any(|&(l, _)| l == gt.link),
+                        pp.route.reply.iter().any(|&(l, _)| l == gt.link),
                         "far-end reply must ride the probed link"
                     );
                 }

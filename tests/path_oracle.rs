@@ -7,15 +7,23 @@
 //! send slots straddle `add_epoch`, and a traceroute repeated across it,
 //! must report what the reference reports — the resolved forward path and
 //! the reply sink tree both have to notice the epoch change mid-stream.
+//! The fluid fast path's `probe_path` and the record-route option must
+//! route a probe as the reference does too, on worlds whose replies cross
+//! ECMP groups.
 
 #[path = "../crates/netsim/tests/path_oracle.rs"]
 mod reference;
 
 use manic_netsim::time::SimTime;
-use manic_netsim::{Ipv4, Network, ProbeSpec, ProbeStatus, SimState};
+use manic_netsim::topo::Direction;
+use manic_netsim::{Ipv4, LinkId, Network, ProbeSpec, ProbeStatus, SimState};
 use manic_probing::tslp::{End, TslpDest, TslpProber, TslpTask, PROBE_TIMEOUT_MS};
-use manic_probing::{trace, TracerouteHop, VpHandle};
-use reference::{random_world, ref_send_probe, RandomWorld, RefState, EPOCH, START};
+use manic_probing::{probe_path, trace, TracerouteHop, VpHandle};
+use proptest::prelude::*;
+use reference::{
+    random_probes, random_world, ref_probe_route, ref_send_probe, RandomWorld, RefState, Rng,
+    EPOCH, START,
+};
 
 fn vp_of(world: &RandomWorld) -> VpHandle {
     VpHandle { name: "vp".into(), router: world.vp, addr: world.vp_addr }
@@ -161,4 +169,37 @@ fn traceroute_repeated_across_an_epoch_matches_reference() {
         checked += 1;
     }
     assert!(checked >= 5, "only {checked} worlds changed routing at the epoch");
+}
+
+proptest! {
+    /// The fluid fast path and the record-route option route a probe as the
+    /// hop-by-hop reference does: `probe_path`'s forward links, answering
+    /// address and reply links are the reference's (its reply hashed on the
+    /// answering address, like a packet's), `record_route` holds the egress
+    /// address of each of those links up to nine, and both are `None` exactly
+    /// where the reference finds no answer.
+    #[test]
+    fn fluid_and_record_route_match_hop_by_hop_reference(seed in any::<u64>()) {
+        let world = random_world(seed, 8, 0.0);
+        let net = &world.net;
+        let egress = |&(link, dir): &(LinkId, Direction)| {
+            let [a, b] = net.topo.link(link).ifaces;
+            net.topo.iface(if dir == Direction::AtoB { a } else { b }).addr
+        };
+        for (spec, t) in random_probes(&world, &mut Rng(seed ^ 0xF1D), 120) {
+            let want = ref_probe_route(net, spec, t);
+            let vp = VpHandle { name: "vp".into(), router: spec.src, addr: spec.src_addr };
+            let fluid = probe_path(net, &vp, spec.dst, spec.ttl, spec.flow_id, t)
+                .map(|p| (p.route.forward, p.route.responder_addr, p.route.reply));
+            let route =
+                want.as_ref().map(|r| (r.forward.clone(), r.responder_addr, r.reply.clone()));
+            prop_assert_eq!(fluid, route, "probe_path {:?} at {}", spec, t);
+            let slots = want.as_ref().map(|r| {
+                r.forward.iter().chain(&r.reply).take(9).map(egress).collect::<Vec<_>>()
+            });
+            let recorded =
+                net.record_route(spec.src, spec.src_addr, spec.dst, spec.ttl, spec.flow_id, t);
+            prop_assert_eq!(recorded, slots, "record_route {:?} at {}", spec, t);
+        }
+    }
 }
