@@ -1333,6 +1333,17 @@ mod tests {
     }
 
     #[test]
+    fn recover_of_a_missing_data_dir_names_it() {
+        let dir = std::env::temp_dir().join(format!("manic-no-such-dir-{}", std::process::id()));
+        let dir = dir.to_str().unwrap();
+        for argv in [vec!["recover", dir], vec!["recover", "--data-dir", dir]] {
+            let (cmd, a) = parse(&argv).unwrap();
+            let err = super::run(&cmd, a).unwrap_err().to_string();
+            assert!(err.contains(&format!("cannot list data dir {dir}: ")), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
     fn usage_lists_every_command() {
         for (name, _, _) in super::COMMANDS {
             assert!(

@@ -22,7 +22,10 @@ pub(super) fn generation_name(rounds: u64) -> String {
 /// first.
 pub(super) fn list_generations(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out = Vec::new();
-    for name in vfs.read_dir_names(dir)? {
+    let names = vfs.read_dir_names(dir).map_err(|e| {
+        io::Error::new(e.kind(), format!("cannot list data dir {}: {e}", dir.display()))
+    })?;
+    for name in names {
         if let Some(rounds) = name
             .strip_prefix("checkpoint-")
             .and_then(|s| s.strip_suffix(".json"))

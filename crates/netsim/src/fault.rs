@@ -15,7 +15,8 @@
 //! list, t)`, which keeps the fluid fast path valid (the same bin queried
 //! twice sees the same faults). `Network` consumes it in packet mode
 //! (`cross`, `icmp_generate`, `send_probe`) and the probing layer consumes it
-//! in fluid mode (`ProbePath::rtt_and_prob`); the measurement control loop
+//! in fluid mode (`ProbePath::rtt_and_prob` and the TSLP column engine,
+//! which skips the queries in a world without events); the measurement control loop
 //! polls [`FaultSchedule::vp_retired`] for host churn.
 
 use crate::ip::Ipv4;

@@ -312,6 +312,11 @@ impl SimState {
     }
 }
 
+/// The queue-jitter noise stream of one link direction.
+fn link_stream(link: LinkId, dir: Direction) -> u64 {
+    (link.0 as u64) << 1 | matches!(dir, Direction::BtoA) as u64
+}
+
 /// The simulated network: an immutable topology plus time-versioned routing.
 ///
 /// Routing tables are organized as *epochs*: `(activation_time, per-router
@@ -366,10 +371,43 @@ impl Network {
     /// operator-validation harness, the NDT throughput model, and tests.
     pub fn link_state(&self, link: LinkId, dir: Direction, t: SimTime) -> LinkState {
         let l = self.topo.link(link);
-        let stream = (link.0 as u64) << 1 | matches!(dir, Direction::BtoA) as u64;
         match l.load(dir) {
-            Some(m) => l.queue.state(m.utilization(t), self.seed, stream, t),
+            Some(m) => l.queue.state(m.utilization(t), self.seed, link_stream(link, dir), t),
             None => LinkState::idle(),
+        }
+    }
+
+    /// One column of [`Self::link_state`]: entry `i` of `queue_ms` and
+    /// `loss` is the state at `t0 + i * step` (`step > 0`), bit for bit,
+    /// computed through the load model's batched
+    /// [`LoadModel::utilization_into`](crate::traffic::LoadModel::utilization_into).
+    /// The fluid fast path reads a link's columns instead of calling
+    /// `link_state` once per probe path crossing it.
+    pub fn link_states_into(
+        &self,
+        link: LinkId,
+        dir: Direction,
+        t0: SimTime,
+        step: i64,
+        queue_ms: &mut [f64],
+        loss: &mut [f64],
+    ) {
+        assert_eq!(queue_ms.len(), loss.len(), "one column length");
+        let l = self.topo.link(link);
+        let Some(m) = l.load(dir) else {
+            let idle = LinkState::idle();
+            queue_ms.fill(idle.queue_ms);
+            loss.fill(idle.loss);
+            return;
+        };
+        // Utilization lands in `queue_ms` and is replaced in place.
+        m.utilization_into(t0, step, queue_ms);
+        let stream = link_stream(link, dir);
+        let mut t = t0;
+        for (q, p) in queue_ms.iter_mut().zip(loss.iter_mut()) {
+            let s = l.queue.state_bin(*q, self.seed, stream, t.div_euclid(noise::BIN_SECS) as u64);
+            (*q, *p) = (s.queue_ms, s.loss);
+            t += step;
         }
     }
 

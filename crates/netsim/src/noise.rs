@@ -10,6 +10,11 @@
 
 pub use manic_stats::{mix, GAMMA};
 
+/// Width of the fluid layer's noise bins, seconds: demand noise and queue
+/// jitter are redrawn every five minutes, so repeated queries inside a bin
+/// agree.
+pub const BIN_SECS: i64 = 300;
+
 /// Combine a seed and two stream identifiers into one hash.
 #[inline]
 pub fn hash3(seed: u64, a: u64, b: u64) -> u64 {

@@ -71,9 +71,13 @@ impl QueueModel {
     /// Map utilization to link state. `seed`/`stream` select the jitter noise
     /// stream (derive `stream` from the link id + direction); `t` indexes it.
     pub fn state(&self, utilization: f64, seed: u64, stream: u64, t: SimTime) -> LinkState {
+        self.state_bin(utilization, seed, stream, t.div_euclid(noise::BIN_SECS) as u64)
+    }
+
+    /// [`Self::state`] in noise bin `bin` (`t.div_euclid(BIN_SECS)`):
+    /// jitter varies per 5-minute bin, like the demand noise.
+    pub fn state_bin(&self, utilization: f64, seed: u64, stream: u64, bin: u64) -> LinkState {
         let u = utilization.max(0.0);
-        // Jitter varies per 5-minute bin, like the demand noise.
-        let bin = t.div_euclid(300) as u64;
         let jitter = self.jitter_ms * noise::uniform(seed, stream ^ 0x9E11, bin);
         let (queue_ms, loss) = if u < self.onset {
             (jitter, self.base_loss)

@@ -15,7 +15,7 @@
 //! against.
 
 use crate::noise;
-use crate::time::{self, SimTime};
+use crate::time::{self, SimTime, SECS_PER_DAY, SECS_PER_HOUR};
 
 /// A directional demand model: offered load as a fraction of capacity.
 ///
@@ -25,6 +25,23 @@ use crate::time::{self, SimTime};
 pub trait LoadModel: Send + Sync {
     /// Offered load / capacity at time `t`. May exceed 1.0 (overload).
     fn utilization(&self, t: SimTime) -> f64;
+
+    /// `out[i] = self.utilization(t0 + i * step)` for `step > 0`: one column
+    /// of the fluid fast path. Overrides walk the column faster but must
+    /// stay bit-identical to the pointwise values.
+    fn utilization_into(&self, t0: SimTime, step: i64, out: &mut [f64]) {
+        utilization_pointwise(self, t0, step, out);
+    }
+}
+
+/// The default [`LoadModel::utilization_into`]: one `utilization` call per
+/// entry. Overrides fall back to it for steps they do not batch.
+pub fn utilization_pointwise<M: LoadModel + ?Sized>(m: &M, t0: SimTime, step: i64, out: &mut [f64]) {
+    let mut t = t0;
+    for u in out {
+        *u = m.utilization(t);
+        t += step;
+    }
 }
 
 /// Constant utilization (useful for tests and for always-hot links).
@@ -136,18 +153,69 @@ impl DiurnalDemand {
         // (and therefore invertible when scenarios solve for amplitudes).
         evening + day
     }
+
+    fn weekend(&self, local_t: SimTime) -> f64 {
+        if time::is_weekend(local_t) {
+            self.weekend_factor
+        } else {
+            1.0
+        }
+    }
+
+    /// Utilization from its parts; `utilization` and `utilization_into`
+    /// both end here, so they round alike.
+    fn combine(&self, amp: f64, shape: f64, bin: u64) -> f64 {
+        let n = self.noise_amp * noise::signed(self.noise_seed, 0xD1F0, bin);
+        (self.base + amp * shape + n).max(0.0)
+    }
 }
 
 impl LoadModel for DiurnalDemand {
     fn utilization(&self, t: SimTime) -> f64 {
         let local = time::local_hour(t, self.tz_offset_hours);
-        let local_t = t + self.tz_offset_hours as i64 * 3600;
-        let weekend = if time::is_weekend(local_t) { self.weekend_factor } else { 1.0 };
-        let amp = self.amplitude * self.monthly.at(t) * weekend;
-        // Noise per 5-minute bin so repeated queries inside a bin agree.
-        let bin = t.div_euclid(300) as u64;
-        let n = self.noise_amp * noise::signed(self.noise_seed, 0xD1F0, bin);
-        (self.base + amp * self.shape(local) + n).max(0.0)
+        let local_t = t + self.tz_offset_hours as i64 * SECS_PER_HOUR;
+        let amp = self.amplitude * self.monthly.at(t) * self.weekend(local_t);
+        self.combine(amp, self.shape(local), t.div_euclid(noise::BIN_SECS) as u64)
+    }
+
+    /// A walk with no calendar arithmetic per entry: the UTC and local
+    /// second-of-day counters step forward, the month scale is re-read only
+    /// at UTC midnight (months turn there) and the weekend factor only at
+    /// local midnight, the noise bin steps by `step / BIN_SECS`, and `shape`
+    /// is evaluated once per slot of the day. Steps that do not divide a day
+    /// or are not whole noise bins go pointwise.
+    fn utilization_into(&self, t0: SimTime, step: i64, out: &mut [f64]) {
+        const MAX_SLOTS: usize = (SECS_PER_DAY / noise::BIN_SECS) as usize;
+        if step <= 0 || SECS_PER_DAY % step != 0 || step % noise::BIN_SECS != 0 {
+            return utilization_pointwise(self, t0, step, out);
+        }
+        let tz = self.tz_offset_hours as i64 * SECS_PER_HOUR;
+        let slots = (SECS_PER_DAY / step) as usize;
+        let mut shapes = [0.0f64; MAX_SLOTS];
+        let (mut utc, mut local) = (t0.rem_euclid(SECS_PER_DAY), (t0 + tz).rem_euclid(SECS_PER_DAY));
+        let mut scale = self.monthly.at(t0);
+        let mut weekend = self.weekend(t0 + tz);
+        let (mut bin, stride) = (t0.div_euclid(noise::BIN_SECS) as u64, (step / noise::BIN_SECS) as u64);
+        let (mut t, mut slot) = (t0, 0);
+        for (i, u) in out.iter_mut().enumerate() {
+            if i < slots {
+                shapes[slot] = self.shape(local as f64 / SECS_PER_HOUR as f64);
+            }
+            *u = self.combine(self.amplitude * scale * weekend, shapes[slot], bin);
+            t += step;
+            bin += stride;
+            slot = if slot + 1 == slots { 0 } else { slot + 1 };
+            utc += step;
+            if utc >= SECS_PER_DAY {
+                utc -= SECS_PER_DAY;
+                scale = self.monthly.at(t);
+            }
+            local += step;
+            if local >= SECS_PER_DAY {
+                local -= SECS_PER_DAY;
+                weekend = self.weekend(t + tz);
+            }
+        }
     }
 }
 

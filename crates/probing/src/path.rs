@@ -22,6 +22,12 @@
 //! holds the route to a hop-by-hop reference on random worlds with reply
 //! ECMP. Using the fast path then changes runtime, not distribution shape;
 //! the equivalence is tested in `tests/fast_vs_packet.rs`.
+//!
+//! [`ProbePath::rtt_and_prob`] is the model of one path at one instant. The
+//! TSLP synthesis (`tslp.rs`) computes the same values for many paths over
+//! a window from per-link columns, folded in the order `rtt_and_prob` adds
+//! and multiplies; `tests/fluid_columns.rs` keeps it to this function bit
+//! for bit.
 
 use manic_netsim::time::SimTime;
 use manic_netsim::{Ipv4, Network, ProbeRoute, ProbeSpec, RouterId, SimState};
@@ -57,6 +63,38 @@ impl ProbePath {
         {
             return 0.0;
         }
+        self.icmp_prob(net, t, offered_pps)
+    }
+
+    /// [`Self::responder_prob`] at `t0 + i * step` into `out[i]`. A world
+    /// without faults skips the fault queries, and reads a profile without
+    /// a flaky window (nothing else in it varies with time) once.
+    pub(crate) fn responder_probs_into(
+        &self,
+        net: &Network,
+        t0: SimTime,
+        step: i64,
+        offered_pps: f64,
+        out: &mut [f64],
+    ) {
+        let prob: &dyn Fn(SimTime) -> f64 = if !net.fault.is_empty() {
+            &|t| self.responder_prob(net, t, offered_pps)
+        } else if net.topo.router(self.route.responder).icmp.flaky.is_some() {
+            &|t| self.icmp_prob(net, t, offered_pps)
+        } else {
+            return out.fill(self.icmp_prob(net, t0, offered_pps));
+        };
+        let mut t = t0;
+        for o in out {
+            *o = prob(t);
+            t += step;
+        }
+    }
+
+    /// [`Self::responder_prob`] in a world without faults: the responder's
+    /// ICMP profile alone.
+    fn icmp_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
+        let responder = self.route.responder;
         let prof = &net.topo.router(responder).icmp;
         let mut p = 1.0 - prof.unresponsive_prob;
         if let Some(flaky) = prof.flaky {

@@ -8,14 +8,23 @@
 //! link so ECMP keeps the forward path pinned. Destinations are only
 //! replaced when they lose visibility of the link (§3.1's probing-state
 //! stability rule).
+//!
+//! The fluid fast path ([`TslpProber::synthesize_window`]) skips the
+//! packets: it resolves each task's probe paths once, evaluates every
+//! (link, direction) those paths cross once per bin into a column, and
+//! folds each path's columns into the min-RTT and response probability
+//! its probes would have seen.
 
 use crate::path::{probe_path, ProbePath, VpHandle};
 use crate::scheduler::RateBudget;
 use crate::traceroute::Traceroute;
 use manic_netsim::noise;
-use manic_netsim::time::SimTime;
-use manic_netsim::{Ipv4, Network, ProbeSpec, ProbeStatus, SimState};
+use manic_netsim::time::{SimTime, SECS_PER_DAY};
+use manic_netsim::topo::Direction;
+use manic_netsim::{Ipv4, LinkId, Network, ProbeSpec, ProbeStatus, SimState};
 use manic_tsdb::{SeriesKey, Store, TagSet};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Which end of the link a sample measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -283,10 +292,7 @@ impl TslpProber {
         to: SimTime,
         bin_secs: i64,
     ) -> Vec<TaskSeries> {
-        self.tasks
-            .iter()
-            .map(|task| synthesize_task(net, &self.vp, task, from, to, bin_secs))
-            .collect()
+        synthesize(net, &self.vp, &self.tasks, from, to, bin_secs)
     }
 }
 
@@ -311,64 +317,180 @@ pub fn synthesize_task(
     to: SimTime,
     bin_secs: i64,
 ) -> TaskSeries {
+    let mut series = synthesize(net, vp, std::slice::from_ref(task), from, to, bin_secs);
+    series.pop().expect("one series per task")
+}
+
+/// Window span whose link columns are held at once. A week of 900 s bins
+/// keeps the columns of an average planet-20k VP (82 loaded link
+/// directions) near 0.9 MB; its whole 60-day study window would take about
+/// 7.5 MB per worker.
+const CHUNK_SECS: i64 = 7 * SECS_PER_DAY;
+
+/// One resolved probe path of a task, as the column engine folds it.
+struct ColPath {
+    end: End,
+    /// Destinations of the task that share this exact route.
+    mult: i32,
+    pp: ProbePath,
+    /// Its links' column indices in `route`, in route order: forward, then
+    /// reply.
+    cols: Range<usize>,
+}
+
+/// The column engine behind [`TslpProber::synthesize_window`] and
+/// [`synthesize_task`].
+///
+/// Each distinct (link, direction) the VP's paths cross, bar the idle ones
+/// of a fault-free world, gets one column:
+/// its queue delay `q` and delivery factor `f` (0 where the link is down,
+/// else `1 − loss − extra loss`, floored at 0) per bin, filled once per bin
+/// from [`Network::link_states_into`]. A path's minimum RTT and delivery
+/// probability are its columns folded in route order from `base_ms` (plus
+/// clock skew) and 1.0 — the order `ProbePath::rtt_and_prob` adds and
+/// multiplies in, so every value is bit for bit what the per-bin walk gives
+/// (`tests/fluid_columns.rs`). Columns are filled a [`CHUNK_SECS`] span at a
+/// time. A world without faults reads no fault query per bin: its clock
+/// skew, link blocks and extra loss are 0 and its responders answer by
+/// their ICMP profile alone.
+fn synthesize(
+    net: &Network,
+    vp: &VpHandle,
+    tasks: &[TslpTask],
+    from: SimTime,
+    to: SimTime,
+    bin_secs: i64,
+) -> Vec<TaskSeries> {
     assert!(bin_secs % ROUND_SECS == 0, "bin must be a multiple of the probing round");
-    crate::obs::metrics().synth_tasks.inc();
+    crate::obs::metrics().synth_tasks.add(tasks.len() as u64);
     let probes_per_bin = (bin_secs / ROUND_SECS) as i32;
+    let offered_pps = 1.0 / ROUND_SECS as f64;
+    // Without faults, a link direction that carries no load always adds
+    // 0 ms (the sum stays non-negative, so that is exact) and multiplies
+    // by 1: it gets no column.
+    let faulted = !net.fault.is_empty();
+    let idle = |(l, d): (LinkId, Direction)| !faulted && net.topo.link(l).load(d).is_none();
+    let mut links: Vec<(LinkId, Direction)> = Vec::new();
+    let mut col_of: HashMap<(LinkId, Direction), usize> = HashMap::new();
+    let mut route: Vec<usize> = Vec::new();
+    let mut paths: Vec<ColPath> = Vec::new();
+    // Each task's paths, as a range of `paths`.
+    let mut spans: Vec<Range<usize>> = Vec::with_capacity(tasks.len());
     // Resolve the path per destination and end, deduplicating identical
-    // paths (the three destinations of a task normally share the TTL-limited
-    // path prefix, so only the multiplicity differs).
-    let mut paths: Vec<(End, ProbePath, i32)> = Vec::new();
-    for dest in &task.dests {
-        for (end, ttl, expect) in [
-            (End::Near, dest.near_ttl, task.near_ip),
-            (End::Far, dest.far_ttl, task.far_ip),
-        ] {
-            let pp = probe_path(net, vp, dest.dst, ttl, task.flow_id, from);
-            if let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) {
-                match paths.iter_mut().find(|(e, p, _)| *e == end && p.route == pp.route) {
-                    Some(existing) => existing.2 += 1,
-                    None => paths.push((end, pp, 1)),
+    // paths within a task (the three destinations of a task normally share
+    // the TTL-limited path prefix, so only the multiplicity differs).
+    for task in tasks {
+        let first = paths.len();
+        for dest in &task.dests {
+            for (end, ttl, expect) in [
+                (End::Near, dest.near_ttl, task.near_ip),
+                (End::Far, dest.far_ttl, task.far_ip),
+            ] {
+                let pp = probe_path(net, vp, dest.dst, ttl, task.flow_id, from);
+                let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) else { continue };
+                match paths[first..].iter_mut().find(|p| p.end == end && p.pp.route == pp.route) {
+                    Some(existing) => existing.mult += 1,
+                    None => {
+                        let start = route.len();
+                        for &ld in pp.route.forward.iter().chain(&pp.route.reply) {
+                            if idle(ld) {
+                                continue;
+                            }
+                            route.push(*col_of.entry(ld).or_insert_with(|| {
+                                links.push(ld);
+                                links.len() - 1
+                            }));
+                        }
+                        paths.push(ColPath { end, mult: 1, pp, cols: start..route.len() });
+                    }
+                }
+            }
+        }
+        spans.push(first..paths.len());
+    }
+    let nbins = ((to - from) + bin_secs - 1) / bin_secs;
+    let mut series: Vec<TaskSeries> = tasks
+        .iter()
+        .map(|task| TaskSeries {
+            near_ip: task.near_ip,
+            far_ip: task.far_ip,
+            link_label: task.link_label(),
+            from,
+            bin_secs,
+            near: vec![None; nbins as usize],
+            far: vec![None; nbins as usize],
+        })
+        .collect();
+    let vp_stream = noise::mix(vp.name.bytes().fold(0u64, |a, b| a.wrapping_mul(31) + b as u64));
+    let chunk = (CHUNK_SECS / bin_secs).clamp(1, nbins.max(1)) as usize;
+    // Column `c` of a chunk is `q[c * chunk..][..n]` (and the same in `f`).
+    let (mut q, mut f) = (vec![0.0; links.len() * chunk], vec![0.0; links.len() * chunk]);
+    let (mut rtt, mut p) = (vec![0.0; chunk], vec![0.0; chunk]);
+    let (mut best, mut miss, mut resp) = (vec![0.0; chunk], vec![0.0; chunk], vec![0.0; chunk]);
+    for b0 in (0..nbins as usize).step_by(chunk) {
+        let n = chunk.min(nbins as usize - b0);
+        let t0 = from + b0 as i64 * bin_secs + bin_secs / 2;
+        let bin_t = |i: usize| t0 + i as i64 * bin_secs;
+        for (c, &(l, d)) in links.iter().enumerate() {
+            let (qc, fc) = (&mut q[c * chunk..][..n], &mut f[c * chunk..][..n]);
+            net.link_states_into(l, d, t0, bin_secs, qc, fc);
+            // Loss becomes the delivery factor in place.
+            if faulted {
+                for (i, x) in fc.iter_mut().enumerate() {
+                    let t = bin_t(i);
+                    *x = if net.fault.link_blocked(&net.topo, l, t) {
+                        0.0
+                    } else {
+                        (1.0 - *x - net.fault.extra_loss(l, t)).max(0.0)
+                    };
+                }
+            } else {
+                fc.iter_mut().for_each(|x| *x = (1.0 - *x).max(0.0));
+            }
+        }
+        for (s, span) in series.iter_mut().zip(&spans) {
+            for (end, out) in [(End::Near, &mut s.near), (End::Far, &mut s.far)] {
+                let mut any_path = false;
+                best[..n].fill(f64::INFINITY);
+                miss[..n].fill(1.0);
+                for path in paths[span.clone()].iter().filter(|c| c.end == end) {
+                    any_path = true;
+                    let pp = &path.pp;
+                    for (i, (r, pr)) in rtt[..n].iter_mut().zip(&mut p[..n]).enumerate() {
+                        let skew = if faulted { net.fault.clock_skew_ms(pp.src, bin_t(i)) } else { 0.0 };
+                        (*r, *pr) = (pp.base_ms + skew, 1.0);
+                    }
+                    for &c in &route[path.cols.clone()] {
+                        let (qc, fc) = (&q[c * chunk..][..n], &f[c * chunk..][..n]);
+                        for (((r, pr), qi), fi) in rtt[..n].iter_mut().zip(&mut p[..n]).zip(qc).zip(fc) {
+                            *r += qi;
+                            *pr *= fi;
+                        }
+                    }
+                    pp.responder_probs_into(net, t0, bin_secs, offered_pps, &mut resp[..n]);
+                    let k = probes_per_bin * path.mult;
+                    for i in 0..n {
+                        miss[i] *= (1.0 - p[i] * resp[i]).powi(k);
+                        best[i] = best[i].min(rtt[i]);
+                    }
+                }
+                if !any_path {
+                    continue;
+                }
+                // Did at least one probe in the bin get through?
+                let stream = vp_stream
+                    ^ ((s.far_ip.0 as u64) << 8)
+                    ^ matches!(end, End::Far) as u64;
+                for i in 0..n {
+                    let b = (b0 + i) as u64;
+                    if !noise::bernoulli(net.seed ^ 0x7515, stream, b, miss[i]) {
+                        out[b0 + i] = Some(best[i]);
+                    }
                 }
             }
         }
     }
-    let nbins = ((to - from) + bin_secs - 1) / bin_secs;
-    let mut near = vec![None; nbins as usize];
-    let mut far = vec![None; nbins as usize];
-    let vp_stream = noise::mix(vp.name.bytes().fold(0u64, |a, b| a.wrapping_mul(31) + b as u64));
-    for b in 0..nbins {
-        let t_mid = from + b * bin_secs + bin_secs / 2;
-        for (end, out) in [(End::Near, &mut near), (End::Far, &mut far)] {
-            let mut best: Option<f64> = None;
-            let mut miss_prob = 1.0f64;
-            let mut any_path = false;
-            for (_, pp, mult) in paths.iter().filter(|(e, _, _)| *e == end) {
-                any_path = true;
-                let (rtt, p) = pp.rtt_and_prob(net, t_mid, 1.0 / ROUND_SECS as f64);
-                miss_prob *= (1.0 - p).powi(probes_per_bin * mult);
-                best = Some(best.map_or(rtt, |x: f64| x.min(rtt)));
-            }
-            if !any_path {
-                continue;
-            }
-            // Did at least one probe in the bin get through?
-            let stream = vp_stream
-                ^ ((task.far_ip.0 as u64) << 8)
-                ^ matches!(end, End::Far) as u64;
-            if !noise::bernoulli(net.seed ^ 0x7515, stream, b as u64, miss_prob) {
-                out[b as usize] = best;
-            }
-        }
-    }
-    TaskSeries {
-        near_ip: task.near_ip,
-        far_ip: task.far_ip,
-        link_label: task.link_label(),
-        from,
-        bin_secs,
-        near,
-        far,
-    }
+    series
 }
 
 /// The tsdb series key for one (vp, link, end).
