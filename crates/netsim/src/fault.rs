@@ -16,8 +16,11 @@
 //! twice sees the same faults). `Network` consumes it in packet mode
 //! (`cross`, `icmp_generate`, `send_probe`) and the probing layer consumes it
 //! in fluid mode (`ProbePath::rtt_and_prob` and the TSLP column engine,
-//! which skips the queries in a world without events); the measurement control loop
-//! polls [`FaultSchedule::vp_retired`] for host churn.
+//! which reads the same queries per bin); the measurement control loop
+//! polls [`FaultSchedule::vp_retired`] for host churn. The per-bin queries
+//! are `#[inline]`: the column engine calls them once per link or path and
+//! bin, and inlined, a schedule without that kind of event costs a bit
+//! test rather than a call.
 
 use crate::ip::Ipv4;
 use crate::noise;
@@ -213,6 +216,7 @@ impl FaultSchedule {
 
     /// Extra drop probability on one crossing of `link` at `t` (summed over
     /// active [`FaultKind::ExtraLoss`] events covering the link).
+    #[inline]
     pub fn extra_loss(&self, link: LinkId, t: SimTime) -> f64 {
         if !self.has(FaultKind::ExtraLoss { prob: 0.0 }.bit()) {
             return 0.0;
@@ -229,6 +233,7 @@ impl FaultSchedule {
     /// Is `link` hard-down at `t`? True inside the down phase of a covering
     /// [`FaultKind::RouteFlap`], or while either endpoint router is in the
     /// down window of a [`FaultKind::RouterReboot`].
+    #[inline]
     pub fn link_blocked(&self, topo: &Topology, link: LinkId, t: SimTime) -> bool {
         if self.has(FaultKind::RouteFlap { up_secs: 0, down_secs: 0 }.bit()) {
             for e in self.covering_link(link) {
@@ -264,6 +269,7 @@ impl FaultSchedule {
 
     /// Is ICMP generation at `router` suppressed at `t`? True through a
     /// reboot's down window *and* its FIB-rebuild tail.
+    #[inline]
     pub fn icmp_suppressed(&self, router: RouterId, t: SimTime) -> bool {
         if !self.has(FaultKind::RouterReboot { rebuild_secs: 0 }.bit()) {
             return false;
@@ -279,6 +285,7 @@ impl FaultSchedule {
     /// The tightest injected ICMP rate limit on `router` at `t`, if any.
     /// Callers combine it with the router's own profile by taking the
     /// smaller pps.
+    #[inline]
     pub fn icmp_limit(&self, router: RouterId, t: SimTime) -> Option<(f64, f64)> {
         if !self.has(FaultKind::IcmpRateLimit { pps: 0.0, burst: 0.0 }.bit()) {
             return None;
@@ -302,6 +309,7 @@ impl FaultSchedule {
 
     /// Is the interface holding `addr` silent at `t`? False for addresses
     /// that are not interface addresses (host-prefix space).
+    #[inline]
     pub fn silent_addr(&self, topo: &Topology, addr: Ipv4, t: SimTime) -> bool {
         if !self.has(FaultKind::IfaceSilence.bit()) {
             return false;
@@ -313,6 +321,7 @@ impl FaultSchedule {
     /// Source address a response from the interface holding `addr` carries
     /// at `t`: the renumbered alias when a [`FaultKind::Renumber`] event
     /// covers it, else `addr` unchanged.
+    #[inline]
     pub fn renumbered(&self, topo: &Topology, addr: Ipv4, t: SimTime) -> Ipv4 {
         if !self.has(FaultKind::Renumber { alias: Ipv4(0) }.bit()) {
             return addr;
@@ -338,6 +347,7 @@ impl FaultSchedule {
 
     /// Total clock-skew offset (ms) on RTTs reported by probes sourced at
     /// `router` at `t`.
+    #[inline]
     pub fn clock_skew_ms(&self, router: RouterId, t: SimTime) -> f64 {
         if !self.has(FaultKind::ClockSkew { ms: 0.0 }.bit()) {
             return 0.0;

@@ -647,6 +647,7 @@ impl Network {
     /// The ICMP rate limit `(pps, burst)` in force at `router` at `t`: the
     /// router's own profile, unless an injected limit is tighter (the
     /// smaller pps wins). `None` when neither limits it.
+    #[inline]
     pub fn icmp_rate_limit(&self, router: RouterId, t: SimTime) -> Option<(f64, f64)> {
         let prof = &self.topo.router(router).icmp;
         match (prof.rate_limit_pps, self.fault.icmp_limit(router, t)) {

@@ -48,6 +48,7 @@ pub struct FlakyProfile {
 
 impl FlakyProfile {
     /// Deterministic flakiness test for a router (pure function of time).
+    #[inline]
     pub fn is_flaky_now(&self, seed: u64, router_salt: u64, t: SimTime) -> bool {
         let hour = (t.rem_euclid(86_400) / 3600) as u8;
         if hour < self.window_start_hour || hour >= self.window_end_hour {

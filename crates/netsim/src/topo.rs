@@ -220,6 +220,7 @@ impl Topology {
         self.host_prefixes[router.0 as usize].push(prefix);
     }
 
+    #[inline]
     pub fn router(&self, id: RouterId) -> &Router {
         &self.routers[id.0 as usize]
     }
@@ -228,6 +229,7 @@ impl Topology {
         &self.ifaces[id.0 as usize]
     }
 
+    #[inline]
     pub fn link(&self, id: LinkId) -> &Link {
         &self.links[id.0 as usize]
     }

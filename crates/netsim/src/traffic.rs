@@ -36,7 +36,7 @@ pub trait LoadModel: Send + Sync {
 
 /// The default [`LoadModel::utilization_into`]: one `utilization` call per
 /// entry. Overrides fall back to it for steps they do not batch.
-pub fn utilization_pointwise<M: LoadModel + ?Sized>(m: &M, t0: SimTime, step: i64, out: &mut [f64]) {
+fn utilization_pointwise<M: LoadModel + ?Sized>(m: &M, t0: SimTime, step: i64, out: &mut [f64]) {
     let mut t = t0;
     for u in out {
         *u = m.utilization(t);

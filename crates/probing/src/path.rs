@@ -55,7 +55,7 @@ impl ProbePath {
     /// The responder's contribution to delivery probability: ICMP profile
     /// behaviour plus injected faults (silence, reboot blackout, renumbering
     /// — a response from an unexpected alias is no valid sample).
-    fn responder_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
+    pub(crate) fn responder_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
         let (responder, addr) = (self.route.responder, self.route.responder_addr);
         if net.fault.icmp_suppressed(responder, t)
             || net.fault.silent_addr(&net.topo, addr, t)
@@ -63,38 +63,6 @@ impl ProbePath {
         {
             return 0.0;
         }
-        self.icmp_prob(net, t, offered_pps)
-    }
-
-    /// [`Self::responder_prob`] at `t0 + i * step` into `out[i]`. A world
-    /// without faults skips the fault queries, and reads a profile without
-    /// a flaky window (nothing else in it varies with time) once.
-    pub(crate) fn responder_probs_into(
-        &self,
-        net: &Network,
-        t0: SimTime,
-        step: i64,
-        offered_pps: f64,
-        out: &mut [f64],
-    ) {
-        let prob: &dyn Fn(SimTime) -> f64 = if !net.fault.is_empty() {
-            &|t| self.responder_prob(net, t, offered_pps)
-        } else if net.topo.router(self.route.responder).icmp.flaky.is_some() {
-            &|t| self.icmp_prob(net, t, offered_pps)
-        } else {
-            return out.fill(self.icmp_prob(net, t0, offered_pps));
-        };
-        let mut t = t0;
-        for o in out {
-            *o = prob(t);
-            t += step;
-        }
-    }
-
-    /// [`Self::responder_prob`] in a world without faults: the responder's
-    /// ICMP profile alone.
-    fn icmp_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
-        let responder = self.route.responder;
         let prof = &net.topo.router(responder).icmp;
         let mut p = 1.0 - prof.unresponsive_prob;
         if let Some(flaky) = prof.flaky {

@@ -322,9 +322,8 @@ pub fn synthesize_task(
 }
 
 /// Window span whose link columns are held at once. A week of 900 s bins
-/// keeps the columns of an average planet-20k VP (82 loaded link
-/// directions) near 0.9 MB; its whole 60-day study window would take about
-/// 7.5 MB per worker.
+/// keeps the columns of an average planet-20k VP (173 link directions) near
+/// 1.9 MB; its whole 60-day study window would take about 16 MB per worker.
 const CHUNK_SECS: i64 = 7 * SECS_PER_DAY;
 
 /// One resolved probe path of a task, as the column engine folds it.
@@ -341,18 +340,16 @@ struct ColPath {
 /// The column engine behind [`TslpProber::synthesize_window`] and
 /// [`synthesize_task`].
 ///
-/// Each distinct (link, direction) the VP's paths cross, bar the idle ones
-/// of a fault-free world, gets one column:
+/// Each distinct (link, direction) the VP's paths cross gets one column:
 /// its queue delay `q` and delivery factor `f` (0 where the link is down,
 /// else `1 − loss − extra loss`, floored at 0) per bin, filled once per bin
-/// from [`Network::link_states_into`]. A path's minimum RTT and delivery
-/// probability are its columns folded in route order from `base_ms` (plus
-/// clock skew) and 1.0 — the order `ProbePath::rtt_and_prob` adds and
-/// multiplies in, so every value is bit for bit what the per-bin walk gives
-/// (`tests/fluid_columns.rs`). Columns are filled a [`CHUNK_SECS`] span at a
-/// time. A world without faults reads no fault query per bin: its clock
-/// skew, link blocks and extra loss are 0 and its responders answer by
-/// their ICMP profile alone.
+/// from [`Network::link_states_into`] and the link's fault queries. A
+/// path's minimum RTT and delivery probability are its columns folded in
+/// route order from `base_ms` plus the clock skew and 1.0 — the order
+/// `ProbePath::rtt_and_prob` adds and multiplies in, so every value is bit
+/// for bit what the per-bin walk gives (`tests/fluid_columns.rs`). Clock
+/// skew and the responder's probability are read per path and bin.
+/// Columns are filled a [`CHUNK_SECS`] span at a time.
 fn synthesize(
     net: &Network,
     vp: &VpHandle,
@@ -365,11 +362,6 @@ fn synthesize(
     crate::obs::metrics().synth_tasks.add(tasks.len() as u64);
     let probes_per_bin = (bin_secs / ROUND_SECS) as i32;
     let offered_pps = 1.0 / ROUND_SECS as f64;
-    // Without faults, a link direction that carries no load always adds
-    // 0 ms (the sum stays non-negative, so that is exact) and multiplies
-    // by 1: it gets no column.
-    let faulted = !net.fault.is_empty();
-    let idle = |(l, d): (LinkId, Direction)| !faulted && net.topo.link(l).load(d).is_none();
     let mut links: Vec<(LinkId, Direction)> = Vec::new();
     let mut col_of: HashMap<(LinkId, Direction), usize> = HashMap::new();
     let mut route: Vec<usize> = Vec::new();
@@ -393,9 +385,6 @@ fn synthesize(
                     None => {
                         let start = route.len();
                         for &ld in pp.route.forward.iter().chain(&pp.route.reply) {
-                            if idle(ld) {
-                                continue;
-                            }
                             route.push(*col_of.entry(ld).or_insert_with(|| {
                                 links.push(ld);
                                 links.len() - 1
@@ -426,7 +415,7 @@ fn synthesize(
     // Column `c` of a chunk is `q[c * chunk..][..n]` (and the same in `f`).
     let (mut q, mut f) = (vec![0.0; links.len() * chunk], vec![0.0; links.len() * chunk]);
     let (mut rtt, mut p) = (vec![0.0; chunk], vec![0.0; chunk]);
-    let (mut best, mut miss, mut resp) = (vec![0.0; chunk], vec![0.0; chunk], vec![0.0; chunk]);
+    let (mut best, mut miss) = (vec![0.0; chunk], vec![0.0; chunk]);
     for b0 in (0..nbins as usize).step_by(chunk) {
         let n = chunk.min(nbins as usize - b0);
         let t0 = from + b0 as i64 * bin_secs + bin_secs / 2;
@@ -435,17 +424,13 @@ fn synthesize(
             let (qc, fc) = (&mut q[c * chunk..][..n], &mut f[c * chunk..][..n]);
             net.link_states_into(l, d, t0, bin_secs, qc, fc);
             // Loss becomes the delivery factor in place.
-            if faulted {
-                for (i, x) in fc.iter_mut().enumerate() {
-                    let t = bin_t(i);
-                    *x = if net.fault.link_blocked(&net.topo, l, t) {
-                        0.0
-                    } else {
-                        (1.0 - *x - net.fault.extra_loss(l, t)).max(0.0)
-                    };
-                }
-            } else {
-                fc.iter_mut().for_each(|x| *x = (1.0 - *x).max(0.0));
+            for (i, x) in fc.iter_mut().enumerate() {
+                let t = bin_t(i);
+                *x = if net.fault.link_blocked(&net.topo, l, t) {
+                    0.0
+                } else {
+                    (1.0 - *x - net.fault.extra_loss(l, t)).max(0.0)
+                };
             }
         }
         for (s, span) in series.iter_mut().zip(&spans) {
@@ -457,8 +442,7 @@ fn synthesize(
                     any_path = true;
                     let pp = &path.pp;
                     for (i, (r, pr)) in rtt[..n].iter_mut().zip(&mut p[..n]).enumerate() {
-                        let skew = if faulted { net.fault.clock_skew_ms(pp.src, bin_t(i)) } else { 0.0 };
-                        (*r, *pr) = (pp.base_ms + skew, 1.0);
+                        (*r, *pr) = (pp.base_ms + net.fault.clock_skew_ms(pp.src, bin_t(i)), 1.0);
                     }
                     for &c in &route[path.cols.clone()] {
                         let (qc, fc) = (&q[c * chunk..][..n], &f[c * chunk..][..n]);
@@ -467,10 +451,9 @@ fn synthesize(
                             *pr *= fi;
                         }
                     }
-                    pp.responder_probs_into(net, t0, bin_secs, offered_pps, &mut resp[..n]);
                     let k = probes_per_bin * path.mult;
                     for i in 0..n {
-                        miss[i] *= (1.0 - p[i] * resp[i]).powi(k);
+                        miss[i] *= (1.0 - p[i] * pp.responder_prob(net, bin_t(i), offered_pps)).powi(k);
                         best[i] = best[i].min(rtt[i]);
                     }
                 }

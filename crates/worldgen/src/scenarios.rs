@@ -13,7 +13,7 @@
 
 use crate::rng::Rng;
 use manic_netsim::fault::{FaultEvent, FaultKind, FaultScope};
-use manic_netsim::time::{day_index, day_start, SimTime, SECS_PER_DAY};
+use manic_netsim::time::{day_index, SimTime, SECS_PER_DAY};
 use manic_netsim::traffic::{DiurnalDemand, MonthScale};
 use manic_netsim::{AsNumber, Fib, Ipv4, LoadModel};
 use manic_scenario::asgraph::AsKind;
@@ -150,39 +150,18 @@ fn steady_mix(world: &mut World, seed: u64, months: Range<u32>, per_ap: usize) -
 /// a steadily congested day (same diurnal overload shape the detector is
 /// calibrated for); on all other days it carries the quiet profile.
 #[derive(Debug)]
-pub struct BurstDemand {
-    pub hot: DiurnalDemand,
-    pub quiet: DiurnalDemand,
-    /// UTC day indices ([`day_index`]) that run `hot`.
-    pub days: BTreeSet<i64>,
-}
-
-impl BurstDemand {
-    fn on(&self, day: i64) -> &DiurnalDemand {
-        if self.days.contains(&day) {
-            &self.hot
-        } else {
-            &self.quiet
-        }
-    }
+struct BurstDemand {
+    hot: DiurnalDemand,
+    quiet: DiurnalDemand,
+    days: BTreeSet<i64>,
 }
 
 impl LoadModel for BurstDemand {
     fn utilization(&self, t: SimTime) -> f64 {
-        self.on(day_index(t)).utilization(t)
-    }
-
-    /// Each run of entries inside one UTC day is that day's profile's own
-    /// batched walk.
-    fn utilization_into(&self, t0: SimTime, step: i64, out: &mut [f64]) {
-        let mut done = 0;
-        while done < out.len() {
-            let t = t0 + done as i64 * step;
-            let day = day_index(t);
-            let left = ((day_start(day + 1) - t + step - 1) / step) as usize;
-            let end = out.len().min(done + left);
-            self.on(day).utilization_into(t, step, &mut out[done..end]);
-            done = end;
+        if self.days.contains(&day_index(t)) {
+            self.hot.utilization(t)
+        } else {
+            self.quiet.utilization(t)
         }
     }
 }

@@ -17,15 +17,13 @@ mod reference;
 use manic_netsim::noise;
 use manic_netsim::time::{month_start, SimTime, SECS_PER_DAY};
 use manic_netsim::traffic::{ConstantLoad, DiurnalDemand, LoadModel, MonthScale};
-use manic_netsim::{FaultSchedule, LinkId, Network};
+use manic_netsim::{FaultEvent, FaultKind, FaultSchedule, FaultScope, LinkId, Network};
 use manic_probing::tslp::{
     synthesize_task, End, TaskSeries, TslpDest, TslpProber, TslpTask, ROUND_SECS,
 };
 use manic_probing::{probe_path, ProbePath, VpHandle};
-use manic_worldgen::scenarios::BurstDemand;
 use proptest::prelude::*;
 use reference::{random_world, Rng};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The per-bin synthesis the column engine replaced, verbatim but for its
@@ -179,6 +177,14 @@ fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
     let to = from + 1 + rng.below(10 * SECS_PER_DAY as usize) as i64;
     world.net.fault =
         FaultSchedule::chaos(rng.draw(), chaos, &world.net.topo, &[world.vp], from, to);
+    if chaos > 0.0 {
+        // Chaos skews a VP clock for the whole window; a skew that starts
+        // and ends inside it shows whether skew is read per bin.
+        let start = from + rng.below((to - from) as usize) as i64;
+        let until = start + 1 + rng.below(SECS_PER_DAY as usize) as i64;
+        let skew = FaultKind::ClockSkew { ms: 0.5 + 2.5 * rng.unit() };
+        world.net.fault.push(FaultEvent::window(skew, FaultScope::Router(world.vp), start, until));
+    }
     let tasks = random_tasks(&world, &mut rng, from);
     let vp = VpHandle { name: "vp".into(), router: world.vp, addr: world.vp_addr };
     let mut prober = TslpProber::new(vp.clone(), from);
@@ -202,16 +208,10 @@ fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
     Ok(seen)
 }
 
-/// Models under the second property: a random diurnal demand, a burst
-/// demand switching profiles on random days, and a constant load.
-fn random_models(rng: &mut Rng, month: u32, t0: SimTime) -> Vec<Arc<dyn LoadModel>> {
-    let day0 = t0.div_euclid(SECS_PER_DAY);
-    let days: BTreeSet<i64> = (0..12).filter(|_| rng.chance(0.4)).map(|d| day0 + d).collect();
-    vec![
-        Arc::new(random_demand(rng, month)),
-        Arc::new(BurstDemand { hot: random_demand(rng, month), quiet: random_demand(rng, month), days }),
-        Arc::new(ConstantLoad(rng.unit() * 1.5)),
-    ]
+/// Models under the second property: a random diurnal demand (the one
+/// batched walk) and a constant load (the default loop).
+fn random_models(rng: &mut Rng, month: u32) -> Vec<Arc<dyn LoadModel>> {
+    vec![Arc::new(random_demand(rng, month)), Arc::new(ConstantLoad(rng.unit() * 1.5))]
 }
 
 proptest! {
@@ -241,7 +241,7 @@ proptest! {
         // Noise-bin aligned half the time, so entries can land on midnight.
         let offset = if rng.chance(0.5) { 0 } else { rng.below(300) as i64 };
         let t0 = month_start(month) - 300 * rng.below(5 * 288) as i64 - offset;
-        for model in random_models(&mut rng, month, t0) {
+        for model in random_models(&mut rng, month) {
             for step in [300, 900, 3600, 1500, 450] {
                 let n = (10 * SECS_PER_DAY / step) as usize;
                 let mut batched = vec![f64::NAN; n];
