@@ -15,11 +15,16 @@
 //! list, t)`, which keeps the fluid fast path valid (the same bin queried
 //! twice sees the same faults). `Network` consumes it in packet mode
 //! (`cross`, `icmp_generate`, `send_probe`) and the probing layer consumes it
-//! in fluid mode (`ProbePath::rtt_and_prob` and the TSLP column engine,
-//! which reads the same queries per bin); the measurement control loop
-//! polls [`FaultSchedule::vp_retired`] for host churn. The per-bin queries
-//! are `#[inline]`: the column engine calls them once per link or path and
-//! bin, and inlined, a schedule without that kind of event costs a bit
+//! in fluid mode (`ProbePath::rtt_and_prob` and the TSLP column engine);
+//! the measurement control loop polls [`FaultSchedule::vp_retired`] for
+//! host churn. Every query is piecewise constant in time:
+//! [`FaultSchedule::stable_until`] gives the first instant at which any
+//! query about a link, router or interface can change — the nearest event
+//! `from`/`until`, end of a reboot's rebuild tail or flap phase edge — so
+//! the column engine asks each query once per run of bins and fills the
+//! run from that answer. On an empty schedule a run is the whole column
+//! chunk. The queries are `#[inline]`: packet mode asks them per probe and
+//! hop, and inlined, a schedule without that kind of event costs a bit
 //! test rather than a call.
 
 use crate::ip::Ipv4;
@@ -102,6 +107,26 @@ impl FaultEvent {
     #[inline]
     fn active(&self, t: SimTime) -> bool {
         self.from <= t && t < self.until
+    }
+
+    /// The first instant after `t` at which this event's effect can change:
+    /// its `from` or `until`, a reboot's end of rebuild, or — inside a flap
+    /// — the next phase edge. `SimTime::MAX` when none lies after `t`.
+    fn next_edge(&self, t: SimTime) -> SimTime {
+        let mut edges = [self.from, self.until, SimTime::MAX];
+        match self.kind {
+            FaultKind::RouterReboot { rebuild_secs } => {
+                edges[2] = self.until.saturating_add(rebuild_secs);
+            }
+            FaultKind::RouteFlap { up_secs, down_secs } if self.active(t) => {
+                let period = (up_secs + down_secs).max(1);
+                let phase = (t - self.from).rem_euclid(period);
+                let left = if phase < up_secs { up_secs - phase } else { period - phase };
+                edges[2] = t.saturating_add(left);
+            }
+            _ => {}
+        }
+        edges.into_iter().filter(|&e| e > t).min().unwrap_or(SimTime::MAX)
     }
 }
 
@@ -187,13 +212,16 @@ impl FaultSchedule {
         self.kinds & kind_bit != 0
     }
 
+    /// Events scoped to `router` itself.
+    #[inline]
+    fn router_scoped(&self, r: RouterId) -> impl Iterator<Item = &FaultEvent> {
+        self.by_router.get(r.0 as usize).into_iter().flatten().map(|&i| &self.events[i])
+    }
+
     /// Events that cover `router`: global plus router-scoped.
     #[inline]
     fn covering_router(&self, r: RouterId) -> impl Iterator<Item = &FaultEvent> {
-        self.global
-            .iter()
-            .chain(self.by_router.get(r.0 as usize).into_iter().flatten())
-            .map(|&i| &self.events[i])
+        self.global.iter().map(|&i| &self.events[i]).chain(self.router_scoped(r))
     }
 
     /// Events that cover `iface`: global plus iface-scoped.
@@ -212,6 +240,34 @@ impl FaultSchedule {
             .iter()
             .chain(self.by_link.get(l.0 as usize).into_iter().flatten())
             .map(|&i| &self.events[i])
+    }
+
+    /// The first instant after `t` (`< SimTime::MAX`) at which a query about
+    /// `scope` can answer differently: the nearest edge of an event that
+    /// covers it. A link's queries are `link_blocked` (its endpoint routers'
+    /// reboots count too) and `extra_loss`; a router's `clock_skew_ms`,
+    /// `icmp_suppressed`, `icmp_limit`, `vp_retired` and `vp_panics`; an
+    /// interface's `iface_silent`, and `silent_addr` and `renumbered` of its
+    /// address. [`FaultScope::Global`] bounds every query. Each answer is
+    /// constant over `[t, stable_until)`, so the fluid fast path asks once
+    /// per run of bins rather than once per bin; on an empty schedule the
+    /// run never ends (`SimTime::MAX`).
+    pub fn stable_until(&self, topo: &Topology, scope: FaultScope, t: SimTime) -> SimTime {
+        let edge = |e: &FaultEvent| e.next_edge(t);
+        let earliest = match scope {
+            FaultScope::Global => self.events.iter().map(edge).min(),
+            FaultScope::Router(r) => self.covering_router(r).map(edge).min(),
+            FaultScope::Iface(i) => self.covering_iface(i).map(edge).min(),
+            FaultScope::Link(l) => {
+                let ends = topo.link(l).ifaces.map(|i| topo.iface(i).router);
+                let reboots = ends
+                    .into_iter()
+                    .flat_map(|r| self.router_scoped(r))
+                    .filter(|e| matches!(e.kind, FaultKind::RouterReboot { .. }));
+                self.covering_link(l).chain(reboots).map(edge).min()
+            }
+        };
+        earliest.unwrap_or(SimTime::MAX)
     }
 
     /// Extra drop probability on one crossing of `link` at `t` (summed over
@@ -253,11 +309,7 @@ impl FaultSchedule {
             let l = topo.link(link);
             for r in [topo.iface(l.ifaces[0]).router, topo.iface(l.ifaces[1]).router] {
                 let down = self
-                    .by_router
-                    .get(r.0 as usize)
-                    .into_iter()
-                    .flatten()
-                    .map(|&i| &self.events[i])
+                    .router_scoped(r)
                     .any(|e| matches!(e.kind, FaultKind::RouterReboot { .. }) && e.active(t));
                 if down {
                     return true;

@@ -378,21 +378,21 @@ impl Network {
     }
 
     /// One column of [`Self::link_state`]: entry `i` of `queue_ms` and
-    /// `loss` is the state at `t0 + i * step` (`step > 0`), bit for bit,
-    /// computed through the load model's batched
-    /// [`LoadModel::utilization_into`](crate::traffic::LoadModel::utilization_into).
-    /// The fluid fast path reads a link's columns instead of calling
-    /// `link_state` once per probe path crossing it.
+    /// `loss` is the state at `col.at(i)`, bit for bit, computed through the
+    /// load model's batched
+    /// [`LoadModel::utilization_into`](crate::traffic::LoadModel::utilization_into)
+    /// and the column's shared per-bin hash terms. The fluid fast path reads
+    /// a link's columns instead of calling `link_state` once per probe path
+    /// crossing it.
     pub fn link_states_into(
         &self,
         link: LinkId,
         dir: Direction,
-        t0: SimTime,
-        step: i64,
+        col: &noise::BinColumn,
         queue_ms: &mut [f64],
         loss: &mut [f64],
     ) {
-        assert_eq!(queue_ms.len(), loss.len(), "one column length");
+        assert!(queue_ms.len() == col.len() && loss.len() == col.len(), "one column length");
         let l = self.topo.link(link);
         let Some(m) = l.load(dir) else {
             let idle = LinkState::idle();
@@ -401,13 +401,11 @@ impl Network {
             return;
         };
         // Utilization lands in `queue_ms` and is replaced in place.
-        m.utilization_into(t0, step, queue_ms);
+        m.utilization_into(col, queue_ms);
         let stream = link_stream(link, dir);
-        let mut t = t0;
-        for (q, p) in queue_ms.iter_mut().zip(loss.iter_mut()) {
-            let s = l.queue.state_bin(*q, self.seed, stream, t.div_euclid(noise::BIN_SECS) as u64);
+        for ((q, p), &mb) in queue_ms.iter_mut().zip(loss.iter_mut()).zip(col.mixed()) {
+            let s = l.queue.state_mixed(*q, self.seed, stream, mb);
             (*q, *p) = (s.queue_ms, s.loss);
-            t += step;
         }
     }
 

@@ -57,6 +57,17 @@ impl FlakyProfile {
         let day = t.div_euclid(86_400) as u64;
         crate::noise::bernoulli(seed ^ 0xF1A6, router_salt, day, self.day_prob)
     }
+
+    /// The first instant after `t` at which [`Self::is_flaky_now`] can
+    /// change: the next UTC window edge, or midnight (a new day's draw).
+    pub fn stable_until(&self, t: SimTime) -> SimTime {
+        let midnight = t - t.rem_euclid(86_400);
+        [self.window_start_hour, self.window_end_hour]
+            .map(|h| midnight + h as i64 * 3600)
+            .into_iter()
+            .filter(|&edge| edge > t)
+            .fold(midnight + 86_400, SimTime::min)
+    }
 }
 
 impl Default for IcmpProfile {
@@ -136,6 +147,22 @@ impl RateLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flaky_state_is_stable_until_the_bound() {
+        let flaky = FlakyProfile { day_prob: 0.5, drop_prob: 0.5, window_start_hour: 9, window_end_hour: 17 };
+        let mut changes = 0;
+        // Five days from before the epoch, at odd offsets, so windows,
+        // midnights and both day draws all come up.
+        for t in (-2 * 86_400..3 * 86_400).step_by(4_793) {
+            let until = flaky.stable_until(t);
+            assert!(t < until && until <= t + 86_400, "t {t}: until {until}");
+            let now = flaky.is_flaky_now(3, 11, t);
+            assert!((t..until).all(|s| flaky.is_flaky_now(3, 11, s) == now), "t {t}: until {until}");
+            changes += (flaky.is_flaky_now(3, 11, until) != now) as u32;
+        }
+        assert!(changes > 10, "the bound is often tight: {changes}");
+    }
 
     #[test]
     fn bucket_allows_burst_then_limits() {

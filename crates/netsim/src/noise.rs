@@ -10,6 +10,9 @@
 
 pub use manic_stats::{mix, GAMMA};
 
+use crate::time::SimTime;
+use std::ops::Range;
+
 /// Width of the fluid layer's noise bins, seconds: demand noise and queue
 /// jitter are redrawn every five minutes, so repeated queries inside a bin
 /// agree.
@@ -18,7 +21,14 @@ pub const BIN_SECS: i64 = 300;
 /// Combine a seed and two stream identifiers into one hash.
 #[inline]
 pub fn hash3(seed: u64, a: u64, b: u64) -> u64 {
-    mix(seed ^ mix(a ^ mix(b)))
+    hash3_mixed(seed, a, mix(b))
+}
+
+/// [`hash3`] given `mixed_b = mix(b)`: a fluid column computes `mix(bin)`
+/// once per bin for every stream that draws in it ([`BinColumn`]).
+#[inline]
+pub fn hash3_mixed(seed: u64, a: u64, mixed_b: u64) -> u64 {
+    mix(seed ^ mix(a ^ mixed_b))
 }
 
 /// Uniform f64 in [0, 1) from a hash.
@@ -31,13 +41,25 @@ pub fn unit(h: u64) -> f64 {
 /// Uniform in [0,1) from (seed, stream, counter).
 #[inline]
 pub fn uniform(seed: u64, stream: u64, counter: u64) -> f64 {
-    unit(hash3(seed, stream, counter))
+    uniform_mixed(seed, stream, mix(counter))
+}
+
+/// [`uniform`] given `mix(counter)`.
+#[inline]
+pub fn uniform_mixed(seed: u64, stream: u64, mixed_counter: u64) -> f64 {
+    unit(hash3_mixed(seed, stream, mixed_counter))
 }
 
 /// Symmetric noise in [-1, 1) from (seed, stream, counter).
 #[inline]
 pub fn signed(seed: u64, stream: u64, counter: u64) -> f64 {
-    2.0 * uniform(seed, stream, counter) - 1.0
+    signed_unit(hash3(seed, stream, counter))
+}
+
+/// Symmetric noise in [-1, 1) from a hash.
+#[inline]
+pub fn signed_unit(h: u64) -> f64 {
+    2.0 * unit(h) - 1.0
 }
 
 /// Approximate standard normal via the sum of four uniforms (Irwin–Hall,
@@ -56,7 +78,107 @@ pub fn gaussian(seed: u64, stream: u64, counter: u64) -> f64 {
 /// Bernoulli draw with probability `p` from (seed, stream, counter).
 #[inline]
 pub fn bernoulli(seed: u64, stream: u64, counter: u64, p: f64) -> bool {
-    uniform(seed, stream, counter) < p
+    bernoulli_mixed(seed, stream, mix(counter), p)
+}
+
+/// [`bernoulli`] given `mix(counter)`.
+#[inline]
+pub fn bernoulli_mixed(seed: u64, stream: u64, mixed_counter: u64, p: f64) -> bool {
+    uniform_mixed(seed, stream, mixed_counter) < p
+}
+
+/// The instants `t0 + i * step` of one fluid column and the hash terms of
+/// their noise bins (`t.div_euclid(BIN_SECS)`) that every link shares:
+/// `mix(bin)`, which queue jitter draws from, and demand noise's seed-free
+/// `mix(DEMAND_STREAM ^ mix(bin))`. The fluid fast path fills one per
+/// window chunk, so a link's column pays only its own seeded mixes.
+#[derive(Debug, Clone, Default)]
+pub struct BinColumn {
+    t0: SimTime,
+    step: i64,
+    mixed: Vec<u64>,
+    demand: Vec<u64>,
+}
+
+impl BinColumn {
+    /// A column of `n` instants from `t0` at `step > 0`.
+    pub fn new(t0: SimTime, step: i64, n: usize) -> Self {
+        let mut col = BinColumn::default();
+        col.fill(t0, step, n);
+        col
+    }
+
+    /// Refill in place as [`Self::new`] would, reusing the buffers.
+    pub fn fill(&mut self, t0: SimTime, step: i64, n: usize) {
+        assert!(step > 0, "a column steps forward in time");
+        (self.t0, self.step) = (t0, step);
+        self.mixed.clear();
+        self.mixed.extend((0..n as i64).map(|i| mix((t0 + i * step).div_euclid(BIN_SECS) as u64)));
+        self.demand.clear();
+        self.demand.extend(self.mixed.iter().map(|&m| demand_inner(m)));
+    }
+
+    pub fn len(&self) -> usize {
+        self.mixed.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.mixed.is_empty()
+    }
+
+    pub fn step(&self) -> i64 {
+        self.step
+    }
+
+    /// The instant of entry `i`.
+    #[inline]
+    pub fn at(&self, i: usize) -> SimTime {
+        self.t0 + i as i64 * self.step
+    }
+
+    /// `mix(bin)` per entry.
+    pub fn mixed(&self) -> &[u64] {
+        &self.mixed
+    }
+
+    /// `mix(DEMAND_STREAM ^ mix(bin))` per entry.
+    pub fn demand(&self) -> &[u64] {
+        &self.demand
+    }
+
+    /// The column cut into runs over which a piecewise-constant query keeps
+    /// its answer: each item is a run of entries and the instant of its
+    /// first, and `stable_until(t)` must give the first instant after `t`
+    /// at which the query can change (a later bound than the truth would
+    /// merge runs that differ; an earlier one only splits a run).
+    pub fn runs<'a>(
+        &'a self,
+        mut stable_until: impl FnMut(SimTime) -> SimTime + 'a,
+    ) -> impl Iterator<Item = (Range<usize>, SimTime)> + 'a {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let n = self.len();
+            (i < n).then(|| {
+                let t = self.at(i);
+                // Entries before `until`: ceil((until - t0) / step).
+                let left = stable_until(t).saturating_sub(self.t0);
+                let end = usize::try_from((left - 1) / self.step + 1).unwrap_or(0).clamp(i + 1, n);
+                let run = i..end;
+                i = end;
+                (run, t)
+            })
+        })
+    }
+}
+
+/// The noise stream of `DiurnalDemand`.
+const DEMAND_STREAM: u64 = 0xD1F0;
+
+/// The seed-free term of demand noise `hash3(noise_seed, DEMAND_STREAM,
+/// bin)`, given `mix(bin)`.
+#[inline]
+pub(crate) fn demand_inner(mixed_bin: u64) -> u64 {
+    mix(DEMAND_STREAM ^ mixed_bin)
 }
 
 #[cfg(test)]

@@ -69,16 +69,17 @@ impl Default for QueueModel {
 
 impl QueueModel {
     /// Map utilization to link state. `seed`/`stream` select the jitter noise
-    /// stream (derive `stream` from the link id + direction); `t` indexes it.
+    /// stream (derive `stream` from the link id + direction); `t` indexes it:
+    /// jitter varies per 5-minute noise bin, like the demand noise.
     pub fn state(&self, utilization: f64, seed: u64, stream: u64, t: SimTime) -> LinkState {
-        self.state_bin(utilization, seed, stream, t.div_euclid(noise::BIN_SECS) as u64)
+        self.state_mixed(utilization, seed, stream, noise::mix(t.div_euclid(noise::BIN_SECS) as u64))
     }
 
-    /// [`Self::state`] in noise bin `bin` (`t.div_euclid(BIN_SECS)`):
-    /// jitter varies per 5-minute bin, like the demand noise.
-    pub fn state_bin(&self, utilization: f64, seed: u64, stream: u64, bin: u64) -> LinkState {
+    /// [`Self::state`] in the noise bin whose `mix(bin)` is `mixed_bin` (a
+    /// [`noise::BinColumn`] entry).
+    pub fn state_mixed(&self, utilization: f64, seed: u64, stream: u64, mixed_bin: u64) -> LinkState {
         let u = utilization.max(0.0);
-        let jitter = self.jitter_ms * noise::uniform(seed, stream ^ 0x9E11, bin);
+        let jitter = self.jitter_ms * noise::uniform_mixed(seed, stream ^ 0x9E11, mixed_bin);
         let (queue_ms, loss) = if u < self.onset {
             (jitter, self.base_loss)
         } else if u < 1.0 {
@@ -91,7 +92,7 @@ impl QueueModel {
             // Overload: full buffer plus (TCP-moderated) overload drops.
             let overload_loss = (1.0 - 1.0 / u) * self.overload_elasticity;
             (
-                self.buffer_ms * (0.9 + 0.1 * noise::uniform(seed, stream ^ 0x51AB, bin)),
+                self.buffer_ms * (0.9 + 0.1 * noise::uniform_mixed(seed, stream ^ 0x51AB, mixed_bin)),
                 (self.base_loss + overload_loss).min(1.0),
             )
         };

@@ -14,7 +14,7 @@
 //! beyond capacity produces loss — exactly the observables §5 validates
 //! against.
 
-use crate::noise;
+use crate::noise::{self, BinColumn};
 use crate::time::{self, SimTime, SECS_PER_DAY, SECS_PER_HOUR};
 
 /// A directional demand model: offered load as a fraction of capacity.
@@ -26,21 +26,14 @@ pub trait LoadModel: Send + Sync {
     /// Offered load / capacity at time `t`. May exceed 1.0 (overload).
     fn utilization(&self, t: SimTime) -> f64;
 
-    /// `out[i] = self.utilization(t0 + i * step)` for `step > 0`: one column
-    /// of the fluid fast path. Overrides walk the column faster but must
-    /// stay bit-identical to the pointwise values.
-    fn utilization_into(&self, t0: SimTime, step: i64, out: &mut [f64]) {
-        utilization_pointwise(self, t0, step, out);
-    }
-}
-
-/// The default [`LoadModel::utilization_into`]: one `utilization` call per
-/// entry. Overrides fall back to it for steps they do not batch.
-fn utilization_pointwise<M: LoadModel + ?Sized>(m: &M, t0: SimTime, step: i64, out: &mut [f64]) {
-    let mut t = t0;
-    for u in out {
-        *u = m.utilization(t);
-        t += step;
+    /// `out[i] = self.utilization(col.at(i))`: one column of the fluid fast
+    /// path, which shares `col`'s per-bin hash terms across every link.
+    /// Overrides walk the column faster but must stay bit-identical to the
+    /// pointwise values.
+    fn utilization_into(&self, col: &BinColumn, out: &mut [f64]) {
+        for (i, u) in out.iter_mut().enumerate() {
+            *u = self.utilization(col.at(i));
+        }
     }
 }
 
@@ -162,48 +155,57 @@ impl DiurnalDemand {
         }
     }
 
-    /// Utilization from its parts; `utilization` and `utilization_into`
-    /// both end here, so they round alike.
-    fn combine(&self, amp: f64, shape: f64, bin: u64) -> f64 {
-        let n = self.noise_amp * noise::signed(self.noise_seed, 0xD1F0, bin);
+    /// Utilization from its parts, `demand` being the noise bin's
+    /// [`noise::demand_inner`]; `utilization` and `utilization_into` both
+    /// end here, so they round alike.
+    fn combine(&self, amp: f64, shape: f64, demand: u64) -> f64 {
+        let n = self.noise_amp * noise::signed_unit(noise::mix(self.noise_seed ^ demand));
         (self.base + amp * shape + n).max(0.0)
+    }
+
+    /// Utilization at `t`, whose noise bin's `demand_inner` is `demand`.
+    fn at(&self, t: SimTime, demand: u64) -> f64 {
+        let local = time::local_hour(t, self.tz_offset_hours);
+        let local_t = t + self.tz_offset_hours as i64 * SECS_PER_HOUR;
+        let amp = self.amplitude * self.monthly.at(t) * self.weekend(local_t);
+        self.combine(amp, self.shape(local), demand)
     }
 }
 
 impl LoadModel for DiurnalDemand {
     fn utilization(&self, t: SimTime) -> f64 {
-        let local = time::local_hour(t, self.tz_offset_hours);
-        let local_t = t + self.tz_offset_hours as i64 * SECS_PER_HOUR;
-        let amp = self.amplitude * self.monthly.at(t) * self.weekend(local_t);
-        self.combine(amp, self.shape(local), t.div_euclid(noise::BIN_SECS) as u64)
+        self.at(t, noise::demand_inner(noise::mix(t.div_euclid(noise::BIN_SECS) as u64)))
     }
 
     /// A walk with no calendar arithmetic per entry: the UTC and local
     /// second-of-day counters step forward, the month scale is re-read only
     /// at UTC midnight (months turn there) and the weekend factor only at
-    /// local midnight, the noise bin steps by `step / BIN_SECS`, and `shape`
-    /// is evaluated once per slot of the day. Steps that do not divide a day
-    /// or are not whole noise bins go pointwise.
-    fn utilization_into(&self, t0: SimTime, step: i64, out: &mut [f64]) {
+    /// local midnight, and `shape` is evaluated once per slot of the day.
+    /// Noise reads the column's per-bin terms. Steps that do not divide a
+    /// day into at most one slot per noise bin go pointwise.
+    fn utilization_into(&self, col: &BinColumn, out: &mut [f64]) {
         const MAX_SLOTS: usize = (SECS_PER_DAY / noise::BIN_SECS) as usize;
-        if step <= 0 || SECS_PER_DAY % step != 0 || step % noise::BIN_SECS != 0 {
-            return utilization_pointwise(self, t0, step, out);
+        let (step, demand) = (col.step(), &col.demand()[..out.len()]);
+        if SECS_PER_DAY % step != 0 || (SECS_PER_DAY / step) as usize > MAX_SLOTS {
+            for (i, (u, &d)) in out.iter_mut().zip(demand).enumerate() {
+                *u = self.at(col.at(i), d);
+            }
+            return;
         }
         let tz = self.tz_offset_hours as i64 * SECS_PER_HOUR;
         let slots = (SECS_PER_DAY / step) as usize;
         let mut shapes = [0.0f64; MAX_SLOTS];
+        let t0 = col.at(0);
         let (mut utc, mut local) = (t0.rem_euclid(SECS_PER_DAY), (t0 + tz).rem_euclid(SECS_PER_DAY));
         let mut scale = self.monthly.at(t0);
         let mut weekend = self.weekend(t0 + tz);
-        let (mut bin, stride) = (t0.div_euclid(noise::BIN_SECS) as u64, (step / noise::BIN_SECS) as u64);
         let (mut t, mut slot) = (t0, 0);
-        for (i, u) in out.iter_mut().enumerate() {
+        for (i, (u, &d)) in out.iter_mut().zip(demand).enumerate() {
             if i < slots {
                 shapes[slot] = self.shape(local as f64 / SECS_PER_HOUR as f64);
             }
-            *u = self.combine(self.amplitude * scale * weekend, shapes[slot], bin);
+            *u = self.combine(self.amplitude * scale * weekend, shapes[slot], d);
             t += step;
-            bin += stride;
             slot = if slot + 1 == slots { 0 } else { slot + 1 };
             utc += step;
             if utc >= SECS_PER_DAY {

@@ -18,6 +18,7 @@
 //! tier-1 command runs these properties too.
 
 use manic_netsim::fib::ecmp_pick;
+use manic_netsim::icmp::FlakyProfile;
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
@@ -330,16 +331,30 @@ pub struct RandomWorld {
 }
 
 /// A small random network: a connected multigraph (parallel links make ECMP
-/// groups), random ICMP profiles and link loads, host prefixes, and two
-/// routing epochs whose FIBs mostly follow shortest paths but sometimes
-/// point anywhere (loops) or nowhere (dead ends). `chaos > 0` installs a
+/// groups), random ICMP profiles (a fifth of them flaky) and link loads,
+/// host prefixes, and two routing epochs whose FIBs mostly follow shortest
+/// paths but sometimes point anywhere (loops) or nowhere (dead ends). `chaos > 0` installs a
 /// `FaultSchedule::chaos` of that intensity over the probing window.
 pub fn random_world(seed: u64, routers: usize, chaos: f64) -> RandomWorld {
     let mut rng = Rng(seed);
+    // Flaky windows draw from a stream of their own, so the rest of a world
+    // is what it was before routers could be flaky.
+    let mut flaky = Rng(seed ^ 0xF1A6);
     let mut topo = Topology::new();
     for i in 0..routers {
         let mut icmp = IcmpProfile::default();
         if i > 0 {
+            // A daily UTC window from 12:00 or 13:00 to 14:00–16:00: it
+            // covers the packet probes from START (13:46 UTC) and has edges
+            // inside every multi-day fluid window.
+            if flaky.chance(0.2) {
+                icmp.flaky = Some(FlakyProfile {
+                    day_prob: 0.7,
+                    drop_prob: 0.5 + 0.5 * flaky.unit(),
+                    window_start_hour: 12 + flaky.below(2) as u8,
+                    window_end_hour: 14 + flaky.below(3) as u8,
+                });
+            }
             if rng.chance(0.3) {
                 icmp.rate_limit_pps = Some(1.0 + rng.unit() * 20.0);
                 icmp.rate_limit_burst = 1.0 + rng.unit() * 4.0;

@@ -30,7 +30,7 @@
 //! for bit.
 
 use manic_netsim::time::SimTime;
-use manic_netsim::{Ipv4, Network, ProbeRoute, ProbeSpec, RouterId, SimState};
+use manic_netsim::{FaultScope, Ipv4, Network, ProbeRoute, ProbeSpec, RouterId, SimState};
 
 /// A vantage point as the probing layer sees it.
 #[derive(Debug, Clone)]
@@ -76,6 +76,21 @@ impl ProbePath {
             }
         }
         p
+    }
+
+    /// The first instant after `t` at which [`Self::responder_prob`] can
+    /// change: the nearest edge of the responder router's faults, of the
+    /// answering interface's faults and of its flaky window.
+    pub(crate) fn responder_stable_until(&self, net: &Network, t: SimTime) -> SimTime {
+        let (responder, addr) = (self.route.responder, self.route.responder_addr);
+        let mut until = net.fault.stable_until(&net.topo, FaultScope::Router(responder), t);
+        if let Some(iface) = net.topo.iface_by_addr(addr) {
+            until = until.min(net.fault.stable_until(&net.topo, FaultScope::Iface(iface.id), t));
+        }
+        if let Some(flaky) = net.topo.router(responder).icmp.flaky {
+            until = until.min(flaky.stable_until(t));
+        }
+        until
     }
 
     /// The fluid model of a probe sent at `t`, in one pass over the path:

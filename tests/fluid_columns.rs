@@ -6,24 +6,29 @@
 //! body it replaced, kept verbatim: it calls `ProbePath::rtt_and_prob` for
 //! every (end, path, bin). The two must agree bit for bit on random worlds
 //! (`crates/netsim/tests/path_oracle.rs`) whose links carry random diurnal
-//! demand, with and without injected faults, at 300 s and 900 s bins over
-//! windows that start off midnight, mostly cross a month boundary and end
-//! inside a column chunk. A second property holds each load model's batched
-//! `utilization_into` to its pointwise `utilization`.
+//! demand and whose routers are sometimes flaky responders, with and
+//! without injected faults, at 300 s and 900 s bins over windows that start
+//! off midnight, mostly cross a month boundary and end inside a column
+//! chunk. A second property holds each load model's batched
+//! `utilization_into` to its pointwise `utilization`. The engine reads each
+//! fault query once per run of bins up to `FaultSchedule::stable_until`; a
+//! third property holds that bound to the queries second by second.
 
 #[path = "../crates/netsim/tests/path_oracle.rs"]
 mod reference;
 
-use manic_netsim::noise;
+use manic_netsim::noise::{self, BinColumn};
 use manic_netsim::time::{month_start, SimTime, SECS_PER_DAY};
 use manic_netsim::traffic::{ConstantLoad, DiurnalDemand, LoadModel, MonthScale};
-use manic_netsim::{FaultEvent, FaultKind, FaultSchedule, FaultScope, LinkId, Network};
+use manic_netsim::{
+    FaultEvent, FaultKind, FaultSchedule, FaultScope, IfaceId, LinkId, Network, RouterId,
+};
 use manic_probing::tslp::{
     synthesize_task, End, TaskSeries, TslpDest, TslpProber, TslpTask, ROUND_SECS,
 };
 use manic_probing::{probe_path, ProbePath, VpHandle};
 use proptest::prelude::*;
-use reference::{random_world, Rng};
+use reference::{random_world, Rng, START};
 use std::sync::Arc;
 
 /// The per-bin synthesis the column engine replaced, verbatim but for its
@@ -214,8 +219,91 @@ fn random_models(rng: &mut Rng, month: u32) -> Vec<Arc<dyn LoadModel>> {
     vec![Arc::new(random_demand(rng, month)), Arc::new(ConstantLoad(rng.unit() * 1.5))]
 }
 
+/// One "stable until" case: a random world under `FaultSchedule::chaos`
+/// over six hours from [`START`], plus a route flap planted on a random
+/// link and a reboot with a rebuild tail on a random non-VP router. Each
+/// draw asks `stable_until` about one scope at one instant — inside the
+/// flap, inside the rebuild tail, around the reboot on an incident link, or
+/// anywhere — and requires the scope's queries to answer at every second
+/// up to the bound (or an hour on) as they do at the instant.
+fn check_stable_until(seed: u64, chaos: f64) -> Result<(), String> {
+    let mut world = random_world(seed, 8, 0.0);
+    let mut rng = Rng(seed ^ 0x57AB);
+    let (from, to) = (START, START + 6 * 3600);
+    let topo = &world.net.topo;
+    let mut fault = FaultSchedule::chaos(rng.draw(), chaos, topo, &[world.vp], from, to);
+    let flapped = LinkId(rng.below(topo.links.len()) as u32);
+    let flap_from = from + rng.below(3600) as i64;
+    let (up_secs, down_secs) = (300 + rng.below(600) as i64, 30 + rng.below(90) as i64);
+    let flap = FaultKind::RouteFlap { up_secs, down_secs };
+    fault.push(FaultEvent::window(flap, FaultScope::Link(flapped), flap_from, flap_from + 7200));
+    let rebooted = RouterId(1 + rng.below(topo.routers.len() - 1) as u32);
+    let (down_from, rebuild_secs) = (from + rng.below(3 * 3600) as i64, 300 + rng.below(300) as i64);
+    let down_until = down_from + 120 + rng.below(780) as i64;
+    let reboot = FaultKind::RouterReboot { rebuild_secs };
+    fault.push(FaultEvent::window(reboot, FaultScope::Router(rebooted), down_from, down_until));
+    let incident: Vec<LinkId> = topo
+        .links
+        .iter()
+        .filter(|l| l.ifaces.iter().any(|&i| topo.iface(i).router == rebooted))
+        .map(|l| l.id)
+        .collect();
+    world.net.fault = fault;
+    let (topo, fault) = (&world.net.topo, &world.net.fault);
+    let answers = |scope: FaultScope, t: SimTime| -> Vec<u64> {
+        match scope {
+            FaultScope::Link(l) => {
+                vec![fault.link_blocked(topo, l, t) as u64, fault.extra_loss(l, t).to_bits()]
+            }
+            FaultScope::Router(r) => {
+                let limit = fault.icmp_limit(r, t).map(|(pps, burst)| (pps.to_bits(), burst.to_bits()));
+                let (has, pps, burst) = limit.map_or((0, 0, 0), |(p, b)| (1, p, b));
+                vec![fault.clock_skew_ms(r, t).to_bits(), fault.icmp_suppressed(r, t) as u64, has, pps, burst]
+            }
+            FaultScope::Iface(i) => {
+                let addr = topo.iface(i).addr;
+                vec![fault.silent_addr(topo, addr, t) as u64, fault.renumbered(topo, addr, t).0 as u64]
+            }
+            FaultScope::Global => unreachable!("every scope is an entity's"),
+        }
+    };
+    for _ in 0..16 {
+        let anywhere = from - 600 + rng.below((to - from + 1200) as usize) as i64;
+        let (scope, t) = match rng.below(4) {
+            0 => (FaultScope::Link(flapped), flap_from + rng.below(7200) as i64),
+            1 => (FaultScope::Router(rebooted), down_until + rng.below(rebuild_secs as usize) as i64),
+            2 => {
+                let l = incident[rng.below(incident.len())];
+                (FaultScope::Link(l), down_from - 300 + rng.below(1500) as i64)
+            }
+            _ => match rng.below(3) {
+                0 => (FaultScope::Link(LinkId(rng.below(topo.links.len()) as u32)), anywhere),
+                1 => (FaultScope::Router(RouterId(rng.below(topo.routers.len()) as u32)), anywhere),
+                _ => (FaultScope::Iface(IfaceId(rng.below(topo.ifaces.len()) as u32)), anywhere),
+            },
+        };
+        let until = fault.stable_until(topo, scope, t);
+        if until <= t {
+            return Err(format!("{scope:?} at {t}: stable until {until}, not after it"));
+        }
+        let want = answers(scope, t);
+        if let Some(s) = (t..until.min(t + 3600)).find(|&s| answers(scope, s) != want) {
+            return Err(format!("{scope:?}: stable from {t} until {until}, but changes at {s}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `FaultSchedule::stable_until` is a sound bound: after `t`, and no
+    /// query of the scope changes before it.
+    #[test]
+    fn stable_until_bounds_fault_queries(seed in any::<u64>(), chaos in 0usize..2) {
+        let outcome = check_stable_until(seed, [0.5, 1.0][chaos]);
+        prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
+    }
 
     /// The column engine (`synthesize_window` and `synthesize_task`) equals
     /// the per-bin `rtt_and_prob` walk bit for bit, faulted or not.
@@ -230,10 +318,11 @@ proptest! {
     }
 
     /// `utilization_into` is `utilization` at every step, bit for bit: at
-    /// steps of whole noise bins that divide a day (the batched walks) and
-    /// at ones that do not divide a day or split a noise bin (the pointwise
-    /// fallback), across a month boundary, local and UTC midnights and
-    /// weekends.
+    /// steps that divide a day into at most one slot per noise bin (the
+    /// batched walk, which reads the column's noise terms, also where a
+    /// step splits a noise bin) and at ones that do not divide a day or
+    /// cut it finer (the pointwise fallback), across a month boundary,
+    /// local and UTC midnights and weekends.
     #[test]
     fn utilization_into_matches_pointwise(seed in any::<u64>()) {
         let mut rng = Rng(seed);
@@ -242,16 +331,35 @@ proptest! {
         let offset = if rng.chance(0.5) { 0 } else { rng.below(300) as i64 };
         let t0 = month_start(month) - 300 * rng.below(5 * 288) as i64 - offset;
         for model in random_models(&mut rng, month) {
-            for step in [300, 900, 3600, 1500, 450] {
+            for step in [300, 900, 3600, 450, 1500, 100] {
                 let n = (10 * SECS_PER_DAY / step) as usize;
                 let mut batched = vec![f64::NAN; n];
-                model.utilization_into(t0, step, &mut batched);
+                model.utilization_into(&BinColumn::new(t0, step, n), &mut batched);
                 for (i, u) in batched.iter().enumerate() {
                     let t = t0 + i as i64 * step;
                     let want = model.utilization(t);
                     prop_assert_eq!(u.to_bits(), want.to_bits(), "step {} at t {}", step, t);
                 }
             }
+        }
+    }
+}
+
+/// On an empty schedule no query can change: every scope's run is all of
+/// time, so the column engine asks each fault query once per chunk.
+#[test]
+fn empty_schedule_is_stable_forever() {
+    let world = random_world(7, 8, 0.0);
+    let (topo, fault) = (&world.net.topo, &world.net.fault);
+    let scopes = [
+        FaultScope::Global,
+        FaultScope::Link(LinkId(0)),
+        FaultScope::Router(world.vp),
+        FaultScope::Iface(IfaceId(0)),
+    ];
+    for scope in scopes {
+        for t in [SimTime::MIN, -1, 0, START, SimTime::MAX - 1] {
+            assert_eq!(fault.stable_until(topo, scope, t), SimTime::MAX, "{scope:?} at {t}");
         }
     }
 }
