@@ -27,7 +27,7 @@ pub fn hash3(seed: u64, a: u64, b: u64) -> u64 {
 /// [`hash3`] given `mixed_b = mix(b)`: a fluid column computes `mix(bin)`
 /// once per bin for every stream that draws in it ([`BinColumn`]).
 #[inline]
-pub fn hash3_mixed(seed: u64, a: u64, mixed_b: u64) -> u64 {
+pub(crate) fn hash3_mixed(seed: u64, a: u64, mixed_b: u64) -> u64 {
     mix(seed ^ mix(a ^ mixed_b))
 }
 
@@ -46,7 +46,7 @@ pub fn uniform(seed: u64, stream: u64, counter: u64) -> f64 {
 
 /// [`uniform`] given `mix(counter)`.
 #[inline]
-pub fn uniform_mixed(seed: u64, stream: u64, mixed_counter: u64) -> f64 {
+pub(crate) fn uniform_mixed(seed: u64, stream: u64, mixed_counter: u64) -> f64 {
     unit(hash3_mixed(seed, stream, mixed_counter))
 }
 
@@ -58,7 +58,7 @@ pub fn signed(seed: u64, stream: u64, counter: u64) -> f64 {
 
 /// Symmetric noise in [-1, 1) from a hash.
 #[inline]
-pub fn signed_unit(h: u64) -> f64 {
+pub(crate) fn signed_unit(h: u64) -> f64 {
     2.0 * unit(h) - 1.0
 }
 
@@ -101,14 +101,7 @@ pub struct BinColumn {
 }
 
 impl BinColumn {
-    /// A column of `n` instants from `t0` at `step > 0`.
-    pub fn new(t0: SimTime, step: i64, n: usize) -> Self {
-        let mut col = BinColumn::default();
-        col.fill(t0, step, n);
-        col
-    }
-
-    /// Refill in place as [`Self::new`] would, reusing the buffers.
+    /// Fill with `n` instants from `t0` at `step > 0`, reusing the buffers.
     pub fn fill(&mut self, t0: SimTime, step: i64, n: usize) {
         assert!(step > 0, "a column steps forward in time");
         (self.t0, self.step) = (t0, step);
@@ -118,31 +111,27 @@ impl BinColumn {
         self.demand.extend(self.mixed.iter().map(|&m| demand_inner(m)));
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.mixed.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.mixed.is_empty()
-    }
-
-    pub fn step(&self) -> i64 {
+    pub(crate) fn step(&self) -> i64 {
         self.step
     }
 
     /// The instant of entry `i`.
     #[inline]
-    pub fn at(&self, i: usize) -> SimTime {
+    pub(crate) fn at(&self, i: usize) -> SimTime {
         self.t0 + i as i64 * self.step
     }
 
     /// `mix(bin)` per entry.
-    pub fn mixed(&self) -> &[u64] {
+    pub(crate) fn mixed(&self) -> &[u64] {
         &self.mixed
     }
 
     /// `mix(DEMAND_STREAM ^ mix(bin))` per entry.
-    pub fn demand(&self) -> &[u64] {
+    pub(crate) fn demand(&self) -> &[u64] {
         &self.demand
     }
 

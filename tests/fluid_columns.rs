@@ -333,8 +333,9 @@ proptest! {
         for model in random_models(&mut rng, month) {
             for step in [300, 900, 3600, 450, 1500, 100] {
                 let n = (10 * SECS_PER_DAY / step) as usize;
-                let mut batched = vec![f64::NAN; n];
-                model.utilization_into(&BinColumn::new(t0, step, n), &mut batched);
+                let (mut col, mut batched) = (BinColumn::default(), vec![f64::NAN; n]);
+                col.fill(t0, step, n);
+                model.utilization_into(&col, &mut batched);
                 for (i, u) in batched.iter().enumerate() {
                     let t = t0 + i as i64 * step;
                     let want = model.utilization(t);
