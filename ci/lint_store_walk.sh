@@ -48,11 +48,14 @@ if [[ -n "$summary_extras" ]]; then
 fi
 
 # One map per store shard: a key's points and quality windows share one
-# entry. The parallel quality map, the seqlock latest-sample cells (which
-# nothing read) and the unused rollup / per-series CSV export are gone; this
-# fails if `Store` declares a second sharded map or any of them returns
+# entry, found through the shard's one key -> index map. The parallel
+# quality map, the seqlock latest-sample cells (which nothing read) and the
+# unused rollup / per-series CSV export are gone; this fails if `Store`
+# declares a second sharded vector or a second map, or any of them returns
 # under `crates/`.
-maps=$(grep -c -F 'Vec<RwLock<HashMap' crates/tsdb/src/store.rs || true)
+stripes=$(grep -c -F 'Vec<RwLock<' crates/tsdb/src/store.rs || true)
+maps=$(grep -c -F 'HashMap<' crates/tsdb/src/store.rs || true)
+[[ "$stripes" -gt "$maps" ]] && maps=$stripes
 store_extras=$(grep -rn --include='*.rs' -E 'LatestCell|latest_handle|fn rollup|fn export_csv' crates 2>/dev/null || true)
 if [[ "$maps" -gt 1 || -n "$store_extras" ]]; then
     echo "error: Store grew back a second sharded map ($maps declared) or a dead read path — one entry per key" >&2

@@ -308,7 +308,9 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
         .collect::<io::Result<Vec<(u32, u64, i64)>>>()?;
     vp.sim = SimState::import(counter, &limiters);
     // `set_tasks` (not a raw field assignment) so the prober's cached
-    // series keys are rebuilt to match the restored task set.
+    // series keys are rebuilt to match the restored task set; the slot
+    // table is emptied, so the first commit resolves it in the restored
+    // store.
     vp.tslp.set_tasks(
         getarr(m, "tasks")?
             .iter()
@@ -330,6 +332,7 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
             })
             .collect::<io::Result<Vec<_>>>()?,
     );
+    vp.slots.clear();
     let mut health = getarr(m, "health")?
         .iter()
         .map(|h| {

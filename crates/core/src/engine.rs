@@ -61,11 +61,13 @@ pub(crate) fn fan_out(threads: usize, n: usize, f: impl Fn(usize) + Sync) {
 
 /// Per-VP staging buffers: everything a round wants to persist, recorded in
 /// probe order and replayed against the store at commit time. Task indices
-/// resolve to series keys through the prober's cached key table, so staging
-/// a sample is two pushes — no formatting, no store locks.
+/// resolve to store slots through the VP's slot table, so staging a sample
+/// is one push — no formatting, no store locks — and committing it hashes
+/// no key.
 #[derive(Default)]
 pub(crate) struct StagedOps {
-    /// `(task, end, t, rtt_ms)` in probe order (grouped by task).
+    /// `(task, end, t, rtt_ms)` in probe order: grouped by task, tasks
+    /// ascending.
     samples: Vec<(u32, End, SimTime, f64)>,
     /// `(task, end, from, until, flags)` in call order.
     annots: Vec<(u32, End, SimTime, SimTime, QualityFlags)>,
@@ -108,10 +110,12 @@ impl StagedOps {
     }
 
     /// Replay the staged round against the store, fold it into the VP's
-    /// incremental link summaries, and clear the buffers. Samples arrive
-    /// grouped by task, so each task's near/far runs become one
-    /// `write_batch` per series (one shard-lock acquisition, one WAL
-    /// staging pass) instead of a lock per point. `near`/`far` are reusable
+    /// incremental link summaries, and clear the buffers. Annotations go
+    /// first, in call order; then each task's near/far sample runs become
+    /// one `write_batch_at` per series (one shard-lock acquisition, one WAL
+    /// staging pass) instead of a lock per point. Writes go by slot, in the
+    /// same order a key-based replay would make them, so WAL bytes do not
+    /// depend on which of the two was used. `near`/`far` are reusable
     /// scratch buffers owned by the commit loop.
     fn commit(
         &mut self,
@@ -122,9 +126,13 @@ impl StagedOps {
         near: &mut Vec<Point>,
         far: &mut Vec<Point>,
     ) {
-        let tslp = &vp.tslp;
+        if vp.slots.is_empty() {
+            // First commit since a task set was installed.
+            vp.resolve_slots(store);
+        }
+        debug_assert_eq!(vp.slots.len(), vp.tslp.tasks.len(), "stale slot table");
         for &(ti, end, from, until, flags) in &self.annots {
-            store.annotate(tslp.key(ti as usize, end), from, until, flags);
+            store.annotate_at(vp.slot(ti as usize, end), from, until, flags);
         }
         let mut i = 0;
         while i < self.samples.len() {
@@ -140,24 +148,38 @@ impl StagedOps {
                 }
                 j += 1;
             }
-            if !near.is_empty() {
-                store.write_batch(tslp.key(ti as usize, End::Near), near);
-            }
-            if !far.is_empty() {
-                store.write_batch(tslp.key(ti as usize, End::Far), far);
-            }
+            let [near_slot, far_slot] = vp.slots[ti as usize];
+            store.write_batch_at(near_slot, near);
+            store.write_batch_at(far_slot, far);
             i = j;
         }
 
-        // Incremental summary maintenance (runs every round, including
-        // empty ones, so windows advance deterministically). Existing rings
-        // advance in O(1 bin); tasks without a ring backfill one from the
-        // store — which at this point already contains the round's writes,
-        // so a fresh ring starts exactly equal to the store's dense view.
+        // Incremental summary maintenance, one summary lookup per task
+        // (runs every round, including empty ones, so windows advance
+        // deterministically). Existing rings advance in O(1 bin); tasks
+        // without a ring backfill one from the store — which at this point
+        // already contains the round's writes, so a fresh ring starts
+        // exactly equal to the store's dense view. Then the task's staged
+        // far-end ops fold in, annotations before samples as they reached
+        // the store. The per-bin folds (`min`, `|=`) are idempotent, so
+        // freshly backfilled rings absorb the replay unchanged.
+        //
+        // Far annotations are put in task order (a stable sort keeps each
+        // task's call order; they usually are in order already); samples
+        // always are.
+        self.annots.retain(|a| a.1 == End::Far);
+        if !self.annots.is_sorted_by_key(|a| a.0) {
+            self.annots.sort_by_key(|a| a.0);
+        }
+        let (mut a, mut s) = (0, 0);
         let hi_end = t + ROUND_SECS;
         for (ti, task) in vp.tslp.tasks.iter().enumerate() {
-            match vp.summaries.entry((task.near_ip, task.far_ip)) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut().advance_to(hi_end),
+            let summary = match vp.summaries.entry((task.near_ip, task.far_ip)) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    let summary = e.into_mut();
+                    summary.advance_to(hi_end);
+                    summary
+                }
                 std::collections::hash_map::Entry::Vacant(e) => {
                     e.insert(manic_inference::LinkSummary::backfilled(
                         store,
@@ -165,33 +187,29 @@ impl StagedOps {
                         hi_end,
                         window_bins,
                         ROUND_SECS,
-                    ));
+                    ))
                 }
+            };
+            while let Some(&(_, _, from, until, flags)) =
+                self.annots.get(a).filter(|op| op.0 as usize == ti)
+            {
+                summary.observe_flags(from, until, flags);
+                a += 1;
+            }
+            while let Some(&(_, end, ts, v)) =
+                self.samples.get(s).filter(|op| op.0 as usize == ti)
+            {
+                if end == End::Far {
+                    summary.observe_sample(ts, v);
+                }
+                s += 1;
             }
         }
-        // Replay the staged far-end ops into the rings. The per-bin folds
-        // (`min`, `|=`) are idempotent, so freshly backfilled rings — which
-        // already contain this round's writes — absorb the replay unchanged.
-        for &(ti, end, from, until, flags) in &self.annots {
-            if end != End::Far {
-                continue;
-            }
-            if let Some(task) = vp.tslp.tasks.get(ti as usize) {
-                if let Some(s) = vp.summaries.get_mut(&(task.near_ip, task.far_ip)) {
-                    s.observe_flags(from, until, flags);
-                }
-            }
-        }
-        for &(ti, end, ts, v) in &self.samples {
-            if end != End::Far {
-                continue;
-            }
-            if let Some(task) = vp.tslp.tasks.get(ti as usize) {
-                if let Some(s) = vp.summaries.get_mut(&(task.near_ip, task.far_ip)) {
-                    s.observe_sample(ts, v);
-                }
-            }
-        }
+        debug_assert_eq!(
+            (a, s),
+            (self.annots.len(), self.samples.len()),
+            "staged ops name a task outside the task set, or samples out of task order"
+        );
         self.annots.clear();
         self.samples.clear();
     }

@@ -9,7 +9,7 @@ use manic_probing::loss::LossTarget;
 use manic_probing::tslp::{select_targets, End, TslpProber, ROUND_SECS};
 use manic_probing::{ally_test, trace, LossProber, Traceroute, VpHandle};
 use manic_scenario::World;
-use manic_tsdb::{quality, Aggregate, Store};
+use manic_tsdb::{quality, Aggregate, SeriesSlot, Store};
 use std::collections::HashMap;
 
 /// Days between bdrmap cycles (the paper: a full cycle takes 1-3 days).
@@ -101,6 +101,13 @@ pub struct VpRuntime {
     /// [`manic_inference::LinkSummary`]). Created lazily at commit time by
     /// store backfill, so they never need checkpointing.
     pub summaries: std::collections::HashMap<(Ipv4, Ipv4), manic_inference::LinkSummary>,
+    /// The store slots of each task's `[near, far]` series, index-aligned
+    /// with `tslp.tasks`, so the commit writes without hashing a key.
+    /// Emptied whenever a task set is installed (a bdrmap cycle, a
+    /// checkpoint restore) and resolved by the next commit
+    /// ([`Self::resolve_slots`]): a cycle that no round follows — the
+    /// longitudinal study's — adds nothing to the store.
+    pub(crate) slots: Vec<[SeriesSlot; 2]>,
     /// When the probing set was last refreshed.
     pub last_cycle: Option<SimTime>,
     /// Per-task health records — machine state, dark-round count and
@@ -121,6 +128,27 @@ pub struct VpRuntime {
     /// (86 over the study, 63 by December 2017). Retired VPs stop probing;
     /// their historical data stays in the store.
     pub active: bool,
+}
+
+impl VpRuntime {
+    /// Resolve every task's near and far series key
+    /// ([`TslpProber::key`]) to its slot in `store`. Creating a slot changes
+    /// nothing a store reader sees.
+    pub(crate) fn resolve_slots(&mut self, store: &Store) {
+        let tslp = &self.tslp;
+        self.slots.clear();
+        self.slots.extend(
+            (0..tslp.tasks.len())
+                .map(|ti| [End::Near, End::Far].map(|end| store.slot(tslp.key(ti, end)))),
+        );
+    }
+
+    /// The store slot of task `ti`'s `end` series: the series
+    /// [`TslpProber::key`]`(ti, end)` names, in the system's store. Panics
+    /// until a commit has resolved the task set installed last.
+    pub fn slot(&self, ti: usize, end: End) -> SeriesSlot {
+        self.slots[ti][end.index()]
+    }
 }
 
 /// One dashboard row: the current state of one probed interdomain link.
@@ -189,6 +217,7 @@ impl System {
                 bdrmap: None,
                 bdrmap_links: std::collections::HashMap::new(),
                 summaries: std::collections::HashMap::new(),
+                slots: Vec::new(),
                 last_cycle: None,
                 health: std::collections::HashMap::new(),
                 cycle_backoff: Backoff::default(),
@@ -310,6 +339,7 @@ impl System {
         let discovered = new_keys.difference(&old_keys).count();
         let lost = old_keys.difference(&new_keys).count();
         vp.tslp.update_targets(tasks);
+        vp.slots.clear();
         vp.bdrmap_links = LinkMeta::index(&result);
         vp.bdrmap = Some(result);
         // Summaries follow the probing set: tasks that survived re-selection

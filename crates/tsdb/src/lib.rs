@@ -14,10 +14,11 @@
 //! * retention trimming and Grafana-style JSON export (the public-data
 //!   release story of §1's contribution 4).
 //!
-//! The store is striped over `std::sync::RwLock`-guarded shards, one map
-//! each: a key's points and quality windows share one entry, so a write or
-//! an annotation is one hash lookup under one lock, and concurrent
-//! measurement threads can ingest while analysis reads.
+//! The store is striped over `std::sync::RwLock`-guarded shards, each a
+//! key → index map over a vector of entries: a key's points and quality
+//! windows share one entry, so a write or an annotation is one hash lookup
+//! under one lock — or none, through a [`SeriesSlot`] resolved once — and
+//! concurrent measurement threads can ingest while analysis reads.
 
 pub mod key;
 pub mod lineproto;
@@ -32,6 +33,6 @@ pub use key::{SeriesKey, TagSet};
 pub use lineproto::{format_key, parse_key, LineProtoError};
 pub use quality::{QualityFlags, QualityLog};
 pub use series::{Aggregate, Point, Series};
-pub use store::{recommended_shards, Store, TagFilter};
+pub use store::{recommended_shards, SeriesSlot, Store, TagFilter};
 pub use wal::{FsyncPolicy, ReplayReport, Wal, WalCodecError, WalPosition, WalRecord};
 pub use wal::{replay_dir_range, replay_segment_file_with};

@@ -1,13 +1,15 @@
 //! The sharded series store.
 //!
 //! A series' points and quality windows live in one entry of one shard's
-//! map; anything that needs the whole store in one canonical order — the
-//! content hash, the record dump, the checkpoint snapshot — is a visitor
-//! over [`Store::walk`], one sorted pass that copies nothing. The snapshot
-//! ([`Store::write_snapshot`], checkpoint format version 2) is a segment of
-//! the write-ahead log's own frames: a sample is a 20-byte entry of a `B`
-//! frame under its series' `K` frame there as everywhere else on disk, so
-//! [`crate::wal`]'s replay is its only reader.
+//! entry vector, found through that shard's key → index map or directly
+//! through a [`SeriesSlot`]; anything that needs the whole store in one
+//! canonical order — the content hash, the record dump, the checkpoint
+//! snapshot — is a visitor over [`Store::walk`], one sorted pass that
+//! copies nothing. The snapshot ([`Store::write_snapshot`], checkpoint
+//! format version 2) is a segment of the write-ahead log's own frames: a
+//! sample is a 20-byte entry of a `B` frame under its series' `K` frame
+//! there as everywhere else on disk, so [`crate::wal`]'s replay is its only
+//! reader.
 
 use crate::key::{SeriesKey, TagSet};
 use crate::lineproto::format_key;
@@ -40,13 +42,69 @@ pub fn recommended_shards(expected_series: usize) -> usize {
 /// Tag predicate for series selection: every listed pair must match.
 pub type TagFilter = TagSet;
 
-/// Everything the store holds for one key. An entry exists once the key has
-/// been written or annotated; it counts as a series (`series_count`,
-/// `find_series`) only while it has points.
-#[derive(Default)]
+/// Everything the store holds for one key. An entry is *live* once the key
+/// has been written or annotated, until retention empties it; only live
+/// entries are seen by [`Store::walk`] and [`Store::annotate_all`], and an
+/// entry counts as a series (`series_count`, `find_series`) only while it
+/// has points. An entry that [`Store::slot`] created and nothing has
+/// touched is not live: the store reads exactly as if it did not exist.
 struct Entry {
+    /// Shared with the shard's index map.
+    key: Arc<SeriesKey>,
+    live: bool,
     series: Series,
     quality: QualityLog,
+}
+
+impl Entry {
+    fn new(key: Arc<SeriesKey>) -> Self {
+        Entry { key, live: false, series: Series::default(), quality: QualityLog::default() }
+    }
+}
+
+/// One stripe of the store: a key → index map over a vector of entries.
+/// Entries are never removed or moved (retention empties them in place), so
+/// an index, once handed out as a [`SeriesSlot`], names its key for the
+/// store's lifetime.
+#[derive(Default)]
+struct Shard {
+    index: HashMap<Arc<SeriesKey>, u32>,
+    entries: Vec<Entry>,
+}
+
+impl Shard {
+    /// The index of `key`'s entry, appending a (not yet live) entry on first
+    /// use — the only time the key is cloned.
+    fn resolve(&mut self, key: &SeriesKey) -> u32 {
+        if let Some(&i) = self.index.get(key) {
+            return i;
+        }
+        let i = u32::try_from(self.entries.len()).expect("more than u32::MAX series in one shard");
+        let key = Arc::new(key.clone());
+        self.entries.push(Entry::new(Arc::clone(&key)));
+        self.index.insert(key, i);
+        i
+    }
+
+    /// `key`'s entry, if it is live.
+    fn get(&self, key: &SeriesKey) -> Option<&Entry> {
+        self.index.get(key).map(|&i| &self.entries[i as usize]).filter(|e| e.live)
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Entry> {
+        self.entries.iter().filter(|e| e.live)
+    }
+}
+
+/// A stable handle on one series of one [`Store`]: its shard and its index
+/// in that shard's entry vector. [`Store::write_batch_at`] and
+/// [`Store::annotate_at`] go straight to the entry, so a writer that
+/// resolves its keys once ([`Store::slot`]) hashes no key per write. A slot
+/// is valid for the store that issued it, for that store's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesSlot {
+    shard: u32,
+    index: u32,
 }
 
 /// One series as `Store::walk` hands it to its visitor. Everything is
@@ -123,9 +181,9 @@ impl ContentHasher {
 /// assert!(bins.iter().all(|p| p.v == 20.0));
 /// ```
 pub struct Store {
-    /// One map per stripe; a key's points and quality windows (see
-    /// [`crate::quality`]) share its one [`Entry`].
-    shards: Vec<RwLock<HashMap<SeriesKey, Entry>>>,
+    /// One key → index map and entry vector per stripe; a key's points and
+    /// quality windows (see [`crate::quality`]) share its one [`Entry`].
+    shards: Vec<RwLock<Shard>>,
     /// Optional write-ahead log; when attached, every mutation is appended
     /// to it before being applied in memory.
     wal: OnceLock<Arc<Wal>>,
@@ -147,7 +205,7 @@ impl Store {
     /// hashes iterate keys in sorted order regardless of striping.
     pub fn with_shards(n: usize) -> Self {
         let n = n.max(1);
-        Store { shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(), wal: OnceLock::new() }
+        Store { shards: (0..n).map(|_| RwLock::default()).collect(), wal: OnceLock::new() }
     }
 
     /// Number of stripes this store was built with.
@@ -167,21 +225,37 @@ impl Store {
         self.wal.get()
     }
 
-    fn shard(&self, key: &SeriesKey) -> &RwLock<HashMap<SeriesKey, Entry>> {
+    fn shard_index(&self, key: &SeriesKey) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        (h.finish() as usize) % self.shards.len()
+    }
+
+    fn shard(&self, key: &SeriesKey) -> &RwLock<Shard> {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// The stable handle on `key`'s series, creating its entry if needed.
+    /// Creating one changes nothing any reader sees: the entry stays
+    /// invisible until a write or an annotation goes through it.
+    pub fn slot(&self, key: &SeriesKey) -> SeriesSlot {
+        let shard = self.shard_index(key);
+        let index = self.shards[shard].write().unwrap().resolve(key);
+        SeriesSlot { shard: shard as u32, index }
     }
 
     /// Run `f` on `key`'s entry under its shard's write lock, creating the
-    /// entry on first use — the only time the key is cloned.
+    /// entry on first use.
     fn update(&self, key: &SeriesKey, f: impl FnOnce(&mut Entry)) {
         let mut shard = self.shard(key).write().unwrap();
-        let entry = match shard.get_mut(key) {
-            Some(entry) => entry,
-            None => shard.entry(key.clone()).or_default(),
-        };
-        f(entry)
+        let i = shard.resolve(key);
+        f(&mut shard.entries[i as usize])
+    }
+
+    /// Run `f` on `slot`'s entry under its shard's write lock.
+    fn update_at(&self, slot: SeriesSlot, f: impl FnOnce(&mut Entry)) {
+        let mut shard = self.shards[slot.shard as usize].write().unwrap();
+        f(&mut shard.entries[slot.index as usize])
     }
 
     /// Append one point to a series, creating the series if needed.
@@ -191,27 +265,36 @@ impl Store {
 
     /// Append many points to a series in one lock acquisition.
     pub fn write_batch(&self, key: &SeriesKey, points: &[Point]) {
-        if points.is_empty() {
-            return;
+        if !points.is_empty() {
+            self.update(key, |entry| self.append(entry, points));
         }
-        self.update(key, |entry| {
-            // Logged before applied; holding the shard lock across the
-            // enqueue keeps WAL order identical to apply order within a
-            // series.
-            if let Some(wal) = self.wal.get() {
-                wal.append_samples(key, &entry.series.wal_key_token, points);
-            }
-            for p in points {
-                entry.series.push(p.t, p.v);
-            }
-        });
+    }
+
+    /// [`Self::write_batch`] to the series `slot` names.
+    pub fn write_batch_at(&self, slot: SeriesSlot, points: &[Point]) {
+        if !points.is_empty() {
+            self.update_at(slot, |entry| self.append(entry, points));
+        }
+    }
+
+    /// The one write body, under the entry's shard lock.
+    fn append(&self, entry: &mut Entry, points: &[Point]) {
+        // Logged before applied; holding the shard lock across the enqueue
+        // keeps WAL order identical to apply order within a series.
+        if let Some(wal) = self.wal.get() {
+            wal.append_samples(&entry.key, &entry.series.wal_key_token, points);
+        }
+        for p in points {
+            entry.series.push(p.t, p.v);
+        }
+        entry.live = true;
     }
 
     /// Number of distinct series with points.
     pub fn series_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap().values().filter(|e| !e.series.is_empty()).count())
+            .map(|s| s.read().unwrap().live().filter(|e| !e.series.is_empty()).count())
             .sum()
     }
 
@@ -219,7 +302,7 @@ impl Store {
     pub fn point_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().unwrap().values().map(|e| e.series.len()).sum::<usize>())
+            .map(|s| s.read().unwrap().live().map(|e| e.series.len()).sum::<usize>())
             .sum()
     }
 
@@ -229,7 +312,8 @@ impl Store {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.read().unwrap();
-            for (key, entry) in shard.iter() {
+            for entry in shard.live() {
+                let key = &*entry.key;
                 if !entry.series.is_empty()
                     && key.measurement == measurement
                     && key.tags.matches(filter)
@@ -308,33 +392,44 @@ impl Store {
     /// independent of points: a series can be annotated before (or without)
     /// ever receiving data — a quarantined task writes gaps, not points.
     pub fn annotate(&self, key: &SeriesKey, from: i64, to: i64, flags: QualityFlags) {
+        self.update(key, |entry| self.mark(entry, from, to, flags));
+    }
+
+    /// [`Self::annotate`] on the series `slot` names.
+    pub fn annotate_at(&self, slot: SeriesSlot, from: i64, to: i64, flags: QualityFlags) {
+        self.update_at(slot, |entry| self.mark(entry, from, to, flags));
+    }
+
+    /// The one annotation body, under the entry's shard lock.
+    fn mark(&self, entry: &mut Entry, from: i64, to: i64, flags: QualityFlags) {
         if let Some(wal) = self.wal.get() {
-            wal.append(WalRecord::Annotate { key: key.clone(), from, to, flags });
+            wal.append(WalRecord::Annotate { key: SeriesKey::clone(&entry.key), from, to, flags });
         }
-        self.update(key, |entry| entry.quality.annotate(from, to, flags));
+        entry.quality.annotate(from, to, flags);
+        entry.live = true;
     }
 
     /// Attach quality flags to `[from, to)` of *every* series currently in
     /// the store (points or existing annotations). Used by self-healing
     /// replay to fence quarantined WAL ranges: corrupt frames are
     /// interleaved across series, so the whole window is suspect for all of
-    /// them. A journaled store logs the annotations in map order, not key
-    /// order; that replays to the same store because each names a different
-    /// series.
+    /// them. Series are annotated (and journaled) in sorted key order, like
+    /// the walk, so the log does not depend on the store's history.
     /// Returns the number of series annotated.
     pub fn annotate_all(&self, from: i64, to: i64, flags: QualityFlags) -> usize {
-        let mut annotated = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            for (key, entry) in shard.iter_mut() {
-                if let Some(wal) = self.wal.get() {
-                    wal.append(WalRecord::Annotate { key: key.clone(), from, to, flags });
-                }
-                entry.quality.annotate(from, to, flags);
-            }
-            annotated += shard.len();
+        let mut shards: Vec<_> = self.shards.iter().map(|s| s.write().unwrap()).collect();
+        let mut order: Vec<(usize, usize)> = Vec::new();
+        for (s, shard) in shards.iter().enumerate() {
+            let live = shard.entries.iter().enumerate().filter(|(_, e)| e.live);
+            order.extend(live.map(|(i, _)| (s, i)));
         }
-        annotated
+        order.sort_unstable_by(|&(sa, a), &(sb, b)| {
+            shards[sa].entries[a].key.cmp(&shards[sb].entries[b].key)
+        });
+        for &(s, i) in &order {
+            self.mark(&mut shards[s].entries[i], from, to, flags);
+        }
+        order.len()
     }
 
     /// All annotation windows of one series, `(from, to, flags)`.
@@ -389,16 +484,19 @@ impl Store {
         }
         let mut removed = 0;
         for shard in &self.shards {
-            shard.write().unwrap().retain(|_, entry| {
+            let mut shard = shard.write().unwrap();
+            for entry in shard.entries.iter_mut().filter(|e| e.live) {
                 removed += entry.series.trim_before(cutoff);
+                entry.quality.trim_before(cutoff);
                 if entry.series.is_empty() {
                     // A fresh series, so the key's next point registers a
-                    // new WAL key id as a first write does.
+                    // new WAL key id as a first write does. An entry left
+                    // with nothing is emptied in place, never removed: its
+                    // index may be a caller's slot.
                     entry.series = Series::default();
+                    entry.live = !entry.quality.windows().is_empty();
                 }
-                entry.quality.trim_before(cutoff);
-                !(entry.series.is_empty() && entry.quality.windows().is_empty())
-            });
+            }
         }
         removed
     }
@@ -426,10 +524,10 @@ impl Store {
     /// waiting writer). The first error `visit` returns ends the walk.
     fn walk<E>(&self, mut visit: impl FnMut(SeriesView<'_>) -> Result<(), E>) -> Result<(), E> {
         let shards: Vec<_> = self.shards.iter().map(|s| s.read().unwrap()).collect();
-        let mut views = Vec::with_capacity(shards.iter().map(|s| s.len()).sum());
-        for (key, entry) in shards.iter().flat_map(|s| s.iter()) {
+        let mut views = Vec::with_capacity(shards.iter().map(|s| s.entries.len()).sum());
+        for entry in shards.iter().flat_map(|s| s.live()) {
             let (ts, vs) = entry.series.cols();
-            views.push(SeriesView { key, ts, vs, windows: entry.quality.windows() });
+            views.push(SeriesView { key: &entry.key, ts, vs, windows: entry.quality.windows() });
         }
         views.sort_unstable_by(|a, b| a.key.cmp(b.key));
         views.into_iter().try_for_each(&mut visit)

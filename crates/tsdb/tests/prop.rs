@@ -3,7 +3,8 @@
 use manic_tsdb::segment::{self, SegmentWriter};
 use manic_tsdb::wal::{replay_dir_range, replay_segment_file_with};
 use manic_tsdb::{
-    Aggregate, FsyncPolicy, Point, Series, SeriesKey, Store, TagSet, Wal, WalPosition, WalRecord,
+    Aggregate, FsyncPolicy, Point, Series, SeriesKey, SeriesSlot, Store, TagSet, Wal, WalPosition,
+    WalRecord,
 };
 use manic_vfs::RealVfs;
 use proptest::prelude::*;
@@ -487,5 +488,145 @@ proptest! {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         prop_assert!(hashes.windows(2).all(|w| w[0] == w[1]));
+    }
+}
+
+/// One step of a slot-vs-key history: `(kind, key, t, v, len, flags)`;
+/// `key` indexes the case's key pool, and an odd `kind` goes through the
+/// slot where the op has a slot form.
+type SlotOp = (u8, usize, i64, f64, i64, u8);
+
+/// Everything a reader or the disk can see of a journaled store, WAL bytes
+/// included (read after the log is synced and closed).
+#[derive(Debug, PartialEq)]
+struct Observed {
+    hash: u64,
+    records: Vec<WalRecord>,
+    series: usize,
+    points: usize,
+    found: Vec<Vec<SeriesKey>>,
+    snapshot: Vec<u8>,
+    wal: Vec<Vec<u8>>,
+}
+
+fn observe(store: &Store, wal: Arc<Wal>, dir: &std::path::Path, keys: &[SeriesKey]) -> Observed {
+    wal.flush_and_sync().unwrap();
+    drop(wal);
+    let snap = scratch("slot-snap");
+    let mut w = SegmentWriter::create_with(&RealVfs, &snap).unwrap();
+    let hash = store.write_snapshot(&mut w).unwrap();
+    w.sync().unwrap();
+    drop(w);
+    let found = keys
+        .iter()
+        .flat_map(|key| {
+            [TagSet::new(), key.tags.clone()].map(|f| store.find_series(&key.measurement, &f))
+        })
+        .collect();
+    let observed = Observed {
+        hash: store.content_hash(),
+        records: store.dump_records(),
+        series: store.series_count(),
+        points: store.point_count(),
+        found,
+        snapshot: std::fs::read(&snap).unwrap(),
+        wal: segment::list_segments_with(&RealVfs, dir)
+            .unwrap()
+            .into_iter()
+            .map(|(_, path)| std::fs::read(path).unwrap())
+            .collect(),
+    };
+    assert_eq!(observed.hash, hash, "write_snapshot folded another hash");
+    std::fs::remove_file(&snap).unwrap();
+    observed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Writing and annotating through a `SeriesSlot` is writing and
+    /// annotating through its key. One op sequence — writes, batches,
+    /// annotations (empty windows included), retention cuts, `annotate_all`
+    /// — is applied to one journaled store by key and to another through a
+    /// random mix of slots and keys, with some slots resolved before the
+    /// first write, others mid-stream, and all of them kept across
+    /// retention. The two must agree on everything observable: content
+    /// hash, record dump, series and point counts, `find_series`,
+    /// snapshot bytes and WAL bytes. A slot resolved for a key nothing
+    /// writes must leave no trace.
+    #[test]
+    fn slot_writes_match_key_writes(
+        names in prop::collection::vec(("[a-z]{1,3}", "[a-z0-9 ,=\\\\.]{1,4}"), 1..7),
+        early in prop::collection::vec(any::<bool>(), 7..8),
+        ops in prop::collection::vec(
+            (0u8..24, 0usize..7, -50i64..2_000, -1e6f64..1e6, 0i64..600, 0u8..16),
+            1..80,
+        ),
+    ) {
+        let keys: Vec<SeriesKey> = names
+            .iter()
+            .map(|(m, v)| SeriesKey::new(m.clone(), TagSet::from_pairs([("link", v.clone())])))
+            .collect();
+        let open = |tag: &str| {
+            let dir = scratch(tag);
+            let wal = Wal::open_with(&dir, FsyncPolicy::Never, 1 << 30, manic_vfs::real()).unwrap();
+            let wal = Arc::new(wal);
+            let store = Store::with_shards(4);
+            store.attach_wal(Arc::clone(&wal));
+            (store, wal, dir)
+        };
+        let (by_key, key_wal, key_dir) = open("slot-ref");
+        let (by_slot, slot_wal, slot_dir) = open("slot");
+        // Slots resolved up front, one of them for a key the ops may never
+        // touch; the rest are resolved at their key's first use.
+        let mut slots: Vec<Option<SeriesSlot>> = keys
+            .iter()
+            .zip(&early)
+            .map(|(key, &early)| early.then(|| by_slot.slot(key)))
+            .collect();
+        let ops: &[SlotOp] = &ops;
+        for &(kind, k, t, v, len, flags) in ops {
+            let (kind, via_slot) = (kind / 2, kind % 2 == 1);
+            let k = k % keys.len();
+            let key = &keys[k];
+            let slot = *slots[k].get_or_insert_with(|| by_slot.slot(key));
+            prop_assert_eq!(by_slot.slot(key), slot, "a slot moved");
+            let batch = [Point::new(t, v), Point::new(t - 7, -v), Point::new(t + len, v)];
+            let points: &[Point] = match kind {
+                0..=3 => &batch[..1],
+                4..=5 => &batch,
+                _ => &[],
+            };
+            match kind {
+                0..=6 => {
+                    by_key.write_batch(key, points);
+                    if via_slot {
+                        by_slot.write_batch_at(slot, points);
+                    } else {
+                        by_slot.write_batch(key, points);
+                    }
+                }
+                7..=8 => {
+                    by_key.annotate(key, t, t + len, flags);
+                    if via_slot {
+                        by_slot.annotate_at(slot, t, t + len, flags);
+                    } else {
+                        by_slot.annotate(key, t, t + len, flags);
+                    }
+                }
+                9..=10 => {
+                    prop_assert_eq!(by_key.retain_from(t), by_slot.retain_from(t));
+                }
+                _ => {
+                    let n = by_key.annotate_all(t, t + len, flags);
+                    prop_assert_eq!(n, by_slot.annotate_all(t, t + len, flags));
+                }
+            }
+        }
+        let want = observe(&by_key, key_wal, &key_dir, &keys);
+        let got = observe(&by_slot, slot_wal, &slot_dir, &keys);
+        prop_assert_eq!(got, want);
+        std::fs::remove_dir_all(&key_dir).unwrap();
+        std::fs::remove_dir_all(&slot_dir).unwrap();
     }
 }

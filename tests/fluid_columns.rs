@@ -5,16 +5,16 @@
 //! columns in route order. [`ref_synthesize_task`] below is the per-bin
 //! body it replaced, kept verbatim: it calls `ProbePath::rtt_and_prob` for
 //! every (end, path, bin). The two must agree bit for bit on random worlds
-//! (`crates/netsim/tests/path_oracle.rs`) whose links carry random diurnal
-//! demand and whose routers are sometimes flaky responders, with and
-//! without injected faults, at 300 s and 900 s bins over windows that start
-//! off midnight, mostly cross a month boundary and end inside a column
-//! chunk. A second property holds each load model's batched
+//! (`crates/netsim/tests/support/path_reference.rs`) whose links carry
+//! random diurnal demand and whose routers are sometimes flaky responders,
+//! with and without injected faults, at 300 s and 900 s bins over windows
+//! that start off midnight, mostly cross a month boundary and end inside a
+//! column chunk. A second property holds each load model's batched
 //! `utilization_into` to its pointwise `utilization`. The engine reads each
 //! fault query once per run of bins up to `FaultSchedule::stable_until`; a
 //! third property holds that bound to the queries second by second.
 
-#[path = "../crates/netsim/tests/path_oracle.rs"]
+#[path = "../crates/netsim/tests/support/path_reference.rs"]
 mod reference;
 
 use manic_netsim::noise::{self, BinColumn};

@@ -1,12 +1,14 @@
 //! Tier-1 home of the probe-path oracle.
 //!
-//! `crates/netsim/tests/path_oracle.rs` holds the hop-by-hop reference for
-//! `Network::send_probe` and the properties that compare the two; including
-//! it here makes `cargo test -q` at the root run them. On top of it, the
-//! probing drivers are checked at a routing-epoch edge: a TSLP round whose
-//! send slots straddle `add_epoch`, and a traceroute repeated across it,
-//! must report what the reference reports — the resolved forward path and
-//! the reply sink tree both have to notice the epoch change mid-stream.
+//! `crates/netsim/tests/path_oracle.rs` holds the properties that compare
+//! `Network::send_probe` to the hop-by-hop reference (which lives in
+//! `crates/netsim/tests/support/path_reference.rs` and is re-exported
+//! there); including it here makes `cargo test -q` at the root run them.
+//! On top of it, the probing drivers are checked at a routing-epoch edge:
+//! a TSLP round whose send slots straddle `add_epoch`, and a traceroute
+//! repeated across it, must report what the reference reports — the
+//! resolved forward path and the reply sink tree both have to notice the
+//! epoch change mid-stream.
 //! The fluid fast path's `probe_path` and the record-route option must
 //! route a probe as the reference does too, on worlds whose replies cross
 //! ECMP groups.

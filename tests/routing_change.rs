@@ -7,14 +7,40 @@
 //! from the direct peering to transit mid-run and checks that (a) the stale
 //! probing state detects the visibility loss (responses from unexpected
 //! interfaces), and (b) the next bdrmap cycle repairs the probing set.
+//! Whichever way a task set is installed — a bdrmap cycle or a checkpoint
+//! resume — the store slots the next commit writes through must follow it.
 
-use manic_core::{System, SystemConfig};
+use manic_core::checkpoint::world_by_name;
+use manic_core::{resume, DurabilityConfig, Durable, System, SystemConfig};
 use manic_netsim::time::{date_to_sim, month_start, Date, SimTime, SECS_PER_DAY};
 use manic_netsim::{Fib, RouterId};
-use manic_probing::tslp::ROUND_SECS;
+use manic_probing::tslp::{End, ROUND_SECS};
 use manic_scenario::worlds::{toy, toy_asns};
+use manic_tsdb::Point;
 use manic_worldgen::{build_world_full, STUDY_MONTHS};
 use std::sync::OnceLock;
+
+/// Route flap at `at`: ACME withdraws the CDNCO peering routes, so traffic
+/// to CDNCO shifts to transit. The new epoch clones the FIBs in force at
+/// `base` and repoints CDNCO's block at every ACME backbone router the way
+/// that router already reaches TRANSITCO.
+fn withdraw_cdnco_peering(sys: &mut System, base: SimTime, at: SimTime) {
+    let cdnco_block = sys.world.addressing.of(toy_asns::CDNCO).block;
+    let transitco_block = sys.world.addressing.of(toy_asns::TRANSITCO).block;
+    let n_routers = sys.world.net.topo.routers.len();
+    let mut fibs: Vec<Fib> = (0..n_routers)
+        .map(|r| sys.world.net.fib(RouterId(r as u32), base).clone())
+        .collect();
+    for (r, fib) in fibs.iter_mut().enumerate() {
+        if sys.world.net.topo.router(RouterId(r as u32)).asn != toy_asns::ACME {
+            continue;
+        }
+        if let Some(via) = fib.lookup(transitco_block.addr()).map(|g| g.to_vec()) {
+            fib.insert(cdnco_block, via);
+        }
+    }
+    sys.world.net.add_epoch(at, fibs);
+}
 
 #[test]
 fn route_flap_detected_and_probing_state_repaired() {
@@ -40,27 +66,9 @@ fn route_flap_detected_and_probing_state_repaired() {
     assert!(samples.iter().all(|(_, s)| !s.mismatched));
     assert!(samples.iter().filter(|(_, s)| s.rtt_ms.is_some()).count() * 10 >= samples.len() * 9);
 
-    // Route flap at t1: ACME withdraws the CDNCO peering routes — traffic to
-    // CDNCO shifts to transit. Build the new epoch by cloning current FIBs
-    // and repointing CDNCO's block at every ACME backbone router.
+    // Route flap at t1: traffic to CDNCO shifts to transit.
     let t1 = t0 + SECS_PER_DAY;
-    let cdnco_block = sys.world.addressing.of(toy_asns::CDNCO).block;
-    let transitco_block = sys.world.addressing.of(toy_asns::TRANSITCO).block;
-    let n_routers = sys.world.net.topo.routers.len();
-    let mut fibs: Vec<Fib> = (0..n_routers)
-        .map(|r| sys.world.net.fib(RouterId(r as u32), t0).clone())
-        .collect();
-    for (r, fib) in fibs.iter_mut().enumerate() {
-        let router = sys.world.net.topo.router(RouterId(r as u32));
-        if router.asn != toy_asns::ACME {
-            continue;
-        }
-        // Reroute CDNCO the way this router already reaches TRANSITCO.
-        if let Some(via) = fib.lookup(transitco_block.addr()).map(|g| g.to_vec()) {
-            fib.insert(cdnco_block, via);
-        }
-    }
-    sys.world.net.add_epoch(t1, fibs);
+    withdraw_cdnco_peering(&mut sys, t0, t1);
 
     // Stale probing state now sees mismatched responders on the old link.
     let samples = {
@@ -118,23 +126,9 @@ fn reactive_update_repairs_within_minutes() {
     };
     assert!(sys.vps[0].tslp.tasks.iter().any(|t| t.far_ip == gt_far));
 
-    // Withdraw the peering (same construction as above).
+    // Withdraw the peering.
     let t1 = t0 + 3600;
-    let cdnco_block = sys.world.addressing.of(toy_asns::CDNCO).block;
-    let transitco_block = sys.world.addressing.of(toy_asns::TRANSITCO).block;
-    let n_routers = sys.world.net.topo.routers.len();
-    let mut fibs: Vec<Fib> = (0..n_routers)
-        .map(|r| sys.world.net.fib(RouterId(r as u32), t0).clone())
-        .collect();
-    for (r, fib) in fibs.iter_mut().enumerate() {
-        if sys.world.net.topo.router(RouterId(r as u32)).asn != toy_asns::ACME {
-            continue;
-        }
-        if let Some(via) = fib.lookup(transitco_block.addr()).map(|g| g.to_vec()) {
-            fib.insert(cdnco_block, via);
-        }
-    }
-    sys.world.net.add_epoch(t1, fibs);
+    withdraw_cdnco_peering(&mut sys, t0, t1);
 
     // One hour of packet mode after the flap: 12 rounds, far easier than
     // the 2-day scheduled cadence. The third dark round must have triggered
@@ -148,6 +142,68 @@ fn reactive_update_repairs_within_minutes() {
         sys.vps[0].last_cycle.unwrap() >= t1,
         "a fresh cycle ran after the flap"
     );
+}
+
+/// Every task's store slot names the series `TslpProber::key` names: one
+/// sentinel point per (VP, task, end), written at `at` through the slot,
+/// reads back alone through the key. `at` must be a time nothing else was
+/// written at; two slots sharing a series would read back two points.
+fn assert_slots_follow_keys(sys: &System, at: SimTime) {
+    let mut n = 0;
+    for vp in &sys.vps {
+        for ti in 0..vp.tslp.tasks.len() {
+            for end in [End::Near, End::Far] {
+                let point = Point::new(at, n as f64);
+                n += 1;
+                sys.store.write_batch_at(vp.slot(ti, end), &[point]);
+                assert_eq!(
+                    sys.store.query(vp.tslp.key(ti, end), at, at + 1),
+                    vec![point],
+                    "{} task {ti} {end:?}: slot and key name different series",
+                    vp.handle.name
+                );
+            }
+        }
+    }
+    assert!(n > 0, "no task to check");
+}
+
+#[test]
+fn slot_table_follows_the_task_set() {
+    // Each round's commit writes through the slot table the task set
+    // installed last — here by a bdrmap cycle that changes the targets.
+    let mut sys = System::new(toy(3), SystemConfig::default());
+    let t0 = date_to_sim(Date::new(2016, 5, 2));
+    sys.run_bdrmap_cycle(0, t0);
+    sys.run_packet_mode(t0, t0 + ROUND_SECS);
+    assert_slots_follow_keys(&sys, -1);
+    let links = |sys: &System| -> Vec<_> {
+        sys.vps[0].tslp.tasks.iter().map(|t| (t.near_ip, t.far_ip)).collect()
+    };
+    let before = links(&sys);
+    withdraw_cdnco_peering(&mut sys, t0, t0 + SECS_PER_DAY);
+    let t1 = t0 + 2 * SECS_PER_DAY;
+    sys.run_bdrmap_cycle(0, t1);
+    assert_ne!(links(&sys), before, "the cycle after the flap changed the targets");
+    sys.run_packet_mode(t1, t1 + ROUND_SECS);
+    assert_slots_follow_keys(&sys, -2);
+
+    // A checkpoint resume installs its task sets through `set_tasks`, and
+    // the store is rebuilt from the snapshot under them.
+    let dir = std::env::temp_dir().join(format!("manic-slot-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (from, to) = (t0, t0 + 3600);
+    let dcfg = DurabilityConfig { checkpoint_every_rounds: 3, ..DurabilityConfig::default() };
+    let mut sys = System::new(world_by_name("toy", 3).unwrap(), SystemConfig::default());
+    let mut durable = Durable::create(&sys, "toy", 3, &dir, from, to, dcfg).unwrap();
+    durable.run_window(&mut sys, from + 6 * ROUND_SECS, &|| false).unwrap();
+    drop((durable, sys));
+    let (mut resumed, mut durable, info) = resume(&dir, None).unwrap();
+    assert!(info.store_hash_ok);
+    let at = durable.resume_t();
+    durable.run_window(&mut resumed, at + ROUND_SECS, &|| false).unwrap();
+    assert_slots_follow_keys(&resumed, -3);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// What the two oracles below read from one seed's window.
