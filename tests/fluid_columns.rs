@@ -1,18 +1,25 @@
-//! The fluid fast path's column engine against the per-bin walk it replaced.
+//! The fluid fast path's column engine against the per-bin walks it
+//! replaced.
 //!
-//! `TslpProber::synthesize_window` evaluates each (link, direction) a VP's
-//! paths cross once per bin into a column and folds every path from its
-//! columns in route order. [`ref_synthesize_task`] below is the per-bin
-//! body it replaced, kept verbatim: it calls `ProbePath::rtt_and_prob` for
-//! every (end, path, bin). The two must agree bit for bit on random worlds
+//! One engine evaluates each (link, direction) a VP's paths cross once per
+//! bin into a column and folds every path from its columns in route order;
+//! TSLP synthesis (`TslpProber::synthesize_window`) and loss synthesis
+//! (`LossProber::synthesize_window`) each reduce its fold. The references
+//! below are the bodies they replaced, kept verbatim: [`ref_rtt_and_prob`]
+//! is the model of one path at one instant that `ProbePath::rtt_and_prob`
+//! was, [`ref_synthesize_task`] calls it for every (end, path, bin) and
+//! [`ref_loss_window`] for every (target, window, end). Engine and
+//! references must agree bit for bit on random worlds
 //! (`crates/netsim/tests/support/path_reference.rs`) whose links carry
 //! random diurnal demand and whose routers are sometimes flaky responders,
-//! with and without injected faults, at 300 s and 900 s bins over windows
-//! that start off midnight, mostly cross a month boundary and end inside a
-//! column chunk. A second property holds each load model's batched
-//! `utilization_into` to its pointwise `utilization`. The engine reads each
-//! fault query once per run of bins up to `FaultSchedule::stable_until`; a
-//! third property holds that bound to the queries second by second.
+//! with and without injected faults, over windows that start off midnight
+//! and mostly cross a month boundary: TSLP at 300 s and 900 s bins over
+//! windows that end inside a column chunk or past it, loss over windows
+//! that always cross one. A further property holds each load model's
+//! batched `utilization_into` to its pointwise `utilization`. The engine
+//! reads each fault query once per run of bins up to
+//! `FaultSchedule::stable_until`; a last property holds that bound to the
+//! queries second by second.
 
 #[path = "../crates/netsim/tests/support/path_reference.rs"]
 mod reference;
@@ -23,13 +30,63 @@ use manic_netsim::traffic::{ConstantLoad, DiurnalDemand, LoadModel, MonthScale};
 use manic_netsim::{
     FaultEvent, FaultKind, FaultSchedule, FaultScope, IfaceId, LinkId, Network, RouterId,
 };
+use manic_probing::loss::{LossSample, LossTarget, PROBES_PER_SEC, WINDOW_SECS};
 use manic_probing::tslp::{
     synthesize_task, End, TaskSeries, TslpDest, TslpProber, TslpTask, ROUND_SECS,
 };
-use manic_probing::{probe_path, ProbePath, VpHandle};
+use manic_probing::{probe_path, LossProber, ProbePath, VpHandle};
 use proptest::prelude::*;
-use reference::{random_world, Rng, START};
+use reference::{random_world, RandomWorld, Rng, START};
 use std::sync::Arc;
+
+/// The responder's contribution to delivery probability, as
+/// `ProbePath::responder_prob` computes it: ICMP profile behaviour plus
+/// injected faults (silence, reboot blackout, renumbering).
+fn ref_responder_prob(pp: &ProbePath, net: &Network, t: SimTime, offered_pps: f64) -> f64 {
+    let (responder, addr) = (pp.route.responder, pp.route.responder_addr);
+    if net.fault.icmp_suppressed(responder, t)
+        || net.fault.silent_addr(&net.topo, addr, t)
+        || net.fault.renumbered(&net.topo, addr, t) != addr
+    {
+        return 0.0;
+    }
+    let prof = &net.topo.router(responder).icmp;
+    let mut p = 1.0 - prof.unresponsive_prob;
+    if let Some(flaky) = prof.flaky {
+        if flaky.is_flaky_now(net.seed, responder.0 as u64, t) {
+            p *= 1.0 - flaky.drop_prob;
+        }
+    }
+    if let Some((limit, _)) = net.icmp_rate_limit(responder, t) {
+        if offered_pps > limit {
+            p *= limit / offered_pps;
+        }
+    }
+    p
+}
+
+/// The fluid model of a probe sent at `t`, in one pass over the path — the
+/// body of the former `ProbePath::rtt_and_prob`:
+///
+/// * the minimum RTT it could observe: baseline plus the standing queue
+///   delay on every link crossed in either direction;
+/// * the probability that it yields a response: per-link delivery on
+///   both path legs times the responder's steady-state ICMP response
+///   probability under `offered_pps` probes per second directed at it.
+fn ref_rtt_and_prob(pp: &ProbePath, net: &Network, t: SimTime, offered_pps: f64) -> (f64, f64) {
+    let mut rtt = pp.base_ms + net.fault.clock_skew_ms(pp.src, t);
+    let mut p = 1.0;
+    for &(l, d) in pp.route.forward.iter().chain(&pp.route.reply) {
+        let s = net.link_state(l, d, t);
+        rtt += s.queue_ms;
+        if net.fault.link_blocked(&net.topo, l, t) {
+            p = 0.0;
+        } else {
+            p *= (1.0 - s.loss - net.fault.extra_loss(l, t)).max(0.0);
+        }
+    }
+    (rtt, p * ref_responder_prob(pp, net, t, offered_pps))
+}
 
 /// The per-bin synthesis the column engine replaced, verbatim but for its
 /// metrics counter.
@@ -73,7 +130,7 @@ fn ref_synthesize_task(
             let mut any_path = false;
             for (_, pp, mult) in paths.iter().filter(|(e, _, _)| *e == end) {
                 any_path = true;
-                let (rtt, p) = pp.rtt_and_prob(net, t_mid, 1.0 / ROUND_SECS as f64);
+                let (rtt, p) = ref_rtt_and_prob(pp, net, t_mid, 1.0 / ROUND_SECS as f64);
                 miss_prob *= (1.0 - p).powi(probes_per_bin * mult);
                 best = Some(best.map_or(rtt, |x: f64| x.min(rtt)));
             }
@@ -100,6 +157,58 @@ fn ref_synthesize_task(
     }
 }
 
+/// The per-window loss synthesis the column engine replaced, verbatim:
+/// `LossProber::synthesize_window` for `targets` probed from `vp`.
+fn ref_loss_window(
+    net: &Network,
+    vp: &VpHandle,
+    targets: &[LossTarget],
+    from: SimTime,
+    to: SimTime,
+) -> Vec<(usize, Vec<LossSample>)> {
+    let mut out = Vec::new();
+    for (ti, tgt) in targets.iter().enumerate() {
+        let mut paths: Vec<(End, ProbePath)> = Vec::new();
+        for (end, ttl, expect) in [
+            (End::Near, tgt.near_ttl, tgt.near_ip),
+            (End::Far, tgt.far_ttl, tgt.far_ip),
+        ] {
+            let pp = probe_path(net, vp, tgt.dst, ttl, tgt.flow_id, from);
+            if let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) {
+                paths.push((end, pp));
+            }
+        }
+        let mut samples = Vec::new();
+        let n = (WINDOW_SECS * PROBES_PER_SEC as i64) as f64;
+        let mut w = from;
+        while w < to {
+            let t_mid = w + WINDOW_SECS / 2;
+            for (end, pp) in &paths {
+                let (_, p) = ref_rtt_and_prob(pp, net, t_mid, PROBES_PER_SEC as f64);
+                let p_loss = 1.0 - p;
+                let stream = ((tgt.far_ip.0 as u64) << 2)
+                    | matches!(end, End::Far) as u64
+                    | ((ti as u64) << 40);
+                let g = noise::gaussian(net.seed ^ 0x0010_55AA, stream, w as u64);
+                let lost =
+                    (n * p_loss + (n * p_loss * (1.0 - p_loss)).sqrt() * g).round().clamp(0.0, n);
+                samples.push((
+                    *end,
+                    LossSample {
+                        window_start: w,
+                        end: *end,
+                        sent: n as u32,
+                        lost: lost as u32,
+                    },
+                ));
+            }
+            w += WINDOW_SECS;
+        }
+        out.push((ti, samples.into_iter().map(|(_, s)| s).collect()));
+    }
+    out
+}
+
 /// A diurnal demand that often crosses the queue model's onset, in a
 /// timezone from −12 to +14, with a monthly scale that changes on
 /// `month`'s first day and one of several weekend factors.
@@ -121,7 +230,7 @@ fn random_demand(rng: &mut Rng, month: u32) -> DiurnalDemand {
 /// and far responders of one (destination, TTL) at `from`, and takes one
 /// or two more destinations, which may repeat it (a shared route) or
 /// answer from elsewhere (filtered out).
-fn random_tasks(world: &reference::RandomWorld, rng: &mut Rng, from: SimTime) -> Vec<TslpTask> {
+fn random_tasks(world: &RandomWorld, rng: &mut Rng, from: SimTime) -> Vec<TslpTask> {
     let vp = VpHandle { name: "vp".into(), router: world.vp, addr: world.vp_addr };
     let mut tasks = Vec::new();
     for _ in 0..6 {
@@ -153,19 +262,21 @@ fn bits(v: &[Option<f64>]) -> Vec<Option<u64>> {
     v.iter().map(|x| x.map(f64::to_bits)).collect()
 }
 
-/// What one case covered: bins with a sample and bins without one.
+/// What one case covered: bins with a sample and bins without one (for
+/// loss, windows that lost no probe and windows that lost some).
 #[derive(Default)]
 struct Seen {
     answered: usize,
     lost: usize,
 }
 
-/// One case: a random world with random demand on most link directions
-/// and, at `chaos > 0`, a fault schedule over the whole window; the window
-/// opens off midnight one to three days before a month boundary and runs
-/// up to ten days, so it ends inside the first 7-day column chunk or the
-/// second.
-fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
+/// One case's world: a random world with random demand on most link
+/// directions and, at `chaos > 0`, a fault schedule over the whole window.
+/// The window opens off midnight one to three days before a month boundary
+/// and runs from `min_secs` up to ten days, so it ends inside the first
+/// 7-day column chunk or the second. Returns the world, the window and the
+/// case's generator, from which the probes are drawn.
+fn case(seed: u64, chaos: f64, min_secs: i64) -> (RandomWorld, SimTime, SimTime, Rng) {
     let mut world = random_world(seed, 8, 0.0);
     let mut rng = Rng(seed ^ 0xC01);
     let month = 1 + rng.below(22) as u32;
@@ -179,7 +290,7 @@ fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
     }
     let from = month_start(month) - SECS_PER_DAY * (1 + rng.below(3) as i64)
         - rng.below(SECS_PER_DAY as usize) as i64;
-    let to = from + 1 + rng.below(10 * SECS_PER_DAY as usize) as i64;
+    let to = from + min_secs + rng.below((10 * SECS_PER_DAY - min_secs + 1) as usize) as i64;
     world.net.fault =
         FaultSchedule::chaos(rng.draw(), chaos, &world.net.topo, &[world.vp], from, to);
     if chaos > 0.0 {
@@ -189,7 +300,22 @@ fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
         let until = start + 1 + rng.below(SECS_PER_DAY as usize) as i64;
         let skew = FaultKind::ClockSkew { ms: 0.5 + 2.5 * rng.unit() };
         world.net.fault.push(FaultEvent::window(skew, FaultScope::Router(world.vp), start, until));
+        // Chaos limits ICMP to 5 pps or more, which neither prober's offered
+        // rate reaches; a limit from 0.001 to 1 pps shows which rate the
+        // responder is read at (loss offers 1 pps, TSLP one per round).
+        let router = RouterId(1 + rng.below(world.net.topo.routers.len() - 1) as u32);
+        let start = from + rng.below((to - from) as usize) as i64;
+        let until = start + 1 + rng.below(2 * SECS_PER_DAY as usize) as i64;
+        let limit = FaultKind::IcmpRateLimit { pps: 10f64.powf(-3.0 + 3.0 * rng.unit()), burst: 1.0 };
+        world.net.fault.push(FaultEvent::window(limit, FaultScope::Router(router), start, until));
     }
+    (world, from, to, rng)
+}
+
+/// One TSLP case: up to six tasks on a [`case`] world, synthesized at
+/// `bin_secs` by the column engine and by the per-bin walk.
+fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
+    let (world, from, to, mut rng) = case(seed, chaos, 1);
     let tasks = random_tasks(&world, &mut rng, from);
     let vp = VpHandle { name: "vp".into(), router: world.vp, addr: world.vp_addr };
     let mut prober = TslpProber::new(vp.clone(), from);
@@ -209,6 +335,47 @@ fn check(seed: u64, chaos: f64, bin_secs: i64) -> Result<Seen, String> {
             seen.answered += s.iter().flatten().count();
             seen.lost += s.iter().filter(|x| x.is_none()).count();
         }
+    }
+    Ok(seen)
+}
+
+/// One loss case: a target per task of [`random_tasks`] on a [`case`]
+/// world whose window crosses a column chunk, through one of the task's
+/// destinations (the first answers from both ends; another may answer
+/// from elsewhere, which leaves an end unprobed), synthesized by
+/// `LossProber` and by the per-window walk.
+fn check_loss(seed: u64, chaos: f64) -> Result<Seen, String> {
+    let (world, from, to, mut rng) = case(seed, chaos, 7 * SECS_PER_DAY + 1);
+    let targets: Vec<LossTarget> = random_tasks(&world, &mut rng, from)
+        .into_iter()
+        .map(|task| {
+            let dest = task.dests[if rng.chance(0.7) { 0 } else { rng.below(task.dests.len()) }];
+            LossTarget {
+                near_ip: task.near_ip,
+                far_ip: task.far_ip,
+                dst: dest.dst,
+                near_ttl: dest.near_ttl,
+                far_ttl: dest.far_ttl,
+                flow_id: task.flow_id,
+            }
+        })
+        .collect();
+    let vp = VpHandle { name: "vp".into(), router: world.vp, addr: world.vp_addr };
+    let mut prober = LossProber::new(vp.clone(), from);
+    prober.set_targets(targets.clone());
+    let got = prober.synthesize_window(&world.net, from, to);
+    let want = ref_loss_window(&world.net, &vp, &targets, from, to);
+    let fields = |s: &LossSample| (s.window_start, s.end, s.sent, s.lost);
+    if got.len() != want.len() {
+        return Err(format!("{} targets synthesized, {} expected", got.len(), want.len()));
+    }
+    let mut seen = Seen::default();
+    for ((gi, g), (wi, w)) in got.iter().zip(&want) {
+        if gi != wi || g.iter().map(fields).ne(w.iter().map(fields)) {
+            return Err(format!("target {wi} {:?}: loss engine differs from the per-window walk", targets[*wi]));
+        }
+        seen.answered += w.iter().filter(|s| s.lost == 0).count();
+        seen.lost += w.iter().filter(|s| s.lost > 0).count();
     }
     Ok(seen)
 }
@@ -317,6 +484,14 @@ proptest! {
         prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
     }
 
+    /// `LossProber::synthesize_window` equals the per-window
+    /// `rtt_and_prob` walk it replaced, sample for sample, faulted or not.
+    #[test]
+    fn loss_engine_matches_per_window_walk(seed in any::<u64>(), chaos in 0usize..3) {
+        let outcome = check_loss(seed, [0.0, 0.5, 1.0][chaos]);
+        prop_assert!(outcome.is_ok(), "{}", outcome.err().unwrap_or_default());
+    }
+
     /// `utilization_into` is `utilization` at every step, bit for bit: at
     /// steps that divide a day into at most one slot per noise bin (the
     /// batched walk, which reads the column's noise terms, also where a
@@ -366,16 +541,22 @@ fn empty_schedule_is_stable_forever() {
 }
 
 /// The generated cases are not vacuous: both fault-free and faulted worlds
-/// yield sampled bins and bins without a sample.
+/// yield sampled bins and bins without a sample, and the loss cases yield
+/// windows that lost probes and windows that lost none.
 #[test]
 fn oracle_cases_sample_and_lose() {
+    let mut loss = Seen::default();
     for chaos in [0.0, 1.0] {
         let mut seen = Seen::default();
         for seed in 0..6 {
             let s = check(seed, chaos, 900).unwrap();
             seen.answered += s.answered;
             seen.lost += s.lost;
+            let s = check_loss(seed, chaos).unwrap();
+            loss.answered += s.answered;
+            loss.lost += s.lost;
         }
         assert!(seen.answered > 1000 && seen.lost > 20, "chaos {chaos}: {} answered, {} lost", seen.answered, seen.lost);
     }
+    assert!(loss.answered > 1000 && loss.lost > 1000, "loss windows: {} clean, {} lossy", loss.answered, loss.lost);
 }
