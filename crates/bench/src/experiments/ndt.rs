@@ -14,6 +14,7 @@ use manic_analysis::study::is_congested_at;
 use manic_core::{run_longitudinal, LinkDays, LongitudinalConfig, System, SystemConfig};
 use manic_netsim::time::{format_sim, local_hour, SimTime};
 use manic_netsim::{LinkId, Network};
+use manic_probing::tslp::{synthesize_task, TslpTask};
 use manic_probing::VpHandle;
 use manic_scenario::compile::metro_info;
 use manic_scenario::worlds::{us_asns, us_broadband};
@@ -184,22 +185,19 @@ pub fn run_fig6() -> String {
         .tasks
         .iter()
         .find(|t| t.far_ip == record.far_ip)
-        .expect("tslp task")
-        .clone();
-    let dest = task.dests[0];
-    let pp = manic_probing::probe_path(&world.net, &vp, dest.dst, dest.far_ttl, task.flow_id, at(2017, 12, 7))
-        .expect("path");
+        .expect("tslp task");
 
     let from = at(2017, 12, 7);
     let to = at(2017, 12, 12);
+    // The task's first destination, in half-hour bins centred on the rows.
+    let one = TslpTask { dests: vec![task.dests[0]], ..task.clone() };
+    let far = synthesize_task(&world.net, &vp, &one, from - 900, to - 900, 1800).far;
     let mut out = String::from(
         "Figure 6 — TSLP far-end latency and NDT download throughput,\nComcast-Tata Link 1, Dec 7-11 2017. '#' marks inferred congestion.\n\n",
     );
     let _ = writeln!(out, "{:<18} {:>9} {:>10}  cong", "UTC time", "far ms", "down Mbps");
     let tests = test_times(from, to, tz);
-    let mut t = from;
-    while t < to {
-        let (rtt, _) = pp.rtt_and_prob(&world.net, t, 1.0);
+    for (t, rtt) in (from..).step_by(1800).zip(far) {
         // The NDT sample nearest this half-hour, if any.
         let ndt = tests
             .iter()
@@ -209,13 +207,12 @@ pub fn run_fig6() -> String {
             .next();
         let _ = writeln!(
             out,
-            "{:<18} {:>9.2} {:>10}  {}",
+            "{:<18} {:>9} {:>10}  {}",
             format_sim(t),
-            rtt,
+            rtt.map(|v| format!("{v:.2}")).unwrap_or_else(|| "-".into()),
             ndt.map(|v| format!("{v:.1}")).unwrap_or_else(|| "-".into()),
             if is_congested_at(record, t) { "#" } else { "" }
         );
-        t += 1800;
     }
     out
 }

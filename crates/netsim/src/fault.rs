@@ -15,7 +15,7 @@
 //! list, t)`, which keeps the fluid fast path valid (the same bin queried
 //! twice sees the same faults). `Network` consumes it in packet mode
 //! (`cross`, `icmp_generate`, `send_probe`) and the probing layer consumes it
-//! in fluid mode (`ProbePath::rtt_and_prob` and the TSLP column engine);
+//! in fluid mode (the column engine behind TSLP and loss synthesis);
 //! the measurement control loop polls [`FaultSchedule::vp_retired`] for
 //! host churn. Every query is piecewise constant in time:
 //! [`FaultSchedule::stable_until`] gives the first instant at which any

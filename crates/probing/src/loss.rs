@@ -7,9 +7,9 @@
 //! providers (or to a static list of large T&CPs) that showed congestion in
 //! a previous week are probed.
 
-use crate::path::{probe_path, ProbePath, VpHandle};
+use crate::path::VpHandle;
 use crate::scheduler::RateBudget;
-use crate::tslp::End;
+use crate::tslp::{bin_count, fold_paths, End, TslpDest, TslpTask};
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::{Ipv4, Network, ProbeSpec, ProbeStatus, SimState};
@@ -135,55 +135,40 @@ impl LossProber {
     }
 
     /// Fluid fast path: synthesize per-window loss rates over `[from, to)`
-    /// without per-probe work. Sampling noise is injected with a normal
-    /// approximation to the binomial.
+    /// without per-probe work. Each target is a one-destination task of the
+    /// TSLP column engine and each window a bin of one probe per path, so
+    /// the fold's miss probability is a probe's loss probability. Sampling
+    /// noise is injected with a normal approximation to the binomial.
     pub fn synthesize_window(
         &self,
         net: &Network,
         from: SimTime,
         to: SimTime,
     ) -> Vec<(usize, Vec<LossSample>)> {
-        let mut out = Vec::new();
-        for (ti, tgt) in self.targets.iter().enumerate() {
-            let mut paths: Vec<(End, ProbePath)> = Vec::new();
-            for (end, ttl, expect) in [
-                (End::Near, tgt.near_ttl, tgt.near_ip),
-                (End::Far, tgt.far_ttl, tgt.far_ip),
-            ] {
-                let pp = probe_path(net, &self.vp, tgt.dst, ttl, tgt.flow_id, from);
-                if let Some(pp) = pp.filter(|p| p.route.responder_addr == expect) {
-                    paths.push((end, pp));
-                }
+        let task = |t: &LossTarget| {
+            let dests = vec![TslpDest { dst: t.dst, near_ttl: t.near_ttl, far_ttl: t.far_ttl }];
+            TslpTask { near_ip: t.near_ip, far_ip: t.far_ip, dests, flow_id: t.flow_id }
+        };
+        let tasks: Vec<TslpTask> = self.targets.iter().map(task).collect();
+        // A window that ends before it starts holds no sample.
+        let to = to.max(from);
+        // Per target, one slot per (window, end): near before far.
+        let mut slots = vec![vec![None; 2 * bin_count(from, to, WINDOW_SECS)]; tasks.len()];
+        let (n, pps) = ((WINDOW_SECS * PROBES_PER_SEC as i64) as f64, PROBES_PER_SEC as f64);
+        fold_paths(net, &self.vp, &tasks, from, to, WINDOW_SECS, pps, 1, |ti, end, bins, _, miss| {
+            let stream = ((tasks[ti].far_ip.0 as u64) << 2)
+                | matches!(end, End::Far) as u64
+                | ((ti as u64) << 40);
+            for (b, &p_loss) in bins.zip(miss) {
+                let w = from + b as i64 * WINDOW_SECS;
+                let g = noise::gaussian(net.seed ^ 0x0010_55AA, stream, w as u64);
+                let lost =
+                    (n * p_loss + (n * p_loss * (1.0 - p_loss)).sqrt() * g).round().clamp(0.0, n);
+                let sample = LossSample { window_start: w, end, sent: n as u32, lost: lost as u32 };
+                slots[ti][2 * b + end.index()] = Some(sample);
             }
-            let mut samples = Vec::new();
-            let n = (WINDOW_SECS * PROBES_PER_SEC as i64) as f64;
-            let mut w = from;
-            while w < to {
-                let t_mid = w + WINDOW_SECS / 2;
-                for (end, pp) in &paths {
-                    let (_, p) = pp.rtt_and_prob(net, t_mid, PROBES_PER_SEC as f64);
-                    let p_loss = 1.0 - p;
-                    let stream = ((tgt.far_ip.0 as u64) << 2)
-                        | matches!(end, End::Far) as u64
-                        | ((ti as u64) << 40);
-                    let g = noise::gaussian(net.seed ^ 0x0010_55AA, stream, w as u64);
-                    let lost =
-                        (n * p_loss + (n * p_loss * (1.0 - p_loss)).sqrt() * g).round().clamp(0.0, n);
-                    samples.push((
-                        *end,
-                        LossSample {
-                            window_start: w,
-                            end: *end,
-                            sent: n as u32,
-                            lost: lost as u32,
-                        },
-                    ));
-                }
-                w += WINDOW_SECS;
-            }
-            out.push((ti, samples.into_iter().map(|(_, s)| s).collect()));
-        }
-        out
+        });
+        slots.into_iter().map(|s| s.into_iter().flatten().collect()).enumerate().collect()
     }
 }
 

@@ -23,11 +23,12 @@
 //! ECMP. Using the fast path then changes runtime, not distribution shape;
 //! the equivalence is tested in `tests/fast_vs_packet.rs`.
 //!
-//! [`ProbePath::rtt_and_prob`] is the model of one path at one instant. The
-//! TSLP synthesis (`tslp.rs`) computes the same values for many paths over
-//! a window from per-link columns, folded in the order `rtt_and_prob` adds
-//! and multiplies; `tests/fluid_columns.rs` keeps it to this function bit
-//! for bit.
+//! The fluid model of a path over time is the column engine in `tslp.rs`:
+//! it evaluates each link a VP's paths cross once per bin and folds every
+//! path from those columns, for TSLP and loss synthesis alike, and for a
+//! single path at a single instant as a one-bin, one-destination
+//! `tslp::synthesize_task`. `tests/fluid_columns.rs` keeps it bit for bit
+//! to a per-bin reference walk over these paths.
 
 use manic_netsim::time::SimTime;
 use manic_netsim::{FaultScope, Ipv4, Network, ProbeRoute, ProbeSpec, RouterId, SimState};
@@ -92,28 +93,6 @@ impl ProbePath {
         }
         until
     }
-
-    /// The fluid model of a probe sent at `t`, in one pass over the path:
-    ///
-    /// * the minimum RTT it could observe: baseline plus the standing queue
-    ///   delay on every link crossed in either direction;
-    /// * the probability that it yields a response: per-link delivery on
-    ///   both path legs times the responder's steady-state ICMP response
-    ///   probability under `offered_pps` probes per second directed at it.
-    pub fn rtt_and_prob(&self, net: &Network, t: SimTime, offered_pps: f64) -> (f64, f64) {
-        let mut rtt = self.base_ms + net.fault.clock_skew_ms(self.src, t);
-        let mut p = 1.0;
-        for &(l, d) in self.route.forward.iter().chain(&self.route.reply) {
-            let s = net.link_state(l, d, t);
-            rtt += s.queue_ms;
-            if net.fault.link_blocked(&net.topo, l, t) {
-                p = 0.0;
-            } else {
-                p *= (1.0 - s.loss - net.fault.extra_loss(l, t)).max(0.0);
-            }
-        }
-        (rtt, p * self.responder_prob(net, t, offered_pps))
-    }
 }
 
 /// Resolve the path of a probe from `vp` toward `dst` expiring after `ttl`
@@ -176,46 +155,6 @@ mod tests {
                     break;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn min_rtt_close_to_observed_min() {
-        let w = toy(1);
-        let vp = vp_of(&w, "acme-nyc");
-        let dst = w.host_addr(toy_asns::CDNCO, 0);
-        // Far end of the interdomain link is at some hop; probe several and
-        // compare the packet-mode min to the fast-path value.
-        let pp = probe_path(&w.net, &vp, dst, 4, 9, 0).expect("path exists");
-        let mut st = manic_netsim::SimState::new();
-        let mut min_obs = f64::INFINITY;
-        for i in 0..30 {
-            let s = w.net.send_probe(
-                &mut st,
-                manic_netsim::ProbeSpec { src: vp.router, src_addr: vp.addr, dst, ttl: 4, flow_id: 9 },
-                i,
-            );
-            if let Some(r) = s.rtt() {
-                min_obs = min_obs.min(r);
-            }
-        }
-        let (fast, _) = pp.rtt_and_prob(&w.net, 0, 1.0);
-        assert!(min_obs.is_finite());
-        assert!(
-            (min_obs - fast).abs() < 3.0,
-            "packet min {min_obs} vs fast {fast}"
-        );
-    }
-
-    #[test]
-    fn response_prob_in_unit_interval() {
-        let w = toy(1);
-        let vp = vp_of(&w, "acme-nyc");
-        let dst = w.host_addr(toy_asns::CDNCO, 0);
-        let pp = probe_path(&w.net, &vp, dst, 4, 9, 0).unwrap();
-        for t in [0i64, 100_000, 1_000_000] {
-            let (_, p) = pp.rtt_and_prob(&w.net, t, 1.0);
-            assert!((0.0..=1.0).contains(&p), "p={p}");
         }
     }
 

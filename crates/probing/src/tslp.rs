@@ -13,7 +13,9 @@
 //! packets: it resolves each task's probe paths once, evaluates every
 //! (link, direction) those paths cross once per bin into a column, and
 //! folds each path's columns into the min-RTT and response probability
-//! its probes would have seen.
+//! its probes would have seen. That column engine ([`fold_paths`]) is the
+//! fluid model of every prober: loss synthesis (`loss.rs`) reduces the
+//! same fold.
 
 use crate::path::{probe_path, ProbePath, VpHandle};
 use crate::scheduler::RateBudget;
@@ -337,22 +339,76 @@ struct ColPath {
     cols: Range<usize>,
 }
 
-/// The column engine behind [`TslpProber::synthesize_window`] and
-/// [`synthesize_task`].
+/// TSLP's reduction of the column engine ([`fold_paths`]): did at least
+/// one of a bin's probes get through? If so the bin holds the min RTT.
+fn synthesize(
+    net: &Network,
+    vp: &VpHandle,
+    tasks: &[TslpTask],
+    from: SimTime,
+    to: SimTime,
+    bin_secs: i64,
+) -> Vec<TaskSeries> {
+    assert!(bin_secs % ROUND_SECS == 0, "bin must be a multiple of the probing round");
+    crate::obs::metrics().synth_tasks.add(tasks.len() as u64);
+    let nbins = bin_count(from, to, bin_secs);
+    let mut series: Vec<TaskSeries> = tasks
+        .iter()
+        .map(|task| TaskSeries {
+            near_ip: task.near_ip,
+            far_ip: task.far_ip,
+            link_label: task.link_label(),
+            from,
+            bin_secs,
+            near: vec![None; nbins],
+            far: vec![None; nbins],
+        })
+        .collect();
+    let vp_stream = noise::mix(vp.name.bytes().fold(0u64, |a, b| a.wrapping_mul(31) + b as u64));
+    let draw: Vec<u64> = (0..nbins as u64).map(noise::mix).collect();
+    let (offered_pps, probes) = (1.0 / ROUND_SECS as f64, (bin_secs / ROUND_SECS) as i32);
+    fold_paths(net, vp, tasks, from, to, bin_secs, offered_pps, probes, |ti, end, bins, best, miss| {
+        let s = &mut series[ti];
+        let stream = vp_stream ^ ((s.far_ip.0 as u64) << 8) ^ matches!(end, End::Far) as u64;
+        let out = if end == End::Near { &mut s.near } else { &mut s.far };
+        for (((o, &mb), &m), &r) in out[bins.clone()].iter_mut().zip(&draw[bins]).zip(miss).zip(best) {
+            if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, mb, m) {
+                *o = Some(r);
+            }
+        }
+    });
+    series
+}
+
+/// Bins of `bin_secs` that cover `[from, to)`.
+pub(crate) fn bin_count(from: SimTime, to: SimTime, bin_secs: i64) -> usize {
+    assert!(to >= from, "synthesis window ends at {to}, before it starts at {from}");
+    (((to - from) + bin_secs - 1) / bin_secs) as usize
+}
+
+/// The column engine behind TSLP synthesis ([`TslpProber::synthesize_window`],
+/// [`synthesize_task`]) and loss synthesis
+/// ([`LossProber::synthesize_window`](crate::LossProber::synthesize_window)).
+///
+/// Resolves each task's probe paths at `from` and folds each (task, end)
+/// with a path over the bins of `[from, to)`, a chunk at a time: `reduce`
+/// gets the task's index, the end, the chunk's bins and, per bin, `best`,
+/// the minimum RTT over the end's paths, and `miss`, the probability that
+/// none of `probes` probes per path (per destination sharing it) got an
+/// answer, each offered at `offered_pps` to its responder.
 ///
 /// Each distinct (link, direction) the VP's paths cross gets one column:
 /// its queue delay `q` and delivery factor `f` (0 where the link is down,
 /// else `1 − loss − extra loss`, floored at 0) per bin. A path's minimum
 /// RTT and delivery probability are its columns folded in route order from
-/// `base_ms` plus the clock skew and 1.0 — the order
-/// `ProbePath::rtt_and_prob` adds and multiplies in, so every value is bit
-/// for bit what the per-bin walk gives (`tests/fluid_columns.rs`).
+/// `base_ms` plus the clock skew and 1.0 — the order the per-bin walk adds
+/// and multiplies in, so every value is bit for bit what it gives
+/// (`tests/fluid_columns.rs`).
 ///
 /// Columns are filled a [`CHUNK_SECS`] span at a time. Per chunk:
 /// - one [`BinColumn`] holds the hash terms that depend only on the bin
-///   (demand noise and queue jitter's `mix(bin)`), and one table the
-///   response draw's `mix(b)`, so each link's column pays only its own
-///   seeded mixes ([`Network::link_states_into`]);
+///   (demand noise and queue jitter's `mix(bin)`), so each link's column
+///   pays only its own seeded mixes ([`Network::link_states_into`]);
 /// - fault and responder queries are piecewise constant in time, so each
 ///   is asked once per run of bins over which it cannot change
 ///   ([`FaultSchedule::stable_until`](manic_netsim::FaultSchedule::stable_until),
@@ -364,19 +420,19 @@ struct ColPath {
 /// Planet-20k's 60-day study (200 VPs, 89.9 M bins) synthesizes in 2.4 s
 /// on 2 shared vCPUs, against 3.8 s with per-column hashes and per-bin
 /// queries; under `FaultSchedule::chaos(0.5)` in 3.0 s, against 9.4 s.
-fn synthesize(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_paths(
     net: &Network,
     vp: &VpHandle,
     tasks: &[TslpTask],
     from: SimTime,
     to: SimTime,
     bin_secs: i64,
-) -> Vec<TaskSeries> {
-    assert!(bin_secs % ROUND_SECS == 0, "bin must be a multiple of the probing round");
-    assert!(to >= from, "synthesis window ends at {to}, before it starts at {from}");
-    crate::obs::metrics().synth_tasks.add(tasks.len() as u64);
-    let probes_per_bin = (bin_secs / ROUND_SECS) as i32;
-    let offered_pps = 1.0 / ROUND_SECS as f64;
+    offered_pps: f64,
+    probes: i32,
+    mut reduce: impl FnMut(usize, End, Range<usize>, &[f64], &[f64]),
+) {
+    let nbins = bin_count(from, to, bin_secs);
     let mut links: Vec<(LinkId, Direction)> = Vec::new();
     let mut col_of: HashMap<(LinkId, Direction), usize> = HashMap::new();
     let mut route: Vec<usize> = Vec::new();
@@ -412,31 +468,15 @@ fn synthesize(
         }
         spans.push(first..paths.len());
     }
-    let nbins = ((to - from) + bin_secs - 1) / bin_secs;
-    let mut series: Vec<TaskSeries> = tasks
-        .iter()
-        .map(|task| TaskSeries {
-            near_ip: task.near_ip,
-            far_ip: task.far_ip,
-            link_label: task.link_label(),
-            from,
-            bin_secs,
-            near: vec![None; nbins as usize],
-            far: vec![None; nbins as usize],
-        })
-        .collect();
-    let vp_stream = noise::mix(vp.name.bytes().fold(0u64, |a, b| a.wrapping_mul(31) + b as u64));
-    let chunk = (CHUNK_SECS / bin_secs).clamp(1, nbins.max(1)) as usize;
+    let chunk = ((CHUNK_SECS / bin_secs) as usize).clamp(1, nbins.max(1));
     // Column `c` of a chunk is `q[c * chunk..][..n]` (and the same in `f`).
     let (mut q, mut f) = (vec![0.0; links.len() * chunk], vec![0.0; links.len() * chunk]);
     let (mut rtt, mut p) = (vec![0.0; chunk], vec![0.0; chunk]);
     let (mut best, mut miss) = (vec![0.0; chunk], vec![0.0; chunk]);
-    let (mut bins, mut draw) = (BinColumn::default(), Vec::with_capacity(chunk));
-    for b0 in (0..nbins as usize).step_by(chunk) {
-        let n = chunk.min(nbins as usize - b0);
+    let mut bins = BinColumn::default();
+    for b0 in (0..nbins).step_by(chunk) {
+        let n = chunk.min(nbins - b0);
         bins.fill(from + b0 as i64 * bin_secs + bin_secs / 2, bin_secs, n);
-        draw.clear();
-        draw.extend((b0..b0 + n).map(|b| noise::mix(b as u64)));
         for (c, &(l, d)) in links.iter().enumerate() {
             let (qc, fc) = (&mut q[c * chunk..][..n], &mut f[c * chunk..][..n]);
             net.link_states_into(l, d, &bins, qc, fc);
@@ -452,8 +492,8 @@ fn synthesize(
                 }
             }
         }
-        for (s, span) in series.iter_mut().zip(&spans) {
-            for (end, out) in [(End::Near, &mut s.near), (End::Far, &mut s.far)] {
+        for (ti, span) in spans.iter().enumerate() {
+            for end in [End::Near, End::Far] {
                 let mut any_path = false;
                 best[..n].fill(f64::INFINITY);
                 miss[..n].fill(1.0);
@@ -472,7 +512,7 @@ fn synthesize(
                             *pr *= fi;
                         }
                     }
-                    let k = probes_per_bin * path.mult;
+                    let k = probes * path.mult;
                     for (run, t) in bins.runs(|t| pp.responder_stable_until(net, t)) {
                         let rp = pp.responder_prob(net, t, offered_pps);
                         for i in run {
@@ -481,22 +521,12 @@ fn synthesize(
                         }
                     }
                 }
-                if !any_path {
-                    continue;
-                }
-                // Did at least one probe in the bin get through?
-                let stream = vp_stream
-                    ^ ((s.far_ip.0 as u64) << 8)
-                    ^ matches!(end, End::Far) as u64;
-                for (i, &mb) in draw.iter().enumerate() {
-                    if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, mb, miss[i]) {
-                        out[b0 + i] = Some(best[i]);
-                    }
+                if any_path {
+                    reduce(ti, end, b0..b0 + n, &best[..n], &miss[..n]);
                 }
             }
         }
     }
-    series
 }
 
 /// The tsdb series key for one (vp, link, end).

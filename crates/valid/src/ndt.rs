@@ -8,7 +8,7 @@
 //! entirely different, uncongested interconnection — the paper's Link 2
 //! (Comcast-Tata in Chicago, with data returning through Ashburn).
 
-use crate::tcpmodel::{path_throughput_mbps, TcpModelConfig};
+use crate::tcpmodel::{flow_path, path_throughput_mbps, TcpModelConfig};
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
@@ -51,23 +51,7 @@ pub fn run_ndt(
     flow_id: u16,
     cfg: &TcpModelConfig,
 ) -> Option<NdtResult> {
-    let fwd = net.forward_path(vp.router, server.addr, flow_id, t);
-    if fwd.is_empty() || !net.topo.terminates(fwd.last()?.router, server.addr) {
-        return None;
-    }
-    let rev = net.forward_path(server.router, vp.addr, flow_id, t);
-    if rev.is_empty() || rev.last()?.router != vp.router {
-        return None;
-    }
-    let forward_links: Vec<(LinkId, Direction)> = fwd.iter().map(|h| (h.link, h.direction)).collect();
-    let reverse_links: Vec<(LinkId, Direction)> = rev.iter().map(|h| (h.link, h.direction)).collect();
-
-    // RTT: propagation both ways plus standing queues at test time.
-    let mut rtt = 0.0;
-    for &(l, d) in forward_links.iter().chain(&reverse_links) {
-        rtt += net.topo.link(l).prop_delay_ms + net.link_state(l, d, t).queue_ms;
-    }
-    let rtt = rtt.max(0.5);
+    let (forward_links, reverse_links, rtt) = flow_path(net, vp, server.addr, server.router, flow_id, t)?;
 
     // Download governed by the reverse (server->VP) data path; upload by the
     // forward path. A few percent of measurement noise on top.

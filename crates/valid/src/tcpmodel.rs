@@ -16,7 +16,8 @@
 
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
-use manic_netsim::{LinkId, Network};
+use manic_netsim::{Ipv4, LinkId, Network, RouterId};
+use manic_probing::VpHandle;
 
 /// Model parameters.
 #[derive(Debug, Clone, Copy)]
@@ -49,6 +50,36 @@ impl Default for TcpModelConfig {
             burst_loss_discount: 0.1,
         }
     }
+}
+
+/// The links flow `flow_id` between `vp` and the host `addr` on `router`
+/// crosses at `t`, forward (VP to host) and reverse (the download data
+/// path), and its RTT: propagation both ways plus the standing queues,
+/// floored at 0.5 ms. `None` unless the forward path ends at the host and
+/// the reverse path comes back to the VP.
+pub(crate) fn flow_path(
+    net: &Network,
+    vp: &VpHandle,
+    addr: Ipv4,
+    router: RouterId,
+    flow_id: u16,
+    t: SimTime,
+) -> Option<(Vec<(LinkId, Direction)>, Vec<(LinkId, Direction)>, f64)> {
+    let fwd = net.forward_path(vp.router, addr, flow_id, t);
+    if fwd.is_empty() || !net.topo.terminates(fwd.last()?.router, addr) {
+        return None;
+    }
+    let rev = net.forward_path(router, vp.addr, flow_id, t);
+    if rev.is_empty() || rev.last()?.router != vp.router {
+        return None;
+    }
+    let forward: Vec<(LinkId, Direction)> = fwd.iter().map(|h| (h.link, h.direction)).collect();
+    let reverse: Vec<(LinkId, Direction)> = rev.iter().map(|h| (h.link, h.direction)).collect();
+    let mut rtt = 0.0;
+    for &(l, d) in forward.iter().chain(&reverse) {
+        rtt += net.topo.link(l).prop_delay_ms + net.link_state(l, d, t).queue_ms;
+    }
+    Some((forward, reverse, rtt.max(0.5)))
 }
 
 /// Throughput in Mbit/s of a bulk TCP flow whose data crosses `data_links`

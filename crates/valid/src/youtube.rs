@@ -13,7 +13,7 @@
 //! * **failure** — the client cannot sustain the bitrate (buffer depletes)
 //!   or startup times out.
 
-use crate::tcpmodel::{path_throughput_mbps, TcpModelConfig};
+use crate::tcpmodel::{flow_path, path_throughput_mbps, TcpModelConfig};
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
@@ -73,22 +73,7 @@ pub fn run_youtube_test(
     flow_id: u16,
     cfg: &YoutubeConfig,
 ) -> Option<YoutubeResult> {
-    let fwd = net.forward_path(vp.router, cache_addr, flow_id, t);
-    if fwd.is_empty() || !net.topo.terminates(fwd.last()?.router, cache_addr) {
-        return None;
-    }
-    let rev = net.forward_path(cache_router, vp.addr, flow_id, t);
-    if rev.is_empty() || rev.last()?.router != vp.router {
-        return None;
-    }
-    let forward_links: Vec<(LinkId, Direction)> = fwd.iter().map(|h| (h.link, h.direction)).collect();
-    let reverse_links: Vec<(LinkId, Direction)> = rev.iter().map(|h| (h.link, h.direction)).collect();
-
-    let mut rtt = 0.0;
-    for &(l, d) in forward_links.iter().chain(&reverse_links) {
-        rtt += net.topo.link(l).prop_delay_ms + net.link_state(l, d, t).queue_ms;
-    }
-    let rtt = rtt.max(0.5);
+    let (forward_links, reverse_links, rtt) = flow_path(net, vp, cache_addr, cache_router, flow_id, t)?;
 
     // Media rides the reverse (cache -> client) path.
     let jitter = 1.0 + 0.05 * noise::signed(net.seed ^ 0x77BE, flow_id as u64, t as u64);

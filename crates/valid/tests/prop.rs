@@ -7,7 +7,9 @@ use manic_netsim::LinkId;
 use manic_scenario::worlds::{toy, toy_asns};
 use manic_stats::ttest::Tails;
 use manic_valid::lossval::{classify_month_links, LossValInput};
+use manic_probing::VpHandle;
 use manic_valid::tcpmodel::{path_throughput_mbps, TcpModelConfig};
+use manic_valid::{run_ndt, run_youtube_test, NdtServer, YoutubeConfig};
 use proptest::prelude::*;
 
 fn data_path(w: &manic_scenario::World) -> Vec<(LinkId, Direction)> {
@@ -52,6 +54,34 @@ proptest! {
         let short = path_throughput_mbps(&w.net, &links, 30.0, t, &TcpModelConfig { duration_s: lo, ..Default::default() });
         let long = path_throughput_mbps(&w.net, &links, 30.0, t, &TcpModelConfig { duration_s: hi, ..Default::default() });
         prop_assert!(long >= short * 0.9999);
+    }
+
+    /// NDT and the streaming test read one flow path: against the same
+    /// host, at any instant and flow, both see the same forward links and
+    /// the same RTT, which covers the propagation delay both ways and is at
+    /// least 0.5 ms; a host nothing routes to yields no test.
+    #[test]
+    fn ndt_and_youtube_share_the_flow_path(day in 1u8..29, hour in 0u8..24, flow in any::<u16>()) {
+        let w = toy(1);
+        let vp = w.vp("acme-nyc");
+        let vp = VpHandle { name: vp.name.clone(), router: vp.router, addr: vp.addr };
+        let (asn, t) = (toy_asns::CDNCO, datetime_to_sim(Date::new(2016, 6, day), hour, 0, 0));
+        let (addr, router) = (w.host_addr(asn, 7), w.host_routers[&asn]);
+        let server = NdtServer { name: "cdn".into(), asn, addr, router };
+        let tcp = TcpModelConfig::default();
+        let ndt = run_ndt(&w.net, &vp, &server, t, flow, &tcp).expect("routable");
+        let cfg = YoutubeConfig::default();
+        let yt = run_youtube_test(&w.net, &vp, addr, router, t, flow, &cfg).expect("routable");
+        prop_assert_eq!(&ndt.forward_links, &yt.forward_links);
+        let links = ndt.forward_links.iter().chain(&ndt.reverse_links);
+        let prop_ms: f64 = links.map(|&(l, _)| w.net.topo.link(l).prop_delay_ms).sum();
+        prop_assert!(ndt.rtt_ms >= prop_ms.max(0.5) - 1e-9, "rtt {} < {}", ndt.rtt_ms, prop_ms);
+        // Startup: two round trips, then the media buffer at the ON rate.
+        let buffer_s = cfg.bitrate_mbps * cfg.startup_buffer_s / yt.on_throughput_mbps;
+        prop_assert!((yt.startup_delay_s - buffer_s - 2.0 * ndt.rtt_ms / 1000.0).abs() < 1e-9);
+        let nowhere = NdtServer { addr: "172.16.0.1".parse().unwrap(), ..server };
+        prop_assert!(run_ndt(&w.net, &vp, &nowhere, t, flow, &tcp).is_none());
+        prop_assert!(run_youtube_test(&w.net, &vp, nowhere.addr, router, t, flow, &cfg).is_none());
     }
 
     /// The Table 1 classifier is exhaustive and consistent: every

@@ -15,7 +15,8 @@
 //! Ashburn link — TSLP flags congestion, NDT throughput shrugs.
 
 use manic_netsim::time::{date_to_sim, datetime_to_sim, Date};
-use manic_probing::{probe_path, VpHandle};
+use manic_probing::tslp::{synthesize_task, TslpDest, TslpTask};
+use manic_probing::VpHandle;
 use manic_scenario::worlds::{us_asns, us_broadband};
 use manic_valid::ndt::{run_ndt, NdtServer};
 use manic_valid::tcpmodel::TcpModelConfig;
@@ -55,17 +56,21 @@ fn main() {
         .find(|g| g.a_metro == "chi")
         .expect("chicago link");
     let dst = world.host_addr(us_asns::TATA, 0);
+    let (near_ip, far_ip) = (chi.near_addr_from(us_asns::COMCAST), chi.far_addr_from(us_asns::COMCAST));
     let walk = world.net.forward_path(vp.router, dst, 7, peak);
     let far_ttl = walk
         .iter()
-        .position(|h| h.ingress_addr == chi.far_addr_from(us_asns::COMCAST))
+        .position(|h| h.ingress_addr == far_ip)
         .map(|i| (i + 1) as u8)
         .expect("far end on path");
-    let pp = probe_path(&world.net, &vp, dst, far_ttl, 7, peak).expect("path");
+    let dests = vec![TslpDest { dst, near_ttl: far_ttl - 1, far_ttl }];
+    let task = TslpTask { near_ip, far_ip, dests, flow_id: 7 };
+    // The far end's min RTT in the half-hour bin centred on `t`.
+    let far_rtt = |t| synthesize_task(&world.net, &vp, &task, t - 900, t + 900, 1800).far[0].expect("answered");
     println!(
         "\nTSLP far-end RTT on the Chicago link: {:.1} ms at peak vs {:.1} ms off-peak",
-        pp.rtt_and_prob(&world.net, peak, 1.0).0,
-        pp.rtt_and_prob(&world.net, quiet, 1.0).0
+        far_rtt(peak),
+        far_rtt(quiet)
     );
 
     let rq = run_ndt(&world.net, &vp, &server, quiet, 7, &TcpModelConfig::default()).expect("routable");

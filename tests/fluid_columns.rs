@@ -35,6 +35,7 @@ use manic_probing::tslp::{
     synthesize_task, End, TaskSeries, TslpDest, TslpProber, TslpTask, ROUND_SECS,
 };
 use manic_probing::{probe_path, LossProber, ProbePath, VpHandle};
+use manic_scenario::worlds::{toy, toy_asns};
 use proptest::prelude::*;
 use reference::{random_world, RandomWorld, Rng, START};
 use std::sync::Arc;
@@ -559,4 +560,48 @@ fn oracle_cases_sample_and_lose() {
         assert!(seen.answered > 1000 && seen.lost > 20, "chaos {chaos}: {} answered, {} lost", seen.answered, seen.lost);
     }
     assert!(loss.answered > 1000 && loss.lost > 1000, "loss windows: {} clean, {} lossy", loss.answered, loss.lost);
+}
+
+/// Toy's VP and a destination behind one of its interdomain links, whose
+/// far end answers at TTL 4.
+fn toy_far_end() -> (manic_scenario::World, VpHandle, manic_netsim::Ipv4) {
+    let w = toy(1);
+    let vp = w.vp("acme-nyc");
+    let vp = VpHandle { name: vp.name.clone(), router: vp.router, addr: vp.addr };
+    let dst = w.host_addr(toy_asns::CDNCO, 0);
+    (w, vp, dst)
+}
+
+/// The engine's min RTT at an instant — one destination, one bin centred
+/// on it — is within 3 ms of the least of 30 packet-mode probes.
+#[test]
+fn min_rtt_close_to_observed_min() {
+    let (w, vp, dst) = toy_far_end();
+    let answer = |ttl| probe_path(&w.net, &vp, dst, ttl, 9, 0).expect("path exists").route;
+    let dests = vec![TslpDest { dst, near_ttl: 3, far_ttl: 4 }];
+    let (near_ip, far_ip) = (answer(3).responder_addr, answer(4).responder_addr);
+    let task = TslpTask { near_ip, far_ip, dests, flow_id: 9 };
+    let fast = synthesize_task(&w.net, &vp, &task, -900, 900, 1800).far[0].expect("far end answers");
+    let mut st = manic_netsim::SimState::new();
+    let mut min_obs = f64::INFINITY;
+    for i in 0..30 {
+        let spec = manic_netsim::ProbeSpec { src: vp.router, src_addr: vp.addr, dst, ttl: 4, flow_id: 9 };
+        if let Some(r) = w.net.send_probe(&mut st, spec, i).rtt() {
+            min_obs = min_obs.min(r);
+        }
+    }
+    assert!(min_obs.is_finite());
+    assert!((min_obs - fast).abs() < 3.0, "packet min {min_obs} vs fast {fast}");
+}
+
+/// The per-instant model's response probability stays in [0, 1]; the loss
+/// property holds the engine's miss probability to one minus it.
+#[test]
+fn response_prob_in_unit_interval() {
+    let (w, vp, dst) = toy_far_end();
+    let pp = probe_path(&w.net, &vp, dst, 4, 9, 0).unwrap();
+    for t in [0i64, 100_000, 1_000_000] {
+        let (_, p) = ref_rtt_and_prob(&pp, &w.net, t, 1.0);
+        assert!((0.0..=1.0).contains(&p), "p={p}");
+    }
 }
