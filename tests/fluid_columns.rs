@@ -302,13 +302,15 @@ fn case(seed: u64, chaos: f64, min_secs: i64) -> (RandomWorld, SimTime, SimTime,
         let skew = FaultKind::ClockSkew { ms: 0.5 + 2.5 * rng.unit() };
         world.net.fault.push(FaultEvent::window(skew, FaultScope::Router(world.vp), start, until));
         // Chaos limits ICMP to 5 pps or more, which neither prober's offered
-        // rate reaches; a limit from 0.001 to 1 pps shows which rate the
-        // responder is read at (loss offers 1 pps, TSLP one per round).
-        let router = RouterId(1 + rng.below(world.net.topo.routers.len() - 1) as u32);
-        let start = from + rng.below((to - from) as usize) as i64;
-        let until = start + 1 + rng.below(2 * SECS_PER_DAY as usize) as i64;
-        let limit = FaultKind::IcmpRateLimit { pps: 10f64.powf(-3.0 + 3.0 * rng.unit()), burst: 1.0 };
-        world.net.fault.push(FaultEvent::window(limit, FaultScope::Router(router), start, until));
+        // rate reaches; a limit from 0.001 to 1 pps on every other router
+        // for a while shows which rate a responder is read at (loss offers
+        // 1 pps, TSLP one probe per round).
+        for r in 1..world.net.topo.routers.len() {
+            let start = from + rng.below((to - from) as usize) as i64;
+            let until = start + 1 + rng.below(2 * SECS_PER_DAY as usize) as i64;
+            let limit = FaultKind::IcmpRateLimit { pps: 10f64.powf(-3.0 + 3.0 * rng.unit()), burst: 1.0 };
+            world.net.fault.push(FaultEvent::window(limit, FaultScope::Router(RouterId(r as u32)), start, until));
+        }
     }
     (world, from, to, rng)
 }
