@@ -52,6 +52,9 @@ impl Default for TcpModelConfig {
     }
 }
 
+/// A path's links, in the direction each is crossed.
+type Links = Vec<(LinkId, Direction)>;
+
 /// The links flow `flow_id` between `vp` and the host `addr` on `router`
 /// crosses at `t`, forward (VP to host) and reverse (the download data
 /// path), and its RTT: propagation both ways plus the standing queues,
@@ -64,7 +67,7 @@ pub(crate) fn flow_path(
     router: RouterId,
     flow_id: u16,
     t: SimTime,
-) -> Option<(Vec<(LinkId, Direction)>, Vec<(LinkId, Direction)>, f64)> {
+) -> Option<(Links, Links, f64)> {
     let fwd = net.forward_path(vp.router, addr, flow_id, t);
     if fwd.is_empty() || !net.topo.terminates(fwd.last()?.router, addr) {
         return None;
@@ -73,8 +76,8 @@ pub(crate) fn flow_path(
     if rev.is_empty() || rev.last()?.router != vp.router {
         return None;
     }
-    let forward: Vec<(LinkId, Direction)> = fwd.iter().map(|h| (h.link, h.direction)).collect();
-    let reverse: Vec<(LinkId, Direction)> = rev.iter().map(|h| (h.link, h.direction)).collect();
+    let forward: Links = fwd.iter().map(|h| (h.link, h.direction)).collect();
+    let reverse: Links = rev.iter().map(|h| (h.link, h.direction)).collect();
     let mut rtt = 0.0;
     for &(l, d) in forward.iter().chain(&reverse) {
         rtt += net.topo.link(l).prop_delay_ms + net.link_state(l, d, t).queue_ms;
