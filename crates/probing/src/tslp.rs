@@ -365,15 +365,16 @@ fn synthesize(
         })
         .collect();
     let vp_stream = noise::mix(vp.name.bytes().fold(0u64, |a, b| a.wrapping_mul(31) + b as u64));
+    // The response draw's `mix(b)`, shared by every (task, end).
     let draw: Vec<u64> = (0..nbins as u64).map(noise::mix).collect();
     let (offered_pps, probes) = (1.0 / ROUND_SECS as f64, (bin_secs / ROUND_SECS) as i32);
     fold_paths(net, vp, tasks, from, to, bin_secs, offered_pps, probes, |ti, end, bins, best, miss| {
         let s = &mut series[ti];
         let stream = vp_stream ^ ((s.far_ip.0 as u64) << 8) ^ matches!(end, End::Far) as u64;
         let out = if end == End::Near { &mut s.near } else { &mut s.far };
-        for (((o, &mb), &m), &r) in out[bins.clone()].iter_mut().zip(&draw[bins]).zip(miss).zip(best) {
-            if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, mb, m) {
-                *o = Some(r);
+        for (i, b) in bins.enumerate() {
+            if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, draw[b], miss[i]) {
+                out[b] = Some(best[i]);
             }
         }
     });

@@ -51,7 +51,8 @@ pub fn run_ndt(
     flow_id: u16,
     cfg: &TcpModelConfig,
 ) -> Option<NdtResult> {
-    let (forward_links, reverse_links, rtt) = flow_path(net, vp, server.addr, server.router, flow_id, t)?;
+    let (forward_links, reverse_links, rtt) =
+        flow_path(net, vp, server.addr, server.router, flow_id, t)?;
 
     // Download governed by the reverse (server->VP) data path; upload by the
     // forward path. A few percent of measurement noise on top.

@@ -73,7 +73,8 @@ pub fn run_youtube_test(
     flow_id: u16,
     cfg: &YoutubeConfig,
 ) -> Option<YoutubeResult> {
-    let (forward_links, reverse_links, rtt) = flow_path(net, vp, cache_addr, cache_router, flow_id, t)?;
+    let (forward_links, reverse_links, rtt) =
+        flow_path(net, vp, cache_addr, cache_router, flow_id, t)?;
 
     // Media rides the reverse (cache -> client) path.
     let jitter = 1.0 + 0.05 * noise::signed(net.seed ^ 0x77BE, flow_id as u64, t as u64);

@@ -4,10 +4,10 @@ use manic_netsim::time::datetime_to_sim;
 use manic_netsim::time::Date;
 use manic_netsim::topo::Direction;
 use manic_netsim::LinkId;
+use manic_probing::VpHandle;
 use manic_scenario::worlds::{toy, toy_asns};
 use manic_stats::ttest::Tails;
 use manic_valid::lossval::{classify_month_links, LossValInput};
-use manic_probing::VpHandle;
 use manic_valid::tcpmodel::{path_throughput_mbps, TcpModelConfig};
 use manic_valid::{run_ndt, run_youtube_test, NdtServer, YoutubeConfig};
 use proptest::prelude::*;

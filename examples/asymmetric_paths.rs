@@ -56,7 +56,8 @@ fn main() {
         .find(|g| g.a_metro == "chi")
         .expect("chicago link");
     let dst = world.host_addr(us_asns::TATA, 0);
-    let (near_ip, far_ip) = (chi.near_addr_from(us_asns::COMCAST), chi.far_addr_from(us_asns::COMCAST));
+    let near_ip = chi.near_addr_from(us_asns::COMCAST);
+    let far_ip = chi.far_addr_from(us_asns::COMCAST);
     let walk = world.net.forward_path(vp.router, dst, 7, peak);
     let far_ttl = walk
         .iter()
@@ -66,7 +67,9 @@ fn main() {
     let dests = vec![TslpDest { dst, near_ttl: far_ttl - 1, far_ttl }];
     let task = TslpTask { near_ip, far_ip, dests, flow_id: 7 };
     // The far end's min RTT in the half-hour bin centred on `t`.
-    let far_rtt = |t| synthesize_task(&world.net, &vp, &task, t - 900, t + 900, 1800).far[0].expect("answered");
+    let far_rtt = |t| {
+        synthesize_task(&world.net, &vp, &task, t - 900, t + 900, 1800).far[0].expect("answered")
+    };
     println!(
         "\nTSLP far-end RTT on the Chicago link: {:.1} ms at peak vs {:.1} ms off-peak",
         far_rtt(peak),

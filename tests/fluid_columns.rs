@@ -28,7 +28,8 @@ use manic_netsim::noise::{self, BinColumn};
 use manic_netsim::time::{month_start, SimTime, SECS_PER_DAY};
 use manic_netsim::traffic::{ConstantLoad, DiurnalDemand, LoadModel, MonthScale};
 use manic_netsim::{
-    FaultEvent, FaultKind, FaultSchedule, FaultScope, IfaceId, LinkId, Network, RouterId,
+    FaultEvent, FaultKind, FaultSchedule, FaultScope, IfaceId, Ipv4, LinkId, Network, ProbeSpec,
+    RouterId, SimState,
 };
 use manic_probing::loss::{LossSample, LossTarget, PROBES_PER_SEC, WINDOW_SECS};
 use manic_probing::tslp::{
@@ -308,8 +309,10 @@ fn case(seed: u64, chaos: f64, min_secs: i64) -> (RandomWorld, SimTime, SimTime,
         for r in 1..world.net.topo.routers.len() {
             let start = from + rng.below((to - from) as usize) as i64;
             let until = start + 1 + rng.below(2 * SECS_PER_DAY as usize) as i64;
-            let limit = FaultKind::IcmpRateLimit { pps: 10f64.powf(-3.0 + 3.0 * rng.unit()), burst: 1.0 };
-            world.net.fault.push(FaultEvent::window(limit, FaultScope::Router(RouterId(r as u32)), start, until));
+            let pps = 10f64.powf(-3.0 + 3.0 * rng.unit());
+            let limit = FaultKind::IcmpRateLimit { pps, burst: 1.0 };
+            let scope = FaultScope::Router(RouterId(r as u32));
+            world.net.fault.push(FaultEvent::window(limit, scope, start, until));
         }
     }
     (world, from, to, rng)
@@ -375,7 +378,8 @@ fn check_loss(seed: u64, chaos: f64) -> Result<Seen, String> {
     let mut seen = Seen::default();
     for ((gi, g), (wi, w)) in got.iter().zip(&want) {
         if gi != wi || g.iter().map(fields).ne(w.iter().map(fields)) {
-            return Err(format!("target {wi} {:?}: loss engine differs from the per-window walk", targets[*wi]));
+            let target = &targets[*wi];
+            return Err(format!("target {wi} {target:?}: loss engine differs from the per-window walk"));
         }
         seen.answered += w.iter().filter(|s| s.lost == 0).count();
         seen.lost += w.iter().filter(|s| s.lost > 0).count();
@@ -561,12 +565,13 @@ fn oracle_cases_sample_and_lose() {
         }
         assert!(seen.answered > 1000 && seen.lost > 20, "chaos {chaos}: {} answered, {} lost", seen.answered, seen.lost);
     }
-    assert!(loss.answered > 1000 && loss.lost > 1000, "loss windows: {} clean, {} lossy", loss.answered, loss.lost);
+    let (clean, lossy) = (loss.answered, loss.lost);
+    assert!(clean > 1000 && lossy > 1000, "loss windows: {clean} clean, {lossy} lossy");
 }
 
 /// Toy's VP and a destination behind one of its interdomain links, whose
 /// far end answers at TTL 4.
-fn toy_far_end() -> (manic_scenario::World, VpHandle, manic_netsim::Ipv4) {
+fn toy_far_end() -> (manic_scenario::World, VpHandle, Ipv4) {
     let w = toy(1);
     let vp = w.vp("acme-nyc");
     let vp = VpHandle { name: vp.name.clone(), router: vp.router, addr: vp.addr };
@@ -583,11 +588,11 @@ fn min_rtt_close_to_observed_min() {
     let dests = vec![TslpDest { dst, near_ttl: 3, far_ttl: 4 }];
     let (near_ip, far_ip) = (answer(3).responder_addr, answer(4).responder_addr);
     let task = TslpTask { near_ip, far_ip, dests, flow_id: 9 };
-    let fast = synthesize_task(&w.net, &vp, &task, -900, 900, 1800).far[0].expect("far end answers");
-    let mut st = manic_netsim::SimState::new();
+    let fast = synthesize_task(&w.net, &vp, &task, -900, 900, 1800).far[0].expect("answered");
+    let mut st = SimState::new();
     let mut min_obs = f64::INFINITY;
     for i in 0..30 {
-        let spec = manic_netsim::ProbeSpec { src: vp.router, src_addr: vp.addr, dst, ttl: 4, flow_id: 9 };
+        let spec = ProbeSpec { src: vp.router, src_addr: vp.addr, dst, ttl: 4, flow_id: 9 };
         if let Some(r) = w.net.send_probe(&mut st, spec, i).rtt() {
             min_obs = min_obs.min(r);
         }
