@@ -372,9 +372,9 @@ fn synthesize(
         let s = &mut series[ti];
         let stream = vp_stream ^ ((s.far_ip.0 as u64) << 8) ^ matches!(end, End::Far) as u64;
         let out = if end == End::Near { &mut s.near } else { &mut s.far };
-        for (i, b) in bins.enumerate() {
-            if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, draw[b], miss[i]) {
-                out[b] = Some(best[i]);
+        for (i, &mb) in draw[bins.clone()].iter().enumerate() {
+            if !noise::bernoulli_mixed(net.seed ^ 0x7515, stream, mb, miss[i]) {
+                out[bins.start + i] = Some(best[i]);
             }
         }
     });
