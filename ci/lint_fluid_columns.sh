@@ -7,7 +7,7 @@
 # demand, queue and loss of every link a VP's paths share. One column engine
 # (`tslp::fold_paths`) now evaluates each (link, direction) once per bin
 # (`Network::link_states_into`) and folds paths from the columns; TSLP and
-# loss synthesis reduce its fold, and a single instant is a one-bin
+# loss synthesis reduce its fold, and one path at one instant is a one-bin
 # `synthesize_task`. The per-instant walk lives on only as the reference in
 # tests/fluid_columns.rs. This check fails if `rtt_and_prob` is called in
 # crates/*/src, crates/bench or examples/, or if crates/probing/src calls
