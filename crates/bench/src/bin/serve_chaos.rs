@@ -19,8 +19,8 @@
 //! * the health prober sees `/api/health` answer 200 on every probe — the
 //!   priority lane stays open no matter what;
 //! * the well-behaved clients get answers (at least one 200);
-//! * resident-set growth across the attack stays bounded
-//!   (`SERVE_CHAOS_RSS_MB`, 128 MB) — no unbounded buffering;
+//! * resident-set growth across the attack stays within 128 MB — no
+//!   unbounded buffering;
 //! * a second server with a hair-trigger circuit breaker opens it under
 //!   slow renders, rejects with 503, and keeps `/api/health` serving.
 //!
@@ -37,6 +37,7 @@ use manic_core::{System, SystemConfig};
 use manic_netsim::time::{date_to_sim, Date};
 use manic_scenario::worlds::toy;
 use manic_serve::{OverloadConfig, ServeConfig, ServeState, Server, SnapshotHub};
+use manic_worldgen::rng::Rng;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -46,6 +47,10 @@ use std::time::{Duration, Instant};
 
 /// Deterministic base seed for the fleet's RNG streams.
 const SEED: u64 = 0xC4A0_5EED;
+/// Resident-set growth the attack may cause, MB.
+const RSS_BUDGET_MB: f64 = 128.0;
+/// Requests per second the well-behaved clients offer between them.
+const WELL_RPS: u64 = 200;
 const WARMUP_SIM_HOURS: i64 = 6;
 
 /// Panic counter fed by the process-wide panic hook: any panic on any
@@ -54,30 +59,6 @@ static PANICS: AtomicU64 = AtomicU64::new(0);
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Small deterministic xorshift64* stream, one per hostile thread.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
 }
 
 fn t0() -> i64 {
@@ -226,10 +207,10 @@ fn aborter(addr: SocketAddr, h: Hostile, mut rng: Rng) {
             h.nap(Duration::from_millis(20));
             continue;
         };
-        let cut = (rng.below(req.len() as u64 + 1)) as usize;
+        let cut = rng.below(req.len() + 1);
         let _ = s.write_all(&req[..cut]);
         drop(s); // RST or FIN mid-parse, server's choice how it lands
-        h.nap(Duration::from_millis(5 + rng.below(10)));
+        h.nap(Duration::from_millis(5 + rng.below(10) as u64));
     }
 }
 
@@ -247,7 +228,7 @@ fn garbage(addr: SocketAddr, h: Hostile, mut rng: Rng) {
             0 => {
                 // Raw soup.
                 for _ in 0..64 + rng.below(256) {
-                    payload.push(rng.next() as u8);
+                    payload.push(rng.next_u64() as u8);
                 }
             }
             1 => {
@@ -264,7 +245,7 @@ fn garbage(addr: SocketAddr, h: Hostile, mut rng: Rng) {
                 payload.extend_from_slice(b"GET /api/links HTTP/1.1\r\n");
                 for _ in 0..rng.below(8) {
                     for _ in 0..rng.below(40) {
-                        payload.push(rng.next() as u8);
+                        payload.push(rng.next_u64() as u8);
                     }
                     payload.extend_from_slice(b"\r\n");
                 }
@@ -426,8 +407,6 @@ fn main() {
 
     let pairs = env_u64("SERVE_CHAOS_PAIRS", 3) as usize;
     let attack_secs = env_u64("SERVE_CHAOS_ATTACK_SECS", 8);
-    let rss_budget_mb = env_f64("SERVE_CHAOS_RSS_MB", 128.0);
-    let well_rps = env_u64("SERVE_CHAOS_WELL_RPS", 200);
 
     // World + warmed-up measurement system.
     let mut sys = System::new(toy(42), SystemConfig::default());
@@ -494,7 +473,7 @@ fn main() {
         kind_attempts.push((kind, Arc::clone(&attempts)));
         for pi in 0..pairs {
             let h = Hostile { stop: Arc::clone(&stop), attempts: Arc::clone(&attempts) };
-            let rng = Rng::new(SEED ^ ((ki as u64) << 32) ^ pi as u64);
+            let rng = Rng::new(SEED, (ki as u64) << 32 | pi as u64);
             let launch = *launch;
             hostile_handles.push(
                 std::thread::Builder::new()
@@ -507,7 +486,7 @@ fn main() {
 
     // Well-behaved clients: two paced threads sharing the offered rate.
     const WELL_CLIENTS: usize = 2;
-    let interval = Duration::from_nanos(WELL_CLIENTS as u64 * 1_000_000_000 / well_rps.max(1));
+    let interval = Duration::from_nanos(WELL_CLIENTS as u64 * 1_000_000_000 / WELL_RPS);
     let well_handles: Vec<_> = (0..WELL_CLIENTS)
         .map(|_| {
             let stop = Arc::clone(&stop);
@@ -609,8 +588,8 @@ fn main() {
         },
         Gate {
             name: "rss_bounded",
-            detail: format!("grew {rss_growth_mb:.1} MB <= {rss_budget_mb} MB budget"),
-            pass: rss_before_kib == 0 || rss_growth_mb <= rss_budget_mb,
+            detail: format!("grew {rss_growth_mb:.1} MB <= {RSS_BUDGET_MB} MB budget"),
+            pass: rss_before_kib == 0 || rss_growth_mb <= RSS_BUDGET_MB,
         },
         Gate {
             name: "breaker_drill",

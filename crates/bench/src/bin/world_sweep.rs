@@ -13,7 +13,9 @@
 //!
 //! Default: the `sim-5k` world (CI smoke scale: 5,000 ASes, 32 VPs).
 //! `WORLD_WORLDS=a,b` overrides the world list, e.g.
-//! `WORLD_WORLDS=sim-5k,planet-20k` (200 VPs — minutes).
+//! `WORLD_WORLDS=sim-5k,planet-20k` (200 VPs — minutes). The committed
+//! `results/world_sweep.txt` is that two-world run, so a default run
+//! rewrites it with the sim-5k section alone.
 
 use manic_analysis::render::text_table;
 use manic_bench::{score, Counts};

@@ -81,12 +81,7 @@ pub fn run() -> String {
     ] {
         let mut sys = System::new(hard_world(13), SystemConfig::default());
         let mut cfg = LongitudinalConfig::new(from, to);
-        cfg.autocorr = AutocorrConfig {
-            elevation_ms,
-            window_days,
-            min_days,
-            ..AutocorrConfig::default()
-        };
+        cfg.autocorr = AutocorrConfig { elevation_ms, window_days, min_days };
         let links = run_longitudinal(&mut sys, &cfg);
 
         // Score every link-day against ground truth.

@@ -57,7 +57,7 @@ pub fn run() -> String {
         (12, 3.0),
         (12, 5.0),
     ] {
-        let cfg = LevelShiftConfig { l, p, alpha: 0.05 };
+        let cfg = LevelShiftConfig { l, p };
         let eps = detect_level_shifts(&series, &cfg);
         // A truth window counts as detected when any episode overlaps it;
         // an episode is spurious when it overlaps no truth window. Boundary

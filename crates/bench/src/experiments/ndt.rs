@@ -20,7 +20,6 @@ use manic_scenario::compile::metro_info;
 use manic_scenario::worlds::{us_asns, us_broadband};
 use manic_stats::ttest::{two_sample_t, Tails};
 use manic_valid::ndt::{run_ndt, NdtResult, NdtServer};
-use manic_valid::tcpmodel::TcpModelConfig;
 use std::fmt::Write as _;
 
 /// NDT collection period (paper: 15 Nov - 31 Dec 2017).
@@ -103,11 +102,10 @@ fn run_case(
     let vp = VpHandle { name: vpr.name.clone(), router: vpr.router, addr: vpr.addr };
     let tz = metro_info(&vpr.pop).2;
     let (from, to) = collection();
-    let cfg = TcpModelConfig::default();
     let mut cong = Vec::new();
     let mut uncong = Vec::new();
     for t in test_times(from, to, tz) {
-        let Some(r) = run_ndt(&world.net, &vp, &case.server, t, 0x5D7, &cfg) else { continue };
+        let Some(r) = run_ndt(&world.net, &vp, &case.server, t, 0x5D7) else { continue };
         let Some(record) = forward_link_record(&world.net, links, world, &r.forward_links) else {
             continue;
         };
@@ -176,8 +174,7 @@ pub fn run_fig6() -> String {
     let vi = sys.vp_index(&case.vp);
 
     // Locate the far-end TSLP path for the link the NDT forward path crosses.
-    let probe = run_ndt(&world.net, &vp, &case.server, at(2017, 12, 7), 0x5D7, &TcpModelConfig::default())
-        .expect("routable");
+    let probe = run_ndt(&world.net, &vp, &case.server, at(2017, 12, 7), 0x5D7).expect("routable");
     let record = forward_link_record(&world.net, &links, world, &probe.forward_links)
         .expect("link classified");
     let task = sys.vps[vi]
@@ -202,7 +199,7 @@ pub fn run_fig6() -> String {
         let ndt = tests
             .iter()
             .filter(|&&x| x >= t && x < t + 1800)
-            .filter_map(|&x| run_ndt(&world.net, &vp, &case.server, x, 0x5D7, &TcpModelConfig::default()))
+            .filter_map(|&x| run_ndt(&world.net, &vp, &case.server, x, 0x5D7))
             .map(|r| r.download_mbps)
             .next();
         let _ = writeln!(

@@ -104,7 +104,7 @@ pub fn run() -> String {
         }
     }
 
-    let table = classify_month_links(&inputs, 0.05);
+    let table = classify_month_links(&inputs);
     let mut out = String::from(
         "Table 1 — correlation between congestion inferences and loss\nmeasurements, month-links March-December 2017.\n\n",
     );

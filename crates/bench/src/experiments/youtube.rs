@@ -16,7 +16,7 @@ use manic_probing::VpHandle;
 use manic_scenario::compile::metro_info;
 use manic_scenario::worlds::{us_asns, us_broadband};
 use manic_stats::describe::{median, quantile};
-use manic_valid::youtube::{run_youtube_test, YoutubeConfig};
+use manic_valid::youtube::run_youtube_test;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -39,7 +39,6 @@ fn collect(
     out: &mut Vec<Obs>,
 ) {
     let world = &sys.world;
-    let cfg = YoutubeConfig::default();
     for &vp_name in vp_names {
         let vpr = world.vp(vp_name);
         let vp = VpHandle { name: vpr.name.clone(), router: vpr.router, addr: vpr.addr };
@@ -47,8 +46,7 @@ fn collect(
         let cache = world.host_addr(us_asns::GOOGLE, 3);
         let cache_router = world.host_routers[&us_asns::GOOGLE];
         for t in super::ndt::test_times(from, to, tz) {
-            let Some(r) = run_youtube_test(&world.net, &vp, cache, cache_router, t, 0x717, &cfg)
-            else {
+            let Some(r) = run_youtube_test(&world.net, &vp, cache, cache_router, t, 0x717) else {
                 continue;
             };
             // Map the test to the interdomain link it crossed (§3.5: via the

@@ -244,7 +244,7 @@ fn vp_round(
         Some(last) => t - last >= cycle_secs,
     };
     if due {
-        let n = System::bdrmap_cycle_for(world, cfg, vp, t);
+        let n = System::bdrmap_cycle_for(world, vp, t);
         if n == 0 {
             // The VP's view collapsed (uplink outage, first-hop reboot):
             // bounded retry instead of a dead 2 days.

@@ -16,12 +16,12 @@ use std::collections::HashMap;
 pub(crate) const BDRMAP_CYCLE_DAYS: i64 = 2;
 /// Maximum links under concurrent loss probing (budget bound).
 const MAX_LOSS_TARGETS: usize = 30;
+/// Traceroute attempts per hop in a bdrmap cycle.
+const TRACE_ATTEMPTS: u32 = 2;
 
 /// System-wide configuration.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Traceroute attempts per hop.
-    pub trace_attempts: u32,
     /// Level-shift configuration for reactive loss triggering (§3.3).
     pub levelshift: LevelShiftConfig,
     /// Reactive probing-set updates (§3.2's future work, implemented): when
@@ -46,7 +46,6 @@ pub struct SystemConfig {
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            trace_attempts: 2,
             levelshift: LevelShiftConfig::default(),
             reactive_mismatch_rounds: 3,
             threads: 1,
@@ -248,7 +247,7 @@ impl System {
     /// Run one full bdrmap cycle for VP `vi` at time `t`: traceroute to every
     /// routed prefix, alias resolution, border inference, probing-set update.
     pub fn run_bdrmap_cycle(&mut self, vi: usize, t: SimTime) -> usize {
-        Self::bdrmap_cycle_for(&self.world, &self.cfg, &mut self.vps[vi], t)
+        Self::bdrmap_cycle_for(&self.world, &mut self.vps[vi], t)
     }
 
     /// [`Self::run_bdrmap_cycle`] against explicit borrows, so the engine can
@@ -257,7 +256,6 @@ impl System {
     /// every store-visible effect goes through the staged commit path.
     pub(crate) fn bdrmap_cycle_for(
         world: &World,
-        cfg: &SystemConfig,
         vp: &mut VpRuntime,
         t: SimTime,
     ) -> usize {
@@ -288,7 +286,7 @@ impl System {
                     flow,
                     when,
                     40,
-                    cfg.trace_attempts,
+                    TRACE_ATTEMPTS,
                 ));
                 when += 30;
             }

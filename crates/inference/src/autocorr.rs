@@ -29,18 +29,20 @@ pub struct AutocorrConfig {
     pub elevation_ms: f64,
     /// Minimum days the peak interval must be elevated to assert recurrence.
     pub min_days: usize,
-    /// An interval joins the recurring window when its elevated-day count is
-    /// at least this fraction of the peak interval's count.
-    pub sufficient_frac: f64,
-    /// Reject when a second cluster's peak reaches this fraction of the main
-    /// peak and sits further than `cluster_gap` intervals away.
-    pub ambiguity_frac: f64,
-    /// Minimum separation (in intervals) for clusters to count as dispersed.
-    pub cluster_gap: usize,
-    /// Reject when the days contributing to the peak interval cover less
-    /// than this fraction of all days showing any elevation.
-    pub day_coherence_frac: f64,
 }
+
+/// An interval joins the recurring window when its elevated-day count is at
+/// least this fraction of the peak interval's count.
+const SUFFICIENT_FRAC: f64 = 0.5;
+/// Reject when a second cluster's peak reaches this fraction of the main
+/// peak and sits at least `CLUSTER_GAP` intervals away.
+const AMBIGUITY_FRAC: f64 = 0.8;
+/// Minimum separation (in intervals) for clusters to count as dispersed:
+/// four hours.
+const CLUSTER_GAP: usize = 16;
+/// Reject when the days contributing to the peak interval cover less than
+/// this fraction of all days showing any elevation.
+const DAY_COHERENCE_FRAC: f64 = 0.4;
 
 impl Default for AutocorrConfig {
     fn default() -> Self {
@@ -48,10 +50,6 @@ impl Default for AutocorrConfig {
             window_days: 50,
             elevation_ms: 7.0,
             min_days: 5,
-            sufficient_frac: 0.5,
-            ambiguity_frac: 0.8,
-            cluster_gap: 16, // 4 hours
-            day_coherence_frac: 0.4,
         }
     }
 }
@@ -238,7 +236,7 @@ fn analyze_window_inner(
 
     // Expand the window around the peak interval, circularly: evening peaks
     // in US timezones wrap past midnight UTC.
-    let sufficient = ((peak as f64 * cfg.sufficient_frac).ceil() as usize).max(cfg.min_days);
+    let sufficient = ((peak as f64 * SUFFICIENT_FRAC).ceil() as usize).max(cfg.min_days);
     let mut start = peak_iv;
     let mut len = 1usize;
     loop {
@@ -262,11 +260,11 @@ fn analyze_window_inner(
 
     // Rejection (a): another qualifying cluster far from the window.
     let far_cluster_peak = (0..INTERVALS_PER_DAY)
-        .filter(|&iv| window.distance(iv) >= cfg.cluster_gap)
+        .filter(|&iv| window.distance(iv) >= CLUSTER_GAP)
         .map(|iv| counts[iv])
         .max()
         .unwrap_or(0);
-    if (far_cluster_peak as f64) >= cfg.ambiguity_frac * peak as f64 {
+    if (far_cluster_peak as f64) >= AMBIGUITY_FRAC * peak as f64 {
         return AutocorrResult {
             rejected: Some(RejectReason::DispersedPeaks),
             interval_counts: counts,
@@ -280,7 +278,7 @@ fn analyze_window_inner(
     let any_days = (0..ndays)
         .filter(|&d| (0..INTERVALS_PER_DAY).any(|iv| elevated(d, iv)))
         .count();
-    if (peak_days.len() as f64) < cfg.day_coherence_frac * any_days as f64 {
+    if (peak_days.len() as f64) < DAY_COHERENCE_FRAC * any_days as f64 {
         return AutocorrResult {
             rejected: Some(RejectReason::IncoherentDays),
             interval_counts: counts,

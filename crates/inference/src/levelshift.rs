@@ -26,15 +26,17 @@ pub struct LevelShiftConfig {
     pub l: usize,
     /// Huber tuning constant `P` (paper: 1.0).
     pub p: f64,
-    /// Significance level for the regime-difference t-test (paper: 0.05).
-    pub alpha: f64,
 }
 
 impl Default for LevelShiftConfig {
     fn default() -> Self {
-        LevelShiftConfig { l: 12, p: 1.0, alpha: 0.05 }
+        LevelShiftConfig { l: 12, p: 1.0 }
     }
 }
+
+/// Significance level for the regime-difference t-test (the paper's 95 %
+/// confidence level).
+const ALPHA: f64 = 0.05;
 
 /// A detected elevated-latency episode, in bin indices of the input series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,7 +81,7 @@ pub fn detect_level_shifts(series: &[Option<f64>], cfg: &LevelShiftConfig) -> Ve
         return Vec::new();
     }
     // Minimum significant delta between adjacent regimes of length l.
-    let min_delta = min_significant_delta(sigma2.max(1e-9), cfg.l, cfg.alpha);
+    let min_delta = min_significant_delta(sigma2.max(1e-9), cfg.l, ALPHA);
 
     // Huber weights relative to a *rolling* median: an isolated slow-path
     // outlier sits far from its neighborhood's median and is downweighted,

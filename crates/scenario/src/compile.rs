@@ -131,8 +131,6 @@ pub struct CompileConfig {
     /// unresponsiveness — §5.1's "high far-end loss uncorrelated with
     /// latency" confounder.
     pub flaky_frac: f64,
-    /// Queue model applied to interdomain links.
-    pub interdomain_queue: QueueModel,
     /// Additional host routers: `(asn, pop)` pairs terminating a /22 carve
     /// of the AS's host space at a secondary PoP. Used to place NDT-server
     /// style destinations whose hot-potato return path differs from the
@@ -149,7 +147,6 @@ impl Default for CompileConfig {
             rate_limited_frac: 0.04,
             slow_path_frac: 0.04,
             flaky_frac: 0.08,
-            interdomain_queue: QueueModel::default(),
             secondary_hosts: Vec::new(),
         }
     }
@@ -702,7 +699,7 @@ fn build_interdomain_link(
         LinkKind::Interdomain,
         delay,
         capacity,
-        cfg.interdomain_queue,
+        QueueModel::default(),
         None,
         None,
     );

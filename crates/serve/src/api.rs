@@ -65,10 +65,7 @@ pub fn handle(state: &ServeState, req: &Request) -> Response {
                 // Degrade before refusing more: hand cache memory back to
                 // the allocator while the gate is closed.
                 state.cache.shrink_to_bytes(CACHE_SHED_BYTES);
-                Response::unavailable(
-                    "overloaded, request shed",
-                    state.overload.config().retry_after_secs,
-                )
+                Response::unavailable("overloaded, request shed")
             }
         }
     };
@@ -142,10 +139,7 @@ fn cached(
         manic_obs::event!(
             manic_obs::DEBUG, "serve", "breaker_rejected", 0, path = req.path.as_str(),
         );
-        return Response::unavailable(
-            "render breaker open",
-            state.overload.config().retry_after_secs,
-        );
+        return Response::unavailable("render breaker open");
     }
     let started = std::time::Instant::now();
     let resp = render(state, req, link);

@@ -263,6 +263,9 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
+/// `Retry-After` seconds advertised on shed and breaker 503s.
+const RETRY_AFTER_SECS: u32 = 1;
+
 /// One response. Bodies are `Arc`d so cached responses are shared, not
 /// copied, across the worker pool.
 #[derive(Debug, Clone)]
@@ -291,10 +294,11 @@ impl Response {
         Response::json(status, w.finish())
     }
 
-    /// A `503` shed/breaker response telling the client when to come back.
-    pub fn unavailable(message: &str, retry_after_secs: u32) -> Self {
+    /// A `503` shed/breaker response telling the client to come back in
+    /// `RETRY_AFTER_SECS`.
+    pub fn unavailable(message: &str) -> Self {
         let mut r = Response::error(503, message);
-        r.retry_after = Some(retry_after_secs);
+        r.retry_after = Some(RETRY_AFTER_SECS);
         r
     }
 
@@ -471,10 +475,10 @@ mod tests {
     #[test]
     fn retry_after_header_renders() {
         let mut buf = Vec::new();
-        Response::unavailable("shed", 3).render_into(&mut buf, false);
+        Response::unavailable("shed").render_into(&mut buf, false);
         let s = String::from_utf8(buf).unwrap();
         assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{s}");
-        assert!(s.contains("Retry-After: 3\r\n"), "{s}");
+        assert!(s.contains("Retry-After: 1\r\n"), "{s}");
         assert!(s.contains("Connection: close\r\n"));
     }
 }

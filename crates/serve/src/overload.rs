@@ -41,8 +41,6 @@ pub struct OverloadConfig {
     pub shed_queue_depth: usize,
     /// Handling-latency EWMA (ms) beyond this closes the shed gate.
     pub shed_latency_ms: f64,
-    /// `Retry-After` seconds advertised on shed and breaker 503s.
-    pub retry_after_secs: u32,
     /// Consecutive slow renders that open the circuit breaker.
     pub breaker_streak: u32,
     /// A timeseries/explain render slower than this (ms) counts as slow.
@@ -58,7 +56,6 @@ impl Default for OverloadConfig {
             header_read_timeout: Duration::from_secs(2),
             shed_queue_depth: 128,
             shed_latency_ms: 50.0,
-            retry_after_secs: 1,
             breaker_streak: 8,
             breaker_slow_ms: 250.0,
             breaker_cooldown: Duration::from_secs(2),

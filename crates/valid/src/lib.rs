@@ -5,9 +5,8 @@
 //!
 //! * [`tcpmodel`] — a steady-state TCP bulk-transfer model shared by the
 //!   NDT and YouTube emulations: throughput is the minimum of the
-//!   bottleneck residual capacity along the *data* path, the Mathis
-//!   loss-limited rate, and the receiver-window rate, discounted for
-//!   slow-start over a short test;
+//!   bottleneck residual capacity along the *data* path and the Mathis
+//!   loss-limited rate, discounted for slow-start over a 10 s test;
 //! * [`ndt`] — NDT-style download/upload throughput tests against servers
 //!   hosted in transit networks, with the forward/reverse path distinction
 //!   that produced the paper's Link-2 null result (§5.3, Table 2);
@@ -29,5 +28,5 @@ pub mod youtube;
 pub use lossval::{classify_month_links, LossValInput, Table1, Table1Class};
 pub use ndt::{run_ndt, NdtResult, NdtServer};
 pub use operator::{audit, AuditOutcome, AuditReport};
-pub use tcpmodel::{path_throughput_mbps, TcpModelConfig};
-pub use youtube::{run_youtube_test, YoutubeConfig, YoutubeResult};
+pub use tcpmodel::{path_throughput_mbps, Hop};
+pub use youtube::{run_youtube_test, YoutubeResult};

@@ -102,8 +102,11 @@ impl Table1 {
     }
 }
 
+/// Significance level of every test below (the paper's p < 0.05).
+const ALPHA: f64 = 0.05;
+
 /// Run the §5.1 methodology over a set of month-links.
-pub fn classify_month_links(inputs: &[LossValInput], alpha: f64) -> Table1 {
+pub fn classify_month_links(inputs: &[LossValInput]) -> Table1 {
     let mut table = Table1::default();
     for ml in inputs {
         if !ml.significantly_congested || !ml.both_ends_responsive() {
@@ -122,7 +125,7 @@ pub fn classify_month_links(inputs: &[LossValInput], alpha: f64) -> Table1 {
         ) else {
             continue;
         };
-        if !diff.significant(alpha) {
+        if !diff.significant(ALPHA) {
             continue;
         }
         table.significant += 1;
@@ -135,7 +138,7 @@ pub fn classify_month_links(inputs: &[LossValInput], alpha: f64) -> Table1 {
             ml.far_uncongested.1,
             Tails::Greater,
         )
-        .map(|t| t.significant(alpha))
+        .map(|t| t.significant(ALPHA))
         .unwrap_or(false);
 
         // Localization test: congested far loss > congested near loss.
@@ -146,7 +149,7 @@ pub fn classify_month_links(inputs: &[LossValInput], alpha: f64) -> Table1 {
             ml.near_congested.1,
             Tails::Greater,
         )
-        .map(|t| t.significant(alpha))
+        .map(|t| t.significant(ALPHA))
         .unwrap_or(false);
 
         let class = match (far_test, loc_test) {
@@ -196,7 +199,7 @@ mod tests {
     #[test]
     fn clean_congested_link_passes_both() {
         // 5% far loss when congested, 0.1% otherwise, near end quiet.
-        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (10, 10_000), true)], 0.05);
+        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (10, 10_000), true)]);
         assert_eq!(t.significant, 1);
         assert_eq!(t.both, 1);
         assert_eq!(t.rows[0].3, Table1Class::FarHigherAndLocalized);
@@ -207,27 +210,27 @@ mod tests {
     fn near_loss_defeats_localization() {
         // Far loss rises under congestion but the near end is just as lossy:
         // the elevation cannot be attributed to the interdomain link.
-        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (520, 10_000), true)], 0.05);
+        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (520, 10_000), true)]);
         assert_eq!(t.far_only, 1);
         assert_eq!(t.both, 0);
     }
 
     #[test]
     fn decreasing_far_loss_contradicts() {
-        let t = classify_month_links(&[ml((10, 10_000), (500, 50_000), (5, 10_000), true)], 0.05);
+        let t = classify_month_links(&[ml((10, 10_000), (500, 50_000), (5, 10_000), true)]);
         assert_eq!(t.contradicting, 1);
     }
 
     #[test]
     fn insignificant_difference_filtered() {
-        let t = classify_month_links(&[ml((51, 10_000), (250, 50_000), (5, 10_000), true)], 0.05);
+        let t = classify_month_links(&[ml((51, 10_000), (250, 50_000), (5, 10_000), true)]);
         assert_eq!(t.candidates, 1);
         assert_eq!(t.significant, 0);
     }
 
     #[test]
     fn uncongested_month_links_excluded() {
-        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (10, 10_000), false)], 0.05);
+        let t = classify_month_links(&[ml((500, 10_000), (50, 50_000), (10, 10_000), false)]);
         assert_eq!(t.candidates, 0);
     }
 
@@ -243,7 +246,7 @@ mod tests {
     fn rate_limited_artifact_flagged_but_retained() {
         // 70% loss at all times, slightly higher under congestion: the paper
         // keeps these in row 1 but notes the suspicious level.
-        let t = classify_month_links(&[ml((7_500, 10_000), (35_000, 50_000), (10, 10_000), true)], 0.05);
+        let t = classify_month_links(&[ml((7_500, 10_000), (35_000, 50_000), (10, 10_000), true)]);
         assert_eq!(t.both, 1);
         assert_eq!(t.suspicious_high_loss, 1);
     }

@@ -8,7 +8,7 @@
 //! entirely different, uncongested interconnection — the paper's Link 2
 //! (Comcast-Tata in Chicago, with data returning through Ashburn).
 
-use crate::tcpmodel::{flow_path, path_throughput_mbps, TcpModelConfig};
+use crate::tcpmodel::{flow_path, links, path_throughput_mbps};
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
@@ -49,18 +49,14 @@ pub fn run_ndt(
     server: &NdtServer,
     t: SimTime,
     flow_id: u16,
-    cfg: &TcpModelConfig,
 ) -> Option<NdtResult> {
-    let (forward_links, reverse_links, rtt) =
-        flow_path(net, vp, server.addr, server.router, flow_id, t)?;
+    let (forward, reverse, rtt) = flow_path(net, vp, server.addr, server.router, flow_id, t)?;
 
     // Download governed by the reverse (server->VP) data path; upload by the
     // forward path. A few percent of measurement noise on top.
     let jitter = |stream: u64| 1.0 + 0.04 * noise::signed(net.seed ^ 0x4D7, stream, t as u64);
-    let download = path_throughput_mbps(net, &reverse_links, rtt, t, cfg)
-        * jitter(flow_id as u64);
-    let upload = path_throughput_mbps(net, &forward_links, rtt, t, cfg)
-        * jitter(flow_id as u64 | 1 << 32);
+    let download = path_throughput_mbps(net, &reverse, rtt) * jitter(flow_id as u64);
+    let upload = path_throughput_mbps(net, &forward, rtt) * jitter(flow_id as u64 | 1 << 32);
 
     Some(NdtResult {
         t,
@@ -68,8 +64,8 @@ pub fn run_ndt(
         download_mbps: download,
         upload_mbps: upload,
         rtt_ms: rtt,
-        forward_links,
-        reverse_links,
+        forward_links: links(&forward),
+        reverse_links: links(&reverse),
     })
 }
 
@@ -95,7 +91,7 @@ mod tests {
         };
         let vp = vp_of(&w, "acme-nyc");
         let quiet = datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0);
-        let r = run_ndt(&w.net, &vp, &server, quiet, 5, &TcpModelConfig::default()).unwrap();
+        let r = run_ndt(&w.net, &vp, &server, quiet, 5).unwrap();
         // Plan-capped by the VP's 20 Mbit/s access link.
         assert!(r.download_mbps > 15.0 && r.download_mbps < 25.0, "download {}", r.download_mbps);
         assert!(r.upload_mbps > 15.0);
@@ -115,11 +111,10 @@ mod tests {
             router: w.host_routers[&toy_asns::CDNCO],
         };
         let vp = vp_of(&w, "acme-nyc");
-        let cfg = TcpModelConfig::default();
         let peak = datetime_to_sim(Date::new(2016, 6, 8), 2, 0, 0); // 9pm NYC
         let quiet = datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0);
-        let rp = run_ndt(&w.net, &vp, &server, peak, 5, &cfg).unwrap();
-        let rq = run_ndt(&w.net, &vp, &server, quiet, 5, &cfg).unwrap();
+        let rp = run_ndt(&w.net, &vp, &server, peak, 5).unwrap();
+        let rq = run_ndt(&w.net, &vp, &server, quiet, 5).unwrap();
         assert!(
             rp.download_mbps < rq.download_mbps / 2.0,
             "download collapses at peak: {} vs {}",
@@ -153,11 +148,10 @@ mod tests {
             router: w.host_routers[&toy_asns::CDNCO],
         };
         let vp = vp_of(&w, "acme-nyc");
-        let cfg = TcpModelConfig::default();
         let peak = datetime_to_sim(Date::new(2016, 6, 8), 2, 0, 0);
         let quiet = datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0);
-        let rp = run_ndt(&w.net, &vp, &server, peak, 5, &cfg).unwrap();
-        let rq = run_ndt(&w.net, &vp, &server, quiet, 5, &cfg).unwrap();
+        let rp = run_ndt(&w.net, &vp, &server, peak, 5).unwrap();
+        let rq = run_ndt(&w.net, &vp, &server, quiet, 5).unwrap();
         assert!(rp.rtt_ms > rq.rtt_ms + 20.0, "{} vs {}", rp.rtt_ms, rq.rtt_ms);
     }
 }

@@ -13,39 +13,22 @@
 //! * **failure** — the client cannot sustain the bitrate (buffer depletes)
 //!   or startup times out.
 
-use crate::tcpmodel::{flow_path, path_throughput_mbps, TcpModelConfig};
+use crate::tcpmodel::{flow_path, links, path_throughput_mbps};
 use manic_netsim::noise;
 use manic_netsim::time::SimTime;
 use manic_netsim::topo::Direction;
 use manic_netsim::{Ipv4, LinkId, Network, RouterId};
 use manic_probing::VpHandle;
 
-/// Streaming test parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct YoutubeConfig {
-    /// Media bitrate, Mbit/s (the "highest supported bitrate").
-    pub bitrate_mbps: f64,
-    /// Seconds of media that must be buffered before playback starts.
-    pub startup_buffer_s: f64,
-    /// Startup deadline after which the test is recorded as failed.
-    pub startup_timeout_s: f64,
-    /// A stream fails when sustained throughput falls below
-    /// `stall_margin * bitrate` (rebuffering events deplete the buffer).
-    pub stall_margin: f64,
-    pub tcp: TcpModelConfig,
-}
-
-impl Default for YoutubeConfig {
-    fn default() -> Self {
-        YoutubeConfig {
-            bitrate_mbps: 4.0,
-            startup_buffer_s: 2.0,
-            startup_timeout_s: 15.0,
-            stall_margin: 1.05,
-            tcp: TcpModelConfig::default(),
-        }
-    }
-}
+/// Media bitrate, Mbit/s (the "highest supported bitrate").
+const BITRATE_MBPS: f64 = 4.0;
+/// Seconds of media that must be buffered before playback starts.
+const STARTUP_BUFFER_S: f64 = 2.0;
+/// Startup deadline after which the test is recorded as failed.
+const STARTUP_TIMEOUT_S: f64 = 15.0;
+/// A stream fails when sustained throughput falls below
+/// `STALL_MARGIN * BITRATE_MBPS` (rebuffering events deplete the buffer).
+const STALL_MARGIN: f64 = 1.05;
 
 /// One streaming test outcome.
 #[derive(Debug, Clone)]
@@ -71,22 +54,20 @@ pub fn run_youtube_test(
     cache_router: RouterId,
     t: SimTime,
     flow_id: u16,
-    cfg: &YoutubeConfig,
 ) -> Option<YoutubeResult> {
-    let (forward_links, reverse_links, rtt) =
-        flow_path(net, vp, cache_addr, cache_router, flow_id, t)?;
+    let (forward, reverse, rtt) = flow_path(net, vp, cache_addr, cache_router, flow_id, t)?;
 
     // Media rides the reverse (cache -> client) path.
     let jitter = 1.0 + 0.05 * noise::signed(net.seed ^ 0x77BE, flow_id as u64, t as u64);
-    let tput = (path_throughput_mbps(net, &reverse_links, rtt, t, &cfg.tcp) * jitter).max(0.01);
+    let tput = (path_throughput_mbps(net, &reverse, rtt) * jitter).max(0.01);
 
     // Startup: manifest page (2 RTT: connect + GET) then buffer 2s of media.
-    let media_bits = cfg.bitrate_mbps * cfg.startup_buffer_s;
+    let media_bits = BITRATE_MBPS * STARTUP_BUFFER_S;
     let startup = 2.0 * rtt / 1000.0 + media_bits / tput;
 
     // Failure: startup timeout, or sustained throughput below the bitrate
     // (with a small margin for container overhead).
-    let failed = startup > cfg.startup_timeout_s || tput < cfg.stall_margin * cfg.bitrate_mbps;
+    let failed = startup > STARTUP_TIMEOUT_S || tput < STALL_MARGIN * BITRATE_MBPS;
 
     Some(YoutubeResult {
         t,
@@ -94,7 +75,7 @@ pub fn run_youtube_test(
         on_throughput_mbps: tput,
         startup_delay_s: startup,
         failed,
-        forward_links,
+        forward_links: links(&forward),
     })
 }
 
@@ -102,7 +83,8 @@ pub fn run_youtube_test(
 mod tests {
     use super::*;
     use manic_netsim::time::{datetime_to_sim, Date};
-    use manic_scenario::worlds::{toy, toy_asns};
+    use manic_scenario::worlds::{install_congestion, toy, toy_asns};
+    use manic_scenario::CongestionEpisode;
 
     fn vp_of(w: &manic_scenario::World, name: &str) -> VpHandle {
         let vp = w.vp(name);
@@ -118,7 +100,6 @@ mod tests {
             w.host_routers[&toy_asns::CDNCO],
             t,
             21,
-            &YoutubeConfig::default(),
         )
         .expect("routable")
     }
@@ -146,29 +127,15 @@ mod tests {
     }
 
     #[test]
-    fn high_bitrate_stream_fails_at_peak() {
-        // An 8 Mbps stream cannot be sustained over the congested peering at
-        // peak, but plays fine in quiet hours.
-        let w = toy(1);
-        let vp = {
-            let v = w.vp("acme-nyc");
-            VpHandle { name: v.name.clone(), router: v.router, addr: v.addr }
-        };
-        let cfg = YoutubeConfig { bitrate_mbps: 8.0, ..Default::default() };
-        let run = |t: SimTime| {
-            run_youtube_test(
-                &w.net,
-                &vp,
-                w.host_addr(toy_asns::CDNCO, 3),
-                w.host_routers[&toy_asns::CDNCO],
-                t,
-                21,
-                &cfg,
-            )
-            .expect("routable")
-        };
-        let rq = run(datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0));
-        let rp = run(datetime_to_sim(Date::new(2016, 6, 8), 2, 0, 0));
+    fn stream_fails_at_peak_of_a_long_episode() {
+        // Over a peering congested ten hours a day the 4 Mbit/s stream
+        // cannot be sustained at peak (the toy world's four-hour episode
+        // still leaves it ~6.8 Mbit/s), but plays fine in quiet hours.
+        let mut w = toy(1);
+        let episode = CongestionEpisode::new(toy_asns::ACME, toy_asns::CDNCO, 0..30, 10.0);
+        install_congestion(&mut w, &[episode]);
+        let rq = run_at(&w, datetime_to_sim(Date::new(2016, 6, 7), 9, 0, 0));
+        let rp = run_at(&w, datetime_to_sim(Date::new(2016, 6, 8), 2, 0, 0));
         assert!(!rq.failed, "{rq:?}");
         assert!(rp.failed, "{rp:?}");
     }

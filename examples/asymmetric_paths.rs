@@ -19,7 +19,6 @@ use manic_probing::tslp::{synthesize_task, TslpDest, TslpTask};
 use manic_probing::VpHandle;
 use manic_scenario::worlds::{us_asns, us_broadband};
 use manic_valid::ndt::{run_ndt, NdtServer};
-use manic_valid::tcpmodel::TcpModelConfig;
 
 fn main() {
     let world = us_broadband(0x5167_C044);
@@ -45,7 +44,7 @@ fn main() {
     let peak = datetime_to_sim(Date::new(2017, 12, 7), 3, 0, 0); // 9pm CST
     let quiet = date_to_sim(Date::new(2017, 12, 7)) + 15 * 3600; // 9am CST
 
-    let r = run_ndt(&world.net, &vp, &server, peak, 7, &TcpModelConfig::default()).expect("routable");
+    let r = run_ndt(&world.net, &vp, &server, peak, 7).expect("routable");
     println!("Forward path (VP -> server) crosses: {:?}", describe(&r.forward_links));
     println!("Reverse path (server -> VP) crosses: {:?}", describe(&r.reverse_links));
 
@@ -76,7 +75,7 @@ fn main() {
         far_rtt(quiet)
     );
 
-    let rq = run_ndt(&world.net, &vp, &server, quiet, 7, &TcpModelConfig::default()).expect("routable");
+    let rq = run_ndt(&world.net, &vp, &server, quiet, 7).expect("routable");
     println!(
         "NDT download throughput:               {:.1} Mbit/s at peak vs {:.1} Mbit/s off-peak",
         r.download_mbps, rq.download_mbps

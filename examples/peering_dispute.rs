@@ -19,7 +19,6 @@ use manic_probing::VpHandle;
 use manic_scenario::schedule::CongestionEpisode;
 use manic_scenario::worlds::{install_congestion, toy_asns};
 use manic_valid::ndt::{run_ndt, NdtServer};
-use manic_valid::tcpmodel::TcpModelConfig;
 
 fn main() {
     // Build the toy topology but replace the default schedule with a
@@ -79,9 +78,9 @@ fn main() {
         router: system.world.host_routers[&toy_asns::CDNCO],
     };
     let peak_of = |y, m, d| date_to_sim(Date::new(y, m, d)) + 26 * 3600; // 9pm ET
-    let during = run_ndt(&system.world.net, &handle, &server, peak_of(2016, 4, 12), 9, &TcpModelConfig::default())
+    let during = run_ndt(&system.world.net, &handle, &server, peak_of(2016, 4, 12), 9)
         .expect("routable");
-    let after = run_ndt(&system.world.net, &handle, &server, peak_of(2016, 7, 12), 9, &TcpModelConfig::default())
+    let after = run_ndt(&system.world.net, &handle, &server, peak_of(2016, 7, 12), 9)
         .expect("routable");
     println!(
         "\n9pm download throughput: {:.1} Mbit/s during the dispute, {:.1} Mbit/s after settlement.",

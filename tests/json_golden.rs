@@ -125,7 +125,7 @@ fn pure_emitters_are_pinned() {
     pin("EMPTY_REGISTRY_JSON", &Registry::new().render_json(), EMPTY_REGISTRY_JSON);
 
     pin("ERROR_ENVELOPE", &body(&Response::error(400, "bad \"q\" \\ x\ny\u{1}z")), ERROR_ENVELOPE);
-    pin("UNAVAILABLE", &body(&Response::unavailable("overloaded, request shed", 1)), UNAVAILABLE);
+    pin("UNAVAILABLE", &body(&Response::unavailable("overloaded, request shed")), UNAVAILABLE);
     pin("DURABILITY_FRESH", &DurabilityStatus::new("always").to_json(), DURABILITY_FRESH);
     pin("DURABILITY", &durability().to_json(), DURABILITY);
 

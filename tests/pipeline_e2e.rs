@@ -14,7 +14,6 @@ use manic_scenario::worlds::{toy, toy_asns};
 use manic_stats::ttest::{two_sample_t, Tails};
 use manic_valid::lossval::{classify_month_links, LossValInput, Table1Class};
 use manic_valid::ndt::{run_ndt, NdtServer};
-use manic_valid::tcpmodel::TcpModelConfig;
 
 fn study(days: i64) -> (System, Vec<manic_core::LinkDays>) {
     let mut sys = System::new(toy(9), SystemConfig::default());
@@ -129,7 +128,7 @@ fn loss_validation_passes_both_tests_on_clean_congestion() {
         near_congested: near_c,
         near_uncongested: (0, 1000),
     };
-    let t1 = classify_month_links(&[input], 0.05);
+    let t1 = classify_month_links(&[input]);
     assert_eq!(t1.significant, 1);
     assert_eq!(t1.rows[0].3, Table1Class::FarHigherAndLocalized);
 }
@@ -155,9 +154,7 @@ fn ndt_throughput_drops_significantly_on_congested_link() {
     let mut uncong = Vec::new();
     for k in 0..(14 * 24) {
         let t = from + k * 3600;
-        let Some(r) = run_ndt(&world.net, &vp, &server, t, 3, &TcpModelConfig::default()) else {
-            continue;
-        };
+        let Some(r) = run_ndt(&world.net, &vp, &server, t, 3) else { continue };
         if is_congested_at(link, t) {
             cong.push(r.download_mbps);
         } else {
@@ -175,7 +172,7 @@ fn inference_robust_to_heavy_probe_loss() {
     // an extra 3% per-crossing drop probability (≈ one in five probes lost
     // end to end) must not change any classification — TSLP's redundancy is
     // 3-9 samples per 15-minute bin and the min-filter needs only one.
-    let mut sys = System::new(toy(9), SystemConfig { trace_attempts: 3, ..Default::default() });
+    let mut sys = System::new(toy(9), SystemConfig::default());
     sys.world.net.fault.push(manic_netsim::FaultEvent::always(
         manic_netsim::FaultKind::ExtraLoss { prob: 0.03 },
         manic_netsim::FaultScope::Global,

@@ -474,7 +474,6 @@ fn shed_gate_returns_503_and_keeps_the_priority_lane_open() {
     // request primes the EWMA and closes the gate behind itself.
     let mut cfg = ServeConfig::default();
     cfg.overload.shed_latency_ms = 1e-9;
-    cfg.overload.retry_after_secs = 7;
     let state = Arc::new(ServeState::new(Arc::clone(&fx.hub), Arc::clone(&fx.store), &cfg));
     let server = Server::start("127.0.0.1:0", state, &cfg).expect("bind");
     let addr = server.local_addr();
@@ -487,7 +486,7 @@ fn shed_gate_returns_503_and_keeps_the_priority_lane_open() {
         if status == 503 {
             shed += 1;
             assert!(
-                head.contains("Retry-After: 7"),
+                head.contains("Retry-After: 1"),
                 "shed response advertises Retry-After: {head}"
             );
             let v: Value = serde_json::from_str(&body).expect("shed error envelope is JSON");
