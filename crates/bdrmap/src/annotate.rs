@@ -19,9 +19,6 @@ pub enum HopOwner {
 /// A traceroute hop with its ownership annotation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopAnnotation {
-    /// Index within the (responsive and unresponsive) hop list.
-    pub index: usize,
-    pub ttl: u8,
     /// `None` for an unresponsive hop.
     pub addr: Option<Ipv4>,
     pub owner: HopOwner,
@@ -35,8 +32,7 @@ pub fn annotate(
     host_siblings: &[AsNumber],
 ) -> Vec<HopAnnotation> {
     hops.iter()
-        .enumerate()
-        .map(|(index, h)| {
+        .map(|h| {
             let owner = match h.addr {
                 None => HopOwner::Unknown,
                 Some(a) => {
@@ -51,7 +47,7 @@ pub fn annotate(
                     }
                 }
             };
-            HopAnnotation { index, ttl: h.ttl, addr: h.addr, owner }
+            HopAnnotation { addr: h.addr, owner }
         })
         .collect()
 }

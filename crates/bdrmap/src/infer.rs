@@ -79,38 +79,33 @@ pub struct InferredLink {
     pub far_as: AsNumber,
     pub rel: LinkRel,
     pub via_ixp: bool,
-    /// Destinations whose traces crossed this link (TSLP candidates), with
-    /// the TTLs at which near and far responded.
-    pub dests: Vec<(Ipv4, u8, u8)>,
-    pub trace_count: usize,
 }
 
-/// Complete border-mapping output for one VP.
+/// Complete border-mapping output for one VP: its links, sorted by
+/// `(near_ip, far_ip)` (bdrmap aggregates by that pair, so keys are unique).
+/// [`Self::link`] binary-searches, so whoever builds one keeps that order.
 #[derive(Debug, Clone, Default)]
 pub struct BdrmapResult {
     pub links: Vec<InferredLink>,
-    /// destination address -> (near_ip, far_ip) of the link its trace crossed.
-    pub dest_link: HashMap<Ipv4, (Ipv4, Ipv4)>,
 }
 
 impl BdrmapResult {
+    /// The link with this `(near, far)` pair, by binary search.
+    pub fn link(&self, near: Ipv4, far: Ipv4) -> Option<&InferredLink> {
+        let i = self.links.binary_search_by_key(&(near, far), |l| (l.near_ip, l.far_ip)).ok()?;
+        Some(&self.links[i])
+    }
+
     /// Links to a specific neighbor.
     pub fn links_to(&self, asn: AsNumber) -> Vec<&InferredLink> {
         self.links.iter().filter(|l| l.far_as == asn).collect()
-    }
-
-    /// All neighbor ASes with at least one link.
-    pub fn neighbors(&self) -> BTreeSet<AsNumber> {
-        self.links.iter().map(|l| l.far_as).collect()
     }
 }
 
 /// Border candidate found in one trace.
 struct TraceBorder {
     near: Ipv4,
-    near_ttl: u8,
     far: Ipv4,
-    far_ttl: u8,
     far_as: AsNumber,
     via_ixp: bool,
 }
@@ -154,32 +149,21 @@ pub fn infer(
 
     // Pass 2: per-trace border location.
     let mut agg: BTreeMap<(Ipv4, Ipv4), InferredLink> = BTreeMap::new();
-    let mut dest_link = HashMap::new();
     let mut alias_cache: HashMap<(Ipv4, Ipv4), Option<bool>> = HashMap::new();
-    for (trace, ann) in traces.iter().zip(&annotated) {
+    for ann in &annotated {
         let Some(border) = find_border(ann, &single_neighbor, alias, &mut alias_cache) else {
             continue;
         };
-        let rel = relationship(artifacts, host_asn, border.far_as);
-        let entry = agg
-            .entry((border.near, border.far))
-            .or_insert_with(|| InferredLink {
-                near_ip: border.near,
-                far_ip: border.far,
-                far_as: border.far_as,
-                rel,
-                via_ixp: border.via_ixp,
-                dests: Vec::new(),
-                trace_count: 0,
-            });
-        entry.trace_count += 1;
-        if !entry.dests.iter().any(|(d, _, _)| *d == trace.dst) {
-            entry.dests.push((trace.dst, border.near_ttl, border.far_ttl));
-        }
-        dest_link.insert(trace.dst, (border.near, border.far));
+        agg.entry((border.near, border.far)).or_insert_with(|| InferredLink {
+            near_ip: border.near,
+            far_ip: border.far,
+            far_as: border.far_as,
+            rel: relationship(artifacts, host_asn, border.far_as),
+            via_ixp: border.via_ixp,
+        });
     }
 
-    BdrmapResult { links: agg.into_values().collect(), dest_link }
+    BdrmapResult { links: agg.into_values().collect() }
 }
 
 fn relationship(artifacts: &Artifacts, host: AsNumber, neighbor: AsNumber) -> LinkRel {
@@ -221,9 +205,7 @@ fn find_border(
         })?;
         return Some(TraceBorder {
             near: x_addr,
-            near_ttl: x.ttl,
             far: f.addr?,
-            far_ttl: f.ttl,
             far_as,
             via_ixp: true,
         });
@@ -257,9 +239,7 @@ fn find_border(
             if verdict == Some(true) {
                 return Some(TraceBorder {
                     near: y_addr,
-                    near_ttl: y.ttl,
                     far: x_addr,
-                    far_ttl: x.ttl,
                     far_as: n,
                     via_ixp: false,
                 });
@@ -270,9 +250,7 @@ fn find_border(
     // Rule 3: default.
     Some(TraceBorder {
         near: x_addr,
-        near_ttl: x.ttl,
         far: f.addr?,
-        far_ttl: f.ttl,
         far_as: n,
         via_ixp: false,
     })
@@ -348,8 +326,8 @@ mod tests {
         assert_eq!(l.far_ip, "10.1.200.1".parse::<Ipv4>().unwrap());
         assert_eq!(l.far_as, NEIGH);
         assert_eq!(l.rel, LinkRel::Peer);
-        let dst: Ipv4 = "10.1.64.5".parse().unwrap();
-        assert_eq!(res.dest_link[&dst], (l.near_ip, l.far_ip));
+        assert_eq!(res.link(l.near_ip, l.far_ip).map(|f| f.far_ip), Some(l.far_ip));
+        assert!(res.link(l.far_ip, l.near_ip).is_none());
     }
 
     #[test]
@@ -371,8 +349,6 @@ mod tests {
         assert_eq!(l.near_ip, "10.0.0.9".parse::<Ipv4>().unwrap());
         assert_eq!(l.far_ip, "10.0.200.2".parse::<Ipv4>().unwrap(), "corrected far side");
         assert_eq!(l.far_as, NEIGH);
-        assert_eq!(l.trace_count, 2);
-        assert_eq!(l.dests.len(), 2);
     }
 
     #[test]
@@ -419,13 +395,7 @@ mod tests {
         let res = infer(&[tr], &art, HOST, &mut no_alias);
         assert_eq!(res.links.len(), 1);
         assert_eq!(res.links[0].near_ip, "10.0.0.1".parse::<Ipv4>().unwrap());
-        assert_eq!(res.links[0].near_ttl_of(), 1);
-    }
-
-    impl InferredLink {
-        fn near_ttl_of(&self) -> u8 {
-            self.dests[0].1
-        }
+        assert_eq!(res.links[0].far_ip, "10.1.200.1".parse::<Ipv4>().unwrap());
     }
 
     #[test]

@@ -885,13 +885,12 @@ fn cmd_links(args: Args) -> Result<(), CliError> {
     let vp = &sys.vps[vi];
     println!("{}: {} interdomain links under probing", vp.handle.name, n);
     println!("{:<16} {:<16} {:<12} {:<9} {:>5} {:>6}", "near", "far", "neighbor", "rel", "ixp", "dests");
-    if vp.bdrmap.is_none() {
+    let Some(bdr) = &vp.bdrmap else {
         return Err(CliError::EmptyCycle(vp.handle.name.clone()));
-    }
+    };
     for task in &vp.tslp.tasks {
-        let (neigh, rel, ixp) = vp
-            .bdrmap_links
-            .get(&(task.near_ip, task.far_ip))
+        let (neigh, rel, ixp) = bdr
+            .link(task.near_ip, task.far_ip)
             .map(|l| {
                 (
                     sys.world.graph.info(l.far_as).name.clone(),

@@ -5,11 +5,8 @@
 //! state (`vps`, `audit`), then a CRC-32 of every byte before the `crc`
 //! field. [`encode`] writes it; [`Meta::parse`] verifies and reads it back.
 
-use crate::health::{
-    Backoff, HealthState, TaskHealth, VpSupervisor, CYCLE_BACKOFF, MAX_QUARANTINES, MAX_STRIKES,
-    STRIKE_BACKOFF, TASK_BACKOFF,
-};
-use crate::system::{LinkMeta, System, VpRuntime};
+use crate::health::{Backoff, HealthState, TaskHealth, VpSupervisor};
+use crate::system::{System, VpRuntime};
 use manic_bdrmap::infer::LinkRel;
 use manic_bdrmap::{BdrmapResult, InferredLink};
 use manic_netsim::time::SimTime;
@@ -27,32 +24,9 @@ use super::{bad, DurabilityConfig, Durable};
 /// Checkpoint format version: the meta's JSON shape plus the snapshot's
 /// layout (`Store::write_snapshot`: the WAL's `K`/`B`/`A` frames). A meta of
 /// any other version is refused — there is no cross-version reader.
-pub const CHECKPOINT_VERSION: i64 = 2;
+pub const CHECKPOINT_VERSION: i64 = 3;
 
 // ---------------------------------------------------------------- JSON out
-
-// Members derived from a backoff's count and the health.rs constants: the
-// `secs` of a task's `health` record and of a VP's `supervisor` (the delay
-// of the last quarantine or strike, kept through retirement) and the
-// `backoff` schedule. Version 2 stores them, so they are still written, and
-// checked on read.
-
-fn task_secs(h: &TaskHealth) -> i64 {
-    Backoff::delay(h.backoff.count.min(MAX_QUARANTINES), TASK_BACKOFF)
-}
-
-fn strike_secs(s: &VpSupervisor) -> i64 {
-    Backoff::delay(s.backoff.count.min(MAX_STRIKES), STRIKE_BACKOFF)
-}
-
-/// `[ip, near_ttl, far_ttl]` per destination.
-fn write_dests(w: &mut JsonWriter, dests: impl IntoIterator<Item = (Ipv4, u8, u8)>) {
-    w.begin_array();
-    for (d, nt, ft) in dests {
-        w.begin_array().int(d.0).int(nt).int(ft).end_array();
-    }
-    w.end_array();
-}
 
 fn write_vp(w: &mut JsonWriter, vp: &VpRuntime) {
     w.begin_object().key("name").str(&vp.handle.name).key("active").bool(vp.active);
@@ -62,53 +36,44 @@ fn write_vp(w: &mut JsonWriter, vp: &VpRuntime) {
     for (router, tokens, last) in limiters {
         w.begin_array().int(router).str(format_args!("{tokens:016x}")).int(last).end_array();
     }
+    // `[near, far, flow, [[dst, near_ttl, far_ttl], ...]]` per task.
     w.end_array().key("tasks").begin_array();
     for task in &vp.tslp.tasks {
-        w.begin_array().int(task.near_ip.0).int(task.far_ip.0).int(task.flow_id);
-        write_dests(w, task.dests.iter().map(|d| (d.dst, d.near_ttl, d.far_ttl)));
-        w.end_array();
+        w.begin_array().int(task.near_ip.0).int(task.far_ip.0).int(task.flow_id).begin_array();
+        for d in &task.dests {
+            w.begin_array().int(d.dst.0).int(d.near_ttl).int(d.far_ttl).end_array();
+        }
+        w.end_array().end_array();
     }
-    // Sorted for a deterministic file (HashMap iteration order is not).
-    // `stale` holds the dark tasks' counts, `health` every record.
+    // `[near, far, state, misses, oks, dark, count, until]` per task,
+    // sorted for a deterministic file (HashMap iteration order is not).
     let mut health: Vec<_> = vp.health.iter().collect();
     health.sort_by_key(|((n, f), _)| (n.0, f.0));
-    w.end_array().key("stale").begin_array();
-    for ((n, f), h) in health.iter().filter(|(_, h)| h.dark_rounds > 0) {
-        w.begin_array().int(n.0).int(f.0).int(h.dark_rounds).end_array();
-    }
     w.end_array().key("health").begin_array();
     for ((n, f), h) in health {
         w.begin_array().int(n.0).int(f.0).str(h.state.as_str()).int(h.misses).int(h.oks);
-        w.int(h.backoff.until).int(task_secs(h)).int(h.backoff.count).end_array();
+        w.int(h.dark_rounds).int(h.backoff.count).int(h.backoff.until).end_array();
     }
-    let (cycle, (base, max)) = (vp.cycle_backoff, CYCLE_BACKOFF);
-    w.end_array().key("backoff").begin_array();
-    w.int(cycle.count).int(cycle.until).int(base).int(max).end_array();
-    let sup = &vp.supervisor;
-    w.key("supervisor").begin_array().int(sup.strikes()).int(sup.backoff.until);
-    w.int(strike_secs(sup)).bool(sup.retired()).end_array();
+    w.end_array();
+    for (key, b) in [("backoff", vp.cycle_backoff), ("supervisor", vp.supervisor.backoff)] {
+        w.key(key).begin_array().int(b.count).int(b.until).end_array();
+    }
+    // `[near, far, as, rel, ixp]` per link, in `BdrmapResult` order.
     w.key("links");
     match &vp.bdrmap {
         None => {
-            w.null().key("dest_link").begin_array();
+            w.null();
         }
         Some(bdr) => {
             w.begin_array();
             for l in &bdr.links {
                 w.begin_array().int(l.near_ip.0).int(l.far_ip.0).int(l.far_as.0);
-                w.str(l.rel.as_str()).bool(l.via_ixp).int(l.trace_count);
-                write_dests(w, l.dests.iter().copied());
-                w.end_array();
+                w.str(l.rel.as_str()).bool(l.via_ixp).end_array();
             }
-            let mut dl: Vec<_> = bdr.dest_link.iter().collect();
-            dl.sort_by_key(|(d, _)| d.0);
-            w.end_array().key("dest_link").begin_array();
-            for (d, (n, f)) in dl {
-                w.begin_array().int(d.0).int(n.0).int(f.0).end_array();
-            }
+            w.end_array();
         }
     }
-    w.end_array().end_object();
+    w.end_object();
 }
 
 /// Audit values are serialized as `["name", tag, encoded]` triples with an
@@ -168,22 +133,20 @@ fn elem_str<'a>(a: &'a [Json], i: usize, what: &str) -> io::Result<&'a str> {
     a.get(i).and_then(Json::as_str).ok_or_else(|| bad(format!("checkpoint: bad {what}[{i}]")))
 }
 
-/// `Backoff { count: a[count], until: a[until] }`.
-fn elem_backoff(a: &[Json], count: usize, until: usize, what: &str) -> io::Result<Backoff> {
+/// `Backoff { count: a[at], until: a[at + 1] }`.
+fn elem_backoff(a: &[Json], at: usize, what: &str) -> io::Result<Backoff> {
     Ok(Backoff {
-        count: elem_i64(a, count, what)? as u32,
-        until: elem_i64(a, until, what)?,
+        count: elem_i64(a, at, what)? as u32,
+        until: elem_i64(a, at + 1, what)?,
     })
 }
 
-/// A derived member that disagrees with what it derives from makes the meta
-/// as unusable as a missing one.
-fn derived<T: PartialEq>(stored: T, want: T, what: &str) -> io::Result<()> {
-    if stored == want {
-        Ok(())
-    } else {
-        Err(bad(format!("checkpoint: {what} backoff disagrees with its count")))
-    }
+/// The elements of the array at `v[k]`, each itself an array.
+fn rows<'a>(v: &'a Json, k: &'a str) -> io::Result<impl Iterator<Item = io::Result<&'a [Json]>>> {
+    Ok(getarr(v, k)?.iter().map(move |r| {
+        let row = r.as_array().map(Vec::as_slice);
+        row.ok_or_else(|| bad(format!("checkpoint: {k} row not an array")))
+    }))
 }
 
 fn from_hex(s: &str) -> io::Result<u64> {
@@ -192,19 +155,6 @@ fn from_hex(s: &str) -> io::Result<u64> {
 
 fn ip(v: i64) -> Ipv4 {
     Ipv4(v as u32)
-}
-
-fn parse_dests(a: &[Json]) -> io::Result<Vec<(Ipv4, u8, u8)>> {
-    a.iter()
-        .map(|d| {
-            let d = d.as_array().ok_or_else(|| bad("checkpoint: dest not an array"))?;
-            Ok((
-                ip(elem_i64(d, 0, "dest")?),
-                elem_i64(d, 1, "dest")? as u8,
-                elem_i64(d, 2, "dest")? as u8,
-            ))
-        })
-        .collect()
 }
 
 /// Intern an audit string back to `&'static str`. Known detector/evidence
@@ -295,10 +245,9 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
     vp.active = getb(m, "active")?;
     vp.last_cycle = m.get("last_cycle").and_then(Json::as_i64);
     let counter = from_hex(gets(m, "sim_counter")?)?;
-    let limiters = getarr(m, "limiters")?
-        .iter()
+    let limiters = rows(m, "limiters")?
         .map(|l| {
-            let l = l.as_array().ok_or_else(|| bad("checkpoint: limiter not an array"))?;
+            let l = l?;
             Ok((
                 elem_i64(l, 0, "limiter")? as u32,
                 from_hex(elem_str(l, 1, "limiter")?)?,
@@ -312,77 +261,56 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
     // table is emptied, so the first commit resolves it in the restored
     // store.
     vp.tslp.set_tasks(
-        getarr(m, "tasks")?
-            .iter()
+        rows(m, "tasks")?
             .map(|t| {
-                let t = t.as_array().ok_or_else(|| bad("checkpoint: task not an array"))?;
+                let t = t?;
                 let dests = t
                     .get(3)
                     .and_then(Json::as_array)
-                    .ok_or_else(|| bad("checkpoint: task dests missing"))?;
+                    .ok_or_else(|| bad("checkpoint: task dests missing"))?
+                    .iter()
+                    .map(|d| {
+                        let d = d.as_array().ok_or_else(|| bad("checkpoint: dest not an array"))?;
+                        Ok(TslpDest {
+                            dst: ip(elem_i64(d, 0, "dest")?),
+                            near_ttl: elem_i64(d, 1, "dest")? as u8,
+                            far_ttl: elem_i64(d, 2, "dest")? as u8,
+                        })
+                    })
+                    .collect::<io::Result<Vec<_>>>()?;
                 Ok(TslpTask {
                     near_ip: ip(elem_i64(t, 0, "task")?),
                     far_ip: ip(elem_i64(t, 1, "task")?),
                     flow_id: elem_i64(t, 2, "task")? as u16,
-                    dests: parse_dests(dests)?
-                        .into_iter()
-                        .map(|(dst, near_ttl, far_ttl)| TslpDest { dst, near_ttl, far_ttl })
-                        .collect(),
+                    dests,
                 })
             })
             .collect::<io::Result<Vec<_>>>()?,
     );
     vp.slots.clear();
-    let mut health = getarr(m, "health")?
-        .iter()
+    vp.health = rows(m, "health")?
         .map(|h| {
-            let h = h.as_array().ok_or_else(|| bad("checkpoint: health not an array"))?;
+            let h = h?;
             let rec = TaskHealth {
                 state: HealthState::parse(elem_str(h, 2, "health")?)
                     .ok_or_else(|| bad("checkpoint: unknown health state"))?,
                 misses: elem_i64(h, 3, "health")? as u32,
                 oks: elem_i64(h, 4, "health")? as u32,
-                dark_rounds: 0,
-                backoff: elem_backoff(h, 7, 5, "health")?,
+                dark_rounds: elem_i64(h, 5, "health")? as u32,
+                backoff: elem_backoff(h, 6, "health")?,
             };
-            derived(elem_i64(h, 6, "health")?, task_secs(&rec), "health")?;
-            Ok((
-                (ip(elem_i64(h, 0, "health")?), ip(elem_i64(h, 1, "health")?)),
-                rec,
-            ))
+            Ok(((ip(elem_i64(h, 0, "health")?), ip(elem_i64(h, 1, "health")?)), rec))
         })
         .collect::<io::Result<HashMap<_, _>>>()?;
-    for s in getarr(m, "stale")? {
-        let s = s.as_array().ok_or_else(|| bad("checkpoint: stale not an array"))?;
-        let key = (ip(elem_i64(s, 0, "stale")?), ip(elem_i64(s, 1, "stale")?));
-        health
-            .get_mut(&key)
-            .ok_or_else(|| bad("checkpoint: dark count of a task with no health record"))?
-            .dark_rounds = elem_i64(s, 2, "stale")? as u32;
-    }
-    vp.health = health;
-    let b = getarr(m, "backoff")?;
-    let schedule = (elem_i64(b, 2, "backoff")?, elem_i64(b, 3, "backoff")?);
-    derived(schedule, CYCLE_BACKOFF, "cycle")?;
-    vp.cycle_backoff = elem_backoff(b, 0, 1, "backoff")?;
-    let s = getarr(m, "supervisor")?;
-    vp.supervisor = VpSupervisor {
-        backoff: elem_backoff(s, 0, 1, "supervisor")?,
-    };
-    let sup = (strike_secs(&vp.supervisor), vp.supervisor.retired());
-    derived((elem_i64(s, 2, "supervisor")?, elem_bool(s, 3, "supervisor")?), sup, "supervisor")?;
+    vp.cycle_backoff = elem_backoff(getarr(m, "backoff")?, 0, "backoff")?;
+    let supervisor = elem_backoff(getarr(m, "supervisor")?, 0, "supervisor")?;
+    vp.supervisor = VpSupervisor { backoff: supervisor };
     vp.bdrmap = match m.get("links") {
         None | Some(Json::Null) => None,
-        Some(links) => {
-            let links = links.as_array().ok_or_else(|| bad("checkpoint: links not an array"))?;
-            let links = links
-                .iter()
+        Some(_) => {
+            let links = rows(m, "links")?
                 .map(|l| {
-                    let l = l.as_array().ok_or_else(|| bad("checkpoint: link not an array"))?;
-                    let dests = l
-                        .get(6)
-                        .and_then(Json::as_array)
-                        .ok_or_else(|| bad("checkpoint: link dests missing"))?;
+                    let l = l?;
                     Ok(InferredLink {
                         near_ip: ip(elem_i64(l, 0, "link")?),
                         far_ip: ip(elem_i64(l, 1, "link")?),
@@ -390,31 +318,22 @@ fn restore_vp(vp: &mut VpRuntime, m: &Json) -> io::Result<()> {
                         rel: LinkRel::parse(elem_str(l, 3, "link")?)
                             .ok_or_else(|| bad("checkpoint: unknown link relationship"))?,
                         via_ixp: elem_bool(l, 4, "link")?,
-                        trace_count: elem_i64(l, 5, "link")? as usize,
-                        dests: parse_dests(dests)?,
                     })
                 })
                 .collect::<io::Result<Vec<_>>>()?;
-            let dest_link = getarr(m, "dest_link")?
-                .iter()
-                .map(|d| {
-                    let d =
-                        d.as_array().ok_or_else(|| bad("checkpoint: dest_link not an array"))?;
-                    Ok((
-                        ip(elem_i64(d, 0, "dest_link")?),
-                        (ip(elem_i64(d, 1, "dest_link")?), ip(elem_i64(d, 2, "dest_link")?)),
-                    ))
-                })
-                .collect::<io::Result<HashMap<_, _>>>()?;
-            Some(BdrmapResult { links, dest_link })
+            // `BdrmapResult::link` binary-searches, so the order is part of
+            // the state: links out of `(near, far)` order make a bad meta.
+            let key = |l: &InferredLink| (l.near_ip, l.far_ip);
+            if !links.windows(2).all(|p| key(&p[0]) < key(&p[1])) {
+                return Err(bad("checkpoint: links not sorted by (near, far)"));
+            }
+            Some(BdrmapResult { links })
         }
     };
-    // Derived state, not checkpointed: the link index is rebuilt from the
-    // restored bdrmap, and the incremental summaries recreate themselves at
-    // the first post-resume commit by store backfill (their content is a
-    // pure function of the restored store, so fingerprints converge with an
-    // uninterrupted run's — DESIGN.md §5k).
-    vp.bdrmap_links = vp.bdrmap.as_ref().map(LinkMeta::index).unwrap_or_default();
+    // Derived state, not checkpointed: the incremental summaries recreate
+    // themselves at the first post-resume commit by store backfill (their
+    // content is a pure function of the restored store, so fingerprints
+    // converge with an uninterrupted run's — DESIGN.md §5k).
     vp.summaries.clear();
     Ok(())
 }
@@ -483,9 +402,9 @@ pub(super) struct Meta {
 
 impl Meta {
     pub fn parse(text: &str) -> io::Result<Meta> {
-        // Verify the meta's self-checksum, which every version-2 writer
-        // appends. It covers every byte before its own member, so any
-        // flipped bit in the body, the crc or its key is caught.
+        // Verify the meta's self-checksum, which every writer appends. It
+        // covers every byte before its own member, so any flipped bit in
+        // the body, the crc or its key is caught.
         let idx = text.rfind(CRC_MEMBER).ok_or_else(|| bad("meta has no checksum"))?;
         let ok = text[idx + CRC_MEMBER.len()..]
             .get(..8)

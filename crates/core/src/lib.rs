@@ -26,7 +26,7 @@ pub mod system;
 
 pub use checkpoint::{
     has_checkpoint, recover_report, resume, Durable, DurabilityConfig, RecoverReport, ResumeInfo,
-    StorageFindings,
+    StorageFindings, CHECKPOINT_VERSION,
 };
 pub use health::{Backoff, HealthState, TaskHealth, VpSupervisor};
 pub use longitudinal::{run_longitudinal, run_longitudinal_detailed, LinkDays, LongitudinalConfig, LongitudinalOutput, VpLinkDays};

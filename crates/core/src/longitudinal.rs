@@ -229,9 +229,10 @@ pub fn run_longitudinal_detailed(system: &mut System, cfg: &LongitudinalConfig) 
     crate::engine::fan_out(cfg.threads, vps.len(), |i| {
         let vp = vps[i];
         let series = vp.tslp.synthesize_window(net, cfg.from, cfg.to, 900);
+        let bdr = vp.bdrmap.as_ref().expect("filtered to VPs with a border map");
         let mut links = Vec::new();
         for s in &series {
-            let Some(meta) = vp.bdrmap_links.get(&(s.near_ip, s.far_ip)) else {
+            let Some(meta) = bdr.link(s.near_ip, s.far_ip) else {
                 continue;
             };
             let (masks, observed) = analyze_task_series(&vp.handle.name, s, cfg);

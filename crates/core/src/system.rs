@@ -54,33 +54,6 @@ impl Default for SystemConfig {
     }
 }
 
-/// The attributes of one inferred border link the control loop consults per
-/// round, denormalized out of `BdrmapResult::links` into a map keyed by
-/// `(near_ip, far_ip)`. Rebuilt on every bdrmap cycle; turns the per-task
-/// `links.iter().find(...)` scans (O(tasks × links) per call) into hash
-/// lookups.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkMeta {
-    pub far_as: manic_netsim::AsNumber,
-    pub rel: manic_bdrmap::infer::LinkRel,
-    pub via_ixp: bool,
-}
-
-impl LinkMeta {
-    /// The `(near_ip, far_ip)` index over one cycle's inferred links (bdrmap
-    /// aggregates links by that pair, so keys are unique).
-    pub(crate) fn index(bdrmap: &BdrmapResult) -> HashMap<(Ipv4, Ipv4), LinkMeta> {
-        bdrmap
-            .links
-            .iter()
-            .map(|l| {
-                let meta = LinkMeta { far_as: l.far_as, rel: l.rel, via_ixp: l.via_ixp };
-                ((l.near_ip, l.far_ip), meta)
-            })
-            .collect()
-    }
-}
-
 /// Per-VP runtime state.
 pub struct VpRuntime {
     pub handle: VpHandle,
@@ -92,9 +65,6 @@ pub struct VpRuntime {
     pub sim: SimState,
     /// Latest border-mapping result.
     pub bdrmap: Option<BdrmapResult>,
-    /// `(near_ip, far_ip) → link` index over `bdrmap`'s inferred links,
-    /// rebuilt whenever `bdrmap` changes.
-    pub bdrmap_links: std::collections::HashMap<(Ipv4, Ipv4), LinkMeta>,
     /// Incremental far-end series summaries, one per probing task, updated
     /// from each round's committed staged ops (see
     /// [`manic_inference::LinkSummary`]). Created lazily at commit time by
@@ -214,7 +184,6 @@ impl System {
                 ),
                 sim: SimState::new(),
                 bdrmap: None,
-                bdrmap_links: std::collections::HashMap::new(),
                 summaries: std::collections::HashMap::new(),
                 slots: Vec::new(),
                 last_cycle: None,
@@ -338,7 +307,6 @@ impl System {
         let lost = old_keys.difference(&new_keys).count();
         vp.tslp.update_targets(tasks);
         vp.slots.clear();
-        vp.bdrmap_links = LinkMeta::index(&result);
         vp.bdrmap = Some(result);
         // Summaries follow the probing set: tasks that survived re-selection
         // keep their ring (series continuity), dropped tasks free theirs,
@@ -493,16 +461,14 @@ impl System {
         use manic_bdrmap::infer::LinkRel;
         let vp = &mut self.vps[vi];
         let mut targets = Vec::new();
-        if vp.bdrmap.is_none() {
-            return 0;
-        }
+        let Some(bdr) = &vp.bdrmap else { return 0 };
         // Dense-window scratch, reused across tasks (one allocation per
         // call instead of two per link).
         let mut bins: Vec<Option<f64>> = Vec::new();
         let mut qual: Vec<manic_tsdb::quality::QualityFlags> = Vec::new();
         for (ti, task) in vp.tslp.tasks.iter().enumerate() {
             let tkey = (task.near_ip, task.far_ip);
-            let Some(link) = vp.bdrmap_links.get(&tkey) else { continue };
+            let Some(link) = bdr.link(task.near_ip, task.far_ip) else { continue };
             if link.rel == LinkRel::Customer {
                 continue; // §3.3: only peers and providers
             }
@@ -670,8 +636,9 @@ impl System {
                 });
             }
             let rel = vp
-                .bdrmap_links
-                .get(&(task.near_ip, task.far_ip))
+                .bdrmap
+                .as_ref()
+                .and_then(|b| b.link(task.near_ip, task.far_ip))
                 .map(|l| (l.far_as, l.rel));
             out.push(LinkStatus {
                 vp: vp.handle.name.clone(),

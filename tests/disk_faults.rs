@@ -9,6 +9,7 @@
 
 use manic_core::{
     has_checkpoint, recover_report, resume, Durable, DurabilityConfig, System, SystemConfig,
+    CHECKPOINT_VERSION,
 };
 use manic_netsim::time::{date_to_sim, Date};
 use manic_scenario::worlds::toy;
@@ -468,27 +469,28 @@ fn fresh_start_through_the_runs_vfs_wipes_the_earlier_run() {
     std::fs::remove_dir_all(&empty).ok();
 }
 
-/// A data dir written by the version-1 format (text `S` snapshots) is
-/// refused as a whole — by the `--resume` gate's callee and by the read-only
-/// report alike, with both versions named — and not one byte of it changes:
-/// no fallback past the "bad" metas, no fresh start, no WAL truncation.
+/// A data dir written by the previous format version is refused as a
+/// whole — by the `--resume` gate's callee and by the read-only report
+/// alike, with both versions named — and not one byte of it changes: no
+/// fallback past the "bad" metas, no fresh start, no WAL truncation.
 #[test]
 fn version_1_dir_is_refused_and_left_untouched() {
+    let (new, old) = (CHECKPOINT_VERSION, CHECKPOINT_VERSION - 1);
     let dir = scratch_copy("v1");
     let metas: Vec<PathBuf> = data_files(&dir)
         .into_iter()
         .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with("checkpoint-"))
         .collect();
-    assert_eq!(metas.len(), 3, "every kept generation gets a v1 meta");
+    assert_eq!(metas.len(), 3, "every kept generation gets an old meta");
     for meta in &metas {
-        // A v1 meta by hand: the same fields under `"version":1`, with the
-        // self-checksum a v1 writer would have appended.
+        // An old meta by hand: the same fields under the previous version,
+        // with the self-checksum its writer would have appended.
+        let lead = |v: i64| format!("{{\"version\":{v},");
         let text = std::fs::read_to_string(meta).expect("read meta");
-        let body = text[..text.rfind(",\"crc\":\"").expect("crc field")]
-            .replacen("{\"version\":2,", "{\"version\":1,", 1);
-        assert!(body.starts_with("{\"version\":1,"), "meta does not lead with its version");
+        let body = text[..text.rfind(",\"crc\":\"").expect("crc field")].replacen(&lead(new), &lead(old), 1);
+        assert!(body.starts_with(&lead(old)), "meta does not lead with its version");
         let crc = manic_tsdb::segment::crc32(body.as_bytes());
-        std::fs::write(meta, format!("{body},\"crc\":\"{crc:08x}\"}}")).expect("write v1 meta");
+        std::fs::write(meta, format!("{body},\"crc\":\"{crc:08x}\"}}")).expect("write old meta");
     }
     let contents = |dir: &Path| -> Vec<(PathBuf, Vec<u8>)> {
         data_files(dir).into_iter().map(|p| (p.clone(), std::fs::read(&p).unwrap())).collect()
@@ -497,14 +499,15 @@ fn version_1_dir_is_refused_and_left_untouched() {
 
     assert!(has_checkpoint(&dir, &RealVfs), "the CLI must take the resume path, not wipe the dir");
     let refusals = [
-        resume(&dir, Some(clean_cfg())).map(|_| ()).expect_err("resume of a v1 dir"),
-        resume(&dir, None).map(|_| ()).expect_err("resume of a v1 dir, checkpointed knobs"),
-        recover_report(&dir, &RealVfs).map(|_| ()).expect_err("report on a v1 dir"),
+        resume(&dir, Some(clean_cfg())).map(|_| ()).expect_err("resume of an old dir"),
+        resume(&dir, None).map(|_| ()).expect_err("resume of an old dir, checkpointed knobs"),
+        recover_report(&dir, &RealVfs).map(|_| ()).expect_err("report on an old dir"),
     ];
     for err in refusals {
         assert_eq!(err.kind(), std::io::ErrorKind::Unsupported, "{err}");
         let msg = err.to_string();
-        assert!(msg.contains("version 1") && msg.contains("version 2"), "{msg}");
+        let names = |v: i64| msg.contains(&format!("version {v}"));
+        assert!(names(old) && names(new), "{msg}");
         assert!(msg.contains("checkpoint-00000048.json"), "names the file it stopped at: {msg}");
     }
     assert!(contents(&dir) == before, "a refused dir must be byte-identical afterwards");

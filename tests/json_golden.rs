@@ -329,7 +329,7 @@ fn global_state_emitters_are_pinned() {
 
 // ------------------------------------------------ printed by the parent
 
-const META_DIGEST: &str = "checkpoint-00000012.json 2899 cdc78e41343a5e06\ncheckpoint-00000024.json 2900 fb322801ba70b60e\ncheckpoint-00000036.json 4648 820855aeffdbda1c\n";
+const META_DIGEST: &str = "checkpoint-00000012.json 2011 f2878302822b24c1\ncheckpoint-00000024.json 2012 9cc8a4279a510484\ncheckpoint-00000036.json 3760 a6b2d286be830dd6\n";
 const LINKS_JSON: &str = "{\"epoch\":7,\"sim_now\":1234,\"links\":[{\"vp\":\"vp-a\",\"near\":\"10.9.1.1\",\"far\":\"10.9.1.2\",\"neighbor\":\"AS64500\",\"rel\":\"provider\",\"far_latest_ms\":21.5,\"far_baseline_ms\":20,\"near_latest_ms\":0.1,\"elevated\":false,\"congested\":true},{\"vp\":\"vp \\\"b\\\"\\\\\",\"near\":\"10.9.2.1\",\"far\":\"10.9.2.2\",\"neighbor\":null,\"rel\":\"peer\",\"far_latest_ms\":null,\"far_baseline_ms\":null,\"near_latest_ms\":null,\"elevated\":true,\"congested\":false},{\"vp\":\"vp-a\",\"near\":\"10.9.3.1\",\"far\":\"10.9.3.2\",\"neighbor\":\"AS1\",\"rel\":\"customer\",\"far_latest_ms\":null,\"far_baseline_ms\":null,\"near_latest_ms\":0.0000001,\"elevated\":false,\"congested\":null},{\"vp\":\"vp-c\",\"near\":\"10.9.4.1\",\"far\":\"10.9.4.2\",\"neighbor\":\"AS4294967295\",\"rel\":\"unknown\",\"far_latest_ms\":1000000000000000000000,\"far_baseline_ms\":-0,\"near_latest_ms\":null,\"elevated\":true,\"congested\":null}]}";
 const HEALTH_JSON: &str = "{\"epoch\":7,\"sim_now\":1234,\"world\":{\"name\":\"sim-\\\"5k\\\"\",\"fingerprint\":\"000000000000abcd\"},\"tasks\":[{\"vp\":\"vp-a\",\"vp_active\":true,\"near\":\"10.9.1.1\",\"far\":\"10.9.1.2\",\"state\":\"healthy\"},{\"vp\":\"vp \\\"b\\\"\\\\\",\"vp_active\":false,\"near\":\"10.9.2.1\",\"far\":\"10.9.2.2\",\"state\":\"degraded\"},{\"vp\":\"vp-a\",\"vp_active\":true,\"near\":\"10.9.3.1\",\"far\":\"10.9.3.2\",\"state\":\"quarantined\"},{\"vp\":\"vp-c\",\"vp_active\":false,\"near\":\"10.9.4.1\",\"far\":\"10.9.4.2\",\"state\":\"retired\"}]}";
 const API_HEALTH: &str = "200 {\"epoch\":7,\"sim_now\":1234,\"world\":{\"name\":\"sim-\\\"5k\\\"\",\"fingerprint\":\"000000000000abcd\"},\"tasks\":[{\"vp\":\"vp-a\",\"vp_active\":true,\"near\":\"10.9.1.1\",\"far\":\"10.9.1.2\",\"state\":\"healthy\"},{\"vp\":\"vp \\\"b\\\"\\\\\",\"vp_active\":false,\"near\":\"10.9.2.1\",\"far\":\"10.9.2.2\",\"state\":\"degraded\"},{\"vp\":\"vp-a\",\"vp_active\":true,\"near\":\"10.9.3.1\",\"far\":\"10.9.3.2\",\"state\":\"quarantined\"},{\"vp\":\"vp-c\",\"vp_active\":false,\"near\":\"10.9.4.1\",\"far\":\"10.9.4.2\",\"state\":\"retired\"}],\"overload\":{\"max_conns\":1024,\"open_connections\":0,\"queue_depth\":0,\"shed_active\":false,\"latency_ewma_ms\":0.000,\"breaker\":\"closed\",\"shed_total\":0,\"breaker_rejected_total\":0,\"disconnect_total\":0,\"parse_rejected_total\":0,\"cache_bytes\":0,\"cache_shrinks\":0},\"durability\":{\"enabled\":true,\"policy\":\"every-\\\"64\\\"\",\"resumed\":true,\"recovered_rounds\":20,\"tail_discarded\":3,\"recovery_ms\":12.346,\"checkpoint_rounds\":24,\"checkpoint_t\":7200,\"rounds\":31,\"lag_rounds\":7,\"storage\":{\"degraded\":true,\"fallback_generations\":1,\"bad_metas\":2,\"healed_snapshot\":true,\"quarantined_frames\":3,\"quarantined_bytes\":96,\"gap_windows\":4,\"checkpoint_generation\":24}}}";

@@ -411,7 +411,7 @@ fn kill_under_faults_resume_serial_matches() {
         "{newest}: no quarantined or retired task"
     );
     assert!(
-        vps.iter().flat_map(|v| v["stale"].as_array().unwrap()).any(|s| int(s, 2) >= 5),
+        vps.iter().flat_map(|v| v["health"].as_array().unwrap()).any(|h| int(h, 5) >= 5),
         "{newest}: no task five rounds dark"
     );
     assert!(
