@@ -67,7 +67,7 @@ pub struct ResumeInfo {
     pub t: SimTime,
     pub t_start: SimTime,
     pub t_end: SimTime,
-    /// Samples/annotations/retains restored from the snapshot segment.
+    /// Samples and annotations restored from the snapshot segment.
     pub snapshot_records: u64,
     /// Intact post-checkpoint WAL records discarded (regenerated by
     /// deterministic re-execution).

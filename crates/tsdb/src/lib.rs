@@ -11,8 +11,9 @@
 //!   write-ahead log and checkpointed as WAL-format segments;
 //! * range queries and bin downsampling (`min` per 5/15-minute bin is the
 //!   pre-processing step of both inference algorithms, §4.1/§4.2);
-//! * retention trimming and Grafana-style JSON export (the public-data
-//!   release story of §1's contribution 4).
+//! * Grafana-style JSON export (the public-data release story of §1's
+//!   contribution 4). There is no retention: a store keeps every point of
+//!   its run.
 //!
 //! The store is striped over `std::sync::RwLock`-guarded shards, each a
 //! key → index map over a vector of entries: a key's points and quality

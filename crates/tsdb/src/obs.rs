@@ -24,7 +24,7 @@ pub(crate) struct Metrics {
     /// Raw samples shed (not persisted) while in ENOSPC-degraded mode.
     pub wal_shed_samples: Counter,
     /// Transitions into ENOSPC-degraded mode (shedding raw-sample frames
-    /// while still persisting verdict-critical annotations/retains).
+    /// while still persisting verdict-critical annotations).
     pub wal_degraded_enters: Counter,
     /// Bytes fenced off mid-file by resync replay (corrupt frame ranges
     /// skipped over, flagged as GAP windows rather than failing replay).

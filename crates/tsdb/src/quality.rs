@@ -50,24 +50,6 @@ impl QualityLog {
         &self.windows
     }
 
-    /// Drop windows entirely before `cutoff` and clamp straddling windows
-    /// to start at `cutoff`, mirroring `Series::trim_before` so retention
-    /// never leaves flags for data that no longer exists. Returns the
-    /// number of windows removed outright.
-    pub fn trim_before(&mut self, cutoff: i64) -> usize {
-        let before = self.windows.len();
-        self.windows.retain_mut(|w| {
-            if w.1 <= cutoff {
-                return false;
-            }
-            if w.0 < cutoff {
-                w.0 = cutoff;
-            }
-            true
-        });
-        before - self.windows.len()
-    }
-
     /// Per-bin OR of flags across `[start, end)` in `bin_secs` bins, into a
     /// caller-owned buffer (cleared first) so repeated window scans reuse
     /// one allocation. Same edge-case contract as
@@ -143,17 +125,4 @@ mod tests {
         assert!(dense(&log, 0, 600, 0).is_empty(), "non-positive bin clears the buffer");
     }
 
-    #[test]
-    fn trim_before_drops_and_clamps() {
-        let mut log = QualityLog::default();
-        log.annotate(0, 300, GAP);
-        log.annotate(300, 900, QUARANTINED);
-        log.annotate(900, 1200, RENUMBERED);
-        assert_eq!(log.trim_before(600), 1, "fully-old window dropped");
-        assert_eq!(log.windows(), &[(600, 900, QUARANTINED), (900, 1200, RENUMBERED)]);
-        assert_eq!(dense(&log, 0, 600, 600), vec![0], "nothing before the cutoff");
-        assert_eq!(dense(&log, 0, 601, 601), vec![QUARANTINED], "clamped window starts at cutoff");
-        assert_eq!(log.trim_before(5000), 2);
-        assert!(log.windows().is_empty());
-    }
 }

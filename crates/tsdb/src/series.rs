@@ -241,13 +241,6 @@ impl Series {
         }
     }
 
-    /// Drop all points with `t < cutoff`; returns how many were removed.
-    pub fn trim_before(&mut self, cutoff: i64) -> usize {
-        let keep_from = self.ts.partition_point(|&t| t < cutoff);
-        self.ts.drain(..keep_from);
-        self.vs.drain(..keep_from);
-        keep_from
-    }
 }
 
 #[cfg(test)]
@@ -324,14 +317,6 @@ mod tests {
         assert_eq!(s.downsample(0, 10, 10, Aggregate::Sum)[0].v, 6.0);
         assert_eq!(s.downsample(0, 10, 10, Aggregate::Count)[0].v, 3.0);
         assert_eq!(s.downsample(0, 10, 10, Aggregate::Last)[0].v, 3.0);
-    }
-
-    #[test]
-    fn trim_before_drops_old_points() {
-        let mut s = series(&[(0, 1.0), (100, 2.0), (200, 3.0)]);
-        assert_eq!(s.trim_before(150), 2);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.all(), vec![Point::new(200, 3.0)]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! through a [`SeriesSlot`]; anything that needs the whole store in one
 //! canonical order — the content hash, the record dump, the checkpoint
 //! snapshot — is a visitor over [`Store::walk`], one sorted pass that
-//! copies nothing. The snapshot ([`Store::write_snapshot`], checkpoint
-//! format version 2) is a segment of the write-ahead log's own frames: a
+//! copies nothing. The snapshot ([`Store::write_snapshot`], the checkpoint
+//! snapshot since format version 2) is a segment of the write-ahead log's own frames: a
 //! sample is a 20-byte entry of a `B` frame under its series' `K` frame
 //! there as everywhere else on disk, so [`crate::wal`]'s replay is its only
 //! reader.
@@ -42,12 +42,12 @@ pub fn recommended_shards(expected_series: usize) -> usize {
 /// Tag predicate for series selection: every listed pair must match.
 pub type TagFilter = TagSet;
 
-/// Everything the store holds for one key. An entry is *live* once the key
-/// has been written or annotated, until retention empties it; only live
-/// entries are seen by [`Store::walk`] and [`Store::annotate_all`], and an
-/// entry counts as a series (`series_count`, `find_series`) only while it
-/// has points. An entry that [`Store::slot`] created and nothing has
-/// touched is not live: the store reads exactly as if it did not exist.
+/// Everything the store holds for one key. An entry is *live* from the
+/// key's first write or annotation on; only live entries are seen by
+/// [`Store::walk`] and [`Store::annotate_all`], and an entry counts as a
+/// series (`series_count`, `find_series`) only while it has points. An
+/// entry that [`Store::slot`] created and nothing has touched is not live:
+/// the store reads exactly as if it did not exist.
 struct Entry {
     /// Shared with the shard's index map.
     key: Arc<SeriesKey>,
@@ -63,9 +63,8 @@ impl Entry {
 }
 
 /// One stripe of the store: a key → index map over a vector of entries.
-/// Entries are never removed or moved (retention empties them in place), so
-/// an index, once handed out as a [`SeriesSlot`], names its key for the
-/// store's lifetime.
+/// Entries are never removed or moved, so an index, once handed out as a
+/// [`SeriesSlot`], names its key for the store's lifetime.
 #[derive(Default)]
 struct Shard {
     index: HashMap<Arc<SeriesKey>, u32>,
@@ -475,32 +474,6 @@ impl Store {
         }
     }
 
-    /// Apply a retention policy: drop all points older than `cutoff`, and
-    /// trim quality-flag windows to the retained range so flags never
-    /// outlive the data they annotate. Returns the number of points removed.
-    pub fn retain_from(&self, cutoff: i64) -> usize {
-        if let Some(wal) = self.wal.get() {
-            wal.append(WalRecord::Retain { cutoff });
-        }
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap();
-            for entry in shard.entries.iter_mut().filter(|e| e.live) {
-                removed += entry.series.trim_before(cutoff);
-                entry.quality.trim_before(cutoff);
-                if entry.series.is_empty() {
-                    // A fresh series, so the key's next point registers a
-                    // new WAL key id as a first write does. An entry left
-                    // with nothing is emptied in place, never removed: its
-                    // index may be a caller's slot.
-                    entry.series = Series::default();
-                    entry.live = !entry.quality.windows().is_empty();
-                }
-            }
-        }
-        removed
-    }
-
     /// Apply one replayed WAL record. Recovery-only: the store being
     /// rebuilt must not have a WAL attached, or the record would be
     /// journaled a second time.
@@ -509,9 +482,6 @@ impl Store {
         match rec {
             WalRecord::Sample { key, point } => self.write(key, point.t, point.v),
             WalRecord::Annotate { key, from, to, flags } => self.annotate(key, *from, *to, *flags),
-            WalRecord::Retain { cutoff } => {
-                self.retain_from(*cutoff);
-            }
         }
     }
 
@@ -701,39 +671,6 @@ mod tests {
         store.write(&key("vp1", "L1", "near"), 0, 1.0);
         assert_eq!(store.series_count(), 2);
         assert_eq!(store.point_count(), 3);
-    }
-
-    #[test]
-    fn retention_trims_and_prunes() {
-        let store = Store::new();
-        let k = key("vp1", "L1", "far");
-        for t in 0..10 {
-            store.write(&k, t * 100, t as f64);
-        }
-        assert_eq!(store.retain_from(500), 5);
-        assert_eq!(store.point_count(), 5);
-        assert_eq!(store.retain_from(10_000), 5);
-        assert_eq!(store.series_count(), 0);
-    }
-
-    #[test]
-    fn retention_trims_quality_windows_too() {
-        use crate::quality;
-        let store = Store::new();
-        let k = key("vp1", "L1", "far");
-        store.write(&k, 1000, 1.0);
-        store.annotate(&k, 0, 300, quality::GAP);
-        store.annotate(&k, 300, 900, quality::QUARANTINED);
-        let only_flags = key("vp2", "L2", "far");
-        store.annotate(&only_flags, 0, 500, quality::GAP);
-        store.retain_from(600);
-        assert_eq!(
-            store.quality_windows(&k),
-            vec![(600, 900, quality::QUARANTINED)],
-            "old windows dropped, straddlers clamped"
-        );
-        assert!(store.quality_windows(&only_flags).is_empty(), "flag-only logs pruned");
-        assert_eq!(store.query(&k, 0, 2000).len(), 1, "points past cutoff kept");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Write-ahead log for the store.
 //!
-//! Every mutation of an attached [`Store`] — sample writes, quality
-//! annotations, retention cutoffs — is appended to a segment file *before*
-//! it is applied in memory, so a crashed process can rebuild the store by
-//! replay. A segment holds four kinds of frame (the framing itself, length
+//! Every mutation of an attached [`Store`] — sample writes and quality
+//! annotations — is appended to a segment file *before* it is applied in
+//! memory, so a crashed process can rebuild the store by replay. A segment
+//! holds three kinds of frame (the framing itself, length
 //! prefix + CRC32, lives in [`crate::segment`]):
 //!
 //! * `K` — key definition: `u32` LE id, then the series' escaped key token
@@ -14,7 +14,6 @@
 //!   entries `u32 id | i64 t | f64 bits`, all LE, at most [`B_FRAME_MAX`]
 //!   bytes of them per frame. A non-finite value is never framed.
 //! * `A` — a quality annotation, text: `key-token from to flags`.
-//! * `R` — a retention cutoff, text.
 //!
 //! A payload of any other kind is a decode error: replay counts it and
 //! moves on, it never guesses. (Whole directories of another checkpoint
@@ -96,8 +95,6 @@ pub enum WalRecord {
     Sample { key: SeriesKey, point: Point },
     /// A quality-flag annotation (`Store::annotate`).
     Annotate { key: SeriesKey, from: i64, to: i64, flags: QualityFlags },
-    /// A retention cutoff (`Store::retain_from`).
-    Retain { cutoff: i64 },
 }
 
 /// Decode failure for a CRC-valid payload (format bug or version skew, not
@@ -188,7 +185,7 @@ pub(crate) fn encode_annotation_into(
 }
 
 impl WalRecord {
-    /// Encode a control record (annotation, retention) to a segment payload.
+    /// Encode a control record (an annotation) to a segment payload.
     /// Fails for keys the token format rejects (control characters), and for
     /// a sample, which has no record form: the log frames samples as `K`/`B`
     /// ([`Wal::append_samples`]).
@@ -200,9 +197,6 @@ impl WalRecord {
             }
             WalRecord::Annotate { key, from, to, flags } => {
                 encode_annotation_into(&mut out, &format_key(key)?, *from, *to, *flags)
-            }
-            WalRecord::Retain { cutoff } => {
-                let _ = write!(out, "R{cutoff}");
             }
         }
         Ok(out.into_bytes())
@@ -228,13 +222,6 @@ impl WalRecord {
                     .parse::<QualityFlags>()
                     .map_err(|_| WalCodecError::Malformed(body.to_string()))?;
                 Ok(WalRecord::Annotate { key, from: parse_i(from)?, to: parse_i(to)?, flags })
-            }
-            b'R' => {
-                let cutoff = body
-                    .trim()
-                    .parse::<i64>()
-                    .map_err(|_| WalCodecError::Malformed(body.to_string()))?;
-                Ok(WalRecord::Retain { cutoff })
             }
             other => Err(WalCodecError::UnknownKind(other)),
         }
@@ -312,7 +299,7 @@ struct Shared {
     rotate_bytes: u64,
     vfs: Arc<dyn Vfs>,
     /// ENOSPC-degraded mode: raw-sample (`K`/`B`) frames are shed while
-    /// verdict-critical records (annotations, retention) keep being
+    /// verdict-critical records (annotations) keep being
     /// attempted. Cleared optimistically at every successful sync barrier
     /// so the log re-probes the disk once per group commit.
     degraded: AtomicBool,
@@ -386,7 +373,7 @@ impl Shared {
         let shed = |bytes: usize| metrics().wal_shed_samples.add((bytes / SAMPLE_ENTRY) as u64);
         // ENOSPC degraded mode sheds raw-sample persistence: the in-memory
         // store stays authoritative and verdict-critical records
-        // (annotations, retains) are still attempted.
+        // (annotations) are still attempted.
         if self.degraded.load(Ordering::Relaxed) {
             return shed(entries.len());
         }
@@ -662,7 +649,7 @@ impl Wal {
         self.shared.degraded.load(Ordering::Relaxed)
     }
 
-    /// Append one control record (annotation, retention) under the configured
+    /// Append one control record (an annotation) under the configured
     /// commit policy. Failures are counted (`manic_tsdb_wal_write_errors`)
     /// but do not poison the log handle — the in-memory store stays
     /// authoritative.
@@ -775,7 +762,6 @@ pub struct ReplayReport {
     /// Records applied, by kind.
     pub samples: u64,
     pub annotations: u64,
-    pub retains: u64,
     /// Torn tails fenced off (truncation events at a segment end).
     pub torn_records: u64,
     /// CRC-valid payloads that failed to decode (skipped).
@@ -792,7 +778,7 @@ pub struct ReplayReport {
 
 impl ReplayReport {
     pub fn records(&self) -> u64 {
-        self.samples + self.annotations + self.retains
+        self.samples + self.annotations
     }
 
     /// True when replay had to heal around corruption (as opposed to a
@@ -865,7 +851,6 @@ fn replay_payloads(
                     match rec {
                         WalRecord::Sample { .. } => unreachable!("decode yields control records"),
                         WalRecord::Annotate { .. } => report.annotations += 1,
-                        WalRecord::Retain { .. } => report.retains += 1,
                     }
                     store.apply_record(&rec);
                     metrics().wal_replayed_records.inc();
@@ -1066,18 +1051,13 @@ mod tests {
 
     #[test]
     fn record_codec_roundtrip() {
-        let records = vec![
-            WalRecord::Annotate { key: k("od d,=\\"), from: 0, to: 600, flags: 0b1010 },
-            WalRecord::Retain { cutoff: -12345 },
-        ];
-        for rec in records {
-            let enc = rec.encode().unwrap();
-            assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
-        }
+        let rec = WalRecord::Annotate { key: k("od d,=\\"), from: 0, to: 600, flags: 0b1010 };
+        assert_eq!(WalRecord::decode(&rec.encode().unwrap()).unwrap(), rec);
         assert!(matches!(WalRecord::decode(b""), Err(WalCodecError::Empty)));
         assert!(matches!(WalRecord::decode(b"Zx"), Err(WalCodecError::UnknownKind(b'Z'))));
+        // `R` (a retention cutoff) is no frame kind.
+        assert!(matches!(WalRecord::decode(b"R900"), Err(WalCodecError::UnknownKind(b'R'))));
         assert!(matches!(WalRecord::decode(b"A only-a-key"), Err(WalCodecError::Malformed(_))));
-        assert!(matches!(WalRecord::decode(b"Rnot-a-number"), Err(WalCodecError::Malformed(_))));
         assert!(matches!(WalRecord::decode(&[b'A', 0xFF, 0xFE]), Err(WalCodecError::NotUtf8)));
         // A sample has no record form, out or in.
         let sample = WalRecord::Sample { key: k("1.2.3.4"), point: Point::new(300, 18.5) };
@@ -1098,7 +1078,6 @@ mod tests {
             live.write(&k("a"), t * 300, t as f64);
         }
         live.annotate(&k("a"), 0, 600, 1);
-        live.retain_from(900);
         live.write(&k("b"), 5000, 2.5);
 
         let r1 = Store::new();
@@ -1109,7 +1088,6 @@ mod tests {
         assert_eq!(rep1.torn_records, 0);
         assert_eq!(rep1.samples, 21);
         assert_eq!(rep1.annotations, 1);
-        assert_eq!(rep1.retains, 1);
         assert_eq!(r1.content_hash(), r2.content_hash());
         assert_eq!(r1.content_hash(), live.content_hash(), "replay matches the live store");
         assert_eq!(r1.point_count(), live.point_count());

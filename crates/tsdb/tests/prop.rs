@@ -179,8 +179,8 @@ proptest! {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// encode -> decode is the identity for the records that have a text
-    /// form, and samples survive their `K`/`B` frames bit for bit.
+    /// encode -> decode is the identity for an annotation, the record that
+    /// has a text form, and samples survive their `K`/`B` frames bit for bit.
     #[test]
     fn wal_record_roundtrip(
         link in "[a-z0-9.]{1,12}",
@@ -188,17 +188,12 @@ proptest! {
         from in -1000i64..1000,
         len in 1i64..1000,
         flags in 1u8..16,
-        cutoff in -1_000_000i64..1_000_000,
     ) {
         let key = SeriesKey::with_tags("tslp", &[("vp", "v1"), ("link", &link)]);
-        for rec in [
-            WalRecord::Annotate { key: key.clone(), from, to: from + len, flags },
-            WalRecord::Retain { cutoff },
-        ] {
-            let enc = rec.encode().expect("clean names encode");
-            let dec = WalRecord::decode(&enc).expect("own encoding decodes");
-            prop_assert_eq!(dec, rec);
-        }
+        let rec = WalRecord::Annotate { key: key.clone(), from, to: from + len, flags };
+        let enc = rec.encode().expect("clean names encode");
+        let dec = WalRecord::decode(&enc).expect("own encoding decodes");
+        prop_assert_eq!(dec, rec);
         let sample = WalRecord::Sample { key: key.clone(), point: Point::new(points[0].0, points[0].1) };
         prop_assert!(sample.encode().is_err(), "a sample has no record form");
 
@@ -413,12 +408,12 @@ type WalOp = (u8, usize, i64, f64, i64, u8);
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// One op sequence — writes, batches, annotations, a retention cut,
-    /// explicit barriers, with and without segment rotation — journaled
-    /// under each fsync policy: every log holds nothing but `K`/`B`/`A`/`R`
-    /// frames, and replaying it from the start, or from any barrier's
-    /// position onto the store as it stood at that barrier, rebuilds the
-    /// live store's content hash with no decode error.
+    /// One op sequence — writes, batches, annotations, explicit barriers,
+    /// with and without segment rotation — journaled under each fsync
+    /// policy: every log holds nothing but `K`/`B`/`A` frames, and
+    /// replaying it from the start, or from any barrier's position onto the
+    /// store as it stood at that barrier, rebuilds the live store's content
+    /// hash with no decode error.
     #[test]
     fn every_policy_journals_the_same_replayable_frames(
         names in prop::collection::vec(("[a-z ,=\\\\]{1,6}", "[a-z0-9 ,=\\\\.]{1,6}"), 1..5),
@@ -426,7 +421,6 @@ proptest! {
             (0u8..10, 0usize..5, -50i64..2_000, -1e6f64..1e6, 1i64..600, 1u8..16),
             1..60,
         ),
-        retain_at in 0usize..120,
         rotate_small in any::<bool>(),
     ) {
         let keys: Vec<SeriesKey> = names
@@ -443,7 +437,7 @@ proptest! {
             live.attach_wal(Arc::clone(&wal));
             // (position, the store's contents there) at every barrier.
             let mut barriers: Vec<(WalPosition, Vec<WalRecord>)> = Vec::new();
-            for (i, &(kind, key, t, v, len, flags)) in ops.iter().enumerate() {
+            for &(kind, key, t, v, len, flags) in ops {
                 let key = &keys[key % keys.len()];
                 match kind {
                     0..=3 => live.write(key, t, v),
@@ -457,9 +451,6 @@ proptest! {
                         barriers.push((wal.position(), live.dump_records()));
                     }
                 }
-                if i == retain_at {
-                    live.retain_from(t);
-                }
             }
             wal.flush_and_sync().unwrap();
             drop(wal);
@@ -468,7 +459,7 @@ proptest! {
                 let scan = segment::scan_with(&RealVfs, &path, 0, false).unwrap();
                 prop_assert!(!scan.torn && scan.quarantined.is_empty());
                 for (_, payload) in &scan.records {
-                    prop_assert!(b"KBAR".contains(&payload[0]), "{}: frame kind {:?}", policy, payload[0] as char);
+                    prop_assert!(b"KBA".contains(&payload[0]), "{}: frame kind {:?}", policy, payload[0] as char);
                 }
             }
             let want = live.content_hash();
@@ -546,11 +537,10 @@ proptest! {
 
     /// Writing and annotating through a `SeriesSlot` is writing and
     /// annotating through its key. One op sequence — writes, batches,
-    /// annotations (empty windows included), retention cuts, `annotate_all`
-    /// — is applied to one journaled store by key and to another through a
-    /// random mix of slots and keys, with some slots resolved before the
-    /// first write, others mid-stream, and all of them kept across
-    /// retention. The two must agree on everything observable: content
+    /// annotations (empty windows included), `annotate_all` — is applied to
+    /// one journaled store by key and to another through a random mix of
+    /// slots and keys, with some slots resolved before the first write and
+    /// others mid-stream. The two must agree on everything observable: content
     /// hash, record dump, series and point counts, `find_series`,
     /// snapshot bytes and WAL bytes. A slot resolved for a key nothing
     /// writes must leave no trace.
@@ -559,7 +549,7 @@ proptest! {
         names in prop::collection::vec(("[a-z]{1,3}", "[a-z0-9 ,=\\\\.]{1,4}"), 1..7),
         early in prop::collection::vec(any::<bool>(), 7..8),
         ops in prop::collection::vec(
-            (0u8..24, 0usize..7, -50i64..2_000, -1e6f64..1e6, 0i64..600, 0u8..16),
+            (0u8..20, 0usize..7, -50i64..2_000, -1e6f64..1e6, 0i64..600, 0u8..16),
             1..80,
         ),
     ) {
@@ -613,9 +603,6 @@ proptest! {
                     } else {
                         by_slot.annotate(key, t, t + len, flags);
                     }
-                }
-                9..=10 => {
-                    prop_assert_eq!(by_key.retain_from(t), by_slot.retain_from(t));
                 }
                 _ => {
                     let n = by_key.annotate_all(t, t + len, flags);

@@ -150,8 +150,8 @@ type Op = (usize, u8, i64, f64, i64, u8);
 
 /// Apply a random history. The last key of the pool only ever receives
 /// annotations, so an annotation-only series is (almost) always present.
-fn apply(store: &Store, keys: &[SeriesKey], ops: &[Op], retain: Option<(usize, i64)>) {
-    for (i, &(key, kind, t, v, len, flags)) in ops.iter().enumerate() {
+fn apply(store: &Store, keys: &[SeriesKey], ops: &[Op]) {
+    for &(key, kind, t, v, len, flags) in ops {
         let key_idx = key % keys.len();
         let key = &keys[key_idx];
         match kind {
@@ -161,9 +161,6 @@ fn apply(store: &Store, keys: &[SeriesKey], ops: &[Op], retain: Option<(usize, i
             5 => store.write_batch(key, &[Point::new(t, v), Point::new(t - 7, -v), Point::new(t, v)]),
             _ => store.annotate(key, t, t + len, flags),
         }
-        if let Some((_, cutoff)) = retain.filter(|&(at, _)| at == i) {
-            store.retain_from(cutoff);
-        }
     }
 }
 
@@ -172,7 +169,7 @@ proptest! {
 
     /// Random stores — names full of the key token's structural
     /// characters, duplicate and out-of-order timestamps, annotation-only
-    /// series, a retention cut — at 1 and at 64 shards: the hash is the
+    /// series — at 1 and at 64 shards: the hash is the
     /// documented one, the snapshot is byte for byte the documented layout
     /// and carries that hash, replaying it rebuilds an equal store, and the
     /// series counts and lookups see exactly the keys that hold points.
@@ -186,8 +183,6 @@ proptest! {
             (0usize..7, 0u8..8, -50i64..2_000, -1e6f64..1e6, 1i64..600, 1u8..16),
             0..80,
         ),
-        retain_at in 0usize..160,
-        cutoff in 0i64..1_500,
     ) {
         let keys: Vec<SeriesKey> = names
             .iter()
@@ -195,20 +190,17 @@ proptest! {
                 SeriesKey::new(m.clone(), TagSet::from_pairs([(k.clone(), v.clone()), ("end".into(), v2.clone())]))
             })
             .collect();
-        // Half the cases cut retention somewhere inside the history.
-        let retain = (retain_at < ops.len()).then_some((retain_at, cutoff));
-
         let narrow = Store::with_shards(1);
         let wide = Store::with_shards(64);
-        apply(&narrow, &keys, &ops, retain);
-        apply(&wide, &keys, &ops, retain);
+        apply(&narrow, &keys, &ops);
+        apply(&wide, &keys, &ops);
 
         let want_hash = reference_hash(&narrow, &keys);
         prop_assert_eq!(narrow.content_hash(), want_hash, "hash is not the documented one");
         prop_assert_eq!(wide.content_hash(), want_hash, "shard count leaked into the hash");
 
-        // A series is a key with points: annotation-only and retention-
-        // emptied keys hold an entry but are not counted or found.
+        // A series is a key with points: annotation-only keys hold an
+        // entry but are not counted or found.
         let mut series: Vec<(SeriesKey, usize)> = keys
             .iter()
             .map(|key| (key.clone(), narrow.query(key, i64::MIN, i64::MAX).len()))
@@ -267,11 +259,12 @@ fn golden_store() -> Store {
 }
 
 /// The hash is the one every implementation so far has produced and may
-/// never move. The snapshot constants pin checkpoint format version 2: the
-/// frames, in sorted key order, are `K B` (`loss`: two points in one `B`
-/// frame), `K B A A` (six points in one frame; the two adjacent GAP windows
-/// coalesce into one) and `A` (the annotation-only series: no points, so no
-/// `K`) — 442 bytes, a figure a Python transcription of the layout in
+/// never move. The snapshot constants pin the snapshot layout of checkpoint
+/// format versions 2 and 3 (3 changed only the meta): the frames, in sorted
+/// key order, are `K B` (`loss`: two points in one `B` frame), `K B A A`
+/// (six points in one frame; the two adjacent GAP windows coalesce into
+/// one) and `A` (the annotation-only series: no points, so no `K`) — 442
+/// bytes, a figure a Python transcription of the layout in
 /// `write_snapshot`'s doc comment reproduces together with the CRC.
 #[test]
 fn golden_store_hash_and_snapshot_bytes_are_pinned() {
