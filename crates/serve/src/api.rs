@@ -85,7 +85,6 @@ fn route(state: &ServeState, req: &Request) -> Response {
                 status: 200,
                 content_type: "application/json",
                 body: snap.links_json.clone(),
-                retry_after: None,
             }
         }
         "/api/health" => {

@@ -263,7 +263,7 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-/// `Retry-After` seconds advertised on shed and breaker 503s.
+/// `Retry-After` seconds advertised on every 503 (shed and breaker).
 const RETRY_AFTER_SECS: u32 = 1;
 
 /// One response. Bodies are `Arc`d so cached responses are shared, not
@@ -273,13 +273,11 @@ pub struct Response {
     pub status: u16,
     pub content_type: &'static str,
     pub body: Arc<Vec<u8>>,
-    /// `Retry-After` seconds, advertised on shed/breaker 503s.
-    pub retry_after: Option<u32>,
 }
 
 impl Response {
     pub fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
-        Response { status, content_type, body: Arc::new(body), retry_after: None }
+        Response { status, content_type, body: Arc::new(body) }
     }
 
     pub fn json(status: u16, body: String) -> Self {
@@ -294,12 +292,9 @@ impl Response {
         Response::json(status, w.finish())
     }
 
-    /// A `503` shed/breaker response telling the client to come back in
-    /// `RETRY_AFTER_SECS`.
+    /// A `503` shed/breaker response; rendering adds `Retry-After`.
     pub fn unavailable(message: &str) -> Self {
-        let mut r = Response::error(503, message);
-        r.retry_after = Some(RETRY_AFTER_SECS);
-        r
+        Response::error(503, message)
     }
 
     pub fn reason(status: u16) -> &'static str {
@@ -332,8 +327,8 @@ impl Response {
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
         );
-        if let Some(secs) = self.retry_after {
-            head.push_str(&format!("Retry-After: {secs}\r\n"));
+        if self.status == 503 {
+            head.push_str(&format!("Retry-After: {RETRY_AFTER_SECS}\r\n"));
         }
         head.push_str("\r\n");
         out.reserve(head.len() + self.body.len());
