@@ -62,4 +62,17 @@ if [[ "$maps" -gt 1 || -n "$store_extras" ]]; then
     [[ -n "$store_extras" ]] && echo "$store_extras" >&2
     exit 1
 fi
+
+# One border map per VP, no retention. `BdrmapResult` is the sorted link
+# list and `link()` its lookup: the per-VP copy (`LinkMeta`,
+# `bdrmap_links`) and the per-link destination lists nobody read
+# (`dest_link`, `trace_count`) are gone, and so is the store's retention
+# path (`retain_from`, `trim_before`, the `R` record), which nothing wrote.
+# This fails if any of them returns under `crates/`.
+unread=$(grep -rn --include='*.rs' -E '\b(LinkMeta|bdrmap_links|dest_link|trace_count|retain_from|trim_before)\b|WalRecord::Retain\b' crates 2>/dev/null || true)
+if [[ -n "$unread" ]]; then
+    echo "error: a second border map or the store's retention path is back — read vp.bdrmap's link(); the store keeps every point" >&2
+    echo "$unread" >&2
+    exit 1
+fi
 echo "lint_store_walk: ok"
