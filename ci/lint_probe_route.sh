@@ -11,6 +11,13 @@
 # rule and reply sink tree `send_probe` uses. This check fails if
 # crates/probing/src calls `forward_path` again, or if `record_route_into`
 # goes back to walking paths with `forward_path_into`.
+#
+# A probe's route depends only on its flow and the routing epoch, so it is
+# resolved once (`Network::resolve`: `resolve_path`, the answer rule,
+# `reply_walk`) and every probe after it is a replay of the kept
+# `FlowRoute`. The check also fails if the per-probe replay — `replay` and
+# the `respond` and `cross` it calls — routes anything itself: a FIB walk
+# there would run on every probe of every round again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +34,14 @@ rr=$(awk '/fn record_route_into\(/ { inside = 1 }
 if [[ -n "$rr" ]]; then
     echo "error: record_route_into walks paths with forward_path_into — map the crossings of Network::probe_route_into" >&2
     echo "$rr" >&2
+    exit 1
+fi
+routing=$(awk '/fn (replay|respond|cross)\(/ { inside = 1 }
+               inside && /[^_[:alnum:]](resolve|resolve_path|reply_walk|forward_hop|sink_step|walk|fibs_at|epoch_at)\(/ { print FILENAME ":" FNR ": " $0 }
+               inside && /^    }$/ { inside = 0 }' crates/netsim/src/forward.rs)
+if [[ -n "$routing" ]]; then
+    echo "error: the per-probe replay routes — resolve the FlowRoute once (Network::resolve) and only read it in replay" >&2
+    echo "$routing" >&2
     exit 1
 fi
 echo "lint_probe_route: ok"

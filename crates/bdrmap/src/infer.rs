@@ -95,11 +95,6 @@ impl BdrmapResult {
         let i = self.links.binary_search_by_key(&(near, far), |l| (l.near_ip, l.far_ip)).ok()?;
         Some(&self.links[i])
     }
-
-    /// Links to a specific neighbor.
-    pub fn links_to(&self, asn: AsNumber) -> Vec<&InferredLink> {
-        self.links.iter().filter(|l| l.far_as == asn).collect()
-    }
 }
 
 /// Border candidate found in one trace.
@@ -365,7 +360,7 @@ mod tests {
         let mut alias = |_: Ipv4, _: Ipv4| -> Option<bool> { Some(true) };
         let res = infer(&traces, &art, HOST, &mut alias);
         // Both traces use the default rule.
-        let to_neigh = res.links_to(NEIGH);
+        let to_neigh: Vec<_> = res.links.iter().filter(|l| l.far_as == NEIGH).collect();
         assert_eq!(to_neigh.len(), 1);
         assert_eq!(to_neigh[0].near_ip, "10.0.0.6".parse::<Ipv4>().unwrap());
         assert_eq!(to_neigh[0].far_ip, "10.1.200.1".parse::<Ipv4>().unwrap());

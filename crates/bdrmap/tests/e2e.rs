@@ -109,8 +109,9 @@ fn neighbor_relationships_assigned() {
     use manic_bdrmap::infer::LinkRel;
     let rel_of = |asn: AsNumber| {
         result
-            .links_to(asn)
-            .first()
+            .links
+            .iter()
+            .find(|l| l.far_as == asn)
             .map(|l| l.rel)
             .unwrap_or_else(|| panic!("no link to {asn}"))
     };
@@ -129,7 +130,7 @@ fn us_world_ixp_links_flagged() {
     let mut oracle = |a: Ipv4, b: Ipv4| ally_test(net, &mut alias_state, &vp, a, b, 10_000);
     let result = infer(&traces, &w.artifacts, us_asns::RCN, &mut oracle);
     // RCN peers with Google over the IXP.
-    let google = result.links_to(us_asns::GOOGLE);
+    let google: Vec<_> = result.links.iter().filter(|l| l.far_as == us_asns::GOOGLE).collect();
     assert!(!google.is_empty(), "RCN-Google links visible");
     assert!(google.iter().all(|l| l.via_ixp), "flagged as IXP crossings");
 }

@@ -13,13 +13,17 @@
 //! paper describes (§7).
 //!
 //! Where a packet goes depends only on its flow and the routing epoch, so
-//! that part is derived once and reused: the forward path of the flow being
-//! probed (`ResolvedPath`) and the next hops of replies toward the prober
-//! (`SinkTree`). What happens to a packet on the way — load, loss, faults,
-//! ICMP behaviour — is evaluated per probe, in path order (DESIGN.md §5l).
-//! [`Network::probe_route_into`] reads the same path, the same answer rule and
-//! the same sink tree without a draw, so the fluid fast path and the
-//! record-route option see exactly the links the packets cross.
+//! that part is derived once and reused: a [`FlowRoute`] holds a flow's
+//! forward path (`ResolvedPath`) and, per TTL, who answers and the links
+//! the answer takes home, found through the next hops of replies toward the
+//! prober (`SinkTree`). What happens to a packet on the way — load, loss,
+//! faults, ICMP behaviour — is evaluated per probe, in path order, by
+//! replaying the route (DESIGN.md §5l). [`Network::send_probe`] resolves
+//! into one scratch route; a caller that probes the same flows round after
+//! round keeps a route per flow and sends through
+//! [`Network::send_probe_via`]. [`Network::probe_route_into`] reads the same
+//! route without a draw, so the fluid fast path and the record-route option
+//! see exactly the links the packets cross.
 
 use crate::fault::FaultSchedule;
 use crate::fib::{ecmp_pick, Fib};
@@ -30,6 +34,7 @@ use crate::queue::LinkState;
 use crate::time::SimTime;
 use crate::topo::{Direction, LinkId, RouterId, Topology};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Maximum hops a packet may take before we declare a forwarding loop.
 const MAX_HOPS: usize = 64;
@@ -144,7 +149,7 @@ enum Answer {
 }
 
 impl ResolvedPath {
-    /// The one answer rule, for [`Network::send_probe`] and
+    /// The one answer rule, for [`Network::send_probe_via`] and
     /// [`Network::probe_route_into`] alike: how a probe of `spec` over this
     /// path is answered, and how many hops it crosses first. A time-exceeded
     /// at hop `ttl` unless that hop terminates the destination (a loop back
@@ -168,6 +173,38 @@ impl ResolvedPath {
         };
         (self.hops.len(), answer)
     }
+}
+
+/// How one TTL of a flow is answered over its [`ResolvedPath`], and the way
+/// the answer takes home: all a probe's replay reads besides the hops.
+#[derive(Debug, Clone)]
+struct Leg {
+    ttl: u8,
+    /// Forward hops crossed before the answer.
+    crossings: usize,
+    answer: Answer,
+    /// The answer's crossings back to the prober, in order: a range of
+    /// [`FlowRoute::reply`]. Empty unless the answer is [`Answer::From`].
+    reply: Range<usize>,
+    /// Whether the reply is delivered after crossing `reply`; `false` when
+    /// it dead-ends or loops on the way.
+    delivered: bool,
+}
+
+/// The route of one probe flow under one routing epoch: its resolved
+/// forward path and, for each TTL probed so far, the answer and the reply
+/// leg. Derived from the network alone — every draw, fault and load is
+/// evaluated when a probe is replayed over it — so a caller that sends the
+/// same flows again and again (TSLP's destinations, round after round)
+/// keeps one per flow: [`Network::send_probe_via`] re-resolves it only when
+/// the flow or the routing epoch differs from what it holds. Memory grows
+/// with the TTLs probed over one flow, never with the probes sent.
+#[derive(Debug, Default)]
+pub struct FlowRoute {
+    path: ResolvedPath,
+    legs: Vec<Leg>,
+    /// Every leg's reply crossings, back to back.
+    reply: Vec<(LinkId, Direction)>,
 }
 
 /// What [`Network::send_probe`] would cross and who would answer, were
@@ -194,9 +231,9 @@ pub struct ProbeRoute {
 struct PathScratch {
     /// The route `record_route_into` read last.
     route: ProbeRoute,
-    /// Forward path of the flow `send_probe` served last.
-    path: ResolvedPath,
-    /// Next hops of the replies `send_probe` routed last.
+    /// Route of the flow `send_probe` or `probe_route_into` served last.
+    flow: FlowRoute,
+    /// Next hops of the replies routed last.
     sink: SinkTree,
 }
 
@@ -476,35 +513,63 @@ impl Network {
         }
     }
 
-    /// Make `path` hold the forward path of `spec` under the routing epoch
-    /// active at `t`, at least as far as `spec.ttl` hops (or to its end).
-    /// Hops already resolved for the same flow and epoch are kept, so the
-    /// TTLs of one traceroute walk the path once between them.
-    fn resolve_path(&self, spec: &ProbeSpec, t: SimTime, path: &mut ResolvedPath) {
-        let epoch = self.epoch_at(t);
-        let key = PathKey {
-            src: spec.src,
-            src_addr: spec.src_addr,
-            dst: spec.dst,
-            flow_id: spec.flow_id,
-            epoch,
-        };
+    /// Make `path` hold the forward path of flow `key`, at least as far as
+    /// `ttl` hops (or to its end). Hops already resolved for the same flow
+    /// and epoch are kept, so the TTLs of one traceroute walk the path once
+    /// between them.
+    fn resolve_path(&self, key: PathKey, ttl: u8, path: &mut ResolvedPath) {
         if path.key != Some(key) {
             path.key = Some(key);
             path.hops.clear();
             path.end = PathEnd::Truncated;
         }
-        if path.end == PathEnd::Truncated && path.hops.len() < spec.ttl as usize {
+        if path.end == PathEnd::Truncated && path.hops.len() < ttl as usize {
             path.end = self.walk(
-                &self.epochs[epoch].1,
-                spec.src,
-                spec.src_addr,
-                spec.dst,
-                spec.flow_id,
-                spec.ttl as usize,
+                &self.epochs[key.epoch].1,
+                key.src,
+                key.src_addr,
+                key.dst,
+                key.flow_id,
+                ttl as usize,
                 &mut path.hops,
             );
         }
+    }
+
+    /// The one resolver: make `route` hold the leg of `spec` under the
+    /// routing epoch active at `t` and return its index. A route of another
+    /// flow or epoch starts over; a TTL it has not answered yet extends the
+    /// forward path as far as it needs ([`Self::resolve_path`]), takes the
+    /// answer rule's verdict and walks the reply home through the sink tree
+    /// of `state`, a reply that never arrives included. Draw-free.
+    fn resolve(
+        &self,
+        state: &mut SimState,
+        route: &mut FlowRoute,
+        spec: &ProbeSpec,
+        t: SimTime,
+    ) -> usize {
+        let (src, src_addr, dst, flow_id) = (spec.src, spec.src_addr, spec.dst, spec.flow_id);
+        let key = PathKey { src, src_addr, dst, flow_id, epoch: self.epoch_at(t) };
+        if route.path.key != Some(key) {
+            route.legs.clear();
+            route.reply.clear();
+        } else if let Some(i) = route.legs.iter().position(|l| l.ttl == spec.ttl) {
+            return i;
+        }
+        self.resolve_path(key, spec.ttl, &mut route.path);
+        let (crossings, answer) = route.path.answer(spec);
+        let start = route.reply.len();
+        let delivered = match answer {
+            Answer::From { router, addr, .. } => {
+                let (sink, to, flow) = (&mut state.scratch.sink, spec.src_addr, spec.flow_id);
+                self.reply_walk(sink, key.epoch, router, addr, to, flow, &mut route.reply)
+            }
+            _ => false,
+        };
+        let reply = start..route.reply.len();
+        route.legs.push(Leg { ttl: spec.ttl, crossings, answer, reply, delivered });
+        route.legs.len() - 1
     }
 
     /// Walk the forward path from `src` toward `dst` without loss draws.
@@ -610,22 +675,21 @@ impl Network {
     }
 
     /// Walk a reply from `from`, answering from `from_addr`, back to
-    /// `to_addr` under the routing epoch active at `t`: next hops from the
-    /// [`SinkTree`] of `state`, each crossing handed to `visit` in path order.
-    /// `None` when the reply is unroutable, loops, or `visit` stops it.
+    /// `to_addr` under routing epoch `epoch`: next hops from `sink`, each
+    /// crossing appended to `out` in path order. Returns whether the reply
+    /// is delivered; `false` when it dead-ends or loops, after the crossings
+    /// it made on the way.
     #[allow(clippy::too_many_arguments)]
     fn reply_walk(
         &self,
-        state: &mut SimState,
+        sink: &mut SinkTree,
+        epoch: usize,
         from: RouterId,
         from_addr: Ipv4,
         to_addr: Ipv4,
         flow_id: u16,
-        t: SimTime,
-        mut visit: impl FnMut(&mut SimState, LinkId, Direction) -> Option<()>,
-    ) -> Option<()> {
-        let epoch = self.epoch_at(t);
-        let sink = &mut state.scratch.sink;
+        out: &mut Vec<(LinkId, Direction)>,
+    ) -> bool {
         if sink.root != Some((to_addr, epoch)) {
             sink.root = Some((to_addr, epoch));
             sink.steps.clear();
@@ -633,13 +697,14 @@ impl Network {
         let fibs = &self.epochs[epoch].1;
         let mut cur = from;
         for _ in 0..MAX_HOPS {
-            let sink = &mut state.scratch.sink;
-            let step = self.sink_step(sink, fibs, cur, to_addr, from_addr, flow_id)?;
-            let Some((link, dir)) = step.crossing() else { return Some(()) };
-            visit(state, link, dir)?;
+            let Some(step) = self.sink_step(sink, fibs, cur, to_addr, from_addr, flow_id) else {
+                return false;
+            };
+            let Some((link, dir)) = step.crossing() else { return true };
+            out.push((link, dir));
             cur = self.topo.link_head(link, dir);
         }
-        None
+        false
     }
 
     /// The ICMP rate limit `(pps, burst)` in force at `router` at `t`: the
@@ -706,11 +771,11 @@ impl Network {
     }
 
     /// Where a probe of `spec` sent at `t` goes and who answers it, read
-    /// without a draw off the resolved path, answer rule and sink tree
-    /// [`Self::send_probe`] uses (through the scratch of `state`), into
-    /// `route` (legs cleared first). Returns whether an answer can come back
-    /// — not for a zero TTL, a dead end or loop before the TTL runs out, or
-    /// a reply that cannot route home; on `false` the route is meaningless.
+    /// without a draw off the route [`Self::send_probe`] resolves (the
+    /// scratch route of `state`), into `route` (legs cleared first). Returns
+    /// whether an answer can come back — not for a zero TTL, a dead end or
+    /// loop before the TTL runs out, or a reply that cannot route home; on
+    /// `false` the route is meaningless.
     pub fn probe_route_into(
         &self,
         state: &mut SimState,
@@ -720,19 +785,21 @@ impl Network {
     ) -> bool {
         route.forward.clear();
         route.reply.clear();
-        let mut path = std::mem::take(&mut state.scratch.path);
-        self.resolve_path(&spec, t, &mut path);
-        let (crossings, answer) = path.answer(&spec);
-        route.forward.extend(path.hops[..crossings].iter().map(|h| (h.link, h.direction)));
-        state.scratch.path = path;
-        let Answer::From { router, addr, .. } = answer else { return false };
-        (route.responder, route.responder_addr) = (router, addr);
-        let reply = &mut route.reply;
-        self.reply_walk(state, router, addr, spec.src_addr, spec.flow_id, t, |_, link, dir| {
-            reply.push((link, dir));
-            Some(())
-        })
-        .is_some()
+        let mut flow = std::mem::take(&mut state.scratch.flow);
+        let leg = self.resolve(state, &mut flow, &spec, t);
+        let leg = &flow.legs[leg];
+        let forward = &flow.path.hops[..leg.crossings];
+        route.forward.extend(forward.iter().map(|h| (h.link, h.direction)));
+        let answered = match leg.answer {
+            Answer::From { router, addr, .. } => {
+                (route.responder, route.responder_addr) = (router, addr);
+                route.reply.extend_from_slice(&flow.reply[leg.reply.clone()]);
+                leg.delivered
+            }
+            _ => false,
+        };
+        state.scratch.flow = flow;
+        answered
     }
 
     /// A probe's route with the IP record-route option: the *egress*
@@ -787,31 +854,53 @@ impl Network {
         routed
     }
 
-    /// Inject one probe at time `t` and resolve its fate: resolve the flow's
-    /// forward path into the scratch of `state` (a no-op when the previous
-    /// probe shared it), then replay the probe over it.
+    /// Inject one probe at time `t` and resolve its fate: resolve the
+    /// flow's route into the scratch of `state` (a no-op when the probes
+    /// before it were of the same flow and epoch, this TTL among them),
+    /// then replay the probe over it.
+    /// For a one-off flow — a traceroute, an alias probe — this is the
+    /// whole story; see [`Self::send_probe_via`] for flows probed again.
     ///
     /// Every exit increments exactly one outcome metric, so
     /// `manic_netsim_probes_sent` always equals the sum of the echo-reply,
     /// time-exceeded, unroutable, and per-reason dropped counters — the
     /// conservation invariant `tests/obs_conservation.rs` asserts.
     pub fn send_probe(&self, state: &mut SimState, spec: ProbeSpec, t: SimTime) -> ProbeStatus {
+        // `mem::take` swaps in an empty route without allocating, so the
+        // route and the rest of `state` can be borrowed independently.
+        let mut flow = std::mem::take(&mut state.scratch.flow);
+        let status = self.send_probe_via(state, &mut flow, spec, t);
+        state.scratch.flow = flow;
+        status
+    }
+
+    /// [`Self::send_probe`] over a caller-kept `route`: the route is
+    /// re-resolved only when it holds another flow or routing epoch than
+    /// `spec` at `t`, or not yet this TTL, and the probe is then replayed
+    /// over it exactly as `send_probe` replays its scratch route — the same
+    /// outcome and the same draws from `state`, bit for bit. A prober that
+    /// keeps one route per destination it probes every round walks no FIB
+    /// between routing changes.
+    pub fn send_probe_via(
+        &self,
+        state: &mut SimState,
+        route: &mut FlowRoute,
+        spec: ProbeSpec,
+        t: SimTime,
+    ) -> ProbeStatus {
         let m = crate::obs::metrics();
         m.probes_sent.inc();
+        let leg = self.resolve(state, route, &spec, t);
         let mut crossed = 0u64;
-        // `mem::take` swaps in an empty path without allocating, so the
-        // path and the rest of `state` can be borrowed independently.
-        let mut path = std::mem::take(&mut state.scratch.path);
-        self.resolve_path(&spec, t, &mut path);
-        let status = self.replay(&path, state, &spec, t, m, &mut crossed);
-        state.scratch.path = path;
+        let status = self.replay(route, &route.legs[leg], state, &spec, t, m, &mut crossed);
         m.packets_forwarded.add(crossed);
         status
     }
 
-    /// Answer a probe of `spec` from `addr` on `router` — a time-exceeded
-    /// from the expiry hop's ingress interface, or an echo reply from the
-    /// destination address — and route the answer back to the prober.
+    /// Answer a probe from `addr` on `router` — a time-exceeded from the
+    /// expiry hop's ingress interface, or an echo reply from the
+    /// destination address — and bring the answer home over `reply`, its
+    /// resolved crossings, `delivered` saying whether it arrives after them.
     /// Returns the source address the answer carries, the ICMP generation
     /// delay and the reply-leg delay; `None` (after counting the reason)
     /// when no answer arrives.
@@ -820,7 +909,8 @@ impl Network {
         &self,
         router: RouterId,
         addr: Ipv4,
-        spec: &ProbeSpec,
+        reply: &[(LinkId, Direction)],
+        delivered: bool,
         t: SimTime,
         state: &mut SimState,
         m: &crate::obs::Metrics,
@@ -834,14 +924,15 @@ impl Network {
             m.drop_icmp_denied.inc();
             return None;
         };
-        // The reply hashes its ECMP choices on the address it answers from.
         let mut rev = 0.0;
-        let (to, flow) = (spec.src_addr, spec.flow_id);
-        let delivered = self.reply_walk(state, router, addr, to, flow, t, |state, link, dir| {
-            rev += self.cross(link, dir, t, state, crossed)?;
-            Some(())
-        });
-        if delivered.is_none() {
+        for &(link, dir) in reply {
+            let Some(delay) = self.cross(link, dir, t, state, crossed) else {
+                m.drop_reply_lost.inc();
+                return None;
+            };
+            rev += delay;
+        }
+        if !delivered {
             m.drop_reply_lost.inc();
             return None;
         }
@@ -850,36 +941,40 @@ impl Network {
         Some((self.fault.renumbered(&self.topo, addr, t), gen, rev))
     }
 
-    /// Send one probe of `spec` along its resolved `path`: cross each link
-    /// up to the answering hop under the load, loss and faults of time `t`,
-    /// then have the answer generated and routed home.
+    /// Send one probe of `spec` along `leg` of its resolved `route`: cross
+    /// each link up to the answering hop under the load, loss and faults of
+    /// time `t`, then have the answer generated and brought home. Reads the
+    /// route only: no routing happens here (`ci/lint_probe_route.sh`).
+    #[allow(clippy::too_many_arguments)]
     fn replay(
         &self,
-        path: &ResolvedPath,
+        route: &FlowRoute,
+        leg: &Leg,
         state: &mut SimState,
         spec: &ProbeSpec,
         t: SimTime,
         m: &crate::obs::Metrics,
         crossed: &mut u64,
     ) -> ProbeStatus {
-        let (crossings, answer) = path.answer(spec);
         // A VP with a skewed clock reports every RTT offset by the skew.
         let skew = self.fault.clock_skew_ms(spec.src, t);
         let mut fwd = 0.0;
-        for hop in &path.hops[..crossings] {
+        for hop in &route.path.hops[..leg.crossings] {
             let Some(delay) = self.cross(hop.link, hop.direction, t, state, crossed) else {
                 m.drop_forward_loss.inc();
                 return ProbeStatus::Lost;
             };
             fwd += delay;
         }
-        match answer {
+        match leg.answer {
             Answer::ZeroTtl => {
                 m.drop_zero_ttl.inc();
                 ProbeStatus::Lost
             }
             Answer::From { router, addr, expired } => {
-                let Some((from, gen, rev)) = self.respond(router, addr, spec, t, state, m, crossed)
+                let reply = &route.reply[leg.reply.clone()];
+                let Some((from, gen, rev)) =
+                    self.respond(router, addr, reply, leg.delivered, t, state, m, crossed)
                 else {
                     return ProbeStatus::Lost;
                 };
@@ -1138,24 +1233,47 @@ mod tests {
         net.add_epoch(1000, fibs);
         let mut st = SimState::new();
         // Hops held after the probe (a fresh walk stops at the probe's TTL,
-        // so the count tells it from an extension) and how the walk ended.
+        // so the count tells it from an extension), how the walk ended, and
+        // how many TTLs the route has answered.
         let mut send = |ttl, flow_id, t| {
             let (src_addr, dst) = (ip("10.0.0.10"), ip("10.9.0.5"));
             net.send_probe(&mut st, ProbeSpec { src: vp, src_addr, dst, ttl, flow_id }, t);
-            (st.scratch.path.hops.len(), st.scratch.path.end)
+            let flow = &st.scratch.flow;
+            (flow.path.hops.len(), flow.path.end, flow.legs.len())
         };
-        // A traceroute's TTLs extend one walk hop by hop...
-        assert_eq!(send(1, 42, 0), (1, PathEnd::Truncated));
-        assert_eq!(send(2, 42, 0), (2, PathEnd::Truncated));
-        assert_eq!(send(3, 42, 5), (3, PathEnd::Truncated));
-        // ...a lower TTL replays a prefix of it, and the end is found once.
-        assert_eq!(send(2, 42, 5), (3, PathEnd::Truncated));
-        assert_eq!(send(9, 42, 5), (4, PathEnd::Terminated));
-        assert_eq!(send(1, 42, 9), (4, PathEnd::Terminated));
+        // A traceroute's TTLs extend one walk hop by hop, a leg per TTL...
+        assert_eq!(send(1, 42, 0), (1, PathEnd::Truncated, 1));
+        assert_eq!(send(2, 42, 0), (2, PathEnd::Truncated, 2));
+        assert_eq!(send(3, 42, 5), (3, PathEnd::Truncated, 3));
+        // ...a TTL sent before replays its leg, a lower new one reads a
+        // prefix of the walk, and the end is found once.
+        assert_eq!(send(2, 42, 5), (3, PathEnd::Truncated, 3));
+        assert_eq!(send(9, 42, 5), (4, PathEnd::Terminated, 4));
+        assert_eq!(send(1, 42, 9), (4, PathEnd::Terminated, 4));
+        assert_eq!(send(4, 42, 9), (4, PathEnd::Terminated, 5));
         // Another flow or another routing epoch starts over.
-        assert_eq!(send(1, 43, 9), (1, PathEnd::Truncated));
-        assert_eq!(send(2, 43, 999), (2, PathEnd::Truncated));
-        assert_eq!(send(1, 43, 1000), (1, PathEnd::Truncated));
+        assert_eq!(send(1, 43, 9), (1, PathEnd::Truncated, 1));
+        assert_eq!(send(2, 43, 999), (2, PathEnd::Truncated, 2));
+        assert_eq!(send(2, 43, 1000), (2, PathEnd::Truncated, 1));
+        // A caller-kept route — the near and far TTL of one destination —
+        // is resolved by its first round and replayed by the next ones
+        // while other flows come and go on the scratch route: the legs keep
+        // the order of the first round, though later rounds send far first.
+        // The epoch starts it over in the order of that round.
+        let mut kept = FlowRoute::default();
+        let (src_addr, dst) = (ip("10.0.0.10"), ip("10.9.0.5"));
+        for t in [0, 300, 600, 900, 1200] {
+            let ttls = if t == 0 { [2, 3] } else { [3, 2] };
+            for ttl in ttls {
+                let spec = ProbeSpec { src: vp, src_addr, dst, ttl, flow_id: 42 };
+                assert!(net.send_probe_via(&mut st, &mut kept, spec, t).rtt().is_some());
+                net.send_probe(&mut st, ProbeSpec { flow_id: 7, ..spec }, t);
+            }
+            let epoch = kept.path.key.expect("resolved").epoch;
+            let legs: Vec<u8> = kept.legs.iter().map(|l| l.ttl).collect();
+            let want = if epoch == 0 { [2, 3] } else { [3, 2] };
+            assert_eq!((epoch, kept.path.hops.len(), legs), (t as usize / 1000, 3, want.to_vec()));
+        }
     }
 
     #[test]

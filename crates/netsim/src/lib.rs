@@ -39,7 +39,9 @@ pub mod traffic;
 
 pub use fault::{FaultEvent, FaultKind, FaultSchedule, FaultScope};
 pub use fib::{Fib, FibEntry};
-pub use forward::{HopObservation, Network, ProbeRoute, ProbeSpec, ProbeStatus, SimState};
+pub use forward::{
+    FlowRoute, HopObservation, Network, ProbeRoute, ProbeSpec, ProbeStatus, SimState,
+};
 pub use icmp::{IcmpProfile, RateLimiter};
 pub use ip::{Ipv4, Prefix};
 pub use queue::{LinkState, QueueModel};

@@ -55,33 +55,30 @@ impl LoadModel for ConstantLoad {
 /// up, peaks, and dissipates over the 22-month study (Figure 7's patterns).
 #[derive(Debug, Clone, Default)]
 pub struct MonthScale {
-    /// Sorted by month index.
-    entries: Vec<(u32, f64)>,
+    /// `(first instant of the entry's month, scale)`, sorted by instant.
+    /// Month 0 starts at `SimTime::MIN`, since `month_index` counts every
+    /// instant before 2016 as month 0. `at` then needs no calendar
+    /// arithmetic: every `link_state` reads it.
+    entries: Vec<(SimTime, f64)>,
 }
 
 impl MonthScale {
     /// Flat scale of 1.0 forever.
     pub fn flat() -> Self {
-        MonthScale { entries: vec![(0, 1.0)] }
+        MonthScale::new(vec![(0, 1.0)])
     }
 
     pub fn new(mut entries: Vec<(u32, f64)>) -> Self {
         assert!(!entries.is_empty(), "month scale needs at least one entry");
         entries.sort_by_key(|&(m, _)| m);
-        MonthScale { entries }
+        let start = |m: u32| if m == 0 { SimTime::MIN } else { time::month_start(m) };
+        MonthScale { entries: entries.into_iter().map(|(m, s)| (start(m), s)).collect() }
     }
 
     pub fn at(&self, t: SimTime) -> f64 {
-        let m = time::month_index(t);
-        let mut scale = self.entries[0].1;
-        for &(start, s) in &self.entries {
-            if start <= m {
-                scale = s;
-            } else {
-                break;
-            }
-        }
-        scale
+        // The last entry that has started (of equal ones, the last given).
+        let started = self.entries.partition_point(|&(start, _)| start <= t);
+        self.entries[started.saturating_sub(1)].1
     }
 }
 
@@ -276,6 +273,44 @@ mod tests {
         assert_eq!(ms.at(date_to_sim(Date::new(2016, 2, 1))), 1.0);
         assert_eq!(ms.at(date_to_sim(Date::new(2016, 5, 1))), 2.0);
         assert_eq!(ms.at(date_to_sim(Date::new(2017, 1, 1))), 0.5);
+    }
+
+    /// `at` against the rule it replaced, which converted `t` to a month
+    /// index on every call: at every month edge ±1 s and before the epoch,
+    /// with two entries for one month (the later one given wins) and with a
+    /// first entry after month 0 (its scale holds before it too).
+    #[test]
+    fn month_scale_matches_month_index_rule() {
+        let by_month_index = |sorted: &[(u32, f64)], t: SimTime| {
+            let m = time::month_index(t);
+            let mut scale = sorted[0].1;
+            for &(start, s) in sorted {
+                if start <= m {
+                    scale = s;
+                } else {
+                    break;
+                }
+            }
+            scale
+        };
+        let mut instants = vec![-100 * 365 * SECS_PER_DAY, -400 * SECS_PER_DAY, -1, 0, 1];
+        for m in 0..40 {
+            let edge = time::month_start(m);
+            instants.extend([edge - 1, edge, edge + 1]);
+        }
+        for given in [
+            vec![(3, 2.0), (0, 1.0), (10, 0.5), (3, 2.5), (1, 0.25), (27, 4.0), (27, 3.0)],
+            vec![(4, 3.0), (2, 1.5), (2, 0.5)],
+        ] {
+            let mut sorted = given.clone();
+            sorted.sort_by_key(|&(m, _)| m);
+            let ms = MonthScale::new(given);
+            for &t in &instants {
+                assert_eq!(ms.at(t).to_bits(), by_month_index(&sorted, t).to_bits(), "t = {t}");
+            }
+        }
+        let ms = MonthScale::new(vec![(3, 2.0), (0, 1.0), (3, 2.5)]);
+        assert_eq!(ms.at(time::month_start(3)), 2.5, "the later of two entries for a month");
     }
 
     #[test]

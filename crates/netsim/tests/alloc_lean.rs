@@ -1,5 +1,6 @@
 //! Allocation-lean hot path: after warm-up, the per-probe machinery —
-//! `send_probe`, `forward_path_into`, `record_route_into` — must not touch
+//! `send_probe`, `forward_path_into`, `record_route_into`, and
+//! `send_probe_via` over routes kept from an earlier round — must not touch
 //! the allocator at all. A counting global allocator makes the assertion
 //! exact. This test lives in its own integration binary so the allocator
 //! swap cannot interfere with any other test; the root package includes it
@@ -7,12 +8,11 @@
 //! runs it too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use manic_netsim::{
-    AsNumber, DiurnalDemand, Fib, IcmpProfile, Ipv4, LinkKind, Network, Prefix, ProbeSpec,
-    QueueModel, SimState, Topology,
+    AsNumber, DiurnalDemand, Fib, FlowRoute, IcmpProfile, Ipv4, LinkKind, Network, Prefix,
+    ProbeSpec, QueueModel, SimState, Topology,
 };
 
 /// Counts allocator entry points on the test thread only; frees are not
@@ -20,21 +20,21 @@ use manic_netsim::{
 /// main thread blocks in `mpsc::recv` while the test runs, and lazily
 /// allocates its thread-local parking context whenever the scheduler makes
 /// it actually park — which would otherwise land in our timed window or
-/// not, at the OS's whim (a 2-allocation flake).
+/// not, at the OS's whim (a 2-allocation flake). The count is per thread
+/// too, so tests running side by side do not count each other.
 struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 // Const-initialized so TLS access never allocates (no lazy init, no drop).
 thread_local! {
     static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 fn count() {
     // try_with: TLS may be unavailable during thread teardown; those
     // allocations are never ours to count.
     if COUNTING.try_with(std::cell::Cell::get).unwrap_or(false) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -59,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations counted on this thread so far.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(std::cell::Cell::get)
 }
 
 /// A 4-router chain — vp ─ r1 ─ r2 ─ dst — with symmetric routes, a loaded
@@ -157,4 +158,44 @@ fn steady_state_probing_allocates_nothing() {
         "steady-state probe loop hit the allocator {delta} times; \
          the hot path must reuse SimState scratch buffers"
     );
+}
+
+/// A TSLP-shaped round: a near and a far TTL per flow, each flow over a
+/// route of its own. The first round resolves the routes; a second round
+/// over the same routes only replays them and allocates nothing.
+#[test]
+fn second_round_over_kept_routes_allocates_nothing() {
+    COUNTING.with(|c| c.set(true));
+    let net = chain_net();
+    let vp = manic_netsim::RouterId(0);
+    let vp_addr = Ipv4::new(10, 0, 0, 1);
+    let far = Ipv4::new(10, 0, 2, 2);
+    let flows = [0xBEEFu16, 0x0001, 0x7A11];
+    let mut routes: Vec<FlowRoute> = flows.iter().map(|_| FlowRoute::default()).collect();
+    let mut state = SimState::new();
+
+    let round = |state: &mut SimState, routes: &mut [FlowRoute], t0: i64| {
+        let mut answered = 0u32;
+        for (i, (&flow_id, route)) in flows.iter().zip(routes.iter_mut()).enumerate() {
+            for ttl in [1, 2] {
+                let spec = ProbeSpec { src: vp, src_addr: vp_addr, dst: far, ttl, flow_id };
+                let t = t0 + 2 * i as i64 + ttl as i64;
+                let status = net.send_probe_via(state, route, spec, t);
+                if !matches!(status, manic_netsim::ProbeStatus::Lost) {
+                    answered += 1;
+                }
+            }
+        }
+        answered
+    };
+
+    let before = allocs();
+    round(&mut state, &mut routes, 0);
+    assert!(allocs() > before, "the first round resolves the routes");
+    let before = allocs();
+    let answered = round(&mut state, &mut routes, 300);
+    let delta = allocs() - before;
+
+    assert!(answered > 0, "probes must actually complete for the test to mean anything");
+    assert_eq!(delta, 0, "a round over kept routes hit the allocator {delta} times");
 }

@@ -1,6 +1,6 @@
-//! The properties that hold `Network::send_probe` and
-//! `Network::probe_route_into` to the hop-by-hop reference in
-//! `support/path_reference.rs`.
+//! The properties that hold `Network::send_probe`,
+//! `Network::send_probe_via` and `Network::probe_route_into` to the
+//! hop-by-hop reference in `support/path_reference.rs`.
 //!
 //! The root package includes this file from `tests/path_oracle.rs`, so the
 //! tier-1 command runs these properties too.
@@ -11,8 +11,8 @@ mod path_reference;
 pub use path_reference::*;
 
 use manic_netsim::{
-    AsNumber, Fib, IcmpProfile, Ipv4, LinkKind, Network, Prefix, ProbeRoute, ProbeSpec,
-    QueueModel, RouterId, SimState, Topology,
+    AsNumber, Fib, FlowRoute, IcmpProfile, Ipv4, LinkKind, Network, Prefix, ProbeRoute,
+    ProbeSpec, QueueModel, RouterId, SimState, Topology,
 };
 use proptest::prelude::*;
 
@@ -75,6 +75,59 @@ proptest! {
         if let Err(why) = assert_matches_reference(&world.net, &probes) {
             prop_assert!(false, "{}", why);
         }
+    }
+
+    /// Routes kept across rounds replay what the reference re-derives: the
+    /// near and far TTL of each of a few flows, sent over one `FlowRoute`
+    /// per flow in rounds that cross the routing epoch under a chaos fault
+    /// schedule, with a one-off probe on the scratch route between flows.
+    /// Every `ProbeStatus` matches bit for bit and `SimState::export()`
+    /// after every probe, so a route is re-resolved at the epoch and its
+    /// replay draws exactly what a fresh walk does.
+    #[test]
+    fn retained_routes_match_hop_by_hop_reference(
+        seed in any::<u64>(),
+        routers in 4usize..10,
+        chaos in 1u8..3,
+    ) {
+        let world = random_world(seed, routers, chaos as f64 * 0.5);
+        let mut rng = Rng(seed ^ 0x4E7A);
+        let flows: Vec<(ProbeSpec, u8)> = (0..6)
+            .map(|_| {
+                let dst = world.dsts[rng.below(world.dsts.len())];
+                let flow_id = [1, 2, 700][rng.below(3)];
+                let ttl = 1 + rng.below(6) as u8;
+                let spec = ProbeSpec { src: world.vp, src_addr: world.vp_addr, dst, ttl, flow_id };
+                (spec, ttl + 1)
+            })
+            .filter(|(spec, _)| !world.net.topo.terminates(spec.src, spec.dst))
+            .collect();
+        let one_offs = random_probes(&world, &mut Rng(seed ^ 0x0FF), 6 * flows.len());
+        let mut routes: Vec<FlowRoute> = flows.iter().map(|_| FlowRoute::default()).collect();
+        let (mut sim, mut reference) = (SimState::new(), RefState::default());
+        let mut one_off = one_offs.iter().map(|&(spec, _)| spec);
+        let mut t = START;
+        for round in 0..6 {
+            for (&(spec, far_ttl), route) in flows.iter().zip(&mut routes) {
+                for ttl in [spec.ttl, far_ttl] {
+                    let spec = ProbeSpec { ttl, ..spec };
+                    let got = world.net.send_probe_via(&mut sim, route, spec, t);
+                    let want = ref_send_probe(&world.net, &mut reference, spec, t);
+                    let at = format!("round {round} {spec:?} at {t}");
+                    prop_assert_eq!(status_bits(got), status_bits(want), "{}", at);
+                    prop_assert_eq!(sim.export(), reference.export(), "{}", at);
+                    t += rng.below(2) as i64;
+                }
+                let spec = one_off.next().expect("one one-off per flow and round");
+                let got = world.net.send_probe(&mut sim, spec, t);
+                let want = ref_send_probe(&world.net, &mut reference, spec, t);
+                prop_assert_eq!(status_bits(got), status_bits(want), "one-off {:?} at {}", spec, t);
+                prop_assert_eq!(sim.export(), reference.export());
+            }
+            // Rounds 17 s apart: two before the epoch, one across it.
+            t = t.max(START + (round + 1) * 17);
+        }
+        prop_assert!(t > EPOCH, "rounds must cross the epoch");
     }
 
     /// `probe_route_into` reads the route of the reference's walk — forward links,

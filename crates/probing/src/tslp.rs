@@ -23,7 +23,9 @@ use crate::traceroute::Traceroute;
 use manic_netsim::noise::{self, BinColumn};
 use manic_netsim::time::{SimTime, SECS_PER_DAY};
 use manic_netsim::topo::Direction;
-use manic_netsim::{FaultScope, Ipv4, LinkId, Network, ProbeSpec, ProbeStatus, SimState};
+use manic_netsim::{
+    FaultScope, FlowRoute, Ipv4, LinkId, Network, ProbeSpec, ProbeStatus, SimState,
+};
 use manic_tsdb::{SeriesKey, Store, TagSet};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -98,6 +100,12 @@ pub struct TslpProber {
     /// Cached `[near, far]` tsdb keys per task, rebuilt whenever the task
     /// set changes — the round hot path must not re-format key strings.
     keys: Vec<[SeriesKey; 2]>,
+    /// One route per destination, in task and destination order: resolved
+    /// by the destination's first probe and replayed by its near and far
+    /// probes of every round until the routing epoch changes. Emptied with
+    /// the keys whenever the task set changes; never checkpointed — a
+    /// resumed prober resolves them again on its first round.
+    routes: Vec<FlowRoute>,
     budget: RateBudget,
     metrics: crate::obs::VpTslpMetrics,
 }
@@ -118,6 +126,7 @@ impl TslpProber {
             vp,
             tasks: Vec::new(),
             keys: Vec::new(),
+            routes: Vec::new(),
             budget: RateBudget::new(TSLP_PPS, start),
             metrics,
         }
@@ -137,7 +146,10 @@ impl TslpProber {
         &self.keys[ti][end.index()]
     }
 
+    /// Rebuild the per-task caches for a new task set: the series keys, and
+    /// no routes until the next round resolves them.
     fn rebuild_keys(&mut self) {
+        self.routes.clear();
         let vp = &self.vp.name;
         self.keys = self
             .tasks
@@ -221,22 +233,29 @@ impl TslpProber {
         // `probing.tslp_ns_per_probe` times it).
         let (mut sent, mut answered, mut timed_out, mut mism, mut lost, mut skipped) =
             (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
-        let probes = 2 * self.tasks.iter().map(|t| t.dests.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(probes);
-        let budget = &mut self.budget;
+        let dests = self.tasks.iter().map(|t| t.dests.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(2 * dests);
+        // `tasks` is public: a set edited in place keeps one slot per
+        // destination, and a slot holding another flow re-resolves.
+        self.routes.resize_with(dests, FlowRoute::default);
+        let (budget, routes) = (&mut self.budget, &mut self.routes);
+        let mut slot = 0;
         for (ti, task) in self.tasks.iter().enumerate() {
+            let slots = slot..slot + task.dests.len();
+            slot = slots.end;
             if !mask(ti) {
                 skipped += 1;
                 continue;
             }
-            for dest in &task.dests {
+            for (dest, route) in task.dests.iter().zip(&mut routes[slots]) {
                 for (end, ttl, expect) in [
                     (End::Near, dest.near_ttl, task.near_ip),
                     (End::Far, dest.far_ttl, task.far_ip),
                 ] {
                     let t = budget.next_slot(round_start);
-                    let status = net.send_probe(
+                    let status = net.send_probe_via(
                         state,
+                        route,
                         ProbeSpec {
                             src: self.vp.router,
                             src_addr: self.vp.addr,

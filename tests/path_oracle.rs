@@ -5,10 +5,10 @@
 //! `crates/netsim/tests/support/path_reference.rs` and is re-exported
 //! there); including it here makes `cargo test -q` at the root run them.
 //! On top of it, the probing drivers are checked at a routing-epoch edge:
-//! a TSLP round whose send slots straddle `add_epoch`, and a traceroute
-//! repeated across it, must report what the reference reports — the
-//! resolved forward path and the reply sink tree both have to notice the
-//! epoch change mid-stream.
+//! TSLP rounds over the prober's kept routes, one of them with send slots
+//! straddling `add_epoch`, and a traceroute repeated across it, must report
+//! what the reference reports — the kept routes, the resolved forward path
+//! and the reply sink tree all have to notice the epoch change mid-stream.
 //! The fluid fast path's `probe_path` and the record-route option must
 //! route a probe as the reference does too, on worlds whose replies cross
 //! ECMP groups.
@@ -61,51 +61,58 @@ fn tslp_round_straddling_an_epoch_matches_reference() {
                 }
             })
             .collect();
-        let mut prober = TslpProber::new(vp_of(&world), EPOCH - 1);
+        // Two rounds before the epoch resolve and replay the prober's kept
+        // routes, the third straddles it, the fourth runs after it.
+        let mut prober = TslpProber::new(vp_of(&world), EPOCH - 601);
         prober.set_tasks(tasks.clone());
         let mut sim = SimState::new();
-        let samples = prober.probe_round_masked(net, &mut sim, EPOCH - 1, |_| true);
-
         let mut reference = RefState::default();
-        let mut want = Vec::new();
-        let mut at = samples.iter().map(|(_, s)| s.t);
-        for (ti, task) in tasks.iter().enumerate() {
-            for dest in &task.dests {
-                for (end, ttl, expect) in
-                    [(End::Near, dest.near_ttl, task.near_ip), (End::Far, dest.far_ttl, task.far_ip)]
-                {
-                    let t = at.next().expect("one sample per probe");
-                    let spec = ProbeSpec {
-                        src: world.vp,
-                        src_addr: world.vp_addr,
-                        dst: dest.dst,
-                        ttl,
-                        flow_id: task.flow_id,
-                    };
-                    let (rtt, mismatched) = match ref_send_probe(net, &mut reference, spec, t) {
-                        ProbeStatus::TimeExceeded { from, rtt_ms }
-                        | ProbeStatus::EchoReply { from, rtt_ms } => {
-                            if rtt_ms > PROBE_TIMEOUT_MS {
-                                (None, false)
-                            } else if from == expect {
-                                (Some(rtt_ms.to_bits()), false)
-                            } else {
-                                (None, true)
+        for round_start in [EPOCH - 601, EPOCH - 301, EPOCH - 1, EPOCH + 299] {
+            let samples = prober.probe_round_masked(net, &mut sim, round_start, |_| true);
+            let mut want = Vec::new();
+            let mut at = samples.iter().map(|(_, s)| s.t);
+            for (ti, task) in tasks.iter().enumerate() {
+                for dest in &task.dests {
+                    for (end, ttl, expect) in [
+                        (End::Near, dest.near_ttl, task.near_ip),
+                        (End::Far, dest.far_ttl, task.far_ip),
+                    ] {
+                        let t = at.next().expect("one sample per probe");
+                        let spec = ProbeSpec {
+                            src: world.vp,
+                            src_addr: world.vp_addr,
+                            dst: dest.dst,
+                            ttl,
+                            flow_id: task.flow_id,
+                        };
+                        let (rtt, mismatched) = match ref_send_probe(net, &mut reference, spec, t) {
+                            ProbeStatus::TimeExceeded { from, rtt_ms }
+                            | ProbeStatus::EchoReply { from, rtt_ms } => {
+                                if rtt_ms > PROBE_TIMEOUT_MS {
+                                    (None, false)
+                                } else if from == expect {
+                                    (Some(rtt_ms.to_bits()), false)
+                                } else {
+                                    (None, true)
+                                }
                             }
-                        }
-                        _ => (None, false),
-                    };
-                    want.push((ti, t, end, rtt, mismatched));
+                            _ => (None, false),
+                        };
+                        want.push((ti, t, end, rtt, mismatched));
+                    }
                 }
             }
+            let got: Vec<_> = samples
+                .iter()
+                .map(|&(ti, s)| (ti, s.t, s.end, s.rtt_ms.map(f64::to_bits), s.mismatched))
+                .collect();
+            if round_start == EPOCH - 1 {
+                let (first, last) = (got.first().unwrap().1, got.last().unwrap().1);
+                assert!(first < EPOCH && last >= EPOCH, "round must straddle");
+            }
+            assert_eq!(got, want, "round from {round_start}");
+            assert_eq!(sim.export(), reference.export());
         }
-        let got: Vec<_> = samples
-            .iter()
-            .map(|&(ti, s)| (ti, s.t, s.end, s.rtt_ms.map(f64::to_bits), s.mismatched))
-            .collect();
-        assert!(got.first().unwrap().1 < EPOCH && got.last().unwrap().1 >= EPOCH, "round must straddle");
-        assert_eq!(got, want);
-        assert_eq!(sim.export(), reference.export());
         checked += 1;
     }
     assert!(checked >= 5, "only {checked} worlds changed routing at the epoch");
