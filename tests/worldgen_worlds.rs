@@ -13,11 +13,16 @@
 //!    routes, every VP's host AS reaches both sides of every interconnect
 //!    the scenario library plants, so a scenario can never plant congestion
 //!    the measurement layer is structurally unable to see.
+//! 4. **Compile and install are pinned.** The world fingerprint hashes
+//!    neither FIBs nor load models, so a digest of both holds the compiler's
+//!    routes and the installed congestion amplitudes bit for bit.
 
 use manic_core::{System, SystemConfig};
 use manic_netsim::time::month_start;
+use manic_netsim::topo::Direction;
 use manic_scenario::bgp::{is_valley_free, Routing};
 use manic_worldgen::build::focus_graph;
+use manic_worldgen::fingerprint::Fnv;
 use manic_worldgen::{
     build_world_full, compile_world, generate, scenario_library, WorldSpec, STUDY_MONTHS,
 };
@@ -80,6 +85,63 @@ fn every_vp_routes_to_every_planted_interconnect() {
                 }
             }
         }
+    }
+}
+
+/// `(FIB digest, load digest)` of a built world: every router's
+/// `Fib::entries()` sorted by prefix, in router order, and every gt link's
+/// `utilization(t).to_bits()` in both directions on a grid of instants that
+/// spans idle months, episode months and every hour of the day.
+fn compile_install_digest(name: &str) -> (u64, u64) {
+    let world = build_world_full(name, SEED).expect("library world builds").world;
+    let net = &world.net;
+    let t0 = month_start(STUDY_MONTHS.start);
+    let mut fib = Fnv::new();
+    for r in &net.topo.routers {
+        let mut entries: Vec<(u32, u8, Vec<u32>)> = net
+            .fib(r.id, t0)
+            .entries()
+            .into_iter()
+            .map(|e| {
+                let hops = e.next_hops.iter().map(|i| i.0).collect();
+                (e.prefix.addr().0, e.prefix.len(), hops)
+            })
+            .collect();
+        entries.sort();
+        fib.u32(r.id.0).u64(entries.len() as u64);
+        for (addr, len, hops) in &entries {
+            fib.u32(*addr).bytes(&[*len]).u64(hops.len() as u64);
+            for &h in hops {
+                fib.u32(h);
+            }
+        }
+    }
+    let mut load = Fnv::new();
+    for gt in &world.gt_links {
+        let link = net.topo.link(gt.link);
+        for dir in [Direction::AtoB, Direction::BtoA] {
+            let Some(model) = link.load(dir) else {
+                load.bytes(&[0]);
+                continue;
+            };
+            load.bytes(&[1]);
+            for month in [0, 2, 3, 4, 5, 9, 16, 23, 26] {
+                for day in [0, 12] {
+                    for step in 0..16 {
+                        let t = month_start(month) + day * 86_400 + step * 5_400 + 420;
+                        load.u64(model.utilization(t).to_bits());
+                    }
+                }
+            }
+        }
+    }
+    (fib.finish(), load.finish())
+}
+
+#[test]
+fn compiled_fibs_and_installed_loads_are_pinned() {
+    for (name, want) in [("us", (0x0293_e84d_2b5e_dc0c_u64, 0x6344_bf56_2dd0_3c84_u64)), ("sim-1k", (0x83e9_2227_7308_d7f9, 0xe074_341e_dbd3_6929))] {
+        assert_eq!(compile_install_digest(name), want, "{name}: (FIB digest, load digest)");
     }
 }
 
