@@ -83,7 +83,7 @@ pub fn install_congestion(world: &mut World, episodes: &[CongestionEpisode]) {
                 let monthly = month_schedule(&applicable, EYEBALL_BASE_UTIL, IDLE_AMPLITUDE);
                 // The eyeball-bound profile keys its diurnal clock to the
                 // AP-side border router's metro timezone.
-                let tz = tz_of(world, gt, ap);
+                let tz = tz_of(gt, ap);
                 let toward_ap = DiurnalDemand {
                     base: EYEBALL_BASE_UTIL,
                     amplitude: 1.0, // monthly scale IS the amplitude
@@ -104,7 +104,7 @@ pub fn install_congestion(world: &mut World, episodes: &[CongestionEpisode]) {
                 }
             }
             None => {
-                let tz = tz_of(world, gt, gt.a_asn);
+                let tz = tz_of(gt, gt.a_asn);
                 (Some(quiet_profile(tz, seed_ab)), Some(quiet_profile(tz, seed_ba)))
             }
         };
@@ -115,7 +115,8 @@ pub fn install_congestion(world: &mut World, episodes: &[CongestionEpisode]) {
     }
 }
 
-fn pair_key(a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
+/// Normalized `(low ASN, high ASN)` key of an AS pair.
+pub fn pair_key(a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
     if a < b {
         (a, b)
     } else {
@@ -123,12 +124,15 @@ fn pair_key(a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
     }
 }
 
-fn tz_of(_world: &World, gt: &crate::compile::GtLink, asn: AsNumber) -> i8 {
+/// Metro timezone of `asn`'s side of the link.
+pub fn tz_of(gt: &crate::compile::GtLink, asn: AsNumber) -> i8 {
     let metro = if gt.a_asn == asn { &gt.a_metro } else { &gt.b_metro };
     crate::compile::metro_info(metro).2
 }
 
-fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
+/// The mild diurnal profile of a link direction no congestion episode
+/// drives, in the timezone `tz`.
+pub fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
     DiurnalDemand {
         base: 0.25,
         amplitude: 0.25,

@@ -14,11 +14,15 @@
 use crate::rng::Rng;
 use manic_netsim::fault::{FaultEvent, FaultKind, FaultScope};
 use manic_netsim::time::{day_index, SimTime, SECS_PER_DAY};
-use manic_netsim::traffic::{DiurnalDemand, MonthScale};
+use manic_netsim::traffic::DiurnalDemand;
 use manic_netsim::{AsNumber, Fib, Ipv4, LoadModel};
 use manic_scenario::asgraph::AsKind;
 use manic_scenario::schedule::{month_schedule, CongestionEpisode};
-use manic_scenario::worlds::{install_congestion, EYEBALL_BASE_UTIL, IDLE_AMPLITUDE};
+use manic_scenario::worlds::{
+    install_congestion, quiet_profile, tz_of, EYEBALL_BASE_UTIL, IDLE_AMPLITUDE,
+};
+/// Normalized pair key, matching the sweep's scoring key.
+pub use manic_scenario::worlds::pair_key;
 use manic_scenario::{GtLink, World};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -82,11 +86,6 @@ pub fn library() -> Vec<Scenario> {
 pub struct Planted {
     /// Normalized `(low ASN, high ASN)` pairs expected to be flagged.
     pub gt: BTreeSet<(AsNumber, AsNumber)>,
-}
-
-/// Normalized pair key, matching the sweep's scoring key.
-pub fn pair_key(a: AsNumber, b: AsNumber) -> (AsNumber, AsNumber) {
-    if a < b { (a, b) } else { (b, a) }
 }
 
 impl Scenario {
@@ -164,26 +163,6 @@ impl LoadModel for BurstDemand {
             self.quiet.utilization(t)
         }
     }
-}
-
-fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
-    DiurnalDemand {
-        base: 0.25,
-        amplitude: 0.25,
-        peak_hour: 21.0,
-        peak_width: 2.6,
-        tz_offset_hours: tz,
-        weekend_factor: 1.0,
-        monthly: MonthScale::flat(),
-        noise_amp: 0.02,
-        noise_seed: seed,
-    }
-}
-
-/// Metro timezone of `asn`'s side of the link.
-fn tz_of(gt: &GtLink, asn: AsNumber) -> i8 {
-    let metro = if gt.a_asn == asn { &gt.a_metro } else { &gt.b_metro };
-    manic_scenario::compile::metro_info(metro).2
 }
 
 /// Install a burst profile toward `ap` on every link of the pair.
