@@ -29,11 +29,10 @@ use crate::fault::FaultSchedule;
 use crate::fib::{ecmp_pick, Fib};
 use crate::icmp::RateLimiter;
 use crate::ip::Ipv4;
-use crate::noise;
+use crate::noise::{self, IdMap};
 use crate::queue::LinkState;
 use crate::time::SimTime;
 use crate::topo::{Direction, LinkId, RouterId, Topology};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Maximum hops a packet may take before we declare a forwarding loop.
@@ -271,7 +270,7 @@ impl SinkStep {
 struct SinkTree {
     /// `(destination, routing epoch index)` the steps lead toward.
     root: Option<(Ipv4, usize)>,
-    steps: HashMap<RouterId, SinkStep>,
+    steps: IdMap<RouterId, SinkStep>,
 }
 
 /// Mutable simulation state: ICMP rate limiter buckets and the draw counter
@@ -283,7 +282,7 @@ struct SinkTree {
 /// the buckets of the driver it forked from.
 #[derive(Debug, Default)]
 pub struct SimState {
-    limiters: HashMap<RouterId, RateLimiter>,
+    limiters: IdMap<RouterId, RateLimiter>,
     counter: u64,
     /// Reusable buffers for allocation-lean path walks.
     scratch: PathScratch,
@@ -304,7 +303,7 @@ impl SimState {
     /// to spare the allocation). Hand it back with [`Self::join`].
     pub fn fork(&mut self) -> SimState {
         SimState {
-            limiters: HashMap::new(),
+            limiters: IdMap::default(),
             counter: self.counter,
             scratch: std::mem::take(&mut self.scratch),
         }

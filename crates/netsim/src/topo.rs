@@ -1,9 +1,9 @@
 //! Router-level topology: routers, interfaces, point-to-point links.
 
 use crate::ip::{Ipv4, Prefix};
+use crate::noise::IdMap;
 use crate::queue::QueueModel;
 use crate::traffic::LoadModel;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Autonomous system number.
@@ -128,7 +128,7 @@ pub struct Topology {
     pub ifaces: Vec<Interface>,
     pub links: Vec<Link>,
     /// Address → interface reverse index.
-    addr_index: HashMap<Ipv4, IfaceId>,
+    addr_index: IdMap<Ipv4, IfaceId>,
     /// Prefixes terminated by host routers, indexed by router id: packets
     /// for these prefixes that reach the owning router are answered (ICMP
     /// echo) from the destination address itself. Private so that
