@@ -81,7 +81,7 @@ impl Prefix {
         Prefix::new(addr, 32)
     }
 
-    fn mask(len: u8) -> u32 {
+    pub(crate) fn mask(len: u8) -> u32 {
         if len == 0 {
             0
         } else {

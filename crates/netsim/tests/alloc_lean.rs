@@ -1,8 +1,9 @@
 //! Allocation-lean hot path: after warm-up, the per-probe machinery —
 //! `send_probe`, `forward_path_into`, `record_route_into`, and
 //! `send_probe_via` over routes kept from an earlier round — must not touch
-//! the allocator at all. A counting global allocator makes the assertion
-//! exact. This test lives in its own integration binary so the allocator
+//! the allocator at all, and a FIB, kept for the whole run, is a fixed
+//! number of blocks whatever its route count. A counting global allocator
+//! makes the assertions exact. This test lives in its own integration binary so the allocator
 //! swap cannot interfere with any other test; the root package includes it
 //! as one more such binary (`tests/alloc_lean.rs`), so the tier-1 command
 //! runs it too.
@@ -11,8 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
 
 use manic_netsim::{
-    AsNumber, DiurnalDemand, Fib, FlowRoute, IcmpProfile, Ipv4, LinkKind, Network, Prefix,
-    ProbeSpec, QueueModel, SimState, Topology,
+    AsNumber, DiurnalDemand, Fib, FlowRoute, IcmpProfile, IfaceId, Ipv4, LinkKind, Network,
+    Prefix, ProbeSpec, QueueModel, SimState, Topology,
 };
 
 /// Counts allocator entry points on the test thread only; frees are not
@@ -198,4 +199,36 @@ fn second_round_over_kept_routes_allocates_nothing() {
 
     assert!(answered > 0, "probes must actually complete for the test to mean anything");
     assert_eq!(delta, 0, "a round over kept routes hit the allocator {delta} times");
+}
+
+/// A FIB of `routes` routes of four lengths over 50 ECMP groups, a third of
+/// them with two or three members.
+fn fib_of(routes: u32) -> Fib {
+    let mut fib = Fib::new();
+    for i in 0..routes {
+        let g = i % 50;
+        let group = (0..=g % 3).map(|m| IfaceId(g + 50 * m)).collect();
+        let addr = Ipv4(0x0A00_0000 + (i << 16) + (i & 0xFF));
+        fib.insert(Prefix::new(addr, [16, 24, 30, 32][i as usize % 4]), group);
+    }
+    fib
+}
+
+/// Routes and groups live in flat tables, so cloning a FIB (as every
+/// routing epoch does) takes the same few blocks at 50 routes as at 500.
+#[test]
+fn fib_clone_allocates_a_fixed_number_of_blocks() {
+    COUNTING.with(|c| c.set(true));
+    let blocks = |fib: &Fib| {
+        let before = allocs();
+        let copy = std::hint::black_box(fib.clone());
+        let n = allocs() - before;
+        assert_eq!(copy.len(), fib.len());
+        n
+    };
+    let (small, large) = (fib_of(50), fib_of(500));
+    assert_eq!(large.len(), 500);
+    let n = blocks(&large);
+    assert_eq!(n, blocks(&small), "a clone's block count must not grow with its routes");
+    assert!(n <= 4, "a FIB clone took {n} blocks");
 }
