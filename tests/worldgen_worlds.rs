@@ -16,6 +16,10 @@
 //! 4. **Compile and install are pinned.** The world fingerprint hashes
 //!    neither FIBs nor load models, so a digest of both holds the compiler's
 //!    routes and the installed congestion amplitudes bit for bit.
+//! 5. **Generated universes are pinned.** The topology fingerprint of every
+//!    generated library world, and the compiled fingerprint of the two that
+//!    tier-1 can afford to compile, are constants: a change to the generator
+//!    or to the graph it writes that moves one byte fails here.
 
 use manic_core::{System, SystemConfig};
 use manic_netsim::time::month_start;
@@ -24,7 +28,8 @@ use manic_scenario::bgp::{is_valley_free, Routing};
 use manic_worldgen::build::focus_graph;
 use manic_worldgen::fingerprint::Fnv;
 use manic_worldgen::{
-    build_world_full, compile_world, generate, scenario_library, WorldSpec, STUDY_MONTHS,
+    build_world_full, compile_world, generate, scenario_library, spec_for, topology_fingerprint,
+    WorldSpec, STUDY_MONTHS,
 };
 use proptest::prelude::*;
 
@@ -142,6 +147,26 @@ fn compile_install_digest(name: &str) -> (u64, u64) {
 fn compiled_fibs_and_installed_loads_are_pinned() {
     for (name, want) in [("us", (0x0293_e84d_2b5e_dc0c_u64, 0x6344_bf56_2dd0_3c84_u64)), ("sim-1k", (0x83e9_2227_7308_d7f9, 0xe074_341e_dbd3_6929))] {
         assert_eq!(compile_install_digest(name), want, "{name}: (FIB digest, load digest)");
+    }
+}
+
+#[test]
+fn generated_universe_fingerprints_are_pinned() {
+    const PINNED_SEED: u64 = 0x5167_C044;
+    let pinned: [(&str, u64, Option<u64>); 4] = [
+        ("sim-1k", 0x2ef7_6325_b8cb_a055, Some(0x9125_2783_7f68_d0e0)),
+        ("sim-5k", 0x0486_ae6a_9ccd_61f7, Some(0xc699_3853_77a7_4c43)),
+        ("planet-20k", 0xa0b4_ad8c_2bb3_9e6f, None),
+        ("planet-50k", 0x59b9_3dca_a683_ea9e, None),
+    ];
+    for (name, topo_fp, world_fp) in pinned {
+        let spec = spec_for(name).expect("generated library world");
+        let got = topology_fingerprint(&generate(&spec, PINNED_SEED));
+        assert_eq!(got, topo_fp, "{name}: topology fingerprint {got:016x}");
+        if let Some(want) = world_fp {
+            let got = compile_world(name, PINNED_SEED).expect("world compiles").fingerprint;
+            assert_eq!(got, want, "{name}: compiled fingerprint {got:016x}");
+        }
     }
 }
 
