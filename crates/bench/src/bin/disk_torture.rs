@@ -93,13 +93,7 @@ struct Fingerprint {
 }
 
 fn fingerprint(sys: &mut System, from: i64, to: i64) -> Fingerprint {
-    let mut verdicts = Vec::new();
-    for vi in 0..sys.vps.len() {
-        sys.arm_reactive_loss(vi, from, to);
-        verdicts.extend(sys.vps[vi].loss.targets.iter().map(|t| t.far_ip.to_string()));
-    }
-    verdicts.sort();
-    verdicts.dedup();
+    let verdicts = sys.congested_far_ips(from, to);
     Fingerprint {
         hash: sys.store.content_hash(),
         series: sys.store.series_count(),

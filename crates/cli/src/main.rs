@@ -514,15 +514,7 @@ fn open_durable(
 /// come out of a fresh, a durable, and a crashed-then-resumed run, so the
 /// `disk_torture` harness (and CI) can diff them directly.
 fn print_run_summary(sys: &mut System, world: &str, seed: u64, from: i64, to: i64) {
-    let mut congested: Vec<String> = Vec::new();
-    if to > from {
-        for vi in 0..sys.vps.len() {
-            sys.arm_reactive_loss(vi, from, to);
-            congested.extend(sys.vps[vi].loss.targets.iter().map(|t| t.far_ip.to_string()));
-        }
-    }
-    congested.sort();
-    congested.dedup();
+    let congested = if to > from { sys.congested_far_ips(from, to) } else { Vec::new() };
     println!(
         "run complete: world '{world}' seed {seed} window {} .. {}",
         format_sim(from),
@@ -846,7 +838,7 @@ fn cmd_world(args: Args) -> Result<(), CliError> {
             println!("    {label:<8} {count}");
         }
         if st.graph_mem_bytes > 0 {
-            println!("  compact graph:     {} KiB", st.graph_mem_bytes / 1024);
+            println!("  universe graph:    {} KiB", st.graph_mem_bytes / 1024);
         }
         println!("  fingerprint:       {:016x}", built.fingerprint);
         return Ok(());

@@ -574,6 +574,19 @@ impl System {
         n
     }
 
+    /// The run's verdicts: [`System::arm_reactive_loss`] over `[from, to)` on
+    /// every VP, and the far IPs armed, as text, sorted and deduplicated.
+    pub fn congested_far_ips(&mut self, from: SimTime, to: SimTime) -> Vec<String> {
+        let mut out = Vec::new();
+        for vi in 0..self.vps.len() {
+            self.arm_reactive_loss(vi, from, to);
+            out.extend(self.vps[vi].loss.targets.iter().map(|t| t.far_ip.to_string()));
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
     /// One row of the near-real-time link dashboard (the paper's Grafana
     /// front-end view, contribution 4). Records an `elevation` audit
     /// verdict per task — this is the interactive dashboard path.

@@ -1,7 +1,8 @@
 //! AS-level graph: autonomous systems, business relationships, organizations.
 
 use manic_netsim::AsNumber;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::mem::size_of;
 
 /// Role of an AS in the ecosystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,23 +43,38 @@ pub enum RelKind {
 /// The AS-level world: nodes, edges, and organization grouping.
 #[derive(Debug, Clone, Default)]
 pub struct AsGraph {
-    nodes: BTreeMap<AsNumber, AsInfo>,
-    /// Every edge once from each end: `(a, b)` maps to how `b` relates to
-    /// `a`, so `a`'s neighbors are one contiguous range, sorted by ASN.
-    edges: BTreeMap<(AsNumber, AsNumber), Neighborhood>,
+    /// Every AS sorted by ASN, with its neighbors sorted by ASN and how each
+    /// relates to it: every edge is stored once from each end.
+    nodes: Vec<(AsInfo, Row)>,
 }
+
+/// One AS's neighbors, sorted by ASN, each with how it relates to the AS.
+type Row = Vec<(AsNumber, Neighborhood)>;
 
 impl AsGraph {
     pub fn new() -> Self {
         AsGraph::default()
     }
 
+    fn slot(&self, asn: AsNumber) -> Result<usize, usize> {
+        self.nodes.binary_search_by_key(&asn, |(info, _)| info.asn)
+    }
+
+    /// `a`'s neighbors, sorted by ASN; empty for an unknown AS.
+    fn row(&self, a: AsNumber) -> &[(AsNumber, Neighborhood)] {
+        self.slot(a).map_or(&[], |i| &self.nodes[i].1)
+    }
+
+    fn hood(&self, a: AsNumber, b: AsNumber) -> Option<Neighborhood> {
+        let row = self.row(a);
+        row.binary_search_by_key(&b, |&(n, _)| n).ok().map(|k| row[k].1)
+    }
+
     pub fn add_as(&mut self, info: AsInfo) {
-        assert!(
-            self.nodes.insert(info.asn, info.clone()).is_none(),
-            "duplicate AS {}",
-            info.asn
-        );
+        match self.slot(info.asn) {
+            Ok(_) => panic!("duplicate AS {}", info.asn),
+            Err(i) => self.nodes.insert(i, (info, Vec::new())),
+        }
     }
 
     /// Record that `customer` buys transit from `provider`.
@@ -72,11 +88,11 @@ impl AsGraph {
     }
 
     fn add_edge(&mut self, a: AsNumber, b: AsNumber, rel: RelKind) {
-        assert!(self.nodes.contains_key(&a), "unknown AS {a}");
-        assert!(self.nodes.contains_key(&b), "unknown AS {b}");
+        let ia = self.slot(a).unwrap_or_else(|_| panic!("unknown AS {a}"));
+        let ib = self.slot(b).unwrap_or_else(|_| panic!("unknown AS {b}"));
         assert_ne!(a, b, "self edges not allowed");
         assert!(
-            !self.edges.contains_key(&(a, b)),
+            self.hood(a, b).is_none(),
             "duplicate relationship between {} and {}",
             a.min(b),
             a.max(b)
@@ -85,20 +101,24 @@ impl AsGraph {
             RelKind::CustomerToProvider => (Neighborhood::Provider, Neighborhood::Customer),
             RelKind::PeerToPeer => (Neighborhood::Peer, Neighborhood::Peer),
         };
-        self.edges.insert((a, b), b_to_a);
-        self.edges.insert((b, a), a_to_b);
+        for (i, n, hood) in [(ia, b, b_to_a), (ib, a, a_to_b)] {
+            let row = &mut self.nodes[i].1;
+            let k = row.partition_point(|&(m, _)| m < n);
+            row.insert(k, (n, hood));
+        }
     }
 
     pub fn contains(&self, asn: AsNumber) -> bool {
-        self.nodes.contains_key(&asn)
+        self.slot(asn).is_ok()
     }
 
     pub fn info(&self, asn: AsNumber) -> &AsInfo {
-        &self.nodes[&asn]
+        let i = self.slot(asn).unwrap_or_else(|_| panic!("unknown AS {asn}"));
+        &self.nodes[i].0
     }
 
     pub fn ases(&self) -> impl Iterator<Item = &AsInfo> {
-        self.nodes.values()
+        self.nodes.iter().map(|(info, _)| info)
     }
 
     pub fn len(&self) -> usize {
@@ -113,7 +133,7 @@ impl AsGraph {
     /// from b, `Some(PeerToPeer)` for peers, `None` when not adjacent.
     /// (If b is a's customer, the answer from `rel(b, a)` is c2p.)
     pub fn rel(&self, a: AsNumber, b: AsNumber) -> Option<RelKind> {
-        match self.edges.get(&(a, b))? {
+        match self.hood(a, b)? {
             Neighborhood::Provider => Some(RelKind::CustomerToProvider),
             Neighborhood::Peer => Some(RelKind::PeerToPeer),
             Neighborhood::Customer => None,
@@ -122,42 +142,39 @@ impl AsGraph {
 
     /// True when `a` and `b` are adjacent at the AS level.
     pub fn adjacent(&self, a: AsNumber, b: AsNumber) -> bool {
-        self.edges.contains_key(&(a, b))
+        self.hood(a, b).is_some()
     }
 
     /// All neighbors of `a`, sorted by ASN, each with how it relates to `a`
     /// (Provider = the neighbor sells `a` transit).
     pub fn neighbors(&self, a: AsNumber) -> Vec<(AsNumber, Neighborhood)> {
-        self.edges
-            .range((a, AsNumber(0))..=(a, AsNumber(u32::MAX)))
-            .map(|(&(_, b), &hood)| (b, hood))
-            .collect()
+        self.row(a).to_vec()
     }
 
     /// Providers of `a`.
     pub fn providers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.neighbors(a)
-            .into_iter()
+        self.row(a)
+            .iter()
             .filter(|(_, h)| *h == Neighborhood::Provider)
-            .map(|(n, _)| n)
+            .map(|&(n, _)| n)
             .collect()
     }
 
     /// Customers of `a`.
     pub fn customers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.neighbors(a)
-            .into_iter()
+        self.row(a)
+            .iter()
             .filter(|(_, h)| *h == Neighborhood::Customer)
-            .map(|(n, _)| n)
+            .map(|&(n, _)| n)
             .collect()
     }
 
     /// Peers of `a`.
     pub fn peers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.neighbors(a)
-            .into_iter()
+        self.row(a)
+            .iter()
             .filter(|(_, h)| *h == Neighborhood::Peer)
-            .map(|(n, _)| n)
+            .map(|&(n, _)| n)
             .collect()
     }
 
@@ -165,8 +182,7 @@ impl AsGraph {
     /// `a` itself). Mirrors CAIDA's AS-to-organization grouping (§3.2).
     pub fn siblings(&self, a: AsNumber) -> BTreeSet<AsNumber> {
         let org = &self.info(a).org;
-        self.nodes
-            .values()
+        self.ases()
             .filter(|i| &i.org == org)
             .map(|i| i.asn)
             .collect()
@@ -174,15 +190,38 @@ impl AsGraph {
 
     /// All AS-level adjacencies, normalized (low ASN first).
     pub fn adjacencies(&self) -> impl Iterator<Item = (AsNumber, AsNumber, RelKind)> + '_ {
-        self.edges
-            .iter()
-            .filter(|((lo, hi), _)| lo < hi)
-            .map(|(&(lo, hi), &hood)| match hood {
+        self.nodes.iter().flat_map(|(info, row)| {
+            let lo = info.asn;
+            row.iter().filter(move |&&(hi, _)| lo < hi).map(move |&(hi, hood)| match hood {
                 Neighborhood::Peer => (lo, hi, RelKind::PeerToPeer),
                 // c2p tuples list (customer, provider).
                 Neighborhood::Provider => (lo, hi, RelKind::CustomerToProvider),
                 Neighborhood::Customer => (hi, lo, RelKind::CustomerToProvider),
             })
+        })
+    }
+
+    /// The subgraph induced by `keep` (ASNs ascending): those ASes and every
+    /// edge between two of them.
+    pub fn subgraph(&self, keep: &[AsNumber]) -> AsGraph {
+        let kept = |asn: &AsNumber| keep.binary_search(asn).is_ok();
+        let nodes = self.nodes.iter().filter(|(info, _)| kept(&info.asn));
+        let edges = |row: &Row| row.iter().filter(|(n, _)| kept(n)).copied().collect();
+        AsGraph { nodes: nodes.map(|(info, row)| (info.clone(), edges(row))).collect() }
+    }
+
+    /// Heap bytes the graph holds: the node table, and every AS's strings,
+    /// PoP list and neighbor row.
+    pub fn mem_bytes(&self) -> usize {
+        let per_as = |(info, row): &(AsInfo, Row)| {
+            info.name.capacity()
+                + info.org.capacity()
+                + info.pops.capacity() * size_of::<String>()
+                + info.pops.iter().map(String::capacity).sum::<usize>()
+                + row.capacity() * size_of::<(AsNumber, Neighborhood)>()
+        };
+        let table = self.nodes.capacity() * size_of::<(AsInfo, Row)>();
+        table + self.nodes.iter().map(per_as).sum::<usize>()
     }
 }
 
@@ -269,6 +308,20 @@ mod tests {
                 assert_eq!(g.rel(a, b), Some(RelKind::CustomerToProvider));
             }
         }
+    }
+
+    #[test]
+    fn subgraph_keeps_the_edges_between_kept_ases() {
+        let mut g = tiny();
+        g.add_as(info(150, AsKind::Stub)); // out of ASN order
+        g.add_c2p(asn(150), asn(200));
+        let asns: Vec<AsNumber> = g.ases().map(|i| i.asn).collect();
+        assert_eq!(asns, vec![asn(100), asn(150), asn(200), asn(300)]);
+        let sub = g.subgraph(&[asn(100), asn(150), asn(200)]);
+        assert_eq!(sub.len(), 3);
+        let row = vec![(asn(100), Neighborhood::Provider), (asn(150), Neighborhood::Customer)];
+        assert_eq!(sub.neighbors(asn(200)), row);
+        assert_eq!(sub.adjacencies().count(), 2);
     }
 
     #[test]

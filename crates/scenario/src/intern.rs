@@ -7,8 +7,7 @@
 //! deep inside `compile()`. The interner gives each metro a dense stable id:
 //! world builders hold `MetroId`s (one byte each, `Copy`, comparable), and
 //! resolve them to the canonical `&'static str` code only at the
-//! `AsGraph`/`compile()` boundary. `manic-worldgen`'s compact topology stores
-//! arena-packed `MetroId`s instead of heap strings for every PoP of every AS.
+//! `AsGraph`/`compile()` boundary.
 //!
 //! The id space is closed: [`MetroId::ALL`] is the full metro universe, in
 //! the same order as the compiler's coordinate table, so ids double as
@@ -68,11 +67,6 @@ pub fn intern_metro(code: &str) -> Option<MetroId> {
         .map(|i| MetroId(i as u8))
 }
 
-/// Number of metros in the closed universe.
-pub fn metro_count() -> usize {
-    METRO_CODES.len()
-}
-
 /// Resolve a slice of ids to owned code strings — the shape
 /// `AsInfo::pops` wants.
 pub fn codes(ids: &[MetroId]) -> Vec<String> {
@@ -99,7 +93,6 @@ mod tests {
             assert_eq!(intern_metro(id.code()), Some(id));
         }
         assert_eq!(intern_metro("zzz"), None);
-        assert_eq!(metro_count(), METRO_CODES.len());
     }
 
     #[test]

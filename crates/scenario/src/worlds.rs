@@ -15,7 +15,7 @@ use crate::asgraph::{AsGraph, AsInfo, AsKind};
 use crate::compile::{compile, CompileConfig, World};
 use crate::intern::{self, metros::*, MetroId};
 use crate::schedule::{month_schedule, CongestionEpisode};
-use manic_netsim::traffic::DiurnalDemand;
+use manic_netsim::traffic::{DiurnalDemand, MonthScale};
 use manic_netsim::AsNumber;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,17 +84,8 @@ pub fn install_congestion(world: &mut World, episodes: &[CongestionEpisode]) {
                 // The eyeball-bound profile keys its diurnal clock to the
                 // AP-side border router's metro timezone.
                 let tz = tz_of(gt, ap);
-                let toward_ap = DiurnalDemand {
-                    base: EYEBALL_BASE_UTIL,
-                    amplitude: 1.0, // monthly scale IS the amplitude
-                    peak_hour: 21.0,
-                    peak_width: 2.6,
-                    tz_offset_hours: tz,
-                    weekend_factor: 1.0,
-                    monthly,
-                    noise_amp: 0.02,
-                    noise_seed: if gt.a_asn == ap { seed_ba } else { seed_ab },
-                };
+                let toward_ap =
+                    eyeball_profile(tz, monthly, if gt.a_asn == ap { seed_ba } else { seed_ab });
                 let away = quiet_profile(tz, if gt.a_asn == ap { seed_ab } else { seed_ba });
                 if gt.a_asn == ap {
                     // Toward AP = toward side A = BtoA direction loads.
@@ -130,6 +121,23 @@ pub fn tz_of(gt: &crate::compile::GtLink, asn: AsNumber) -> i8 {
     crate::compile::metro_info(metro).2
 }
 
+/// The eyeball-bound profile of a link direction toward an access ISP, in
+/// the timezone `tz`: `monthly` scales the evening peak month by month, so
+/// it is the amplitude.
+pub fn eyeball_profile(tz: i8, monthly: MonthScale, seed: u64) -> DiurnalDemand {
+    DiurnalDemand {
+        base: EYEBALL_BASE_UTIL,
+        amplitude: 1.0,
+        peak_hour: 21.0,
+        peak_width: 2.6,
+        tz_offset_hours: tz,
+        weekend_factor: 1.0,
+        monthly,
+        noise_amp: 0.02,
+        noise_seed: seed,
+    }
+}
+
 /// The mild diurnal profile of a link direction no congestion episode
 /// drives, in the timezone `tz`.
 pub fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
@@ -140,7 +148,7 @@ pub fn quiet_profile(tz: i8, seed: u64) -> DiurnalDemand {
         peak_width: 2.6,
         tz_offset_hours: tz,
         weekend_factor: 1.0,
-        monthly: manic_netsim::traffic::MonthScale::flat(),
+        monthly: MonthScale::flat(),
         noise_amp: 0.02,
         noise_seed: seed,
     }

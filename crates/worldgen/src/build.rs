@@ -3,27 +3,25 @@
 //! The pipeline for a generated world is
 //!
 //! ```text
-//! (name, seed) -> WorldSpec -> Topology (compact, full planet)
-//!              -> focus AsGraph (~190 ASes) -> scenario::compile()
+//! (name, seed) -> WorldSpec -> Topology (AsGraph of the full planet)
+//!              -> focus subgraph (~190 ASes) -> scenario::compile()
 //!              -> World (+ default steady congestion)
 //! ```
 //!
 //! Only the *focus universe* gets router-level compilation and routes (the
 //! compiled world's `Routing`, which its FIBs follow); the far stub tail
-//! lives in the compact graph alone, where the stats and fingerprints
+//! lives in the universe graph alone, where the stats and fingerprints
 //! still count it. Classic worlds ("toy", "us")
 //! resolve through the same front door, so every consumer — CLI, serve,
 //! checkpoints, benches — accepts generated names wherever it accepted the
 //! hand-built ones.
 
 use crate::fingerprint::{combine, topology_fingerprint, world_fingerprint};
-use crate::gen::{generate, Topology, WorldSpec};
-use crate::graph::{Rel, Tier};
+use crate::gen::{generate, tier, Topology, WorldSpec, TIERS};
 use crate::scenarios;
 use manic_netsim::AsNumber;
-use manic_scenario::asgraph::{AsGraph, AsInfo, AsKind};
+use manic_scenario::asgraph::AsKind;
 use manic_scenario::{compile, CompileConfig, CompileError, World};
-use std::collections::HashSet;
 use std::ops::Range;
 
 /// Study months (indices since Jan 2016) used by default scenario installs
@@ -77,7 +75,7 @@ pub fn spec_for(name: &str) -> Option<WorldSpec> {
 /// sweep's structural gates.
 #[derive(Debug, Clone)]
 pub struct WorldStats {
-    /// ASes in the full (compact) universe.
+    /// ASes in the full universe.
     pub total_ases: usize,
     /// Undirected AS-level adjacencies in the full universe.
     pub as_adjacencies: usize,
@@ -88,7 +86,7 @@ pub struct WorldStats {
     pub vps: usize,
     /// `(tier label, count)` over the full universe.
     pub tiers: Vec<(&'static str, usize)>,
-    /// Approximate heap bytes of the compact graph (0 for classic worlds).
+    /// Heap bytes of the universe graph (0 for classic worlds).
     pub graph_mem_bytes: usize,
 }
 
@@ -97,65 +95,23 @@ pub struct BuiltWorld {
     pub name: String,
     pub seed: u64,
     pub world: World,
-    /// The generated topology; `None` for classic hand-built worlds.
-    pub topo: Option<Topology>,
     /// Determinism fingerprint (topology digest folded with the compiled
     /// ground-truth/VP roster digest).
     pub fingerprint: u64,
     pub stats: WorldStats,
 }
 
-fn kind_of(tier: Tier) -> AsKind {
-    match tier {
-        Tier::Tier1 | Tier::Transit => AsKind::Transit,
-        Tier::Content => AsKind::Content,
-        Tier::Access => AsKind::AccessIsp,
-        Tier::Stub => AsKind::Stub,
-    }
-}
-
-/// Project the focus universe of a generated topology onto the classic
-/// AS-graph the scenario compiler consumes.
-pub fn focus_graph(topo: &Topology) -> AsGraph {
-    let cg = &topo.graph;
-    let focus: HashSet<_> = topo.focus.iter().copied().collect();
-    let mut g = AsGraph::new();
-    for &n in &topo.focus {
-        g.add_as(AsInfo {
-            asn: cg.asn(n),
-            name: cg.name(n).to_string(),
-            kind: kind_of(cg.tier(n)),
-            org: cg.org(n).to_string(),
-            pops: manic_scenario::intern::codes(cg.pops(n)),
-        });
-    }
-    for &n in &topo.focus {
-        for &(m, rel) in cg.neighbors(n) {
-            // Visit each undirected edge once, from its lower node id.
-            if n >= m || !focus.contains(&m) {
-                continue;
-            }
-            match rel {
-                Rel::Provider => g.add_c2p(cg.asn(n), cg.asn(m)),
-                Rel::Customer => g.add_c2p(cg.asn(m), cg.asn(n)),
-                Rel::Peer => g.add_p2p(cg.asn(n), cg.asn(m)),
-            }
-        }
-    }
-    g
-}
-
 /// Compile a generated topology's focus universe to a router-level world.
 /// No congestion is installed — the scenario library does that.
-pub fn compile_focus(topo: &Topology, seed: u64) -> Result<World, CompileError> {
-    let cg = &topo.graph;
-    let graph = focus_graph(topo);
+pub fn compile_focus(topo: Topology, seed: u64) -> Result<World, CompileError> {
+    let Topology { graph, focus, vp_placements, ixp_pairs, .. } = topo;
+    let focus = graph.subgraph(&focus);
+    // Nothing reads the universe past the cut, so the compile does not hold it.
+    drop(graph);
     let vps: Vec<(AsNumber, &str)> =
-        topo.vp_placements.iter().map(|&(n, m)| (cg.asn(n), m.code())).collect();
-    let ixp: Vec<(AsNumber, AsNumber)> =
-        topo.ixp_pairs.iter().map(|&(a, c)| (cg.asn(a), cg.asn(c))).collect();
+        vp_placements.iter().map(|&(asn, metro)| (asn, metro.code())).collect();
     let cfg = CompileConfig { seed, ..CompileConfig::default() };
-    compile::compile(graph, &vps, &ixp, &cfg)
+    compile::compile(focus, &vps, &ixp_pairs, &cfg)
 }
 
 fn classic_stats(world: &World) -> WorldStats {
@@ -185,14 +141,20 @@ fn classic_stats(world: &World) -> WorldStats {
     }
 }
 
-fn generated_stats(topo: &Topology, world: &World) -> WorldStats {
+/// The universe's share of a generated world's stats; the compiled world
+/// fills in `interconnects` and `vps`.
+fn universe_stats(topo: &Topology) -> WorldStats {
+    let mut tiers: Vec<(&'static str, usize)> = TIERS.iter().map(|&t| (t, 0)).collect();
+    for info in topo.graph.ases() {
+        tiers[tier(info.asn)].1 += 1;
+    }
     WorldStats {
         total_ases: topo.graph.len(),
-        as_adjacencies: topo.graph.edge_count(),
+        as_adjacencies: topo.graph.adjacencies().count(),
         focus_ases: topo.focus.len(),
-        interconnects: world.gt_links.len(),
-        vps: world.vps.len(),
-        tiers: topo.graph.tier_histogram().iter().map(|&(t, c)| (t.label(), c)).collect(),
+        interconnects: 0,
+        vps: 0,
+        tiers,
         graph_mem_bytes: topo.graph.mem_bytes(),
     }
 }
@@ -206,13 +168,13 @@ pub fn compile_world(name: &str, seed: u64) -> Result<BuiltWorld, WorldError> {
             let world = manic_scenario::worlds::toy(seed);
             let fp = combine(None, world_fingerprint(&world));
             let stats = classic_stats(&world);
-            Ok(BuiltWorld { name: name.into(), seed, world, topo: None, fingerprint: fp, stats })
+            Ok(BuiltWorld { name: name.into(), seed, world, fingerprint: fp, stats })
         }
         "us" => {
             let world = manic_scenario::worlds::us_broadband(seed);
             let fp = combine(None, world_fingerprint(&world));
             let stats = classic_stats(&world);
-            Ok(BuiltWorld { name: name.into(), seed, world, topo: None, fingerprint: fp, stats })
+            Ok(BuiltWorld { name: name.into(), seed, world, fingerprint: fp, stats })
         }
         other => {
             let Some(spec) = spec_for(other) else {
@@ -222,17 +184,13 @@ pub fn compile_world(name: &str, seed: u64) -> Result<BuiltWorld, WorldError> {
                 });
             };
             let topo = generate(&spec, seed);
-            let world = compile_focus(&topo, seed)?;
-            let fp = combine(Some(topology_fingerprint(&topo)), world_fingerprint(&world));
-            let stats = generated_stats(&topo, &world);
-            Ok(BuiltWorld {
-                name: other.to_string(),
-                seed,
-                world,
-                topo: Some(topo),
-                fingerprint: fp,
-                stats,
-            })
+            let topo_fp = topology_fingerprint(&topo);
+            let universe = universe_stats(&topo);
+            let world = compile_focus(topo, seed)?;
+            let fp = combine(Some(topo_fp), world_fingerprint(&world));
+            let stats =
+                WorldStats { interconnects: world.gt_links.len(), vps: world.vps.len(), ..universe };
+            Ok(BuiltWorld { name: other.to_string(), seed, world, fingerprint: fp, stats })
         }
     }
 }
@@ -242,7 +200,7 @@ pub fn compile_world(name: &str, seed: u64) -> Result<BuiltWorld, WorldError> {
 /// the box; classic worlds are returned as-is.
 pub fn build_world_full(name: &str, seed: u64) -> Result<BuiltWorld, WorldError> {
     let mut built = compile_world(name, seed)?;
-    if built.topo.is_some() {
+    if spec_for(name).is_some() {
         let steady = scenarios::library()[0];
         debug_assert_eq!(steady.key, "steady");
         steady.install(&mut built.world, seed, STUDY_MONTHS);
@@ -263,7 +221,7 @@ mod tests {
     #[test]
     fn classic_names_still_resolve() {
         let toy = build_world_full("toy", 1).unwrap();
-        assert!(toy.topo.is_none());
+        assert_eq!(toy.stats.graph_mem_bytes, 0, "a classic world has no universe");
         assert!(toy.stats.interconnects > 0);
         assert!(toy.fingerprint != 0);
         let Err(err) = build_world("nope", 1) else { panic!("unknown world must fail") };

@@ -9,7 +9,9 @@
 //! digest deliberately covers only platform-independent integers and strings
 //! — no pointers, hash-map iteration orders, or floats.
 
-use crate::gen::Topology;
+use crate::gen::{tier, Topology};
+use manic_netsim::AsNumber;
+use manic_scenario::intern::intern_metro;
 use manic_scenario::World;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
@@ -62,26 +64,31 @@ impl Fnv {
 
 /// Fingerprint of a generated topology: spec identity, every node
 /// (ASN, tier, name, metros), every directed edge, VP placements, IXP pairs.
+/// A node is hashed by its id, its rank by ASN.
 pub fn topology_fingerprint(t: &Topology) -> u64 {
+    let g = &t.graph;
+    let asns: Vec<AsNumber> = g.ases().map(|info| info.asn).collect();
+    let id = |asn: AsNumber| asns.binary_search(&asn).expect("AS of the universe") as u32;
+    let metro = |code: &str| intern_metro(code).expect("generated PoPs are metros").0;
     let mut h = Fnv::new();
     h.str(&t.spec.name).u64(t.seed);
-    h.u64(t.graph.len() as u64).u64(t.graph.edge_count() as u64);
-    for n in t.graph.nodes() {
-        h.u32(t.graph.asn(n).0);
-        h.bytes(&[t.graph.tier(n) as u8]);
-        h.str(t.graph.name(n));
-        for m in t.graph.pops(n) {
-            h.bytes(&[m.0]);
+    h.u64(g.len() as u64).u64(g.adjacencies().count() as u64);
+    for info in g.ases() {
+        h.u32(info.asn.0);
+        h.bytes(&[tier(info.asn) as u8]);
+        h.str(&info.name);
+        for pop in &info.pops {
+            h.bytes(&[metro(pop)]);
         }
-        for &(m, rel) in t.graph.neighbors(n) {
-            h.u32(m).bytes(&[rel as u8]);
+        for (m, hood) in g.neighbors(info.asn) {
+            h.u32(id(m)).bytes(&[hood as u8]);
         }
     }
-    for &(n, m) in &t.vp_placements {
-        h.u32(n).bytes(&[m.0]);
+    for &(asn, m) in &t.vp_placements {
+        h.u32(id(asn)).bytes(&[m.0]);
     }
     for &(a, c) in &t.ixp_pairs {
-        h.u32(a).u32(c);
+        h.u32(id(a)).u32(id(c));
     }
     h.finish()
 }

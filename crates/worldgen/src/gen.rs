@@ -13,23 +13,34 @@
 //!
 //! The *focus universe* is the subset of ASes that gets router-level
 //! compilation (PoPs, border routers, /30s, FIBs): every non-stub AS plus a
-//! deterministic sample of stubs. The far edge exists only in the compact
-//! graph — visible to stats and fingerprints, but costing four bytes of ASN
+//! deterministic sample of stubs. The far edge exists only in the universe
+//! graph — visible to stats and fingerprints, but costing one AS record
 //! instead of a router mesh. The compiled universe is kept
 //! under the addressing plan's 200-AS ceiling by construction.
 
-use crate::graph::{CompactGraph, GraphBuilder, NodeId, Tier};
 use crate::rng::Rng;
 use manic_netsim::AsNumber;
-use manic_scenario::intern::{metro_count, MetroId};
+use manic_scenario::intern::{intern_metro, MetroId, METRO_CODES};
+use manic_scenario::{AsGraph, AsInfo, AsKind};
 
-/// ASN bands of the generator's plan. Node-id order follows band order, so
-/// id order is ASN order.
+/// ASN bands of the generator's plan, in tier order. A generated AS's rank
+/// by ASN is its node id in [`crate::topology_fingerprint`].
 pub const TIER1_ASN_BASE: u32 = 101;
 pub const TIER2_ASN_BASE: u32 = 1_001;
 pub const CONTENT_ASN_BASE: u32 = 2_001;
 pub const ACCESS_ASN_BASE: u32 = 3_001;
 pub const STUB_ASN_BASE: u32 = 10_001;
+
+/// Tier labels in ASN-band order; [`tier`] indexes them.
+pub const TIERS: [&str; 5] = ["tier1", "transit", "content", "access", "stub"];
+
+/// The tier of a generated AS: the index into [`TIERS`] of its ASN band.
+pub fn tier(asn: AsNumber) -> usize {
+    [TIER2_ASN_BASE, CONTENT_ASN_BASE, ACCESS_ASN_BASE, STUB_ASN_BASE]
+        .iter()
+        .filter(|&&base| asn.0 >= base)
+        .count()
+}
 
 /// Size plan of one generated world.
 #[derive(Debug, Clone)]
@@ -92,116 +103,92 @@ impl WorldSpec {
     }
 }
 
-/// A generated topology: the compact graph plus everything the focus
+/// A generated topology: the whole universe plus everything the focus
 /// compiler and the stats/fingerprint paths need.
 #[derive(Debug, Clone)]
 pub struct Topology {
     pub spec: WorldSpec,
     pub seed: u64,
-    pub graph: CompactGraph,
-    /// `(access node, metro)` per VP; distinct pairs by construction.
-    pub vp_placements: Vec<(NodeId, MetroId)>,
+    /// Every AS of the universe; tier-1s are `AsKind::Transit`.
+    pub graph: AsGraph,
+    /// `(access AS, metro)` per VP; distinct pairs by construction.
+    pub vp_placements: Vec<(AsNumber, MetroId)>,
     /// Access-CDN adjacencies that interconnect over the IXP LAN.
-    pub ixp_pairs: Vec<(NodeId, NodeId)>,
-    /// Node ids compiled to router level, in id order.
-    pub focus: Vec<NodeId>,
+    pub ixp_pairs: Vec<(AsNumber, AsNumber)>,
+    /// ASes compiled to router level, ascending.
+    pub focus: Vec<AsNumber>,
 }
 
-/// Draw `k` distinct metros.
-fn metros(rng: &mut Rng, k: usize) -> Vec<MetroId> {
-    rng.pick_distinct(metro_count(), k.min(metro_count()))
-        .into_iter()
-        .map(|i| MetroId(i as u8))
-        .collect()
+/// Draw `k` distinct metro codes.
+fn metros(rng: &mut Rng, k: usize) -> Vec<String> {
+    let n = METRO_CODES.len();
+    rng.pick_distinct(n, k.min(n)).into_iter().map(|i| METRO_CODES[i].to_string()).collect()
+}
+
+/// Add one AS; generated ASes have no siblings, so the org is the name.
+fn add_as(g: &mut AsGraph, asn: u32, name: String, kind: AsKind, pops: Vec<String>) -> AsNumber {
+    let asn = AsNumber(asn);
+    g.add_as(AsInfo { asn, org: name.clone(), name, kind, pops });
+    asn
 }
 
 /// Generate the world for `(spec, seed)`.
 pub fn generate(spec: &WorldSpec, seed: u64) -> Topology {
-    let mut b = GraphBuilder::new();
+    let mut g = AsGraph::new();
 
     // --- Nodes, in ASN-band order -------------------------------------
     let mut rng = Rng::new(seed, 0x6E0_DE5);
-    let tier1: Vec<NodeId> = (0..spec.tier1)
-        .map(|i| {
-            let k = 9 + rng.below(4); // 9..=12 metros
-            b.add_node(
-                AsNumber(TIER1_ASN_BASE + i as u32),
-                &format!("t1-{i:02}"),
-                Tier::Tier1,
-                metros(&mut rng, k),
-            )
-        })
-        .collect();
-    let tier2: Vec<NodeId> = (0..spec.tier2)
-        .map(|i| {
-            let k = 4 + rng.below(3); // 4..=6
-            b.add_node(
-                AsNumber(TIER2_ASN_BASE + i as u32),
-                &format!("tr-{i:02}"),
-                Tier::Transit,
-                metros(&mut rng, k),
-            )
-        })
-        .collect();
-    let content: Vec<NodeId> = (0..spec.content)
-        .map(|i| {
-            let k = 8 + rng.below(5); // 8..=12
-            b.add_node(
-                AsNumber(CONTENT_ASN_BASE + i as u32),
-                &format!("cdn-{i:02}"),
-                Tier::Content,
-                metros(&mut rng, k),
-            )
-        })
-        .collect();
-    let access: Vec<NodeId> = (0..spec.access)
-        .map(|i| {
-            let k = 5 + rng.below(3); // 5..=7
-            b.add_node(
-                AsNumber(ACCESS_ASN_BASE + i as u32),
-                &format!("isp-{i:02}"),
-                Tier::Access,
-                metros(&mut rng, k),
-            )
-        })
-        .collect();
+    // One band: `n` ASes from `base`, each in `k(rng)` distinct metros.
+    let mut band = |base: u32, n: usize, prefix: &str, kind, k: fn(&mut Rng) -> usize| {
+        (0..n)
+            .map(|i| {
+                let k = k(&mut rng);
+                let pops = metros(&mut rng, k);
+                add_as(&mut g, base + i as u32, format!("{prefix}-{i:02}"), kind, pops)
+            })
+            .collect::<Vec<AsNumber>>()
+    };
+    let tier1 = band(TIER1_ASN_BASE, spec.tier1, "t1", AsKind::Transit, |r| 9 + r.below(4));
+    let tier2 = band(TIER2_ASN_BASE, spec.tier2, "tr", AsKind::Transit, |r| 4 + r.below(3));
+    let content = band(CONTENT_ASN_BASE, spec.content, "cdn", AsKind::Content, |r| 8 + r.below(5));
+    let access = band(ACCESS_ASN_BASE, spec.access, "isp", AsKind::AccessIsp, |r| 5 + r.below(3));
 
     // --- Core relationships -------------------------------------------
     let mut rng = Rng::new(seed, 0xED6E5);
     // Tier-1 full-mesh peering.
     for (i, &a) in tier1.iter().enumerate() {
         for &p in tier1.iter().skip(i + 1) {
-            b.add_p2p(a, p);
+            g.add_p2p(a, p);
         }
     }
     // Tier-2: two tier-1 providers, sparse lateral peering.
     for (i, &t) in tier2.iter().enumerate() {
         for pi in rng.pick_distinct(tier1.len(), 2) {
-            b.add_c2p(t, tier1[pi]);
+            g.add_c2p(t, tier1[pi]);
         }
         for &u in tier2.iter().skip(i + 1) {
             if rng.chance(0.15) {
-                b.add_p2p(t, u);
+                g.add_p2p(t, u);
             }
         }
     }
     // Content: one tier-1 and one tier-2 transit provider.
     for &c in &content {
-        b.add_c2p(c, tier1[rng.below(tier1.len())]);
-        b.add_c2p(c, tier2[rng.below(tier2.len())]);
+        g.add_c2p(c, tier1[rng.below(tier1.len())]);
+        g.add_c2p(c, tier2[rng.below(tier2.len())]);
     }
     // Access: one tier-1 and one tier-2 transit provider, flat peering with
     // every CDN (the paper's peering-dispute battleground), sparse lateral
     // access-access peering.
     for (i, &a) in access.iter().enumerate() {
-        b.add_c2p(a, tier1[rng.below(tier1.len())]);
-        b.add_c2p(a, tier2[rng.below(tier2.len())]);
+        g.add_c2p(a, tier1[rng.below(tier1.len())]);
+        g.add_c2p(a, tier2[rng.below(tier2.len())]);
         for &c in &content {
-            b.add_p2p(a, c);
+            g.add_p2p(a, c);
         }
         for &other in access.iter().skip(i + 1) {
             if rng.chance(0.08) {
-                b.add_p2p(a, other);
+                g.add_p2p(a, other);
             }
         }
     }
@@ -211,42 +198,36 @@ pub fn generate(spec: &WorldSpec, seed: u64) -> Topology {
     let n_stubs = spec.total_ases - (spec.tier1 + spec.tier2 + spec.content + spec.access);
     // Polya-urn lottery over the provider pool (access + tier-2): a
     // provider's tickets grow with every customer it wins.
-    let mut lottery: Vec<NodeId> = access.iter().chain(tier2.iter()).copied().collect();
+    let mut lottery: Vec<AsNumber> = access.iter().chain(tier2.iter()).copied().collect();
     for i in 0..n_stubs {
         let first = lottery[rng.below(lottery.len())];
-        let pops = vec![*pick(&mut rng, b.pops_of(first))];
-        let stub = b.add_node(
-            AsNumber(STUB_ASN_BASE + i as u32),
-            &format!("stub-{i:05}"),
-            Tier::Stub,
-            pops,
-        );
-        b.add_c2p(stub, first);
+        let pops = vec![pick(&mut rng, &g.info(first).pops).clone()];
+        let name = format!("stub-{i:05}");
+        let stub = add_as(&mut g, STUB_ASN_BASE + i as u32, name, AsKind::Stub, pops);
+        g.add_c2p(stub, first);
         lottery.push(first);
         if rng.chance(0.3) {
             let second = lottery[rng.below(lottery.len())];
             if second != first {
-                b.add_c2p(stub, second);
+                g.add_c2p(stub, second);
                 lottery.push(second);
             }
         }
     }
-
-    let graph = b.freeze();
 
     // --- VP placements -------------------------------------------------
     let mut vp_placements = Vec::with_capacity(spec.vps);
     for i in 0..spec.vps {
         let isp = access[i % access.len()];
         let slot = i / access.len();
-        let pops = graph.pops(isp);
+        let pops = &g.info(isp).pops;
         assert!(slot < pops.len(), "VP plan exceeds access metro capacity");
-        vp_placements.push((isp, pops[slot]));
+        vp_placements.push((isp, intern_metro(&pops[slot]).expect("generated PoPs are metros")));
     }
 
     // --- IXP fabric -----------------------------------------------------
     let mut rng = Rng::new(seed, 0x1C39A);
-    let mut ixp_pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut ixp_pairs: Vec<(AsNumber, AsNumber)> = Vec::new();
     let mut tries = 0;
     while ixp_pairs.len() < spec.ixp_pairs && tries < spec.ixp_pairs * 20 {
         tries += 1;
@@ -257,21 +238,20 @@ pub fn generate(spec: &WorldSpec, seed: u64) -> Topology {
     }
 
     // --- Focus universe -------------------------------------------------
-    let mut focus: Vec<NodeId> = tier1
+    let mut focus: Vec<AsNumber> = tier1
         .iter()
         .chain(&tier2)
         .chain(&content)
         .chain(&access)
         .copied()
         .collect();
-    let stub_base = focus.len() as NodeId;
-    focus.extend((0..spec.focus_stubs as NodeId).map(|i| stub_base + i));
+    focus.extend((0..spec.focus_stubs as u32).map(|i| AsNumber(STUB_ASN_BASE + i)));
     debug_assert!(focus.windows(2).all(|w| w[0] < w[1]));
 
     Topology {
         spec: spec.clone(),
         seed,
-        graph,
+        graph: g,
         vp_placements,
         ixp_pairs,
         focus,
@@ -285,7 +265,7 @@ fn pick<'a, T>(rng: &mut Rng, xs: &'a [T]) -> &'a T {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Rel;
+    use manic_scenario::asgraph::Neighborhood;
 
     #[test]
     fn spec_sizing_is_sane() {
@@ -301,15 +281,12 @@ mod tests {
         let spec = WorldSpec::planetary("sim-1k", 1_000, 16);
         let a = generate(&spec, 7);
         let b = generate(&spec, 7);
-        assert_eq!(a.graph.len(), b.graph.len());
-        assert_eq!(a.graph.edge_count(), b.graph.edge_count());
+        let edges = |t: &Topology| t.graph.adjacencies().collect::<Vec<_>>();
+        assert_eq!(edges(&a), edges(&b));
         assert_eq!(a.vp_placements, b.vp_placements);
         assert_eq!(a.ixp_pairs, b.ixp_pairs);
         let c = generate(&spec, 8);
-        assert_ne!(
-            (a.graph.edge_count(), a.vp_placements.clone()),
-            (c.graph.edge_count(), c.vp_placements.clone())
-        );
+        assert_ne!((edges(&a), a.vp_placements.clone()), (edges(&c), c.vp_placements.clone()));
     }
 
     #[test]
@@ -317,28 +294,22 @@ mod tests {
         let spec = WorldSpec::planetary("sim-1k", 1_000, 16);
         let t = generate(&spec, 3);
         assert_eq!(t.graph.len(), 1_000);
-        let hist = t.graph.tier_histogram();
-        assert_eq!(hist[0].1, spec.tier1);
-        assert_eq!(hist[3].1, spec.access);
-        assert_eq!(hist[4].1, 1_000 - spec.tier1 - spec.tier2 - spec.content - spec.access);
-        // ASN plan: node-id order is ASN order.
-        let asns: Vec<u32> = t.graph.nodes().map(|n| t.graph.asn(n).0).collect();
-        let mut sorted = asns.clone();
-        sorted.sort_unstable();
-        assert_eq!(asns, sorted);
+        let mut hist = [0; 5];
+        for info in t.graph.ases() {
+            hist[tier(info.asn)] += 1;
+        }
+        let stubs = 1_000 - spec.tier1 - spec.tier2 - spec.content - spec.access;
+        assert_eq!(hist, [spec.tier1, spec.tier2, spec.content, spec.access, stubs]);
         // Every stub has at least one provider; every access ISP peers with
         // every CDN.
-        for n in t.graph.nodes() {
-            match t.graph.tier(n) {
-                Tier::Stub => assert!(
-                    t.graph.neighbors(n).iter().any(|(_, r)| *r == Rel::Provider)
-                ),
-                Tier::Access => {
-                    let peers = t
-                        .graph
-                        .neighbors(n)
+        for info in t.graph.ases() {
+            let hoods = t.graph.neighbors(info.asn);
+            match info.kind {
+                AsKind::Stub => assert!(hoods.iter().any(|(_, h)| *h == Neighborhood::Provider)),
+                AsKind::AccessIsp => {
+                    let peers = hoods
                         .iter()
-                        .filter(|(m, r)| *r == Rel::Peer && t.graph.tier(*m) == Tier::Content)
+                        .filter(|(m, h)| *h == Neighborhood::Peer && tier(*m) == 2)
                         .count();
                     assert_eq!(peers, spec.content);
                 }
@@ -346,7 +317,7 @@ mod tests {
             }
         }
         // VP placements are distinct (asn, metro) pairs.
-        let mut seen: Vec<(NodeId, MetroId)> = t.vp_placements.clone();
+        let mut seen: Vec<(AsNumber, MetroId)> = t.vp_placements.clone();
         seen.sort();
         seen.dedup();
         assert_eq!(seen.len(), t.vp_placements.len());
@@ -354,36 +325,34 @@ mod tests {
 
     /// The provider DAG is rooted in the tier-1 clique: the tier-1s form a
     /// full p2p mesh, and every other AS buys from at least one AS with a
-    /// smaller node id. A customer→provider walk therefore descends node
-    /// ids and ends in the clique, from where every tier-1 is one peering
-    /// away — so every AS, down to the last stub, is connected to the core.
+    /// smaller ASN. A customer→provider walk therefore descends ASNs and
+    /// ends in the clique, from where every tier-1 is one peering away — so
+    /// every AS, down to the last stub, is connected to the core.
     #[test]
     fn provider_dag_is_rooted_in_the_tier1_clique() {
         for (total, vps) in [(300, 4), (899, 11), (2_000, 40), (5_000, 32)] {
             let spec = WorldSpec::planetary("oracle", total, vps);
             for seed in [1, 7, 0xD1A5_0C44] {
                 let g = generate(&spec, seed).graph;
-                let tier1: Vec<NodeId> =
-                    g.nodes().filter(|&n| g.tier(n) == Tier::Tier1).collect();
+                let tier1: Vec<AsNumber> =
+                    g.ases().map(|i| i.asn).filter(|&a| tier(a) == 0).collect();
                 assert_eq!(tier1.len(), spec.tier1);
                 for &a in &tier1 {
                     let clique_peers = g
                         .neighbors(a)
                         .iter()
-                        .filter(|&&(m, r)| r == Rel::Peer && g.tier(m) == Tier::Tier1)
+                        .filter(|&&(m, h)| h == Neighborhood::Peer && tier(m) == 0)
                         .count();
                     assert_eq!(
                         clique_peers,
                         tier1.len() - 1,
-                        "{total}/{seed}: tier-1 AS {} is not meshed with the clique",
-                        g.asn(a)
+                        "{total}/{seed}: tier-1 AS {a} is not meshed with the clique"
                     );
                 }
-                for n in g.nodes().filter(|&n| g.tier(n) != Tier::Tier1) {
+                for n in g.ases().map(|i| i.asn).filter(|&a| tier(a) != 0) {
                     assert!(
-                        g.neighbors(n).iter().any(|&(m, r)| r == Rel::Provider && m < n),
-                        "{total}/{seed}: AS {} has no provider below it",
-                        g.asn(n)
+                        g.providers(n).iter().any(|&m| m < n),
+                        "{total}/{seed}: AS {n} has no provider below it"
                     );
                 }
             }
@@ -398,15 +367,9 @@ mod tests {
         // above the mean (rich get richer), and the distribution long-tailed.
         let mut cone: Vec<usize> = t
             .graph
-            .nodes()
-            .filter(|&n| matches!(t.graph.tier(n), Tier::Access | Tier::Transit))
-            .map(|n| {
-                t.graph
-                    .neighbors(n)
-                    .iter()
-                    .filter(|(_, r)| *r == Rel::Customer)
-                    .count()
-            })
+            .ases()
+            .filter(|i| matches!(tier(i.asn), 1 | 3))
+            .map(|i| t.graph.customers(i.asn).len())
             .collect();
         cone.sort_unstable_by(|a, b| b.cmp(a));
         let total: usize = cone.iter().sum();

@@ -9,15 +9,15 @@
 //! demand, deterministically, from a `(name, seed)` pair:
 //!
 //! * [`gen`] — the generator: tier-1 clique, transit band, CDNs, access
-//!   ISPs, and a preferential-attachment stub tail, sized by [`gen::WorldSpec`];
-//! * [`graph`] — the compact topology it produces: interned strings, `u32`
-//!   node ids, CSR adjacency — a 50k-AS planet in a few megabytes, read by
-//!   the stats and the fingerprints;
+//!   ISPs, and a preferential-attachment stub tail, sized by
+//!   [`gen::WorldSpec`]. It writes the universe straight into a
+//!   `manic_scenario::AsGraph`, the graph the hand-built worlds, the
+//!   compiler and BGP use;
 //! * [`build`] — the library resolver and *focus compiler*: the ~190-AS
 //!   focus universe is compiled to router level through the classic
 //!   scenario compiler, whose `manic_scenario::bgp::Routing` is the one
-//!   Gao-Rexford router every packet follows; the far tail stays compact
-//!   and unrouted;
+//!   Gao-Rexford router every packet follows; the far tail stays in the
+//!   universe graph, unrouted;
 //! * [`scenarios`] — the scenario library (steady mix, flash crowds,
 //!   maintenance, catchment shifts), each planting machine-checkable
 //!   ground truth;
@@ -27,8 +27,6 @@
 pub mod build;
 pub mod fingerprint;
 pub mod gen;
-pub mod graph;
-pub mod intern;
 pub mod rng;
 pub mod scenarios;
 
@@ -38,5 +36,4 @@ pub use build::{
 };
 pub use fingerprint::{topology_fingerprint, world_fingerprint};
 pub use gen::{generate, Topology, WorldSpec};
-pub use graph::{CompactGraph, GraphBuilder, NodeId, Rel, Tier};
 pub use scenarios::{library as scenario_library, Planted, Scenario, ScenarioKind};

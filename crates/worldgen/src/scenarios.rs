@@ -19,7 +19,7 @@ use manic_netsim::{AsNumber, Fib, Ipv4, LoadModel};
 use manic_scenario::asgraph::AsKind;
 use manic_scenario::schedule::{month_schedule, CongestionEpisode};
 use manic_scenario::worlds::{
-    install_congestion, quiet_profile, tz_of, EYEBALL_BASE_UTIL, IDLE_AMPLITUDE,
+    eyeball_profile, install_congestion, quiet_profile, tz_of, EYEBALL_BASE_UTIL, IDLE_AMPLITUDE,
 };
 /// Normalized pair key, matching the sweep's scoring key.
 pub use manic_scenario::worlds::pair_key;
@@ -186,17 +186,11 @@ fn install_bursts(
         let tz = tz_of(&gt, ap);
         let seed_toward = (gt.link.0 as u64) << 1 | u64::from(gt.a_asn == ap);
         let toward_ap = BurstDemand {
-            hot: DiurnalDemand {
-                base: EYEBALL_BASE_UTIL,
-                amplitude: 1.0,
-                peak_hour: 21.0,
-                peak_width: 2.6,
-                tz_offset_hours: tz,
-                weekend_factor: 1.0,
-                monthly: month_schedule(&[&episode], EYEBALL_BASE_UTIL, IDLE_AMPLITUDE),
-                noise_amp: 0.02,
-                noise_seed: seed_toward,
-            },
+            hot: eyeball_profile(
+                tz,
+                month_schedule(&[&episode], EYEBALL_BASE_UTIL, IDLE_AMPLITUDE),
+                seed_toward,
+            ),
             quiet: quiet_profile(tz, seed_toward),
             days: days.clone(),
         };

@@ -51,18 +51,6 @@ fn install_chaos(sys: &mut System, from: i64, until: i64) {
     }
 }
 
-/// Sorted far-IP verdicts across every VP, as the CLI summary reports them.
-fn verdicts(sys: &mut System, from: i64, to: i64) -> Vec<String> {
-    let mut out = Vec::new();
-    for vi in 0..sys.vps.len() {
-        sys.arm_reactive_loss(vi, from, to);
-        out.extend(sys.vps[vi].loss.targets.iter().map(|t| t.far_ip.to_string()));
-    }
-    out.sort();
-    out.dedup();
-    out
-}
-
 /// Content fingerprints of every VP's incremental link summaries, sorted by
 /// `(vp, near, far)`. These cover the ring *content* (dense mins, quality
 /// flags, presence, window position) — so equality here is strictly
@@ -92,7 +80,7 @@ fn fingerprint(sys: &mut System, from: i64, to: i64) -> Fingerprint {
         hash: sys.store.content_hash(),
         series: sys.store.series_count(),
         points: sys.store.point_count(),
-        verdicts: verdicts(sys, from, to),
+        verdicts: sys.congested_far_ips(from, to),
         summaries: summary_fingerprints(sys),
     }
 }

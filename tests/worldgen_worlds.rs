@@ -25,7 +25,6 @@ use manic_core::{System, SystemConfig};
 use manic_netsim::time::month_start;
 use manic_netsim::topo::Direction;
 use manic_scenario::bgp::{is_valley_free, Routing};
-use manic_worldgen::build::focus_graph;
 use manic_worldgen::fingerprint::Fnv;
 use manic_worldgen::{
     build_world_full, compile_world, generate, scenario_library, spec_for, topology_fingerprint,
@@ -183,10 +182,9 @@ proptest! {
     ) {
         let spec = WorldSpec::planetary("prop", total, vps);
         let topo = generate(&spec, seed);
-        let graph = focus_graph(&topo);
+        let graph = topo.graph.subgraph(&topo.focus);
         let routing = Routing::compute(&graph);
-        for &(vp_node, _) in &topo.vp_placements {
-            let src = topo.graph.asn(vp_node);
+        for &(src, _) in &topo.vp_placements {
             for dst in graph.ases() {
                 let path = routing
                     .as_path(src, dst.asn)
