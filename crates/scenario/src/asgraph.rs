@@ -151,31 +151,24 @@ impl AsGraph {
         self.row(a).to_vec()
     }
 
+    /// `a`'s neighbors that relate to it as `hood`, sorted by ASN.
+    fn related(&self, a: AsNumber, hood: Neighborhood) -> Vec<AsNumber> {
+        self.row(a).iter().filter(|&&(_, h)| h == hood).map(|&(n, _)| n).collect()
+    }
+
     /// Providers of `a`.
     pub fn providers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.row(a)
-            .iter()
-            .filter(|(_, h)| *h == Neighborhood::Provider)
-            .map(|&(n, _)| n)
-            .collect()
+        self.related(a, Neighborhood::Provider)
     }
 
     /// Customers of `a`.
     pub fn customers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.row(a)
-            .iter()
-            .filter(|(_, h)| *h == Neighborhood::Customer)
-            .map(|&(n, _)| n)
-            .collect()
+        self.related(a, Neighborhood::Customer)
     }
 
     /// Peers of `a`.
     pub fn peers(&self, a: AsNumber) -> Vec<AsNumber> {
-        self.row(a)
-            .iter()
-            .filter(|(_, h)| *h == Neighborhood::Peer)
-            .map(|&(n, _)| n)
-            .collect()
+        self.related(a, Neighborhood::Peer)
     }
 
     /// Sibling set of `a`: every AS sharing `a`'s organization (including
